@@ -16,14 +16,21 @@
 // optimal vertex choices and paths are reconstructed by re-running each
 // spread with parent tracking. Tables are float32 to halve memory;
 // spreads run at most twice, so no per-edge parent arrays are retained.
+//
+// The program is written once: DP is the driver, Workspace.Spread
+// (spread.go) its one spread kernel. Embed runs it unlimited over the
+// instance's routing window; the repair rung (package reembed) runs it
+// on a per-worker DP over a small window, with corridors, a cost bound
+// and a settle budget (Limits).
 package embed
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
+	"costdist/internal/geom"
 	"costdist/internal/grid"
-	"costdist/internal/heaps"
 	"costdist/internal/nets"
 )
 
@@ -38,222 +45,311 @@ var inf32 = float32(math.Inf(1))
 type Result struct {
 	Tree     *nets.RTree
 	Estimate float64
+	// Settles is the number of labels the DP's spreads settled: its
+	// deterministic work count.
+	Settles int
 }
 
 // Embed embeds the topology into in.G within in.Win. The topology is
 // canonicalized first, so any valid PlaneTree is accepted.
 func Embed(in *nets.Instance, tree *nets.PlaneTree) (*Result, error) {
-	sinkW := make([]float64, len(in.Sinks))
-	for i, s := range in.Sinks {
-		sinkW[i] = s.W
-	}
-	ct := tree.Canonicalize(sinkW, in.DBif, in.Eta)
-	if err := ct.Validate(len(in.Sinks)); err != nil {
-		return nil, fmt.Errorf("embed: %w", err)
-	}
-	kids := ct.Children()
-	if len(kids[0]) == 0 {
-		return &Result{Tree: &nets.RTree{}}, nil
-	}
-
-	win := in.G.NewWindow(in.Win)
-	e := &embedder{in: in, ct: ct, kids: kids, win: win, size: win.Size()}
-	e.subW = make([]float64, len(ct.Nodes))
-	e.computeSubW(0)
-	e.acc = make([][]float32, len(ct.Nodes))
-	e.dist = make([]float64, e.size)
-	e.pred = make([]int32, e.size)
-	e.parc = make([]grid.Arc, e.size)
-	e.touched = make([]uint32, e.size)
-	e.settled = make([]uint32, e.size)
-
-	rootIdx := win.Index(in.Root)
-	if rootIdx < 0 {
-		return nil, fmt.Errorf("embed: root outside window")
-	}
-
-	// Bottom-up tables.
-	penalty := 0.0
-	var up func(v int32) error
-	up = func(v int32) error {
-		for _, c := range kids[v] {
-			if err := up(c); err != nil {
-				return err
-			}
-		}
-		p, err := e.accumulate(v)
-		penalty += p
-		return err
-	}
-	top := kids[0][0]
-	if err := up(top); err != nil {
-		return nil, err
-	}
-
-	// Top edge: spread the root's single child toward the root vertex.
-	e.spread(top, rootIdx)
-	if e.settled[rootIdx] != e.epoch {
-		return nil, fmt.Errorf("embed: root unreachable in window")
-	}
-	estimate := e.dist[rootIdx] + penalty
-
-	// Top-down reconstruction. The spread of node v must be live in the
-	// workspace when tracing v; children are re-spread on demand.
-	var steps []nets.Step
-	var down func(v, atIdx int32) error
-	down = func(v, atIdx int32) error {
-		cur := atIdx
-		for e.pred[cur] >= 0 {
-			p := e.pred[cur]
-			steps = append(steps, nets.Step{From: win.Vertex(p), Arc: e.parc[cur]})
-			cur = p
-		}
-		for _, c := range kids[v] {
-			e.spread(c, cur)
-			if e.settled[cur] != e.epoch {
-				return fmt.Errorf("embed: reconstruction target unreachable")
-			}
-			if err := down(c, cur); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := down(top, rootIdx); err != nil {
-		return nil, err
-	}
-
-	rt, err := nets.PruneToTree(in, steps)
+	var d DP
+	unlimited := Limits{Halo: -1, Bound: math.Inf(1), Settles: math.MaxInt, Cells: math.MaxInt64}
+	rt, est, err := d.Run(in, tree, in.Win, unlimited)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Tree: rt, Estimate: estimate}, nil
+	return &Result{Tree: rt, Estimate: est, Settles: d.Settles}, nil
 }
 
-type embedder struct {
-	in   *nets.Instance
+// Limits confine one run of the DP. Narrowing them never yields an
+// invalid tree, only a costlier one or an error.
+type Limits struct {
+	// Halo ≥ 0 confines the spread of each topology edge to a corridor:
+	// the bounding box of its two nodes' positions in the given
+	// topology (and, top-down, of the vertex the parent was placed at),
+	// expanded by Halo gcells and clamped to the window. A re-embedding
+	// is a local perturbation of the tree the topology came from, so
+	// every node re-places near where it was. Negative: whole window.
+	Halo int32
+	// Bound is a hard total-cost cutoff: partial embeddings pricing at
+	// or above it are pruned, and ErrBound reports that no embedding
+	// beats it. +Inf for none.
+	Bound float64
+	// Settles is the settle budget of each pass (bottom-up including
+	// the top edge, then reconstruction); ErrTooLarge reports a pass
+	// that ran out. Settle order is deterministic, so the cutoff is too.
+	Settles int
+	// Cells bounds window size × node count, the float32 table
+	// footprint; beyond it Run reports ErrTooLarge without allocating.
+	Cells int64
+}
+
+// ErrTooLarge reports a run beyond its Limits.Cells or Limits.Settles.
+var ErrTooLarge = errors.New("embed: tables or search too large")
+
+// ErrBound reports that every embedding of the topology prices at or
+// above Limits.Bound.
+var ErrBound = errors.New("embed: no embedding under cost bound")
+
+// DP is the reusable state of the embedding program: the spread
+// workspace, a pool of per-node cost tables and the driver's per-run
+// slices, so a run on a warmed DP allocates nothing beyond
+// canonicalizing the topology and pruning the result. The zero value is
+// ready; not safe for concurrent use.
+type DP struct {
+	Workspace
+
 	ct   *nets.PlaneTree
 	kids [][]int32
-	win  grid.Window
-	size int32
-	subW []float64
+	lim  Limits
+	// bound is the spread-level cutoff (Limits.Bound minus the constant
+	// bifurcation penalties), left what remains of the pass's budget.
+	bound float64
+	left  int
 
+	sinkW, subW []float64
 	// acc[v] is D_v: min subtree cost with node v embedded at each
-	// window vertex. Kept for the whole run (float32) because the
-	// top-down pass re-seeds spreads from it.
-	acc [][]float32
-
-	// Dijkstra workspace, epoch-stamped to avoid O(window) clears.
-	dist    []float64
-	pred    []int32
-	parc    []grid.Arc
-	touched []uint32
-	settled []uint32
-	epoch   uint32
-	heap    heaps.Lazy[int32]
+	// window vertex, on tables from the pool (ntab handed out this run).
+	// Only the cells inside def[v], on every layer, are written — a
+	// sink's own gcell, else the overlap of the corridors v's children
+	// were spread in; outside it D_v is +Inf by definition and no cell
+	// is ever read.
+	acc    [][]float32
+	def    []geom.Rect
+	tables [][]float32
+	ntab   int
+	// steps collects the reconstructed paths, root edge first.
+	steps []nets.Step
 }
 
-func (e *embedder) computeSubW(v int32) float64 {
+// resized returns s with length n, reallocating only when it is too
+// small; the contents are undefined.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Run embeds the topology cost-minimally into in.G restricted to the
+// window winRect and within lim. It returns the embedded tree and the
+// DP's objective estimate.
+func (d *DP) Run(in *nets.Instance, tree *nets.PlaneTree, winRect geom.Rect, lim Limits) (*nets.RTree, float64, error) {
+	d.sinkW = resized(d.sinkW, len(in.Sinks))
+	for i, s := range in.Sinks {
+		d.sinkW[i] = s.W
+	}
+	ct := tree.Canonicalize(d.sinkW, in.DBif, in.Eta)
+	if err := ct.Validate(len(in.Sinks)); err != nil {
+		return nil, 0, fmt.Errorf("embed: %w", err)
+	}
+	kids := ct.Children()
+	if len(kids[0]) == 0 {
+		return &nets.RTree{}, 0, nil
+	}
+	win := in.G.NewWindow(winRect)
+	n := len(ct.Nodes)
+	if int64(win.Size())*int64(n) > lim.Cells {
+		return nil, 0, ErrTooLarge
+	}
+	rootIdx := win.Index(in.Root)
+	if rootIdx < 0 {
+		return nil, 0, fmt.Errorf("embed: root outside window")
+	}
+	d.ct, d.kids, d.lim = ct, kids, lim
+	d.subW, d.acc, d.def = resized(d.subW, n), resized(d.acc, n), resized(d.def, n)
+	d.steps, d.ntab = d.steps[:0], 0
+	d.Reset(in, win)
+	d.weigh(0)
+
+	// The bifurcation penalties are constants of the topology (they
+	// depend only on the subtree weight split, never on positions), so
+	// they come off the bound before the spreads see it.
+	penalty := 0.0
+	for _, ch := range kids {
+		if len(ch) == 2 {
+			penalty += nets.Beta(in.DBif, in.Eta, d.subW[ch[0]], d.subW[ch[1]])
+		}
+	}
+	d.bound, d.left = lim.Bound-penalty, lim.Settles
+
+	// Bottom-up tables, then the top edge: spread the root's single
+	// child toward the root vertex (its corridor spans the child's
+	// position and that vertex, whatever position node 0 carries).
+	top := kids[0][0]
+	if err := d.up(top); err != nil {
+		return nil, 0, err
+	}
+	if !d.spread(top, rootIdx, d.corridor(top, top, in.Root)) {
+		return nil, 0, ErrTooLarge
+	}
+	if d.settled[rootIdx] != d.Epoch {
+		return nil, 0, d.unreachable("root")
+	}
+	estimate := d.dist[rootIdx] + penalty
+
+	// Reconstruction re-runs each spread with an early-termination
+	// target; it gets a fresh settle budget so a DP that just fit the
+	// bottom-up budget cannot abort while tracing the tree it found.
+	d.left = lim.Settles
+	if err := d.down(top, rootIdx); err != nil {
+		return nil, 0, err
+	}
+	rt, err := nets.PruneToTree(in, d.steps)
+	if err != nil {
+		return nil, 0, err
+	}
+	return rt, estimate, nil
+}
+
+// unreachable is the error for a DP table with no finite cell: under a
+// finite bound nothing beats the bound, otherwise the window (or the
+// corridors) disconnect the topology.
+func (d *DP) unreachable(what string) error {
+	if !math.IsInf(d.lim.Bound, 1) {
+		return ErrBound
+	}
+	return fmt.Errorf("embed: %s unreachable in window", what)
+}
+
+// weigh fills subW[v], the total sink weight below topology node v.
+func (d *DP) weigh(v int32) float64 {
 	w := 0.0
-	if s := e.ct.Nodes[v].SinkIdx; s >= 0 {
-		w = e.in.Sinks[s].W
+	if s := d.ct.Nodes[v].SinkIdx; s >= 0 {
+		w = d.in.Sinks[s].W
 	}
-	for _, c := range e.kids[v] {
-		w += e.computeSubW(c)
+	for _, c := range d.kids[v] {
+		w += d.weigh(c)
 	}
-	e.subW[v] = w
+	d.subW[v] = w
 	return w
 }
 
-// accumulate builds acc[v] and returns the bifurcation penalty constant
-// incurred at v (β of the two child subtree weights for binary nodes).
-func (e *embedder) accumulate(v int32) (float64, error) {
-	n := e.ct.Nodes[v]
-	tbl := make([]float32, e.size)
-	if n.SinkIdx >= 0 {
-		for i := range tbl {
-			tbl[i] = inf32
-		}
-		idx := e.win.Index(e.in.Sinks[n.SinkIdx].V)
-		if idx < 0 {
-			return 0, fmt.Errorf("embed: sink %d outside window", n.SinkIdx)
-		}
-		tbl[idx] = 0
-		e.acc[v] = tbl
-		return 0, nil
+// corridor is the rectangle the spread of topology edge (c, v) may
+// explore (see Limits.Halo); at, unless NoV, is a graph vertex the
+// spread has to reach besides the two nodes' positions.
+func (d *DP) corridor(c, v int32, at grid.V) geom.Rect {
+	if d.lim.Halo < 0 {
+		return d.win.R
 	}
-	ch := e.kids[v]
-	for i, c := range ch {
-		e.spread(c, -1)
-		if i == 0 {
-			for x := int32(0); x < e.size; x++ {
-				if e.settled[x] == e.epoch {
-					tbl[x] = float32(e.dist[x])
-				} else {
-					tbl[x] = inf32
-				}
-			}
-		} else {
-			for x := int32(0); x < e.size; x++ {
-				if e.settled[x] == e.epoch && tbl[x] < inf32 {
-					tbl[x] += float32(e.dist[x])
-				} else {
-					tbl[x] = inf32
-				}
-			}
-		}
+	p, g := d.ct.Nodes[c].Pos, d.in.G
+	r := geom.Rect{X0: p.X, Y0: p.Y, X1: p.X, Y1: p.Y}.Add(d.ct.Nodes[v].Pos)
+	if at != grid.NoV {
+		r = r.Add(g.Pt(at))
 	}
-	e.acc[v] = tbl
-	pen := 0.0
-	if len(ch) == 2 {
-		pen = nets.Beta(e.in.DBif, e.in.Eta, e.subW[ch[0]], e.subW[ch[1]])
-	}
-	return pen, nil
+	return r.Expand(d.lim.Halo, g.NX, g.NY).Intersect(d.win.R)
 }
 
-// spread runs a multi-source Dijkstra seeded with acc[c] under the
-// metric cost + subW[c]·delay, filling the workspace. If target ≥ 0 the
-// search stops as soon as that window index settles; with target -1 it
-// exhausts the window (needed when building parent tables).
-func (e *embedder) spread(c, target int32) {
-	w := e.subW[c]
-	e.epoch++
-	e.heap.Reset()
-	seeds := e.acc[c]
-	costs := e.in.C
-	g := e.in.G
-	for x := int32(0); x < e.size; x++ {
-		if seeds[x] < inf32 {
-			e.dist[x] = float64(seeds[x])
-			e.pred[x] = -1
-			e.touched[x] = e.epoch
-			e.heap.Push(e.dist[x], x)
+// spread runs the kernel seeded with acc[c] under the metric
+// cost + subW[c]·delay inside corr; seeds outside it are dropped. With
+// target ≥ 0 the search stops once that window index settles, with -1
+// it exhausts the corridor. It reports false when the pass's settle
+// budget ran out.
+func (d *DP) spread(c, target int32, corr geom.Rect) bool {
+	before := d.Settles
+	ok := d.Spread(d.acc[c], corr.Intersect(d.def[c]), d.subW[c], corr, d.bound, d.left, target)
+	d.left -= d.Settles - before
+	return ok
+}
+
+// up builds the tables of v's subtree bottom-up.
+func (d *DP) up(v int32) error {
+	for _, c := range d.kids[v] {
+		if err := d.up(c); err != nil {
+			return err
 		}
 	}
-	for e.heap.Len() > 0 {
-		k, x := e.heap.Pop()
-		if e.settled[x] == e.epoch || k > e.dist[x] {
-			continue
-		}
-		e.settled[x] = e.epoch
-		if x == target {
-			return
-		}
-		v := e.win.Vertex(x)
-		g.Arcs(v, e.win.R, func(a grid.Arc) bool {
-			y := e.win.Index(a.To)
-			if y < 0 || e.settled[y] == e.epoch {
-				return true
-			}
-			nd := k + costs.ArcCost(a) + w*costs.ArcDelay(a)
-			if e.touched[y] != e.epoch || nd < e.dist[y] {
-				e.dist[y] = nd
-				e.pred[y] = x
-				e.parc[y] = a
-				e.touched[y] = e.epoch
-				e.heap.Push(nd, y)
-			}
-			return true
-		})
+	return d.accumulate(v)
+}
+
+// accumulate builds acc[v]: a sink's table is 0 at its vertex; an inner
+// node's is the sum of its children's spreads, with cells whose partial
+// cost already reaches the bound pruned to inf (every term is
+// nonnegative, so a partial sum at the bound can never be part of an
+// embedding below it). Each child's sweep walks only the rows of
+// def[v], which shrinks to the overlap of the children's corridors.
+func (d *DP) accumulate(v int32) error {
+	if d.ntab == len(d.tables) {
+		d.tables = append(d.tables, nil)
 	}
+	tbl := resized(d.tables[d.ntab], int(d.win.Size()))
+	d.tables[d.ntab], d.acc[v] = tbl, tbl
+	d.ntab++
+	if si := d.ct.Nodes[v].SinkIdx; si >= 0 {
+		sink := d.in.Sinks[si].V
+		idx := d.win.Index(sink)
+		if idx < 0 {
+			return fmt.Errorf("embed: sink %d outside window", si)
+		}
+		p := d.in.G.Pt(sink)
+		d.def[v] = geom.Rect{X0: p.X, Y0: p.Y, X1: p.X, Y1: p.Y}
+		for l := int32(0); l < d.win.Layers(); l++ {
+			tbl[d.win.RectIndex(p.X, p.Y, l)] = inf32
+		}
+		tbl[idx] = 0
+		return nil
+	}
+	any := false
+	for i, c := range d.kids[v] {
+		corr := d.corridor(c, v, grid.NoV)
+		if !d.spread(c, -1, corr) {
+			return ErrTooLarge
+		}
+		r := corr
+		if i > 0 {
+			r = d.def[v].Intersect(corr)
+		}
+		d.def[v], any = r, false
+		rowW := r.W()
+		for l := int32(0); l < d.win.Layers(); l++ {
+			for y := r.Y0; y <= r.Y1; y++ {
+				x0 := d.win.RectIndex(r.X0, y, l)
+				for x := x0; x < x0+rowW; x++ {
+					reached := d.settled[x] == d.Epoch
+					if i == 0 {
+						tbl[x] = inf32
+						if reached {
+							tbl[x], any = float32(d.dist[x]), true
+						}
+					} else if tbl[x] != inf32 {
+						if reached && float64(tbl[x])+d.dist[x] < d.bound {
+							tbl[x] += float32(d.dist[x])
+							any = true
+						} else {
+							tbl[x] = inf32
+						}
+					}
+				}
+			}
+		}
+	}
+	if !any {
+		return d.unreachable("subtree")
+	}
+	return nil
+}
+
+// down reconstructs top-down: it traces node v's edge from window index
+// at back to the seed the live spread grew it from — v's position — and
+// re-spreads each child toward that position on demand, so the
+// workspace always holds the spread of the node being traced.
+func (d *DP) down(v, at int32) error {
+	for d.pred[at] >= 0 {
+		p := d.pred[at]
+		d.steps = append(d.steps, nets.Step{From: d.win.Vertex(p), Arc: d.parc[at]})
+		at = p
+	}
+	for _, c := range d.kids[v] {
+		if !d.spread(c, at, d.corridor(c, v, d.win.Vertex(at))) {
+			return ErrTooLarge
+		}
+		if d.settled[at] != d.Epoch {
+			return fmt.Errorf("embed: reconstruction target unreachable")
+		}
+		if err := d.down(c, at); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -16,13 +16,16 @@
 //     pass-through chains are spliced out. Bend positions carry no
 //     information — the re-embedding re-routes every topology edge
 //     anyway.
-//   - Reembed runs the same two-pass bottom-up/top-down dynamic program
-//     as package embed (spread child tables toward the parent by
-//     multi-source Dijkstra under the metric c(e) + W·d(e), then
-//     reconstruct top-down), but over the small repair window around
-//     the cached tree instead of the oracle's full routing window, and
-//     on a reusable generation-stamped Scratch (the sparse.FlatI32
-//     idiom from the solver arenas) instead of per-call allocations.
+//   - Reembed runs package embed's two-pass dynamic program (embed.DP:
+//     spread child tables toward the parent by multi-source Dijkstra
+//     under the metric c(e) + W·d(e) — the shared kernel
+//     embed.Workspace.Spread — then reconstruct top-down), the same
+//     code the baselines' embedding runs, but over the small repair
+//     window around the cached tree instead of the oracle's full
+//     routing window, confined per topology edge to a corridor, cut
+//     off at the cached tree's cost and at a settle budget, and on a
+//     reusable generation-stamped Scratch (the sparse.FlatI32 idiom
+//     from the solver arenas) instead of per-call allocations.
 //     Restricted to the window grid of the subtree's terminals, the DP
 //     returns the cost-minimal embedding of the topology.
 //   - Repair evaluates both the repaired and the cached tree under the
@@ -38,17 +41,14 @@ package reembed
 import (
 	"errors"
 	"fmt"
-	"math"
 
+	"costdist/internal/embed"
 	"costdist/internal/geom"
 	"costdist/internal/grid"
-	"costdist/internal/heaps"
 	"costdist/internal/nets"
 	"costdist/internal/obs"
 	"costdist/internal/sparse"
 )
-
-var inf32 = float32(math.Inf(1))
 
 // Halo is the window margin, in gcells, added around the cached tree's
 // bounding box (plus the terminals) to form the repair window. The DP
@@ -73,14 +73,9 @@ const maxTableCells = 16 << 20
 const maxSettles = 48 << 10
 
 // ErrTooLarge reports a net whose repair tables would exceed
-// maxTableCells; the caller escalates it to a full oracle solve.
-var ErrTooLarge = errors.New("reembed: repair tables too large")
-
-// errNoImprovement reports that every embedding of the topology prices
-// at or above the cost bound the DP was given — the cached tree is
-// already optimal-or-tied within the window, so Repair adopts it
-// without error.
-var errNoImprovement = errors.New("reembed: no embedding under cost bound")
+// maxTableCells or whose spreads outrun maxSettles; the caller
+// escalates it to a full oracle solve.
+var ErrTooLarge = embed.ErrTooLarge
 
 // Outcome is the result of one repair attempt.
 type Outcome struct {
@@ -95,29 +90,16 @@ type Outcome struct {
 	Improved bool
 }
 
-// Scratch is the reusable per-worker workspace of the repair DP:
-// epoch-stamped Dijkstra state over the repair window (O(1) reset, the
-// sparse.FlatI32 idiom) plus a pooled slab of per-node cost tables.
-// Not safe for concurrent use; give each worker its own.
+// Scratch is the reusable per-worker workspace of a repair: the
+// embedding DP's state (epoch-stamped spread workspace over the repair
+// window, pooled per-node cost tables, per-attempt slices — the
+// sparse.FlatI32 idiom), so the DP allocates nothing per attempt. Not
+// safe for concurrent use; give each worker its own.
 type Scratch struct {
 	// vid maps window indices to dense tree-vertex ids during topology
 	// extraction.
 	vid sparse.FlatI32
-
-	// Dijkstra workspace over the current window, epoch-stamped so a
-	// new spread never clears O(window) memory.
-	dist    []float64
-	pred    []int32
-	parc    []grid.Arc
-	touched []uint32
-	settled []uint32
-	epoch   uint32
-	heap    heaps.Lazy[int32]
-
-	// tables pools the per-node DP tables across calls; ntab is the
-	// number handed out in the current call.
-	tables [][]float32
-	ntab   int
+	dp  embed.DP
 
 	// Obs, when non-nil, is the owning router worker's telemetry sink;
 	// Repair records the re-embedding DP on it as a detail span nested
@@ -129,49 +111,6 @@ type Scratch struct {
 // NewScratch returns an empty workspace; it grows to the largest
 // repair window it ever serves and is reused across nets and waves.
 func NewScratch() *Scratch { return &Scratch{} }
-
-// ensure sizes the Dijkstra workspace for a window of the given size
-// and advances the epoch, invalidating all previous stamps in O(1).
-func (s *Scratch) ensure(size int32) {
-	n := int(size)
-	if cap(s.dist) < n {
-		s.dist = make([]float64, n)
-		s.pred = make([]int32, n)
-		s.parc = make([]grid.Arc, n)
-		s.touched = make([]uint32, n)
-		s.settled = make([]uint32, n)
-		s.epoch = 0
-	}
-	s.dist = s.dist[:n]
-	s.pred = s.pred[:n]
-	s.parc = s.parc[:n]
-	s.touched = s.touched[:n]
-	s.settled = s.settled[:n]
-	if s.epoch == math.MaxUint32-1 {
-		// Stamp space nearly exhausted: pay one clear, restart stamps.
-		for i := range s.touched {
-			s.touched[i] = 0
-			s.settled[i] = 0
-		}
-		s.epoch = 0
-	}
-}
-
-// grabTable hands out a pooled float32 table of the given size; its
-// contents are undefined and must be fully written by the caller.
-func (s *Scratch) grabTable(size int32) []float32 {
-	if s.ntab == len(s.tables) {
-		s.tables = append(s.tables, nil)
-	}
-	t := s.tables[s.ntab]
-	if cap(t) < int(size) {
-		t = make([]float32, size)
-	}
-	t = t[:size]
-	s.tables[s.ntab] = t
-	s.ntab++
-	return t
-}
 
 // Window returns the repair window of a cached tree: the bounding box
 // of the tree and the instance terminals, expanded by Halo and clamped
@@ -221,7 +160,8 @@ func Repair(in *nets.Instance, cached *nets.RTree, scr *Scratch) (*Outcome, erro
 	if scr.Obs != nil {
 		scr.Obs.DetailSpan(obs.StageRepair, -1, "reembed-dp", dpT0)
 	}
-	if errors.Is(err, errNoImprovement) {
+	if errors.Is(err, embed.ErrBound) {
+		// The cached tree is already optimal-or-tied within the window.
 		return &Outcome{Tree: cached, Eval: cachedEval, CachedEval: cachedEval}, nil
 	}
 	if err != nil {
@@ -392,314 +332,23 @@ func ExtractTopology(in *nets.Instance, cached *nets.RTree, winRect geom.Rect, s
 // Reembed embeds the topology cost-minimally into in.G restricted to
 // the window win: the two-pass DP of package embed (bottom-up tables
 // spread by multi-source Dijkstra, top-down reconstruction) on the
-// reusable scratch. It returns the embedded tree and the DP's
-// objective estimate (congestion + weighted delay + bifurcation
-// penalty constants). bound is a hard total-cost cutoff: the spreads
-// prune every partial embedding that already prices at or above it
-// (pass +Inf for the unbounded DP) and errNoImprovement reports that
-// no embedding beats it.
+// reusable scratch, each topology edge confined to the Halo corridor
+// around its cached endpoints and the whole attempt to maxTableCells
+// and maxSettles. It returns the embedded tree and the DP's objective
+// estimate (congestion + weighted delay + bifurcation penalty
+// constants). bound is a hard total-cost cutoff: the spreads prune
+// every partial embedding that already prices at or above it (pass
+// +Inf for the unbounded DP) and embed.ErrBound reports that no
+// embedding beats it.
+//
+// Narrowing the search to corridors is sound because adoption
+// re-evaluates the reconstructed tree: it can only trade repair power
+// for speed, never produce a tree worse than replay; nets whose better
+// embedding lies outside every corridor come back unimproved and
+// escalate through the cost check.
 func Reembed(in *nets.Instance, tree *nets.PlaneTree, winRect geom.Rect, bound float64, scr *Scratch) (*nets.RTree, float64, error) {
 	if scr == nil {
 		scr = NewScratch()
 	}
-	sinkW := make([]float64, len(in.Sinks))
-	for i, s := range in.Sinks {
-		sinkW[i] = s.W
-	}
-	ct := tree.Canonicalize(sinkW, in.DBif, in.Eta)
-	if err := ct.Validate(len(in.Sinks)); err != nil {
-		return nil, 0, fmt.Errorf("reembed: %w", err)
-	}
-	kids := ct.Children()
-	if len(kids[0]) == 0 {
-		return &nets.RTree{}, 0, nil
-	}
-
-	win := in.G.NewWindow(winRect)
-	size := win.Size()
-	if int64(size)*int64(len(ct.Nodes)) > maxTableCells {
-		return nil, 0, ErrTooLarge
-	}
-	e := &reembedder{in: in, ct: ct, kids: kids, win: win, size: size, scr: scr}
-	e.subW = make([]float64, len(ct.Nodes))
-	e.computeSubW(0)
-	e.rects = make([]geom.Rect, len(ct.Nodes))
-	e.computeRects()
-	e.acc = make([][]float32, len(ct.Nodes))
-	scr.ensure(size)
-	scr.ntab = 0
-
-	rootIdx := win.Index(in.Root)
-	if rootIdx < 0 {
-		return nil, 0, fmt.Errorf("reembed: root outside repair window")
-	}
-
-	// The bifurcation penalties are constants of the topology (they
-	// depend only on the subtree weight split, never on positions), so
-	// they come off the bound before the spreads see it.
-	penalty := 0.0
-	for v := range kids {
-		if ch := kids[v]; len(ch) == 2 {
-			penalty += nets.Beta(in.DBif, in.Eta, e.subW[ch[0]], e.subW[ch[1]])
-		}
-	}
-	e.bound = bound - penalty
-
-	// Bottom-up tables.
-	var up func(v int32) error
-	up = func(v int32) error {
-		for _, c := range kids[v] {
-			if err := up(c); err != nil {
-				return err
-			}
-		}
-		return e.accumulate(v)
-	}
-	top := kids[0][0]
-	if err := up(top); err != nil {
-		return nil, 0, err
-	}
-
-	// Top edge: spread the root's single child toward the root vertex.
-	e.spread(top, rootIdx, e.corridor(e.rects[top].Add(in.G.Pt(in.Root))))
-	if e.aborted {
-		return nil, 0, ErrTooLarge
-	}
-	if e.scr.settled[rootIdx] != e.scr.epoch {
-		if !math.IsInf(bound, 1) {
-			return nil, 0, errNoImprovement
-		}
-		return nil, 0, fmt.Errorf("reembed: root unreachable in repair window")
-	}
-	estimate := e.scr.dist[rootIdx] + penalty
-	// Reconstruction re-runs each spread with an early-termination
-	// target; give it a fresh settle budget so a DP that just fit the
-	// bottom-up budget cannot abort while tracing the tree it found.
-	e.work = 0
-
-	// Top-down reconstruction; children are re-spread on demand so the
-	// workspace holds the spread of the node currently being traced.
-	var steps []nets.Step
-	var down func(v, atIdx int32) error
-	down = func(v, atIdx int32) error {
-		cur := atIdx
-		for e.scr.pred[cur] >= 0 {
-			p := e.scr.pred[cur]
-			steps = append(steps, nets.Step{From: win.Vertex(p), Arc: e.scr.parc[cur]})
-			cur = p
-		}
-		for _, c := range kids[v] {
-			base := e.rects[c].Union(e.rects[v]).Add(in.G.Pt(win.Vertex(cur)))
-			e.spread(c, cur, e.corridor(base))
-			if e.aborted {
-				return ErrTooLarge
-			}
-			if e.scr.settled[cur] != e.scr.epoch {
-				return fmt.Errorf("reembed: reconstruction target unreachable")
-			}
-			if err := down(c, cur); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := down(top, rootIdx); err != nil {
-		return nil, 0, err
-	}
-
-	rt, err := nets.PruneToTree(in, steps)
-	if err != nil {
-		return nil, 0, err
-	}
-	return rt, estimate, nil
-}
-
-// reembedder is the per-call view of the DP: topology, window and the
-// borrowed scratch.
-type reembedder struct {
-	in   *nets.Instance
-	ct   *nets.PlaneTree
-	kids [][]int32
-	win  grid.Window
-	size int32
-	subW []float64
-	// rects[v] is the degenerate box at topology node v's cached
-	// position. A repair is a local perturbation of the cached tree —
-	// every node re-places within the halo of where it was — so the
-	// spread of a topology edge is confined to the halo-expanded bbox
-	// of its two cached endpoints (the corridor) instead of the whole
-	// repair window. Correctness is unaffected: adoption re-evaluates
-	// the reconstructed tree, so narrowing the search can only trade
-	// repair power for speed, never produce a tree worse than replay;
-	// nets whose better embedding lies outside every corridor come back
-	// unimproved and escalate through the cost check.
-	rects []geom.Rect
-	// bound is the spread-level cost cutoff (total bound minus the
-	// constant bifurcation penalties); labels at or above it are pruned.
-	bound float64
-	// work counts Dijkstra settles across all spreads; aborted flags a
-	// spread cut short by the maxSettles budget (its workspace is
-	// incomplete and must not be read).
-	work    int
-	aborted bool
-	// acc[v] is D_v: min subtree cost with node v embedded at each
-	// window vertex, on tables borrowed from the scratch pool.
-	acc [][]float32
-	scr *Scratch
-}
-
-func (e *reembedder) computeSubW(v int32) float64 {
-	w := 0.0
-	if s := e.ct.Nodes[v].SinkIdx; s >= 0 {
-		w = e.in.Sinks[s].W
-	}
-	for _, c := range e.kids[v] {
-		w += e.computeSubW(c)
-	}
-	e.subW[v] = w
-	return w
-}
-
-func (e *reembedder) computeRects() {
-	for v, n := range e.ct.Nodes {
-		e.rects[v] = geom.Rect{X0: n.Pos.X, Y0: n.Pos.Y, X1: n.Pos.X, Y1: n.Pos.Y}
-	}
-}
-
-// corridor halo-expands a base box and clamps it to the repair window,
-// yielding the sub-rectangle one spread is allowed to explore.
-func (e *reembedder) corridor(base geom.Rect) geom.Rect {
-	return base.Expand(Halo, e.in.G.NX, e.in.G.NY).Intersect(e.win.R)
-}
-
-// accumulate builds acc[v]: the summed spreads of v's children, with
-// cells whose partial cost already reaches the bound pruned to inf
-// (every term is nonnegative, so a partial sum at the bound can never
-// be part of an embedding below it).
-func (e *reembedder) accumulate(v int32) error {
-	n := e.ct.Nodes[v]
-	tbl := e.scr.grabTable(e.size)
-	if n.SinkIdx >= 0 {
-		for i := range tbl {
-			tbl[i] = inf32
-		}
-		idx := e.win.Index(e.in.Sinks[n.SinkIdx].V)
-		if idx < 0 {
-			return fmt.Errorf("reembed: sink %d outside repair window", n.SinkIdx)
-		}
-		tbl[idx] = 0
-		e.acc[v] = tbl
-		return nil
-	}
-	ch := e.kids[v]
-	bound := e.bound
-	any := false
-	for i, c := range ch {
-		any = false
-		e.spread(c, -1, e.corridor(e.rects[c].Union(e.rects[v])))
-		if e.aborted {
-			return ErrTooLarge
-		}
-		if i == 0 {
-			for x := int32(0); x < e.size; x++ {
-				if e.scr.settled[x] == e.scr.epoch {
-					tbl[x] = float32(e.scr.dist[x])
-					any = true
-				} else {
-					tbl[x] = inf32
-				}
-			}
-		} else {
-			for x := int32(0); x < e.size; x++ {
-				if tbl[x] == inf32 {
-					continue
-				}
-				if e.scr.settled[x] == e.scr.epoch &&
-					float64(tbl[x])+e.scr.dist[x] < bound {
-					tbl[x] += float32(e.scr.dist[x])
-					any = true
-				} else {
-					tbl[x] = inf32
-				}
-			}
-		}
-	}
-	if !any {
-		if !math.IsInf(bound, 1) {
-			return errNoImprovement
-		}
-		return fmt.Errorf("reembed: subtree unreachable in repair window")
-	}
-	e.acc[v] = tbl
-	return nil
-}
-
-// spread runs a multi-source Dijkstra seeded with acc[c] under the
-// metric cost + subW[c]·delay, filling the scratch workspace. The
-// search never leaves corr — the corridor around the subtree and its
-// destination (every finite seed lies inside it by construction). If
-// target ≥ 0 the search stops as soon as that window index settles;
-// with target -1 it exhausts the corridor.
-func (e *reembedder) spread(c, target int32, corr geom.Rect) {
-	w := e.subW[c]
-	s := e.scr
-	s.epoch++
-	s.heap.Reset()
-	seeds := e.acc[c]
-	costs := e.in.C
-	g := e.in.G
-	bound := e.bound
-	for l := int32(0); l < e.win.Layers(); l++ {
-		for y := corr.Y0; y <= corr.Y1; y++ {
-			x0 := e.win.RectIndex(corr.X0, y, l)
-			x1 := e.win.RectIndex(corr.X1, y, l)
-			for x := x0; x <= x1; x++ {
-				if seeds[x] < inf32 && float64(seeds[x]) < bound {
-					s.dist[x] = float64(seeds[x])
-					s.pred[x] = -1
-					s.touched[x] = s.epoch
-					s.heap.Push(s.dist[x], x)
-				}
-			}
-		}
-	}
-	for s.heap.Len() > 0 {
-		k, x := s.heap.Pop()
-		if k >= bound {
-			return // keys are monotone: everything left prices out
-		}
-		if s.settled[x] == s.epoch || k > s.dist[x] {
-			continue
-		}
-		s.settled[x] = s.epoch
-		e.work++
-		if e.work > maxSettles {
-			e.aborted = true
-			return
-		}
-		if x == target {
-			return
-		}
-		v := e.win.Vertex(x)
-		g.Arcs(v, e.win.R, func(a grid.Arc) bool {
-			y := e.win.Index(a.To)
-			if y < 0 || s.settled[y] == s.epoch {
-				return true
-			}
-			xv := int32(a.To) % g.NX
-			yv := (int32(a.To) / g.NX) % g.NY
-			if xv < corr.X0 || xv > corr.X1 || yv < corr.Y0 || yv > corr.Y1 {
-				return true
-			}
-			nd := k + costs.ArcCost(a) + w*costs.ArcDelay(a)
-			if nd < bound && (s.touched[y] != s.epoch || nd < s.dist[y]) {
-				s.dist[y] = nd
-				s.pred[y] = x
-				s.parc[y] = a
-				s.touched[y] = s.epoch
-				s.heap.Push(nd, y)
-			}
-			return true
-		})
-	}
+	return scr.dp.Run(in, tree, winRect, embed.Limits{Halo: Halo, Bound: bound, Settles: maxSettles, Cells: maxTableCells})
 }

@@ -245,3 +245,108 @@ func TestRepairColocatedTerminals(t *testing.T) {
 		t.Fatal("co-located net should repair to the empty tree unchanged")
 	}
 }
+
+// repairCase is a fixed congested 8-layer repair: a 10-sink net whose
+// cached tree was embedded before a third of the segments repriced.
+func repairCase(tb testing.TB) (*nets.Instance, *nets.RTree) {
+	tb.Helper()
+	g := newGraph(26, 26, 8)
+	rng := rand.New(rand.NewPCG(31, 5))
+	sinks := make([]nets.Sink, 10)
+	for i := range sinks {
+		sinks[i] = nets.Sink{V: g.At(4+rng.Int32N(16), 4+rng.Int32N(16), 0), W: rng.Float64() * 2}
+	}
+	in := testInstance(g, g.At(12, 12, 0), sinks)
+	in.DBif = 2
+	res, err := embed.Embed(in, rsmt.Build(in.TermPts()))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := range in.C.Mult {
+		if rng.IntN(3) == 0 {
+			in.C.Mult[i] = 1 + rng.Float32()*6
+		}
+	}
+	return in, res.Tree
+}
+
+// TestReembedSurvivesEpochWrap: a long-lived worker's stamp counter is
+// bumped once per spread, up to 2·nodes times per attempt, so it must
+// be able to step over its wrap in the middle of one. Parked a few
+// stamps below the wrap, a used scratch must return the same tree and
+// estimate as a fresh one.
+func TestReembedSurvivesEpochWrap(t *testing.T) {
+	in, cached := repairCase(t)
+	win := Window(in, cached)
+	reembed := func(scr *Scratch) (*nets.RTree, float64) {
+		topo, err := ExtractTopology(in, cached, win, scr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, est, err := Reembed(in, topo, win, math.Inf(1), scr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr, est
+	}
+	want, wantEst := reembed(NewScratch())
+	for _, below := range []uint32{0, 1, 3, 7} {
+		scr := NewScratch()
+		reembed(scr) // leave stale stamps behind
+		scr.dp.Epoch = math.MaxUint32 - below
+		got, est := reembed(scr)
+		if scr.dp.Epoch > 100 {
+			t.Fatalf("parked %d below the wrap: epoch %d never wrapped", below, scr.dp.Epoch)
+		}
+		if !treeEqual(got, want) || est != wantEst {
+			t.Fatalf("parked %d below the wrap: estimate %v (%d steps), fresh scratch %v (%d steps)",
+				below, est, len(got.Steps), wantEst, len(want.Steps))
+		}
+	}
+}
+
+// TestRepairAllocationBound pins what one attempt on a warmed scratch
+// allocates. The DP itself allocates nothing (embed's
+// TestRunAllocatesNothingForTheDP); what remains is topology
+// extraction, canonicalization, tree pruning and the two evaluations,
+// whose maps scale with the tree, not the window. The attempt is held
+// under a fixed ceiling: 2009 measured on go1.24, the map
+// implementation moves it between toolchains.
+func TestRepairAllocationBound(t *testing.T) {
+	in, cached := repairCase(t)
+	scr := NewScratch()
+	var out *Outcome
+	attempt := func() {
+		var err error
+		if out, err = Repair(in, cached, scr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	attempt()
+	if !out.Improved {
+		t.Fatal("fixture does not exercise reconstruction: repair did not improve")
+	}
+	const maxAllocs = 2600
+	if n := testing.AllocsPerRun(10, attempt); n > maxAllocs {
+		t.Fatalf("Repair allocates %v times per attempt on a warmed scratch, pinned at %d", n, maxAllocs)
+	}
+}
+
+var benchOutcome *Outcome
+
+// BenchmarkRepair times one repair attempt on a warmed scratch and
+// reports the DP's settled labels as its deterministic work count.
+func BenchmarkRepair(b *testing.B) {
+	in, cached := repairCase(b)
+	scr := NewScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := Repair(in, cached, scr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchOutcome = out
+	}
+	b.ReportMetric(float64(scr.dp.Settles)/float64(b.N), "settles/op")
+}
