@@ -29,7 +29,7 @@ func main() {
 	dbif := flag.Float64("dbif", -1, "bifurcation penalty ps (-1: derive from technology, 0: off)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	incremental := flag.Bool("incremental", false, "dirty-net scheduling: re-solve only nets invalidated by price changes after wave 0")
-	incTol := flag.Float64("inctol", 0, "incremental invalidation tolerance (relative; <0 forces every net dirty; unset: router default)")
+	incTol := flag.Float64("inctol", 0, "incremental invalidation tolerance (relative, ≥ 0; 0 invalidates on any change; unset: router default)")
 	repairTol := flag.Float64("repairtol", -1, "topology-repair escalation tolerance: ≥ 0 re-embeds price-dirtied nets on their cached topology before a full re-solve, < 0 disables the rung (default)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the routing run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the routing run to this file")

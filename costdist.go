@@ -23,11 +23,12 @@
 //     a scratch arena so repeated solves stop allocating, and SolveBatch
 //     fans instances across parallel workers with bit-identical results
 //     to a sequential loop (see batch.go);
-//   - an incremental routing engine (RouterOptions.Incremental): after
-//     the first rip-up-and-reroute wave only nets invalidated by
-//     congestion or timing price changes are re-solved, with cache and
-//     delta counters reported in RouteMetrics. The disabled path is
-//     bit-identical to full re-solving. RouterOptions.RepairTol ≥ 0
+//   - a reuse policy for the router's one wave loop
+//     (RouterOptions.Incremental): on, after the first
+//     rip-up-and-reroute wave only nets invalidated by congestion or
+//     timing price changes are re-solved, with cache and delta counters
+//     reported in RouteMetrics; off, every net is re-solved in every
+//     wave. RouterOptions.RepairTol ≥ 0
 //     adds a topology-repair rung between replay and full re-solve: a
 //     net dirtied only by price drift is first re-embedded optimally on
 //     its cached topology (internal/reembed) and escalates to the

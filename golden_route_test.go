@@ -13,6 +13,9 @@ import (
 // fixed small chip, captured before the RouterState refactor. Any
 // change to these digests means the refactor altered routing results —
 // the cold path must stay bit-identical to the pre-refactor engine.
+// The incremental=false digests were captured from the former
+// worker-order usage engine, so they also pin that the one wave loop's
+// no-skip policy reproduces it.
 //
 // Regenerate (only when a deliberate behavior change is shipped) with:
 //

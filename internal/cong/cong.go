@@ -36,13 +36,6 @@ func (u *Usage) AddArc(a grid.Arc) {
 	u.U[a.Seg] += u.G.ArcCapUse(a)
 }
 
-// AddFrom accumulates other into u.
-func (u *Usage) AddFrom(other *Usage) {
-	for i, v := range other.U {
-		u.U[i] += v
-	}
-}
-
 // WirelengthM returns the total routed track length in meters (vias
 // excluded): capacity units consumed per segment times the gcell pitch,
 // so wide wires count their full track usage, as foundry wirelength
@@ -126,11 +119,10 @@ func (p *Pricer) step(s int, use float32) {
 // start — collapse into one. Results are bitwise identical to
 // p.Update(u) followed by t.Update(p.Mult); t must track the same grid.
 func (p *Pricer) UpdateTracked(t *DeltaTracker, u *Usage) (rects []geom.Rect, changedSegs int) {
-	fullDirty := t.Tol < 0
 	for s := range p.Mult {
 		p.step(s, u.U[s])
 		m := p.Mult[s]
-		if !fullDirty && m == t.ref[s] {
+		if m == t.ref[s] {
 			continue
 		}
 		d := math.Abs(float64(m) - float64(t.ref[s]))

@@ -41,12 +41,6 @@ func TestUsageAccounting(t *testing.T) {
 	if u.U[a.Seg] != 2 {
 		t.Fatalf("usage = %v", u.U[a.Seg])
 	}
-	other := NewUsage(g)
-	other.AddArc(a)
-	u.AddFrom(other)
-	if u.U[a.Seg] != 3 {
-		t.Fatalf("after AddFrom = %v", u.U[a.Seg])
-	}
 	u.Reset()
 	if u.U[a.Seg] != 0 {
 		t.Fatal("Reset failed")

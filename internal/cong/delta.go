@@ -77,9 +77,8 @@ type DeltaTracker struct {
 	G *grid.Graph
 	// Tol is the relative tolerance: segment s counts as changed when
 	// |mult[s] − ref[s]| > Tol·ref[s]. Multipliers are clamped to ≥ 1,
-	// so the relative test is always well-defined. Tol = 0 reports any
-	// bitwise change; Tol < 0 reports every segment every wave (which
-	// forces a full re-solve and is how tests pin the no-skip path).
+	// so the relative test is always well-defined. Tol must be ≥ 0;
+	// Tol = 0 reports any bitwise change.
 	Tol float64
 
 	ref   []float32 // multiplier snapshot changes are judged against
@@ -121,14 +120,11 @@ func (t *DeltaTracker) SetRef(ref []float32) {
 // wave's delta volume.
 func (t *DeltaTracker) Update(mult []float32) (rects []geom.Rect, changedSegs int) {
 	g := t.G
-	// Tol < 0 is the forced-dirty mode: every segment counts as changed,
-	// equal values included, so the fast path must not skip them.
-	fullDirty := t.Tol < 0
 	for s := range t.ref {
-		// Fast path: an unchanged multiplier has drift exactly 0, which a
-		// non-negative tolerance never reports. Typical waves change a few
+		// Fast path: an unchanged multiplier has drift exactly 0, which the
+		// tolerance (≥ 0) never reports. Typical waves change a few
 		// percent of the segments, so this skips almost the whole sweep.
-		if !fullDirty && mult[s] == t.ref[s] {
+		if mult[s] == t.ref[s] {
 			continue
 		}
 		d := math.Abs(float64(mult[s]) - float64(t.ref[s]))

@@ -133,16 +133,3 @@ func TestDeltaTrackerRefRoundTrip(t *testing.T) {
 		t.Fatalf("restored reference reported changes: %v, %d", rects, n)
 	}
 }
-
-func TestDeltaTrackerNegativeToleranceForcesAll(t *testing.T) {
-	g := deltaGraph()
-	tr := NewDeltaTracker(g, -1)
-	mult := make([]float32, g.NumSegs())
-	for i := range mult {
-		mult[i] = 1 // identical to the reference
-	}
-	_, n := tr.Update(mult)
-	if n != int(g.NumSegs()) {
-		t.Fatalf("negative tolerance changed %d of %d segs", n, g.NumSegs())
-	}
-}

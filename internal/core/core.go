@@ -25,6 +25,7 @@ package core
 import (
 	"costdist/internal/geom"
 	"costdist/internal/grid"
+	"costdist/internal/heaps"
 )
 
 // Options selects the practical enhancements. The zero value is the
@@ -52,16 +53,6 @@ type Options struct {
 	// FlatHeap replaces the two-level heap with a single global heap
 	// (ablation of §III-B; results are identical, speed differs).
 	FlatHeap bool
-	// DialQueue backs each component's search with a monotone bucket
-	// (dial) queue instead of a binary heap. The dial pops the exact
-	// minimum key in O(1) amortized, but its tie order among
-	// bitwise-equal keys is its own, so routes can differ from the
-	// binary-heap default (both are valid solutions; the golden digests
-	// pin the default). Off by default: uniform-cost waves produce huge
-	// equal-key classes and the zero-cost own-component arcs of §III-A
-	// defeat the classic bucket-width argument, so the dial measured no
-	// faster than the heap on the chip suite. Ignored under FlatHeap.
-	DialQueue bool
 	// Scratch, when non-nil, supplies a reusable arena for the solver's
 	// per-call state (components, heaps, label maps, ownership stamps).
 	// Results are bit-identical with or without it. A Scratch must not
@@ -120,7 +111,7 @@ type comp struct {
 	bbox geom.Rect
 
 	labels labelStore
-	queue  compQueue
+	queue  heaps.Lazy[entry]
 
 	// Best root-connection candidate found so far (kept out of the heap
 	// because its penalty term changes when the active weight shrinks).

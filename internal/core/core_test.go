@@ -443,14 +443,14 @@ func TestCDBoundedOnAdversarialWeights(t *testing.T) {
 	t.Logf("adversarial regime: CD %.1f vs L1 %.1f (ratio %.3f)", cd, l1, cd/l1)
 }
 
-func TestDialQueueTieFreeBitIdentity(t *testing.T) {
-	// All three queue backends — the two-level lazy heap, the flat
-	// global heap and the dial queue — pop the exact minimum key, so on
-	// a tie-free instance they must make identical decisions down to the
-	// last step. Random congestion multipliers make bitwise-equal keys
-	// (the one degree of freedom where backends legitimately differ, see
-	// Options.DialQueue) vanishingly unlikely; a divergence here is a
-	// real ordering bug, not a tie artifact.
+func TestLazyVsFlatHeapTieFreeStepForStep(t *testing.T) {
+	// Both queue arrangements — the two-level lazy heap and the flat
+	// global heap of the §III-B ablation — pop the exact minimum key, so
+	// on a tie-free instance they must make identical decisions down to
+	// the last step. Random congestion multipliers make bitwise-equal
+	// keys (the one degree of freedom where they could legitimately
+	// differ) vanishingly unlikely; a divergence here is a real ordering
+	// bug, not a tie artifact.
 	g, c := newGraph(20, 20, 4)
 	rng := rand.New(rand.NewPCG(29, 31))
 	for i := range c.Mult {
@@ -459,62 +459,23 @@ func TestDialQueueTieFreeBitIdentity(t *testing.T) {
 	base := Options{Discount: true, ImproveSteiner: true, RootBonus: true}
 	flat := base
 	flat.FlatHeap = true
-	dial := base
-	dial.DialQueue = true
 	for it := 0; it < 12; it++ {
 		in := randInstance(rng, g, c, 2+rng.IntN(12), 3.0)
 		trBase, err := Solve(in, base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, opt := range map[string]Options{"flat": flat, "dial": dial} {
-			tr, err := Solve(in, opt)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if len(tr.Steps) != len(trBase.Steps) {
-				t.Fatalf("it %d: %s tree has %d steps, two-level %d", it, name, len(tr.Steps), len(trBase.Steps))
-			}
-			for s := range tr.Steps {
-				if tr.Steps[s] != trBase.Steps[s] {
-					t.Fatalf("it %d: %s diverged from two-level at step %d: %+v vs %+v",
-						it, name, s, tr.Steps[s], trBase.Steps[s])
-				}
-			}
-		}
-	}
-}
-
-func TestDialQueueDeterministicAndValid(t *testing.T) {
-	// On real routing instances (uniform costs, massive key ties) the
-	// dial's tie order is its own: results may differ from the heap's
-	// but must be valid trees and bit-reproducible run to run.
-	g, c := newGraph(24, 24, 5)
-	rng := rand.New(rand.NewPCG(41, 43))
-	opt := DefaultOptions()
-	opt.DialQueue = true
-	scr := NewScratch()
-	optScr := opt
-	optScr.Scratch = scr
-	for it := 0; it < 10; it++ {
-		in := randInstance(rng, g, c, 1+rng.IntN(16), 4.0)
-		tr1, err := Solve(in, opt)
+		tr, err := Solve(in, flat)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := nets.Evaluate(in, tr1); err != nil {
-			t.Fatalf("it %d: invalid dial tree: %v", it, err)
+		if len(tr.Steps) != len(trBase.Steps) {
+			t.Fatalf("it %d: flat tree has %d steps, two-level %d", it, len(tr.Steps), len(trBase.Steps))
 		}
-		tr2, err := Solve(in, optScr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(tr1.Steps) != len(tr2.Steps) {
-			t.Fatalf("it %d: dial non-deterministic: %d vs %d steps", it, len(tr1.Steps), len(tr2.Steps))
-		}
-		for s := range tr1.Steps {
-			if tr1.Steps[s] != tr2.Steps[s] {
-				t.Fatalf("it %d: dial non-deterministic at step %d", it, s)
+		for s := range tr.Steps {
+			if tr.Steps[s] != trBase.Steps[s] {
+				t.Fatalf("it %d: flat diverged from two-level at step %d: %+v vs %+v",
+					it, s, tr.Steps[s], trBase.Steps[s])
 			}
 		}
 	}

@@ -50,7 +50,7 @@ func (scr *Scratch) newComp() *comp {
 		c := scr.compPool[n-1]
 		scr.compPool = scr.compPool[:n-1]
 		q := c.queue
-		q.Clear()
+		q.Reset()
 		*c = comp{queue: q}
 		return c
 	}

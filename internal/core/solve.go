@@ -72,7 +72,6 @@ func (scr *Scratch) solve(in *nets.Instance, opt Options, trace func(TraceEvent)
 	// int math: Window.Size would overflow int32 on huge windows.
 	s.winSize = int(idxRect.W()) * int(idxRect.H()) * len(in.G.Layers)
 	s.useSlab = s.winSize > 0 && s.winSize <= slabMaxVerts
-	s.useDial = opt.DialQueue && !opt.FlatHeap
 	s.useFlatOwner = int(in.G.NumV()) <= ownerFlatMaxV
 	if s.useFlatOwner {
 		s.flatOwner.Reset(int(in.G.NumV()))
@@ -176,7 +175,6 @@ type solver struct {
 	winWH   int32
 	winSize int
 	useSlab bool
-	useDial bool
 
 	activeW float64
 	alive   int
@@ -289,9 +287,7 @@ func rectDist(p geom.Pt, r geom.Rect) int64 {
 // startSearch initializes component c's Dijkstra from its representative.
 func (s *solver) startSearch(c *comp) {
 	c.labels = s.scr.getLabels()
-	// One congestion-free gcell step under c's metric is the natural
-	// dial bucket width: frontier keys then span a handful of buckets.
-	c.queue.Reset(s.useDial, s.minCost+c.weight*s.minDelay)
+	c.queue.Reset()
 	c.hasRoot = false
 	c.astar = s.opt.AStar && s.alive <= s.opt.AStarMaxTargets+1
 	idx := s.win.Index(c.rep)
@@ -729,7 +725,7 @@ func (s *solver) merge(c *comp, jid int32, p grid.V, pIdx int32, toRoot bool) {
 		old.alive = false
 		s.scr.putLabels(old.labels)
 		old.labels = labelStore{}
-		old.queue.Clear()
+		old.queue.Reset()
 		s.refreshTop(old)
 	}
 	s.comps = append(s.comps, k)

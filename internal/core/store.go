@@ -1,9 +1,6 @@
 package core
 
-import (
-	"costdist/internal/heaps"
-	"costdist/internal/sparse"
-)
+import "costdist/internal/sparse"
 
 // slabMaxVerts caps the routing-window size (in vertices) for which a
 // component's labels live in a dense generation-stamped array
@@ -47,68 +44,4 @@ func (ls labelStore) Len() int {
 		return ls.m.Len()
 	}
 	return 0
-}
-
-// compQueue is a component's search queue: a dial (bucket) queue under
-// Options.DialQueue, the lazy binary heap otherwise (the default; the
-// golden digests pin its results). Both pop the exact minimum key; only
-// the tie order among bitwise-equal keys differs, so the dial produces
-// equally valid but not bit-identical routes.
-type compQueue struct {
-	useDial bool
-	lazy    heaps.Lazy[entry]
-	dial    heaps.Dial[entry]
-}
-
-// Reset empties the queue and selects the backend; width is the dial
-// bucket width (one typical arc cost under the component's metric).
-func (q *compQueue) Reset(useDial bool, width float64) {
-	q.useDial = useDial
-	if useDial {
-		q.dial.Reset(width)
-	} else {
-		q.lazy.Reset()
-	}
-}
-
-// Clear empties the queue, keeping the backend and width.
-func (q *compQueue) Clear() {
-	q.lazy.Reset()
-	q.dial.Clear()
-}
-
-func (q *compQueue) Len() int {
-	if q.useDial {
-		return q.dial.Len()
-	}
-	return q.lazy.Len()
-}
-
-func (q *compQueue) Push(key float64, e entry) {
-	if q.useDial {
-		q.dial.Push(key, e)
-	} else {
-		q.lazy.Push(key, e)
-	}
-}
-
-func (q *compQueue) Peek() (float64, entry) {
-	if q.useDial {
-		return q.dial.Peek()
-	}
-	return q.lazy.Peek()
-}
-
-func (q *compQueue) Pop() (float64, entry) {
-	if q.useDial {
-		return q.dial.Pop()
-	}
-	return q.lazy.Pop()
-}
-
-func (q *compQueue) MinKey() float64 {
-	if q.useDial {
-		return q.dial.MinKey()
-	}
-	return q.lazy.MinKey()
 }

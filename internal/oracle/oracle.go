@@ -60,14 +60,14 @@ type Env struct {
 }
 
 // Hint describes an oracle's cost and capabilities to drivers and to
-// the incremental engine's invalidation rules.
+// the dirty-net scheduler's invalidation rules.
 type Hint struct {
 	// Cost ranks the oracle's relative expense (1 = cheapest). Drivers
 	// use it to prefer cheap oracles for uncritical nets; it is a rank,
 	// not a runtime model.
 	Cost int
 	// UsesBudgets reports whether the oracle consumes Instance.Budgets.
-	// The incremental engine only invalidates a cached tree on budget
+	// The dirty-net scheduler only invalidates a cached tree on budget
 	// drift when the oracle that produced it (or may replace it) is
 	// budget-sensitive.
 	UsesBudgets bool

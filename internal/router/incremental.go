@@ -17,7 +17,12 @@ import (
 // move the cached tree's own cost and leave it in place.
 const incHalo = 1
 
-// incState is the dirty-net scheduler of the incremental routing engine.
+// incState is the wave loop's per-net solve record and, under the skip
+// policy (Options.Incremental), its dirty-net scheduler. Every solve of
+// either policy lands here (noteFullSolve): the producing oracle feeds
+// checkpoint provenance and the flat step caches feed the net-order
+// usage replay. The scheduling half — computeDirty and the delta
+// tracker — only runs under the skip policy.
 // Across waves it keeps, per net, the inputs its cached tree was solved
 // under — delay weights, budgets and the tree's priced congestion cost —
 // plus the plane region the tree occupies, and chip-wide a reference
@@ -75,7 +80,8 @@ type incState struct {
 	// dirty nets whose only invalidation is congestion-price drift — pins,
 	// weights, budgets and oracle band unchanged — first attempt a
 	// fixed-topology re-embedding (internal/reembed) before escalating to
-	// the oracle. Populated only when repairOn.
+	// the oracle. Populated only when repairOn (skip policy with
+	// RepairTol ≥ 0).
 	repair   []bool
 	repairOn bool
 	// fullCost[ni] is the priced congestion cost of net ni's last FULL
@@ -156,7 +162,7 @@ func newIncState(chip *chipgen.Chip, drv *driver, opt Options) *incState {
 		cand:       make([]bool, len(nl.Nets)),
 		dirty:      make([]bool, len(nl.Nets)),
 		repair:     make([]bool, len(nl.Nets)),
-		repairOn:   opt.RepairTol >= 0,
+		repairOn:   opt.Incremental && opt.RepairTol >= 0,
 		fullCost:   make([]float64, len(nl.Nets)),
 		steps:      make([]netSteps, len(nl.Nets)),
 	}
@@ -179,8 +185,7 @@ func newIncState(chip *chipgen.Chip, drv *driver, opt Options) *incState {
 }
 
 // drifted reports whether cur moved beyond the relative tolerance from
-// the snapshot value. A negative tolerance reports every pair as
-// drifted, including identical ones (the forced full re-solve mode).
+// the snapshot value.
 func (s *incState) drifted(cur, snap float64) bool {
 	return math.Abs(cur-snap) > s.tol*math.Abs(snap)
 }
@@ -340,7 +345,9 @@ func (s *incState) noteSolved(ni int, w, b []float64, tr *nets.RTree, congCost f
 
 // noteFullSolve is noteSolved for a full oracle solve: it additionally
 // rebaselines the escalation reference cost. Adopted repairs go through
-// plain noteSolved so fullCost keeps pointing at the last real solve.
+// plain noteSolved so fullCost keeps pointing at the last real solve. A
+// warm start restores each checkpointed net through it too: the
+// (rebaselined) checkpoint values become the last-solve snapshots.
 func (s *incState) noteFullSolve(ni int, w, b []float64, tr *nets.RTree, congCost float64, oracleIdx int) {
 	s.noteSolved(ni, w, b, tr, congCost, oracleIdx)
 	s.fullCost[ni] = congCost
@@ -390,9 +397,6 @@ func (s *incState) replayUsage(u *cong.Usage, trees []*nets.RTree) {
 			continue
 		}
 		sc := &s.steps[ni]
-		if len(sc.segs) != len(tr.Steps) {
-			s.buildSteps(ni, tr)
-		}
 		for i, seg := range sc.segs {
 			u.U[seg] += sc.capUse[i]
 		}
@@ -405,20 +409,6 @@ func (s *incState) stashDelta(rects []geom.Rect, segs int) {
 	s.pending = true
 	s.pendRects = rects
 	s.pendSegs = segs
-}
-
-// restoreNet seeds net ni's scheduler state from a checkpoint: the
-// last-solve snapshots become the checkpoint's (rebaselined) values and
-// the candidate region follows the restored tree. Called once per net
-// before the first wave of a warm-started run.
-func (s *incState) restoreNet(ni int, w, b []float64, lastCost float64, oracleIdx int, tr *nets.RTree) {
-	s.lastW[ni] = append(s.lastW[ni][:0], w...)
-	s.lastB[ni] = append(s.lastB[ni][:0], b...)
-	s.lastCost[ni] = lastCost
-	s.fullCost[ni] = lastCost
-	s.lastOracle[ni] = int16(oracleIdx)
-	s.setRegion(ni, tr)
-	s.buildSteps(ni, tr)
 }
 
 // seedDirty arms the seeded-wave mode: the next computeDirty call

@@ -18,37 +18,6 @@ func metricsEqual(a, b Metrics) bool {
 		slices.Equal(a.DeltaSegsPerWave, b.DeltaSegsPerWave)
 }
 
-// With a negative tolerance every net is forced dirty every wave — no
-// cache hit ever happens — and the incremental engine must reproduce
-// the non-incremental run bit for bit.
-func TestIncrementalNoSkipBitIdentical(t *testing.T) {
-	chip := tinyChip(t, 0, 0.002)
-	opt := DefaultOptions()
-	opt.Waves = 3
-	opt.Threads = 2
-	full, err := Route(chip, CD, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Incremental = true
-	opt.IncrementalTol = -1
-	forced, err := Route(chip, CD, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if forced.Metrics.NetsSkipped != 0 {
-		t.Fatalf("forced mode skipped %d nets", forced.Metrics.NetsSkipped)
-	}
-	f, g := full.Metrics, forced.Metrics
-	if f.WS != g.WS || f.TNS != g.TNS || f.ACE4 != g.ACE4 || f.WLm != g.WLm ||
-		f.Vias != g.Vias || f.Overflow != g.Overflow || f.Objective != g.Objective {
-		t.Fatalf("no-skip incremental diverged:\nfull   %+v\nforced %+v", f, g)
-	}
-	if f.NetsSolved != g.NetsSolved {
-		t.Fatalf("solve counts differ: %d vs %d", f.NetsSolved, g.NetsSolved)
-	}
-}
-
 // At the default tolerance the scheduler must actually skip work after
 // wave 0 and still land within the documented band of the full run.
 func TestIncrementalSkipsAndStaysClose(t *testing.T) {

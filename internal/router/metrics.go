@@ -11,7 +11,7 @@ import (
 )
 
 // Metrics are the per-run columns of Tables IV and V, plus the
-// work-avoidance counters of the incremental engine.
+// work-avoidance counters of the dirty-net scheduler.
 type Metrics struct {
 	WS       float64 // worst slack, ps
 	TNS      float64 // total negative slack, ps
@@ -28,8 +28,8 @@ type Metrics struct {
 
 	// Objective is the summed paper objective (1) of the final trees —
 	// congestion cost under the final multipliers plus weighted sink
-	// delay under the final weights. It is the scalar the incremental
-	// and full engines are compared on.
+	// delay under the final weights. It is the scalar the two reuse
+	// policies are compared on.
 	Objective float64
 
 	// NetsSolved counts oracle solves summed over all waves; NetsSkipped
@@ -121,7 +121,7 @@ func (r *runState) finish() *Result {
 		}
 	}
 	// Score the final trees under the final prices and weights — the
-	// common scalar objective both engines are judged on.
+	// common scalar objective both reuse policies are judged on.
 	res.Metrics.Objective = r.objective(r.pricer.Costs())
 	res.Metrics.SolvesByOracle = map[string]int64{}
 	for _, wc := range r.workerCounts {

@@ -1,0 +1,99 @@
+package router
+
+import (
+	"context"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// Usage is replayed in net order under both reuse policies, so the
+// float32 sums — hence prices, trees and metrics — cannot depend on how
+// nets land on workers, even when the technology's cap-use values are
+// not exactly representable. The default ones are, so the other
+// thread-count pins cannot catch a worker-order sum; this one can.
+func TestRouteThreadIndependentWithInexactCapUse(t *testing.T) {
+	chip := tinyChip(t, 0, 0.004)
+	for li := range chip.G.Layers {
+		lay := &chip.G.Layers[li]
+		lay.ViaCapUse *= 0.7
+		for wi := range lay.Wires {
+			lay.Wires[wi].CapUse *= 0.3
+		}
+	}
+	opt := DefaultOptions()
+	opt.Waves = 3
+	opt.Incremental = false
+	var ref *Result
+	for _, threads := range []int{1, 2, 3, 8} {
+		opt.Threads = threads
+		res, err := Route(chip, CD, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Metrics.Walltime = 0
+		if ref == nil {
+			ref = res
+			continue
+		}
+		if !reflect.DeepEqual(ref.Metrics, res.Metrics) {
+			t.Fatalf("threads=%d changed metrics:\nref %+v\ngot %+v", threads, ref.Metrics, res.Metrics)
+		}
+		if !reflect.DeepEqual(ref.Trees, res.Trees) {
+			t.Fatalf("threads=%d changed routed trees", threads)
+		}
+	}
+}
+
+// IncrementalTol is a tolerance, not a mode switch: a negative value is
+// an error that points at Incremental=false, the way to re-solve every
+// net in every wave.
+func TestNegativeIncrementalTolRejected(t *testing.T) {
+	chip := tinyChip(t, 0, 0.002)
+	opt := DefaultOptions()
+	opt.Waves = 1
+	_, st, err := RouteCheckpoint(context.Background(), chip, CD, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.IncrementalTol = -1
+	for _, incremental := range []bool{false, true} {
+		opt.Incremental = incremental
+		if _, err := Route(chip, CD, opt); err == nil || !strings.Contains(err.Error(), "Incremental=false") {
+			t.Fatalf("Route(incremental=%v) with negative tolerance: err = %v", incremental, err)
+		}
+	}
+	if _, _, err := RouteFrom(context.Background(), st, chip, CD, opt); err == nil || !strings.Contains(err.Error(), "Incremental=false") {
+		t.Fatalf("RouteFrom with negative tolerance: err = %v", err)
+	}
+}
+
+// Every solve records its producing oracle, whatever the driver and the
+// reuse policy, so a checkpoint never carries a routed net of unknown
+// provenance (which would make the warm start's band and budget checks
+// conservative and re-solve nets an identical skip-policy checkpoint
+// keeps).
+func TestCheckpointRecordsOracleUnderBothPolicies(t *testing.T) {
+	chip := tinyChip(t, 0, 0.002)
+	for _, m := range []Method{CD, Auto, Portfolio, Exact} {
+		for _, incremental := range []bool{false, true} {
+			opt := DefaultOptions()
+			opt.Waves = 2
+			opt.Threads = 2
+			opt.Incremental = incremental
+			_, st, err := RouteCheckpoint(context.Background(), chip, m, opt)
+			if err != nil {
+				t.Fatalf("%v incremental=%v: %v", m, incremental, err)
+			}
+			for ni := range st.Nets {
+				ns := &st.Nets[ni]
+				if ns.Tree == nil {
+					t.Fatalf("%v incremental=%v: net %d unrouted", m, incremental, ni)
+				}
+				if ns.Oracle == "" {
+					t.Fatalf("%v incremental=%v: net %d has no recorded oracle", m, incremental, ni)
+				}
+			}
+		}
+	}
+}

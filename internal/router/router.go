@@ -142,32 +142,35 @@ type Options struct {
 	SLEps   float64
 
 	// CaptureWave, when ≥ 0, snapshots every routed net of that wave as
-	// a standalone cost-distance instance (for Tables I and II). In
-	// incremental mode only the nets actually re-solved in that wave are
+	// a standalone cost-distance instance (for Tables I and II). With
+	// Incremental on only the nets actually re-solved in that wave are
 	// captured.
 	CaptureWave int
 
-	// Incremental enables the dirty-net scheduler: after wave 0 only
-	// nets invalidated by congestion or timing price changes are ripped
-	// up and re-solved; clean nets keep their cached tree. Off by
-	// default; the disabled path is bit-identical to a full re-solve of
-	// every net in every wave. Warm-started runs (RouteFrom) always use
-	// the scheduler regardless of this flag.
+	// Incremental is the wave loop's reuse policy. On, the dirty-net
+	// scheduler picks each wave's work list: after wave 0 only nets
+	// invalidated by congestion or timing price changes are ripped up
+	// and re-solved; clean nets keep their cached tree. Off (the
+	// default), the work list is every net in every wave and price
+	// deltas are not tracked. Warm-started runs (RouteFrom) always skip
+	// regardless of this flag.
 	Incremental bool
 	// IncrementalTol is the relative tolerance of the invalidation rule:
 	// a congestion multiplier or sink timing value counts as changed
 	// when it moved by more than IncrementalTol relative to the snapshot
-	// the net was last solved under. 0 invalidates on any change; a
-	// negative value forces every net dirty every wave (no skips).
+	// the net was last solved under. 0 invalidates on any change; it
+	// must be ≥ 0 (Route and RouteFrom reject a negative value — to
+	// re-solve everything set Incremental to false).
 	IncrementalTol float64
-	// RepairTol enables the topology-repair rung of the incremental
-	// scheduler: a net invalidated only by congestion-price drift (pins,
-	// weights and budgets unchanged) is first re-embedded on its cached
-	// topology (internal/reembed) and escalates to a full oracle solve
-	// only when the repaired cost still exceeds (1+RepairTol) times the
-	// net's last full-solve cost, or a delay budget is violated.
-	// Negative (the default) disables the rung entirely: every dirty net
-	// escalates, reproducing the two-rung scheduler bit-for-bit.
+	// RepairTol enables the topology-repair rung of the dirty-net
+	// scheduler (it has no effect with Incremental off): a net
+	// invalidated only by congestion-price drift (pins, weights and
+	// budgets unchanged) is first re-embedded on its cached topology
+	// (internal/reembed) and escalates to a full oracle solve only when
+	// the repaired cost still exceeds (1+RepairTol) times the net's last
+	// full-solve cost, or a delay budget is violated. Negative (the
+	// default) disables the rung entirely: every dirty net escalates,
+	// reproducing the two-rung scheduler bit-for-bit.
 	RepairTol float64
 
 	// Selection configures the Auto selector's criticality bands and
@@ -352,7 +355,7 @@ func (d *driver) index(name string) int {
 }
 
 // pickIdx is the Auto band selection on raw per-net timing inputs —
-// shared with the incremental engine's invalidation check so both
+// shared with the dirty-net scheduler's invalidation check so both
 // always agree on the selected oracle.
 func (d *driver) pickIdx(ws, budgets, fastest []float64) int {
 	return d.index(d.sel.Pick(ws, budgets, fastest))
@@ -360,7 +363,7 @@ func (d *driver) pickIdx(ws, budgets, fastest []float64) int {
 
 // usesBudgets reports whether a re-solve of a net whose cached tree
 // came from oracle index last could consume Instance.Budgets — the
-// incremental engine's budget-drift invalidation gate.
+// dirty-net scheduler's budget-drift invalidation gate.
 func (d *driver) usesBudgets(last int) bool {
 	if d.mode == Portfolio {
 		for _, oi := range d.port {

@@ -83,9 +83,10 @@ type NetState struct {
 	Delays []float64
 	// LastCost is Tree's congestion cost under Mult.
 	LastCost float64
-	// Oracle is the registry name of the oracle that produced Tree
-	// ("" when unknown — e.g. a full-engine run under a multi-oracle
-	// driver); unknown provenance makes drift checks conservative.
+	// Oracle is the registry name of the oracle that produced Tree.
+	// Every routed net records it, under both reuse policies and every
+	// driver; "" only appears in hand-built or pre-provenance states
+	// and makes drift checks conservative.
 	Oracle string
 	// Tree is the cached embedded tree (nil if the net was never
 	// routed).
@@ -171,12 +172,12 @@ func (r *runState) Checkpoint() *State {
 }
 
 // producingOracle names the oracle behind net ni's cached tree: the
-// scheduler's record when the run tracked one, the fixed oracle for
-// single-oracle runs, "" otherwise (multi-oracle full-engine runs do
-// not record per-net provenance).
+// per-net record every solve leaves under either policy, the fixed
+// oracle for a tree restored without one into a single-oracle run, ""
+// otherwise.
 func (r *runState) producingOracle(ni int) string {
-	if r.inc != nil && r.inc.lastOracle[ni] >= 0 {
-		return r.drv.names[r.inc.lastOracle[ni]]
+	if oi := r.inc.lastOracle[ni]; oi >= 0 {
+		return r.drv.names[oi]
 	}
 	if r.drv.fixed >= 0 {
 		return r.drv.names[r.drv.fixed]
@@ -223,9 +224,8 @@ func RouteCheckpoint(ctx context.Context, chip *chipgen.Chip, m Method, opt Opti
 // already converged), which makes an unperturbed warm start a no-op
 // reproducing the checkpointed result exactly.
 //
-// The warm run always uses the dirty-net scheduler regardless of
-// opt.Incremental; a negative opt.IncrementalTol still forces every
-// net dirty (a full re-solve that only reuses the restored prices).
+// The warm run always uses the skip policy regardless of
+// opt.Incremental; like Route it rejects a negative opt.IncrementalTol.
 // With opt.RepairTol ≥ 0, seeded nets whose pin signature matched at
 // restore time — invalidated purely by the capacity/price diff — take
 // the topology-repair rung first and only escalate to a full oracle
@@ -259,8 +259,8 @@ func newRunFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, op
 	if err := st.CompatibleWith(chip.G); err != nil {
 		return nil, err
 	}
-	// Warm starts always run the dirty-net scheduler — without it there
-	// is no machinery to skip clean nets or replay their usage.
+	// Warm starts always run the skip policy — the no-skip work list
+	// would re-solve every restored net in wave 0.
 	opt.Incremental = true
 	r, err := newRun(ctx, chip, m, opt, pool)
 	if err != nil {
@@ -303,7 +303,7 @@ func newRunFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, op
 		copy(r.budgets[ni], ns.Budgets)
 		copy(r.delays[ni], ns.Delays)
 		r.trees[ni] = ns.Tree
-		r.inc.restoreNet(ni, ns.Weights, ns.Budgets, ns.LastCost, oi, ns.Tree)
+		r.inc.noteFullSolve(ni, ns.Weights, ns.Budgets, ns.Tree, ns.LastCost, oi)
 	}
 
 	// Capacity edits: translate changed segments into plane regions and

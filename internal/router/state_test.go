@@ -90,7 +90,7 @@ func TestComputeDirtySeedMode(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.trees[ni] = tr
-		inc.restoreNet(ni, r.weights[ni], r.budgets[ni], 1, drv.fixed, tr)
+		inc.noteFullSolve(ni, r.weights[ni], r.budgets[ni], tr, 1, drv.fixed)
 		fake[ni] = true
 	}
 	seed := make([]bool, n)

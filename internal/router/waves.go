@@ -45,6 +45,9 @@ type runState struct {
 	budgets [][]float64
 	trees   []*nets.RTree
 
+	// allNets is the no-skip policy's work list; inc the per-net solve
+	// snapshots and flat step caches every wave maintains, plus the
+	// dirty-net scheduler the skip policy (opt.Incremental) consults.
 	allNets []int32
 	inc     *incState
 
@@ -68,7 +71,7 @@ type runState struct {
 	// the Lagrangean updates entirely (quiesce) — no new information
 	// was produced, so repricing would only drift the restored state
 	// away from the checkpoint it came from. The cold path never
-	// quiesces: it stays bit-identical to the pre-State engine.
+	// quiesces.
 	warm bool
 }
 
@@ -76,6 +79,9 @@ type runState struct {
 // trees empty, and the pre-wave timing estimate seeding every sink's
 // delay weight and budget.
 func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options, pool *scratchPool) (*runState, error) {
+	if opt.IncrementalTol < 0 {
+		return nil, fmt.Errorf("router: IncrementalTol %v is negative; to re-solve every net in every wave set Incremental=false", opt.IncrementalTol)
+	}
 	r := &runState{
 		ctx: ctx, chip: chip, m: m, opt: opt, pool: pool,
 		start: time.Now(),
@@ -154,15 +160,13 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options, pool
 		}
 	}
 
-	// The full work list; incremental waves replace it with the dirty
+	// The full work list; the skip policy replaces it with the dirty
 	// subset.
 	r.allNets = make([]int32, nNets)
 	for i := range r.allNets {
 		r.allNets[i] = int32(i)
 	}
-	if opt.Incremental {
-		r.inc = newIncState(chip, drv, opt)
-	}
+	r.inc = newIncState(chip, drv, opt)
 
 	r.workerCounts = make([][]int64, r.threads)
 	for i := range r.workerCounts {
@@ -176,8 +180,11 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options, pool
 }
 
 // runWaves executes opt.Waves rip-up-and-reroute iterations on the
-// state: dirty-net scheduling (incremental mode), the parallel per-net
-// oracle solves, usage accounting and the Lagrangean price updates.
+// state: the work list, the parallel per-net oracle solves, usage
+// replayed in net order and the Lagrangean price updates. The reuse
+// policy (opt.Incremental: skip clean nets, or re-solve every net) is
+// consulted in exactly two places — the work list and tracked-vs-plain
+// pricing; everything else is one path.
 func (r *runState) runWaves() error {
 	ctx, chip, opt, drv := r.ctx, r.chip, r.opt, r.drv
 	g := chip.G
@@ -196,7 +203,7 @@ func (r *runState) runWaves() error {
 
 		work := r.allNets
 		deltaSegs := 0
-		if r.inc != nil {
+		if opt.Incremental {
 			// Dirty-net scheduling: invalidate nets whose cached tree got
 			// repriced or whose timing inputs drifted. Wave 0 marks every
 			// net dirty (nothing has been solved yet); a warm-started run
@@ -207,7 +214,6 @@ func (r *runState) runWaves() error {
 		}
 		nWork := len(work)
 
-		workerUsage := make([]*cong.Usage, threads)
 		workerErr := make([]error, threads)
 		captured := make([][]*nets.Instance, threads)
 		// Per-worker repair tallies: workers write disjoint indices and
@@ -218,9 +224,6 @@ func (r *runState) runWaves() error {
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < threads; w++ {
-			if r.inc == nil {
-				workerUsage[w] = cong.NewUsage(g)
-			}
 			wg.Add(1)
 			go func(worker int) {
 				defer wg.Done()
@@ -259,7 +262,7 @@ func (r *runState) runWaves() error {
 					ni := int(work[idx])
 					in := buildInstance(chip, ni, r.weights[ni], costs, r.dbif, opt)
 					in.Budgets = r.budgets[ni]
-					if r.inc != nil && r.inc.repair[ni] {
+					if r.inc.repair[ni] {
 						// The middle rung: re-embed the cached topology
 						// under the current prices. Adopted repairs skip
 						// the oracle (and the capture hook — they are not
@@ -309,17 +312,11 @@ func (r *runState) runWaves() error {
 					}
 					r.trees[ni] = tr
 					copy(r.delays[ni], ev.SinkDelay)
-					if r.inc == nil {
-						for _, st := range tr.Steps {
-							workerUsage[worker].AddArc(st.Arc)
-						}
-					} else {
-						// Snapshot the inputs this solve consumed, the new
-						// tree's cost and region, and which oracle produced
-						// it; workers touch disjoint nets, so this is
-						// race-free.
-						r.inc.noteFullSolve(ni, r.weights[ni], r.budgets[ni], tr, ev.CongCost, oi)
-					}
+					// Snapshot the inputs this solve consumed, the new
+					// tree's cost, region and flat steps, and which oracle
+					// produced it; workers touch disjoint nets, so this is
+					// race-free.
+					r.inc.noteFullSolve(ni, r.weights[ni], r.budgets[ni], tr, ev.CongCost, oi)
 					if capture && len(in.Sinks) >= 1 {
 						captured[worker] = append(captured[worker], snapshot(in))
 					}
@@ -336,20 +333,13 @@ func (r *runState) runWaves() error {
 			}
 		}
 		replayT0 := rec.Now()
-		if r.inc == nil {
-			r.usage = cong.NewUsage(g)
-			for _, wu := range workerUsage {
-				r.usage.AddFrom(wu)
-			}
-		} else {
-			// Skipped nets keep their cached tree but still occupy their
-			// tracks: rebuild usage from every tree, cached or fresh, in
-			// net order — deterministic regardless of worker count or of
-			// which nets were skipped. The scheduler's flat step caches
-			// replay each tree without re-deriving per-arc capacities.
-			r.usage = cong.NewUsage(g)
-			r.inc.replayUsage(r.usage, r.trees)
-		}
+		// Rebuild usage from every tree, cached or fresh, in net order:
+		// skipped nets still occupy their tracks, and the float32 sums are
+		// the same whatever the worker count or the set of nets re-solved.
+		// The flat step caches replay each tree without re-deriving
+		// per-arc capacities.
+		r.usage = cong.NewUsage(g)
+		r.inc.replayUsage(r.usage, r.trees)
 		rec.Span(obs.StageReplay, int32(wave), -1, "", replayT0)
 		nRepaired, nEscalated := 0, 0
 		for w := 0; w < threads; w++ {
@@ -363,7 +353,7 @@ func (r *runState) runWaves() error {
 		r.res.Metrics.SolvedPerWave = append(r.res.Metrics.SolvedPerWave, nWork-nRepaired)
 		r.res.Metrics.SkippedPerWave = append(r.res.Metrics.SkippedPerWave, nNets-nWork)
 		r.res.Metrics.DeltaSegsPerWave = append(r.res.Metrics.DeltaSegsPerWave, deltaSegs)
-		if r.inc != nil && r.inc.repairOn {
+		if r.inc.repairOn {
 			r.res.Metrics.RepairedPerWave = append(r.res.Metrics.RepairedPerWave, nRepaired)
 			r.res.Metrics.EscalatedPerWave = append(r.res.Metrics.EscalatedPerWave, nEscalated)
 		}
@@ -382,13 +372,13 @@ func (r *runState) runWaves() error {
 			// Lagrangean updates: congestion prices, delay weights and the
 			// globally optimized per-sink delay budgets (routed delay plus
 			// the slack the endpoint can still afford) consumed by the
-			// shallow-light baseline, per ref [13]. When another incremental
+			// shallow-light baseline, per ref [13]. When another skip-policy
 			// wave follows, the price update and the delta tracker's drift
 			// sweep fuse into one pass and the result is stashed for that
-			// wave's computeDirty; the last wave prices plainly, leaving the
-			// tracker exactly as the unfused engine would.
+			// wave's computeDirty; the last wave, and every no-skip wave,
+			// prices plainly and leaves the tracker alone.
 			priceT0 := rec.Now()
-			if r.inc != nil && wave+1 < opt.Waves {
+			if opt.Incremental && wave+1 < opt.Waves {
 				rects, segs := r.pricer.UpdateTracked(r.inc.tracker, r.usage)
 				r.inc.stashDelta(rects, segs)
 			} else {
