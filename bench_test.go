@@ -177,14 +177,21 @@ func BenchmarkAblation(b *testing.B) {
 		{"default", core.DefaultOptions()},
 		{"noDiscount", func() core.Options { o := core.DefaultOptions(); o.Discount = false; return o }()},
 		{"flatHeap", func() core.Options { o := core.DefaultOptions(); o.FlatHeap = true; return o }()},
-		{"aStar", func() core.Options { o := core.DefaultOptions(); o.AStar = true; o.AStarMaxTargets = 24; return o }()},
+		{"noAStar", func() core.Options { o := core.DefaultOptions(); o.AStar = false; return o }()},
 		{"noImprove", func() core.Options { o := core.DefaultOptions(); o.ImproveSteiner = false; return o }()},
 		{"noRootBonus", func() core.Options { o := core.DefaultOptions(); o.RootBonus = false; return o }()},
 		{"plainSectionII", core.Options{}},
 	}
 	ins := benchInstances(32, 5, 24, 12, 4)
 	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) { benchSolve(b, ins, v.opt) })
+		b.Run(v.name, func(b *testing.B) {
+			// A private arena carries the work counters: settled/op is the
+			// deterministic side of the ns/op beside it.
+			opt := v.opt
+			opt.Scratch = core.NewScratch()
+			benchSolve(b, ins, opt)
+			b.ReportMetric(float64(opt.Scratch.Settled)/float64(b.N), "settled/op")
+		})
 	}
 }
 

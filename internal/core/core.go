@@ -9,7 +9,10 @@
 //   - §III-B two-level heaps: one binary heap per active component plus
 //     an indexed top-level heap over per-component minima, so the
 //     globally minimal tentative label pops in O(log t + log n);
-//   - §III-C goal-oriented (A*) searches with admissible future costs;
+//   - §III-C goal-oriented (A*) searches: every label is keyed by its
+//     distance plus an admissible future cost, the bound of
+//     internal/future's live-target table to the nearest other alive
+//     component's bounding box (on by default);
 //   - §III-D improved embedding of new Steiner vertices along the
 //     connection path;
 //   - §III-E encouraging early root connections by discounting the
@@ -35,14 +38,13 @@ type Options struct {
 	// Discount enables §III-A: zero connection cost on own-component
 	// edges and connections completing at any target-component vertex.
 	Discount bool
-	// AStar enables §III-C goal-oriented searches. Future costs are
-	// recomputed against the target components alive at push time; after
-	// a merge grows a target, older labels may carry slightly inflated
-	// keys (documented trade-off, ablated in benchmarks).
+	// AStar enables §III-C goal-oriented searches; switching it off is
+	// the §III-C ablation (plain Dijkstra, about twice the settled labels).
+	// A label's future cost is taken against the components alive when it
+	// is pushed; after a merge grows a target, older labels may carry
+	// slightly inflated keys (the stale-key trade, see ARCHITECTURE.md
+	// "Goal-oriented search").
 	AStar bool
-	// AStarMaxTargets disables A* for searches with more active targets
-	// than this (the per-label min over targets gets too expensive).
-	AStarMaxTargets int
 	// ImproveSteiner enables §III-D: the new component's representative
 	// is placed at the path position minimizing the estimated extension
 	// cost instead of a random endpoint.
@@ -62,15 +64,13 @@ type Options struct {
 }
 
 // DefaultOptions returns the configuration used for the paper's "CD"
-// experiments: all quality-relevant enhancements on, A* off (it is a
-// pure speed/quality trade toggled in the ablation benchmarks).
+// experiments: every §III enhancement on, with the two-level heap.
 func DefaultOptions() Options {
 	return Options{
-		Discount:        true,
-		AStar:           false,
-		AStarMaxTargets: 12,
-		ImproveSteiner:  true,
-		RootBonus:       true,
+		Discount:       true,
+		AStar:          true,
+		ImproveSteiner: true,
+		RootBonus:      true,
 	}
 }
 
@@ -107,8 +107,7 @@ type comp struct {
 	alive  bool
 	isRoot bool
 
-	rep  grid.V // representative terminal position
-	bbox geom.Rect
+	rep grid.V // representative terminal position
 
 	labels labelStore
 	queue  heaps.Lazy[entry]
@@ -119,9 +118,6 @@ type comp struct {
 	rootAt  grid.V
 	rootIdx int32 // window index of rootAt
 	hasRoot bool
-
-	// astar is true while this search uses future costs.
-	astar bool
 }
 
 // entry is a queue element of one component's search.

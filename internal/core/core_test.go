@@ -70,7 +70,7 @@ func allOptionSets() map[string]Options {
 		"base":       {},
 		"discount":   {Discount: true},
 		"flat":       {Discount: true, ImproveSteiner: true, RootBonus: true, FlatHeap: true},
-		"astar":      {Discount: true, AStar: true, AStarMaxTargets: 16, RootBonus: true},
+		"astar":      {Discount: true, AStar: true, RootBonus: true},
 		"no-improve": {Discount: true, RootBonus: true},
 	}
 }
@@ -477,6 +477,59 @@ func TestLazyVsFlatHeapTieFreeStepForStep(t *testing.T) {
 				t.Fatalf("it %d: flat diverged from two-level at step %d: %+v vs %+v",
 					it, s, tr.Steps[s], trBase.Steps[s])
 			}
+		}
+	}
+}
+
+func TestGoalOrientedSettlesFewerLabels(t *testing.T) {
+	// §III-C is a speed lever: on the same instances the goal-oriented
+	// search must settle markedly fewer labels than plain Dijkstra while
+	// the trees stay as good. Both sides are counts and evaluated
+	// objectives, so this fails on a bound that was silently switched off
+	// (ratio 1.0) where a clock could not tell.
+	g, c := newGraph(48, 48, 5)
+	rng := rand.New(rand.NewPCG(43, 47))
+	for i := range c.Mult {
+		if rng.IntN(3) == 0 {
+			c.Mult[i] = 1 + 3*rng.Float32()
+		}
+	}
+	off := DefaultOptions()
+	off.AStar = false
+	for _, nSinks := range []int{4, 16, 64} {
+		var ins []*nets.Instance
+		for it := 0; it < 6; it++ {
+			ins = append(ins, randInstance(rng, g, c, nSinks, 3.0))
+		}
+		run := func(opt Options) (settled int64, total float64) {
+			opt.Scratch = NewScratch()
+			for _, in := range ins {
+				tr, err := Solve(in, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ev, err := nets.Evaluate(in, tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				total += ev.Total
+			}
+			scr := opt.Scratch
+			if scr.Searches == 0 || scr.Pushed < scr.Settled {
+				t.Fatalf("t=%d: implausible work counters: %d searches, %d pushed, %d settled",
+					nSinks, scr.Searches, scr.Pushed, scr.Settled)
+			}
+			return scr.Settled, total
+		}
+		sOff, qOff := run(off)
+		sOn, qOn := run(DefaultOptions())
+		t.Logf("t=%d: settled %d → %d (%.0f %%), objective %.1f → %.1f (%+.2f %%)",
+			nSinks, sOff, sOn, 100*float64(sOn)/float64(sOff), qOff, qOn, 100*(qOn-qOff)/qOff)
+		if float64(sOn) > 0.8*float64(sOff) {
+			t.Errorf("t=%d: goal-oriented search settled %d labels, plain %d: more than 80 %%", nSinks, sOn, sOff)
+		}
+		if qOn > 1.02*qOff {
+			t.Errorf("t=%d: goal-oriented objective %v more than 2 %% above plain %v", nSinks, qOn, qOff)
 		}
 	}
 }

@@ -32,6 +32,13 @@ type Scratch struct {
 	// Solves counts completed calls through this arena (cheap visibility
 	// for tests and metrics).
 	Solves int
+	// Deterministic work done through this arena, cumulative over its
+	// solves (failed ones included): Searches is component searches
+	// started, Pushed queue entries pushed (validate's corrected re-pushes
+	// included), Settled labels made permanent. They repeat exactly for the
+	// same instances and options, so a test can gate on them where a clock
+	// is too noisy.
+	Searches, Pushed, Settled int64
 }
 
 // NewScratch returns an empty arena. The zero value is not usable;

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 
 	"costdist/internal/dsu"
+	"costdist/internal/future"
 	"costdist/internal/geom"
 	"costdist/internal/grid"
 	"costdist/internal/heaps"
@@ -54,8 +55,7 @@ func (scr *Scratch) solve(in *nets.Instance, opt Options, trace func(TraceEvent)
 	s.steps = s.steps[:0]
 	s.activeW, s.alive, s.iter = 0, 0, 0
 	s.rng = scr.reseed(in.Seed)
-	s.minCost = in.C.MinCostPerGCell()
-	s.minDelay = in.C.MinDelayPerGCell()
+	s.targets.Reset(in.C)
 
 	// Dense index window over everything the solve can touch: movement is
 	// confined to in.Win, and searches seed at terminals, which the
@@ -84,7 +84,7 @@ func (scr *Scratch) solve(in *nets.Instance, opt Options, trace func(TraceEvent)
 	root := scr.newComp()
 	root.alive, root.isRoot = true, true
 	root.rep = in.Root
-	root.bbox = ptRect(in.G.Pt(in.Root))
+	s.targets.Add(0, ptRect(in.G.Pt(in.Root)))
 	s.comps = append(s.comps, root)
 	s.ownerPut(in.Root, 0)
 
@@ -105,7 +105,7 @@ func (scr *Scratch) solve(in *nets.Instance, opt Options, trace func(TraceEvent)
 		c.weight = sk.W
 		c.alive = true
 		c.rep = sk.V
-		c.bbox = ptRect(in.G.Pt(sk.V))
+		s.targets.Add(c.id, ptRect(in.G.Pt(sk.V)))
 		s.comps = append(s.comps, c)
 		s.ownerPut(sk.V, c.id)
 	}
@@ -182,9 +182,13 @@ type solver struct {
 	steps   []nets.Step
 	pathBuf []grid.V
 
-	minCost, minDelay float64
-	rng               *rand.Rand
-	trace             func(TraceEvent)
+	// targets holds the bounding boxes of the alive components, the
+	// root's included: the §III-C future cost of a label is the bound to
+	// the nearest of them other than its own component's.
+	targets future.Targets
+
+	rng   *rand.Rand
+	trace func(TraceEvent)
 }
 
 type flatEntry struct {
@@ -246,42 +250,13 @@ func (s *solver) bRoot(c *comp) float64 {
 	return b
 }
 
-// h is the admissible future cost for component c at position p: the
-// minimum over all other alive components of the geometric lower bound.
-func (s *solver) h(c *comp, p geom.Pt) float64 {
-	if !c.astar {
+// h is the admissible §III-C future cost of a label of component c at
+// plane position (x, y); 0 when goal-oriented search is switched off.
+func (s *solver) h(c *comp, x, y int32) float64 {
+	if !s.opt.AStar {
 		return 0
 	}
-	unit := s.minCost + c.weight*s.minDelay
-	best := -1.0
-	for _, j := range s.comps {
-		if !j.alive || j.id == c.id {
-			continue
-		}
-		d := float64(rectDist(p, j.bbox)) * unit
-		if best < 0 || d < best {
-			best = d
-		}
-	}
-	if best < 0 {
-		return 0
-	}
-	return best
-}
-
-func rectDist(p geom.Pt, r geom.Rect) int64 {
-	var dx, dy int64
-	if p.X < r.X0 {
-		dx = int64(r.X0 - p.X)
-	} else if p.X > r.X1 {
-		dx = int64(p.X - r.X1)
-	}
-	if p.Y < r.Y0 {
-		dy = int64(r.Y0 - p.Y)
-	} else if p.Y > r.Y1 {
-		dy = int64(p.Y - r.Y1)
-	}
-	return dx + dy
+	return s.targets.Est(c.id, x, y, c.weight)
 }
 
 // startSearch initializes component c's Dijkstra from its representative.
@@ -289,22 +264,22 @@ func (s *solver) startSearch(c *comp) {
 	c.labels = s.scr.getLabels()
 	c.queue.Reset()
 	c.hasRoot = false
-	c.astar = s.opt.AStar && s.alive <= s.opt.AStarMaxTargets+1
+	s.scr.Searches++
 	idx := s.win.Index(c.rep)
 	lab, _ := c.labels.Put(idx)
 	lab.Dist = 0
 	lab.Prev = -1
 	lab.Arc = codeSeed
-	s.push(c, entry{g: 0, v: c.rep, idx: idx, target: -1})
+	p := s.g.Pt(c.rep)
+	s.push(c, s.h(c, p.X, p.Y), entry{g: 0, v: c.rep, idx: idx, target: -1})
 	s.refreshTop(c)
 }
 
-// push inserts an entry into c's queue (or the flat heap) with its key.
-func (s *solver) push(c *comp, e entry) {
-	key := e.g + e.b
-	if e.target < 0 {
-		key = e.g + s.h(c, s.g.Pt(e.v))
-	}
+// push inserts an entry into c's queue (or the flat heap) under key: g
+// plus the future cost for an expansion entry, g plus the bifurcation
+// penalty for a connection entry.
+func (s *solver) push(c *comp, key float64, e entry) {
+	s.scr.Pushed++
 	if s.opt.FlatHeap {
 		s.flat.Push(key, flatEntry{comp: c.id, e: e})
 		return
@@ -331,7 +306,7 @@ func (s *solver) refreshTop(c *comp) {
 		}
 		c.queue.Pop()
 		if doRepush {
-			c.queue.Push(newKey, repl)
+			s.push(c, newKey, repl)
 		}
 	}
 	if c.queue.Len() == 0 {
@@ -446,7 +421,7 @@ func (s *solver) popGlobal() (*comp, entry, bool, bool) {
 		fresh, repl, newKey, doRepush := s.validate(c, e, key)
 		if !fresh {
 			if doRepush {
-				c.queue.Push(newKey, repl)
+				s.push(c, newKey, repl)
 			}
 			s.refreshTop(c)
 			continue
@@ -491,7 +466,7 @@ func (s *solver) popFlat() (*comp, entry, bool, bool) {
 		fresh, repl, newKey, doRepush := s.validate(c, fe.e, key)
 		if !fresh {
 			if doRepush {
-				s.flat.Push(newKey, flatEntry{comp: c.id, e: repl})
+				s.push(c, newKey, repl)
 			}
 			continue
 		}
@@ -503,9 +478,10 @@ func (s *solver) popFlat() (*comp, entry, bool, bool) {
 // the metric l_c = cost + w(c)·delay (eq. 4), with §III-A discounting.
 // The directions are unrolled in the exact order grid.Arcs emits them
 // (dir−, dir+, via-down, via-up): neighbor window indices come from
-// stride arithmetic and each direction's label slot and congestion
-// multiplier are looked up once, not per wire type.
+// stride arithmetic and each direction's label slot, congestion
+// multiplier and future cost are looked up once, not per wire type.
 func (s *solver) expand(c *comp, e entry) {
+	s.scr.Settled++
 	lab := c.labels.Get(e.idx)
 	lab.Perm = true
 	fromOwn := s.resolveOwner(e.v) == c.id
@@ -515,34 +491,42 @@ func (s *solver) expand(c *comp, e entry) {
 	win := s.in.Win
 	if lay.Dir == grid.DirH {
 		if x > win.X0 {
-			s.relaxWire(c, &e, e.v-1, e.idx-1, g.SegH(l, y, x-1), lay, fromOwn)
+			s.relaxWire(c, &e, e.v-1, e.idx-1, x-1, y, g.SegH(l, y, x-1), lay, fromOwn)
 		}
 		if x < win.X1 {
-			s.relaxWire(c, &e, e.v+1, e.idx+1, g.SegH(l, y, x), lay, fromOwn)
+			s.relaxWire(c, &e, e.v+1, e.idx+1, x+1, y, g.SegH(l, y, x), lay, fromOwn)
 		}
 	} else {
 		if y > win.Y0 {
-			s.relaxWire(c, &e, e.v-grid.V(g.NX), e.idx-s.winW, g.SegV(l, x, y-1), lay, fromOwn)
+			s.relaxWire(c, &e, e.v-grid.V(g.NX), e.idx-s.winW, x, y-1, g.SegV(l, x, y-1), lay, fromOwn)
 		}
 		if y < win.Y1 {
-			s.relaxWire(c, &e, e.v+grid.V(g.NX), e.idx+s.winW, g.SegV(l, x, y), lay, fromOwn)
+			s.relaxWire(c, &e, e.v+grid.V(g.NX), e.idx+s.winW, x, y+1, g.SegV(l, x, y), lay, fromOwn)
 		}
 	}
+	// Both via neighbours sit at (x, y): one future cost serves the two.
+	hv := unset
 	if l > 0 {
-		s.relaxVia(c, &e, e.v-grid.V(g.NX*g.NY), e.idx-s.winWH, g.ViaSeg(l-1, x, y), l-1, fromOwn)
+		s.relaxVia(c, &e, e.v-grid.V(g.NX*g.NY), e.idx-s.winWH, x, y, &hv, g.ViaSeg(l-1, x, y), l-1, fromOwn)
 	}
 	if int(l)+1 < len(g.Layers) {
-		s.relaxVia(c, &e, e.v+grid.V(g.NX*g.NY), e.idx+s.winWH, g.ViaSeg(l, x, y), l, fromOwn)
+		s.relaxVia(c, &e, e.v+grid.V(g.NX*g.NY), e.idx+s.winWH, x, y, &hv, g.ViaSeg(l, x, y), l, fromOwn)
 	}
 	s.refreshTop(c)
 }
 
-// relaxWire relaxes the wire move from e's vertex to `to` across seg,
-// once per wire type of the layer. The per-wire-type label check and
-// write sequence is exactly the historical per-arc relax, so results are
-// bit-identical; only the label lookup and multiplier load are hoisted.
-func (s *solver) relaxWire(c *comp, e *entry, to grid.V, toIdx, seg int32, lay *grid.Layer, fromOwn bool) {
+// unset marks a future cost not evaluated yet (real ones are ≥ 0): a
+// direction pays for its bound only when it pushes a label.
+const unset = -1.0
+
+// relaxWire relaxes the wire move from e's vertex to `to` at plane
+// position (tx, ty) across seg, once per wire type of the layer. The
+// per-wire-type label check and write sequence is exactly the historical
+// per-arc relax; the label lookup, multiplier load and future cost are
+// hoisted.
+func (s *solver) relaxWire(c *comp, e *entry, to grid.V, toIdx, tx, ty, seg int32, lay *grid.Layer, fromOwn bool) {
 	own := s.resolveOwner(to)
+	hv := unset
 	if s.opt.Discount && own == c.id {
 		// Own component: traversable at zero connection cost (§III-A),
 		// but only along the component (no re-entry from outside, which
@@ -561,7 +545,10 @@ func (s *solver) relaxWire(c *comp, e *entry, to grid.V, toIdx, seg int32, lay *
 			lab.Perm = false
 			lab.Arc = uint8(wt)
 			existed = true
-			s.push(c, entry{g: ng, v: to, idx: toIdx, target: -1})
+			if hv == unset {
+				hv = s.h(c, tx, ty)
+			}
+			s.push(c, ng+hv, entry{g: ng, v: to, idx: toIdx, target: -1})
 		}
 		return
 	}
@@ -586,49 +573,36 @@ func (s *solver) relaxWire(c *comp, e *entry, to grid.V, toIdx, seg int32, lay *
 		lab.Arc = uint8(wt)
 		existed = true
 		if tgt >= 0 {
-			j := s.comps[tgt]
-			if j.isRoot {
-				if !c.hasRoot || ng < c.rootG {
-					c.rootG = ng
-					c.rootAt = to
-					c.rootIdx = toIdx
-					c.hasRoot = true
-				}
-				continue
-			}
-			s.push(c, entry{g: ng, v: to, idx: toIdx, target: tgt, b: s.bConnect(c, j)})
+			s.pushConnect(c, ng, to, toIdx, tgt)
 			continue
 		}
-		s.push(c, entry{g: ng, v: to, idx: toIdx, target: -1})
+		if hv == unset {
+			hv = s.h(c, tx, ty)
+		}
+		s.push(c, ng+hv, entry{g: ng, v: to, idx: toIdx, target: -1})
 	}
 }
 
 // relaxVia relaxes the via move from e's vertex to `to`; l names the
-// lower layer, which owns the via's cost and delay.
-func (s *solver) relaxVia(c *comp, e *entry, to grid.V, toIdx, seg int32, l int32, fromOwn bool) {
+// lower layer, which owns the via's cost and delay. (x, y) is the plane
+// position of both ends and *hv the future cost there, evaluated by
+// whichever of the settled vertex's two vias pushes first.
+func (s *solver) relaxVia(c *comp, e *entry, to grid.V, toIdx, x, y int32, hv *float64, seg int32, l int32, fromOwn bool) {
 	own := s.resolveOwner(to)
 	lay := &s.g.Layers[l]
+	tgt := int32(-1)
+	var ng float64
 	if s.opt.Discount && own == c.id {
 		if !fromOwn {
 			return
 		}
-		ng := e.g + c.weight*lay.ViaDelay
-		lab, existed := c.labels.Put(toIdx)
-		if existed && (lab.Perm || ng >= lab.Dist-1e-15) {
-			return
+		ng = e.g + c.weight*lay.ViaDelay
+	} else {
+		if own >= 0 && own != c.id && (s.opt.Discount || to == s.comps[own].rep) {
+			tgt = own
 		}
-		lab.Dist = ng
-		lab.Prev = e.idx
-		lab.Perm = false
-		lab.Arc = codeVia
-		s.push(c, entry{g: ng, v: to, idx: toIdx, target: -1})
-		return
+		ng = e.g + float64(s.costs.Mult[seg])*lay.ViaCost + c.weight*lay.ViaDelay
 	}
-	tgt := int32(-1)
-	if own >= 0 && own != c.id && (s.opt.Discount || to == s.comps[own].rep) {
-		tgt = own
-	}
-	ng := e.g + float64(s.costs.Mult[seg])*lay.ViaCost + c.weight*lay.ViaDelay
 	lab, existed := c.labels.Put(toIdx)
 	if existed && (lab.Perm || ng >= lab.Dist-1e-15) {
 		return
@@ -638,20 +612,31 @@ func (s *solver) relaxVia(c *comp, e *entry, to grid.V, toIdx, seg int32, l int3
 	lab.Perm = false
 	lab.Arc = codeVia
 	if tgt >= 0 {
-		j := s.comps[tgt]
-		if j.isRoot {
-			if !c.hasRoot || ng < c.rootG {
-				c.rootG = ng
-				c.rootAt = to
-				c.rootIdx = toIdx
-				c.hasRoot = true
-			}
-			return
-		}
-		s.push(c, entry{g: ng, v: to, idx: toIdx, target: tgt, b: s.bConnect(c, j)})
+		s.pushConnect(c, ng, to, toIdx, tgt)
 		return
 	}
-	s.push(c, entry{g: ng, v: to, idx: toIdx, target: -1})
+	if *hv == unset {
+		*hv = s.h(c, x, y)
+	}
+	s.push(c, ng+*hv, entry{g: ng, v: to, idx: toIdx, target: -1})
+}
+
+// pushConnect records that c reaches component tgt at `to` with label g:
+// a root connection becomes c's root candidate (kept out of the heap), any
+// other a connection entry keyed by g plus the bifurcation penalty.
+func (s *solver) pushConnect(c *comp, g float64, to grid.V, toIdx, tgt int32) {
+	j := s.comps[tgt]
+	if j.isRoot {
+		if !c.hasRoot || g < c.rootG {
+			c.rootG = g
+			c.rootAt = to
+			c.rootIdx = toIdx
+			c.hasRoot = true
+		}
+		return
+	}
+	b := s.bConnect(c, j)
+	s.push(c, g+b, entry{g: g, v: to, idx: toIdx, target: tgt, b: b})
 }
 
 // merge commits the connection of c to component jid at vertex p (window
@@ -702,11 +687,23 @@ func (s *solver) merge(c *comp, jid int32, p grid.V, pIdx int32, toRoot bool) {
 	s.rootTop.Grow(1)
 	k := s.scr.newComp()
 	k.id, k.alive = nid, true
-	k.bbox = c.bbox.Union(j.bbox)
+	// The merged pair leaves the live-target table and its union, grown
+	// by the connection path, enters it: labels pushed from here on are
+	// bounded against the new box. The root component is the exception —
+	// it stays in the table as the root point plus one box per subtree
+	// joined to it, which together cover its vertices and bound tighter
+	// than one box around all of them would.
+	var box geom.Rect
+	if toRoot {
+		box = s.targets.Remove(c.id).Add(s.g.Pt(j.rep))
+	} else {
+		box = s.targets.Remove(c.id).Union(s.targets.Remove(j.id))
+	}
 	for _, v := range path {
-		k.bbox = k.bbox.Add(s.g.Pt(v))
+		box = box.Add(s.g.Pt(v))
 		s.ownerPutIfAbsent(v, nid)
 	}
+	s.targets.Add(nid, box)
 	if toRoot {
 		k.isRoot = true
 		k.rep = j.rep

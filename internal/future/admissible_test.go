@@ -173,3 +173,92 @@ func TestMaskEstimatorGoalStateIsZero(t *testing.T) {
 		t.Fatalf("W(full) = %v", est.W(uint32(1)<<4-1))
 	}
 }
+
+// TestTargetsAdmissibleAcrossMerges drives the live-target table the way
+// core.Solve does — point components, then merges that swap two boxes out
+// and their union (grown by a connection path) in — and checks after
+// every merge that the bound a search of component `self` would get at a
+// random vertex never exceeds the true distance to the nearest vertex
+// inside any other live component's box. A plain map of boxes is the
+// reference model for the table's bookkeeping.
+func TestTargetsAdmissibleAcrossMerges(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 61))
+	const nx = 7
+	for it := 0; it < 10; it++ {
+		in := admissInstance(rng, nx, 1, 0)
+		g, c := in.G, in.C
+
+		var tab future.Targets
+		tab.Reset(c)
+		model := map[int32]geom.Rect{}
+		next := int32(0)
+		add := func(box geom.Rect) {
+			tab.Add(next, box)
+			model[next] = box
+			next++
+		}
+		for k := 2 + rng.IntN(6); k > 0; k-- {
+			x, y := rng.Int32N(nx), rng.Int32N(nx)
+			add(geom.Rect{X0: x, Y0: y, X1: x, Y1: y})
+		}
+		liveIDs := func() []int32 {
+			var ids []int32
+			for id := int32(0); id < next; id++ {
+				if _, ok := model[id]; ok {
+					ids = append(ids, id)
+				}
+			}
+			return ids
+		}
+
+		check := func() {
+			if tab.Len() != len(model) {
+				t.Fatalf("it %d: table holds %d targets, model %d", it, tab.Len(), len(model))
+			}
+			ids := liveIDs()
+			for trial := 0; trial < 8; trial++ {
+				self := ids[rng.IntN(len(ids))]
+				v := g.At(rng.Int32N(nx), rng.Int32N(nx), rng.Int32N(3))
+				w := rng.Float64() * 2
+				p := g.Pt(v)
+				got := tab.Est(self, p.X, p.Y, w)
+				// Brute force: the graph is symmetric, so distances to v are
+				// distances from v.
+				want := math.Inf(1)
+				for u, d := range future.RefDistances(g, c, w, v) {
+					for id, box := range model {
+						if id != self && box.Contains(g.Pt(u)) && d < want {
+							want = d
+						}
+					}
+				}
+				if len(ids) == 1 {
+					want = 0 // no other component: the bound must vanish
+				}
+				if got > want+1e-9*(1+want) {
+					t.Fatalf("it %d: Est(self=%d, %v, w=%v) = %v exceeds true distance %v to the nearest other live box %v",
+						it, self, p, w, got, want, model)
+				}
+			}
+		}
+
+		check()
+		for len(model) > 1 {
+			ids := liveIDs()
+			rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			a, b := ids[0], ids[1]
+			box := tab.Remove(a).Union(tab.Remove(b))
+			if want := model[a].Union(model[b]); box != want {
+				t.Fatalf("it %d: Remove returned boxes with union %v, model says %v", it, box, want)
+			}
+			delete(model, a)
+			delete(model, b)
+			// A connection path may leave both boxes.
+			for n := rng.IntN(3); n > 0; n-- {
+				box = box.Add(geom.Pt{X: rng.Int32N(nx), Y: rng.Int32N(nx)})
+			}
+			add(box)
+			check()
+		}
+	}
+}

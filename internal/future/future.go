@@ -42,19 +42,11 @@ func (e *Estimator) SetTargets(boxes []geom.Rect) {
 func (e *Estimator) AttachLandmarks(lm *Landmarks) { e.lm = lm }
 
 // rectDist returns the L1 distance from p to rectangle r (0 inside).
+// Branch-free: it is the inner loop of every future-cost evaluation.
 func rectDist(p geom.Pt, r geom.Rect) int64 {
-	var dx, dy int64
-	if p.X < r.X0 {
-		dx = int64(r.X0 - p.X)
-	} else if p.X > r.X1 {
-		dx = int64(p.X - r.X1)
-	}
-	if p.Y < r.Y0 {
-		dy = int64(r.Y0 - p.Y)
-	} else if p.Y > r.Y1 {
-		dy = int64(p.Y - r.Y1)
-	}
-	return dx + dy
+	dx := max(r.X0-p.X, p.X-r.X1, 0)
+	dy := max(r.Y0-p.Y, p.Y-r.Y1, 0)
+	return int64(dx) + int64(dy)
 }
 
 // Est returns an admissible lower bound on the remaining search cost

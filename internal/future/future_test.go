@@ -39,6 +39,10 @@ func refDistances(g *grid.Graph, c *grid.Costs, w float64, to grid.V) map[grid.V
 	return dist
 }
 
+// RefDistances hands the reference Dijkstra to the external test package
+// (admissible_test.go).
+var RefDistances = refDistances
+
 func TestRectDist(t *testing.T) {
 	r := geom.Rect{X0: 2, Y0: 2, X1: 4, Y1: 4}
 	cases := []struct {

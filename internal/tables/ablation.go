@@ -32,9 +32,8 @@ func ablationVariants() []struct {
 	noImprove.ImproveSteiner = false
 	noBonus := d
 	noBonus.RootBonus = false
-	withAStar := d
-	withAStar.AStar = true
-	withAStar.AStarMaxTargets = 24
+	noAStar := d
+	noAStar.AStar = false
 	flat := d
 	flat.FlatHeap = true
 	return []struct {
@@ -45,7 +44,7 @@ func ablationVariants() []struct {
 		{"no-discount (§III-A off)", noDiscount},
 		{"no-improve (§III-D off)", noImprove},
 		{"no-root-bonus (§III-E off)", noBonus},
-		{"a-star (§III-C on)", withAStar},
+		{"no-a-star (§III-C off)", noAStar},
 		{"flat-heap (§III-B off)", flat},
 		{"plain §II", core.Options{}},
 	}
