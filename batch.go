@@ -11,7 +11,7 @@ import (
 )
 
 // Solver is a reusable Steiner tree solver. It owns a private scratch
-// arena (component records, heaps, label maps, ownership stamps) that
+// arena (component records, heaps, label pages, ownership stamps) that
 // is recycled across calls, removing the per-call allocations that
 // dominate repeated solves. Results are bit-identical to the package
 // level SolveCD/Solve functions.

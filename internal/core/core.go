@@ -29,6 +29,7 @@ import (
 	"costdist/internal/geom"
 	"costdist/internal/grid"
 	"costdist/internal/heaps"
+	"costdist/internal/sparse"
 )
 
 // Options selects the practical enhancements. The zero value is the
@@ -56,7 +57,7 @@ type Options struct {
 	// (ablation of §III-B; results are identical, speed differs).
 	FlatHeap bool
 	// Scratch, when non-nil, supplies a reusable arena for the solver's
-	// per-call state (components, heaps, label maps, ownership stamps).
+	// per-call state (components, heaps, label pages, ownership stamps).
 	// Results are bit-identical with or without it. A Scratch must not
 	// be shared between concurrent solves; Route/SolveBatch install one
 	// per worker and ignore a caller-provided value.
@@ -109,7 +110,9 @@ type comp struct {
 
 	rep grid.V // representative terminal position
 
-	labels labelStore
+	// labels holds the search's Dijkstra labels by window index; it has
+	// pages only between startSearch and the component's merge.
+	labels sparse.LabelSlab
 	queue  heaps.Lazy[entry]
 
 	// Best root-connection candidate found so far (kept out of the heap

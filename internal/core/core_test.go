@@ -12,6 +12,7 @@ import (
 	"costdist/internal/heaps"
 	"costdist/internal/nets"
 	"costdist/internal/rsmt"
+	"costdist/internal/sparse"
 )
 
 func newGraph(nx, ny int32, nLayers int) (*grid.Graph, *grid.Costs) {
@@ -75,13 +76,22 @@ func allOptionSets() map[string]Options {
 	}
 }
 
+// wideGraph is a 128×128×8 chip: its full window has 131 072 vertices,
+// 512 label pages per component, so a solve over it exercises page tables
+// that are mostly empty.
+func wideGraph() (*grid.Graph, *grid.Costs) { return newGraph(128, 128, 8) }
+
 func TestSolveValidAcrossOptions(t *testing.T) {
 	g, c := newGraph(24, 24, 5)
+	wg, wc := wideGraph()
 	rng := rand.New(rand.NewPCG(7, 7))
 	for name, opt := range allOptionSets() {
-		for it := 0; it < 15; it++ {
-			n := 1 + rng.IntN(20)
-			in := randInstance(rng, g, c, n, 4.0)
+		for it := 0; it < 16; it++ {
+			ig, ic, n := g, c, 1+rng.IntN(20)
+			if it == 15 {
+				ig, ic, n = wg, wc, 8
+			}
+			in := randInstance(rng, ig, ic, n, 4.0)
 			tr, err := Solve(in, opt)
 			if err != nil {
 				t.Fatalf("%s n=%d: %v", name, n, err)
@@ -530,6 +540,37 @@ func TestGoalOrientedSettlesFewerLabels(t *testing.T) {
 		}
 		if qOn > 1.02*qOff {
 			t.Errorf("t=%d: goal-oriented objective %v more than 2 %% above plain %v", nSinks, qOn, qOff)
+		}
+	}
+}
+
+func TestWideWindowLabelMemoryFollowsSearch(t *testing.T) {
+	// A component's labels take pages as its search touches them, so the
+	// label memory of a wide-window solve follows the goal-oriented
+	// searches, not t times the window. Any store that is dense per
+	// component holds at least t windows' worth of slots at once (one per
+	// initial search) and fails the bound; the count is exact, so it also
+	// has to repeat.
+	g, c := wideGraph()
+	winSize := int(g.NumV())
+	for _, nSinks := range []int{32, 96} {
+		in := randInstance(rand.New(rand.NewPCG(53, uint64(nSinks))), g, c, nSinks, 4.0)
+		var peak [2]int
+		for run := range peak {
+			opt := DefaultOptions()
+			opt.Scratch = NewScratch()
+			if _, err := Solve(in, opt); err != nil {
+				t.Fatal(err)
+			}
+			peak[run] = opt.Scratch.PeakLabelPages()
+		}
+		slots := peak[0] * sparse.PageSlots
+		t.Logf("t=%d: peak %d pages = %.2f windows of label slots", nSinks, peak[0], float64(slots)/float64(winSize))
+		if slots == 0 || 4*slots > nSinks*winSize {
+			t.Errorf("t=%d: peak label slots %d, want within (0, %d] = t/4 windows", nSinks, slots, nSinks*winSize/4)
+		}
+		if peak[0] != peak[1] {
+			t.Errorf("t=%d: peak label pages %d, then %d on the same instance", nSinks, peak[0], peak[1])
 		}
 	}
 }

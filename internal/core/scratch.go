@@ -7,13 +7,15 @@ import (
 )
 
 // Scratch is a reusable solver arena. A single Solve call on a t-sink
-// instance allocates O(t) component records, label stores, queue storage
-// and ownership stamps; routing re-solves every net once per
+// instance allocates O(t) component records with their queue storage and
+// label page tables, the label pages the searches touch, and the
+// window's ownership stamps; routing re-solves every net once per
 // rip-up-and-reroute wave, so those allocations dominate the hot path.
 // A Scratch retains all of that state between calls and resets it in
-// O(touched) — label stores and the ownership stamps clear by bumping a
-// generation stamp (O(1)), queues and the union-find reset in O(t), and
-// component records are recycled through a free list.
+// O(touched) — label slabs and the ownership stamps clear by taking a
+// fresh generation stamp, label pages go back to one arena-wide pool
+// when their component retires, queues and the union-find reset in O(t),
+// and component records are recycled through a free list.
 //
 // Pass a Scratch via Options.Scratch. Results are bit-identical to
 // scratch-free solves: no container exposes iteration order to the
@@ -25,8 +27,7 @@ import (
 type Scratch struct {
 	sol      solver // reused solver; its containers retain capacity
 	compPool []*comp
-	mapPool  []*sparse.Map
-	slabPool []*sparse.LabelSlab
+	pages    sparse.PagePool // label pages and stamps of every comp's slab
 	pcg      *rand.PCG
 
 	// Solves counts completed calls through this arena (cheap visibility
@@ -50,51 +51,23 @@ func NewScratch() *Scratch {
 	return scr
 }
 
-// newComp returns a zeroed component record, recycling queue storage
-// from merged components of earlier solves.
+// PeakLabelPages returns the largest number of label pages
+// (sparse.PageSlots labels each) the searches run through this arena
+// have held at the same time. Like the work counters it repeats exactly
+// for the same instances and options.
+func (scr *Scratch) PeakLabelPages() int { return scr.pages.Peak() }
+
+// newComp returns a zeroed component record, recycling the queue storage
+// and label page table of a component of an earlier solve.
 func (scr *Scratch) newComp() *comp {
 	if n := len(scr.compPool); n > 0 {
 		c := scr.compPool[n-1]
 		scr.compPool = scr.compPool[:n-1]
-		q := c.queue
-		q.Reset()
-		*c = comp{queue: q}
+		c.queue.Reset()
+		*c = comp{queue: c.queue, labels: c.labels}
 		return c
 	}
 	return &comp{}
-}
-
-// getLabels returns an empty label store for the current solve: a dense
-// slab over the solve's index window when it fits slabMaxVerts, a hash
-// map otherwise. Capacity is recycled through per-kind pools.
-func (scr *Scratch) getLabels() labelStore {
-	if scr.sol.useSlab {
-		var s *sparse.LabelSlab
-		if n := len(scr.slabPool); n > 0 {
-			s = scr.slabPool[n-1]
-			scr.slabPool = scr.slabPool[:n-1]
-		} else {
-			s = new(sparse.LabelSlab)
-		}
-		s.Reset(scr.sol.winSize)
-		return labelStore{slab: s}
-	}
-	if n := len(scr.mapPool); n > 0 {
-		m := scr.mapPool[n-1]
-		scr.mapPool = scr.mapPool[:n-1]
-		m.Reset()
-		return labelStore{m: m}
-	}
-	return labelStore{m: sparse.NewMap(64)}
-}
-
-// putLabels returns a label store's backing to its pool.
-func (scr *Scratch) putLabels(ls labelStore) {
-	if ls.slab != nil {
-		scr.slabPool = append(scr.slabPool, ls.slab)
-	} else if ls.m != nil {
-		scr.mapPool = append(scr.mapPool, ls.m)
-	}
 }
 
 // reseed (re)initializes the deterministic RNG for one instance seed.
@@ -113,13 +86,12 @@ func (scr *Scratch) reseed(seed uint64) *rand.Rand {
 }
 
 // release returns the previous solve's component records and label
-// stores to the pools. It runs at the start of the next solve (rather
+// pages to the pools. It runs at the start of the next solve (rather
 // than at the end of the current one) so error paths need no cleanup.
 func (scr *Scratch) release() {
 	s := &scr.sol
 	for _, c := range s.comps {
-		scr.putLabels(c.labels)
-		c.labels = labelStore{}
+		c.labels.Release()
 		scr.compPool = append(scr.compPool, c)
 	}
 	s.comps = s.comps[:0]

@@ -12,14 +12,21 @@ import (
 // TestScratchBitIdentical reuses one arena across a stream of instances
 // (all option sets, varying sizes, including randomized chooseRep) and
 // requires every tree to match a fresh, scratch-free solve step for
-// step.
+// step. One instance in the middle of the stream spans the wide graph's
+// full window, so the recycled components' page tables grow from 12
+// entries to 512 and shrink back.
 func TestScratchBitIdentical(t *testing.T) {
 	g, c := newGraph(24, 24, 5)
+	wg, wc := wideGraph()
 	for name, opt := range allOptionSets() {
 		scr := NewScratch()
 		rng := rand.New(rand.NewPCG(41, 43))
 		for it := 0; it < 25; it++ {
-			in := randInstance(rng, g, c, 1+rng.IntN(24), 4.0)
+			ig, ic, n := g, c, 1+rng.IntN(24)
+			if it == 12 {
+				ig, ic, n = wg, wc, 8
+			}
+			in := randInstance(rng, ig, ic, n, 4.0)
 			want, err := Solve(in, opt)
 			if err != nil {
 				t.Fatalf("%s it=%d fresh: %v", name, it, err)

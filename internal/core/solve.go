@@ -60,8 +60,8 @@ func (scr *Scratch) solve(in *nets.Instance, opt Options, trace func(TraceEvent)
 	// Dense index window over everything the solve can touch: movement is
 	// confined to in.Win, and searches seed at terminals, which the
 	// instance parser places inside the window (the union below is
-	// defensive and free). Labels are keyed by window index so lookups
-	// need no hashing and neighbor indices are one addition away.
+	// defensive and free). Labels and owners are keyed by window index so
+	// lookups need no hashing and neighbor indices are one addition away.
 	idxRect := in.Win.Add(in.G.Pt(in.Root))
 	for _, sk := range in.Sinks {
 		idxRect = idxRect.Add(in.G.Pt(sk.V))
@@ -71,13 +71,7 @@ func (scr *Scratch) solve(in *nets.Instance, opt Options, trace func(TraceEvent)
 	s.winWH = s.winW * idxRect.H()
 	// int math: Window.Size would overflow int32 on huge windows.
 	s.winSize = int(idxRect.W()) * int(idxRect.H()) * len(in.G.Layers)
-	s.useSlab = s.winSize > 0 && s.winSize <= slabMaxVerts
-	s.useFlatOwner = int(in.G.NumV()) <= ownerFlatMaxV
-	if s.useFlatOwner {
-		s.flatOwner.Reset(int(in.G.NumV()))
-	} else {
-		s.owner.Reset()
-	}
+	s.owner.Reset(s.winSize)
 	s.flat.Reset()
 
 	// Root component (id 0).
@@ -86,7 +80,7 @@ func (scr *Scratch) solve(in *nets.Instance, opt Options, trace func(TraceEvent)
 	root.rep = in.Root
 	s.targets.Add(0, ptRect(in.G.Pt(in.Root)))
 	s.comps = append(s.comps, root)
-	s.ownerPut(in.Root, 0)
+	s.owner.Put(s.win.Index(in.Root), 0)
 
 	// Sink components, grouped by vertex (coincident sinks share one
 	// component, their weights adding in input order); sinks at the root
@@ -96,7 +90,8 @@ func (scr *Scratch) solve(in *nets.Instance, opt Options, trace func(TraceEvent)
 		if sk.V == in.Root {
 			continue
 		}
-		if id, ok := s.ownerGet(sk.V); ok {
+		idx := s.win.Index(sk.V)
+		if id, ok := s.owner.Get(idx); ok {
 			s.comps[id].weight += sk.W
 			continue
 		}
@@ -107,7 +102,7 @@ func (scr *Scratch) solve(in *nets.Instance, opt Options, trace func(TraceEvent)
 		c.rep = sk.V
 		s.targets.Add(c.id, ptRect(in.G.Pt(sk.V)))
 		s.comps = append(s.comps, c)
-		s.ownerPut(sk.V, c.id)
+		s.owner.Put(idx, c.id)
 	}
 	for _, c := range s.comps[1:] {
 		s.activeW += c.weight
@@ -162,11 +157,9 @@ type solver struct {
 	rootTop *heaps.Indexed
 	flat    heaps.Lazy[flatEntry]
 
-	// Vertex-ownership stamps: a flat per-graph array when the graph
-	// fits ownerFlatMaxV, a hash map otherwise.
-	owner        sparse.I32Map
-	flatOwner    sparse.FlatI32
-	useFlatOwner bool
+	// owner maps a vertex's window index to the id of the component that
+	// claimed it (resolveOwner follows merges from there).
+	owner sparse.FlatI32
 
 	// win indexes every vertex the solve can touch densely; winW and
 	// winWH are its x and x·y strides for O(1) neighbor index steps.
@@ -174,13 +167,15 @@ type solver struct {
 	winW    int32
 	winWH   int32
 	winSize int
-	useSlab bool
 
 	activeW float64
 	alive   int
 	iter    int
 	steps   []nets.Step
-	pathBuf []grid.V
+	// Recycled buffers of merge's connection path: its vertices and their
+	// window indices.
+	pathBuf    []grid.V
+	pathIdxBuf []int32
 
 	// targets holds the bounding boxes of the alive components, the
 	// root's included: the §III-C future cost of a label is the bound to
@@ -196,32 +191,10 @@ type flatEntry struct {
 	e    entry
 }
 
-func (s *solver) ownerGet(v grid.V) (int32, bool) {
-	if s.useFlatOwner {
-		return s.flatOwner.Get(int32(v))
-	}
-	return s.owner.Get(int32(v))
-}
-
-func (s *solver) ownerPut(v grid.V, id int32) {
-	if s.useFlatOwner {
-		s.flatOwner.Put(int32(v), id)
-		return
-	}
-	s.owner.Put(int32(v), id)
-}
-
-func (s *solver) ownerPutIfAbsent(v grid.V, id int32) {
-	if s.useFlatOwner {
-		s.flatOwner.PutIfAbsent(int32(v), id)
-		return
-	}
-	s.owner.PutIfAbsent(int32(v), id)
-}
-
-// resolveOwner returns the current alive component owning v, or -1.
-func (s *solver) resolveOwner(v grid.V) int32 {
-	id, ok := s.ownerGet(v)
+// resolveOwner returns the current alive component owning the vertex at
+// window index idx, or -1.
+func (s *solver) resolveOwner(idx int32) int32 {
+	id, ok := s.owner.Get(idx)
 	if !ok {
 		return -1
 	}
@@ -261,7 +234,7 @@ func (s *solver) h(c *comp, x, y int32) float64 {
 
 // startSearch initializes component c's Dijkstra from its representative.
 func (s *solver) startSearch(c *comp) {
-	c.labels = s.scr.getLabels()
+	c.labels.Reset(&s.scr.pages, s.winSize)
 	c.queue.Reset()
 	c.hasRoot = false
 	s.scr.Searches++
@@ -341,7 +314,7 @@ func (s *solver) validate(c *comp, e entry, key float64) (fresh bool, repush ent
 		}
 		// The vertex may have been claimed by another component since
 		// this label was pushed; the expansion becomes a connection.
-		own := s.resolveOwner(e.v)
+		own := s.resolveOwner(e.idx)
 		if own >= 0 && own != c.id {
 			jc := s.comps[own]
 			if jc.isRoot {
@@ -484,7 +457,7 @@ func (s *solver) expand(c *comp, e entry) {
 	s.scr.Settled++
 	lab := c.labels.Get(e.idx)
 	lab.Perm = true
-	fromOwn := s.resolveOwner(e.v) == c.id
+	fromOwn := s.resolveOwner(e.idx) == c.id
 	g := s.g
 	x, y, l := g.XYL(e.v)
 	lay := &g.Layers[l]
@@ -525,7 +498,7 @@ const unset = -1.0
 // per-arc relax; the label lookup, multiplier load and future cost are
 // hoisted.
 func (s *solver) relaxWire(c *comp, e *entry, to grid.V, toIdx, tx, ty, seg int32, lay *grid.Layer, fromOwn bool) {
-	own := s.resolveOwner(to)
+	own := s.resolveOwner(toIdx)
 	hv := unset
 	if s.opt.Discount && own == c.id {
 		// Own component: traversable at zero connection cost (§III-A),
@@ -588,7 +561,7 @@ func (s *solver) relaxWire(c *comp, e *entry, to grid.V, toIdx, tx, ty, seg int3
 // position of both ends and *hv the future cost there, evaluated by
 // whichever of the settled vertex's two vias pushes first.
 func (s *solver) relaxVia(c *comp, e *entry, to grid.V, toIdx, x, y int32, hv *float64, seg int32, l int32, fromOwn bool) {
-	own := s.resolveOwner(to)
+	own := s.resolveOwner(toIdx)
 	lay := &s.g.Layers[l]
 	tgt := int32(-1)
 	var ng float64
@@ -652,9 +625,11 @@ func (s *solver) merge(c *comp, jid int32, p grid.V, pIdx int32, toRoot bool) {
 	if s.trace != nil {
 		path = nil
 	}
+	pathIdx := s.pathIdxBuf[:0]
 	cur, curIdx := p, pIdx
 	for {
 		path = append(path, cur)
+		pathIdx = append(pathIdx, curIdx)
 		lab := c.labels.Get(curIdx)
 		if lab == nil || lab.Arc == codeSeed {
 			break
@@ -662,7 +637,7 @@ func (s *solver) merge(c *comp, jid int32, p grid.V, pIdx int32, toRoot bool) {
 		prevIdx := lab.Prev
 		prev := s.win.Vertex(prevIdx)
 		// Own-component hops are existing tree edges; skip re-emitting.
-		if !(s.resolveOwner(prev) == c.id && s.resolveOwner(cur) == c.id) {
+		if !(s.resolveOwner(prevIdx) == c.id && s.resolveOwner(curIdx) == c.id) {
 			arc := rebuildArc(s.g, prev, cur, lab.Arc)
 			s.steps = append(s.steps, nets.Step{From: prev, Arc: arc})
 		}
@@ -671,6 +646,7 @@ func (s *solver) merge(c *comp, jid int32, p grid.V, pIdx int32, toRoot bool) {
 	if s.trace == nil {
 		s.pathBuf = path
 	}
+	s.pathIdxBuf = pathIdx
 
 	ev := TraceEvent{
 		Iter: s.iter, ToRoot: toRoot,
@@ -699,9 +675,9 @@ func (s *solver) merge(c *comp, jid int32, p grid.V, pIdx int32, toRoot bool) {
 	} else {
 		box = s.targets.Remove(c.id).Union(s.targets.Remove(j.id))
 	}
-	for _, v := range path {
+	for i, v := range path {
 		box = box.Add(s.g.Pt(v))
-		s.ownerPutIfAbsent(v, nid)
+		s.owner.PutIfAbsent(pathIdx[i], nid)
 	}
 	s.targets.Add(nid, box)
 	if toRoot {
@@ -716,12 +692,11 @@ func (s *solver) merge(c *comp, jid int32, p grid.V, pIdx int32, toRoot bool) {
 	}
 	ev.NewRep = s.g.Pt(k.rep)
 
-	// Deactivate the merged pair, returning their label stores to the
+	// Deactivate the merged pair, returning their label pages to the
 	// arena.
 	for _, old := range [2]*comp{c, j} {
 		old.alive = false
-		s.scr.putLabels(old.labels)
-		old.labels = labelStore{}
+		old.labels.Release()
 		old.queue.Reset()
 		s.refreshTop(old)
 	}
