@@ -11,41 +11,51 @@ import (
 )
 
 // Metrics are the per-run columns of Tables IV and V, plus the
-// work-avoidance counters of the dirty-net scheduler.
+// work-avoidance counters of the dirty-net scheduler. The JSON tags are
+// the row's one wire form (MarshalRouteResult, MarshalCheckpoint, the
+// service's replies): field order is key order, and every field except
+// the two wall-clock ones is a pure function of (chip, method, options),
+// which the content-addressed caches and the byte-stable checkpoint
+// codec depend on.
 type Metrics struct {
-	WS       float64 // worst slack, ps
-	TNS      float64 // total negative slack, ps
-	ACE4     float64 // percent
-	WLm      float64 // wirelength in meters
-	Vias     int64
-	Overflow float64
-	// Walltime is the wall-clock duration of the run. It is the one
-	// nondeterministic field of the row — every other field is a pure
-	// function of (chip, method, options) — so every wire form
-	// (MarshalRouteResult, MarshalCheckpoint) excludes it through the
-	// shared routeMetricsJSON helper rather than ad hoc.
-	Walltime time.Duration
+	WS       float64 `json:"ws_ps"`        // worst slack, ps
+	TNS      float64 `json:"tns_ps"`       // total negative slack, ps
+	ACE4     float64 `json:"ace4_pct"`     // percent
+	WLm      float64 `json:"wirelength_m"` // wirelength in meters
+	Vias     int64   `json:"vias"`
+	Overflow float64 `json:"overflow"`
+	// Walltime is the wall-clock duration of the run — nondeterministic,
+	// so it is excluded from the wire form here, in exactly one place,
+	// and comes back zero from every Unmarshal.
+	Walltime time.Duration `json:"-"`
 
 	// Objective is the summed paper objective (1) of the final trees —
 	// congestion cost under the final multipliers plus weighted sink
 	// delay under the final weights. It is the scalar the two reuse
 	// policies are compared on.
-	Objective float64
+	Objective float64 `json:"objective"`
 
 	// NetsSolved counts oracle solves summed over all waves; NetsSkipped
 	// counts cache hits — nets that kept their cached tree because the
 	// dirty-net scheduler found no relevant price change. With
 	// Incremental off every net is solved every wave and NetsSkipped is
 	// zero.
-	NetsSolved  int64
-	NetsSkipped int64
+	NetsSolved  int64 `json:"nets_solved"`
+	NetsSkipped int64 `json:"nets_skipped"`
 	// SolvedPerWave and SkippedPerWave split the counters by wave;
 	// DeltaSegsPerWave is the wave's delta volume — congestion segments
 	// whose multiplier moved beyond tolerance (always zero with
 	// Incremental off, where deltas are not tracked).
-	SolvedPerWave    []int
-	SkippedPerWave   []int
-	DeltaSegsPerWave []int
+	SolvedPerWave    []int `json:"solved_per_wave,omitempty"`
+	SkippedPerWave   []int `json:"skipped_per_wave,omitempty"`
+	DeltaSegsPerWave []int `json:"delta_segs_per_wave,omitempty"`
+
+	// SolvesByOracle counts oracle invocations by registry name. A
+	// fixed method charges every solve to its one oracle; Auto charges
+	// the selected oracle per net; Portfolio charges every pool member
+	// it races (so the total exceeds NetsSolved by the pool factor).
+	// Only oracles with at least one solve appear.
+	SolvesByOracle map[string]int64 `json:"solves_by_oracle,omitempty"`
 
 	// NetsRepaired counts dirty nets absorbed by the topology-repair
 	// rung (fixed-topology re-embedding adopted, no oracle solve);
@@ -54,30 +64,22 @@ type Metrics struct {
 	// Options.RepairTol ≥ 0. RepairedPerWave and EscalatedPerWave split
 	// the counters by wave; they are only populated when the rung is
 	// enabled, so disabled runs keep their legacy wire form.
-	NetsRepaired     int64
-	RepairEscalated  int64
-	RepairedPerWave  []int
-	EscalatedPerWave []int
-
-	// SolvesByOracle counts oracle invocations by registry name. A
-	// fixed method charges every solve to its one oracle; Auto charges
-	// the selected oracle per net; Portfolio charges every pool member
-	// it races (so the total exceeds NetsSolved by the pool factor).
-	// Only oracles with at least one solve appear.
-	SolvesByOracle map[string]int64
+	NetsRepaired     int64 `json:"nets_repaired,omitempty"`
+	RepairEscalated  int64 `json:"repair_escalated,omitempty"`
+	RepairedPerWave  []int `json:"repaired_per_wave,omitempty"`
+	EscalatedPerWave []int `json:"escalated_per_wave,omitempty"`
 
 	// Telemetry series, populated only when Options.Recorder is set
 	// (nil otherwise, so runs without a recorder keep their legacy
 	// metrics row bit-for-bit). ObjectivePerWave and OverflowPerWave
 	// score the solution at each wave barrier under that wave's final
 	// prices and weights — the last entry equals Objective/Overflow —
-	// and are deterministic (pure functions of chip, method, options),
-	// so they participate in wire forms. StageNanosPerWave is the
-	// wave's wall-clock breakdown by pipeline stage; like Walltime it
-	// is nondeterministic and is excluded from every wire form.
-	ObjectivePerWave  []float64
-	OverflowPerWave   []float64
-	StageNanosPerWave []StageNanos
+	// and are deterministic, so they participate in the wire form.
+	// StageNanosPerWave is the wave's wall-clock breakdown by pipeline
+	// stage; like Walltime it is nondeterministic and excluded.
+	ObjectivePerWave  []float64    `json:"objective_per_wave,omitempty"`
+	OverflowPerWave   []float64    `json:"overflow_per_wave,omitempty"`
+	StageNanosPerWave []StageNanos `json:"-"`
 }
 
 // StageNanos is one wave's walltime breakdown in nanoseconds. Dirty,

@@ -7,6 +7,14 @@
 // the approximation guarantees certified by the differential harness
 // carry over to every response.
 //
+// Both POST handlers are read → resolve → cache → submit → reply. What a
+// request means — defaults, bounds, equivalent spellings, its content
+// address — is decided once, by the pure resolvers of resolve.go; a
+// solve's instance document is decoded once and its grid built only
+// after a cache miss. "A hot instance is solved once" rests on one
+// mechanism: misses shard by content address and the worker re-checks
+// the cache before solving (see solveMiss).
+//
 // Endpoints:
 //
 //	POST   /v1/solve            solve one cost-distance instance (sync)
@@ -22,13 +30,9 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"runtime"
@@ -42,22 +46,6 @@ import (
 // maxBodyBytes bounds request bodies; instances big enough to exceed it
 // should go through the library, not JSON-over-HTTP.
 const maxBodyBytes = 16 << 20
-
-// maxInstanceVertices bounds nx·ny·layers of a solve request. A
-// ~100-byte body can otherwise demand a multi-GB grid allocation on
-// the handler goroutine — before the pool's backpressure applies — so
-// network input gets a hard cap the trusted CLI paths never needed.
-const maxInstanceVertices = 1 << 24
-
-// Route request caps, for the same reason: tiny bodies must not be
-// able to demand unbounded goroutines (threads), netlist sizes (scale)
-// or runtimes (waves). Scale 1.0 is the paper-size suite — the largest
-// legitimate workload.
-const (
-	maxRouteThreads = 32
-	maxRouteWaves   = 64
-	maxRouteScale   = 1.0
-)
 
 // Config sizes the server. Zero values select the documented defaults.
 type Config struct {
@@ -154,10 +142,6 @@ type Server struct {
 	mux    *http.ServeMux
 	ctx    context.Context // root of every job/task context
 	cancel context.CancelFunc
-	// inflight maps solve cache keys to a channel closed when the
-	// leading solve for that key completes — concurrent identical
-	// misses wait for the leader instead of re-solving (singleflight).
-	inflight sync.Map
 	// routeInflight maps route cache keys to the *job currently
 	// computing them; identical route requests submitted meanwhile
 	// become followers that mirror the leader's outcome instead of
@@ -306,288 +290,122 @@ func (s *Server) httpError(w http.ResponseWriter, code int, format string, args 
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// writeBody writes a cached or freshly marshaled result body; xCache,
+// when non-empty, says which of the two it was.
+func writeBody(w http.ResponseWriter, xCache string, body []byte) {
+	if xCache != "" {
+		w.Header().Set("X-Cache", xCache)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(body)
+}
+
+// readBody reads a bounded request body, answering 400 itself on failure.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		s.httpError(w, http.StatusBadRequest, "reading body: %v", err)
+	}
+	return body, err == nil
+}
+
 // --- /v1/solve ---
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	var req SolveRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.httpError(w, http.StatusBadRequest, "parsing request: %v", err)
-		return
-	}
-	instanceDoc := []byte(req.Instance)
-	if req.Instance == nil {
-		instanceDoc = body // bare instance document
-	}
-	methodName := req.Method
-	if methodName == "" {
-		methodName = s.cfg.DefaultMethod
-	}
-	m, ok := costdist.MethodByName(methodName)
+	body, ok := s.readBody(w, r)
 	if !ok {
-		s.httpError(w, http.StatusUnprocessableEntity,
-			"unknown method %q (valid: %v)", methodName, costdist.MethodNames())
 		return
 	}
-	canonical, err := costdist.CanonicalInstanceJSON(instanceDoc)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
+	call, rej := resolveSolve(s.cfg, body)
+	if rej != nil {
+		s.httpError(w, rej.status, "%s", rej.msg)
 		return
 	}
-	var dims costdist.InstanceJSON
-	if err := json.Unmarshal(canonical, &dims); err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Stepwise so the product cannot overflow int64 before the check.
-	plane := int64(dims.NX) * int64(dims.NY)
-	if dims.Layers < 2 || dims.Layers > 1024 || plane < 0 ||
-		plane > maxInstanceVertices || plane*int64(dims.Layers) > maxInstanceVertices {
-		s.httpError(w, http.StatusUnprocessableEntity,
-			"instance grid %d×%d×%d exceeds the service limit of %d vertices",
-			dims.NX, dims.NY, dims.Layers, maxInstanceVertices)
-		return
-	}
-
-	ropt := costdist.DefaultRouterOptions()
-	if req.Options.PDAlpha != nil {
-		ropt.PDAlpha = *req.Options.PDAlpha
-	}
-	if req.Options.SLEps != nil {
-		ropt.SLEps = *req.Options.SLEps
-	}
-	key := solveDigest(canonical, m, ropt)
-	if cached, ok := s.cache.Get(key); ok {
+	if cached, hit := s.cache.Get(call.key); hit {
 		s.met.solveRequests.Add(1)
-		w.Header().Set("X-Cache", "hit")
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(cached)
-		s.met.solveLatency.Observe(time.Since(start).Seconds())
+		writeBody(w, "hit", cached)
+	} else if !s.solveMiss(w, r, call) {
 		return
 	}
+	s.met.solveLatency.Observe(time.Since(start).Seconds())
+}
 
-	in, err := costdist.ParseInstance(canonical)
+// solveMiss builds the instance, runs it on the pool shard of its
+// content address and replies with the body; it reports false when it
+// answered with an error instead (or the client left). "Solved once"
+// needs no coordination here: identical requests land on one shard,
+// whose worker re-checks the cache before solving, so with one worker
+// per shard every duplicate queued behind the first is answered from the
+// entry the first one wrote. With WorkersPerShard > 1 two simultaneous
+// duplicates may both solve — bit-identical bodies, cached once.
+func (s *Server) solveMiss(w http.ResponseWriter, r *http.Request, c *solveCall) bool {
+	in, err := c.doc.Build()
 	if err != nil {
 		s.httpError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
+		return false
 	}
 	s.met.solveRequests.Add(1)
 
-	// Singleflight: the first requester of a key is the leader and
-	// solves; concurrent identical misses wait for the leader's channel
-	// and serve from cache, so a hot instance is never solved twice no
-	// matter how many workers a shard has.
-	flight := make(chan struct{})
-	if prev, loaded := s.inflight.LoadOrStore(key, flight); loaded {
-		select {
-		case <-prev.(chan struct{}):
-			if cached, ok := s.cache.Recheck(key); ok {
-				w.Header().Set("X-Cache", "hit")
-				w.Header().Set("Content-Type", "application/json")
-				_, _ = w.Write(cached)
-				s.met.solveLatency.Observe(time.Since(start).Seconds())
-				return
-			}
-			// The leader failed; solve ourselves, without holding a
-			// flight slot (errors are rare enough not to re-coordinate).
-			flight = nil
-		case <-r.Context().Done():
-			return
-		case <-s.ctx.Done():
-			s.httpError(w, http.StatusServiceUnavailable, "server shutting down")
-			return
-		}
-	}
-	release := func() {
-		if flight != nil {
-			s.inflight.Delete(key)
-			close(flight)
-		}
-	}
-
 	type outcome struct {
 		body   []byte
+		xCache string
 		err    error
-		cached bool
 	}
 	done := make(chan outcome, 1)
-	submitted := s.pool.submit(shardKey(key), func(solver *costdist.Solver) {
-		defer release()
-		if cached, ok := s.cache.Recheck(key); ok {
-			done <- outcome{body: cached, cached: true}
+	submitted := s.pool.submit(c.shard, func(solver *costdist.Solver) {
+		if cached, ok := s.cache.Recheck(c.key); ok {
+			done <- outcome{body: cached, xCache: "hit"}
 			return
 		}
-		tr, err := solver.Solve(in, m, ropt)
+		tr, err := solver.Solve(in, c.method, c.ropt)
+		var out []byte
+		if err == nil {
+			out, err = costdist.MarshalTree(in, tr)
+		}
 		if err != nil {
 			done <- outcome{err: err}
 			return
 		}
-		out, err := costdist.MarshalTree(in, tr)
-		if err != nil {
-			done <- outcome{err: err}
-			return
-		}
-		s.cache.Put(key, out)
-		s.met.chargeOracle(m.Name(), 1)
-		done <- outcome{body: out}
+		s.cache.Put(c.key, out)
+		s.met.chargeOracle(c.method.Name(), 1)
+		done <- outcome{body: out, xCache: "miss"}
 	})
 	if !submitted {
-		release()
 		s.met.queueRejects.Add(1)
 		s.httpError(w, http.StatusServiceUnavailable, "solve queue full")
-		return
+		return false
 	}
 	select {
 	case o := <-done:
 		if o.err != nil {
 			s.httpError(w, http.StatusInternalServerError, "solve: %v", o.err)
-			return
+			return false
 		}
-		if o.cached {
-			w.Header().Set("X-Cache", "hit")
-		} else {
-			w.Header().Set("X-Cache", "miss")
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(o.body)
-		s.met.solveLatency.Observe(time.Since(start).Seconds())
+		writeBody(w, o.xCache, o.body)
+		return true
 	case <-r.Context().Done():
 		// Client gone; the worker still completes and fills the cache.
 	case <-s.ctx.Done():
 		s.httpError(w, http.StatusServiceUnavailable, "server shutting down")
 	}
-}
-
-// solveDigest is the content address of a solve: canonical instance
-// bytes, the resolved method, and every option that can change the
-// answer.
-func solveDigest(canonical []byte, m costdist.Method, ropt costdist.RouterOptions) string {
-	h := sha256.New()
-	h.Write(canonical)
-	fmt.Fprintf(h, "\x00%s\x00pd=%g;sl=%g", m.Name(), ropt.PDAlpha, ropt.SLEps)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-func shardKey(digest string) uint64 {
-	b, err := hex.DecodeString(digest[:16])
-	if err != nil || len(b) < 8 {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
+	return false
 }
 
 // --- /v1/route and jobs ---
 
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	var req RouteRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.httpError(w, http.StatusBadRequest, "parsing request: %v", err)
-		return
-	}
-	if req.Scale == 0 {
-		req.Scale = 0.01
-	}
-	if req.Scale < 0 || req.Scale > maxRouteScale ||
-		req.Waves < 0 || req.Waves > maxRouteWaves ||
-		req.Threads < 0 || req.Threads > maxRouteThreads {
-		s.httpError(w, http.StatusUnprocessableEntity,
-			"route request out of bounds (scale ≤ %g, waves ≤ %d, threads ≤ %d)",
-			maxRouteScale, maxRouteWaves, maxRouteThreads)
-		return
-	}
-	if req.PerturbFrac < 0 || req.PerturbFrac > 1 {
-		s.httpError(w, http.StatusUnprocessableEntity,
-			"perturb_frac %g outside [0,1]", req.PerturbFrac)
-		return
-	}
-	// Normalize the perturbation fields so equivalent spellings share a
-	// content address: without a perturbation the seed is meaningless,
-	// with one the zero seed means the default.
-	if req.PerturbFrac == 0 {
-		req.PerturbSeed = 0
-	} else if req.PerturbSeed == 0 {
-		req.PerturbSeed = 1
-	}
-	if req.Oracle == "" {
-		req.Oracle = s.cfg.DefaultMethod
-	}
-	m, ok := costdist.MethodByName(req.Oracle)
+	body, ok := s.readBody(w, r)
 	if !ok {
-		s.httpError(w, http.StatusUnprocessableEntity,
-			"unknown oracle %q (valid: %v)", req.Oracle, costdist.MethodNames())
 		return
 	}
-	req.Oracle = m.Name()
-	ropt := costdist.DefaultRouterOptions()
-	if req.Waves > 0 {
-		ropt.Waves = req.Waves
-	}
-	req.Waves = ropt.Waves
-	if req.Seed == 0 {
-		req.Seed = 1
-	}
-	ropt.Seed = req.Seed
-	if req.Threads <= 0 {
-		req.Threads = 1
-	}
-	ropt.Threads = req.Threads
-	ropt.Incremental = req.Incremental
-	// Repair tolerance: an explicit negative forces the rung off even
-	// against a configured server default — the default applies only
-	// when the request is silent. Negative spellings canonicalize to -1
-	// (or to absent when there is no default to override, where the two
-	// are indistinguishable) before the content address is taken.
-	if req.RepairTol != nil && *req.RepairTol < 0 {
-		if s.cfg.DefaultRepairTol > 0 {
-			v := -1.0
-			req.RepairTol = &v
-		} else {
-			req.RepairTol = nil
-		}
-	} else if req.RepairTol == nil && s.cfg.DefaultRepairTol > 0 {
-		v := s.cfg.DefaultRepairTol
-		req.RepairTol = &v
-	}
-	if req.RepairTol != nil {
-		ropt.RepairTol = *req.RepairTol
-	}
-
-	spec, ok := costdist.ChipSpecByName(req.Chip, req.Scale)
-	if !ok {
-		specs := costdist.ChipSuite(req.Scale)
-		names := make([]string, len(specs))
-		for i := range specs {
-			names[i] = specs[i].Name
-		}
-		s.httpError(w, http.StatusUnprocessableEntity,
-			"unknown chip %q (valid: %v)", req.Chip, names)
+	call, rej := resolveRoute(s.cfg, body)
+	if rej != nil {
+		s.httpError(w, rej.status, "%s", rej.msg)
 		return
 	}
 	s.met.routeRequests.Add(1)
-
-	// The resolved request is the route's content address: requests
-	// that normalize identically share one cached result. Threads is
-	// excluded — results are thread-count independent (locked by the
-	// route determinism tests), so it must not split the cache. BaseJob
-	// is included: a warm-started route is its own outcome (the trees
-	// depend on the restored state), keyed by the base job's identity.
-	kreq := req
-	kreq.Threads = 0
-	resolved, _ := json.Marshal(kreq)
-	h := sha256.New()
-	h.Write([]byte("route\x00"))
-	h.Write(resolved)
-	key := hex.EncodeToString(h.Sum(nil))
+	key := call.key
 
 	jb := s.jobs.create(s.ctx, key)
 	if cached, ok := s.cache.Get(key); ok {
@@ -633,13 +451,12 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	fh := fnv.New64a()
-	fh.Write([]byte(jb.id))
-	submitted := s.routePool.submit(fh.Sum64(), func(*costdist.Solver) {
+	// The route pool is one shard, so the shard key is immaterial.
+	submitted := s.routePool.submit(0, func(*costdist.Solver) {
 		// Delete only our own entry — a dead-leader takeover may have
 		// already replaced it with a newer job.
 		defer s.routeInflight.CompareAndDelete(key, jb)
-		s.runRouteJob(jb, req, spec, m, ropt, key)
+		s.runRouteJob(jb, call)
 	})
 	if !submitted {
 		// The client never learns this job id; drop the entry rather
@@ -666,7 +483,8 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 // request naming a BaseJob warm-starts from that job's checkpoint when
 // it is still retained; otherwise it falls back to a cold route and
 // counts a warm-start miss.
-func (s *Server) runRouteJob(job *job, req RouteRequest, spec costdist.ChipSpec, m costdist.Method, ropt costdist.RouterOptions, key string) {
+func (s *Server) runRouteJob(job *job, call *routeCall) {
+	req, m, ropt, key := &call.req, call.method, call.ropt, call.key
 	if st, _, _ := job.view(); st.terminal() {
 		return // cancelled while queued
 	}
@@ -711,7 +529,7 @@ func (s *Server) runRouteJob(job *job, req RouteRequest, spec costdist.ChipSpec,
 		}
 		job.finish(JobFailed, nil, err.Error())
 	}
-	chip, err := costdist.GenerateChip(spec)
+	chip, err := costdist.GenerateChip(call.spec)
 	if err != nil {
 		fail(err)
 		return
@@ -841,8 +659,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	st, result, errMsg := job.view()
 	switch st {
 	case JobDone:
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(result)
+		writeBody(w, "", result)
 	case JobFailed:
 		s.httpError(w, http.StatusInternalServerError, "job failed: %s", errMsg)
 	case JobCancelled:

@@ -20,20 +20,28 @@ import (
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	s, ts, stop := startTestServer(t, cfg)
+	t.Cleanup(stop)
+	return s, ts
+}
+
+// startTestServer is newTestServer for tests that stop the server
+// themselves, before the test ends.
+func startTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, func()) {
+	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
+	return s, ts, func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := s.Shutdown(ctx); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
-	})
-	return s, ts
+	}
 }
 
 func corpusFile(t *testing.T, name string) []byte {
@@ -92,12 +100,21 @@ func TestSolveUnknownMethodIs422(t *testing.T) {
 }
 
 func TestSolveSemanticErrorIs422(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp := post(t, ts.URL+"/v1/solve",
-		[]byte(`{"nx":4,"ny":4,"layers":2,"root":[99,0,0],"sinks":[{"x":1,"y":1,"l":0,"w":1}]}`))
-	readBody(t, resp)
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("status %d, want 422", resp.StatusCode)
+	srv, ts := newTestServer(t, Config{})
+	for _, body := range []string{
+		`{"nx":4,"ny":4,"layers":2,"root":[99,0,0],"sinks":[{"x":1,"y":1,"l":0,"w":1}]}`,
+		`{"nx":-5,"ny":-5,"layers":2,"root":[0,0,0],"sinks":[{"x":1,"y":1,"l":0,"w":1}]}`,
+	} {
+		resp := post(t, ts.URL+"/v1/solve", []byte(body))
+		readBody(t, resp)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("body %s: status %d, want 422", body, resp.StatusCode)
+		}
+	}
+	// Pins are checked after the cache lookup (one miss for the first
+	// body); impossible dimensions never reach it.
+	if cs := srv.CacheStats(); cs.Misses != 1 {
+		t.Fatalf("invalid requests counted %d cache misses, want 1", cs.Misses)
 	}
 }
 
@@ -158,6 +175,86 @@ func TestSolveByteIdenticalToLibraryAndCached(t *testing.T) {
 	cs := srv.CacheStats()
 	if cs.Hits < 3 || cs.Misses < 3 {
 		t.Fatalf("cache counters off: %+v", cs)
+	}
+}
+
+// Simultaneous identical misses are solved once: they shard by content
+// address onto one single-worker queue, and the worker re-checks the
+// cache before solving, so every request behind the first is answered
+// from the cache entry the first one wrote. Run under -race in CI.
+func TestSolveConcurrentIdenticalSolvedOnce(t *testing.T) {
+	docs := [][]byte{corpusFile(t, "small.json"), corpusFile(t, "twopin.json"), corpusFile(t, "congested.json")}
+	for round := 0; round < 21; round++ {
+		concurrentIdenticalRound(t, round, docs[round%len(docs)])
+	}
+}
+
+// concurrentIdenticalRound fires 32 simultaneous copies of doc at a
+// fresh server and shuts it down before returning.
+func concurrentIdenticalRound(t *testing.T, round int, doc []byte) {
+	t.Helper()
+	_, ts, stop := startTestServer(t, Config{Shards: 4, WorkersPerShard: 1})
+	defer stop()
+
+	type reply struct {
+		status int
+		xcache string
+		body   []byte
+		err    error
+	}
+	replies := make([]reply, 32)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range replies {
+		wg.Add(1)
+		go func(r *reply) {
+			defer wg.Done()
+			<-start
+			resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(doc))
+			if err != nil {
+				r.err = err
+				return
+			}
+			defer resp.Body.Close()
+			r.status, r.xcache = resp.StatusCode, resp.Header.Get("X-Cache")
+			r.body, r.err = io.ReadAll(resp.Body)
+		}(&replies[i])
+	}
+	close(start)
+	wg.Wait()
+
+	misses, hits := 0, 0
+	for i, r := range replies {
+		if r.err != nil || r.status != http.StatusOK {
+			t.Fatalf("round %d client %d: status %d err %v: %s", round, i, r.status, r.err, r.body)
+		}
+		if !bytes.Equal(r.body, replies[0].body) {
+			t.Fatalf("round %d client %d: body differs from client 0", round, i)
+		}
+		switch r.xcache {
+		case "miss":
+			misses++
+		case "hit":
+			hits++
+		default:
+			t.Fatalf("round %d client %d: X-Cache = %q", round, i, r.xcache)
+		}
+	}
+	if misses != 1 {
+		t.Fatalf("round %d: %d replies with X-Cache: miss, want exactly 1", round, misses)
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mbody := string(readBody(t, mresp))
+	for _, want := range []string{
+		"routed_solves_total{oracle=\"cd\"} 1\n",
+		fmt.Sprintf("routed_cache_hits_total %d\n", hits),
+	} {
+		if !strings.Contains(mbody, want) {
+			t.Fatalf("round %d: metrics missing %q:\n%s", round, want, mbody)
+		}
 	}
 }
 

@@ -277,3 +277,31 @@ func TestRouteRepairTolDefaultAndExplicitOff(t *testing.T) {
 			om.NetsSolved, wm.NetsSolved)
 	}
 }
+
+// Without a server default the rung is the request's to turn on: a
+// request-level repair_tol engages it, and that request is not the one
+// without repair_tol.
+func TestRouteRepairTolRequestLevel(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	cold := submitRoute(t, ts.URL, `{"chip":"c1","scale":0.002,"waves":2,"oracle":"cd","incremental":true}`)
+	waitResult(t, ts.URL, cold.ID)
+
+	warmReq := `{"chip":"c1","scale":0.002,"waves":2,"oracle":"cd","incremental":true,"base_job":"` + cold.ID + `","perturb_frac":0.1,"perturb_seed":5`
+	plain := submitRoute(t, ts.URL, warmReq+`}`)
+	pm := resultMetrics(t, waitResult(t, ts.URL, plain.ID))
+	if pm.NetsRepaired != 0 || pm.RepairEscalated != 0 {
+		t.Fatalf("rung engaged without repair_tol or a server default: %+v", pm)
+	}
+
+	resp := post(t, ts.URL+"/v1/route", []byte(warmReq+`,"repair_tol":0.25}`))
+	var repair JobView
+	if err := json.Unmarshal(readBody(t, resp), &repair); err != nil {
+		t.Fatal(err)
+	}
+	if got := resp.Header.Get("X-Cache"); got != "miss" {
+		t.Fatalf("request with repair_tol shared the key of the one without: X-Cache = %q", got)
+	}
+	if rm := resultMetrics(t, waitResult(t, ts.URL, repair.ID)); rm.NetsRepaired == 0 {
+		t.Fatalf("request-level repair_tol did not engage the rung: %+v", rm)
+	}
+}

@@ -45,12 +45,12 @@ type InstanceJSON struct {
 	} `json:"congestion,omitempty"`
 }
 
-// normalize applies the documented defaults in place: omitted eta means
+// Normalize applies the documented defaults in place: omitted eta means
 // 0.25, an omitted or non-positive margin means 8, and every negative
-// dbif spells "derive from the technology". ParseInstance and
-// CanonicalInstanceJSON share this single helper so the canonical
-// content address can never drift from the parse semantics.
-func (f *InstanceJSON) normalize() {
+// dbif spells "derive from the technology". It is idempotent. Build and
+// the canonical form both go through it, so the content address can
+// never drift from the parse semantics.
+func (f *InstanceJSON) Normalize() {
 	if f.Eta == 0 {
 		f.Eta = 0.25
 	}
@@ -62,20 +62,24 @@ func (f *InstanceJSON) normalize() {
 	}
 }
 
-// ParseInstance decodes an InstanceJSON document into a solvable
-// Instance backed by the default technology.
-func ParseInstance(data []byte) (*Instance, error) {
+// decodeInstance is the one JSON decode of an instance document.
+func decodeInstance(data []byte) (InstanceJSON, error) {
 	var f InstanceJSON
 	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("costdist: parsing instance: %w", err)
+		return f, fmt.Errorf("costdist: parsing instance: %w", err)
 	}
-	f.normalize()
+	return f, nil
+}
+
+// Build normalizes the document in place and turns it into a solvable
+// Instance backed by the default technology. Dimensions and every pin
+// are validated before the grid is allocated, so a rejected document
+// costs no more than its own decode.
+func (f *InstanceJSON) Build() (*Instance, error) {
+	f.Normalize()
 	if f.NX < 2 || f.NY < 2 || f.Layers < 2 {
 		return nil, fmt.Errorf("costdist: instance needs nx,ny ≥ 2 and layers ≥ 2")
 	}
-	tech := DefaultTech(f.Layers)
-	g := NewGrid(f.NX, f.NY, tech.BuildLayers(), tech.GCellUM)
-	c := NewCosts(g)
 	inBounds := func(x, y, l int32) error {
 		if x < 0 || x >= f.NX || y < 0 || y >= f.NY || l < 0 || l >= int32(f.Layers) {
 			return fmt.Errorf("costdist: pin (%d,%d,%d) outside grid", x, y, l)
@@ -85,6 +89,14 @@ func ParseInstance(data []byte) (*Instance, error) {
 	if err := inBounds(f.Root[0], f.Root[1], f.Root[2]); err != nil {
 		return nil, err
 	}
+	for i, s := range f.Sinks {
+		if err := inBounds(s.X, s.Y, s.L); err != nil {
+			return nil, fmt.Errorf("sink %d: %w", i, err)
+		}
+	}
+	tech := DefaultTech(f.Layers)
+	g := NewGrid(f.NX, f.NY, tech.BuildLayers(), tech.GCellUM)
+	c := NewCosts(g)
 	dbif := f.DBif
 	if dbif < 0 {
 		dbif = tech.Dbif()
@@ -94,10 +106,7 @@ func ParseInstance(data []byte) (*Instance, error) {
 		Root: g.At(f.Root[0], f.Root[1], f.Root[2]),
 		DBif: dbif, Eta: f.Eta, Seed: f.Seed,
 	}
-	for i, s := range f.Sinks {
-		if err := inBounds(s.X, s.Y, s.L); err != nil {
-			return nil, fmt.Errorf("sink %d: %w", i, err)
-		}
+	for _, s := range f.Sinks {
 		in.Sinks = append(in.Sinks, Sink{V: g.At(s.X, s.Y, s.L), W: s.W})
 	}
 	for _, r := range f.Congestion {
@@ -107,15 +116,24 @@ func ParseInstance(data []byte) (*Instance, error) {
 	return in, nil
 }
 
+// ParseInstance decodes an InstanceJSON document into a solvable
+// Instance backed by the default technology: one decode, then Build.
+func ParseInstance(data []byte) (*Instance, error) {
+	f, err := decodeInstance(data)
+	if err != nil {
+		return nil, err
+	}
+	return f.Build()
+}
+
 func applyCongestion(g *grid.Graph, c *grid.Costs, l, x0, y0, x1, y1 int32, mult float32) {
 	if l < 0 || l >= int32(len(g.Layers)) || mult < 1 {
 		return
 	}
-	for y := y0; y <= y1 && y < g.NY; y++ {
-		for x := x0; x <= x1 && x < g.NX; x++ {
-			if y < 0 || x < 0 {
-				continue
-			}
+	// Clip to the grid before looping: a rectangle reaching to -2³¹ must
+	// not buy 2³¹ iterations of nothing.
+	for y := max(y0, 0); y <= y1 && y < g.NY; y++ {
+		for x := max(x0, 0); x <= x1 && x < g.NX; x++ {
 			if g.Layers[l].Dir == grid.DirH {
 				if x < g.NX-1 {
 					c.Mult[g.SegH(l, y, x)] = mult
@@ -130,19 +148,19 @@ func applyCongestion(g *grid.Graph, c *grid.Costs, l, x0, y0, x1, y1 int32, mult
 // CanonicalInstanceJSON re-emits an InstanceJSON document in canonical
 // compact form: fixed key order (the struct's), no insignificant
 // whitespace, and the defaulted fields normalized by the same
-// InstanceJSON.normalize helper ParseInstance uses — so every
-// "derive/default" spelling ParseInstance treats identically
-// canonicalizes identically. Two documents that ParseInstance maps to
-// the same instance and seed canonicalize to the same bytes, which
-// makes the canonical form a content address: the service layer keys
-// its result cache on a digest of these bytes so formatting and key
-// order never defeat caching.
+// InstanceJSON.Normalize that Build applies — so every "derive/default"
+// spelling ParseInstance treats identically canonicalizes identically.
+// Two documents that ParseInstance maps to the same instance and seed
+// canonicalize to the same bytes, which makes the canonical form a
+// content address: the service layer keys its result cache on a digest
+// of these bytes (it marshals the InstanceJSON it already decoded) so
+// formatting and key order never defeat caching.
 func CanonicalInstanceJSON(data []byte) ([]byte, error) {
-	var f InstanceJSON
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("costdist: parsing instance: %w", err)
+	f, err := decodeInstance(data)
+	if err != nil {
+		return nil, err
 	}
-	f.normalize()
+	f.Normalize()
 	return json.Marshal(&f)
 }
 
@@ -265,45 +283,11 @@ type RouteTreeJSON struct {
 	WireTypes []int8        `json:"wire_types,omitempty"`
 }
 
-// RouteMetricsJSON is the serialized RouteMetrics. Walltime is
-// deliberately absent: it is the one nondeterministic field (see the
-// RouteMetrics doc), and dropping it keeps every wire form a pure
-// function of the routing outcome — required for the service layer's
-// content-addressed result cache and the byte-stable checkpoint codec.
-// All conversions go through routeMetricsJSON/routeMetricsFromJSON so
-// the exclusion lives in exactly one place.
-type RouteMetricsJSON struct {
-	WS               float64          `json:"ws_ps"`
-	TNS              float64          `json:"tns_ps"`
-	ACE4             float64          `json:"ace4_pct"`
-	WLm              float64          `json:"wirelength_m"`
-	Vias             int64            `json:"vias"`
-	Overflow         float64          `json:"overflow"`
-	Objective        float64          `json:"objective"`
-	NetsSolved       int64            `json:"nets_solved"`
-	NetsSkipped      int64            `json:"nets_skipped"`
-	SolvedPerWave    []int            `json:"solved_per_wave,omitempty"`
-	SkippedPerWave   []int            `json:"skipped_per_wave,omitempty"`
-	DeltaSegsPerWave []int            `json:"delta_segs_per_wave,omitempty"`
-	SolvesByOracle   map[string]int64 `json:"solves_by_oracle,omitempty"`
-	// Repair-tier counters; every field is omitempty and stays zero
-	// unless the topology-repair rung was enabled (RepairTol ≥ 0), so
-	// legacy runs keep their exact legacy wire bytes.
-	NetsRepaired     int64 `json:"nets_repaired,omitempty"`
-	RepairEscalated  int64 `json:"repair_escalated,omitempty"`
-	RepairedPerWave  []int `json:"repaired_per_wave,omitempty"`
-	EscalatedPerWave []int `json:"escalated_per_wave,omitempty"`
-	// Per-wave convergence telemetry, populated only when the run had
-	// a RouterOptions.Recorder (omitempty keeps recorder-less runs —
-	// the default — on their exact legacy wire bytes). These series
-	// are deterministic: pure functions of (chip, method, options),
-	// independent of thread count. StageNanosPerWave is deliberately
-	// NOT serialized — it is wall-clock, nondeterministic like
-	// Walltime, and the wire form must stay a pure function of the
-	// routing outcome (the content-addressed caches depend on it).
-	ObjectivePerWave []float64 `json:"objective_per_wave,omitempty"`
-	OverflowPerWave  []float64 `json:"overflow_per_wave,omitempty"`
-}
+// RouteMetricsJSON is the serialized RouteMetrics: the row carries its
+// own JSON tags, with Walltime and StageNanosPerWave — the two
+// nondeterministic fields — tagged out there, so every wire form stays
+// a pure function of the routing outcome.
+type RouteMetricsJSON = RouteMetrics
 
 // RouteResultJSON is the on-wire form of a full routing run: the
 // metric row plus every net's final embedded tree (null for nets the
@@ -311,49 +295,6 @@ type RouteMetricsJSON struct {
 type RouteResultJSON struct {
 	Metrics RouteMetricsJSON `json:"metrics"`
 	Trees   []*RouteTreeJSON `json:"trees"`
-}
-
-// routeMetricsJSON converts a metric row to its wire form. Walltime is
-// excluded here — the single place the one nondeterministic field is
-// dropped — so MarshalRouteResult and MarshalCheckpoint can never
-// disagree about what makes a serialized row deterministic.
-func routeMetricsJSON(mt RouteMetrics) RouteMetricsJSON {
-	return RouteMetricsJSON{
-		WS: mt.WS, TNS: mt.TNS, ACE4: mt.ACE4, WLm: mt.WLm,
-		Vias: mt.Vias, Overflow: mt.Overflow, Objective: mt.Objective,
-		NetsSolved: mt.NetsSolved, NetsSkipped: mt.NetsSkipped,
-		SolvedPerWave:    mt.SolvedPerWave,
-		SkippedPerWave:   mt.SkippedPerWave,
-		DeltaSegsPerWave: mt.DeltaSegsPerWave,
-		SolvesByOracle:   mt.SolvesByOracle,
-		NetsRepaired:     mt.NetsRepaired,
-		RepairEscalated:  mt.RepairEscalated,
-		RepairedPerWave:  mt.RepairedPerWave,
-		EscalatedPerWave: mt.EscalatedPerWave,
-		ObjectivePerWave: mt.ObjectivePerWave,
-		OverflowPerWave:  mt.OverflowPerWave,
-	}
-}
-
-// routeMetricsFromJSON is the inverse of routeMetricsJSON (Walltime,
-// which is not serialized, comes back zero).
-func routeMetricsFromJSON(f RouteMetricsJSON) RouteMetrics {
-	return RouteMetrics{
-		WS: f.WS, TNS: f.TNS, ACE4: f.ACE4,
-		WLm: f.WLm, Vias: f.Vias,
-		Overflow: f.Overflow, Objective: f.Objective,
-		NetsSolved: f.NetsSolved, NetsSkipped: f.NetsSkipped,
-		SolvedPerWave:    f.SolvedPerWave,
-		SkippedPerWave:   f.SkippedPerWave,
-		DeltaSegsPerWave: f.DeltaSegsPerWave,
-		SolvesByOracle:   f.SolvesByOracle,
-		NetsRepaired:     f.NetsRepaired,
-		RepairEscalated:  f.RepairEscalated,
-		RepairedPerWave:  f.RepairedPerWave,
-		EscalatedPerWave: f.EscalatedPerWave,
-		ObjectivePerWave: f.ObjectivePerWave,
-		OverflowPerWave:  f.OverflowPerWave,
-	}
 }
 
 // MarshalRouteResult serializes a routing result against the chip it
@@ -365,7 +306,7 @@ func MarshalRouteResult(chip *Chip, res *RouteResult) ([]byte, error) {
 		return nil, fmt.Errorf("costdist: nil route result")
 	}
 	out := RouteResultJSON{
-		Metrics: routeMetricsJSON(res.Metrics),
+		Metrics: res.Metrics,
 		Trees:   make([]*RouteTreeJSON, len(res.Trees)),
 	}
 	for i, tr := range res.Trees {
@@ -388,8 +329,7 @@ func UnmarshalRouteResult(chip *Chip, data []byte) (*RouteResult, error) {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("costdist: parsing route result: %w", err)
 	}
-	res := &RouteResult{}
-	res.Metrics = routeMetricsFromJSON(f.Metrics)
+	res := &RouteResult{Metrics: f.Metrics}
 	if len(f.Trees) > 0 {
 		res.Trees = make([]*Tree, len(f.Trees))
 		for i, tj := range f.Trees {
@@ -470,8 +410,8 @@ type CheckpointNetJSON struct {
 
 // CheckpointJSON is the versioned wire form of a RouterState: the grid
 // signature, the chip-wide price vectors, the producing run's metric
-// row (Walltime excluded, via the same routeMetricsJSON helper as
-// MarshalRouteResult) and every net's state. Marshaling is compact and
+// row (the same tagged RouteMetrics as MarshalRouteResult, Walltime
+// excluded) and every net's state. Marshaling is compact and
 // byte-stable: marshal → unmarshal → marshal reproduces the input
 // bytes exactly, which is what lets the service layer content-address
 // retained checkpoints.
@@ -509,7 +449,7 @@ func MarshalCheckpoint(st *RouterState) ([]byte, error) {
 		Cap:       st.Cap,
 		Mult:      st.Mult,
 		Ref:       st.Ref,
-		Metrics:   routeMetricsJSON(st.Metrics),
+		Metrics:   st.Metrics,
 		Nets:      make([]CheckpointNetJSON, len(st.Nets)),
 	}
 	for ni := range st.Nets {
@@ -567,7 +507,7 @@ func UnmarshalCheckpoint(data []byte) (*RouterState, error) {
 		Cap:       f.Cap,
 		Mult:      f.Mult,
 		Ref:       f.Ref,
-		Metrics:   routeMetricsFromJSON(f.Metrics),
+		Metrics:   f.Metrics,
 		Nets:      make([]RouterNetState, len(f.Nets)),
 	}
 	for ni := range f.Nets {
