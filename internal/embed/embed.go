@@ -13,9 +13,10 @@
 // bottom-up, each topology node v gets a table D_v(x) = cost of
 // embedding v's subtree with v at graph vertex x (children tables are
 // spread toward the parent by a multi-source Dijkstra); top-down, the
-// optimal vertex choices and paths are reconstructed by re-running each
-// spread with parent tracking. Tables are float32 to halve memory;
-// spreads run at most twice, so no per-edge parent arrays are retained.
+// optimal vertex choices and paths are read back off the predecessors
+// those spreads recorded. Every topology edge is spread exactly once:
+// cost tables are float32 to halve memory, and the predecessors kept
+// per edge are one byte a cell (the codes of spread.go).
 //
 // The program is written once: DP is the driver, Workspace.Spread
 // (spread.go) its one spread kernel. Embed runs it unlimited over the
@@ -30,7 +31,6 @@ import (
 	"math"
 
 	"costdist/internal/geom"
-	"costdist/internal/grid"
 	"costdist/internal/nets"
 )
 
@@ -67,21 +67,22 @@ func Embed(in *nets.Instance, tree *nets.PlaneTree) (*Result, error) {
 type Limits struct {
 	// Halo ≥ 0 confines the spread of each topology edge to a corridor:
 	// the bounding box of its two nodes' positions in the given
-	// topology (and, top-down, of the vertex the parent was placed at),
-	// expanded by Halo gcells and clamped to the window. A re-embedding
-	// is a local perturbation of the tree the topology came from, so
-	// every node re-places near where it was. Negative: whole window.
+	// topology (the root vertex for node 0), expanded by Halo gcells and
+	// clamped to the window. A re-embedding is a local perturbation of
+	// the tree the topology came from, so every node re-places near
+	// where it was. Negative: whole window.
 	Halo int32
 	// Bound is a hard total-cost cutoff: partial embeddings pricing at
 	// or above it are pruned, and ErrBound reports that no embedding
 	// beats it. +Inf for none.
 	Bound float64
-	// Settles is the settle budget of each pass (bottom-up including
-	// the top edge, then reconstruction); ErrTooLarge reports a pass
-	// that ran out. Settle order is deterministic, so the cutoff is too.
+	// Settles is the settle budget of the run, all spreads together;
+	// ErrTooLarge reports a run that exhausted it. Settle order is
+	// deterministic, so the cutoff is too.
 	Settles int
-	// Cells bounds window size × node count, the float32 table
-	// footprint; beyond it Run reports ErrTooLarge without allocating.
+	// Cells bounds window size × node count, the table footprint (a
+	// float32 cost and a predecessor code per cell, 5 B); beyond it Run
+	// reports ErrTooLarge without allocating.
 	Cells int64
 }
 
@@ -93,8 +94,8 @@ var ErrTooLarge = errors.New("embed: tables or search too large")
 var ErrBound = errors.New("embed: no embedding under cost bound")
 
 // DP is the reusable state of the embedding program: the spread
-// workspace, a pool of per-node cost tables and the driver's per-run
-// slices, so a run on a warmed DP allocates nothing beyond
+// workspace, a pool of per-node cost and code tables and the driver's
+// per-run slices, so a run on a warmed DP allocates nothing beyond
 // canonicalizing the topology and pruning the result. The zero value is
 // ready; not safe for concurrent use.
 type DP struct {
@@ -104,7 +105,7 @@ type DP struct {
 	kids [][]int32
 	lim  Limits
 	// bound is the spread-level cutoff (Limits.Bound minus the constant
-	// bifurcation penalties), left what remains of the pass's budget.
+	// bifurcation penalties), left what remains of the settle budget.
 	bound float64
 	left  int
 
@@ -114,13 +115,21 @@ type DP struct {
 	// Only the cells inside def[v], on every layer, are written — a
 	// sink's own gcell, else the overlap of the corridors v's children
 	// were spread in; outside it D_v is +Inf by definition and no cell
-	// is ever read.
+	// is ever read. codes[v] holds the predecessor codes of the spread of
+	// v's edge to its parent, written wherever that spread put a label.
 	acc    [][]float32
+	codes  [][]uint8
 	def    []geom.Rect
-	tables [][]float32
+	tables []table
 	ntab   int
 	// steps collects the reconstructed paths, root edge first.
 	steps []nets.Step
+}
+
+// table is one pooled pair of per-node tables over the window.
+type table struct {
+	cost []float32
+	code []uint8
 }
 
 // resized returns s with length n, reallocating only when it is too
@@ -148,6 +157,9 @@ func (d *DP) Run(in *nets.Instance, tree *nets.PlaneTree, winRect geom.Rect, lim
 	if len(kids[0]) == 0 {
 		return &nets.RTree{}, 0, nil
 	}
+	if err := checkCodeWidth(in.G); err != nil {
+		return nil, 0, err
+	}
 	win := in.G.NewWindow(winRect)
 	n := len(ct.Nodes)
 	if int64(win.Size())*int64(n) > lim.Cells {
@@ -158,7 +170,7 @@ func (d *DP) Run(in *nets.Instance, tree *nets.PlaneTree, winRect geom.Rect, lim
 		return nil, 0, fmt.Errorf("embed: root outside window")
 	}
 	d.ct, d.kids, d.lim = ct, kids, lim
-	d.subW, d.acc, d.def = resized(d.subW, n), resized(d.acc, n), resized(d.def, n)
+	d.subW, d.acc, d.codes, d.def = resized(d.subW, n), resized(d.acc, n), resized(d.codes, n), resized(d.def, n)
 	d.steps, d.ntab = d.steps[:0], 0
 	d.Reset(in, win)
 	d.weigh(0)
@@ -176,23 +188,20 @@ func (d *DP) Run(in *nets.Instance, tree *nets.PlaneTree, winRect geom.Rect, lim
 
 	// Bottom-up tables, then the top edge: spread the root's single
 	// child toward the root vertex (its corridor spans the child's
-	// position and that vertex, whatever position node 0 carries).
+	// position and that vertex, whatever position node 0 carries) and
+	// stop there. The codes then lead from the root vertex down the
+	// tree the estimate priced.
 	top := kids[0][0]
 	if err := d.up(top); err != nil {
 		return nil, 0, err
 	}
-	if !d.spread(top, rootIdx, d.corridor(top, top, in.Root)) {
+	if !d.spread(top, rootIdx, d.corridor(top, in.G.Pt(in.Root))) {
 		return nil, 0, ErrTooLarge
 	}
 	if d.settled[rootIdx] != d.Epoch {
 		return nil, 0, d.unreachable("root")
 	}
 	estimate := d.dist[rootIdx] + penalty
-
-	// Reconstruction re-runs each spread with an early-termination
-	// target; it gets a fresh settle budget so a DP that just fit the
-	// bottom-up budget cannot abort while tracing the tree it found.
-	d.left = lim.Settles
 	if err := d.down(top, rootIdx); err != nil {
 		return nil, 0, err
 	}
@@ -226,29 +235,25 @@ func (d *DP) weigh(v int32) float64 {
 	return w
 }
 
-// corridor is the rectangle the spread of topology edge (c, v) may
-// explore (see Limits.Halo); at, unless NoV, is a graph vertex the
-// spread has to reach besides the two nodes' positions.
-func (d *DP) corridor(c, v int32, at grid.V) geom.Rect {
+// corridor is the rectangle the spread of the topology edge from node c
+// to its parent, positioned at to, may explore (see Limits.Halo).
+func (d *DP) corridor(c int32, to geom.Pt) geom.Rect {
 	if d.lim.Halo < 0 {
 		return d.win.R
 	}
 	p, g := d.ct.Nodes[c].Pos, d.in.G
-	r := geom.Rect{X0: p.X, Y0: p.Y, X1: p.X, Y1: p.Y}.Add(d.ct.Nodes[v].Pos)
-	if at != grid.NoV {
-		r = r.Add(g.Pt(at))
-	}
+	r := geom.Rect{X0: p.X, Y0: p.Y, X1: p.X, Y1: p.Y}.Add(to)
 	return r.Expand(d.lim.Halo, g.NX, g.NY).Intersect(d.win.R)
 }
 
 // spread runs the kernel seeded with acc[c] under the metric
-// cost + subW[c]·delay inside corr; seeds outside it are dropped. With
-// target ≥ 0 the search stops once that window index settles, with -1
-// it exhausts the corridor. It reports false when the pass's settle
-// budget ran out.
+// cost + subW[c]·delay inside corr, recording predecessors in codes[c];
+// seeds outside corr are dropped. With target ≥ 0 the search stops once
+// that window index settles, with -1 it exhausts the corridor. It
+// reports false when the run's settle budget ran out.
 func (d *DP) spread(c, target int32, corr geom.Rect) bool {
 	before := d.Settles
-	ok := d.Spread(d.acc[c], corr.Intersect(d.def[c]), d.subW[c], corr, d.bound, d.left, target)
+	ok := d.Spread(d.acc[c], corr.Intersect(d.def[c]), d.subW[c], corr, d.bound, d.left, target, d.codes[c])
 	d.left -= d.Settles - before
 	return ok
 }
@@ -271,10 +276,12 @@ func (d *DP) up(v int32) error {
 // def[v], which shrinks to the overlap of the children's corridors.
 func (d *DP) accumulate(v int32) error {
 	if d.ntab == len(d.tables) {
-		d.tables = append(d.tables, nil)
+		d.tables = append(d.tables, table{})
 	}
-	tbl := resized(d.tables[d.ntab], int(d.win.Size()))
-	d.tables[d.ntab], d.acc[v] = tbl, tbl
+	pooled := &d.tables[d.ntab]
+	pooled.cost, pooled.code = resized(pooled.cost, int(d.win.Size())), resized(pooled.code, int(d.win.Size()))
+	tbl := pooled.cost
+	d.acc[v], d.codes[v] = tbl, pooled.code
 	d.ntab++
 	if si := d.ct.Nodes[v].SinkIdx; si >= 0 {
 		sink := d.in.Sinks[si].V
@@ -292,7 +299,7 @@ func (d *DP) accumulate(v int32) error {
 	}
 	any := false
 	for i, c := range d.kids[v] {
-		corr := d.corridor(c, v, grid.NoV)
+		corr := d.corridor(c, d.ct.Nodes[v].Pos)
 		if !d.spread(c, -1, corr) {
 			return ErrTooLarge
 		}
@@ -330,23 +337,29 @@ func (d *DP) accumulate(v int32) error {
 	return nil
 }
 
-// down reconstructs top-down: it traces node v's edge from window index
-// at back to the seed the live spread grew it from — v's position — and
-// re-spreads each child toward that position on demand, so the
-// workspace always holds the spread of the node being traced.
+// errCodes reports a predecessor walk that left the cells its spread
+// labelled: a bug in the kernel or the driver, never a property of the
+// input.
+var errCodes = errors.New("embed: predecessor codes cycle")
+
+// down reconstructs top-down: from window index at, where v's parent
+// was placed, it walks the predecessor codes of v's edge back to the
+// seed that spread grew the label from — v's position — emitting one
+// step per code, and continues from there into each child's codes.
 func (d *DP) down(v, at int32) error {
-	for d.pred[at] >= 0 {
-		p := d.pred[at]
-		d.steps = append(d.steps, nets.Step{From: d.win.Vertex(p), Arc: d.parc[at]})
+	codes := d.codes[v]
+	for n := 0; ; n++ {
+		p, arc, ok := d.Pred(codes, at)
+		if !ok || n == len(codes) {
+			return errCodes
+		}
+		if p < 0 {
+			break
+		}
+		d.steps = append(d.steps, nets.Step{From: d.win.Vertex(p), Arc: arc})
 		at = p
 	}
 	for _, c := range d.kids[v] {
-		if !d.spread(c, at, d.corridor(c, v, d.win.Vertex(at))) {
-			return ErrTooLarge
-		}
-		if d.settled[at] != d.Epoch {
-			return fmt.Errorf("embed: reconstruction target unreachable")
-		}
 		if err := d.down(c, at); err != nil {
 			return err
 		}

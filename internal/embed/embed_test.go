@@ -253,3 +253,162 @@ func TestEmbedZeroSinks(t *testing.T) {
 		t.Fatal("zero-sink net should have empty tree")
 	}
 }
+
+// TestEstimateEqualsReconstruction: every topology edge is spread once
+// and reconstructed off that spread's own predecessor codes, so the
+// steps Run emits — before PruneToTree merges overlaps — price exactly
+// what its tables priced: Σ over the edges' steps of cost + subW·delay,
+// plus the bifurcation constants, is the estimate. Corridors and bounds
+// must not break that (a reconstruction that re-searched a different
+// box would). Summed with the tables' own roundings — an edge's label is
+// its node's float32 table cell plus its steps in the kernel's
+// association — the two are equal to the last bit; summed in plain
+// float64 they differ by the float32 rounding of the tables.
+func TestEstimateEqualsReconstruction(t *testing.T) {
+	g := newGraph(22, 18, 6)
+	rng := rand.New(rand.NewPCG(41, 22))
+	var d DP
+	worst, cases := 0.0, 0
+	for it := 0; cases < 240; it++ {
+		sinks := make([]nets.Sink, 2+rng.IntN(9))
+		for i := range sinks {
+			sinks[i] = nets.Sink{V: g.At(rng.Int32N(22), rng.Int32N(18), rng.Int32N(2)), W: rng.Float64() * 3}
+		}
+		in := testInstance(22, 18, 6, sinks, g.At(rng.Int32N(22), rng.Int32N(18), 0), g)
+		in.DBif = rng.Float64() * 3
+		// Prices steep enough that a path through a slightly wider box
+		// would often be cheaper: 9 of these cases told a reconstruction
+		// that re-searched such a box from this one.
+		for i := range in.C.Mult {
+			if rng.IntN(2) == 0 {
+				in.C.Mult[i] = 1 + rng.Float32()*40
+			}
+		}
+		topo := rsmt.Build(in.TermPts())
+		lim := Limits{Halo: 1 + rng.Int32N(3), Bound: math.Inf(1), Settles: math.MaxInt, Cells: math.MaxInt64}
+		_, free, err := d.Run(in, topo, in.Win, lim)
+		if err != nil {
+			t.Fatalf("it %d: %v", it, err)
+		}
+		if len(d.steps) == 0 {
+			continue
+		}
+		lim.Bound = free * (1.001 + rng.Float64())
+		_, est, err := d.Run(in, topo, in.Win, lim)
+		if err != nil {
+			t.Fatalf("it %d: bound %v over estimate %v: %v", it, lim.Bound, free, err)
+		}
+		cases++
+
+		// label replays the label v's spread gave cell at from the emitted
+		// steps, which it checks off against the codes as down walks them;
+		// plain accumulates the same arcs without the tables' roundings.
+		next, plain := 0, 0.0
+		var label func(v, at int32) float64
+		label = func(v, at int32) float64 {
+			first := next
+			for {
+				p, arc, ok := d.Pred(d.codes[v], at)
+				if !ok {
+					t.Fatalf("it %d: node %d: cell %d carries no code", it, v, at)
+				}
+				if p < 0 {
+					break
+				}
+				if next == len(d.steps) || d.steps[next] != (nets.Step{From: d.win.Vertex(p), Arc: arc}) {
+					t.Fatalf("it %d: node %d: emitted step %d is not the coded predecessor of cell %d", it, v, next, at)
+				}
+				next, at = next+1, p
+			}
+			last := next
+			var cell float32 // D_v at the seed the walk ended on, as accumulate sums it
+			for i, c := range d.kids[v] {
+				if l := float32(label(c, at)); i == 0 {
+					cell = l
+				} else {
+					cell += l
+				}
+			}
+			k := float64(cell)
+			for i := last - 1; i >= first; i-- {
+				a := d.steps[i].Arc
+				k = k + in.C.ArcCost(a) + d.subW[v]*in.C.ArcDelay(a)
+				plain += in.C.ArcCost(a) + d.subW[v]*in.C.ArcDelay(a)
+			}
+			return k
+		}
+		penalty := 0.0
+		for _, ch := range d.kids {
+			if len(ch) == 2 {
+				penalty += nets.Beta(in.DBif, in.Eta, d.subW[ch[0]], d.subW[ch[1]])
+			}
+		}
+		exact := label(d.kids[0][0], d.win.Index(in.Root)) + penalty
+		plain += penalty
+		if next != len(d.steps) {
+			t.Fatalf("it %d: %d steps emitted, the codes account for %d", it, len(d.steps), next)
+		}
+		if exact != est {
+			t.Fatalf("it %d (halo %d): steps replay to %v, estimate %v", it, lim.Halo, exact, est)
+		}
+		rel := math.Abs(plain-est) / est
+		worst = math.Max(worst, rel)
+		if rel > 1e-6 {
+			t.Fatalf("it %d (halo %d): reconstruction prices %v, estimate %v (rel %.2g)", it, lim.Halo, plain, est, rel)
+		}
+	}
+	t.Logf("%d cases, worst float64-vs-float32-table gap %.2g", cases, worst)
+}
+
+// TestRunRejectsLayerStackBeyondCodeWidth: a predecessor code names the
+// wire type in seven bits less the three non-wire codes; a stack with
+// more types on a layer must be refused, not aliased onto other codes.
+func TestRunRejectsLayerStackBeyondCodeWidth(t *testing.T) {
+	layers := dly.DefaultTech(3).BuildLayers()
+	wide := make([]grid.WireType, maxWireTypes+1)
+	for i := range wide {
+		wide[i] = layers[1].Wires[0]
+	}
+	layers[1].Wires = wide
+	g := grid.New(8, 8, layers, 1)
+	in := testInstance(8, 8, 3, []nets.Sink{{V: g.At(6, 5, 0), W: 1}}, g.At(1, 1, 0), g)
+	if _, err := Embed(in, rsmt.Build(in.TermPts())); err == nil {
+		t.Fatalf("Embed accepted %d wire types on a layer; codes hold %d", len(wide), maxWireTypes)
+	}
+	layers[1].Wires = wide[:maxWireTypes]
+	if _, err := Embed(in, rsmt.Build(in.TermPts())); err != nil {
+		t.Fatalf("%d wire types fit the code: %v", maxWireTypes, err)
+	}
+}
+
+// TestDownReportsBrokenCodes: the top-down walk trusts nothing about
+// the table it reads — codes that cycle, or that point off the window,
+// end in an error after at most one visit per cell.
+func TestDownReportsBrokenCodes(t *testing.T) {
+	in, topo := embedCase()
+	var d DP
+	if _, _, err := d.Run(in, topo, in.Win, Limits{Halo: 2, Bound: math.Inf(1), Settles: math.MaxInt, Cells: math.MaxInt64}); err != nil {
+		t.Fatal(err)
+	}
+	top, root := d.kids[0][0], d.win.Index(in.Root)
+	horizontal := in.G.Layers[0].Dir == grid.DirH
+	for name, fill := range map[string]func(x int32) uint8{
+		// Neighbours along layer 0 point at each other.
+		"cycle": func(x int32) uint8 {
+			c := x % d.win.R.W()
+			if !horizontal {
+				c = x / d.win.R.W() % d.win.R.H()
+			}
+			return codeWire + uint8(c&1)
+		},
+		"off the bottom layer": func(int32) uint8 { return codeViaUp },
+		"unknown wire type":    func(int32) uint8 { return 255 },
+	} {
+		for x := range d.codes[top] {
+			d.codes[top][x] = fill(int32(x))
+		}
+		if err := d.down(top, root); err != errCodes {
+			t.Errorf("%s: down returned %v, want %v", name, err, errCodes)
+		}
+	}
+}

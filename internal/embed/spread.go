@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"fmt"
 	"math"
 
 	"costdist/internal/geom"
@@ -16,13 +17,10 @@ import (
 // a repair window (package reembed). Not safe for concurrent use.
 type Workspace struct {
 	// dist[x] is the settled label of window index x where
-	// settled[x] == Epoch, the stamp of the latest spread. pred and parc
-	// (predecessor index, -1 at a seed, and the arc taken from it) are
-	// written by targeted spreads only: an exhaustive spread feeds a DP
-	// table, which reads nothing but dist.
+	// settled[x] == Epoch, the stamp of the latest spread. Predecessors
+	// are not kept here: Spread writes them, one byte a label, into a
+	// table of its caller's (see the code constants).
 	dist             []float64
-	pred             []int32
-	parc             []grid.Arc
 	settled, touched []uint32
 	Epoch            uint32
 	// Settles counts settled labels over the workspace's lifetime: the
@@ -34,20 +32,44 @@ type Workspace struct {
 	win  grid.Window
 }
 
+// A predecessor code says how the spread reached a labelled cell: as a
+// seed, or over one arc from the neighbouring cell the code names — so
+// the predecessor's index and the grid.Arc follow from the cell's own
+// coordinates (Pred) and a table of codes costs one byte a cell where
+// index and arc cost sixteen.
+const (
+	codeSeed    = 0
+	codeViaDown = 1 // by the via from the cell one layer up
+	codeViaUp   = 2 // by the via from the cell one layer down
+	// codeWire + 2·wt + dir: along the layer with wire type wt, stepping
+	// toward the lower (dir 0) or the higher (dir 1) coordinate.
+	codeWire = 3
+	// maxWireTypes is the number of wire types per layer a code can name.
+	maxWireTypes = (256 - codeWire) / 2
+)
+
+// checkCodeWidth reports a layer stack with more wire types on a layer
+// than a predecessor code can name.
+func checkCodeWidth(g *grid.Graph) error {
+	for l := range g.Layers {
+		if n := len(g.Layers[l].Wires); n > maxWireTypes {
+			return fmt.Errorf("embed: layer %d has %d wire types, predecessor codes hold %d", l, n, maxWireTypes)
+		}
+	}
+	return nil
+}
+
 // Reset points the workspace at window win of in's graph, growing it
 // when the window is larger than any it has served.
 func (ws *Workspace) Reset(in *nets.Instance, win grid.Window) {
 	n := int(win.Size())
 	if cap(ws.dist) < n {
 		ws.dist = make([]float64, n)
-		ws.pred = make([]int32, n)
-		ws.parc = make([]grid.Arc, n)
 		ws.settled = make([]uint32, n)
 		ws.touched = make([]uint32, n)
 		ws.Epoch = 0
 	}
-	ws.dist, ws.pred, ws.parc = ws.dist[:n], ws.pred[:n], ws.parc[:n]
-	ws.settled, ws.touched = ws.settled[:n], ws.touched[:n]
+	ws.dist, ws.settled, ws.touched = ws.dist[:n], ws.settled[:n], ws.touched[:n]
 	ws.in, ws.win = in, win
 }
 
@@ -58,7 +80,9 @@ func (ws *Workspace) Reset(in *nets.Instance, win grid.Window) {
 // With target ≥ 0 the search stops as soon as that window index
 // settles, with target -1 it exhausts the corridor. It reports false,
 // leaving the workspace incomplete, when it would settle more than
-// budget labels.
+// budget labels. Every label it writes, it writes the predecessor code
+// of into codes (a table over the window, like seeds); the codes of the
+// settled cells lead back to a seed.
 //
 // Arcs are relaxed in grid.Graph.Arcs' order — along the layer's
 // direction toward the lower then the higher coordinate, wire types in
@@ -66,7 +90,7 @@ func (ws *Workspace) Reset(in *nets.Instance, win grid.Window) {
 // k + mult·cost + w·delay in exactly that association, so heap
 // contents, settle order and every label are those of a search driven
 // by Arcs, Costs.ArcCost and Costs.ArcDelay.
-func (ws *Workspace) Spread(seeds []float32, seedRect geom.Rect, w float64, corr geom.Rect, bound float64, budget int, target int32) bool {
+func (ws *Workspace) Spread(seeds []float32, seedRect geom.Rect, w float64, corr geom.Rect, bound float64, budget int, target int32, codes []uint8) bool {
 	if ws.Epoch == math.MaxUint32 {
 		// Stamp space exhausted: pay one clear, restart the stamps.
 		clear(ws.settled[:cap(ws.settled)])
@@ -75,12 +99,10 @@ func (ws *Workspace) Spread(seeds []float32, seedRect geom.Rect, w float64, corr
 	}
 	ws.Epoch++
 	ep, h := ws.Epoch, &ws.heap
-	dist, pred, parc, settled, touched := ws.dist, ws.pred, ws.parc, ws.settled, ws.touched
+	dist, settled, touched := ws.dist, ws.settled, ws.touched
 	g, mult, win := ws.in.G, ws.in.C.Mult, ws.win
 	rowW, rowH := win.R.W(), win.R.H()
-	plane, nx, nxy := rowW*rowH, grid.V(g.NX), grid.V(g.NX*g.NY)
-	top := win.Layers() - 1
-	track := target >= 0
+	plane, top := rowW*rowH, win.Layers()-1
 
 	h.Reset()
 	seedW := seedRect.W()
@@ -89,7 +111,7 @@ func (ws *Workspace) Spread(seeds []float32, seedRect geom.Rect, w float64, corr
 			x0 := win.RectIndex(seedRect.X0, y, l)
 			for x := x0; x < x0+seedW; x++ {
 				if s := seeds[x]; s < inf32 && float64(s) < bound {
-					dist[x], pred[x], touched[x] = float64(s), -1, ep
+					dist[x], codes[x], touched[x] = float64(s), codeSeed, ep
 					h.Push(dist[x], x)
 				}
 			}
@@ -117,21 +139,20 @@ func (ws *Workspace) Spread(seeds []float32, seedRect geom.Rect, w float64, corr
 		t := x / rowW
 		l := t / rowH
 		gx, gy := x-t*rowW+win.R.X0, t-l*rowH+win.R.Y0
-		v := g.At(gx, gy, l)
 		lay := &g.Layers[l]
 
 		// Along the layer: the step toward the lower coordinate, then
 		// the step toward the higher one, each once per wire type.
-		stepX, stepV, seg := rowW, nx, g.SegV(l, gx, gy)
+		stepX, seg := rowW, g.SegV(l, gx, gy)
 		lo, hi := gy > corr.Y0, gy < corr.Y1
 		if lay.Dir == grid.DirH {
-			stepX, stepV, seg = 1, 1, g.SegH(l, gy, gx)
+			stepX, seg = 1, g.SegH(l, gy, gx)
 			lo, hi = gx > corr.X0, gx < corr.X1
 		}
 		for d := 0; d < 2; d++ {
-			y, to, sg, open := x-stepX, v-stepV, seg-1, lo
+			y, sg, open := x-stepX, seg-1, lo
 			if d == 1 {
-				y, to, sg, open = x+stepX, v+stepV, seg, hi
+				y, sg, open = x+stepX, seg, hi
 			}
 			if !open || settled[y] == ep {
 				continue
@@ -141,10 +162,7 @@ func (ws *Workspace) Spread(seeds []float32, seedRect geom.Rect, w float64, corr
 				wire := &lay.Wires[wt]
 				nd := k + m*wire.CostPerGCell + w*wire.DelayPerGCell
 				if nd < bound && (touched[y] != ep || nd < dist[y]) {
-					dist[y], touched[y] = nd, ep
-					if track {
-						pred[y], parc[y] = x, grid.Arc{To: to, Seg: sg, L: int8(l), WT: int8(wt)}
-					}
+					dist[y], touched[y], codes[y] = nd, ep, uint8(codeWire+2*wt+d)
 					h.Push(nd, y)
 				}
 			}
@@ -154,9 +172,9 @@ func (ws *Workspace) Spread(seeds []float32, seedRect geom.Rect, w float64, corr
 			if vl < 0 || vl >= top {
 				continue
 			}
-			y, to := x+plane, v+nxy
+			y, code := x+plane, uint8(codeViaUp)
 			if vl < l {
-				y, to = x-plane, v-nxy
+				y, code = x-plane, codeViaDown
 			}
 			if settled[y] == ep {
 				continue
@@ -164,14 +182,55 @@ func (ws *Workspace) Spread(seeds []float32, seedRect geom.Rect, w float64, corr
 			sg, via := g.ViaSeg(vl, gx, gy), &g.Layers[vl]
 			nd := k + float64(mult[sg])*via.ViaCost + w*via.ViaDelay
 			if nd < bound && (touched[y] != ep || nd < dist[y]) {
-				dist[y], touched[y] = nd, ep
-				if track {
-					pred[y], parc[y] = x, grid.Arc{To: to, Seg: sg, L: int8(vl), WT: -1, Via: true}
-				}
+				dist[y], touched[y], codes[y] = nd, ep, code
 				h.Push(nd, y)
 			}
 		}
 	}
 	ws.Settles += count
 	return ok
+}
+
+// Pred decodes the predecessor code of window index y: the index x the
+// label of y was relaxed from and the arc taken from x to y, or x = -1
+// at a seed. It reports false for a code no relaxation into y writes —
+// y was not labelled by the spread that filled codes.
+func (ws *Workspace) Pred(codes []uint8, y int32) (x int32, a grid.Arc, ok bool) {
+	g, win := ws.in.G, ws.win
+	a.To = win.Vertex(y)
+	gx, gy, l := g.XYL(a.To)
+	rowW, plane := win.R.W(), win.R.W()*win.R.H()
+	code := int(codes[y])
+	switch code {
+	case codeSeed:
+		return -1, grid.Arc{}, true
+	case codeViaDown:
+		a.Seg, a.L, a.WT, a.Via = g.ViaSeg(l, gx, gy), int8(l), -1, true
+		return y + plane, a, l < win.Layers()-1
+	case codeViaUp:
+		if l == 0 {
+			return 0, a, false
+		}
+		a.Seg, a.L, a.WT, a.Via = g.ViaSeg(l-1, gx, gy), int8(l-1), -1, true
+		return y - plane, a, true
+	}
+	// The kernel's wire step read backwards: a step toward the lower
+	// coordinate c came from the higher neighbour over the segment that
+	// starts at y, one toward the higher from the lower neighbour over
+	// the segment that ends at y.
+	lay := &g.Layers[l]
+	a.L, a.WT = int8(l), int8((code-codeWire)>>1)
+	stepX, c, c0, c1 := rowW, gy, win.R.Y0, win.R.Y1
+	if lay.Dir == grid.DirH {
+		stepX, c, c0, c1 = 1, gx, win.R.X0, win.R.X1
+	}
+	x, ok = y+stepX, c < c1
+	if (code-codeWire)&1 == 1 {
+		x, c, ok = y-stepX, c-1, c > c0
+	}
+	a.Seg = g.SegV(l, gx, c)
+	if lay.Dir == grid.DirH {
+		a.Seg = g.SegH(l, gy, c)
+	}
+	return x, a, ok && int(a.WT) < len(lay.Wires)
 }

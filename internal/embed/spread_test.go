@@ -14,8 +14,8 @@ import (
 
 // refSpread is the callback-based spread the flat kernel replaced, kept
 // as the reference implementation: grid.Graph.Arcs per settle, a closure
-// per arc, Window.Index per target, Costs.ArcCost/ArcDelay per arc. It
-// tracks pred and parc on every spread.
+// per arc, Window.Index per target, Costs.ArcCost/ArcDelay per arc, and
+// predecessor index and arc stored whole.
 type refSpread struct {
 	dist             []float64
 	pred             []int32
@@ -104,12 +104,13 @@ func subRect(rng *rand.Rand, r geom.Rect, shape int) geom.Rect {
 // seeded (window, corridor, bound, target, weight, budget) cases over
 // congested 8-layer grids the flat kernel must settle the same cells in
 // the same number of settles with the same labels as the callback
-// search — every touched label, settled or tentative, and on targeted
-// spreads every predecessor and arc.
+// search — every touched label, settled or tentative, with the
+// predecessor and arc its code decodes to, exhaustive or targeted.
 func TestSpreadMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 4))
 	g := newGraph(19, 15, 8)
 	var ws Workspace
+	var codes []uint8
 	modes := map[string]int{}
 	for it := 0; it < 400; it++ {
 		in := testInstance(19, 15, 8, nil, g.At(0, 0, 0), g)
@@ -155,7 +156,8 @@ func TestSpreadMatchesReference(t *testing.T) {
 		want, wantOK := runRef(in, win, seeds, seedRect, w, corr, bound, limit, target)
 		ws.Reset(in, win)
 		base := ws.Settles
-		ok := ws.Spread(seeds, seedRect, w, corr, bound, limit, target)
+		codes = resized(codes, len(seeds)) // stale codes of earlier cases stay in it, as in the DP's pool
+		ok := ws.Spread(seeds, seedRect, w, corr, bound, limit, target, codes)
 		if ok != wantOK || ws.Settles-base != want.settles {
 			t.Fatalf("it %d: ok %v settles %d, reference ok %v settles %d", it, ok, ws.Settles-base, wantOK, want.settles)
 		}
@@ -172,9 +174,10 @@ func TestSpreadMatchesReference(t *testing.T) {
 			if ws.dist[x] != want.dist[x] {
 				t.Fatalf("it %d: cell %d dist %v, reference %v", it, x, ws.dist[x], want.dist[x])
 			}
-			if target >= 0 && (ws.pred[x] != want.pred[x] || ws.pred[x] >= 0 && ws.parc[x] != want.parc[x]) {
-				t.Fatalf("it %d: cell %d pred %d arc %+v, reference %d %+v",
-					it, x, ws.pred[x], ws.parc[x], want.pred[x], want.parc[x])
+			pred, arc, ok := ws.Pred(codes, x)
+			if !ok || pred != want.pred[x] || pred >= 0 && arc != want.parc[x] {
+				t.Fatalf("it %d: cell %d code %d decodes to pred %d arc %+v (ok %v), reference %d %+v",
+					it, x, codes[x], pred, arc, ok, want.pred[x], want.parc[x])
 			}
 		}
 		switch {
@@ -220,10 +223,10 @@ func TestSpreadAllocatesNothing(t *testing.T) {
 	in, win, seeds := spreadCase()
 	var ws Workspace
 	ws.Reset(in, win)
-	target := win.Index(in.G.At(12, 12, 0))
+	target, codes := win.Index(in.G.At(12, 12, 0)), make([]uint8, len(seeds))
 	run := func() {
-		ws.Spread(seeds, win.R, 1.5, win.R, math.Inf(1), math.MaxInt, -1)
-		ws.Spread(seeds, win.R, 1.5, win.R, 80, math.MaxInt, target)
+		ws.Spread(seeds, win.R, 1.5, win.R, math.Inf(1), math.MaxInt, -1, codes)
+		ws.Spread(seeds, win.R, 1.5, win.R, 80, math.MaxInt, target, codes)
 	}
 	run()
 	if n := testing.AllocsPerRun(20, run); n != 0 {
@@ -238,14 +241,15 @@ func TestSpreadSurvivesEpochWrap(t *testing.T) {
 	in, win, seeds := spreadCase()
 	corr := geom.Rect{X0: 4, Y0: 4, X1: 19, Y1: 18}
 	var old, fresh Workspace
+	codes := make([]uint8, len(seeds))
 	old.Reset(in, win)
-	old.Spread(seeds, win.R, 1, win.R, math.Inf(1), math.MaxInt, -1)
+	old.Spread(seeds, win.R, 1, win.R, math.Inf(1), math.MaxInt, -1, codes)
 	old.Epoch = math.MaxUint32 - 2
 	fresh.Reset(in, win)
 	for i := 0; i < 6; i++ {
 		bound := 20 + 15*float64(i)
-		old.Spread(seeds, corr, 1, corr, bound, math.MaxInt, -1)
-		fresh.Spread(seeds, corr, 1, corr, bound, math.MaxInt, -1)
+		old.Spread(seeds, corr, 1, corr, bound, math.MaxInt, -1, codes)
+		fresh.Spread(seeds, corr, 1, corr, bound, math.MaxInt, -1, codes)
 		for x := range old.dist {
 			a, b := old.settled[x] == old.Epoch, fresh.settled[x] == fresh.Epoch
 			if a != b || a && old.dist[x] != fresh.dist[x] {

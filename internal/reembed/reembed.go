@@ -19,10 +19,11 @@
 //   - Reembed runs package embed's two-pass dynamic program (embed.DP:
 //     spread child tables toward the parent by multi-source Dijkstra
 //     under the metric c(e) + W·d(e) — the shared kernel
-//     embed.Workspace.Spread — then reconstruct top-down), the same
-//     code the baselines' embedding runs, but over the small repair
-//     window around the cached tree instead of the oracle's full
-//     routing window, confined per topology edge to a corridor, cut
+//     embed.Workspace.Spread, once per topology edge — then read the
+//     tree back top-down off the predecessors those spreads recorded),
+//     the same code the baselines' embedding runs, but over the small
+//     repair window around the cached tree instead of the oracle's
+//     full routing window, confined per topology edge to a corridor, cut
 //     off at the cached tree's cost and at a settle budget, and on a
 //     reusable generation-stamped Scratch (the sparse.FlatI32 idiom
 //     from the solver arenas) instead of per-call allocations.
@@ -58,9 +59,10 @@ import (
 const Halo = 2
 
 // maxTableCells bounds window-size × topology-node-count, the DP's
-// table footprint in float32 cells. Nets beyond it (huge windows, very
-// high fanout) report ErrTooLarge and escalate to a full solve instead
-// of allocating hundreds of MB per worker.
+// table footprint in cells of 5 B (a float32 cost and a predecessor
+// code). Nets beyond it (huge windows, very high fanout) report
+// ErrTooLarge and escalate to a full solve instead of allocating
+// hundreds of MB per worker.
 const maxTableCells = 16 << 20
 
 // maxSettles bounds the total Dijkstra settle count of one repair
@@ -92,14 +94,23 @@ type Outcome struct {
 
 // Scratch is the reusable per-worker workspace of a repair: the
 // embedding DP's state (epoch-stamped spread workspace over the repair
-// window, pooled per-node cost tables, per-attempt slices — the
-// sparse.FlatI32 idiom), so the DP allocates nothing per attempt. Not
-// safe for concurrent use; give each worker its own.
+// window, pooled per-node cost and code tables, per-attempt slices —
+// the sparse.FlatI32 idiom) and topology extraction's, so neither
+// allocates per attempt beyond the PlaneTree handed on. Not safe for
+// concurrent use; give each worker its own.
 type Scratch struct {
 	// vid maps window indices to dense tree-vertex ids during topology
 	// extraction.
 	vid sparse.FlatI32
 	dp  embed.DP
+	// ExtractTopology's per-attempt slices over the cached tree's dense
+	// vertex ids: the vertices; the half-edge adjacency (head per vertex,
+	// next and to per half-edge); the BFS rooting; and each vertex's
+	// children and hosted sinks as offset arrays (kidsOf, sinksOf), host
+	// being the vertex of each sink.
+	verts                              []grid.V
+	head, next, to, parent, order      []int32
+	kidOff, kids, sinkOff, sinks, host []int32
 
 	// Obs, when non-nil, is the owning router worker's telemetry sink;
 	// Repair records the re-embedding DP on it as a detail span nested
@@ -184,14 +195,16 @@ func Repair(in *nets.Instance, cached *nets.RTree, scr *Scratch) (*Outcome, erro
 // and every vertex where the rooted tree branches; pass-through chains
 // between them are spliced out, dangling stubs dropped. The result is
 // a valid PlaneTree over the instance's sinks (Canonicalize-ready; the
-// caller binarizes it).
+// caller binarizes it). Steps that do not form a tree containing the
+// root are an error.
 func ExtractTopology(in *nets.Instance, cached *nets.RTree, winRect geom.Rect, scr *Scratch) (*nets.PlaneTree, error) {
 	g := in.G
 	win := g.NewWindow(winRect)
 	scr.vid.Reset(int(win.Size()))
 
-	// Dense-id the tree vertices in step order (deterministic).
-	verts := make([]grid.V, 0, len(cached.Steps)+1)
+	// Dense-id the tree vertices in step order (deterministic) and link
+	// the adjacency as half-edge lists, two half-edges per step.
+	scr.verts, scr.head, scr.next, scr.to = scr.verts[:0], scr.head[:0], scr.next[:0], scr.to[:0]
 	id := func(v grid.V) (int32, error) {
 		idx := win.Index(v)
 		if idx < 0 {
@@ -200,17 +213,19 @@ func ExtractTopology(in *nets.Instance, cached *nets.RTree, winRect geom.Rect, s
 		if got, ok := scr.vid.Get(idx); ok {
 			return got, nil
 		}
-		nid := int32(len(verts))
+		nid := int32(len(scr.verts))
 		scr.vid.Put(idx, nid)
-		verts = append(verts, v)
+		scr.verts, scr.head = append(scr.verts, v), append(scr.head, -1)
 		return nid, nil
+	}
+	addHalf := func(from, t int32) {
+		scr.next, scr.to = append(scr.next, scr.head[from]), append(scr.to, t)
+		scr.head[from] = int32(len(scr.to) - 1)
 	}
 	rootID, err := id(in.Root)
 	if err != nil {
 		return nil, err
 	}
-	type edge struct{ a, b int32 }
-	edges := make([]edge, 0, len(cached.Steps))
 	for _, st := range cached.Steps {
 		a, err := id(st.From)
 		if err != nil {
@@ -220,35 +235,20 @@ func ExtractTopology(in *nets.Instance, cached *nets.RTree, winRect geom.Rect, s
 		if err != nil {
 			return nil, err
 		}
-		edges = append(edges, edge{a, b})
+		addHalf(a, b)
+		addHalf(b, a)
 	}
-	nv := len(verts)
+	nv := int32(len(scr.verts))
+	head, next, to := scr.head, scr.next, scr.to
 
-	// Adjacency as a linked edge list (two half-edges per step).
-	head := make([]int32, nv)
-	for i := range head {
-		head[i] = -1
-	}
-	next := make([]int32, 0, 2*len(edges))
-	to := make([]int32, 0, 2*len(edges))
-	addHalf := func(from, t int32) {
-		next = append(next, head[from])
-		to = append(to, t)
-		head[from] = int32(len(to) - 1)
-	}
-	for _, e := range edges {
-		addHalf(e.a, e.b)
-		addHalf(e.b, e.a)
-	}
-
-	// Root the tree: BFS parents from the root vertex.
-	parent := make([]int32, nv)
-	order := make([]int32, 0, nv)
-	for i := range parent {
-		parent[i] = -2 // unvisited
+	// Root the tree: BFS parents from the root vertex. Connected with
+	// one step fewer than vertices, the steps are a tree; anything else
+	// would repeat subtrees below.
+	parent, order := scr.parent[:0], append(scr.order[:0], rootID)
+	for i := int32(0); i < nv; i++ {
+		parent = append(parent, -2) // unvisited
 	}
 	parent[rootID] = -1
-	order = append(order, rootID)
 	for qi := 0; qi < len(order); qi++ {
 		v := order[qi]
 		for ei := head[v]; ei >= 0; ei = next[ei] {
@@ -259,25 +259,35 @@ func ExtractTopology(in *nets.Instance, cached *nets.RTree, winRect geom.Rect, s
 			}
 		}
 	}
-	if len(order) != nv {
+	scr.parent, scr.order = parent, order
+	if int32(len(order)) != nv {
 		return nil, fmt.Errorf("reembed: cached tree disconnected from root")
 	}
+	if int32(len(cached.Steps)) != nv-1 {
+		return nil, fmt.Errorf("reembed: cached tree has a cycle")
+	}
 
-	// Children per vertex (adjacency order) and hosted sinks.
-	kids := make([][]int32, nv)
-	for _, v := range order {
+	// Children per vertex (adjacency order) and hosted sinks (sink
+	// order), both as offset arrays over the dense ids.
+	scr.kidOff, scr.kids = scr.kidOff[:0], scr.kids[:0]
+	for v := int32(0); v < nv; v++ {
+		scr.kidOff = append(scr.kidOff, int32(len(scr.kids)))
 		for ei := head[v]; ei >= 0; ei = next[ei] {
-			c := to[ei]
-			if parent[c] == v {
-				kids[v] = append(kids[v], c)
+			if c := to[ei]; parent[c] == v {
+				scr.kids = append(scr.kids, c)
 			}
 		}
 	}
-	sinksOf := make([][]int32, nv)
+	scr.kidOff = append(scr.kidOff, int32(len(scr.kids)))
+	// sinkOff[v+1] first counts v's sinks, then runs as v's fill cursor,
+	// ending on the start of v+1: the offsets, one slot further down.
+	sinkOff, host := scr.sinkOff[:0], scr.host[:0]
+	for i := int32(0); i < nv+2; i++ {
+		sinkOff = append(sinkOff, 0)
+	}
 	for si, s := range in.Sinks {
-		idx := win.Index(s.V)
 		var vid int32 = -1
-		if idx >= 0 {
+		if idx := win.Index(s.V); idx >= 0 {
 			if got, ok := scr.vid.Get(idx); ok {
 				vid = got
 			}
@@ -285,61 +295,73 @@ func ExtractTopology(in *nets.Instance, cached *nets.RTree, winRect geom.Rect, s
 		if vid < 0 {
 			return nil, fmt.Errorf("reembed: sink %d not on cached tree", si)
 		}
-		sinksOf[vid] = append(sinksOf[vid], int32(si))
+		host = append(host, vid)
+		sinkOff[vid+2]++
 	}
+	for v := int32(0); v < nv; v++ {
+		sinkOff[v+2] += sinkOff[v+1]
+	}
+	sinks := append(scr.sinks[:0], host...)
+	for si, vid := range host {
+		sinks[sinkOff[vid+1]] = int32(si)
+		sinkOff[vid+1]++
+	}
+	scr.sinkOff, scr.sinks, scr.host = sinkOff, sinks, host
 
 	out := &nets.PlaneTree{}
 	out.Nodes = append(out.Nodes, nets.PlaneNode{Pos: g.Pt(in.Root), Parent: -1, SinkIdx: -1})
 	// Sinks hosted on the root vertex hang as leaves under node 0 (the
 	// root node itself must stay a plain terminal).
-	for _, si := range sinksOf[rootID] {
+	for _, si := range scr.sinksOf(rootID) {
 		out.Nodes = append(out.Nodes, nets.PlaneNode{Pos: g.Pt(in.Root), Parent: 0, SinkIdx: si})
 	}
-
-	// attach materializes the topology node for the subtree entered at
-	// dense vertex v under PlaneTree node parentNode, splicing
-	// pass-through chains on the way down.
-	var attach func(v, parentNode int32)
-	attach = func(v, parentNode int32) {
-		for len(sinksOf[v]) == 0 && len(kids[v]) == 1 {
-			v = kids[v][0]
-		}
-		if len(sinksOf[v]) == 0 && len(kids[v]) == 0 {
-			return // dangling stub: carries nothing
-		}
-		n := nets.PlaneNode{Pos: g.Pt(verts[v]), Parent: parentNode, SinkIdx: -1}
-		hosted := sinksOf[v]
-		if len(hosted) > 0 {
-			n.SinkIdx = hosted[0]
-			hosted = hosted[1:]
-		}
-		out.Nodes = append(out.Nodes, n)
-		me := int32(len(out.Nodes) - 1)
-		// Co-located extra sinks become leaf children at the same spot.
-		for _, si := range hosted {
-			out.Nodes = append(out.Nodes, nets.PlaneNode{Pos: n.Pos, Parent: me, SinkIdx: si})
-		}
-		for _, c := range kids[v] {
-			attach(c, me)
-		}
-	}
-	for _, c := range kids[rootID] {
-		attach(c, 0)
+	for _, c := range scr.kidsOf(rootID) {
+		scr.attach(g, out, c, 0)
 	}
 	return out, nil
 }
 
+func (scr *Scratch) kidsOf(v int32) []int32  { return scr.kids[scr.kidOff[v]:scr.kidOff[v+1]] }
+func (scr *Scratch) sinksOf(v int32) []int32 { return scr.sinks[scr.sinkOff[v]:scr.sinkOff[v+1]] }
+
+// attach materializes the topology node for the subtree entered at
+// dense vertex v under PlaneTree node parentNode, splicing pass-through
+// chains on the way down.
+func (scr *Scratch) attach(g *grid.Graph, out *nets.PlaneTree, v, parentNode int32) {
+	for len(scr.sinksOf(v)) == 0 && len(scr.kidsOf(v)) == 1 {
+		v = scr.kidsOf(v)[0]
+	}
+	hosted, kids := scr.sinksOf(v), scr.kidsOf(v)
+	if len(hosted) == 0 && len(kids) == 0 {
+		return // dangling stub: carries nothing
+	}
+	n := nets.PlaneNode{Pos: g.Pt(scr.verts[v]), Parent: parentNode, SinkIdx: -1}
+	if len(hosted) > 0 {
+		n.SinkIdx = hosted[0]
+		hosted = hosted[1:]
+	}
+	out.Nodes = append(out.Nodes, n)
+	me := int32(len(out.Nodes) - 1)
+	// Co-located extra sinks become leaf children at the same spot.
+	for _, si := range hosted {
+		out.Nodes = append(out.Nodes, nets.PlaneNode{Pos: n.Pos, Parent: me, SinkIdx: si})
+	}
+	for _, c := range kids {
+		scr.attach(g, out, c, me)
+	}
+}
+
 // Reembed embeds the topology cost-minimally into in.G restricted to
 // the window win: the two-pass DP of package embed (bottom-up tables
-// spread by multi-source Dijkstra, top-down reconstruction) on the
-// reusable scratch, each topology edge confined to the Halo corridor
-// around its cached endpoints and the whole attempt to maxTableCells
-// and maxSettles. It returns the embedded tree and the DP's objective
-// estimate (congestion + weighted delay + bifurcation penalty
-// constants). bound is a hard total-cost cutoff: the spreads prune
-// every partial embedding that already prices at or above it (pass
-// +Inf for the unbounded DP) and embed.ErrBound reports that no
-// embedding beats it.
+// spread by multi-source Dijkstra, top-down walk of the predecessors
+// those spreads recorded) on the reusable scratch, each topology edge
+// confined to the Halo corridor around its cached endpoints and the
+// whole attempt to maxTableCells and maxSettles. It returns the
+// embedded tree and the DP's objective estimate (congestion + weighted
+// delay + bifurcation penalty constants). bound is a hard total-cost
+// cutoff: the spreads prune every partial embedding that already
+// prices at or above it (pass +Inf for the unbounded DP) and
+// embed.ErrBound reports that no embedding beats it.
 //
 // Narrowing the search to corridors is sound because adoption
 // re-evaluates the reconstructed tree: it can only trade repair power
