@@ -12,7 +12,9 @@
 //   - §III-C goal-oriented (A*) searches: every label is keyed by its
 //     distance plus an admissible future cost, the bound of
 //     internal/future's live-target table to the nearest other alive
-//     component's bounding box (on by default);
+//     component's bounding box, priced per direction by the layer
+//     stack's cost–delay envelope at the component's weight (on by
+//     default);
 //   - §III-D improved embedding of new Steiner vertices along the
 //     connection path;
 //   - §III-E encouraging early root connections by discounting the
@@ -40,11 +42,13 @@ type Options struct {
 	// edges and connections completing at any target-component vertex.
 	Discount bool
 	// AStar enables §III-C goal-oriented searches; switching it off is
-	// the §III-C ablation (plain Dijkstra, about twice the settled labels).
-	// A label's future cost is taken against the components alive when it
-	// is pushed; after a merge grows a target, older labels may carry
-	// slightly inflated keys (the stale-key trade, see ARCHITECTURE.md
-	// "Goal-oriented search").
+	// the §III-C ablation (plain Dijkstra, about three times the settled
+	// labels). A label's future cost is the cheapest x- and y-step of the
+	// layer stack under its component's weight (future.Targets.Units)
+	// times the offsets to the nearest other component's box, taken
+	// against the components alive when it is pushed; after a merge grows
+	// a target, older labels may carry slightly inflated keys (the
+	// stale-key trade, see ARCHITECTURE.md "Goal-oriented search").
 	AStar bool
 	// ImproveSteiner enables §III-D: the new component's representative
 	// is placed at the path position minimizing the estimated extension
@@ -110,6 +114,11 @@ type comp struct {
 
 	rep grid.V // representative terminal position
 
+	// ux, uy are the cheapest l_c-lengths of one gcell step in x and in y
+	// under this component's weight (future.Targets.Units), taken once per
+	// search: the per-direction prices of its §III-C future cost.
+	ux, uy float64
+
 	// labels holds the search's Dijkstra labels by window index; it has
 	// pages only between startSearch and the component's merge.
 	labels sparse.LabelSlab
@@ -118,20 +127,18 @@ type comp struct {
 	// Best root-connection candidate found so far (kept out of the heap
 	// because its penalty term changes when the active weight shrinks).
 	rootG   float64
-	rootAt  grid.V
-	rootIdx int32 // window index of rootAt
+	rootIdx int32 // window index of the vertex where it meets the root
 	hasRoot bool
 }
 
-// entry is a queue element of one component's search.
+// entry is a queue element of one component's search: 16 bytes, because
+// every sift level of the component's heap moves one (the graph vertex and
+// its coordinates are decoded from idx when the entry is acted on, the
+// penalty of a connection entry is recomputed when it is validated).
 type entry struct {
 	g float64 // true distance label (without heuristic or penalty)
-	// b is the penalty included in the key at push time (for staleness
-	// checks on connect entries).
-	b float64
-	v grid.V
-	// idx is v's dense index in the solve's routing window — the label
-	// key, carried so queue pops never re-derive it by division.
+	// idx is the labelled vertex's dense index in the solve's routing
+	// window — the label key and, via grid.Window.XYL, its position.
 	idx int32
 	// target is the component id this entry would connect to, or -1 for
 	// an ordinary expansion entry.

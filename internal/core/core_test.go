@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+	"unsafe"
 
 	"costdist/internal/dly"
 	"costdist/internal/embed"
@@ -535,12 +536,24 @@ func TestGoalOrientedSettlesFewerLabels(t *testing.T) {
 		sOn, qOn := run(DefaultOptions())
 		t.Logf("t=%d: settled %d → %d (%.0f %%), objective %.1f → %.1f (%+.2f %%)",
 			nSinks, sOff, sOn, 100*float64(sOn)/float64(sOff), qOff, qOn, 100*(qOn-qOff)/qOff)
-		if float64(sOn) > 0.8*float64(sOff) {
-			t.Errorf("t=%d: goal-oriented search settled %d labels, plain %d: more than 80 %%", nSinks, sOn, sOff)
+		if float64(sOn) > 0.45*float64(sOff) {
+			t.Errorf("t=%d: goal-oriented search settled %d labels, plain %d: more than 45 %%", nSinks, sOn, sOff)
 		}
 		if qOn > 1.02*qOff {
 			t.Errorf("t=%d: goal-oriented objective %v more than 2 %% above plain %v", nSinks, qOn, qOff)
 		}
+	}
+}
+
+func TestQueueEntryIs16Bytes(t *testing.T) {
+	// Every sift level of a component's heap moves one entry beside its
+	// 8-byte key. At 32 bytes — a penalty nothing read and the graph
+	// vertex, which the window index already names — heaps.Lazy's down was
+	// 20 % of cold-route's profile and the bench's cold route ran about
+	// 0.38 s; at 16 bytes the same trees come out in about 0.31 s. A field
+	// added here is paid on every push and pop of every search.
+	if n := unsafe.Sizeof(entry{}); n != 16 {
+		t.Fatalf("core.entry is %d bytes, want 16", n)
 	}
 }
 

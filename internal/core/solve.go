@@ -229,7 +229,7 @@ func (s *solver) h(c *comp, x, y int32) float64 {
 	if !s.opt.AStar {
 		return 0
 	}
-	return s.targets.Est(c.id, x, y, c.weight)
+	return s.targets.Est(c.id, x, y, c.ux, c.uy)
 }
 
 // startSearch initializes component c's Dijkstra from its representative.
@@ -237,6 +237,7 @@ func (s *solver) startSearch(c *comp) {
 	c.labels.Reset(&s.scr.pages, s.winSize)
 	c.queue.Reset()
 	c.hasRoot = false
+	c.ux, c.uy = s.targets.Units(c.weight)
 	s.scr.Searches++
 	idx := s.win.Index(c.rep)
 	lab, _ := c.labels.Put(idx)
@@ -244,7 +245,7 @@ func (s *solver) startSearch(c *comp) {
 	lab.Prev = -1
 	lab.Arc = codeSeed
 	p := s.g.Pt(c.rep)
-	s.push(c, s.h(c, p.X, p.Y), entry{g: 0, v: c.rep, idx: idx, target: -1})
+	s.push(c, s.h(c, p.X, p.Y), entry{g: 0, idx: idx, target: -1})
 	s.refreshTop(c)
 }
 
@@ -320,14 +321,12 @@ func (s *solver) validate(c *comp, e entry, key float64) (fresh bool, repush ent
 			if jc.isRoot {
 				if !c.hasRoot || e.g < c.rootG {
 					c.rootG = e.g
-					c.rootAt = e.v
 					c.rootIdx = e.idx
 					c.hasRoot = true
 				}
 				return false, entry{}, 0, false
 			}
-			b := s.bConnect(c, jc)
-			return false, entry{g: e.g, v: e.v, idx: e.idx, target: own, b: b}, e.g + b, true
+			return false, entry{g: e.g, idx: e.idx, target: own}, e.g + s.bConnect(c, jc), true
 		}
 		return true, entry{}, 0, false
 	}
@@ -340,7 +339,6 @@ func (s *solver) validate(c *comp, e entry, key float64) (fresh bool, repush ent
 		// Root candidates live outside the queue; convert.
 		if !c.hasRoot || e.g < c.rootG {
 			c.rootG = e.g
-			c.rootAt = e.v
 			c.rootIdx = e.idx
 			c.hasRoot = true
 		}
@@ -349,7 +347,7 @@ func (s *solver) validate(c *comp, e entry, key float64) (fresh bool, repush ent
 	b := s.bConnect(c, jc)
 	if j != e.target || e.g+b > key+1e-12 {
 		// Target id or penalty changed: re-push with the current key.
-		return false, entry{g: e.g, v: e.v, idx: e.idx, target: j, b: b}, e.g + b, true
+		return false, entry{g: e.g, idx: e.idx, target: j}, e.g + b, true
 	}
 	return true, entry{}, 0, false
 }
@@ -363,11 +361,11 @@ func (s *solver) step() error {
 		return fmt.Errorf("core: no events left with %d active components (disconnected window?)", s.alive)
 	}
 	if isRoot {
-		s.merge(c, s.comps[0].id, c.rootAt, c.rootIdx, true)
+		s.merge(c, s.comps[0].id, c.rootIdx, true)
 		return nil
 	}
 	if e.target >= 0 {
-		s.merge(c, s.sets.Find(e.target), e.v, e.idx, false)
+		s.merge(c, s.sets.Find(e.target), e.idx, false)
 		return nil
 	}
 	s.expand(c, e)
@@ -447,43 +445,46 @@ func (s *solver) popFlat() (*comp, entry, bool, bool) {
 	}
 }
 
-// expand settles e.v for component c and relaxes its outgoing arcs under
-// the metric l_c = cost + w(c)·delay (eq. 4), with §III-A discounting.
-// The directions are unrolled in the exact order grid.Arcs emits them
-// (dir−, dir+, via-down, via-up): neighbor window indices come from
-// stride arithmetic and each direction's label slot, congestion
-// multiplier and future cost are looked up once, not per wire type.
+// expand settles e's vertex for component c and relaxes its outgoing arcs
+// under the metric l_c = cost + w(c)·delay (eq. 4), with §III-A
+// discounting. The entry carries only the window index; (x, y, layer) and
+// the graph vertex are decoded from it here, once per settle. The
+// directions are unrolled in the exact order grid.Arcs emits them (dir−,
+// dir+, via-down, via-up): neighbor window indices come from stride
+// arithmetic and each direction's label slot, congestion multiplier and
+// future cost are looked up once, not per wire type.
 func (s *solver) expand(c *comp, e entry) {
 	s.scr.Settled++
 	lab := c.labels.Get(e.idx)
 	lab.Perm = true
 	fromOwn := s.resolveOwner(e.idx) == c.id
 	g := s.g
-	x, y, l := g.XYL(e.v)
+	x, y, l := s.win.XYL(e.idx)
+	v := g.At(x, y, l)
 	lay := &g.Layers[l]
 	win := s.in.Win
 	if lay.Dir == grid.DirH {
 		if x > win.X0 {
-			s.relaxWire(c, &e, e.v-1, e.idx-1, x-1, y, g.SegH(l, y, x-1), lay, fromOwn)
+			s.relaxWire(c, &e, v-1, e.idx-1, x-1, y, g.SegH(l, y, x-1), lay, fromOwn)
 		}
 		if x < win.X1 {
-			s.relaxWire(c, &e, e.v+1, e.idx+1, x+1, y, g.SegH(l, y, x), lay, fromOwn)
+			s.relaxWire(c, &e, v+1, e.idx+1, x+1, y, g.SegH(l, y, x), lay, fromOwn)
 		}
 	} else {
 		if y > win.Y0 {
-			s.relaxWire(c, &e, e.v-grid.V(g.NX), e.idx-s.winW, x, y-1, g.SegV(l, x, y-1), lay, fromOwn)
+			s.relaxWire(c, &e, v-grid.V(g.NX), e.idx-s.winW, x, y-1, g.SegV(l, x, y-1), lay, fromOwn)
 		}
 		if y < win.Y1 {
-			s.relaxWire(c, &e, e.v+grid.V(g.NX), e.idx+s.winW, x, y+1, g.SegV(l, x, y), lay, fromOwn)
+			s.relaxWire(c, &e, v+grid.V(g.NX), e.idx+s.winW, x, y+1, g.SegV(l, x, y), lay, fromOwn)
 		}
 	}
 	// Both via neighbours sit at (x, y): one future cost serves the two.
 	hv := unset
 	if l > 0 {
-		s.relaxVia(c, &e, e.v-grid.V(g.NX*g.NY), e.idx-s.winWH, x, y, &hv, g.ViaSeg(l-1, x, y), l-1, fromOwn)
+		s.relaxVia(c, &e, v-grid.V(g.NX*g.NY), e.idx-s.winWH, x, y, &hv, g.ViaSeg(l-1, x, y), l-1, fromOwn)
 	}
 	if int(l)+1 < len(g.Layers) {
-		s.relaxVia(c, &e, e.v+grid.V(g.NX*g.NY), e.idx+s.winWH, x, y, &hv, g.ViaSeg(l, x, y), l, fromOwn)
+		s.relaxVia(c, &e, v+grid.V(g.NX*g.NY), e.idx+s.winWH, x, y, &hv, g.ViaSeg(l, x, y), l, fromOwn)
 	}
 	s.refreshTop(c)
 }
@@ -521,7 +522,7 @@ func (s *solver) relaxWire(c *comp, e *entry, to grid.V, toIdx, tx, ty, seg int3
 			if hv == unset {
 				hv = s.h(c, tx, ty)
 			}
-			s.push(c, ng+hv, entry{g: ng, v: to, idx: toIdx, target: -1})
+			s.push(c, ng+hv, entry{g: ng, idx: toIdx, target: -1})
 		}
 		return
 	}
@@ -546,13 +547,13 @@ func (s *solver) relaxWire(c *comp, e *entry, to grid.V, toIdx, tx, ty, seg int3
 		lab.Arc = uint8(wt)
 		existed = true
 		if tgt >= 0 {
-			s.pushConnect(c, ng, to, toIdx, tgt)
+			s.pushConnect(c, ng, toIdx, tgt)
 			continue
 		}
 		if hv == unset {
 			hv = s.h(c, tx, ty)
 		}
-		s.push(c, ng+hv, entry{g: ng, v: to, idx: toIdx, target: -1})
+		s.push(c, ng+hv, entry{g: ng, idx: toIdx, target: -1})
 	}
 }
 
@@ -585,48 +586,47 @@ func (s *solver) relaxVia(c *comp, e *entry, to grid.V, toIdx, x, y int32, hv *f
 	lab.Perm = false
 	lab.Arc = codeVia
 	if tgt >= 0 {
-		s.pushConnect(c, ng, to, toIdx, tgt)
+		s.pushConnect(c, ng, toIdx, tgt)
 		return
 	}
 	if *hv == unset {
 		*hv = s.h(c, x, y)
 	}
-	s.push(c, ng+*hv, entry{g: ng, v: to, idx: toIdx, target: -1})
+	s.push(c, ng+*hv, entry{g: ng, idx: toIdx, target: -1})
 }
 
-// pushConnect records that c reaches component tgt at `to` with label g:
-// a root connection becomes c's root candidate (kept out of the heap), any
-// other a connection entry keyed by g plus the bifurcation penalty.
-func (s *solver) pushConnect(c *comp, g float64, to grid.V, toIdx, tgt int32) {
+// pushConnect records that c reaches component tgt at window index toIdx
+// with label g: a root connection becomes c's root candidate (kept out of
+// the heap), any other a connection entry keyed by g plus the bifurcation
+// penalty.
+func (s *solver) pushConnect(c *comp, g float64, toIdx, tgt int32) {
 	j := s.comps[tgt]
 	if j.isRoot {
 		if !c.hasRoot || g < c.rootG {
 			c.rootG = g
-			c.rootAt = to
 			c.rootIdx = toIdx
 			c.hasRoot = true
 		}
 		return
 	}
-	b := s.bConnect(c, j)
-	s.push(c, g+b, entry{g: g, v: to, idx: toIdx, target: tgt, b: b})
+	s.push(c, g+s.bConnect(c, j), entry{g: g, idx: toIdx, target: tgt})
 }
 
-// merge commits the connection of c to component jid at vertex p (window
-// index pIdx), reconstructs the connection path, and starts the merged
-// search.
-func (s *solver) merge(c *comp, jid int32, p grid.V, pIdx int32, toRoot bool) {
+// merge commits the connection of c to component jid at the vertex with
+// window index pIdx, reconstructs the connection path, and starts the
+// merged search.
+func (s *solver) merge(c *comp, jid int32, pIdx int32, toRoot bool) {
 	j := s.comps[jid]
 
-	// Reconstruct path from p back to c's seed. When nobody traces, the
-	// path lives in a recycled buffer; a trace callback may retain its
-	// event, so it gets a fresh slice.
+	// Reconstruct path from the connection vertex back to c's seed. When
+	// nobody traces, the path lives in a recycled buffer; a trace callback
+	// may retain its event, so it gets a fresh slice.
 	path := s.pathBuf[:0]
 	if s.trace != nil {
 		path = nil
 	}
 	pathIdx := s.pathIdxBuf[:0]
-	cur, curIdx := p, pIdx
+	cur, curIdx := s.win.Vertex(pIdx), pIdx
 	for {
 		path = append(path, cur)
 		pathIdx = append(pathIdx, curIdx)

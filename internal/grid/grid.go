@@ -363,11 +363,17 @@ func (c *Costs) ArcDelay(a Arc) float64 {
 }
 
 // MinCostPerGCell returns an admissible lower bound on the congestion
-// cost of one gcell step anywhere in the graph.
+// cost of one gcell step anywhere in the graph. The exact tier's bounds
+// (future.MaskEstimator, the goal solver's slack radius) use it;
+// core.Solve's future cost prices a step per direction from the whole
+// stack instead (future.Targets.Units), which is never below
+// MinCostPerGCell + w·MinDelayPerGCell.
 func (c *Costs) MinCostPerGCell() float64 { return c.minWireCost * c.MinMult }
 
 // MinDelayPerGCell returns an admissible lower bound on the delay of one
 // gcell step: the fastest layer and wire type combination (paper §III-C).
+// Beside the exact tier's bounds, the router and the oracle adapters
+// divide by it to express dbif and delay budgets in gcells.
 func (c *Costs) MinDelayPerGCell() float64 { return c.minWireDelay }
 
 // Window maps vertices inside a rectangle (all layers) to a dense index
@@ -410,11 +416,14 @@ func (w Window) RectIndex(x, y, l int32) int32 {
 // Layers returns the number of layers the window spans.
 func (w Window) Layers() int32 { return w.layers }
 
+// XYL decodes a dense window index to grid coordinates and layer.
+func (w Window) XYL(idx int32) (x, y, l int32) {
+	t := idx / w.w
+	return idx%w.w + w.R.X0, t%w.h + w.R.Y0, t / w.h
+}
+
 // Vertex returns the graph vertex for a dense window index.
 func (w Window) Vertex(idx int32) V {
-	x := idx % w.w
-	t := idx / w.w
-	y := t % w.h
-	l := t / w.h
-	return V((l*w.ny+(y+w.R.Y0))*w.nx + (x + w.R.X0))
+	x, y, l := w.XYL(idx)
+	return V((l*w.ny+y)*w.nx + x)
 }
