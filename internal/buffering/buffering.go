@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"costdist/internal/dly"
-	"costdist/internal/grid"
 	"costdist/internal/nets"
 )
 
@@ -50,32 +49,8 @@ func Buffer(in *nets.Instance, tr *nets.RTree, tech dly.Tech) (*Result, error) {
 		return nil, fmt.Errorf("buffering: %w", err)
 	}
 
-	type half struct {
-		to  grid.V
-		arc grid.Arc
-	}
-	adj := make(map[grid.V][]half)
-	for _, st := range tr.Steps {
-		adj[st.From] = append(adj[st.From], half{to: st.Arc.To, arc: st.Arc})
-		rev := st.Arc
-		rev.To = st.From
-		adj[st.Arc.To] = append(adj[st.Arc.To], half{to: st.From, arc: rev})
-	}
-	parent := map[grid.V]grid.V{in.Root: in.Root}
-	order := []grid.V{in.Root}
-	for i := 0; i < len(order); i++ {
-		v := order[i]
-		for _, h := range adj[v] {
-			if _, ok := parent[h.to]; !ok {
-				parent[h.to] = v
-				order = append(order, h.to)
-			}
-		}
-	}
-	sinksAt := map[grid.V][]int{}
-	for i, s := range in.Sinks {
-		sinksAt[s.V] = append(sinksAt[s.V], i)
-	}
+	var r nets.Rooted
+	r.Build(in.Root, tr.Steps, in.Sinks)
 
 	res := &Result{
 		SinkDelay:   make([]float64, len(in.Sinks)),
@@ -99,33 +74,29 @@ func Buffer(in *nets.Instance, tr *nets.RTree, tech dly.Tech) (*Result, error) {
 				st.openR*(st.openC/2+buf.CIn+st.extraC))*1e-3
 	}
 
-	var walk func(v grid.V, st state)
-	walk = func(v grid.V, st state) {
-		var kids []half
-		for _, h := range adj[v] {
-			if h.to != v && parent[h.to] == v {
-				kids = append(kids, h)
-			}
-		}
-		for _, si := range sinksAt[v] {
+	var walk func(v int32, st state)
+	walk = func(v int32, st state) {
+		lo, hi := r.KidOff[v], r.KidOff[v+1]
+		for _, si := range r.SinksAt(v) {
 			res.SinkDelay[si] = terminate(st)
 		}
 		branchExtra := 0.0
-		if len(kids) > 1 {
+		if extra := int(hi-lo) - 1; extra > 0 {
 			// Each extra branch is shielded behind its own repeater
 			// whose input loads the current stage.
-			branchExtra = buf.CIn * float64(len(kids)-1)
-			res.Buffers += len(kids) - 1
+			branchExtra = buf.CIn * float64(extra)
+			res.Buffers += extra
 		}
-		for _, h := range kids {
+		for c := lo; c < hi; c++ {
+			arc := tr.Steps[r.Step[c]].Arc
 			next := st
 			next.extraC += branchExtra
-			if h.arc.Via {
-				next.delay += tech.Layers[h.arc.L].ViaDelay
-				walk(h.to, next)
+			if arc.Via {
+				next.delay += tech.Layers[arc.L].ViaDelay
+				walk(c, next)
 				continue
 			}
-			w := tech.Layers[h.arc.L].Wires[h.arc.WT]
+			w := tech.Layers[arc.L].Wires[arc.WT]
 			lstar := dly.OptimalSpacing(w.RPerUM, w.CPerUM, buf)
 			remain := tech.GCellUM
 			for remain > 1e-12 {
@@ -144,9 +115,9 @@ func Buffer(in *nets.Instance, tr *nets.RTree, tech dly.Tech) (*Result, error) {
 				next.openC += w.CPerUM * add
 				remain -= add
 			}
-			walk(h.to, next)
+			walk(c, next)
 		}
 	}
-	walk(in.Root, state{})
+	walk(0, state{})
 	return res, nil
 }

@@ -153,3 +153,33 @@ func TestScratchReducesAllocs(t *testing.T) {
 	}
 	t.Logf("allocs per 16-instance run: fresh %.0f, scratch %.0f", fresh, reused)
 }
+
+// TestSolveAllocationBound is the count gate on what one solve through
+// a warmed arena allocates (t = 16 on 32×32×5, default options): the
+// result tree and its steps, 2.0 a net on go1.24 — it was 468 while
+// PruneToTree built its adjacency in maps. The pin leaves room for
+// PruneToTree's pooled rooting to be regrown, about 20 allocations: a
+// collection empties a sync.Pool, and under -race a quarter of the Puts
+// are dropped.
+func TestSolveAllocationBound(t *testing.T) {
+	g, c := newGraph(32, 32, 5)
+	rng := rand.New(rand.NewPCG(2, 4))
+	ins := make([]*nets.Instance, 12)
+	for i := range ins {
+		ins[i] = randInstance(rng, g, c, 16, 4.0)
+	}
+	opt := DefaultOptions()
+	opt.Scratch = NewScratch()
+	run := func() {
+		for _, in := range ins {
+			if _, err := Solve(in, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run()
+	const maxAllocs = 40
+	if n := testing.AllocsPerRun(10, run) / float64(len(ins)); n > maxAllocs {
+		t.Fatalf("Solve allocates %.1f times per net on a warmed arena, pinned at %d", n, maxAllocs)
+	}
+}

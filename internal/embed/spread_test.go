@@ -290,7 +290,17 @@ func TestRunAllocatesNothingForTheDP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if all, other := testing.AllocsPerRun(10, run), testing.AllocsPerRun(10, rest); all != other {
+	// The fewest of several single runs: PruneToTree borrows its rooting
+	// from a sync.Pool, which a collection empties and -race drops a
+	// quarter of the Puts of; the call after that regrows it.
+	least := func(f func()) float64 {
+		n := math.Inf(1)
+		for i := 0; i < 16; i++ {
+			n = min(n, testing.AllocsPerRun(1, f))
+		}
+		return n
+	}
+	if all, other := least(run), least(rest); all != other {
 		t.Fatalf("Run allocates %v times, canonicalization and pruning alone %v: the DP allocates", all, other)
 	}
 }

@@ -2,6 +2,7 @@ package nets
 
 import (
 	"fmt"
+	"sync"
 
 	"costdist/internal/geom"
 	"costdist/internal/grid"
@@ -48,98 +49,60 @@ type Eval struct {
 	TrackGCells float64
 }
 
-type halfEdge struct {
-	to  grid.V
-	arc grid.Arc
+// scratch is what one PruneToTree or Evaluate call needs beyond its
+// result: the rooting and the per-node passes' arrays. Calls borrow one
+// from scratchPool, so a worker's steady state allocates only results.
+type scratch struct {
+	r        Rooted
+	carries  []bool    // PruneToTree: the node's subtree holds a sink
+	w, delay []float64 // Evaluate: subtree sink weight, delay from the root
+	ws       []float64 // Evaluate: group weights at one node
 }
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // PruneToTree turns an arbitrary multiset of steps into a valid RTree
-// for the instance: duplicate undirected edges are removed, a BFS
-// spanning tree of the union is kept (rooted at the instance root), and
-// dangling stubs ending at non-terminals are trimmed. Construction
-// algorithms whose path unions may overlap (topology embedding, the
-// exact DP) funnel their output through this function; pruning can only
-// remove congestion cost. It errors if some sink is disconnected.
+// for the instance: the BFS spanning tree of the steps' union from the
+// instance root (of repeated or parallel edges the earliest step
+// survives), oriented away from the root and in BFS order, without the
+// dangling stubs that lead to no sink. Construction algorithms whose
+// path unions may overlap (topology embedding, the exact DP) funnel
+// their output through this function; pruning can only remove
+// congestion cost. It errors if some sink is disconnected.
 func PruneToTree(in *Instance, steps []Step) (*RTree, error) {
-	adj := make(map[grid.V][]Step)
-	seen := make(map[[2]int64]bool, len(steps))
-	for _, st := range steps {
-		a, b := int64(st.From), int64(st.Arc.To)
-		if a > b {
-			a, b = b, a
-		}
-		key := [2]int64{a, b}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		adj[st.From] = append(adj[st.From], st)
-		rev := Step{From: st.Arc.To, Arc: st.Arc}
-		rev.Arc.To = st.From
-		adj[st.Arc.To] = append(adj[st.Arc.To], rev)
-	}
-	out := &RTree{}
-	if len(adj) == 0 {
-		for i, s := range in.Sinks {
-			if s.V != in.Root {
-				return nil, fmt.Errorf("nets: sink %d disconnected (empty edge set)", i)
-			}
-		}
-		return out, nil
-	}
-	visited := map[grid.V]bool{in.Root: true}
-	queue := []grid.V{in.Root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, st := range adj[v] {
-			if visited[st.Arc.To] {
-				continue
-			}
-			visited[st.Arc.To] = true
-			out.Steps = append(out.Steps, st)
-			queue = append(queue, st.Arc.To)
-		}
-	}
-	for i, s := range in.Sinks {
-		if s.V != in.Root && !visited[s.V] {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	r := &s.r
+	r.Build(in.Root, steps, in.Sinks)
+	n := r.N()
+	s.carries = sized(s.carries, n)
+	carries := s.carries
+	clear(carries)
+	for i, h := range r.Host {
+		if h < 0 {
 			return nil, fmt.Errorf("nets: sink %d disconnected after pruning", i)
 		}
+		carries[h] = true
 	}
-	trimDanglers(in, out)
+	kept := 0
+	for i := n - 1; i > 0; i-- {
+		if carries[i] {
+			carries[r.Parent[i]] = true
+			kept++
+		}
+	}
+	out := &RTree{}
+	if kept > 0 {
+		out.Steps = make([]Step, 0, kept)
+	}
+	for i := int32(1); i < int32(n); i++ {
+		if carries[i] {
+			arc := steps[r.Step[i]].Arc
+			arc.To = r.Vertex(i)
+			out.Steps = append(out.Steps, Step{From: r.Vertex(r.Parent[i]), Arc: arc})
+		}
+	}
 	return out, nil
-}
-
-// trimDanglers repeatedly removes leaf edges whose endpoint is neither
-// the root nor a sink. Removing them strictly reduces cost and cannot
-// affect any root-sink path.
-func trimDanglers(in *Instance, rt *RTree) {
-	keep := map[grid.V]bool{in.Root: true}
-	for _, s := range in.Sinks {
-		keep[s.V] = true
-	}
-	for {
-		deg := map[grid.V]int{}
-		for _, st := range rt.Steps {
-			deg[st.From]++
-			deg[st.Arc.To]++
-		}
-		out := rt.Steps[:0]
-		removed := false
-		for _, st := range rt.Steps {
-			aLeaf := deg[st.From] == 1 && !keep[st.From]
-			bLeaf := deg[st.Arc.To] == 1 && !keep[st.Arc.To]
-			if aLeaf || bLeaf {
-				removed = true
-				continue
-			}
-			out = append(out, st)
-		}
-		rt.Steps = out
-		if !removed {
-			return
-		}
-	}
 }
 
 // Evaluate computes objective (1) with the bifurcation delay model (3)
@@ -147,22 +110,22 @@ func trimDanglers(in *Instance, rt *RTree) {
 // containing root and sinks; all four algorithms are scored through this
 // single function so comparisons are apples-to-apples.
 func Evaluate(in *Instance, tr *RTree) (*Eval, error) {
-	ev := &Eval{SinkDelay: make([]float64, len(in.Sinks))}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	r := &s.r
+	r.Build(in.Root, tr.Steps, in.Sinks)
+	if !r.IsTree() {
+		return nil, fmt.Errorf("nets: %d steps over %d vertices, %d of them connected to root %d: not a tree",
+			len(tr.Steps), len(r.verts), r.N(), in.Root)
+	}
+	for i, h := range r.Host {
+		if h < 0 {
+			return nil, fmt.Errorf("nets: sink %d (vertex %d) not in tree", i, in.Sinks[i].V)
+		}
+	}
 
-	adj := make(map[grid.V][]halfEdge, len(tr.Steps)*2)
-	seenSeg := make(map[[2]int64]bool, len(tr.Steps))
+	ev := &Eval{SinkDelay: make([]float64, len(in.Sinks))}
 	for _, st := range tr.Steps {
-		a, b := int64(st.From), int64(st.Arc.To)
-		if a > b {
-			a, b = b, a
-		}
-		key := [2]int64{a, b}
-		if seenSeg[key] {
-			return nil, fmt.Errorf("nets: duplicate tree edge %d-%d", a, b)
-		}
-		seenSeg[key] = true
-		adj[st.From] = append(adj[st.From], halfEdge{to: st.Arc.To, arc: st.Arc})
-		adj[st.Arc.To] = append(adj[st.Arc.To], halfEdge{to: st.From, arc: st.Arc})
 		ev.CongCost += in.C.ArcCost(st.Arc)
 		if st.Arc.Via {
 			ev.Vias++
@@ -171,85 +134,49 @@ func Evaluate(in *Instance, tr *RTree) (*Eval, error) {
 			ev.TrackGCells += float64(in.G.ArcCapUse(st.Arc))
 		}
 	}
-	if _, ok := adj[in.Root]; !ok && len(tr.Steps) > 0 {
-		return nil, fmt.Errorf("nets: root %d not in tree", in.Root)
+
+	// Subtree sink weights, bottom-up: a node's children (last first),
+	// then its hosted sinks.
+	n := int32(r.N())
+	s.w, s.delay = sized(s.w, int(n)), sized(s.delay, int(n))
+	w, delay := s.w, s.delay
+	clear(w)
+	for i := n - 1; i >= 0; i-- {
+		for _, si := range r.SinksAt(i) {
+			w[i] += in.Sinks[si].W
+		}
+		if i > 0 {
+			w[r.Parent[i]] += w[i]
+		}
 	}
 
-	// Sinks per vertex.
-	sinksAt := make(map[grid.V][]int32)
-	for i, s := range in.Sinks {
-		sinksAt[s.V] = append(sinksAt[s.V], int32(i))
-	}
-
-	// Iterative rooted DFS: first pass computes subtree sink weights,
-	// second pass pushes delays down with split penalties.
-	parent := make(map[grid.V]grid.V, len(adj))
-	order := make([]grid.V, 0, len(adj))
-	parent[in.Root] = in.Root
-	order = append(order, in.Root)
-	for i := 0; i < len(order); i++ {
-		v := order[i]
-		for _, he := range adj[v] {
-			if _, ok := parent[he.to]; !ok {
-				parent[he.to] = v
-				order = append(order, he.to)
+	// Top-down delay propagation. delay[i] is the delay from the root to
+	// node i including all penalties accumulated on the way. The groups
+	// at a node are its child edges, then the sinks it hosts.
+	var noPenalty [1]float64 // of a node with a single group
+	delay[0] = 0
+	for i := int32(0); i < n; i++ {
+		d := delay[i]
+		lo, hi := r.KidOff[i], r.KidOff[i+1]
+		hosted := r.SinksAt(i)
+		pen := noPenalty[:]
+		if int(hi-lo)+len(hosted) > 1 {
+			ws := append(s.ws[:0], w[lo:hi]...)
+			for _, si := range hosted {
+				ws = append(ws, in.Sinks[si].W)
 			}
+			s.ws = ws
+			pen = SplitPenalties(in.DBif, in.Eta, ws)
+		}
+		for c := lo; c < hi; c++ {
+			delay[c] = d + pen[c-lo] + in.C.ArcDelay(tr.Steps[r.Step[c]].Arc)
+		}
+		for k, si := range hosted {
+			ev.SinkDelay[si] = d + pen[int(hi-lo)+k]
 		}
 	}
-	if len(order) != len(adj) && len(tr.Steps) > 0 {
-		return nil, fmt.Errorf("nets: tree has %d vertices but only %d reachable from root (cycle or disconnect)", len(adj), len(order))
-	}
-	if len(tr.Steps) != 0 && len(adj) != len(tr.Steps)+1 {
-		return nil, fmt.Errorf("nets: %d edges over %d vertices is not a tree", len(tr.Steps), len(adj))
-	}
-	for i, s := range in.Sinks {
-		if _, ok := parent[s.V]; !ok && s.V != in.Root {
-			return nil, fmt.Errorf("nets: sink %d (vertex %d) not in tree", i, s.V)
-		}
-	}
-
-	// Subtree sink weights, bottom-up.
-	subW := make(map[grid.V]float64, len(order))
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		w := subW[v]
-		for _, si := range sinksAt[v] {
-			w += in.Sinks[si].W
-		}
-		subW[v] = w
-		if v != in.Root {
-			subW[parent[v]] += w
-		}
-	}
-
-	// Top-down delay propagation. delayTo[v] is delay from root to v
-	// including all penalties accumulated on the way.
-	delayTo := make(map[grid.V]float64, len(order))
-	for _, v := range order {
-		d := delayTo[v]
-		// Groups at v: one per child edge, one per sink hosted at v.
-		var ws []float64
-		var childEdges []halfEdge
-		for _, he := range adj[v] {
-			if he.to != v && parent[he.to] == v {
-				childEdges = append(childEdges, he)
-				ws = append(ws, subW[he.to])
-			}
-		}
-		hosted := sinksAt[v]
-		for _, si := range hosted {
-			ws = append(ws, in.Sinks[si].W)
-		}
-		pen := SplitPenalties(in.DBif, in.Eta, ws)
-		for i, he := range childEdges {
-			delayTo[he.to] = d + pen[i] + in.C.ArcDelay(he.arc)
-		}
-		for i, si := range hosted {
-			ev.SinkDelay[si] = d + pen[len(childEdges)+i]
-		}
-	}
-	for i, s := range in.Sinks {
-		ev.DelayCost += s.W * ev.SinkDelay[i]
+	for i, sk := range in.Sinks {
+		ev.DelayCost += sk.W * ev.SinkDelay[i]
 	}
 	ev.Total = ev.CongCost + ev.DelayCost
 	return ev, nil

@@ -158,6 +158,24 @@ func TestEvaluateErrors(t *testing.T) {
 	if _, err := Evaluate(in, tr); err == nil {
 		t.Fatal("disconnected tree accepted")
 	}
+	// A two-cycle beside a stray edge: three steps over four vertices, a
+	// tree's edge count.
+	tr = &RTree{Steps: []Step{
+		mustStep(t, g, g.At(0, 0, 0), g.At(1, 0, 0)),
+		mustStep(t, g, g.At(1, 0, 0), g.At(0, 0, 0)),
+		mustStep(t, g, g.At(2, 0, 0), g.At(3, 0, 0)),
+	}}
+	if _, err := Evaluate(in, tr); err == nil {
+		t.Fatal("two-cycle with a tree's edge count accepted")
+	}
+	// A tree over the sink that the root is no vertex of.
+	tr = &RTree{Steps: []Step{
+		mustStep(t, g, g.At(1, 0, 0), g.At(2, 0, 0)),
+		mustStep(t, g, g.At(2, 0, 0), g.At(3, 0, 0)),
+	}}
+	if _, err := Evaluate(in, tr); err == nil {
+		t.Fatal("tree that misses the root accepted")
+	}
 }
 
 func TestEvaluateSinkAtRoot(t *testing.T) {

@@ -48,7 +48,6 @@ import (
 	"costdist/internal/grid"
 	"costdist/internal/nets"
 	"costdist/internal/obs"
-	"costdist/internal/sparse"
 )
 
 // Halo is the window margin, in gcells, added around the cached tree's
@@ -99,18 +98,9 @@ type Outcome struct {
 // allocates per attempt beyond the PlaneTree handed on. Not safe for
 // concurrent use; give each worker its own.
 type Scratch struct {
-	// vid maps window indices to dense tree-vertex ids during topology
-	// extraction.
-	vid sparse.FlatI32
-	dp  embed.DP
-	// ExtractTopology's per-attempt slices over the cached tree's dense
-	// vertex ids: the vertices; the half-edge adjacency (head per vertex,
-	// next and to per half-edge); the BFS rooting; and each vertex's
-	// children and hosted sinks as offset arrays (kidsOf, sinksOf), host
-	// being the vertex of each sink.
-	verts                              []grid.V
-	head, next, to, parent, order      []int32
-	kidOff, kids, sinkOff, sinks, host []int32
+	// rooted is the cached tree's rooting during topology extraction.
+	rooted nets.Rooted
+	dp     embed.DP
 
 	// Obs, when non-nil, is the owning router worker's telemetry sink;
 	// Repair records the re-embedding DP on it as a detail span nested
@@ -198,144 +188,54 @@ func Repair(in *nets.Instance, cached *nets.RTree, scr *Scratch) (*Outcome, erro
 // caller binarizes it). Steps that do not form a tree containing the
 // root are an error.
 func ExtractTopology(in *nets.Instance, cached *nets.RTree, winRect geom.Rect, scr *Scratch) (*nets.PlaneTree, error) {
-	g := in.G
-	win := g.NewWindow(winRect)
-	scr.vid.Reset(int(win.Size()))
-
-	// Dense-id the tree vertices in step order (deterministic) and link
-	// the adjacency as half-edge lists, two half-edges per step.
-	scr.verts, scr.head, scr.next, scr.to = scr.verts[:0], scr.head[:0], scr.next[:0], scr.to[:0]
-	id := func(v grid.V) (int32, error) {
-		idx := win.Index(v)
-		if idx < 0 {
-			return -1, fmt.Errorf("reembed: tree vertex %d outside repair window", v)
-		}
-		if got, ok := scr.vid.Get(idx); ok {
-			return got, nil
-		}
-		nid := int32(len(scr.verts))
-		scr.vid.Put(idx, nid)
-		scr.verts, scr.head = append(scr.verts, v), append(scr.head, -1)
-		return nid, nil
+	g, r := in.G, &scr.rooted
+	r.Build(in.Root, cached.Steps, in.Sinks)
+	// Anything but a tree would repeat subtrees below.
+	if !r.IsTree() {
+		return nil, fmt.Errorf("reembed: cached tree has a cycle or is disconnected from the root")
 	}
-	addHalf := func(from, t int32) {
-		scr.next, scr.to = append(scr.next, scr.head[from]), append(scr.to, t)
-		scr.head[from] = int32(len(scr.to) - 1)
-	}
-	rootID, err := id(in.Root)
-	if err != nil {
-		return nil, err
-	}
-	for _, st := range cached.Steps {
-		a, err := id(st.From)
-		if err != nil {
-			return nil, err
-		}
-		b, err := id(st.Arc.To)
-		if err != nil {
-			return nil, err
-		}
-		addHalf(a, b)
-		addHalf(b, a)
-	}
-	nv := int32(len(scr.verts))
-	head, next, to := scr.head, scr.next, scr.to
-
-	// Root the tree: BFS parents from the root vertex. Connected with
-	// one step fewer than vertices, the steps are a tree; anything else
-	// would repeat subtrees below.
-	parent, order := scr.parent[:0], append(scr.order[:0], rootID)
-	for i := int32(0); i < nv; i++ {
-		parent = append(parent, -2) // unvisited
-	}
-	parent[rootID] = -1
-	for qi := 0; qi < len(order); qi++ {
-		v := order[qi]
-		for ei := head[v]; ei >= 0; ei = next[ei] {
-			c := to[ei]
-			if parent[c] == -2 {
-				parent[c] = v
-				order = append(order, c)
-			}
+	for i := int32(0); i < int32(r.N()); i++ {
+		if v := r.Vertex(i); !winRect.Contains(g.Pt(v)) {
+			return nil, fmt.Errorf("reembed: tree vertex %d outside repair window", v)
 		}
 	}
-	scr.parent, scr.order = parent, order
-	if int32(len(order)) != nv {
-		return nil, fmt.Errorf("reembed: cached tree disconnected from root")
-	}
-	if int32(len(cached.Steps)) != nv-1 {
-		return nil, fmt.Errorf("reembed: cached tree has a cycle")
-	}
-
-	// Children per vertex (adjacency order) and hosted sinks (sink
-	// order), both as offset arrays over the dense ids.
-	scr.kidOff, scr.kids = scr.kidOff[:0], scr.kids[:0]
-	for v := int32(0); v < nv; v++ {
-		scr.kidOff = append(scr.kidOff, int32(len(scr.kids)))
-		for ei := head[v]; ei >= 0; ei = next[ei] {
-			if c := to[ei]; parent[c] == v {
-				scr.kids = append(scr.kids, c)
-			}
-		}
-	}
-	scr.kidOff = append(scr.kidOff, int32(len(scr.kids)))
-	// sinkOff[v+1] first counts v's sinks, then runs as v's fill cursor,
-	// ending on the start of v+1: the offsets, one slot further down.
-	sinkOff, host := scr.sinkOff[:0], scr.host[:0]
-	for i := int32(0); i < nv+2; i++ {
-		sinkOff = append(sinkOff, 0)
-	}
-	for si, s := range in.Sinks {
-		var vid int32 = -1
-		if idx := win.Index(s.V); idx >= 0 {
-			if got, ok := scr.vid.Get(idx); ok {
-				vid = got
-			}
-		}
-		if vid < 0 {
+	for si, h := range r.Host {
+		if h < 0 {
 			return nil, fmt.Errorf("reembed: sink %d not on cached tree", si)
 		}
-		host = append(host, vid)
-		sinkOff[vid+2]++
 	}
-	for v := int32(0); v < nv; v++ {
-		sinkOff[v+2] += sinkOff[v+1]
-	}
-	sinks := append(scr.sinks[:0], host...)
-	for si, vid := range host {
-		sinks[sinkOff[vid+1]] = int32(si)
-		sinkOff[vid+1]++
-	}
-	scr.sinkOff, scr.sinks, scr.host = sinkOff, sinks, host
 
 	out := &nets.PlaneTree{}
 	out.Nodes = append(out.Nodes, nets.PlaneNode{Pos: g.Pt(in.Root), Parent: -1, SinkIdx: -1})
 	// Sinks hosted on the root vertex hang as leaves under node 0 (the
 	// root node itself must stay a plain terminal).
-	for _, si := range scr.sinksOf(rootID) {
+	for _, si := range r.SinksAt(0) {
 		out.Nodes = append(out.Nodes, nets.PlaneNode{Pos: g.Pt(in.Root), Parent: 0, SinkIdx: si})
 	}
-	for _, c := range scr.kidsOf(rootID) {
-		scr.attach(g, out, c, 0)
-	}
+	attachKids(g, r, out, 0, 0)
 	return out, nil
 }
 
-func (scr *Scratch) kidsOf(v int32) []int32  { return scr.kids[scr.kidOff[v]:scr.kidOff[v+1]] }
-func (scr *Scratch) sinksOf(v int32) []int32 { return scr.sinks[scr.sinkOff[v]:scr.sinkOff[v+1]] }
+// attachKids attaches the subtrees under node v of the rooting to
+// PlaneTree node parentNode, the last child first.
+func attachKids(g *grid.Graph, r *nets.Rooted, out *nets.PlaneTree, v, parentNode int32) {
+	for c := r.KidOff[v+1] - 1; c >= r.KidOff[v]; c-- {
+		attach(g, r, out, c, parentNode)
+	}
+}
 
 // attach materializes the topology node for the subtree entered at
-// dense vertex v under PlaneTree node parentNode, splicing pass-through
-// chains on the way down.
-func (scr *Scratch) attach(g *grid.Graph, out *nets.PlaneTree, v, parentNode int32) {
-	for len(scr.sinksOf(v)) == 0 && len(scr.kidsOf(v)) == 1 {
-		v = scr.kidsOf(v)[0]
+// node v of the rooting under PlaneTree node parentNode, splicing
+// pass-through chains on the way down.
+func attach(g *grid.Graph, r *nets.Rooted, out *nets.PlaneTree, v, parentNode int32) {
+	for len(r.SinksAt(v)) == 0 && r.KidOff[v+1]-r.KidOff[v] == 1 {
+		v = r.KidOff[v]
 	}
-	hosted, kids := scr.sinksOf(v), scr.kidsOf(v)
-	if len(hosted) == 0 && len(kids) == 0 {
+	hosted := r.SinksAt(v)
+	if len(hosted) == 0 && r.KidOff[v+1] == r.KidOff[v] {
 		return // dangling stub: carries nothing
 	}
-	n := nets.PlaneNode{Pos: g.Pt(scr.verts[v]), Parent: parentNode, SinkIdx: -1}
+	n := nets.PlaneNode{Pos: g.Pt(r.Vertex(v)), Parent: parentNode, SinkIdx: -1}
 	if len(hosted) > 0 {
 		n.SinkIdx = hosted[0]
 		hosted = hosted[1:]
@@ -346,9 +246,7 @@ func (scr *Scratch) attach(g *grid.Graph, out *nets.PlaneTree, v, parentNode int
 	for _, si := range hosted {
 		out.Nodes = append(out.Nodes, nets.PlaneNode{Pos: n.Pos, Parent: me, SinkIdx: si})
 	}
-	for _, c := range kids {
-		scr.attach(g, out, c, me)
-	}
+	attachKids(g, r, out, v, me)
 }
 
 // Reembed embeds the topology cost-minimally into in.G restricted to

@@ -307,11 +307,11 @@ func TestReembedSurvivesEpochWrap(t *testing.T) {
 
 // TestRepairAllocationBound pins what one attempt on a warmed scratch
 // allocates. The DP allocates nothing (embed's
-// TestRunAllocatesNothingForTheDP) and topology extraction only the
-// PlaneTree it returns; what remains is Canonicalize, PruneToTree and the
-// two Evaluates, whose maps scale with the tree, not the window
-// (ROADMAP item 2). The attempt is held under the measurement + 10 %:
-// 1877 on go1.24, the map implementation moves it between toolchains.
+// TestRunAllocatesNothingForTheDP), the rootings of extraction,
+// PruneToTree and the two Evaluates run on reused slices; what remains
+// is Canonicalize, SplitPenalties' merge nodes, the two Evals, the
+// PlaneTree and the result tree (ROADMAP item 2). The attempt is held
+// under the measurement + 25 %: 265 on go1.24.
 func TestRepairAllocationBound(t *testing.T) {
 	in, cached := repairCase(t)
 	scr := NewScratch()
@@ -326,7 +326,7 @@ func TestRepairAllocationBound(t *testing.T) {
 	if !out.Improved {
 		t.Fatal("fixture does not exercise reconstruction: repair did not improve")
 	}
-	const maxAllocs = 2065
+	const maxAllocs = 331
 	if n := testing.AllocsPerRun(10, attempt); n > maxAllocs {
 		t.Fatalf("Repair allocates %v times per attempt on a warmed scratch, pinned at %d", n, maxAllocs)
 	}

@@ -47,46 +47,32 @@ func Figure1() (pdSVG, cdSVG string, pdBifs, cdBifs int, err error) {
 	if err != nil {
 		return "", "", 0, 0, err
 	}
-	pdBifs = bifurcationsOnPath(in, pdTree, in.Sinks[0].V)
-	cdBifs = bifurcationsOnPath(in, cdTree, in.Sinks[0].V)
+	if pdBifs, err = bifurcationsOnPath(in, pdTree, 0); err != nil {
+		return "", "", 0, 0, err
+	}
+	if cdBifs, err = bifurcationsOnPath(in, cdTree, 0); err != nil {
+		return "", "", 0, 0, err
+	}
 	return viz.RenderTree(in, pdTree, 18), viz.RenderTree(in, cdTree, 18), pdBifs, cdBifs, nil
 }
 
-// bifurcationsOnPath counts branching vertices on the tree path from the
-// root to the given sink (the quantity Figure 1 is about).
-func bifurcationsOnPath(in *nets.Instance, tr *nets.RTree, sink grid.V) int {
-	adj := map[grid.V][]grid.V{}
-	for _, st := range tr.Steps {
-		adj[st.From] = append(adj[st.From], st.Arc.To)
-		adj[st.Arc.To] = append(adj[st.Arc.To], st.From)
-	}
-	// BFS parents from root.
-	parent := map[grid.V]grid.V{in.Root: in.Root}
-	queue := []grid.V{in.Root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range adj[v] {
-			if _, ok := parent[w]; !ok {
-				parent[w] = v
-				queue = append(queue, w)
-			}
-		}
+// bifurcationsOnPath counts the vertices where the wiring branches on
+// the tree path from the root to the given sink, both ends included
+// (the quantity Figure 1 is about).
+func bifurcationsOnPath(in *nets.Instance, tr *nets.RTree, sink int) (int, error) {
+	var r nets.Rooted
+	r.Build(in.Root, tr.Steps, in.Sinks)
+	v := r.Host[sink]
+	if v < 0 {
+		return 0, fmt.Errorf("tables: sink %d is not on the tree", sink)
 	}
 	bifs := 0
-	for v := sink; v != in.Root; v = parent[v] {
-		if _, ok := parent[v]; !ok {
-			return -1 // sink not reached; callers treat as error value
-		}
-		// Degree ≥ 3 means wiring branches at v.
-		if len(adj[v]) >= 3 {
+	for ; v >= 0; v = r.Parent[v] {
+		if r.KidOff[v+1]-r.KidOff[v] >= 2 {
 			bifs++
 		}
 	}
-	if len(adj[in.Root]) >= 2 {
-		bifs++
-	}
-	return bifs
+	return bifs, nil
 }
 
 // Figure2 illustrates the buffering trade-off behind the flexible λ

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"costdist/internal/grid"
+	"costdist/internal/nets"
 	"costdist/internal/router"
 )
 
@@ -93,15 +95,44 @@ func TestFigure1(t *testing.T) {
 	if !strings.HasPrefix(pdSVG, "<svg") || !strings.HasPrefix(cdSVG, "<svg") {
 		t.Fatal("not SVG output")
 	}
-	if pdBifs < 0 || cdBifs < 0 {
-		t.Fatal("critical sink unreachable in a tree")
-	}
 	// The paper's claim: CD has no more bifurcations on the critical
 	// path than the topology-first baseline on this kind of instance.
 	if cdBifs > pdBifs {
 		t.Fatalf("CD critical path has more bifurcations: %d vs %d", cdBifs, pdBifs)
 	}
 	t.Logf("bifurcations on critical path: PD=%d CD=%d", pdBifs, cdBifs)
+}
+
+// TestBifurcationsOnPath counts by hand on a trunk that leaves the root
+// both ways and drops one stub on the way right; a sink the steps do not
+// reach is an error, not a count.
+func TestBifurcationsOnPath(t *testing.T) {
+	g, c := figGraph(6, 3, 2)
+	step := func(u, v grid.V) nets.Step {
+		var st nets.Step
+		g.Arcs(u, g.FullWindow(), func(a grid.Arc) bool {
+			st = nets.Step{From: u, Arc: a}
+			return a.To != v
+		})
+		return st
+	}
+	at := func(x, l int32) grid.V { return g.At(x, 1, l) }
+	in := &nets.Instance{G: g, C: c, Root: at(1, 0), Win: g.FullWindow()}
+	for _, v := range []grid.V{at(4, 0), at(2, 1), at(0, 0), g.At(5, 2, 0)} {
+		in.Sinks = append(in.Sinks, nets.Sink{V: v, W: 1})
+	}
+	tr := &nets.RTree{Steps: []nets.Step{
+		step(at(1, 0), at(2, 0)), step(at(2, 0), at(3, 0)), step(at(3, 0), at(4, 0)),
+		step(at(2, 0), at(2, 1)), step(at(0, 0), at(1, 0)),
+	}}
+	for sink, want := range []int{2, 2, 1} {
+		if got, err := bifurcationsOnPath(in, tr, sink); err != nil || got != want {
+			t.Fatalf("sink %d: %d bifurcations, error %v; want %d", sink, got, err, want)
+		}
+	}
+	if _, err := bifurcationsOnPath(in, tr, 3); err == nil {
+		t.Fatal("a sink off the tree was counted")
+	}
 }
 
 func TestFigure2(t *testing.T) {
