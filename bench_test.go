@@ -13,10 +13,17 @@ package costdist
 //	BenchmarkSolveBatch*       — batch API, sequential vs all cores
 //	BenchmarkBaseline*         — topology+embedding baselines
 //	BenchmarkCDScaling*        — Theorem 1 runtime scaling in n and t
-//	BenchmarkAblation*         — §III enhancement on/off (DESIGN.md §4)
+//	BenchmarkAblation*         — §III enhancement on/off (the core.Options toggles)
+//	BenchmarkECO               — cold re-route vs warm start vs warm start + repair
+//	BenchmarkExactGoalVsDP     — goal-oriented exact solver vs the Dreyfus–Wagner DP
+//
+// The end-to-end workloads the paper's claims are measured on live in
+// bench/ (see bench/README.md); these are the component measurements.
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -309,8 +316,8 @@ func BenchmarkRouteChipCD(b *testing.B) {
 // BenchmarkRouteChipCDIncremental is BenchmarkRouteChipCD with the
 // dirty-net scheduler enabled: after wave 0 only invalidated nets are
 // re-solved. Compare against BenchmarkRouteChipCD for the wave-level
-// work avoidance; BENCH_incremental.json records the solve counters at
-// acceptance scale (cmd/incbench regenerates it).
+// work avoidance; TestIncrementalSolveReduction gates the solve counters
+// on a larger chip.
 func BenchmarkRouteChipCDIncremental(b *testing.B) {
 	spec := ChipSuite(0.0012)[0]
 	chip, err := GenerateChip(spec)
@@ -326,5 +333,124 @@ func BenchmarkRouteChipCDIncremental(b *testing.B) {
 		if _, err := RouteChip(chip, CD, opt); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkECO is the three-leg ECO comparison on c1@0.01, 4 waves: the
+// chip is routed once and checkpointed through the wire form (set-up,
+// untimed), 5 % of its nets are perturbed, and the perturbed chip is
+// then routed cold, warm-started without the repair rung and
+// warm-started with it (RepairTol 0.25). RouteChipFrom consumes its
+// state, so each warm iteration decodes a fresh one with the timer
+// stopped. Every leg reports its final objective and overflow and its
+// full solves and repairs; all four are deterministic.
+//
+//	go test -run '^$' -bench ECO -benchtime 3x .
+func BenchmarkECO(b *testing.B) {
+	chip, err := GenerateChip(ChipSuite(0.01)[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := DefaultRouterOptions()
+	opt.Waves = 4
+	_, st, err := RouteChipCheckpoint(chip, CD, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blob, err := MarshalCheckpoint(st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pert, _, err := PerturbChip(chip, 0.05, 9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, leg := range []struct {
+		name      string
+		warm      bool
+		repairTol float64
+	}{{"cold", false, -1}, {"warm", true, -1}, {"warm+repair", true, 0.25}} {
+		b.Run(leg.name, func(b *testing.B) {
+			opt := opt
+			opt.RepairTol = leg.repairTol
+			var m RouteMetrics
+			for i := 0; i < b.N; i++ {
+				var res *RouteResult
+				var err error
+				if leg.warm {
+					b.StopTimer()
+					st, uerr := UnmarshalCheckpoint(blob)
+					if uerr != nil {
+						b.Fatal(uerr)
+					}
+					b.StartTimer()
+					res, _, err = RouteChipFrom(st, pert, CD, opt)
+				} else {
+					res, err = RouteChip(pert, CD, opt)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				m = res.Metrics
+			}
+			b.ReportMetric(m.Objective, "objective")
+			b.ReportMetric(m.Overflow, "overflow")
+			b.ReportMetric(float64(m.NetsSolved), "solved")
+			b.ReportMetric(float64(m.NetsRepaired), "repaired")
+		})
+	}
+}
+
+// BenchmarkExactGoalVsDP races the two exact solvers on 6-sink nets
+// whose terminals sit in an 8×8 patch of a full 32×32×3 window
+// (patchInstance). goal is the production pipeline: the CD tree's
+// objective seeds the incumbent, and the CD solve is timed with it; it
+// reports settled/op, the deterministic side of its ns/op. The solvers
+// share no search code, so certified lower bounds that diverge mean one
+// of them lost optimality, and the benchmark fails.
+//
+//	go test -run '^$' -bench ExactGoalVsDP -benchtime 3x .
+func BenchmarkExactGoalVsDP(b *testing.B) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		in := patchInstance(seed, 32, 8, 6, 20*float64(seed%2))
+		b.Run(fmt.Sprintf("seed%d", seed), func(b *testing.B) {
+			// NaN until its side runs: a -bench filter that skips one
+			// side skips the cross-check too.
+			dpLB, goalLB := math.NaN(), math.NaN()
+			b.Run("dp", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					res, err := SolveExact(in)
+					if err != nil {
+						b.Fatal(err)
+					}
+					dpLB = res.LowerBound
+				}
+			})
+			b.Run("goal", func(b *testing.B) {
+				var settled int64
+				for i := 0; i < b.N; i++ {
+					cd, err := SolveCD(in, DefaultCDOptions())
+					if err != nil {
+						b.Fatal(err)
+					}
+					ev, err := Evaluate(in, cd)
+					if err != nil {
+						b.Fatal(err)
+					}
+					lim := DefaultExactGoalLimits()
+					lim.UpperBound = ev.Total
+					res, err := SolveExactGoalLimits(context.Background(), in, lim)
+					if err != nil {
+						b.Fatal(err)
+					}
+					goalLB = res.LowerBound
+					settled += res.Goal.Settled
+				}
+				b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+			})
+			if math.Abs(goalLB-dpLB) > 1e-7*(1+math.Abs(dpLB)) {
+				b.Fatalf("certified lower bounds diverge: goal %v, dp %v", goalLB, dpLB)
+			}
+		})
 	}
 }

@@ -2,9 +2,9 @@
 // the synthetic c1..c8 suite (paper Table III) with a selectable Steiner
 // tree oracle and prints the Tables IV/V metric row.
 //
-// Usage:
+// Usage (grroute -h lists every -oracle name):
 //
-//	grroute -chip c3 -oracle cd|rsmt|sl|pd|auto|portfolio -scale 0.01 -waves 4 [-dbif=0] [-workers 16] [-incremental] [-repairtol 0.25]
+//	grroute -chip c3 -oracle cd -scale 0.01 -waves 4 [-dbif=0] [-workers 16] [-incremental [-repairtol 0.25]]
 //	grroute -chip c1 -scale 0.05 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	grroute -chip c1 -trace route.json   # Chrome trace_event timeline of the run
 package main
@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"costdist"
 	"costdist/internal/cliutil"
@@ -20,7 +21,7 @@ import (
 
 func main() {
 	chipName := flag.String("chip", "c1", "chip name c1..c8")
-	oracleName := flag.String("oracle", "", "oracle or driver: cd, rsmt (alias l1), sl, pd, auto, portfolio")
+	oracleName := flag.String("oracle", "", "oracle or driver: "+strings.Join(costdist.MethodNames(), ", "))
 	method := flag.String("method", "CD", "deprecated alias for -oracle")
 	scale := flag.Float64("scale", 0.01, "net count scale vs the paper (1.0 = full)")
 	waves := flag.Int("waves", 4, "rip-up-and-reroute waves")
@@ -30,7 +31,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	incremental := flag.Bool("incremental", false, "dirty-net scheduling: re-solve only nets invalidated by price changes after wave 0")
 	incTol := flag.Float64("inctol", 0, "incremental invalidation tolerance (relative, ≥ 0; 0 invalidates on any change; unset: router default)")
-	repairTol := flag.Float64("repairtol", -1, "topology-repair escalation tolerance: ≥ 0 re-embeds price-dirtied nets on their cached topology before a full re-solve, < 0 disables the rung (default)")
+	repairTol := flag.Float64("repairtol", -1, "topology-repair escalation tolerance (needs -incremental): ≥ 0 re-embeds price-dirtied nets on their cached topology before a full re-solve, < 0 disables the rung (default)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the routing run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the routing run to this file")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON timeline of the routing run to this file (open in chrome://tracing or Perfetto)")
@@ -51,6 +52,9 @@ func main() {
 		name = *method
 	}
 	m := cliutil.MustMethod("grroute", name)
+	if *repairTol >= 0 && !*incremental {
+		cliutil.FatalUsage("grroute", fmt.Errorf("-repairtol %g needs -incremental: the repair rung only runs inside the dirty-net scheduler", *repairTol))
+	}
 
 	chip, err := costdist.GenerateChip(spec)
 	if err != nil {

@@ -1,25 +1,61 @@
 package main
 
 import (
+	"errors"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"costdist"
 )
+
+// buildGrroute compiles the command into a test temp dir.
+func buildGrroute(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "grroute")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
 
 // -inctol takes a tolerance, not a mode: a negative value must fail the
 // run with the router's error (which names Incremental=false) instead of
 // silently switching to a full re-solve.
 func TestNegativeIncTolIsAnError(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "grroute")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildGrroute(t)
 	out, err := exec.Command(bin, "-chip", "c1", "-scale", "0.002", "-waves", "1", "-incremental", "-inctol", "-1").CombinedOutput()
 	if err == nil {
 		t.Fatalf("grroute -inctol -1 succeeded:\n%s", out)
 	}
 	if !strings.Contains(string(out), "Incremental=false") {
 		t.Fatalf("error does not name Incremental=false:\n%s", out)
+	}
+}
+
+// The router runs the repair rung only inside the dirty-net scheduler,
+// so -repairtol ≥ 0 without -incremental would do nothing while the run
+// reported "0 repaired": it is a usage error (exit 2) instead.
+func TestRepairTolWithoutIncrementalIsAUsageError(t *testing.T) {
+	bin := buildGrroute(t)
+	out, err := exec.Command(bin, "-chip", "c1", "-scale", "0.002", "-waves", "1", "-repairtol", "0.25").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("grroute -repairtol without -incremental: %v, want exit 2:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "-incremental") {
+		t.Fatalf("usage error does not name -incremental:\n%s", out)
+	}
+}
+
+// The -oracle help lists every name the resolver accepts, exact
+// included, because it is built from the same list.
+func TestOracleHelpListsEveryMethod(t *testing.T) {
+	out, _ := exec.Command(buildGrroute(t), "-h").CombinedOutput()
+	for _, name := range costdist.MethodNames() {
+		if !strings.Contains(string(out), name) {
+			t.Fatalf("-h does not list oracle %q:\n%s", name, out)
+		}
 	}
 }

@@ -8,8 +8,8 @@
 // and verifies the invariants scrapers rely on: every sample has a
 // preceding # TYPE, histogram families carry _sum/_count and a +Inf
 // bucket per label set, no duplicate series, numeric values. -trace
-// instead validates a trace file written by grroute -trace or incbench
-// -trace. Exit status 0 means clean; violations print to stderr and
+// instead validates a trace file written by costdist.WriteTrace, such as
+// grroute -trace. Exit status 0 means clean; violations print to stderr and
 // exit 1.
 package main
 

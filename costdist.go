@@ -270,8 +270,8 @@ func DefaultRouterOptions() RouterOptions { return router.DefaultOptions() }
 func NewRecorder() *Recorder { return obs.New() }
 
 // WriteTrace renders a recorder's spans as Chrome trace_event JSON,
-// loadable in chrome://tracing or Perfetto (grroute -trace and incbench
-// -trace write these files).
+// loadable in chrome://tracing or Perfetto (grroute -trace writes these
+// files).
 func WriteTrace(w io.Writer, rec *Recorder) error {
 	return obs.WriteTrace(w, rec.Spans())
 }

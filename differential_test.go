@@ -23,6 +23,16 @@ import (
 // diffInstance builds a seeded random instance small enough for the
 // exact DP: full-grid window over nx×nx×3 vertices with ≤ 4 sinks.
 func diffInstance(seed uint64, nx int32, sinks int, dbif float64) *Instance {
+	return patchInstance(seed, nx, 0, sinks, dbif)
+}
+
+// patchInstance is diffInstance with the terminals drawn inside a random
+// spread×spread patch while the window stays the full grid (spread ≤ 0
+// or ≥ nx: anywhere). That is the shape of a real global-routing net
+// (net bbox ≪ chip window) and the shape the two exact solvers diverge
+// on: the DP pays for every window vertex, the goal search prunes to the
+// terminal bbox plus its slack radius.
+func patchInstance(seed uint64, nx, spread int32, sinks int, dbif float64) *Instance {
 	rng := rand.New(rand.NewPCG(seed, 0xD1FF))
 	tech := DefaultTech(3)
 	g := NewGrid(nx, nx, BuildLayers(tech), tech.GCellUM)
@@ -32,15 +42,20 @@ func diffInstance(seed uint64, nx int32, sinks int, dbif float64) *Instance {
 			c.Mult[i] = 1 + 3*rng.Float32()
 		}
 	}
+	x0, y0, side := int32(0), int32(0), nx
+	if spread > 0 && spread < nx {
+		x0, y0, side = rng.Int32N(nx-spread+1), rng.Int32N(nx-spread+1), spread
+	}
+	at := func() Vertex { return g.At(x0+rng.Int32N(side), y0+rng.Int32N(side), 0) }
 	in := &Instance{
 		G: g, C: c,
-		Root: g.At(rng.Int32N(nx), rng.Int32N(nx), 0),
+		Root: at(),
 		DBif: dbif, Eta: 0.25, Seed: seed,
 		Win: g.FullWindow(),
 	}
 	used := map[Vertex]bool{in.Root: true}
 	for len(in.Sinks) < sinks {
-		v := g.At(rng.Int32N(nx), rng.Int32N(nx), 0)
+		v := at()
 		if used[v] {
 			continue
 		}

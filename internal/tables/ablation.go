@@ -20,7 +20,8 @@ type AblationRow struct {
 	Instances int
 }
 
-// ablationVariants are the §III design choices DESIGN.md calls out.
+// ablationVariants switch off the §III enhancements one at a time (the
+// core.Options toggles), plus the plain §II algorithm with all of them off.
 func ablationVariants() []struct {
 	name string
 	opt  core.Options

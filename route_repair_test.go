@@ -91,10 +91,10 @@ func TestRouteChipRepairDeterministicAcrossThreads(t *testing.T) {
 }
 
 // The warm-start three-rung disposition: on a perturbed chip, the
-// repair-enabled warm run must absorb part of the dirty set on the
-// repair rung, send strictly fewer nets to a full oracle solve than the
-// repair-less warm run, and land within a small objective band of it —
-// escalation bounds how far a repaired embedding may drift.
+// repair-enabled warm run must absorb at least half of its dirty nets
+// on the repair rung, send strictly fewer nets to a full oracle solve
+// than the repair-less warm run, and land within a small objective band
+// of it — escalation bounds how far a repaired embedding may drift.
 func TestWarmStartRepairTier(t *testing.T) {
 	chip := mkChip(t, 0, 0.005)
 	opt := DefaultRouterOptions()
@@ -128,8 +128,11 @@ func TestWarmStartRepairTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if repaired.Metrics.NetsRepaired == 0 {
-		t.Fatalf("warm start repaired no nets: %+v", repaired.Metrics)
+	// Counts, not a clock: repaired / (repaired + fully solved) ≥ 1/2,
+	// i.e. repaired ≥ solved (378 vs 134 when this gate was set).
+	if m := repaired.Metrics; m.NetsRepaired == 0 || m.NetsRepaired < m.NetsSolved {
+		t.Fatalf("repair rung absorbed %d of %d dirty nets, want at least half",
+			m.NetsRepaired, m.NetsRepaired+m.NetsSolved)
 	}
 	if repaired.Metrics.NetsSolved >= plain.Metrics.NetsSolved {
 		t.Fatalf("repair rung saved no full solves: %d vs plain warm %d",
