@@ -116,16 +116,6 @@ func SolveBatchCtx(ctx context.Context, ins []*Instance, m Method, opt BatchOpti
 	if workers > len(ins) {
 		workers = len(ins)
 	}
-	if workers <= 1 {
-		s := NewSolver()
-		for i, in := range ins {
-			if err := ctx.Err(); err != nil {
-				return out, err
-			}
-			out[i] = solveOne(s, in, m, opt.Router)
-		}
-		return out, nil
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

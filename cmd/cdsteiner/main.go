@@ -1,11 +1,11 @@
 // Command cdsteiner solves a single cost-distance Steiner tree instance
 // read from a JSON file (see costdist.InstanceJSON for the schema) with
-// any of the four algorithms, prints the objective decomposition and
+// any oracle or driver, prints the objective decomposition and
 // optionally writes the tree as JSON and/or SVG.
 //
-// Usage:
+// Usage (cdsteiner -h lists every -method name):
 //
-//	cdsteiner -in instance.json [-method cd|rsmt|sl|pd|auto|portfolio] [-out tree.json] [-svg tree.svg]
+//	cdsteiner -in instance.json [-method cd] [-out tree.json] [-svg tree.svg]
 package main
 
 import (
@@ -20,7 +20,7 @@ import (
 
 func main() {
 	inPath := flag.String("in", "", "instance JSON file (required)")
-	method := flag.String("method", "CD", "oracle or driver: cd, rsmt (alias l1), sl, pd, auto, portfolio")
+	method := flag.String("method", "CD", "oracle or driver: "+strings.Join(costdist.MethodNames(), ", ")+" (l1 is an alias of rsmt)")
 	outPath := flag.String("out", "", "write solved tree JSON here")
 	svgPath := flag.String("svg", "", "write tree SVG here")
 	compare := flag.Bool("compare", false, "run all four algorithms and print a comparison")

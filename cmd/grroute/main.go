@@ -21,12 +21,10 @@ import (
 
 func main() {
 	chipName := flag.String("chip", "c1", "chip name c1..c8")
-	oracleName := flag.String("oracle", "", "oracle or driver: "+strings.Join(costdist.MethodNames(), ", "))
-	method := flag.String("method", "CD", "deprecated alias for -oracle")
+	oracleName := flag.String("oracle", "cd", "oracle or driver: "+strings.Join(costdist.MethodNames(), ", "))
 	scale := flag.Float64("scale", 0.01, "net count scale vs the paper (1.0 = full)")
 	waves := flag.Int("waves", 4, "rip-up-and-reroute waves")
 	workers := flag.Int("workers", 0, "parallel routing workers, one solver arena each (0 = all cores)")
-	threads := flag.Int("threads", 0, "deprecated alias for -workers")
 	dbif := flag.Float64("dbif", -1, "bifurcation penalty ps (-1: derive from technology, 0: off)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	incremental := flag.Bool("incremental", false, "dirty-net scheduling: re-solve only nets invalidated by price changes after wave 0")
@@ -47,11 +45,7 @@ func main() {
 	if !ok {
 		cliutil.FatalUsage("grroute", fmt.Errorf("unknown chip %q (want c1..c8)", *chipName))
 	}
-	name := *oracleName
-	if name == "" {
-		name = *method
-	}
-	m := cliutil.MustMethod("grroute", name)
+	m := cliutil.MustMethod("grroute", *oracleName)
 	if *repairTol >= 0 && !*incremental {
 		cliutil.FatalUsage("grroute", fmt.Errorf("-repairtol %g needs -incremental: the repair rung only runs inside the dirty-net scheduler", *repairTol))
 	}
@@ -63,9 +57,6 @@ func main() {
 	opt := costdist.DefaultRouterOptions()
 	opt.Waves = *waves
 	opt.Threads = *workers
-	if opt.Threads == 0 {
-		opt.Threads = *threads
-	}
 	opt.DBif = *dbif
 	opt.Seed = *seed
 	opt.Incremental = *incremental

@@ -34,9 +34,9 @@
 //     its cached topology (internal/reembed) and escalates to the
 //     oracle only when the repair degrades past tolerance
 //     (RouteMetrics.NetsRepaired / RepairEscalated);
-//   - a pluggable oracle registry (internal/oracle) behind the Method
-//     type: every fixed method is a registry lookup, the Auto driver
-//     picks an oracle per net from its timing criticality
+//   - one fixed oracle table (internal/oracle) behind the Method type:
+//     every fixed method names one table row, the Auto driver picks an
+//     oracle per net from its timing criticality
 //     (RouterOptions.Selection), and the Portfolio driver races several
 //     oracles per net and keeps the best-priced tree. Per-oracle solve
 //     counts are reported in RouteMetrics.SolvesByOracle;
@@ -102,11 +102,11 @@ type (
 	CDOptions  = core.Options
 	TraceEvent = core.TraceEvent
 
-	// Method selects a Steiner oracle driver — a thin alias over the
-	// oracle registry lookup for the fixed four, plus the Auto and
-	// Portfolio drivers; SelectionOptions configures their per-net
-	// criticality bands and pool. RouterOptions and RouteMetrics
-	// configure and report full routing runs.
+	// Method selects a Steiner oracle driver — one row of the oracle
+	// table for the fixed methods, plus the Auto and Portfolio drivers;
+	// SelectionOptions configures their per-net criticality bands and
+	// pool. RouterOptions and RouteMetrics configure and report full
+	// routing runs.
 	Method           = router.Method
 	SelectionOptions = router.SelectionOptions
 	RouterOptions    = router.Options
@@ -151,7 +151,7 @@ type (
 )
 
 // The four Steiner tree algorithms of the paper's comparison (§IV-A),
-// plus the two drivers layered over the oracle registry: Auto picks an
+// plus the two drivers layered over the oracle table: Auto picks an
 // oracle per net from its timing criticality, Portfolio races several
 // oracles on every net and keeps the best-priced tree. Exact routes
 // every net with the goal-oriented exact tier (CD-seeded, deterministic
@@ -166,16 +166,16 @@ const (
 	Exact     = router.Exact
 )
 
-// MethodByName resolves an oracle or driver name — a registry name
+// MethodByName resolves an oracle or driver name — an oracle name
 // ("cd", "rsmt", "sl", "pd", "exact"), an alias ("l1"), or a driver
 // mode ("auto", "portfolio"), case-insensitive — to its Method.
 func MethodByName(name string) (Method, bool) { return router.MethodByName(name) }
 
 // MethodNames returns every name MethodByName accepts in canonical
-// form: the registry's oracle names followed by the driver modes.
+// form: the oracle names followed by the driver modes.
 func MethodNames() []string { return router.MethodNames() }
 
-// OracleNames returns the oracle registry's canonical names, sorted —
+// OracleNames returns the oracle table's canonical names, sorted —
 // the valid values for SelectionOptions bands and Portfolio pools.
 func OracleNames() []string { return router.OracleNames() }
 

@@ -29,7 +29,7 @@ func TestSolveBatchCtxUncancelledIdentical(t *testing.T) {
 }
 
 // A cancelled batch must return ctx.Err() and stop solving promptly,
-// for both the sequential (workers=1) and parallel paths.
+// with one worker and with several.
 func TestSolveBatchCtxCancelled(t *testing.T) {
 	ins := benchInstances(24, 5, 8, 64, 4)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -206,7 +206,7 @@ func ExampleRouteChip_incremental() {
 
 // ExampleRouteChip_autoSelection routes a chip with the Auto oracle
 // driver: each net is classified by its timing criticality and routed
-// with the matching registry oracle — the expensive cost-distance
+// with the matching band oracle — the expensive cost-distance
 // algorithm only where the timing price demands it (the same flow as
 // `grroute -oracle auto`).
 func ExampleRouteChip_autoSelection() {

@@ -1,18 +1,15 @@
-// Package oracle makes the Steiner tree oracle a first-class, pluggable
-// component of the routing flow. The paper's experiments (§IV-A, Tables
-// I–V) compare four oracles — the cost-distance algorithm against
-// RSMT-, shallow-light- and Prim-Dijkstra-topology baselines — and the
-// router previously hard-coded that choice as an enum with duplicated
-// switch dispatch. Here each oracle is an adapter behind one interface,
-// collected in a deterministic registry, so drivers can pick an oracle
-// per net (adaptive selection) or race several on the same net
-// (portfolio mode) without the router knowing any concrete algorithm.
+// Package oracle is the closed set of Steiner tree oracles the routing
+// flow dispatches to. The paper's experiments (§IV-A, Tables I–V)
+// compare four oracles — the cost-distance algorithm against RSMT-,
+// shallow-light- and Prim-Dijkstra-topology baselines — and this repo
+// adds one exact tier. Each is one row of a fixed table sorted by name,
+// and drivers address rows by index, so they can pick an oracle per net
+// (adaptive selection) or race several on the same net (portfolio mode)
+// without the router knowing any concrete algorithm.
 package oracle
 
 import (
 	"context"
-	"fmt"
-	"sort"
 	"strings"
 
 	"costdist/internal/core"
@@ -44,11 +41,6 @@ type Env struct {
 	// units (dbif divided by the fastest delay per gcell), consumed by
 	// the plane-topology oracles' merge penalties.
 	LBif float64
-	// Exact bounds the exact tier's goal-oriented search; the zero value
-	// takes exact.OracleLimits(). The limits are deterministic (sinks,
-	// window vertices, settled labels — never wall-clock), so the exact
-	// oracle's fallback decision is identical on every run.
-	Exact exact.GoalLimits
 	// Ctx, when non-nil, is checked by long-running oracles (the exact
 	// tier) for prompt mid-solve cancellation. Nil means "no deadline".
 	Ctx context.Context
@@ -59,45 +51,71 @@ type Env struct {
 	Rec *obs.Worker
 }
 
-// Hint describes an oracle's cost and capabilities to drivers and to
-// the dirty-net scheduler's invalidation rules.
-type Hint struct {
-	// Cost ranks the oracle's relative expense (1 = cheapest). Drivers
-	// use it to prefer cheap oracles for uncritical nets; it is a rank,
-	// not a runtime model.
-	Cost int
-	// UsesBudgets reports whether the oracle consumes Instance.Budgets.
-	// The dirty-net scheduler only invalidates a cached tree on budget
-	// drift when the oracle that produced it (or may replace it) is
-	// budget-sensitive.
-	UsesBudgets bool
-	// TimingAware reports whether the oracle optimizes the weighted
-	// delay term of objective (1) rather than only tree length.
-	TimingAware bool
+// row is one oracle: its canonical name, whether it consumes
+// Instance.Budgets, and its solve function. Solve functions are
+// stateless and safe for concurrent use; all mutable solver state lives
+// in the Env (scratch arena) or on the stack.
+type row struct {
+	name        string
+	usesBudgets bool
+	solve       func(in *nets.Instance, env *Env) (*nets.RTree, error)
 }
 
-// Oracle is one Steiner tree algorithm: given a cost-distance instance
-// it returns an embedded tree in the routing graph. Implementations
-// must be stateless and safe for concurrent use; all mutable solver
-// state lives in the Env (scratch arena) or on the stack.
-type Oracle interface {
-	// Name is the registry key, lowercase and stable ("cd", "rsmt",
-	// "sl", "pd", "exact").
-	Name() string
-	// Hint describes cost and capabilities.
-	Hint() Hint
-	// Solve runs the oracle on the instance under the environment.
-	Solve(in *nets.Instance, env *Env) (*nets.RTree, error)
+// table holds every oracle, sorted by name. A row's index is the index
+// space of the router's per-oracle counters and the portfolio's
+// tie-break order, so the order must not change.
+var table = [...]row{
+	{"cd", false, solveCD},
+	{"exact", false, solveExact},
+	{"pd", false, solvePD},
+	{"rsmt", false, solveRSMT},
+	{"sl", true, solveSL},
 }
 
-// ---- Adapters ----------------------------------------------------------
+// Canonical lowercases a user-supplied oracle name and resolves the
+// "l1" alias (the paper's table label for the RSMT baseline).
+func Canonical(name string) string {
+	n := strings.ToLower(strings.TrimSpace(name))
+	if n == "l1" {
+		return "rsmt"
+	}
+	return n
+}
 
-// cdOracle wraps the paper's cost-distance algorithm (core + §III).
-type cdOracle struct{}
+// Index resolves a name (alias- and case-insensitive) to its table
+// index, -1 if no oracle has that name.
+func Index(name string) int {
+	c := Canonical(name)
+	for i := range table {
+		if table[i].name == c {
+			return i
+		}
+	}
+	return -1
+}
 
-func (cdOracle) Name() string { return "cd" }
-func (cdOracle) Hint() Hint   { return Hint{Cost: 4, UsesBudgets: false, TimingAware: true} }
-func (cdOracle) Solve(in *nets.Instance, env *Env) (*nets.RTree, error) {
+// Names returns the canonical names in table (sorted) order.
+func Names() []string {
+	out := make([]string, len(table))
+	for i := range table {
+		out[i] = table[i].name
+	}
+	return out
+}
+
+// Solve runs oracle i on the instance under the environment.
+func Solve(i int, in *nets.Instance, env *Env) (*nets.RTree, error) {
+	return table[i].solve(in, env)
+}
+
+// UsesBudgets reports whether oracle i consumes Instance.Budgets. The
+// dirty-net scheduler only invalidates a cached tree on budget drift
+// when the oracle that produced it (or may replace it) is
+// budget-sensitive.
+func UsesBudgets(i int) bool { return table[i].usesBudgets }
+
+// solveCD is the paper's cost-distance algorithm (core + §III).
+func solveCD(in *nets.Instance, env *Env) (*nets.RTree, error) {
 	return core.Solve(in, env.Core)
 }
 
@@ -121,24 +139,16 @@ func embedTopo(in *nets.Instance, topo *nets.PlaneTree) (*nets.RTree, error) {
 	return r.Tree, nil
 }
 
-// rsmtOracle wraps the shortest-L1 Steiner topology baseline ("L1" in
-// the paper's tables), embedded optimally.
-type rsmtOracle struct{}
-
-func (rsmtOracle) Name() string { return "rsmt" }
-func (rsmtOracle) Hint() Hint   { return Hint{Cost: 1, UsesBudgets: false, TimingAware: false} }
-func (rsmtOracle) Solve(in *nets.Instance, env *Env) (*nets.RTree, error) {
+// solveRSMT is the shortest-L1 Steiner topology baseline ("L1" in the
+// paper's tables), embedded optimally.
+func solveRSMT(in *nets.Instance, env *Env) (*nets.RTree, error) {
 	return embedTopo(in, rsmt.Build(in.TermPts()))
 }
 
-// slOracle wraps the shallow-light topology baseline, embedded
-// optimally. It is the only oracle that consumes the per-sink delay
-// budgets of the resource sharing flow (§IV-A).
-type slOracle struct{}
-
-func (slOracle) Name() string { return "sl" }
-func (slOracle) Hint() Hint   { return Hint{Cost: 2, UsesBudgets: true, TimingAware: true} }
-func (slOracle) Solve(in *nets.Instance, env *Env) (*nets.RTree, error) {
+// solveSL is the shallow-light topology baseline, embedded optimally.
+// It is the only oracle that consumes the per-sink delay budgets of the
+// resource sharing flow (§IV-A).
+func solveSL(in *nets.Instance, env *Env) (*nets.RTree, error) {
 	// Convert ps budgets into (admissible) length bounds with the
 	// fastest delay per gcell; keep at least the L1 radius so a direct
 	// connection always satisfies its own bound.
@@ -162,48 +172,34 @@ func (slOracle) Solve(in *nets.Instance, env *Env) (*nets.RTree, error) {
 	return embedTopo(in, topo)
 }
 
-// pdOracle wraps the Prim-Dijkstra topology baseline, embedded
-// optimally.
-type pdOracle struct{}
-
-func (pdOracle) Name() string { return "pd" }
-func (pdOracle) Hint() Hint   { return Hint{Cost: 3, UsesBudgets: false, TimingAware: true} }
-func (pdOracle) Solve(in *nets.Instance, env *Env) (*nets.RTree, error) {
+// solvePD is the Prim-Dijkstra topology baseline, embedded optimally.
+func solvePD(in *nets.Instance, env *Env) (*nets.RTree, error) {
 	topo := pd.Build(in.TermPts(), planeWeights(in),
 		pd.Params{Alpha: env.PDAlpha, LBif: env.LBif, Eta: in.Eta})
 	return embedTopo(in, topo)
 }
 
-// exactOracle is the premium tier: the goal-oriented exact solver of
+// solveExact is the premium tier: the goal-oriented exact solver of
 // internal/exact (Dijkstra-meets-Steiner label setting) seeded and
 // guarded by the CD heuristic. It first runs CD, then — when the net
-// fits the Env.Exact budget — tries to certify or beat that tree with
-// an exact search whose incumbent is the CD objective. Any limit
-// breach (too many sinks, window too large, label budget exhausted)
-// falls back to the CD tree, so the oracle never fails where CD
-// succeeds and never spends unbounded time. All gates are
-// deterministic, keeping routed results independent of machine speed,
-// run count and thread count.
-type exactOracle struct{}
-
-func (exactOracle) Name() string { return "exact" }
-func (exactOracle) Hint() Hint   { return Hint{Cost: 5, UsesBudgets: false, TimingAware: true} }
-func (exactOracle) Solve(in *nets.Instance, env *Env) (*nets.RTree, error) {
+// fits exact.OracleLimits — tries to certify or beat that tree with an
+// exact search whose incumbent is the CD objective. Any limit breach
+// (too many sinks, window too large, label budget exhausted) falls back
+// to the CD tree, so the oracle never fails where CD succeeds and never
+// spends unbounded time. All gates are deterministic (sinks, window
+// vertices, settled labels — never wall-clock), keeping routed results
+// independent of machine speed, run count and thread count.
+func solveExact(in *nets.Instance, env *Env) (*nets.RTree, error) {
 	cd, err := core.Solve(in, env.Core)
 	if err != nil {
 		return nil, err
-	}
-	lim := env.Exact
-	if lim == (exact.GoalLimits{}) {
-		lim = exact.OracleLimits()
 	}
 	ev, err := nets.Evaluate(in, cd)
 	if err != nil {
 		return nil, err
 	}
-	if lim.UpperBound == 0 {
-		lim.UpperBound = ev.Total
-	}
+	lim := exact.OracleLimits()
+	lim.UpperBound = ev.Total
 	// The detail span splits the exact tier's cost between the CD seed
 	// (the enclosing solve span minus this) and the goal-oriented
 	// search, with the outcome as the attribute.
@@ -234,79 +230,4 @@ func (exactOracle) Solve(in *nets.Instance, env *Env) (*nets.RTree, error) {
 		env.Rec.DetailSpan(obs.StageSolve, -1, "exact-search:seed-kept", searchT0)
 	}
 	return cd, nil
-}
-
-// ---- Registry ----------------------------------------------------------
-
-// aliases maps accepted alternative spellings to canonical registry
-// names. "l1" is the paper's table label for the RSMT baseline.
-var aliases = map[string]string{
-	"l1": "rsmt",
-}
-
-// Canonical lowercases a user-supplied oracle name and resolves
-// aliases; the result is the registry key.
-func Canonical(name string) string {
-	n := strings.ToLower(strings.TrimSpace(name))
-	if c, ok := aliases[n]; ok {
-		return c
-	}
-	return n
-}
-
-// Registry is a deterministic name → Oracle map: Names() is sorted, so
-// every iteration order derived from a registry is stable across runs
-// and thread counts.
-type Registry struct {
-	byName map[string]Oracle
-	names  []string
-}
-
-// NewRegistry builds a registry from the given oracles.
-func NewRegistry(oracles ...Oracle) (*Registry, error) {
-	r := &Registry{byName: make(map[string]Oracle, len(oracles))}
-	for _, o := range oracles {
-		if err := r.Register(o); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
-}
-
-// Register adds an oracle under its canonical name. Duplicate names are
-// an error — silent replacement would make lookups order-dependent.
-func (r *Registry) Register(o Oracle) error {
-	name := Canonical(o.Name())
-	if name == "" {
-		return fmt.Errorf("oracle: empty name")
-	}
-	if _, dup := r.byName[name]; dup {
-		return fmt.Errorf("oracle: duplicate name %q", name)
-	}
-	r.byName[name] = o
-	r.names = append(r.names, name)
-	sort.Strings(r.names)
-	return nil
-}
-
-// Get resolves a name (alias- and case-insensitive) to its oracle.
-func (r *Registry) Get(name string) (Oracle, bool) {
-	o, ok := r.byName[Canonical(name)]
-	return o, ok
-}
-
-// Names returns the sorted canonical names.
-func (r *Registry) Names() []string {
-	return append([]string(nil), r.names...)
-}
-
-// Default returns a registry holding the paper's four oracles plus the
-// exact tier. A fresh registry is returned each call so callers may
-// extend it without aliasing each other.
-func Default() *Registry {
-	r, err := NewRegistry(cdOracle{}, rsmtOracle{}, slOracle{}, pdOracle{}, exactOracle{})
-	if err != nil {
-		panic(err) // static oracle set; unreachable
-	}
-	return r
 }

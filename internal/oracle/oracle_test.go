@@ -1,7 +1,10 @@
 package oracle_test
 
 import (
+	"errors"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"costdist/internal/chipgen"
@@ -17,87 +20,74 @@ import (
 )
 
 func TestRegistryNamesAndAliases(t *testing.T) {
-	reg := oracle.Default()
 	want := []string{"cd", "exact", "pd", "rsmt", "sl"}
-	if !reflect.DeepEqual(reg.Names(), want) {
-		t.Fatalf("Names() = %v, want %v (sorted)", reg.Names(), want)
+	if !reflect.DeepEqual(oracle.Names(), want) {
+		t.Fatalf("Names() = %v, want %v (sorted)", oracle.Names(), want)
 	}
 	for _, name := range []string{"cd", "CD", " cd ", "rsmt", "l1", "L1", "sl", "pd", "exact"} {
-		if _, ok := reg.Get(name); !ok {
-			t.Fatalf("Get(%q) failed", name)
+		if oracle.Index(name) < 0 {
+			t.Fatalf("Index(%q) failed", name)
 		}
 	}
-	if _, ok := reg.Get("dijkstra"); ok {
+	if oracle.Index("dijkstra") >= 0 {
 		t.Fatal("unknown oracle resolved")
 	}
-	if o, _ := reg.Get("l1"); o.Name() != "rsmt" {
-		t.Fatalf("alias l1 resolved to %q", o.Name())
-	}
-}
-
-func TestRegistryRejectsDuplicates(t *testing.T) {
-	reg := oracle.Default()
-	o, _ := reg.Get("cd")
-	if err := reg.Register(o); err == nil {
-		t.Fatal("duplicate registration accepted")
+	if i := oracle.Index("l1"); i < 0 || oracle.Names()[i] != "rsmt" {
+		t.Fatalf("alias l1 resolved to index %d", i)
 	}
 }
 
 func TestHints(t *testing.T) {
-	reg := oracle.Default()
-	slo, _ := reg.Get("sl")
-	if !slo.Hint().UsesBudgets {
+	if !oracle.UsesBudgets(oracle.Index("sl")) {
 		t.Fatal("sl must be budget-sensitive")
 	}
-	for _, name := range []string{"cd", "rsmt", "pd"} {
-		o, _ := reg.Get(name)
-		if o.Hint().UsesBudgets {
+	for _, name := range []string{"cd", "rsmt", "pd", "exact"} {
+		if oracle.UsesBudgets(oracle.Index(name)) {
 			t.Fatalf("%s must not be budget-sensitive", name)
 		}
 	}
-	cdo, _ := reg.Get("cd")
-	rso, _ := reg.Get("rsmt")
-	if cdo.Hint().Cost <= rso.Hint().Cost {
-		t.Fatal("cost ranks inverted: cd must rank above rsmt")
-	}
+}
+
+// pick is the band oracle name the selector gives one net.
+func pick(s oracle.Selection, ws, budgets, fastest []float64) string {
+	return s.Oracle(s.Band(ws, budgets, fastest))
 }
 
 func TestSelectionBands(t *testing.T) {
 	sel := oracle.Selection{CriticalWeight: 0.01, TightBudgetRatio: 1.5}
-	if got := sel.Pick([]float64{0.001, 0.02}, nil, nil); got != "exact" {
+	if got := pick(sel, []float64{0.001, 0.02}, nil, nil); got != "exact" {
 		t.Fatalf("critical net picked %q", got)
 	}
-	if got := sel.Pick([]float64{0.001}, []float64{100}, []float64{90}); got != "sl" {
+	if got := pick(sel, []float64{0.001}, []float64{100}, []float64{90}); got != "sl" {
 		t.Fatalf("budget-tight net picked %q", got)
 	}
-	if got := sel.Pick([]float64{0.001}, []float64{1000}, []float64{90}); got != "rsmt" {
+	if got := pick(sel, []float64{0.001}, []float64{1000}, []float64{90}); got != "rsmt" {
 		t.Fatalf("relaxed net picked %q", got)
 	}
 	// The trivial band outranks criticality: a single-sink net has a
 	// unique topology, so the cheap oracle is kept however hot the
 	// timing price is.
 	triv := oracle.Selection{TrivialSinks: 1, CriticalWeight: 0.01}
-	if got := triv.Pick([]float64{5.0}, nil, nil); got != "rsmt" {
+	if got := pick(triv, []float64{5.0}, nil, nil); got != "rsmt" {
 		t.Fatalf("trivial single-sink net picked %q", got)
 	}
-	if got := triv.Pick([]float64{5.0, 5.0}, nil, nil); got != "exact" {
+	if got := pick(triv, []float64{5.0, 5.0}, nil, nil); got != "exact" {
 		t.Fatalf("critical two-sink net picked %q", got)
 	}
 	// Disabled bands fall through.
 	off := oracle.Selection{}
-	if got := off.Pick([]float64{1e9}, []float64{0}, []float64{1}); got != "rsmt" {
+	if got := pick(off, []float64{1e9}, []float64{0}, []float64{1}); got != "rsmt" {
 		t.Fatalf("disabled thresholds picked %q", got)
 	}
 	// Custom band oracles are honored.
 	custom := oracle.Selection{CriticalWeight: 0.01, Critical: "pd"}
-	if got := custom.Pick([]float64{0.02}, nil, nil); got != "pd" {
+	if got := pick(custom, []float64{0.02}, nil, nil); got != "pd" {
 		t.Fatalf("custom critical oracle: got %q", got)
 	}
 }
 
 func TestSelectionValidate(t *testing.T) {
-	reg := oracle.Default()
-	sel, err := oracle.Selection{Critical: "L1", Portfolio: []string{"CD", "l1"}}.Validate(reg)
+	sel, err := oracle.Selection{Critical: "L1", Portfolio: []string{"CD", "l1"}}.Validate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +97,10 @@ func TestSelectionValidate(t *testing.T) {
 	if !reflect.DeepEqual(sel.Portfolio, []string{"cd", "rsmt"}) {
 		t.Fatalf("portfolio canonicalization wrong: %v", sel.Portfolio)
 	}
-	if _, err := (oracle.Selection{Tight: "nope"}).Validate(reg); err == nil {
+	if _, err := (oracle.Selection{Tight: "nope"}).Validate(); err == nil {
 		t.Fatal("unknown band oracle accepted")
 	}
-	if _, err := (oracle.Selection{Portfolio: []string{"nope"}}).Validate(reg); err == nil {
+	if _, err := (oracle.Selection{Portfolio: []string{"nope"}}).Validate(); err == nil {
 		t.Fatal("unknown portfolio oracle accepted")
 	}
 }
@@ -139,8 +129,8 @@ func captureInstances(t *testing.T) []*nets.Instance {
 }
 
 // legacySolve replicates, verbatim, the pre-refactor enum-dispatch
-// routeNet/SolveNet path of internal/router, so the registry adapters
-// are locked bit-for-bit against it.
+// routeNet/SolveNet path of internal/router, so the oracle table is
+// locked bit-for-bit against it.
 func legacySolve(in *nets.Instance, m router.Method, opt router.Options) (*nets.RTree, error) {
 	lbif := 0.0
 	if d := in.C.MinDelayPerGCell(); d > 0 {
@@ -185,7 +175,7 @@ func legacySolve(in *nets.Instance, m router.Method, opt router.Options) (*nets.
 	return r.Tree, nil
 }
 
-// A fixed single-oracle run through the registry must be bit-identical
+// A fixed single-oracle run through the table must be bit-identical
 // to the pre-refactor enum path on every oracle and instance.
 func TestFixedOracleBitIdenticalToLegacyEnumPath(t *testing.T) {
 	ins := captureInstances(t)
@@ -198,10 +188,10 @@ func TestFixedOracleBitIdenticalToLegacyEnumPath(t *testing.T) {
 			}
 			got, err := router.SolveNet(in, m, opt)
 			if err != nil {
-				t.Fatalf("%v/%d registry: %v", m, i, err)
+				t.Fatalf("%v/%d table: %v", m, i, err)
 			}
 			if !reflect.DeepEqual(want.Steps, got.Steps) {
-				t.Fatalf("%v instance %d: registry tree differs from legacy enum path", m, i)
+				t.Fatalf("%v instance %d: table tree differs from legacy enum path", m, i)
 			}
 		}
 	}
@@ -248,17 +238,16 @@ func TestPortfolioKeepsBestPriced(t *testing.T) {
 func TestAutoMatchesExplicitBandOracle(t *testing.T) {
 	ins := captureInstances(t)
 	opt := router.DefaultOptions()
-	reg := oracle.Default()
 	sel := opt.Selection
 	if sel.CriticalWeight == 0 {
 		sel.CriticalWeight = 2 * opt.WeightBase
 	}
-	sel, err := sel.Validate(reg)
+	sel, err := sel.Validate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, in := range ins {
-		name := sel.PickInstance(in)
+		name := sel.Oracle(sel.InstanceBand(in))
 		m, ok := router.MethodByName(name)
 		if !ok {
 			t.Fatalf("selected unknown oracle %q", name)
@@ -330,5 +319,33 @@ func TestExactOracleFallsBackToCD(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cd.Steps, ex.Steps) {
 		t.Fatal("over-budget exact solve did not fall back to the CD tree")
+	}
+}
+
+// An oracle error must fail the run, never be swallowed: a fixed-method
+// route reports the net and returns no result, and a portfolio race
+// names the failing pool member.
+func TestFaultyOracleSurfacesError(t *testing.T) {
+	ins := captureInstances(t)
+	fault := errors.New("injected fault")
+	faulty := func(*nets.Instance, *oracle.Env) (*nets.RTree, error) { return nil, fault }
+
+	oracle.SwapSolve(t, "pd", faulty)
+	if _, err := router.SolveNet(ins[0], router.Portfolio, router.DefaultOptions()); err == nil ||
+		!errors.Is(err, fault) || !strings.HasPrefix(err.Error(), "portfolio pd: ") {
+		t.Fatalf("portfolio with a faulty pd: err %v, want \"portfolio pd: injected fault\"", err)
+	}
+
+	oracle.SwapSolve(t, "cd", faulty)
+	chip, err := chipgen.Generate(chipgen.Suite(0.002)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := router.DefaultOptions()
+	opt.Waves = 1
+	opt.Threads = 2
+	res, err := router.Route(chip, router.CD, opt)
+	if res != nil || !errors.Is(err, fault) || !regexp.MustCompile(`^net \d+: injected fault$`).MatchString(err.Error()) {
+		t.Fatalf("route with a faulty cd: result %v, err %v; want nil and \"net N: injected fault\"", res != nil, err)
 	}
 }

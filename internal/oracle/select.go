@@ -55,8 +55,8 @@ type Selection struct {
 	// fields take the defaults cd / sl / rsmt.
 	Critical, Tight, Relaxed string
 	// Portfolio lists the oracle names the portfolio driver races on
-	// every net; empty means "every registered oracle except the exact
-	// tier" — racing an exact search on every net of a netlist would
+	// every net; empty means "every oracle except the exact tier" —
+	// racing an exact search on every net of a netlist would
 	// dominate the run's cost, so the premium oracle must be opted into
 	// the pool by listing it explicitly.
 	Portfolio []string
@@ -77,59 +77,69 @@ func (s Selection) withDefaults() Selection {
 }
 
 // Validate resolves the band (and portfolio) oracle names against the
-// registry, returning the canonical selection or an error naming the
-// available set.
-func (s Selection) Validate(reg *Registry) (Selection, error) {
+// oracle table, returning the canonical selection or an error naming
+// the available set.
+func (s Selection) Validate() (Selection, error) {
 	s = s.withDefaults()
 	for _, name := range []*string{&s.Critical, &s.Tight, &s.Relaxed} {
 		c := Canonical(*name)
-		if _, ok := reg.Get(c); !ok {
-			return s, fmt.Errorf("oracle: unknown selection oracle %q (available: %v)", *name, reg.Names())
+		if Index(c) < 0 {
+			return s, fmt.Errorf("oracle: unknown selection oracle %q (available: %v)", *name, Names())
 		}
 		*name = c
 	}
 	s.Portfolio = append([]string(nil), s.Portfolio...)
 	for i, name := range s.Portfolio {
 		c := Canonical(name)
-		if _, ok := reg.Get(c); !ok {
-			return s, fmt.Errorf("oracle: unknown portfolio oracle %q (available: %v)", name, reg.Names())
+		if Index(c) < 0 {
+			return s, fmt.Errorf("oracle: unknown portfolio oracle %q (available: %v)", name, Names())
 		}
 		s.Portfolio[i] = c
 	}
 	return s, nil
 }
 
-// Pick returns the band oracle name for one net given its per-sink
-// delay weights, delay budgets (ps, may be nil) and fastest achievable
-// delays (ps, may be nil). It is the low-level form shared by the
-// router's solve path and the incremental engine's invalidation check,
-// so both always agree on the selected oracle.
-func (s Selection) Pick(ws, budgets, fastest []float64) string {
-	s = s.withDefaults()
+// Band is the selector's verdict on one net: which of the Critical,
+// Tight and Relaxed oracles routes it (the trivial band routes with
+// Relaxed).
+type Band int
+
+const (
+	BandRelaxed Band = iota
+	BandTight
+	BandCritical
+)
+
+// Band classifies one net given its per-sink delay weights, delay
+// budgets (ps, may be nil) and fastest achievable delays (ps, may be
+// nil). It is the low-level form shared by the router's solve path and
+// the incremental engine's invalidation check, so both always agree on
+// the selected oracle.
+func (s Selection) Band(ws, budgets, fastest []float64) Band {
 	if s.TrivialSinks > 0 && len(ws) <= s.TrivialSinks {
-		return s.Relaxed
+		return BandRelaxed
 	}
 	if s.CriticalWeight > 0 {
 		for _, w := range ws {
 			if w >= s.CriticalWeight {
-				return s.Critical
+				return BandCritical
 			}
 		}
 	}
 	if s.TightBudgetRatio > 0 && budgets != nil && fastest != nil {
 		for k, b := range budgets {
 			if k < len(fastest) && b < s.TightBudgetRatio*fastest[k] {
-				return s.Tight
+				return BandTight
 			}
 		}
 	}
-	return s.Relaxed
+	return BandRelaxed
 }
 
-// PickInstance applies Pick to a standalone instance, deriving the
+// InstanceBand applies Band to a standalone instance, deriving the
 // fastest achievable per-sink delays from L1 distance at the fastest
 // wire (the §III-C admissible bound).
-func (s Selection) PickInstance(in *nets.Instance) string {
+func (s Selection) InstanceBand(in *nets.Instance) Band {
 	ws := make([]float64, len(in.Sinks))
 	for i, sk := range in.Sinks {
 		ws[i] = sk.W
@@ -138,7 +148,14 @@ func (s Selection) PickInstance(in *nets.Instance) string {
 	if in.Budgets != nil {
 		fastest = FastestSinkDelays(in)
 	}
-	return s.Pick(ws, in.Budgets, fastest)
+	return s.Band(ws, in.Budgets, fastest)
+}
+
+// Oracle returns the oracle name of band b, empty fields taking their
+// defaults.
+func (s Selection) Oracle(b Band) string {
+	s = s.withDefaults()
+	return [...]string{BandRelaxed: s.Relaxed, BandTight: s.Tight, BandCritical: s.Critical}[b]
 }
 
 // FastestSinkDelays returns, per sink, an admissible lower bound on its

@@ -69,7 +69,7 @@ type incState struct {
 	// congestion cost of the cached tree at solve time.
 	lastW, lastB [][]float64
 	lastCost     []float64
-	// lastOracle[ni] is the driver's index of the oracle that produced
+	// lastOracle[ni] is the table index of the oracle that produced
 	// the cached tree (-1 before the first solve). Under Auto a band
 	// change re-dirties the net; budget drift only matters when the
 	// cached (or candidate) oracle consumes budgets.
@@ -93,7 +93,7 @@ type incState struct {
 	fullCost []float64
 	// fastest[ni][k] is the admissible fastest root→sink delay used by
 	// the Auto band check — identical, by construction, to the value
-	// Selection.PickInstance derives on the solve path (same pin
+	// Selection.InstanceBand derives on the solve path (same pin
 	// positions, same static MinDelayPerGCell).
 	fastest [][]float64
 	// seed, when non-nil, replaces the next computeDirty pass entirely:

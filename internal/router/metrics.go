@@ -50,7 +50,7 @@ type Metrics struct {
 	SkippedPerWave   []int `json:"skipped_per_wave,omitempty"`
 	DeltaSegsPerWave []int `json:"delta_segs_per_wave,omitempty"`
 
-	// SolvesByOracle counts oracle invocations by registry name. A
+	// SolvesByOracle counts oracle invocations by oracle name. A
 	// fixed method charges every solve to its one oracle; Auto charges
 	// the selected oracle per net; Portfolio charges every pool member
 	// it races (so the total exceeds NetsSolved by the pool factor).
@@ -129,7 +129,7 @@ func (r *runState) finish() *Result {
 	for _, wc := range r.workerCounts {
 		for oi, c := range wc {
 			if c > 0 {
-				res.Metrics.SolvesByOracle[r.drv.names[oi]] += c
+				res.Metrics.SolvesByOracle[oracleNames[oi]] += c
 			}
 		}
 	}

@@ -21,8 +21,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
-	"sync"
+	"slices"
 
 	"costdist/internal/chipgen"
 	"costdist/internal/core"
@@ -32,9 +31,9 @@ import (
 	"costdist/internal/reembed"
 )
 
-// Method selects the oracle driver of a routing run. The four fixed
-// methods are thin aliases over a registry lookup (paper §IV-A); Auto
-// and Portfolio are drivers layered over the whole registry.
+// Method selects the oracle driver of a routing run. The fixed methods
+// name one row of the oracle table (paper §IV-A); Auto and Portfolio
+// are drivers layered over the whole table.
 type Method int
 
 const (
@@ -54,7 +53,7 @@ const (
 	Exact
 )
 
-// methodInfo maps each Method to its canonical registry/driver name and
+// methodInfo maps each Method to its canonical oracle/driver name and
 // its display label (the paper's table spelling for the fixed four).
 var methodInfo = []struct{ name, display string }{
 	L1:        {"rsmt", "L1"},
@@ -66,7 +65,7 @@ var methodInfo = []struct{ name, display string }{
 	Exact:     {"exact", "exact"},
 }
 
-// Name returns the canonical registry (or driver-mode) name, "" for an
+// Name returns the canonical oracle (or driver-mode) name, "" for an
 // out-of-range value.
 func (m Method) Name() string {
 	if m < 0 || int(m) >= len(methodInfo) {
@@ -83,7 +82,7 @@ func (m Method) String() string {
 }
 
 // MethodByName resolves a user-supplied oracle or driver name — any
-// registry name, alias ("l1") or driver mode, case-insensitive — to its
+// oracle name, alias ("l1") or driver mode, case-insensitive — to its
 // Method.
 func MethodByName(name string) (Method, bool) {
 	c := oracle.Canonical(name)
@@ -95,16 +94,15 @@ func MethodByName(name string) (Method, bool) {
 	return 0, false
 }
 
-// defaultRegistry is the immutable registry shared by the router's
-// drivers and name lookups. Callers who want to extend a registry build
-// their own via oracle.Default()/oracle.NewRegistry.
-var defaultRegistry = oracle.Default()
+// oracleNames names the oracle table's rows by index: the keys of
+// SolvesByOracle and of checkpoint provenance.
+var oracleNames = oracle.Names()
 
-// OracleNames returns the registry's canonical oracle names, sorted.
-func OracleNames() []string { return defaultRegistry.Names() }
+// OracleNames returns the oracle table's canonical names, sorted.
+func OracleNames() []string { return oracle.Names() }
 
-// MethodNames returns every accepted method name: the registry's
-// canonical oracle names followed by the driver modes.
+// MethodNames returns every accepted method name: the canonical oracle
+// names followed by the driver modes.
 func MethodNames() []string {
 	return append(OracleNames(), "auto", "portfolio")
 }
@@ -223,8 +221,7 @@ func DefaultOptions() Options {
 
 // scratchPool hands each routing worker a private core.Scratch arena so
 // every rip-up-and-reroute wave re-solves its nets without re-allocating
-// solver state. Pools persist across waves (and, via RouteAll, across
-// chips of a suite).
+// solver state. A pool lives for one run and persists across its waves.
 type scratchPool struct {
 	scr []*core.Scratch
 	// re holds the matching per-worker repair workspaces; allocated
@@ -232,133 +229,93 @@ type scratchPool struct {
 	re []*reembed.Scratch
 }
 
-// grow ensures the pool holds at least n arenas.
-func (p *scratchPool) grow(n int) {
-	for len(p.scr) < n {
+// newScratchPool returns a pool of n arenas.
+func newScratchPool(n int) *scratchPool {
+	p := &scratchPool{}
+	for i := 0; i < n; i++ {
 		p.scr = append(p.scr, core.NewScratch())
 		p.re = append(p.re, reembed.NewScratch())
 	}
+	return p
 }
 
-// driver resolves a Method against the oracle registry once per run
-// and dispatches every net solve through it: a fixed single oracle, the
+// driver is a Method resolved against the oracle table once per run;
+// every net solve dispatches through it: a fixed single oracle, the
 // adaptive per-net selector, or the portfolio racer. All selection
 // logic is a pure function of the instance, so results never depend on
-// worker count or scheduling.
+// worker count or scheduling. Oracles are table indices throughout —
+// the index space of every per-oracle counter.
 type driver struct {
-	reg  *oracle.Registry
 	mode Method
-	// names is the registry's sorted name list; it is the index space
-	// of every per-oracle counter, and index() is its inverse.
-	names   []string
-	oracles []oracle.Oracle
-	// fixed is the oracle index of a fixed single-oracle run (-1 for
+	// fixed is the oracle of a fixed single-oracle run (-1 for
 	// Auto/Portfolio).
 	fixed int
 	// sel is the resolved selection (bands validated, thresholds
-	// derived); port the name-ordered portfolio pool.
-	sel  oracle.Selection
-	port []int
+	// derived) and band its oracle per oracle.Band; pool is the
+	// name-ordered portfolio pool and poolUsesBudgets whether any member
+	// consumes budgets.
+	sel             oracle.Selection
+	band            [oracle.BandCritical + 1]int
+	pool            []int
+	poolUsesBudgets bool
 }
 
-// baseDriver assembles the registry-backed skeleton shared by every
-// driver mode.
-func baseDriver(m Method) *driver {
-	d := &driver{reg: defaultRegistry, mode: m, names: defaultRegistry.Names(), fixed: -1}
-	for _, name := range d.names {
-		o, _ := defaultRegistry.Get(name)
-		d.oracles = append(d.oracles, o)
-	}
-	return d
-}
-
-// fixedDrivers caches the five fixed single-oracle drivers. They hold
-// no per-run state (Selection is only consulted by Auto/Portfolio), so
-// one instance serves every run and goroutine — SolveNet on the batch
-// hot path stays allocation-free at the dispatch layer.
-var fixedDrivers struct {
-	once sync.Once
-	d    [Exact + 1]*driver
-}
-
-// isFixed reports whether m dispatches to one single oracle.
-func isFixed(m Method) bool {
-	return (m >= L1 && m <= CD) || m == Exact
-}
-
-// newDriver resolves the dispatch for one run.
-func newDriver(m Method, opt Options) (*driver, error) {
-	if isFixed(m) {
-		fixedDrivers.once.Do(func() {
-			for fm := L1; fm <= Exact; fm++ {
-				if !isFixed(fm) {
-					continue
-				}
-				d := baseDriver(fm)
-				d.fixed = d.index(fm.Name())
-				fixedDrivers.d[fm] = d
-			}
-		})
-		return fixedDrivers.d[m], nil
-	}
+// newDriver resolves the dispatch for one run. A fixed method resolves
+// to a value without allocating, keeping SolveNet on the batch hot path
+// allocation-free at the dispatch layer.
+func newDriver(m Method, opt Options) (driver, error) {
 	if m != Auto && m != Portfolio {
-		return nil, fmt.Errorf("router: unknown method %v (available: %v)", m, MethodNames())
+		oi := oracle.Index(m.Name())
+		if oi < 0 {
+			return driver{}, fmt.Errorf("router: unknown method %v (available: %v)", m, MethodNames())
+		}
+		return driver{mode: m, fixed: oi}, nil
 	}
-	d := baseDriver(m)
+	d := driver{mode: m, fixed: -1}
 	sel := opt.Selection
 	if sel.CriticalWeight == 0 {
 		// A net is critical once pricing has at least doubled one of
 		// its sink weights above the uncritical floor.
 		sel.CriticalWeight = 2 * opt.WeightBase
 	}
-	sel, err := sel.Validate(d.reg)
+	sel, err := sel.Validate()
 	if err != nil {
-		return nil, err
+		return driver{}, err
 	}
 	d.sel = sel
+	for b := range d.band {
+		d.band[b] = oracle.Index(sel.Oracle(oracle.Band(b)))
+	}
 	if m == Portfolio {
-		pool := sel.Portfolio
-		if len(pool) == 0 {
-			// The default pool is every registered oracle except the
-			// exact tier: racing an exact search on every net would
-			// dominate the run's cost (see oracle.Selection.Portfolio).
-			for _, name := range d.names {
+		// Table order is name order: sorted indices give the
+		// deterministic tie-break.
+		for _, name := range sel.Portfolio {
+			d.pool = append(d.pool, oracle.Index(name))
+		}
+		if len(d.pool) == 0 {
+			// The default pool is every oracle except the exact tier:
+			// racing an exact search on every net would dominate the
+			// run's cost (see oracle.Selection.Portfolio).
+			for oi, name := range oracleNames {
 				if name != "exact" {
-					pool = append(pool, name)
+					d.pool = append(d.pool, oi)
 				}
 			}
 		}
-		pool = append([]string(nil), pool...)
-		sort.Strings(pool) // fixed name order: deterministic tie-break
-		seen := make(map[int]bool, len(pool))
-		for _, name := range pool {
-			oi := d.index(name)
-			if oi < 0 || seen[oi] {
-				continue
-			}
-			seen[oi] = true
-			d.port = append(d.port, oi)
+		slices.Sort(d.pool)
+		d.pool = slices.Compact(d.pool)
+		for _, oi := range d.pool {
+			d.poolUsesBudgets = d.poolUsesBudgets || oracle.UsesBudgets(oi)
 		}
 	}
 	return d, nil
-}
-
-// index returns the counter index of a canonical oracle name, -1 if
-// absent.
-func (d *driver) index(name string) int {
-	for i, n := range d.names {
-		if n == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // pickIdx is the Auto band selection on raw per-net timing inputs —
 // shared with the dirty-net scheduler's invalidation check so both
 // always agree on the selected oracle.
 func (d *driver) pickIdx(ws, budgets, fastest []float64) int {
-	return d.index(d.sel.Pick(ws, budgets, fastest))
+	return d.band[d.sel.Band(ws, budgets, fastest)]
 }
 
 // usesBudgets reports whether a re-solve of a net whose cached tree
@@ -366,22 +323,17 @@ func (d *driver) pickIdx(ws, budgets, fastest []float64) int {
 // dirty-net scheduler's budget-drift invalidation gate.
 func (d *driver) usesBudgets(last int) bool {
 	if d.mode == Portfolio {
-		for _, oi := range d.port {
-			if d.oracles[oi].Hint().UsesBudgets {
-				return true
-			}
-		}
-		return false
+		return d.poolUsesBudgets
 	}
-	return last >= 0 && d.oracles[last].Hint().UsesBudgets
+	return last >= 0 && oracle.UsesBudgets(last)
 }
 
 // solve runs the driver on one instance and returns the tree, the
-// index (into names) of the oracle that produced it, and — in
-// Portfolio mode, which prices every candidate anyway — the winning
-// tree's evaluation (nil otherwise; callers evaluate themselves).
-// counts, indexed like names, is charged one per oracle invocation;
-// nil skips the accounting.
+// table index of the oracle that produced it, and — in Portfolio mode,
+// which prices every candidate anyway — the winning tree's evaluation
+// (nil otherwise; callers evaluate themselves). counts, indexed like
+// the table, is charged one per oracle invocation; nil skips the
+// accounting.
 func (d *driver) solve(in *nets.Instance, env *oracle.Env, counts []int64) (*nets.RTree, int, *nets.Eval, error) {
 	charge := func(oi int) {
 		if counts != nil {
@@ -390,23 +342,23 @@ func (d *driver) solve(in *nets.Instance, env *oracle.Env, counts []int64) (*net
 	}
 	switch d.mode {
 	case Auto:
-		oi := d.index(d.sel.PickInstance(in))
+		oi := d.band[d.sel.InstanceBand(in)]
 		charge(oi)
-		tr, err := d.oracles[oi].Solve(in, env)
+		tr, err := oracle.Solve(oi, in, env)
 		return tr, oi, nil, err
 	case Portfolio:
 		var best *nets.RTree
 		var bestEv *nets.Eval
 		bestIdx, bestTotal := -1, math.Inf(1)
-		for _, oi := range d.port {
-			tr, err := d.oracles[oi].Solve(in, env)
+		for _, oi := range d.pool {
+			tr, err := oracle.Solve(oi, in, env)
 			if err != nil {
-				return nil, oi, nil, fmt.Errorf("portfolio %s: %w", d.names[oi], err)
+				return nil, oi, nil, fmt.Errorf("portfolio %s: %w", oracleNames[oi], err)
 			}
 			charge(oi)
 			ev, err := nets.Evaluate(in, tr)
 			if err != nil {
-				return nil, oi, nil, fmt.Errorf("portfolio %s eval: %w", d.names[oi], err)
+				return nil, oi, nil, fmt.Errorf("portfolio %s eval: %w", oracleNames[oi], err)
 			}
 			// Strict < keeps the first (name-ordered) oracle on ties.
 			if ev.Total < bestTotal {
@@ -419,14 +371,14 @@ func (d *driver) solve(in *nets.Instance, env *oracle.Env, counts []int64) (*net
 		return best, bestIdx, bestEv, nil
 	default:
 		charge(d.fixed)
-		tr, err := d.oracles[d.fixed].Solve(in, env)
+		tr, err := oracle.Solve(d.fixed, in, env)
 		return tr, d.fixed, nil, err
 	}
 }
 
 // Route runs the full flow on the chip with the given oracle driver.
 func Route(chip *chipgen.Chip, m Method, opt Options) (*Result, error) {
-	return routeWith(context.Background(), chip, m, opt, &scratchPool{})
+	return RouteCtx(context.Background(), chip, m, opt)
 }
 
 // RouteCtx is Route with cancellation: the context is checked between
@@ -437,12 +389,7 @@ func RouteCtx(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return routeWith(ctx, chip, m, opt, &scratchPool{})
-}
-
-// routeWith runs one cold route on a caller-provided scratch pool.
-func routeWith(ctx context.Context, chip *chipgen.Chip, m Method, opt Options, pool *scratchPool) (*Result, error) {
-	r, err := newRun(ctx, chip, m, opt, pool)
+	r, err := newRun(ctx, chip, m, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -455,7 +402,7 @@ func routeWith(ctx context.Context, chip *chipgen.Chip, m Method, opt Options, p
 // SolveNet runs one oracle driver standalone on a self-contained
 // instance (the Tables I/II harness and the CLI use this for
 // apples-to-apples comparisons on captured instances). The oracle-side
-// code lives in the internal/oracle adapters; this only resolves the
+// code lives in the internal/oracle table; this only resolves the
 // driver and derives the environment from the instance.
 func SolveNet(in *nets.Instance, m Method, opt Options) (*nets.RTree, error) {
 	drv, err := newDriver(m, opt)
@@ -469,34 +416,4 @@ func SolveNet(in *nets.Instance, m Method, opt Options) (*nets.RTree, error) {
 	env := oracle.Env{Core: opt.CoreOpt, PDAlpha: opt.PDAlpha, SLEps: opt.SLEps, LBif: lbif}
 	tr, _, _, err := drv.solve(in, &env, nil)
 	return tr, err
-}
-
-// RouteAll routes every chip of a suite with one method, returning rows
-// in suite order. It exists for the Tables IV/V harness. One worker
-// scratch pool is shared across all chips, so solver state is recycled
-// suite-wide, not just within one chip's waves.
-func RouteAll(chips []*chipgen.Chip, m Method, opt Options) ([]Metrics, error) {
-	return RouteAllCtx(context.Background(), chips, m, opt)
-}
-
-// RouteAllCtx is RouteAll with cancellation; the context propagates into
-// every chip's waves, so a cancelled suite run stops within one
-// net-solve latency and returns ctx.Err() unwrapped.
-func RouteAllCtx(ctx context.Context, chips []*chipgen.Chip, m Method, opt Options) ([]Metrics, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out := make([]Metrics, len(chips))
-	pool := &scratchPool{}
-	for i, chip := range chips {
-		r, err := routeWith(ctx, chip, m, opt, pool)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, fmt.Errorf("%s/%s: %w", chip.Spec.Name, m, err)
-		}
-		out[i] = r.Metrics
-	}
-	return out, nil
 }

@@ -10,6 +10,7 @@ import (
 	"costdist/internal/grid"
 	"costdist/internal/nets"
 	"costdist/internal/obs"
+	"costdist/internal/oracle"
 	"costdist/internal/sta"
 )
 
@@ -83,7 +84,7 @@ type NetState struct {
 	Delays []float64
 	// LastCost is Tree's congestion cost under Mult.
 	LastCost float64
-	// Oracle is the registry name of the oracle that produced Tree.
+	// Oracle is the canonical name of the oracle that produced Tree.
 	// Every routed net records it, under both reuse policies and every
 	// driver; "" only appears in hand-built or pre-provenance states
 	// and makes drift checks conservative.
@@ -177,10 +178,10 @@ func (r *runState) Checkpoint() *State {
 // otherwise.
 func (r *runState) producingOracle(ni int) string {
 	if oi := r.inc.lastOracle[ni]; oi >= 0 {
-		return r.drv.names[oi]
+		return oracleNames[oi]
 	}
 	if r.drv.fixed >= 0 {
-		return r.drv.names[r.drv.fixed]
+		return oracleNames[r.drv.fixed]
 	}
 	return ""
 }
@@ -201,7 +202,7 @@ func RouteCheckpoint(ctx context.Context, chip *chipgen.Chip, m Method, opt Opti
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r, err := newRun(ctx, chip, m, opt, &scratchPool{})
+	r, err := newRun(ctx, chip, m, opt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -240,7 +241,7 @@ func RouteFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, opt
 	if st == nil {
 		return nil, nil, fmt.Errorf("router: RouteFrom needs a checkpoint state (use Route for cold starts)")
 	}
-	r, err := newRunFrom(ctx, st, chip, m, opt, &scratchPool{})
+	r, err := newRunFrom(ctx, st, chip, m, opt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -255,14 +256,14 @@ func RouteFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, opt
 // also computes the cold-init timing for nets the diff rejects) with
 // the checkpoint's state restored on top and the first wave's dirty
 // seed derived from the instance diff.
-func newRunFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, opt Options, pool *scratchPool) (*runState, error) {
+func newRunFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, opt Options) (*runState, error) {
 	if err := st.CompatibleWith(chip.G); err != nil {
 		return nil, err
 	}
 	// Warm starts always run the skip policy — the no-skip work list
 	// would re-solve every restored net in wave 0.
 	opt.Incremental = true
-	r, err := newRun(ctx, chip, m, opt, pool)
+	r, err := newRun(ctx, chip, m, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -295,10 +296,7 @@ func newRunFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, op
 		if k := len(n.Sinks); len(ns.Weights) != k || len(ns.Budgets) != k || len(ns.Delays) != k {
 			continue
 		}
-		oi := -1
-		if ns.Oracle != "" {
-			oi = r.drv.index(ns.Oracle)
-		}
+		oi := oracle.Index(ns.Oracle) // -1 for "" (no provenance)
 		copy(r.weights[ni], ns.Weights)
 		copy(r.budgets[ni], ns.Budgets)
 		copy(r.delays[ni], ns.Delays)

@@ -69,7 +69,7 @@ func TestComputeDirtySeedMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := newRun(context.Background(), chip, CD, opt, &scratchPool{})
+	r, err := newRun(context.Background(), chip, CD, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestComputeDirtySeedMode(t *testing.T) {
 	fake := make(map[int]bool)
 	for _, ni := range []int{0, 1} {
 		in := buildInstance(chip, ni, r.weights[ni], costs, r.dbif, opt)
-		tr, err := drv.oracles[drv.fixed].Solve(in, &env)
+		tr, err := oracle.Solve(drv.fixed, in, &env)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,7 @@ type runState struct {
 	chip *chipgen.Chip
 	m    Method
 	opt  Options
-	drv  *driver
+	drv  driver
 	pool *scratchPool
 
 	dbif    float64
@@ -52,8 +52,9 @@ type runState struct {
 	inc     *incState
 
 	// workerCounts are per-worker oracle invocation counters, indexed
-	// like drv.names and summed after the waves — addition commutes, so
-	// the totals are independent of how nets land on workers.
+	// like the oracle table and summed after the waves — addition
+	// commutes, so the totals are independent of how nets land on
+	// workers.
 	workerCounts [][]int64
 
 	usage *cong.Usage
@@ -78,12 +79,12 @@ type runState struct {
 // newRun assembles the cold-start state: fresh multipliers, cached
 // trees empty, and the pre-wave timing estimate seeding every sink's
 // delay weight and budget.
-func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options, pool *scratchPool) (*runState, error) {
+func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*runState, error) {
 	if opt.IncrementalTol < 0 {
 		return nil, fmt.Errorf("router: IncrementalTol %v is negative; to re-solve every net in every wave set Incremental=false", opt.IncrementalTol)
 	}
 	r := &runState{
-		ctx: ctx, chip: chip, m: m, opt: opt, pool: pool,
+		ctx: ctx, chip: chip, m: m, opt: opt,
 		start: time.Now(),
 	}
 	g := chip.G
@@ -96,12 +97,12 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options, pool
 	if r.threads <= 0 {
 		r.threads = runtime.GOMAXPROCS(0)
 	}
-	pool.grow(r.threads)
 	drv, err := newDriver(m, opt)
 	if err != nil {
 		return nil, err
 	}
 	r.drv = drv
+	r.pool = newScratchPool(r.threads)
 	r.pricer = cong.NewPricer(g, opt.PriceAlpha, opt.PriceTarget)
 
 	nNets := len(nl.Nets)
@@ -166,11 +167,11 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options, pool
 	for i := range r.allNets {
 		r.allNets[i] = int32(i)
 	}
-	r.inc = newIncState(chip, drv, opt)
+	r.inc = newIncState(chip, &r.drv, opt)
 
 	r.workerCounts = make([][]int64, r.threads)
 	for i := range r.workerCounts {
-		r.workerCounts[i] = make([]int64, len(drv.names))
+		r.workerCounts[i] = make([]int64, len(oracleNames))
 	}
 	if opt.Recorder != nil {
 		r.rec = opt.Recorder
@@ -186,7 +187,7 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options, pool
 // consulted in exactly two places — the work list and tracked-vs-plain
 // pricing; everything else is one path.
 func (r *runState) runWaves() error {
-	ctx, chip, opt, drv := r.ctx, r.chip, r.opt, r.drv
+	ctx, chip, opt, drv := r.ctx, r.chip, r.opt, &r.drv
 	g := chip.G
 	nl := chip.NL
 	nNets := len(nl.Nets)
@@ -230,8 +231,7 @@ func (r *runState) runWaves() error {
 				// The telemetry sink: nil unless a recorder is attached,
 				// so the unrecorded hot path pays one pointer check per
 				// guarded site. The reembed scratch's sink is re-pointed
-				// every wave (and cleared on unrecorded runs — pools
-				// persist across runs, so a stale sink must not leak).
+				// every wave.
 				var wk *obs.Worker
 				if rec != nil {
 					wk = r.wkObs[worker]
@@ -290,8 +290,8 @@ func (r *runState) runWaves() error {
 					tr, oi, ev, err := drv.solve(in, &env, r.workerCounts[worker])
 					if wk != nil {
 						name := ""
-						if oi >= 0 && oi < len(drv.names) {
-							name = drv.names[oi]
+						if oi >= 0 {
+							name = oracleNames[oi]
 						}
 						wk.Span(obs.StageSolve, int32(ni), name, solveT0)
 					}
