@@ -15,10 +15,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
+	"costdist/internal/cliutil"
 	"costdist/internal/tables"
 )
 
@@ -36,7 +36,7 @@ func main() {
 		for _, part := range strings.Split(*chips, ",") {
 			idx, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil || idx < 1 || idx > 8 {
-				fatal(fmt.Errorf("bad chip index %q", part))
+				cliutil.Fatal("benchtables", fmt.Errorf("bad chip index %q", part))
 			}
 			cfg.Chips = append(cfg.Chips, idx-1)
 		}
@@ -50,41 +50,36 @@ func main() {
 	if want("1") {
 		rows, err := tables.InstanceComparison(cfg, false)
 		if err != nil {
-			fatal(err)
+			cliutil.Fatal("benchtables", err)
 		}
 		fmt.Println(tables.FormatInstanceTable("TABLE I — AVERAGE COST INCREASE COMPARED TO MINIMUM, dbif = 0", rows))
 	}
 	if want("2") {
 		rows, err := tables.InstanceComparison(cfg, true)
 		if err != nil {
-			fatal(err)
+			cliutil.Fatal("benchtables", err)
 		}
 		fmt.Println(tables.FormatInstanceTable("TABLE II — AVERAGE COST INCREASE COMPARED TO MINIMUM, dbif > 0", rows))
 	}
 	if want("4") {
 		rows, err := tables.GlobalRouting(cfg, false)
 		if err != nil {
-			fatal(err)
+			cliutil.Fatal("benchtables", err)
 		}
 		fmt.Println(tables.FormatGRTable("TABLE IV — TIMING-CONSTRAINED GLOBAL ROUTING RESULTS, dbif = 0 (* = best)", rows))
 	}
 	if want("5") {
 		rows, err := tables.GlobalRouting(cfg, true)
 		if err != nil {
-			fatal(err)
+			cliutil.Fatal("benchtables", err)
 		}
 		fmt.Println(tables.FormatGRTable("TABLE V — TIMING-CONSTRAINED GLOBAL ROUTING RESULTS, dbif > 0 (* = best)", rows))
 	}
 	if want("ablation") {
 		rows, err := tables.Ablation(cfg, true)
 		if err != nil {
-			fatal(err)
+			cliutil.Fatal("benchtables", err)
 		}
 		fmt.Println(tables.FormatAblation(rows))
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchtables:", err)
-	os.Exit(1)
 }

@@ -32,11 +32,11 @@ func main() {
 	}
 	data, err := os.ReadFile(*inPath)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("cdsteiner", err)
 	}
 	in, err := costdist.ParseInstance(data)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("cdsteiner", err)
 	}
 
 	if *compare {
@@ -45,11 +45,11 @@ func main() {
 			cm, _ := costdist.MethodByName(name)
 			tr, err := costdist.Solve(in, cm, costdist.DefaultRouterOptions())
 			if err != nil {
-				fatal(fmt.Errorf("%s: %w", name, err))
+				cliutil.Fatal("cdsteiner", fmt.Errorf("%s: %w", name, err))
 			}
 			ev, err := costdist.Evaluate(in, tr)
 			if err != nil {
-				fatal(err)
+				cliutil.Fatal("cdsteiner", err)
 			}
 			fmt.Printf("%-4s %12.3f %12.3f %12.3f %6d %6d\n",
 				name, ev.Total, ev.CongCost, ev.DelayCost, ev.WireSteps, ev.Vias)
@@ -60,11 +60,11 @@ func main() {
 	m := cliutil.MustMethod("cdsteiner", *method)
 	tr, err := costdist.Solve(in, m, costdist.DefaultRouterOptions())
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("cdsteiner", err)
 	}
 	ev, err := costdist.Evaluate(in, tr)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("cdsteiner", err)
 	}
 	fmt.Printf("method      %s\n", strings.ToUpper(*method))
 	fmt.Printf("objective   %.4f\n", ev.Total)
@@ -77,19 +77,15 @@ func main() {
 	if *outPath != "" {
 		out, err := costdist.MarshalTree(in, tr)
 		if err != nil {
-			fatal(err)
+			cliutil.Fatal("cdsteiner", err)
 		}
 		if err := os.WriteFile(*outPath, out, 0o644); err != nil {
-			fatal(err)
+			cliutil.Fatal("cdsteiner", err)
 		}
 	}
 	if *svgPath != "" {
 		if err := os.WriteFile(*svgPath, []byte(costdist.RenderTree(in, tr, 16)), 0o644); err != nil {
-			fatal(err)
+			cliutil.Fatal("cdsteiner", err)
 		}
 	}
-}
-
-func fatal(err error) {
-	cliutil.Fatal("cdsteiner", err)
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"costdist/internal/cliutil"
 	"costdist/internal/tables"
 )
 
@@ -22,19 +23,19 @@ func main() {
 	flag.Parse()
 
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
-		fatal(err)
+		cliutil.Fatal("figures", err)
 	}
 	write := func(name, content string) {
 		path := filepath.Join(*dir, name)
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			fatal(err)
+			cliutil.Fatal("figures", err)
 		}
 		fmt.Println("wrote", path)
 	}
 
 	pdSVG, cdSVG, pdBifs, cdBifs, err := tables.Figure1()
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("figures", err)
 	}
 	write("fig1-pd.svg", pdSVG)
 	write("fig1-cd.svg", cdSVG)
@@ -44,15 +45,10 @@ func main() {
 
 	frames, events, err := tables.Figure3()
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("figures", err)
 	}
 	for i, f := range frames {
 		write(fmt.Sprintf("fig3-iter%d.svg", i), f)
 	}
 	fmt.Printf("figure 3: %d iterations, final merge to root: %v\n", len(events), events[len(events)-1].ToRoot)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "figures:", err)
-	os.Exit(1)
 }

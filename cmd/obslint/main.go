@@ -20,6 +20,7 @@ import (
 	"os"
 
 	"costdist"
+	"costdist/internal/cliutil"
 	"costdist/internal/obs"
 )
 
@@ -30,10 +31,10 @@ func main() {
 	if *traceFile != "" {
 		data, err := os.ReadFile(*traceFile)
 		if err != nil {
-			fail(err)
+			cliutil.Fatal("obslint", err)
 		}
 		if err := costdist.ValidateTrace(data); err != nil {
-			fail(fmt.Errorf("%s: %v", *traceFile, err))
+			cliutil.Fatal("obslint", fmt.Errorf("%s: %v", *traceFile, err))
 		}
 		fmt.Printf("obslint: %s is a valid trace_event document\n", *traceFile)
 		return
@@ -41,18 +42,13 @@ func main() {
 
 	data, err := io.ReadAll(os.Stdin)
 	if err != nil {
-		fail(err)
+		cliutil.Fatal("obslint", err)
 	}
 	if len(data) == 0 {
-		fail(fmt.Errorf("empty input on stdin (pipe a /metrics body, or use -trace)"))
+		cliutil.Fatal("obslint", fmt.Errorf("empty input on stdin (pipe a /metrics body, or use -trace)"))
 	}
 	if err := obs.LintPromText(data); err != nil {
-		fail(err)
+		cliutil.Fatal("obslint", err)
 	}
 	fmt.Println("obslint: metrics exposition is well-formed")
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "obslint: %v\n", err)
-	os.Exit(1)
 }

@@ -24,22 +24,23 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
+	"costdist"
 	"costdist/internal/cliutil"
 	"costdist/internal/service"
 )
 
 func main() {
 	addr := flag.String("addr", ":8423", "listen address")
-	oracleName := flag.String("oracle", "cd", "default oracle or driver for requests that omit one: cd, rsmt (alias l1), sl, pd, auto, portfolio")
+	oracleName := flag.String("oracle", "cd", "default oracle or driver for requests that omit one: "+strings.Join(costdist.MethodNames(), ", ")+" (l1 is an alias of rsmt)")
 	shards := flag.Int("shards", 0, "worker pool shards (0 = one per CPU, capped at 16)")
 	workers := flag.Int("workers", 1, "solver workers per shard, one scratch arena each")
 	queue := flag.Int("queue", 128, "bounded task queue depth per shard (full queues answer 503)")
 	cacheMB := flag.Int("cache-mb", 64, "result cache byte budget in MiB (0 disables caching)")
 	checkpointMB := flag.Int("checkpoint-mb", 128, "warm-start checkpoint store byte budget in MiB (0 disables base_job warm starts)")
-	repairTol := flag.Float64("repairtol", -1, "default repair tolerance for requests without repair_tol: > 0 enables the incremental engine's topology-repair rung, ≤ 0 keeps it off")
 	flightSpans := flag.Int("flight-spans", 0, "flight-recorder ring capacity in telemetry spans, dumped at /debug/obs (0 = default)")
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -56,14 +57,13 @@ func main() {
 		checkpointBytes = -1
 	}
 	srv, err := service.New(service.Config{
-		Shards:           *shards,
-		WorkersPerShard:  *workers,
-		QueueDepth:       *queue,
-		CacheBytes:       cacheBytes,
-		CheckpointBytes:  checkpointBytes,
-		DefaultMethod:    *oracleName,
-		DefaultRepairTol: *repairTol,
-		FlightSpans:      *flightSpans,
+		Shards:          *shards,
+		WorkersPerShard: *workers,
+		QueueDepth:      *queue,
+		CacheBytes:      cacheBytes,
+		CheckpointBytes: checkpointBytes,
+		DefaultMethod:   *oracleName,
+		FlightSpans:     *flightSpans,
 	})
 	if err != nil {
 		cliutil.Fatal("routed", err)

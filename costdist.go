@@ -36,10 +36,11 @@
 //     (RouteMetrics.NetsRepaired / RepairEscalated);
 //   - one fixed oracle table (internal/oracle) behind the Method type:
 //     every fixed method names one table row, the Auto driver picks an
-//     oracle per net from its timing criticality
-//     (RouterOptions.Selection), and the Portfolio driver races several
-//     oracles per net and keeps the best-priced tree. Per-oracle solve
-//     counts are reported in RouteMetrics.SolvesByOracle;
+//     oracle per net from fixed bands of its timing criticality (exact
+//     for critical nets, sl for budget-tight ones, rsmt otherwise and
+//     for single-sink nets), and the Portfolio driver races every oracle
+//     but exact on each net and keeps the best-priced tree. Per-oracle
+//     solve counts are reported in RouteMetrics.SolvesByOracle;
 //   - externalized router state and warm-started rerouting:
 //     RouteChipCheckpoint returns the run's RouterState (cached trees
 //     with solve snapshots, congestion multipliers, timing state),
@@ -103,15 +104,13 @@ type (
 	TraceEvent = core.TraceEvent
 
 	// Method selects a Steiner oracle driver — one row of the oracle
-	// table for the fixed methods, plus the Auto and Portfolio drivers;
-	// SelectionOptions configures their per-net criticality bands and
-	// pool. RouterOptions and RouteMetrics configure and report full
-	// routing runs.
-	Method           = router.Method
-	SelectionOptions = router.SelectionOptions
-	RouterOptions    = router.Options
-	RouteMetrics     = router.Metrics
-	RouteResult      = router.Result
+	// table for the fixed methods, plus the Auto and Portfolio drivers.
+	// RouterOptions and RouteMetrics configure and report full routing
+	// runs.
+	Method        = router.Method
+	RouterOptions = router.Options
+	RouteMetrics  = router.Metrics
+	RouteResult   = router.Result
 
 	// RouterState is the externalized state of a routing run — cached
 	// trees with their solve snapshots, congestion multipliers, timing
@@ -175,8 +174,8 @@ func MethodByName(name string) (Method, bool) { return router.MethodByName(name)
 // form: the oracle names followed by the driver modes.
 func MethodNames() []string { return router.MethodNames() }
 
-// OracleNames returns the oracle table's canonical names, sorted —
-// the valid values for SelectionOptions bands and Portfolio pools.
+// OracleNames returns the oracle table's canonical names, sorted — the
+// keys of RouteMetrics.SolvesByOracle.
 func OracleNames() []string { return router.OracleNames() }
 
 // NewGrid builds a routing graph of nx×ny gcells with the given layer
@@ -215,9 +214,8 @@ func SolveCDTraced(in *Instance, opt CDOptions, trace func(TraceEvent)) (*Tree, 
 }
 
 // Solve runs any oracle driver standalone on an instance: one of the
-// four fixed algorithms, Auto (per-net adaptive selection via
-// opt.Selection) or Portfolio (race the pool, keep the best-priced
-// tree).
+// fixed algorithms, Auto (per-net adaptive selection) or Portfolio
+// (race the pool, keep the best-priced tree).
 func Solve(in *Instance, m Method, opt RouterOptions) (*Tree, error) {
 	return router.SolveNet(in, m, opt)
 }

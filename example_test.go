@@ -206,8 +206,8 @@ func ExampleRouteChip_incremental() {
 
 // ExampleRouteChip_autoSelection routes a chip with the Auto oracle
 // driver: each net is classified by its timing criticality and routed
-// with the matching band oracle — the expensive cost-distance
-// algorithm only where the timing price demands it (the same flow as
+// with the matching band oracle — the expensive exact tier only where
+// the timing price demands it (the same flow as
 // `grroute -oracle auto`).
 func ExampleRouteChip_autoSelection() {
 	spec := costdist.ChipSuite(0.002)[0] // c1, scaled down for the example
@@ -218,9 +218,9 @@ func ExampleRouteChip_autoSelection() {
 
 	opt := costdist.DefaultRouterOptions()
 	opt.Threads = 2
-	// opt.Selection tunes the bands; the defaults route critical nets
-	// with "exact" (the certified tier, CD fallback beyond its budget),
-	// budget-tight nets with "sl" and the rest with "rsmt".
+	// The bands are fixed: critical nets go to "exact" (the certified
+	// tier, CD fallback beyond its budget), budget-tight nets to "sl",
+	// and single-sink and relaxed nets to "rsmt".
 
 	res, err := costdist.RouteChip(chip, costdist.Auto, opt)
 	if err != nil {

@@ -15,8 +15,9 @@
 //     component's bounding box, priced per direction by the layer
 //     stack's cost–delay envelope at the component's weight (on by
 //     default);
-//   - §III-D improved embedding of new Steiner vertices along the
-//     connection path;
+//   - §III-D improved placement of new Steiner vertices: §III-A already
+//     lets later paths leave a component anywhere, and the merged
+//     component keeps the heavier endpoint as its delay anchor;
 //   - §III-E encouraging early root connections by discounting the
 //     expected future penalty savings.
 //
@@ -51,8 +52,8 @@ type Options struct {
 	// stale-key trade, see ARCHITECTURE.md "Goal-oriented search").
 	AStar bool
 	// ImproveSteiner enables §III-D: the new component's representative
-	// is placed at the path position minimizing the estimated extension
-	// cost instead of a random endpoint.
+	// is the heavier of the two merged representatives instead of a
+	// weight-proportional random pick (see chooseRep).
 	ImproveSteiner bool
 	// RootBonus enables §III-E: root connection labels are discounted by
 	// the guaranteed future penalty saving η·dbif·w(u).

@@ -687,7 +687,7 @@ func (s *solver) merge(c *comp, jid int32, pIdx int32, toRoot bool) {
 		s.alive--
 	} else {
 		k.weight = c.weight + j.weight
-		k.rep = s.chooseRep(c, j, path)
+		k.rep = s.chooseRep(c, j)
 		s.alive--
 	}
 	ev.NewRep = s.g.Pt(k.rep)
@@ -731,7 +731,7 @@ func (s *solver) merge(c *comp, jid int32, pIdx int32, toRoot bool) {
 // which is at most the randomized choice's expected 2·w_u·w_v/(w_u+w_v)
 // — a strict improvement in practice that, like the paper's §III-D,
 // gives up the theoretical guarantee.
-func (s *solver) chooseRep(c, j *comp, path []grid.V) grid.V {
+func (s *solver) chooseRep(c, j *comp) grid.V {
 	if s.opt.ImproveSteiner {
 		if c.weight >= j.weight {
 			return c.rep

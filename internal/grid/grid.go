@@ -120,6 +120,17 @@ func New(nx, ny int32, layers []Layer, lenUM float64) *Graph {
 	return g
 }
 
+// LayerDirs renders the per-layer preferred directions as one "H"/"V"
+// letter per layer, e.g. "HVHVHVHV" — the layer-stack signature that
+// checkpoints store.
+func (g *Graph) LayerDirs() string {
+	b := make([]byte, len(g.Layers))
+	for i := range g.Layers {
+		b[i] = g.Layers[i].Dir.String()[0]
+	}
+	return string(b)
+}
+
 // NumV returns the number of vertices.
 func (g *Graph) NumV() int32 { return g.NX * g.NY * int32(len(g.Layers)) }
 

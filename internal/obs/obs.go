@@ -6,11 +6,11 @@
 //
 // The central contract is that telemetry observes the computation and
 // never perturbs it. A nil *Recorder is the default and is
-// zero-overhead: every method is nil-safe, the router's hot loop guards
-// per-net recording behind one pointer check, and with Recorder == nil
-// routed trees and metrics are byte-identical to a build without the
-// package (pinned by the golden digests and the recorder determinism
-// test). With a recorder attached, spans carry wall-clock durations —
+// zero-overhead: every method of it and of its per-worker buffers is
+// nil-safe, so the router's hot loop records unguarded, and with
+// Recorder == nil routed trees and metrics are byte-identical to a
+// build without the package (pinned by the golden digests and the
+// recorder determinism test). With a recorder attached, spans carry wall-clock durations —
 // inherently nondeterministic — so durations are kept out of every wire
 // form, exactly like RouteMetrics.Walltime; the deterministic
 // per-wave series (objective, overflow, counts) are what crosses
@@ -275,7 +275,8 @@ func (r *Recorder) Dropped() int64 {
 // Worker is a per-goroutine span buffer: writes take no locks, and the
 // buffer drains into the recorder at the next EndWave barrier. Wave is
 // the wave index stamped on recorded spans; the owning goroutine sets
-// it between barriers.
+// it between barriers. Like Recorder's, its recording methods are safe
+// on a nil receiver, which records nothing.
 type Worker struct {
 	Wave    int32
 	rec     *Recorder
@@ -284,21 +285,31 @@ type Worker struct {
 	dropped int64
 }
 
-// Now returns the recorder's monotonic clock.
-func (w *Worker) Now() int64 { return w.rec.Now() }
+// Now returns the recorder's monotonic clock (0 on a nil worker).
+func (w *Worker) Now() int64 {
+	if w == nil {
+		return 0
+	}
+	return w.rec.Now()
+}
 
-// Span records one span ending now on the worker's buffer.
+// Span records one span ending now on the worker's buffer. Safe on nil
+// (no-op).
 func (w *Worker) Span(st Stage, net int32, oracle string, start int64) {
 	w.add(st, net, oracle, start, false)
 }
 
 // DetailSpan records a nested sub-span ending now: present in traces
-// and dumps, excluded from per-wave stage sums (see Span.Detail).
+// and dumps, excluded from per-wave stage sums (see Span.Detail). Safe
+// on nil (no-op).
 func (w *Worker) DetailSpan(st Stage, net int32, oracle string, start int64) {
 	w.add(st, net, oracle, start, true)
 }
 
 func (w *Worker) add(st Stage, net int32, oracle string, start int64, detail bool) {
+	if w == nil {
+		return
+	}
 	end := w.rec.Now()
 	if len(w.spans) >= w.rec.maxSpans {
 		w.dropped++

@@ -20,6 +20,12 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.Workers(4) != nil {
 		t.Fatal("nil recorder returned workers")
 	}
+	var w *Worker
+	if w.Now() != 0 {
+		t.Fatalf("nil worker Now() = %d, want 0", w.Now())
+	}
+	w.Span(StageSolve, 1, "cd", 0)
+	w.DetailSpan(StageSolve, 1, "exact-search:adopted", 0)
 }
 
 func TestEndWaveMergesWorkersDeterministically(t *testing.T) {

@@ -44,10 +44,10 @@ type Env struct {
 	// Ctx, when non-nil, is checked by long-running oracles (the exact
 	// tier) for prompt mid-solve cancellation. Nil means "no deadline".
 	Ctx context.Context
-	// Rec, when non-nil, is the worker's telemetry span sink. Oracles
-	// with internal phases worth attributing (the exact tier's search
-	// vs its heuristic seed) record detail spans on it; recording never
-	// influences the solve.
+	// Rec is the worker's telemetry span sink; nil records nothing.
+	// Oracles with internal phases worth attributing (the exact tier's
+	// search vs its heuristic seed) record detail spans on it; recording
+	// never influences the solve.
 	Rec *obs.Worker
 }
 
@@ -203,31 +203,22 @@ func solveExact(in *nets.Instance, env *Env) (*nets.RTree, error) {
 	// The detail span splits the exact tier's cost between the CD seed
 	// (the enclosing solve span minus this) and the goal-oriented
 	// search, with the outcome as the attribute.
-	var searchT0 int64
-	if env.Rec != nil {
-		searchT0 = env.Rec.Now()
-	}
+	searchT0 := env.Rec.Now()
 	res, err := exact.SolveGoalLimits(env.Ctx, in, lim)
 	if err != nil {
 		if env.Ctx != nil && env.Ctx.Err() != nil {
 			return nil, env.Ctx.Err() // cancellation is not a fallback case
 		}
-		if env.Rec != nil {
-			env.Rec.DetailSpan(obs.StageSolve, -1, "exact-search:over-budget", searchT0)
-		}
+		env.Rec.DetailSpan(obs.StageSolve, -1, "exact-search:over-budget", searchT0)
 		return cd, nil // over budget: stay on the heuristic tier
 	}
 	if res.Total <= ev.Total {
-		if env.Rec != nil {
-			env.Rec.DetailSpan(obs.StageSolve, -1, "exact-search:adopted", searchT0)
-		}
+		env.Rec.DetailSpan(obs.StageSolve, -1, "exact-search:adopted", searchT0)
 		return res.Tree, nil
 	}
 	// With dbif > 0 the exact reconstruction can carry a small
 	// bifurcation gap above the DP value; keep whichever tree evaluates
 	// better.
-	if env.Rec != nil {
-		env.Rec.DetailSpan(obs.StageSolve, -1, "exact-search:seed-kept", searchT0)
-	}
+	env.Rec.DetailSpan(obs.StageSolve, -1, "exact-search:seed-kept", searchT0)
 	return cd, nil
 }

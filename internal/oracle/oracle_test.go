@@ -48,60 +48,31 @@ func TestHints(t *testing.T) {
 	}
 }
 
-// pick is the band oracle name the selector gives one net.
-func pick(s oracle.Selection, ws, budgets, fastest []float64) string {
-	return s.Oracle(s.Band(ws, budgets, fastest))
-}
-
+// The fixed bands: trivial (≤ 1 sink) → rsmt, critical (a weight at
+// the threshold) → exact, tight (a budget under 1.25 × the fastest
+// delay) → sl, anything else → rsmt.
 func TestSelectionBands(t *testing.T) {
-	sel := oracle.Selection{CriticalWeight: 0.01, TightBudgetRatio: 1.5}
-	if got := pick(sel, []float64{0.001, 0.02}, nil, nil); got != "exact" {
-		t.Fatalf("critical net picked %q", got)
-	}
-	if got := pick(sel, []float64{0.001}, []float64{100}, []float64{90}); got != "sl" {
-		t.Fatalf("budget-tight net picked %q", got)
-	}
-	if got := pick(sel, []float64{0.001}, []float64{1000}, []float64{90}); got != "rsmt" {
-		t.Fatalf("relaxed net picked %q", got)
-	}
-	// The trivial band outranks criticality: a single-sink net has a
-	// unique topology, so the cheap oracle is kept however hot the
-	// timing price is.
-	triv := oracle.Selection{TrivialSinks: 1, CriticalWeight: 0.01}
-	if got := pick(triv, []float64{5.0}, nil, nil); got != "rsmt" {
-		t.Fatalf("trivial single-sink net picked %q", got)
-	}
-	if got := pick(triv, []float64{5.0, 5.0}, nil, nil); got != "exact" {
-		t.Fatalf("critical two-sink net picked %q", got)
-	}
-	// Disabled bands fall through.
-	off := oracle.Selection{}
-	if got := pick(off, []float64{1e9}, []float64{0}, []float64{1}); got != "rsmt" {
-		t.Fatalf("disabled thresholds picked %q", got)
-	}
-	// Custom band oracles are honored.
-	custom := oracle.Selection{CriticalWeight: 0.01, Critical: "pd"}
-	if got := pick(custom, []float64{0.02}, nil, nil); got != "pd" {
-		t.Fatalf("custom critical oracle: got %q", got)
-	}
-}
-
-func TestSelectionValidate(t *testing.T) {
-	sel, err := oracle.Selection{Critical: "L1", Portfolio: []string{"CD", "l1"}}.Validate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel.Critical != "rsmt" || sel.Tight != "sl" || sel.Relaxed != "rsmt" {
-		t.Fatalf("canonicalization wrong: %+v", sel)
-	}
-	if !reflect.DeepEqual(sel.Portfolio, []string{"cd", "rsmt"}) {
-		t.Fatalf("portfolio canonicalization wrong: %v", sel.Portfolio)
-	}
-	if _, err := (oracle.Selection{Tight: "nope"}).Validate(); err == nil {
-		t.Fatal("unknown band oracle accepted")
-	}
-	if _, err := (oracle.Selection{Portfolio: []string{"nope"}}).Validate(); err == nil {
-		t.Fatal("unknown portfolio oracle accepted")
+	const critical = 0.01
+	for _, tc := range []struct {
+		name                 string
+		ws, budgets, fastest []float64
+		want                 string
+	}{
+		{"critical", []float64{0.001, 0.02}, nil, nil, "exact"},
+		{"critical at the threshold", []float64{0.001, critical}, nil, nil, "exact"},
+		{"budget-tight", []float64{0.001, 0.001}, []float64{1000, 112}, []float64{1, 90}, "sl"},
+		{"budget at 1.25 × fastest is not tight", []float64{0.001, 0.001}, []float64{1000, 112.5}, []float64{1, 90}, "rsmt"},
+		{"critical outranks tight", []float64{0.001, 0.02}, []float64{0, 0}, []float64{1, 1}, "exact"},
+		{"relaxed", []float64{0.001, 0.001}, []float64{1000, 1000}, []float64{90, 90}, "rsmt"},
+		{"no budgets", []float64{0.001, 0.001}, nil, nil, "rsmt"},
+		// The trivial band outranks criticality and tightness: a
+		// single-sink net has a unique topology, so the cheap oracle is
+		// kept however hot the timing price is.
+		{"trivial single-sink", []float64{5.0}, []float64{0}, []float64{1}, "rsmt"},
+	} {
+		if got := oracle.Names()[oracle.Band(critical, tc.ws, tc.budgets, tc.fastest)]; got != tc.want {
+			t.Errorf("%s: picked %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -197,13 +168,11 @@ func TestFixedOracleBitIdenticalToLegacyEnumPath(t *testing.T) {
 	}
 }
 
-// Portfolio mode must return the best-priced tree among its pool, with
-// the name-ordered tie-break making it independent of pool spelling
-// order.
+// Portfolio mode must return the best-priced tree among its pool —
+// every oracle but the exact tier.
 func TestPortfolioKeepsBestPriced(t *testing.T) {
 	ins := captureInstances(t)
 	opt := router.DefaultOptions()
-	opt.Selection.Portfolio = []string{"sl", "cd", "l1", "pd"} // scrambled on purpose
 	for i, in := range ins {
 		got, err := router.SolveNet(in, router.Portfolio, opt)
 		if err != nil {
@@ -238,16 +207,8 @@ func TestPortfolioKeepsBestPriced(t *testing.T) {
 func TestAutoMatchesExplicitBandOracle(t *testing.T) {
 	ins := captureInstances(t)
 	opt := router.DefaultOptions()
-	sel := opt.Selection
-	if sel.CriticalWeight == 0 {
-		sel.CriticalWeight = 2 * opt.WeightBase
-	}
-	sel, err := sel.Validate()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, in := range ins {
-		name := sel.Oracle(sel.InstanceBand(in))
+		name := oracle.Names()[oracle.InstanceBand(2*opt.WeightBase, in)]
 		m, ok := router.MethodByName(name)
 		if !ok {
 			t.Fatalf("selected unknown oracle %q", name)

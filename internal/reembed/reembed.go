@@ -102,10 +102,11 @@ type Scratch struct {
 	rooted nets.Rooted
 	dp     embed.DP
 
-	// Obs, when non-nil, is the owning router worker's telemetry sink;
-	// Repair records the re-embedding DP on it as a detail span nested
-	// inside the router's repair span. The router re-points it every
-	// wave (nil on unrecorded runs); it never influences the repair.
+	// Obs is the owning router worker's telemetry sink; Repair records
+	// the re-embedding DP on it as a detail span nested inside the
+	// router's repair span. The router re-points it every wave (nil on
+	// unrecorded runs, which records nothing); it never influences the
+	// repair.
 	Obs *obs.Worker
 }
 
@@ -153,14 +154,9 @@ func Repair(in *nets.Instance, cached *nets.RTree, scr *Scratch) (*Outcome, erro
 	// adoption is strict-<, so embeddings at or above it are worthless
 	// and the spreads prune to the corridor that can still beat it.
 	bound := cachedEval.Total * (1 + 1e-9)
-	var dpT0 int64
-	if scr.Obs != nil {
-		dpT0 = scr.Obs.Now()
-	}
+	dpT0 := scr.Obs.Now()
 	tr, _, err := Reembed(in, topo, win, bound, scr)
-	if scr.Obs != nil {
-		scr.Obs.DetailSpan(obs.StageRepair, -1, "reembed-dp", dpT0)
-	}
+	scr.Obs.DetailSpan(obs.StageRepair, -1, "reembed-dp", dpT0)
 	if errors.Is(err, embed.ErrBound) {
 		// The cached tree is already optimal-or-tied within the window.
 		return &Outcome{Tree: cached, Eval: cachedEval, CachedEval: cachedEval}, nil

@@ -9,6 +9,7 @@ import (
 	"costdist/internal/geom"
 	"costdist/internal/grid"
 	"costdist/internal/nets"
+	"costdist/internal/oracle"
 )
 
 // incHalo is the halo, in gcells, added around a cached tree's bounding
@@ -93,7 +94,7 @@ type incState struct {
 	fullCost []float64
 	// fastest[ni][k] is the admissible fastest root→sink delay used by
 	// the Auto band check — identical, by construction, to the value
-	// Selection.InstanceBand derives on the solve path (same pin
+	// oracle.InstanceBand derives on the solve path (same pin
 	// positions, same static MinDelayPerGCell).
 	fastest [][]float64
 	// seed, when non-nil, replaces the next computeDirty pass entirely:
@@ -263,16 +264,10 @@ func (s *incState) computeDirty(costs *grid.Costs, trees []*nets.RTree, weights,
 				}
 			}
 		}
-		if !s.dirty[ni] && s.drv.mode == Auto {
+		if !s.dirty[ni] && s.bandFlipped(ni, weights, budgets) {
 			// A criticality band flip re-selects the oracle; the cached
 			// tree, however close in price, came from the wrong one.
-			var fs []float64
-			if budgets[ni] != nil {
-				fs = s.fastest[ni]
-			}
-			if s.drv.pickIdx(weights[ni], budgets[ni], fs) != int(s.lastOracle[ni]) {
-				s.dirty[ni] = true
-			}
+			s.dirty[ni] = true
 		}
 		if !s.dirty[ni] && s.drv.usesBudgets(int(s.lastOracle[ni])) {
 			// Budgets only steer budget-consuming oracles (shallow-light);
@@ -312,20 +307,29 @@ func (s *incState) computeDirty(costs *grid.Costs, trees []*nets.RTree, weights,
 // flip re-selects the oracle class, and a budget-consuming oracle
 // whose budget vector changed shape no longer matches its snapshot.
 func (s *incState) repairEligible(ni int, weights, budgets [][]float64) bool {
-	if s.drv.mode == Auto {
-		var fs []float64
-		if budgets[ni] != nil {
-			fs = s.fastest[ni]
-		}
-		if s.drv.pickIdx(weights[ni], budgets[ni], fs) != int(s.lastOracle[ni]) {
-			return false
-		}
+	if s.bandFlipped(ni, weights, budgets) {
+		return false
 	}
 	if !s.drv.usesBudgets(int(s.lastOracle[ni])) {
 		return true
 	}
 	lb := s.lastB[ni]
 	return lb != nil && len(lb) == len(budgets[ni])
+}
+
+// bandFlipped reports whether, under the Auto driver, net ni's
+// criticality band — hence its oracle — differs from the one that
+// produced its cached tree. The band check runs on the same inputs the
+// solve path derives (oracle.InstanceBand), so both agree.
+func (s *incState) bandFlipped(ni int, weights, budgets [][]float64) bool {
+	if s.drv.mode != Auto {
+		return false
+	}
+	var fs []float64
+	if budgets[ni] != nil {
+		fs = s.fastest[ni]
+	}
+	return oracle.Band(s.drv.critical, weights[ni], budgets[ni], fs) != int(s.lastOracle[ni])
 }
 
 // noteSolved snapshots the inputs net ni was just solved under — timing

@@ -41,11 +41,11 @@ const (
 	SL               // shallow-light topology, embedded optimally
 	PD               // Prim-Dijkstra topology, embedded optimally
 	CD               // the paper's cost-distance algorithm
-	// Auto picks an oracle per net from its timing criticality
-	// (Options.Selection thresholds).
+	// Auto picks an oracle per net from its timing criticality (the
+	// fixed bands of oracle.Band).
 	Auto
-	// Portfolio races several oracles on every net and keeps the
-	// best-priced tree (name-ordered tie-break).
+	// Portfolio races every oracle but the exact tier on every net and
+	// keeps the best-priced tree (name-ordered tie-break).
 	Portfolio
 	// Exact routes every net with the exact tier: the goal-oriented
 	// label-setting solver seeded by the CD heuristic, falling back to
@@ -116,10 +116,9 @@ type Options struct {
 	// Seed drives all randomized choices.
 	Seed uint64
 
-	// DBif and Eta parameterize the bifurcation penalty model; DBif < 0
-	// means "use the technology-derived value" (chip.DBif), 0 disables.
+	// DBif is the bifurcation penalty; < 0 means "use the
+	// technology-derived value" (chip.DBif), 0 disables it.
 	DBif float64
-	Eta  float64
 
 	// PriceAlpha and PriceTarget parameterize congestion pricing.
 	PriceAlpha  float64
@@ -130,9 +129,6 @@ type Options struct {
 	WeightBase float64
 	WeightTau  float64
 	WeightMax  float64
-
-	// Margin is the routing window margin in gcells.
-	Margin int32
 
 	// CoreOpt configures the CD oracle; PDAlpha and SLEps the baselines.
 	CoreOpt core.Options
@@ -171,12 +167,6 @@ type Options struct {
 	// reproducing the two-rung scheduler bit-for-bit.
 	RepairTol float64
 
-	// Selection configures the Auto selector's criticality bands and
-	// the Portfolio pool; fixed single-oracle runs never consult (or
-	// validate) it. A zero CriticalWeight derives the threshold from
-	// WeightBase (see oracle.Selection).
-	Selection SelectionOptions
-
 	// Recorder, when non-nil, captures structured telemetry: per-stage
 	// spans (dirty scan, repair, solve, replay, reprice, checkpoint)
 	// and per-wave convergence snapshots, and populates the
@@ -187,23 +177,17 @@ type Options struct {
 	Recorder *obs.Recorder
 }
 
-// SelectionOptions configures per-net adaptive oracle selection and
-// portfolio mode.
-type SelectionOptions = oracle.Selection
-
 // DefaultOptions returns a configuration mirroring the paper's setup.
 func DefaultOptions() Options {
 	return Options{
 		Waves:       4,
 		Seed:        1,
 		DBif:        -1,
-		Eta:         0.25,
 		PriceAlpha:  1.2,
 		PriceTarget: 0.85,
 		WeightBase:  5e-4,
 		WeightTau:   800,
 		WeightMax:   0.05,
-		Margin:      6,
 		CoreOpt:     core.DefaultOptions(),
 		PDAlpha:     0.3,
 		SLEps:       0.25,
@@ -211,11 +195,6 @@ func DefaultOptions() Options {
 
 		IncrementalTol: 0.05,
 		RepairTol:      -1,
-
-		// CriticalWeight stays 0: the driver derives it from the actual
-		// WeightBase (2 × floor), so retuning the floor keeps the Auto
-		// critical band coupled to it.
-		Selection: SelectionOptions{TrivialSinks: 1, TightBudgetRatio: 1.25},
 	}
 }
 
@@ -239,6 +218,23 @@ func newScratchPool(n int) *scratchPool {
 	return p
 }
 
+// portfolioPool is the oracles the Portfolio driver races on every net:
+// every table row except the exact tier, whose search on every net of a
+// netlist would dominate the run's cost. Table order is name order, so
+// the pool's order is the deterministic tie-break. poolUsesBudgets says
+// whether any member consumes budgets.
+var (
+	portfolioPool = func() (pool []int) {
+		for oi, name := range oracleNames {
+			if name != "exact" {
+				pool = append(pool, oi)
+			}
+		}
+		return pool
+	}()
+	poolUsesBudgets = slices.ContainsFunc(portfolioPool, oracle.UsesBudgets)
+)
+
 // driver is a Method resolved against the oracle table once per run;
 // every net solve dispatches through it: a fixed single oracle, the
 // adaptive per-net selector, or the portfolio racer. All selection
@@ -250,72 +246,23 @@ type driver struct {
 	// fixed is the oracle of a fixed single-oracle run (-1 for
 	// Auto/Portfolio).
 	fixed int
-	// sel is the resolved selection (bands validated, thresholds
-	// derived) and band its oracle per oracle.Band; pool is the
-	// name-ordered portfolio pool and poolUsesBudgets whether any member
-	// consumes budgets.
-	sel             oracle.Selection
-	band            [oracle.BandCritical + 1]int
-	pool            []int
-	poolUsesBudgets bool
+	// critical is Auto's critical delay-weight threshold: a net is
+	// critical once pricing has at least doubled one of its sink weights
+	// above the uncritical floor.
+	critical float64
 }
 
-// newDriver resolves the dispatch for one run. A fixed method resolves
-// to a value without allocating, keeping SolveNet on the batch hot path
-// allocation-free at the dispatch layer.
+// newDriver resolves the dispatch for one run; it fails only for an
+// unknown Method. It does not allocate, keeping SolveNet on the batch
+// hot path allocation-free at the dispatch layer.
 func newDriver(m Method, opt Options) (driver, error) {
+	d := driver{mode: m, fixed: -1, critical: 2 * opt.WeightBase}
 	if m != Auto && m != Portfolio {
-		oi := oracle.Index(m.Name())
-		if oi < 0 {
+		if d.fixed = oracle.Index(m.Name()); d.fixed < 0 {
 			return driver{}, fmt.Errorf("router: unknown method %v (available: %v)", m, MethodNames())
-		}
-		return driver{mode: m, fixed: oi}, nil
-	}
-	d := driver{mode: m, fixed: -1}
-	sel := opt.Selection
-	if sel.CriticalWeight == 0 {
-		// A net is critical once pricing has at least doubled one of
-		// its sink weights above the uncritical floor.
-		sel.CriticalWeight = 2 * opt.WeightBase
-	}
-	sel, err := sel.Validate()
-	if err != nil {
-		return driver{}, err
-	}
-	d.sel = sel
-	for b := range d.band {
-		d.band[b] = oracle.Index(sel.Oracle(oracle.Band(b)))
-	}
-	if m == Portfolio {
-		// Table order is name order: sorted indices give the
-		// deterministic tie-break.
-		for _, name := range sel.Portfolio {
-			d.pool = append(d.pool, oracle.Index(name))
-		}
-		if len(d.pool) == 0 {
-			// The default pool is every oracle except the exact tier:
-			// racing an exact search on every net would dominate the
-			// run's cost (see oracle.Selection.Portfolio).
-			for oi, name := range oracleNames {
-				if name != "exact" {
-					d.pool = append(d.pool, oi)
-				}
-			}
-		}
-		slices.Sort(d.pool)
-		d.pool = slices.Compact(d.pool)
-		for _, oi := range d.pool {
-			d.poolUsesBudgets = d.poolUsesBudgets || oracle.UsesBudgets(oi)
 		}
 	}
 	return d, nil
-}
-
-// pickIdx is the Auto band selection on raw per-net timing inputs —
-// shared with the dirty-net scheduler's invalidation check so both
-// always agree on the selected oracle.
-func (d *driver) pickIdx(ws, budgets, fastest []float64) int {
-	return d.band[d.sel.Band(ws, budgets, fastest)]
 }
 
 // usesBudgets reports whether a re-solve of a net whose cached tree
@@ -323,7 +270,7 @@ func (d *driver) pickIdx(ws, budgets, fastest []float64) int {
 // dirty-net scheduler's budget-drift invalidation gate.
 func (d *driver) usesBudgets(last int) bool {
 	if d.mode == Portfolio {
-		return d.poolUsesBudgets
+		return poolUsesBudgets
 	}
 	return last >= 0 && oracle.UsesBudgets(last)
 }
@@ -342,7 +289,7 @@ func (d *driver) solve(in *nets.Instance, env *oracle.Env, counts []int64) (*net
 	}
 	switch d.mode {
 	case Auto:
-		oi := d.band[d.sel.InstanceBand(in)]
+		oi := oracle.InstanceBand(d.critical, in)
 		charge(oi)
 		tr, err := oracle.Solve(oi, in, env)
 		return tr, oi, nil, err
@@ -350,7 +297,7 @@ func (d *driver) solve(in *nets.Instance, env *oracle.Env, counts []int64) (*net
 		var best *nets.RTree
 		var bestEv *nets.Eval
 		bestIdx, bestTotal := -1, math.Inf(1)
-		for _, oi := range d.pool {
+		for _, oi := range portfolioPool {
 			tr, err := oracle.Solve(oi, in, env)
 			if err != nil {
 				return nil, oi, nil, fmt.Errorf("portfolio %s: %w", oracleNames[oi], err)
@@ -366,7 +313,7 @@ func (d *driver) solve(in *nets.Instance, env *oracle.Env, counts []int64) (*net
 			}
 		}
 		if best == nil {
-			return nil, -1, nil, fmt.Errorf("router: empty portfolio pool")
+			return nil, -1, nil, fmt.Errorf("router: no portfolio oracle priced the net finitely")
 		}
 		return best, bestIdx, bestEv, nil
 	default:

@@ -94,19 +94,6 @@ type NetState struct {
 	Tree *nets.RTree
 }
 
-// layerDirs renders a grid's per-layer preferred directions as the
-// compact signature string stored in checkpoints.
-func layerDirs(g *grid.Graph) string {
-	b := make([]byte, len(g.Layers))
-	for i := range g.Layers {
-		b[i] = 'H'
-		if g.Layers[i].Dir == grid.DirV {
-			b[i] = 'V'
-		}
-	}
-	return string(b)
-}
-
 // CompatibleWith reports whether the state can warm-start routing on
 // the given grid: equal dimensions, layer count and directions (which
 // together fix the vertex and segment numbering), and matching segment
@@ -116,7 +103,7 @@ func (st *State) CompatibleWith(g *grid.Graph) error {
 		return fmt.Errorf("router: checkpoint grid %dx%dx%d incompatible with chip grid %dx%dx%d",
 			st.NX, st.NY, st.Layers, g.NX, g.NY, len(g.Layers))
 	}
-	if d := layerDirs(g); d != st.LayerDirs {
+	if d := g.LayerDirs(); d != st.LayerDirs {
 		return fmt.Errorf("router: checkpoint layer directions %s incompatible with chip %s", st.LayerDirs, d)
 	}
 	if int(g.NumSegs()) != len(st.Cap) || len(st.Cap) != len(st.Mult) || len(st.Cap) != len(st.Ref) {
@@ -139,7 +126,7 @@ func (r *runState) Checkpoint() *State {
 		NX:        g.NX,
 		NY:        g.NY,
 		Layers:    len(g.Layers),
-		LayerDirs: layerDirs(g),
+		LayerDirs: g.LayerDirs(),
 		Cap:       append([]float32(nil), g.Cap...),
 		Mult:      append([]float32(nil), r.pricer.Mult...),
 		Metrics:   r.res.Metrics,

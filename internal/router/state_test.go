@@ -84,7 +84,7 @@ func TestComputeDirtySeedMode(t *testing.T) {
 	env := oracle.Env{Core: opt.CoreOpt, PDAlpha: opt.PDAlpha, SLEps: opt.SLEps, LBif: r.lbif}
 	fake := make(map[int]bool)
 	for _, ni := range []int{0, 1} {
-		in := buildInstance(chip, ni, r.weights[ni], costs, r.dbif, opt)
+		in := buildInstance(chip, ni, r.weights[ni], costs, r.dbif, opt.Seed)
 		tr, err := oracle.Solve(drv.fixed, in, &env)
 		if err != nil {
 			t.Fatal(err)

@@ -131,35 +131,14 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*ru
 	// every sink carries its Lagrangean timing price from the first wave
 	// (ref [13] prices all timing constraints from the start; a purely
 	// reactive update would let delay-oblivious trees poison wave 0).
-	{
-		mid := g.Layers[len(g.Layers)/2]
-		perGC := mid.Wires[0].DelayPerGCell
-		est := func(n, k int) float64 {
-			net := nl.Nets[n]
-			d := geom.L1(nl.Cells[net.Driver].Pos, nl.Cells[net.Sinks[k]].Pos)
-			return float64(d)*perGC + 2*mid.ViaDelay
-		}
-		timing := sta.Analyze(nl, est, chip.ClkPeriod)
-		for ni := range nl.Nets {
-			r.budgets[ni] = make([]float64, len(nl.Nets[ni].Sinks))
-			for k := range nl.Nets[ni].Sinks {
-				slack := timing.PinSlack(ni, k)
-				w := opt.WeightBase * math.Exp(-slack/opt.WeightTau)
-				if w < opt.WeightBase {
-					w = opt.WeightBase
-				}
-				if w > opt.WeightMax {
-					w = opt.WeightMax
-				}
-				r.weights[ni][k] = w
-				b := est(ni, k) + slack
-				if b < 0 {
-					b = 0
-				}
-				r.budgets[ni][k] = b
-			}
-		}
-	}
+	// The weights start at WeightBase, so this first update scales the
+	// floor.
+	mid := g.Layers[len(g.Layers)/2]
+	r.updateTiming(func(n, k int) float64 {
+		net := nl.Nets[n]
+		d := geom.L1(nl.Cells[net.Driver].Pos, nl.Cells[net.Sinks[k]].Pos)
+		return float64(d)*mid.Wires[0].DelayPerGCell + 2*mid.ViaDelay
+	})
 
 	// The full work list; the skip policy replaces it with the dirty
 	// subset.
@@ -229,9 +208,8 @@ func (r *runState) runWaves() error {
 			go func(worker int) {
 				defer wg.Done()
 				// The telemetry sink: nil unless a recorder is attached,
-				// so the unrecorded hot path pays one pointer check per
-				// guarded site. The reembed scratch's sink is re-pointed
-				// every wave.
+				// and a nil Worker records nothing. The reembed scratch's
+				// sink is re-pointed every wave.
 				var wk *obs.Worker
 				if rec != nil {
 					wk = r.wkObs[worker]
@@ -260,41 +238,29 @@ func (r *runState) runWaves() error {
 						return
 					}
 					ni := int(work[idx])
-					in := buildInstance(chip, ni, r.weights[ni], costs, r.dbif, opt)
+					in := buildInstance(chip, ni, r.weights[ni], costs, r.dbif, opt.Seed)
 					in.Budgets = r.budgets[ni]
 					if r.inc.repair[ni] {
 						// The middle rung: re-embed the cached topology
 						// under the current prices. Adopted repairs skip
 						// the oracle (and the capture hook — they are not
 						// fresh solves); failures fall through to one.
-						var repT0 int64
-						if wk != nil {
-							repT0 = wk.Now()
-						}
+						repT0 := wk.Now()
 						if r.tryRepair(ni, worker, in) {
-							if wk != nil {
-								wk.Span(obs.StageRepair, int32(ni), "adopted", repT0)
-							}
+							wk.Span(obs.StageRepair, int32(ni), "adopted", repT0)
 							workerRepaired[worker]++
 							continue
 						}
-						if wk != nil {
-							wk.Span(obs.StageRepair, int32(ni), "escalated", repT0)
-						}
+						wk.Span(obs.StageRepair, int32(ni), "escalated", repT0)
 						workerEscalated[worker]++
 					}
-					var solveT0 int64
-					if wk != nil {
-						solveT0 = wk.Now()
-					}
+					solveT0 := wk.Now()
 					tr, oi, ev, err := drv.solve(in, &env, r.workerCounts[worker])
-					if wk != nil {
-						name := ""
-						if oi >= 0 {
-							name = oracleNames[oi]
-						}
-						wk.Span(obs.StageSolve, int32(ni), name, solveT0)
+					name := ""
+					if oi >= 0 {
+						name = oracleNames[oi]
 					}
+					wk.Span(obs.StageSolve, int32(ni), name, solveT0)
 					if err != nil {
 						if workerErr[worker] == nil {
 							workerErr[worker] = fmt.Errorf("net %d: %w", ni, err)
@@ -384,28 +350,7 @@ func (r *runState) runWaves() error {
 			} else {
 				r.pricer.Update(r.usage)
 			}
-			timing := sta.Analyze(nl, func(n, k int) float64 { return r.delays[n][k] }, chip.ClkPeriod)
-			for ni := range nl.Nets {
-				if r.budgets[ni] == nil {
-					r.budgets[ni] = make([]float64, len(nl.Nets[ni].Sinks))
-				}
-				for k := range nl.Nets[ni].Sinks {
-					slack := timing.PinSlack(ni, k)
-					w := r.weights[ni][k] * math.Exp(-slack/opt.WeightTau)
-					if w < opt.WeightBase {
-						w = opt.WeightBase
-					}
-					if w > opt.WeightMax {
-						w = opt.WeightMax
-					}
-					r.weights[ni][k] = w
-					b := r.delays[ni][k] + slack
-					if b < 0 {
-						b = 0
-					}
-					r.budgets[ni][k] = b
-				}
-			}
+			r.updateTiming(func(n, k int) float64 { return r.delays[n][k] })
 			rec.Span(obs.StagePrice, int32(wave), -1, "", priceT0)
 		}
 
@@ -429,6 +374,38 @@ func (r *runState) runWaves() error {
 		}
 	}
 	return nil
+}
+
+// updateTiming is the Lagrangean timing-price update: STA under the
+// given per-sink delays, then every sink's delay weight is scaled by
+// exp(−slack/τ) and clamped to [WeightBase, WeightMax], and its budget
+// becomes its delay plus the slack the endpoint can still afford
+// (floored at 0) — the per-sink budgets the shallow-light baseline
+// consumes, per ref [13].
+func (r *runState) updateTiming(delay func(n, k int) float64) {
+	nl, opt := r.chip.NL, r.opt
+	timing := sta.Analyze(nl, delay, r.chip.ClkPeriod)
+	for ni := range nl.Nets {
+		if r.budgets[ni] == nil {
+			r.budgets[ni] = make([]float64, len(nl.Nets[ni].Sinks))
+		}
+		for k := range nl.Nets[ni].Sinks {
+			slack := timing.PinSlack(ni, k)
+			w := r.weights[ni][k] * math.Exp(-slack/opt.WeightTau)
+			if w < opt.WeightBase {
+				w = opt.WeightBase
+			}
+			if w > opt.WeightMax {
+				w = opt.WeightMax
+			}
+			r.weights[ni][k] = w
+			b := delay(ni, k) + slack
+			if b < 0 {
+				b = 0
+			}
+			r.budgets[ni][k] = b
+		}
+	}
 }
 
 // tryRepair runs the repair rung on one dirty net: re-embed its cached
@@ -470,19 +447,25 @@ func (r *runState) tryRepair(ni, worker int, in *nets.Instance) bool {
 }
 
 // buildInstance assembles the cost-distance subproblem for one net under
-// the current prices and weights.
-func buildInstance(chip *chipgen.Chip, ni int, w []float64, costs *grid.Costs, dbif float64, opt Options) *nets.Instance {
+// the current prices and weights. Every net takes the paper's penalty
+// share η = 0.25 (§IV-A) and a routing window 6 gcells beyond its
+// terminals' bounding box.
+func buildInstance(chip *chipgen.Chip, ni int, w []float64, costs *grid.Costs, dbif float64, seed uint64) *nets.Instance {
+	const (
+		eta    = 0.25
+		margin = 6
+	)
 	n := chip.NL.Nets[ni]
 	in := &nets.Instance{
 		G: chip.G, C: costs,
 		Root: chip.PinVertex(n.Driver),
-		DBif: dbif, Eta: opt.Eta,
-		Seed: opt.Seed*0x9E3779B9 + uint64(ni),
+		DBif: dbif, Eta: eta,
+		Seed: seed*0x9E3779B9 + uint64(ni),
 	}
 	for k, s := range n.Sinks {
 		in.Sinks = append(in.Sinks, nets.Sink{V: chip.PinVertex(s), W: w[k]})
 	}
-	in.Win = in.DefaultWindow(opt.Margin)
+	in.Win = in.DefaultWindow(margin)
 	return in
 }
 

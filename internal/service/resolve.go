@@ -172,19 +172,11 @@ func resolveRoute(cfg Config, body []byte) (*routeCall, *rejection) {
 	}
 	c.ropt.Waves, c.ropt.Seed, c.ropt.Threads = req.Waves, req.Seed, req.Threads
 	c.ropt.Incremental = req.Incremental
-	// Repair tolerance: an explicit negative forces the rung off even
-	// against a configured server default — the default applies only
-	// when the request is silent. Negative spellings canonicalize to -1
-	// (or to absent when there is no default to override, where the two
-	// are indistinguishable) before the content address is taken.
+	// Repair tolerance: every negative spelling means "off", the library
+	// default, and canonicalizes to absent before the content address is
+	// taken.
 	if req.RepairTol != nil && *req.RepairTol < 0 {
-		if off := -1.0; cfg.DefaultRepairTol > 0 {
-			req.RepairTol = &off
-		} else {
-			req.RepairTol = nil
-		}
-	} else if req.RepairTol == nil && cfg.DefaultRepairTol > 0 {
-		req.RepairTol = &cfg.DefaultRepairTol
+		req.RepairTol = nil
 	}
 	if req.RepairTol != nil {
 		c.ropt.RepairTol = *req.RepairTol

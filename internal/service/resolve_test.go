@@ -15,7 +15,7 @@ import (
 // under: the defaults, and one with every request-visible default moved.
 var resolverConfigs = []Config{
 	Config{}.withDefaults(),
-	Config{DefaultMethod: "auto", DefaultRepairTol: 0.25}.withDefaults(),
+	Config{DefaultMethod: "auto"}.withDefaults(),
 }
 
 // canonicalSolveBody spells a resolved solve back out as a request: the
@@ -157,10 +157,10 @@ func FuzzResolveRoute(f *testing.F) {
 // Equivalent spellings of one request share a content address; requests
 // that can produce different bytes never do.
 func TestResolveEquivalentSpellingsShareKeys(t *testing.T) {
-	plain, withDefault := resolverConfigs[0], Config{DefaultRepairTol: 0.25}.withDefaults()
-	routeKey := func(cfg Config, body string) string {
+	plain := resolverConfigs[0]
+	routeKey := func(body string) string {
 		t.Helper()
-		c, rej := resolveRoute(cfg, []byte(body))
+		c, rej := resolveRoute(plain, []byte(body))
 		if rej != nil {
 			t.Fatalf("%s: %d %s", body, rej.status, rej.msg)
 		}
@@ -177,25 +177,21 @@ func TestResolveEquivalentSpellingsShareKeys(t *testing.T) {
 	waves := costdist.DefaultRouterOptions().Waves
 	for _, tc := range []struct {
 		name string
-		cfg  Config
 		a, b string
 		same bool
 	}{
-		{"perturb_frac 0 ignores the seed", plain, `{"chip":"c1"}`, `{"chip":"c1","perturb_seed":7}`, true},
-		{"perturb_seed 0 is 1", plain, `{"chip":"c1","perturb_frac":0.05}`, `{"chip":"c1","perturb_frac":0.05,"perturb_seed":1}`, true},
-		{"perturb_seed matters with a perturbation", plain, `{"chip":"c1","perturb_frac":0.05}`, `{"chip":"c1","perturb_frac":0.05,"perturb_seed":2}`, false},
-		{"oracle alias", plain, `{"chip":"c1","oracle":"l1"}`, `{"chip":"c1","oracle":"rsmt"}`, true},
-		{"oracle default", plain, `{"chip":"c1"}`, `{"chip":"c1","oracle":"cd"}`, true},
-		{"threads never split the cache", plain, `{"chip":"c1","threads":1}`, `{"chip":"c1","threads":8}`, true},
-		{"scale, seed and waves defaults", plain, `{"chip":"c1"}`, fmt.Sprintf(`{"chip":"c1","scale":0.01,"seed":1,"waves":%d}`, waves), true},
-		{"negative repair_tol is absent without a server default", plain, `{"chip":"c1"}`, `{"chip":"c1","repair_tol":-3}`, true},
-		{"request-level repair_tol", plain, `{"chip":"c1"}`, `{"chip":"c1","repair_tol":0.25}`, false},
-		{"every negative repair_tol is -1 against a server default", withDefault, `{"chip":"c1","repair_tol":-1}`, `{"chip":"c1","repair_tol":-3}`, true},
-		{"silent request takes the server default", withDefault, `{"chip":"c1"}`, `{"chip":"c1","repair_tol":0.25}`, true},
-		{"explicit off differs from the server default", withDefault, `{"chip":"c1"}`, `{"chip":"c1","repair_tol":-1}`, false},
-		{"base_job is part of the key", plain, `{"chip":"c1"}`, `{"chip":"c1","base_job":"job-000001"}`, false},
+		{"perturb_frac 0 ignores the seed", `{"chip":"c1"}`, `{"chip":"c1","perturb_seed":7}`, true},
+		{"perturb_seed 0 is 1", `{"chip":"c1","perturb_frac":0.05}`, `{"chip":"c1","perturb_frac":0.05,"perturb_seed":1}`, true},
+		{"perturb_seed matters with a perturbation", `{"chip":"c1","perturb_frac":0.05}`, `{"chip":"c1","perturb_frac":0.05,"perturb_seed":2}`, false},
+		{"oracle alias", `{"chip":"c1","oracle":"l1"}`, `{"chip":"c1","oracle":"rsmt"}`, true},
+		{"oracle default", `{"chip":"c1"}`, `{"chip":"c1","oracle":"cd"}`, true},
+		{"threads never split the cache", `{"chip":"c1","threads":1}`, `{"chip":"c1","threads":8}`, true},
+		{"scale, seed and waves defaults", `{"chip":"c1"}`, fmt.Sprintf(`{"chip":"c1","scale":0.01,"seed":1,"waves":%d}`, waves), true},
+		{"negative repair_tol is absent", `{"chip":"c1"}`, `{"chip":"c1","repair_tol":-3}`, true},
+		{"request-level repair_tol", `{"chip":"c1"}`, `{"chip":"c1","repair_tol":0.25}`, false},
+		{"base_job is part of the key", `{"chip":"c1"}`, `{"chip":"c1","base_job":"job-000001"}`, false},
 	} {
-		if ka, kb := routeKey(tc.cfg, tc.a), routeKey(tc.cfg, tc.b); (ka == kb) != tc.same {
+		if ka, kb := routeKey(tc.a), routeKey(tc.b); (ka == kb) != tc.same {
 			t.Errorf("%s: %s and %s: same key = %v, want %v", tc.name, tc.a, tc.b, ka == kb, tc.same)
 		}
 	}

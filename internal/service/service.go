@@ -47,6 +47,9 @@ import (
 // should go through the library, not JSON-over-HTTP.
 const maxBodyBytes = 16 << 20
 
+// routeWorkers is the worker count of the route-job pool.
+const routeWorkers = 2
+
 // Config sizes the server. Zero values select the documented defaults.
 type Config struct {
 	// Shards is the number of worker-pool shards; requests land on the
@@ -59,11 +62,6 @@ type Config struct {
 	// QueueDepth bounds each shard's task queue; a full queue answers
 	// 503 instead of buffering unboundedly. Default: 128.
 	QueueDepth int
-	// RouteWorkers sizes the separate pool that runs asynchronous route
-	// jobs. Long-running routes never share a queue or worker with the
-	// bounded-latency synchronous solves, so one big job cannot starve
-	// a slice of the solve keyspace. Default: 2.
-	RouteWorkers int
 	// CacheBytes is the result cache's byte budget (≤ 0 disables it
 	// after defaulting; the zero value still means the default).
 	// Default: 64 MiB.
@@ -77,11 +75,6 @@ type Config struct {
 	// DefaultMethod is the oracle used when a request does not name
 	// one. Default: "cd".
 	DefaultMethod string
-	// DefaultRepairTol, when > 0, enables the incremental engine's
-	// topology-repair rung for route requests that do not carry their
-	// own repair_tol (see RouteRequest.RepairTol). The zero value keeps
-	// the rung off, matching the library default.
-	DefaultRepairTol float64
 	// FlightSpans caps the flight-recorder ring holding the most recent
 	// telemetry spans across all route jobs, dumped at GET /debug/obs.
 	// Default: obs.DefaultRingSpans.
@@ -100,9 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 128
-	}
-	if c.RouteWorkers <= 0 {
-		c.RouteWorkers = 2
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 64 << 20
@@ -131,8 +121,10 @@ type Server struct {
 	checkpoints *resultCache
 	jobs        *jobRegistry
 	// pool serves synchronous solves (sharded by cache digest);
-	// routePool runs asynchronous route jobs, so unbounded jobs never
-	// queue ahead of bounded-latency solves.
+	// routePool runs asynchronous route jobs on routeWorkers workers of
+	// its own, so long-running routes never share a queue or worker with
+	// bounded-latency solves and one big job cannot starve a slice of
+	// the solve keyspace.
 	pool      *pool
 	routePool *pool
 	met       *metrics
@@ -168,7 +160,7 @@ func New(cfg Config) (*Server, error) {
 		cancel:      cancel,
 	}
 	s.pool = newPool(ctx, cfg.Shards, cfg.WorkersPerShard, cfg.QueueDepth)
-	s.routePool = newPool(ctx, 1, cfg.RouteWorkers, cfg.QueueDepth)
+	s.routePool = newPool(ctx, 1, routeWorkers, cfg.QueueDepth)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
 	s.mux.HandleFunc("POST /v1/route", s.handleRoute)
@@ -258,10 +250,9 @@ type RouteRequest struct {
 	PerturbSeed uint64  `json:"perturb_seed,omitempty"`
 	// RepairTol sets RouterOptions.RepairTol — the escalation tolerance
 	// of the incremental engine's topology-repair rung. Absent means
-	// the server's DefaultRepairTol (off unless configured), keeping
-	// legacy request bodies on their legacy content addresses; negative
-	// values normalize to absent (every "disabled" spelling shares one
-	// cache key).
+	// the library default (off), keeping legacy request bodies on their
+	// legacy content addresses; negative values normalize to absent
+	// (every "disabled" spelling shares one cache key).
 	RepairTol *float64 `json:"repair_tol,omitempty"`
 }
 

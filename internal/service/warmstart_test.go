@@ -250,24 +250,23 @@ func TestRouteWarmStartZeroPerturbation(t *testing.T) {
 	}
 }
 
-// A server-wide -repairtol default applies to requests that are silent
-// about repair_tol, and an explicit negative forces the rung off even
-// against that default — the two requests must not share a cache entry.
+// An explicit negative repair_tol forces the rung off, and off is the
+// default: the request silent about repair_tol is served from the
+// explicit-off request's cache entry.
 func TestRouteRepairTolDefaultAndExplicitOff(t *testing.T) {
-	_, ts := newTestServer(t, Config{DefaultRepairTol: 0.25})
+	_, ts := newTestServer(t, Config{})
 
 	cold := submitRoute(t, ts.URL, `{"chip":"c1","scale":0.002,"waves":2,"oracle":"cd","incremental":true}`)
 	waitResult(t, ts.URL, cold.ID)
 
-	warm := submitRoute(t, ts.URL,
-		`{"chip":"c1","scale":0.002,"waves":2,"oracle":"cd","incremental":true,"base_job":"`+cold.ID+`","perturb_frac":0.1,"perturb_seed":5}`)
-	wm := resultMetrics(t, waitResult(t, ts.URL, warm.ID))
+	warmReq := `{"chip":"c1","scale":0.002,"waves":2,"oracle":"cd","incremental":true,"base_job":"` + cold.ID + `","perturb_frac":0.1,"perturb_seed":5`
+	on := submitRoute(t, ts.URL, warmReq+`,"repair_tol":0.25}`)
+	wm := resultMetrics(t, waitResult(t, ts.URL, on.ID))
 	if wm.NetsRepaired == 0 {
-		t.Fatalf("server default repair_tol did not engage the rung: %+v", wm)
+		t.Fatalf("repair_tol 0.25 did not engage the rung: %+v", wm)
 	}
 
-	off := submitRoute(t, ts.URL,
-		`{"chip":"c1","scale":0.002,"waves":2,"oracle":"cd","incremental":true,"base_job":"`+cold.ID+`","perturb_frac":0.1,"perturb_seed":5,"repair_tol":-1}`)
+	off := submitRoute(t, ts.URL, warmReq+`,"repair_tol":-1}`)
 	om := resultMetrics(t, waitResult(t, ts.URL, off.ID))
 	if om.NetsRepaired != 0 || om.RepairEscalated != 0 {
 		t.Fatalf("explicit repair_tol -1 did not force the rung off: %+v", om)
@@ -276,11 +275,16 @@ func TestRouteRepairTolDefaultAndExplicitOff(t *testing.T) {
 		t.Fatalf("repair-less warm start should solve more nets: %d vs %d",
 			om.NetsSolved, wm.NetsSolved)
 	}
+
+	resp := post(t, ts.URL+"/v1/route", []byte(warmReq+`}`))
+	readBody(t, resp)
+	if got := resp.Header.Get("X-Cache"); got != "hit" {
+		t.Fatalf("request without repair_tol missed the explicit-off entry: X-Cache = %q", got)
+	}
 }
 
-// Without a server default the rung is the request's to turn on: a
-// request-level repair_tol engages it, and that request is not the one
-// without repair_tol.
+// The rung is the request's to turn on: a request-level repair_tol
+// engages it, and that request is not the one without repair_tol.
 func TestRouteRepairTolRequestLevel(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cold := submitRoute(t, ts.URL, `{"chip":"c1","scale":0.002,"waves":2,"oracle":"cd","incremental":true}`)
@@ -290,7 +294,7 @@ func TestRouteRepairTolRequestLevel(t *testing.T) {
 	plain := submitRoute(t, ts.URL, warmReq+`}`)
 	pm := resultMetrics(t, waitResult(t, ts.URL, plain.ID))
 	if pm.NetsRepaired != 0 || pm.RepairEscalated != 0 {
-		t.Fatalf("rung engaged without repair_tol or a server default: %+v", pm)
+		t.Fatalf("rung engaged without repair_tol: %+v", pm)
 	}
 
 	resp := post(t, ts.URL+"/v1/route", []byte(warmReq+`,"repair_tol":0.25}`))

@@ -554,14 +554,7 @@ func checkpointGraph(nx, ny int32, layers int, dirs string) (*grid.Graph, error)
 	}
 	tech := DefaultTech(layers)
 	g := NewGrid(nx, ny, tech.BuildLayers(), tech.GCellUM)
-	got := make([]byte, len(g.Layers))
-	for i := range g.Layers {
-		got[i] = 'H'
-		if g.Layers[i].Dir == grid.DirV {
-			got[i] = 'V'
-		}
-	}
-	if string(got) != dirs {
+	if got := g.LayerDirs(); got != dirs {
 		return nil, fmt.Errorf("costdist: checkpoint layer directions %q do not match the default %d-layer stack %q",
 			dirs, layers, got)
 	}

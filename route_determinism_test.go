@@ -73,43 +73,3 @@ func TestRouteChipDeterministicAcrossThreads(t *testing.T) {
 		}
 	}
 }
-
-// The default portfolio pool excludes the exact tier for cost reasons;
-// opting it in by name must stay deterministic across thread counts too
-// — the exact tier's budgets count labels, never wall-clock, so a race
-// that includes it still picks the same winner everywhere.
-func TestPortfolioWithExactDeterministic(t *testing.T) {
-	spec := ChipSuite(0.002)[0]
-	chip, err := GenerateChip(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := DefaultRouterOptions()
-	opt.Waves = 2
-	opt.Selection.Portfolio = []string{"cd", "exact", "rsmt"}
-	var ref RouteMetrics
-	var refTrees []*Tree
-	for i, threads := range []int{1, 4} {
-		opt.Threads = threads
-		res, err := RouteChip(chip, Portfolio, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mt := res.Metrics
-		mt.Walltime = 0
-		if i == 0 {
-			ref = mt
-			refTrees = res.Trees
-			continue
-		}
-		if !reflect.DeepEqual(ref, mt) {
-			t.Fatalf("threads=%d changed results:\nref %+v\ngot %+v", threads, ref, mt)
-		}
-		if !reflect.DeepEqual(refTrees, res.Trees) {
-			t.Fatalf("threads=%d changed routed trees", threads)
-		}
-	}
-	if ref.SolvesByOracle["exact"] != ref.NetsSolved {
-		t.Fatalf("exact missing from portfolio race: %v over %d nets", ref.SolvesByOracle, ref.NetsSolved)
-	}
-}
