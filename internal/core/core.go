@@ -99,12 +99,6 @@ type TraceEvent struct {
 	Labeled int
 }
 
-// arcCode packs how a vertex was reached for path reconstruction.
-const (
-	codeVia  uint8 = 0xFF
-	codeSeed uint8 = 0xFE
-)
-
 // comp is an active component: a subtree already built, its Dijkstra
 // search state, and bookkeeping for connection candidates.
 type comp struct {
@@ -144,20 +138,4 @@ type entry struct {
 	// target is the component id this entry would connect to, or -1 for
 	// an ordinary expansion entry.
 	target int32
-}
-
-// rebuildArc reconstructs the grid arc from prev to v given the stored
-// code (wire type or via marker).
-func rebuildArc(g *grid.Graph, prev, v grid.V, code uint8) grid.Arc {
-	seg, via := g.SegBetween(prev, v)
-	_, _, lp := g.XYL(prev)
-	_, _, lv := g.XYL(v)
-	if via {
-		l := lp
-		if lv < l {
-			l = lv
-		}
-		return grid.Arc{To: v, Seg: seg, L: int8(l), WT: -1, Via: true}
-	}
-	return grid.Arc{To: v, Seg: seg, L: int8(lp), WT: int8(code)}
 }

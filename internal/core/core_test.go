@@ -557,6 +557,33 @@ func TestQueueEntryIs16Bytes(t *testing.T) {
 	}
 }
 
+// TestSolveRejectsLayerStackBeyondCodeWidth: a label carries grid's
+// predecessor code, which names grid.MaxWireTypes wire types a layer. A
+// wider stack is refused with the error the embedding DP gives, not
+// aliased onto other codes — as when the wire type and two sentinels
+// shared the byte, and wire type 254 of a 255-type layer read as a
+// search's seed, cutting the reconstructed path short without an error.
+func TestSolveRejectsLayerStackBeyondCodeWidth(t *testing.T) {
+	layers := dly.DefaultTech(3).BuildLayers()
+	wide := make([]grid.WireType, 255)
+	for i := range wide {
+		wide[i] = layers[1].Wires[0]
+	}
+	layers[1].Wires = wide
+	g := grid.New(8, 8, layers, 1)
+	in := &nets.Instance{G: g, C: grid.NewCosts(g), Root: g.At(1, 1, 0),
+		Sinks: []nets.Sink{{V: g.At(6, 5, 0), W: 1}}, Eta: 0.25, Win: g.FullWindow()}
+	_, err := Solve(in, DefaultOptions())
+	_, embedErr := embed.Embed(in, rsmt.Build(in.TermPts()))
+	if err == nil || embedErr == nil || err.Error() != embedErr.Error() {
+		t.Fatalf("%d wire types on a layer: Solve returned %v, Embed %v; want the same refusal", len(wide), err, embedErr)
+	}
+	layers[1].Wires = wide[:grid.MaxWireTypes]
+	if _, err := Solve(in, DefaultOptions()); err != nil {
+		t.Fatalf("%d wire types fit the code: %v", grid.MaxWireTypes, err)
+	}
+}
+
 func TestWideWindowLabelMemoryFollowsSearch(t *testing.T) {
 	// A component's labels take pages as its search touches them, so the
 	// label memory of a wide-window solve follows the goal-oriented

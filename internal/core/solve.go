@@ -40,6 +40,9 @@ func SolveTraced(in *nets.Instance, opt Options, trace func(TraceEvent)) (*nets.
 // solve resets the arena's solver state for one instance and runs the
 // merge loop.
 func (scr *Scratch) solve(in *nets.Instance, opt Options, trace func(TraceEvent)) (*nets.RTree, error) {
+	if err := in.G.CheckCodeWidth(); err != nil {
+		return nil, err
+	}
 	s := &scr.sol
 	scr.release()
 	// Drop instance references on return: a pooled arena must not pin
@@ -242,8 +245,7 @@ func (s *solver) startSearch(c *comp) {
 	idx := s.win.Index(c.rep)
 	lab, _ := c.labels.Put(idx)
 	lab.Dist = 0
-	lab.Prev = -1
-	lab.Arc = codeSeed
+	lab.Code = grid.CodeSeed
 	p := s.g.Pt(c.rep)
 	s.push(c, s.h(c, p.X, p.Y), entry{g: 0, idx: idx, target: -1})
 	s.refreshTop(c)
@@ -361,12 +363,10 @@ func (s *solver) step() error {
 		return fmt.Errorf("core: no events left with %d active components (disconnected window?)", s.alive)
 	}
 	if isRoot {
-		s.merge(c, s.comps[0].id, c.rootIdx, true)
-		return nil
+		return s.merge(c, s.comps[0].id, c.rootIdx, true)
 	}
 	if e.target >= 0 {
-		s.merge(c, s.sets.Find(e.target), e.idx, false)
-		return nil
+		return s.merge(c, s.sets.Find(e.target), e.idx, false)
 	}
 	s.expand(c, e)
 	return nil
@@ -452,7 +452,9 @@ func (s *solver) popFlat() (*comp, entry, bool, bool) {
 // directions are unrolled in the exact order grid.Arcs emits them (dir−,
 // dir+, via-down, via-up): neighbor window indices come from stride
 // arithmetic and each direction's label slot, congestion multiplier and
-// future cost are looked up once, not per wire type.
+// future cost are looked up once, not per wire type. Every label written
+// records the move in the grid predecessor code (grid.WireCode with the
+// direction, grid.CodeViaDown, grid.CodeViaUp).
 func (s *solver) expand(c *comp, e entry) {
 	s.scr.Settled++
 	lab := c.labels.Get(e.idx)
@@ -465,26 +467,26 @@ func (s *solver) expand(c *comp, e entry) {
 	win := s.in.Win
 	if lay.Dir == grid.DirH {
 		if x > win.X0 {
-			s.relaxWire(c, &e, v-1, e.idx-1, x-1, y, g.SegH(l, y, x-1), lay, fromOwn)
+			s.relaxWire(c, &e, v-1, e.idx-1, x-1, y, 0, g.SegH(l, y, x-1), lay, fromOwn)
 		}
 		if x < win.X1 {
-			s.relaxWire(c, &e, v+1, e.idx+1, x+1, y, g.SegH(l, y, x), lay, fromOwn)
+			s.relaxWire(c, &e, v+1, e.idx+1, x+1, y, 1, g.SegH(l, y, x), lay, fromOwn)
 		}
 	} else {
 		if y > win.Y0 {
-			s.relaxWire(c, &e, v-grid.V(g.NX), e.idx-s.winW, x, y-1, g.SegV(l, x, y-1), lay, fromOwn)
+			s.relaxWire(c, &e, v-grid.V(g.NX), e.idx-s.winW, x, y-1, 0, g.SegV(l, x, y-1), lay, fromOwn)
 		}
 		if y < win.Y1 {
-			s.relaxWire(c, &e, v+grid.V(g.NX), e.idx+s.winW, x, y+1, g.SegV(l, x, y), lay, fromOwn)
+			s.relaxWire(c, &e, v+grid.V(g.NX), e.idx+s.winW, x, y+1, 1, g.SegV(l, x, y), lay, fromOwn)
 		}
 	}
 	// Both via neighbours sit at (x, y): one future cost serves the two.
 	hv := unset
 	if l > 0 {
-		s.relaxVia(c, &e, v-grid.V(g.NX*g.NY), e.idx-s.winWH, x, y, &hv, g.ViaSeg(l-1, x, y), l-1, fromOwn)
+		s.relaxVia(c, &e, v-grid.V(g.NX*g.NY), e.idx-s.winWH, x, y, &hv, g.ViaSeg(l-1, x, y), l-1, grid.CodeViaDown, fromOwn)
 	}
 	if int(l)+1 < len(g.Layers) {
-		s.relaxVia(c, &e, v+grid.V(g.NX*g.NY), e.idx+s.winWH, x, y, &hv, g.ViaSeg(l, x, y), l, fromOwn)
+		s.relaxVia(c, &e, v+grid.V(g.NX*g.NY), e.idx+s.winWH, x, y, &hv, g.ViaSeg(l, x, y), l, grid.CodeViaUp, fromOwn)
 	}
 	s.refreshTop(c)
 }
@@ -494,11 +496,12 @@ func (s *solver) expand(c *comp, e entry) {
 const unset = -1.0
 
 // relaxWire relaxes the wire move from e's vertex to `to` at plane
-// position (tx, ty) across seg, once per wire type of the layer. The
+// position (tx, ty) across seg, toward the lower (dir 0) or the higher
+// (dir 1) coordinate, once per wire type of the layer. The
 // per-wire-type label check and write sequence is exactly the historical
 // per-arc relax; the label lookup, multiplier load and future cost are
 // hoisted.
-func (s *solver) relaxWire(c *comp, e *entry, to grid.V, toIdx, tx, ty, seg int32, lay *grid.Layer, fromOwn bool) {
+func (s *solver) relaxWire(c *comp, e *entry, to grid.V, toIdx, tx, ty int32, dir int, seg int32, lay *grid.Layer, fromOwn bool) {
 	own := s.resolveOwner(toIdx)
 	hv := unset
 	if s.opt.Discount && own == c.id {
@@ -515,9 +518,8 @@ func (s *solver) relaxWire(c *comp, e *entry, to grid.V, toIdx, tx, ty, seg int3
 				continue
 			}
 			lab.Dist = ng
-			lab.Prev = e.idx
 			lab.Perm = false
-			lab.Arc = uint8(wt)
+			lab.Code = grid.WireCode(wt, dir)
 			existed = true
 			if hv == unset {
 				hv = s.h(c, tx, ty)
@@ -542,9 +544,8 @@ func (s *solver) relaxWire(c *comp, e *entry, to grid.V, toIdx, tx, ty, seg int3
 			continue
 		}
 		lab.Dist = ng
-		lab.Prev = e.idx
 		lab.Perm = false
-		lab.Arc = uint8(wt)
+		lab.Code = grid.WireCode(wt, dir)
 		existed = true
 		if tgt >= 0 {
 			s.pushConnect(c, ng, toIdx, tgt)
@@ -557,11 +558,12 @@ func (s *solver) relaxWire(c *comp, e *entry, to grid.V, toIdx, tx, ty, seg int3
 	}
 }
 
-// relaxVia relaxes the via move from e's vertex to `to`; l names the
-// lower layer, which owns the via's cost and delay. (x, y) is the plane
-// position of both ends and *hv the future cost there, evaluated by
-// whichever of the settled vertex's two vias pushes first.
-func (s *solver) relaxVia(c *comp, e *entry, to grid.V, toIdx, x, y int32, hv *float64, seg int32, l int32, fromOwn bool) {
+// relaxVia relaxes the via move from e's vertex to `to`, recording it as
+// code; l names the lower layer, which owns the via's cost and delay.
+// (x, y) is the plane position of both ends and *hv the future cost
+// there, evaluated by whichever of the settled vertex's two vias pushes
+// first.
+func (s *solver) relaxVia(c *comp, e *entry, to grid.V, toIdx, x, y int32, hv *float64, seg int32, l int32, code uint8, fromOwn bool) {
 	own := s.resolveOwner(toIdx)
 	lay := &s.g.Layers[l]
 	tgt := int32(-1)
@@ -582,9 +584,8 @@ func (s *solver) relaxVia(c *comp, e *entry, to grid.V, toIdx, x, y int32, hv *f
 		return
 	}
 	lab.Dist = ng
-	lab.Prev = e.idx
 	lab.Perm = false
-	lab.Arc = codeVia
+	lab.Code = code
 	if tgt >= 0 {
 		s.pushConnect(c, ng, toIdx, tgt)
 		return
@@ -613,9 +614,9 @@ func (s *solver) pushConnect(c *comp, g float64, toIdx, tgt int32) {
 }
 
 // merge commits the connection of c to component jid at the vertex with
-// window index pIdx, reconstructs the connection path, and starts the
-// merged search.
-func (s *solver) merge(c *comp, jid int32, pIdx int32, toRoot bool) {
+// window index pIdx, reconstructs the connection path by decoding the
+// labels' predecessor codes, and starts the merged search.
+func (s *solver) merge(c *comp, jid int32, pIdx int32, toRoot bool) error {
 	j := s.comps[jid]
 
 	// Reconstruct path from the connection vertex back to c's seed. When
@@ -631,14 +632,19 @@ func (s *solver) merge(c *comp, jid int32, pIdx int32, toRoot bool) {
 		path = append(path, cur)
 		pathIdx = append(pathIdx, curIdx)
 		lab := c.labels.Get(curIdx)
-		if lab == nil || lab.Arc == codeSeed {
+		if lab == nil {
 			break
 		}
-		prevIdx := lab.Prev
+		prevIdx, arc, ok := s.g.Pred(s.win, lab.Code, curIdx)
+		if !ok {
+			return fmt.Errorf("core: window index %d carries predecessor code %d, which no move into it writes", curIdx, lab.Code)
+		}
+		if prevIdx < 0 {
+			break
+		}
 		prev := s.win.Vertex(prevIdx)
 		// Own-component hops are existing tree edges; skip re-emitting.
 		if !(s.resolveOwner(prevIdx) == c.id && s.resolveOwner(curIdx) == c.id) {
-			arc := rebuildArc(s.g, prev, cur, lab.Arc)
 			s.steps = append(s.steps, nets.Step{From: prev, Arc: arc})
 		}
 		cur, curIdx = prev, prevIdx
@@ -719,6 +725,7 @@ func (s *solver) merge(c *comp, jid int32, pIdx int32, toRoot bool) {
 	if s.trace != nil {
 		s.trace(ev)
 	}
+	return nil
 }
 
 // chooseRep picks the merged component's representative. Algorithm 1

@@ -91,8 +91,5 @@ func (d *DSU) UnionInto(root, other int32) {
 	d.size[rr] += d.size[ro]
 }
 
-// Same reports whether a and b are in the same set.
-func (d *DSU) Same(a, b int32) bool { return d.Find(a) == d.Find(b) }
-
 // SetSize returns the size of x's set.
 func (d *DSU) SetSize(x int32) int32 { return d.size[d.Find(x)] }

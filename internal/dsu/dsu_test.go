@@ -24,17 +24,17 @@ func TestUnionFind(t *testing.T) {
 	d := New(6)
 	d.Union(0, 1)
 	d.Union(2, 3)
-	if d.Same(0, 2) {
+	if d.Find(0) == d.Find(2) {
 		t.Fatal("0 and 2 should differ")
 	}
 	d.Union(1, 3)
-	if !d.Same(0, 2) || !d.Same(0, 3) {
+	if d.Find(0) != d.Find(2) || d.Find(0) != d.Find(3) {
 		t.Fatal("all of 0..3 should be joined")
 	}
 	if d.SetSize(0) != 4 {
 		t.Fatalf("SetSize = %d want 4", d.SetSize(0))
 	}
-	if d.Same(4, 5) {
+	if d.Find(4) == d.Find(5) {
 		t.Fatal("4 and 5 must stay apart")
 	}
 }
@@ -100,8 +100,8 @@ func TestAgainstNaive(t *testing.T) {
 		d.Union(a, b)
 		relabel(label[a], label[b])
 		x, y := int32(rng.IntN(n)), int32(rng.IntN(n))
-		if d.Same(x, y) != (label[x] == label[y]) {
-			t.Fatalf("iteration %d: Same(%d,%d)=%v but labels %d,%d", it, x, y, d.Same(x, y), label[x], label[y])
+		if same := d.Find(x) == d.Find(y); same != (label[x] == label[y]) {
+			t.Fatalf("iteration %d: same set(%d,%d)=%v but labels %d,%d", it, x, y, same, label[x], label[y])
 		}
 	}
 }

@@ -16,7 +16,7 @@
 // optimal vertex choices and paths are read back off the predecessors
 // those spreads recorded. Every topology edge is spread exactly once:
 // cost tables are float32 to halve memory, and the predecessors kept
-// per edge are one byte a cell (the codes of spread.go).
+// per edge are one byte a cell (grid's predecessor codes).
 //
 // The program is written once: DP is the driver, Workspace.Spread
 // (spread.go) its one spread kernel. Embed runs it unlimited over the
@@ -157,7 +157,7 @@ func (d *DP) Run(in *nets.Instance, tree *nets.PlaneTree, winRect geom.Rect, lim
 	if len(kids[0]) == 0 {
 		return &nets.RTree{}, 0, nil
 	}
-	if err := checkCodeWidth(in.G); err != nil {
+	if err := in.G.CheckCodeWidth(); err != nil {
 		return nil, 0, err
 	}
 	win := in.G.NewWindow(winRect)
@@ -198,10 +198,11 @@ func (d *DP) Run(in *nets.Instance, tree *nets.PlaneTree, winRect geom.Rect, lim
 	if !d.spread(top, rootIdx, d.corridor(top, in.G.Pt(in.Root))) {
 		return nil, 0, ErrTooLarge
 	}
-	if d.settled[rootIdx] != d.Epoch {
+	estimate, ok := d.Settled(rootIdx)
+	if !ok {
 		return nil, 0, d.unreachable("root")
 	}
-	estimate := d.dist[rootIdx] + penalty
+	estimate += penalty
 	if err := d.down(top, rootIdx); err != nil {
 		return nil, 0, err
 	}
@@ -308,12 +309,12 @@ func (d *DP) accumulate(v int32) error {
 			r = d.def[v].Intersect(corr)
 		}
 		d.def[v], any = r, false
-		rowW := r.W()
+		rowW, settled, ep := r.W(), d.settled, d.Epoch.Cur()
 		for l := int32(0); l < d.win.Layers(); l++ {
 			for y := r.Y0; y <= r.Y1; y++ {
 				x0 := d.win.RectIndex(r.X0, y, l)
 				for x := x0; x < x0+rowW; x++ {
-					reached := d.settled[x] == d.Epoch
+					reached := settled[x] == ep
 					if i == 0 {
 						tbl[x] = inf32
 						if reached {
@@ -349,7 +350,7 @@ var errCodes = errors.New("embed: predecessor codes cycle")
 func (d *DP) down(v, at int32) error {
 	codes := d.codes[v]
 	for n := 0; ; n++ {
-		p, arc, ok := d.Pred(codes, at)
+		p, arc, ok := d.in.G.Pred(d.win, codes[at], at)
 		if !ok || n == len(codes) {
 			return errCodes
 		}

@@ -308,7 +308,7 @@ func TestEstimateEqualsReconstruction(t *testing.T) {
 		label = func(v, at int32) float64 {
 			first := next
 			for {
-				p, arc, ok := d.Pred(d.codes[v], at)
+				p, arc, ok := g.Pred(d.win, d.codes[v][at], at)
 				if !ok {
 					t.Fatalf("it %d: node %d: cell %d carries no code", it, v, at)
 				}
@@ -365,7 +365,7 @@ func TestEstimateEqualsReconstruction(t *testing.T) {
 // more types on a layer must be refused, not aliased onto other codes.
 func TestRunRejectsLayerStackBeyondCodeWidth(t *testing.T) {
 	layers := dly.DefaultTech(3).BuildLayers()
-	wide := make([]grid.WireType, maxWireTypes+1)
+	wide := make([]grid.WireType, grid.MaxWireTypes+1)
 	for i := range wide {
 		wide[i] = layers[1].Wires[0]
 	}
@@ -373,17 +373,18 @@ func TestRunRejectsLayerStackBeyondCodeWidth(t *testing.T) {
 	g := grid.New(8, 8, layers, 1)
 	in := testInstance(8, 8, 3, []nets.Sink{{V: g.At(6, 5, 0), W: 1}}, g.At(1, 1, 0), g)
 	if _, err := Embed(in, rsmt.Build(in.TermPts())); err == nil {
-		t.Fatalf("Embed accepted %d wire types on a layer; codes hold %d", len(wide), maxWireTypes)
+		t.Fatalf("Embed accepted %d wire types on a layer; codes hold %d", len(wide), grid.MaxWireTypes)
 	}
-	layers[1].Wires = wide[:maxWireTypes]
+	layers[1].Wires = wide[:grid.MaxWireTypes]
 	if _, err := Embed(in, rsmt.Build(in.TermPts())); err != nil {
-		t.Fatalf("%d wire types fit the code: %v", maxWireTypes, err)
+		t.Fatalf("%d wire types fit the code: %v", grid.MaxWireTypes, err)
 	}
 }
 
 // TestDownReportsBrokenCodes: the top-down walk trusts nothing about
-// the table it reads — codes that cycle, or that point off the window,
-// end in an error after at most one visit per cell.
+// the table it reads — codes that cycle, or that decode to no move
+// (which codes do is grid's TestPredInvertsEveryMove), end in an error
+// after at most one visit per cell.
 func TestDownReportsBrokenCodes(t *testing.T) {
 	in, topo := embedCase()
 	var d DP
@@ -399,10 +400,9 @@ func TestDownReportsBrokenCodes(t *testing.T) {
 			if !horizontal {
 				c = x / d.win.R.W() % d.win.R.H()
 			}
-			return codeWire + uint8(c&1)
+			return grid.WireCode(0, int(c&1))
 		},
-		"off the bottom layer": func(int32) uint8 { return codeViaUp },
-		"unknown wire type":    func(int32) uint8 { return 255 },
+		"undecodable": func(int32) uint8 { return grid.CodeViaUp }, // off the bottom layer
 	} {
 		for x := range d.codes[top] {
 			d.codes[top][x] = fill(int32(x))

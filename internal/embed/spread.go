@@ -1,13 +1,11 @@
 package embed
 
 import (
-	"fmt"
-	"math"
-
 	"costdist/internal/geom"
 	"costdist/internal/grid"
 	"costdist/internal/heaps"
 	"costdist/internal/nets"
+	"costdist/internal/sparse"
 )
 
 // Workspace is the label state of Spread over one grid.Window, stamped
@@ -17,12 +15,12 @@ import (
 // a repair window (package reembed). Not safe for concurrent use.
 type Workspace struct {
 	// dist[x] is the settled label of window index x where
-	// settled[x] == Epoch, the stamp of the latest spread. Predecessors
-	// are not kept here: Spread writes them, one byte a label, into a
-	// table of its caller's (see the code constants).
+	// settled[x] == Epoch.Cur(), the stamp of the latest spread.
+	// Predecessors are not kept here: Spread writes them, one grid
+	// predecessor code a label, into a table of its caller's.
 	dist             []float64
 	settled, touched []uint32
-	Epoch            uint32
+	Epoch            sparse.Gen
 	// Settles counts settled labels over the workspace's lifetime: the
 	// deterministic work count.
 	Settles int
@@ -30,33 +28,6 @@ type Workspace struct {
 	heap heaps.Lazy[int32]
 	in   *nets.Instance
 	win  grid.Window
-}
-
-// A predecessor code says how the spread reached a labelled cell: as a
-// seed, or over one arc from the neighbouring cell the code names — so
-// the predecessor's index and the grid.Arc follow from the cell's own
-// coordinates (Pred) and a table of codes costs one byte a cell where
-// index and arc cost sixteen.
-const (
-	codeSeed    = 0
-	codeViaDown = 1 // by the via from the cell one layer up
-	codeViaUp   = 2 // by the via from the cell one layer down
-	// codeWire + 2·wt + dir: along the layer with wire type wt, stepping
-	// toward the lower (dir 0) or the higher (dir 1) coordinate.
-	codeWire = 3
-	// maxWireTypes is the number of wire types per layer a code can name.
-	maxWireTypes = (256 - codeWire) / 2
-)
-
-// checkCodeWidth reports a layer stack with more wire types on a layer
-// than a predecessor code can name.
-func checkCodeWidth(g *grid.Graph) error {
-	for l := range g.Layers {
-		if n := len(g.Layers[l].Wires); n > maxWireTypes {
-			return fmt.Errorf("embed: layer %d has %d wire types, predecessor codes hold %d", l, n, maxWireTypes)
-		}
-	}
-	return nil
 }
 
 // Reset points the workspace at window win of in's graph, growing it
@@ -67,7 +38,6 @@ func (ws *Workspace) Reset(in *nets.Instance, win grid.Window) {
 		ws.dist = make([]float64, n)
 		ws.settled = make([]uint32, n)
 		ws.touched = make([]uint32, n)
-		ws.Epoch = 0
 	}
 	ws.dist, ws.settled, ws.touched = ws.dist[:n], ws.settled[:n], ws.touched[:n]
 	ws.in, ws.win = in, win
@@ -91,14 +61,12 @@ func (ws *Workspace) Reset(in *nets.Instance, win grid.Window) {
 // contents, settle order and every label are those of a search driven
 // by Arcs, Costs.ArcCost and Costs.ArcDelay.
 func (ws *Workspace) Spread(seeds []float32, seedRect geom.Rect, w float64, corr geom.Rect, bound float64, budget int, target int32, codes []uint8) bool {
-	if ws.Epoch == math.MaxUint32 {
-		// Stamp space exhausted: pay one clear, restart the stamps.
+	ep, wrapped := ws.Epoch.Next()
+	if wrapped {
 		clear(ws.settled[:cap(ws.settled)])
 		clear(ws.touched[:cap(ws.touched)])
-		ws.Epoch = 0
 	}
-	ws.Epoch++
-	ep, h := ws.Epoch, &ws.heap
+	h := &ws.heap
 	dist, settled, touched := ws.dist, ws.settled, ws.touched
 	g, mult, win := ws.in.G, ws.in.C.Mult, ws.win
 	rowW, rowH := win.R.W(), win.R.H()
@@ -111,7 +79,7 @@ func (ws *Workspace) Spread(seeds []float32, seedRect geom.Rect, w float64, corr
 			x0 := win.RectIndex(seedRect.X0, y, l)
 			for x := x0; x < x0+seedW; x++ {
 				if s := seeds[x]; s < inf32 && float64(s) < bound {
-					dist[x], codes[x], touched[x] = float64(s), codeSeed, ep
+					dist[x], codes[x], touched[x] = float64(s), grid.CodeSeed, ep
 					h.Push(dist[x], x)
 				}
 			}
@@ -162,7 +130,7 @@ func (ws *Workspace) Spread(seeds []float32, seedRect geom.Rect, w float64, corr
 				wire := &lay.Wires[wt]
 				nd := k + m*wire.CostPerGCell + w*wire.DelayPerGCell
 				if nd < bound && (touched[y] != ep || nd < dist[y]) {
-					dist[y], touched[y], codes[y] = nd, ep, uint8(codeWire+2*wt+d)
+					dist[y], touched[y], codes[y] = nd, ep, grid.WireCode(wt, d)
 					h.Push(nd, y)
 				}
 			}
@@ -172,9 +140,9 @@ func (ws *Workspace) Spread(seeds []float32, seedRect geom.Rect, w float64, corr
 			if vl < 0 || vl >= top {
 				continue
 			}
-			y, code := x+plane, uint8(codeViaUp)
+			y, code := x+plane, grid.CodeViaUp
 			if vl < l {
-				y, code = x-plane, codeViaDown
+				y, code = x-plane, grid.CodeViaDown
 			}
 			if settled[y] == ep {
 				continue
@@ -191,46 +159,11 @@ func (ws *Workspace) Spread(seeds []float32, seedRect geom.Rect, w float64, corr
 	return ok
 }
 
-// Pred decodes the predecessor code of window index y: the index x the
-// label of y was relaxed from and the arc taken from x to y, or x = -1
-// at a seed. It reports false for a code no relaxation into y writes —
-// y was not labelled by the spread that filled codes.
-func (ws *Workspace) Pred(codes []uint8, y int32) (x int32, a grid.Arc, ok bool) {
-	g, win := ws.in.G, ws.win
-	a.To = win.Vertex(y)
-	gx, gy, l := g.XYL(a.To)
-	rowW, plane := win.R.W(), win.R.W()*win.R.H()
-	code := int(codes[y])
-	switch code {
-	case codeSeed:
-		return -1, grid.Arc{}, true
-	case codeViaDown:
-		a.Seg, a.L, a.WT, a.Via = g.ViaSeg(l, gx, gy), int8(l), -1, true
-		return y + plane, a, l < win.Layers()-1
-	case codeViaUp:
-		if l == 0 {
-			return 0, a, false
-		}
-		a.Seg, a.L, a.WT, a.Via = g.ViaSeg(l-1, gx, gy), int8(l-1), -1, true
-		return y - plane, a, true
+// Settled returns the label of window index x if the latest spread
+// settled it.
+func (ws *Workspace) Settled(x int32) (float64, bool) {
+	if ws.settled[x] != ws.Epoch.Cur() {
+		return 0, false
 	}
-	// The kernel's wire step read backwards: a step toward the lower
-	// coordinate c came from the higher neighbour over the segment that
-	// starts at y, one toward the higher from the lower neighbour over
-	// the segment that ends at y.
-	lay := &g.Layers[l]
-	a.L, a.WT = int8(l), int8((code-codeWire)>>1)
-	stepX, c, c0, c1 := rowW, gy, win.R.Y0, win.R.Y1
-	if lay.Dir == grid.DirH {
-		stepX, c, c0, c1 = 1, gx, win.R.X0, win.R.X1
-	}
-	x, ok = y+stepX, c < c1
-	if (code-codeWire)&1 == 1 {
-		x, c, ok = y-stepX, c-1, c > c0
-	}
-	a.Seg = g.SegV(l, gx, c)
-	if lay.Dir == grid.DirH {
-		a.Seg = g.SegH(l, gy, c)
-	}
-	return x, a, ok && int(a.WT) < len(lay.Wires)
+	return ws.dist[x], true
 }

@@ -1,7 +1,6 @@
 // Package geom provides plane geometry primitives used throughout the
 // cost-distance Steiner tree library: integer points in the gcell plane,
-// L1 (rectilinear) metrics, bounding rectangles and Hanan-grid candidate
-// generation for Steinerization.
+// L1 (rectilinear) metrics and bounding rectangles.
 package geom
 
 // Pt is a point in the gcell plane. Coordinates are gcell indices.
@@ -128,9 +127,6 @@ func (r Rect) H() int32 {
 	return r.Y1 - r.Y0 + 1
 }
 
-// Area returns the number of gcells covered by r.
-func (r Rect) Area() int64 { return int64(r.W()) * int64(r.H()) }
-
 // Intersect returns the overlap of r and s; the result is empty when
 // they share no gcell.
 func (r Rect) Intersect(s Rect) Rect {
@@ -171,45 +167,4 @@ func BBox(pts []Pt) Rect {
 		r = r.Add(p)
 	}
 	return r
-}
-
-// Hanan returns the Hanan grid of pts: all points (x,y) where x is the
-// abscissa of some input point and y the ordinate of some (possibly
-// different) input point. A rectilinear Steiner minimal tree always has
-// an optimal solution with Steiner points on the Hanan grid (Hanan 1966).
-// The result has no duplicates; order is row-major by (x,y).
-func Hanan(pts []Pt) []Pt {
-	xs := dedupSorted(collect(pts, func(p Pt) int32 { return p.X }))
-	ys := dedupSorted(collect(pts, func(p Pt) int32 { return p.Y }))
-	out := make([]Pt, 0, len(xs)*len(ys))
-	for _, x := range xs {
-		for _, y := range ys {
-			out = append(out, Pt{x, y})
-		}
-	}
-	return out
-}
-
-func collect(pts []Pt, f func(Pt) int32) []int32 {
-	out := make([]int32, len(pts))
-	for i, p := range pts {
-		out[i] = f(p)
-	}
-	return out
-}
-
-func dedupSorted(v []int32) []int32 {
-	// Insertion sort: inputs are tiny (terminal counts).
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-	out := v[:0]
-	for i, x := range v {
-		if i == 0 || x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }

@@ -158,9 +158,6 @@ func (g *Graph) Pt(v V) geom.Pt {
 	return geom.Pt{X: x, Y: y}
 }
 
-// IsVia reports whether segment id s is a via segment.
-func (g *Graph) IsVia(s int32) bool { return s >= g.viaBase }
-
 // SegLayer returns the layer of a routing segment, or the lower layer of
 // a via segment.
 func (g *Graph) SegLayer(s int32) int32 {
@@ -215,23 +212,16 @@ func (g *Graph) SegBetween(u, v V) (seg int32, via bool) {
 	vx, vy, vl := g.XYL(v)
 	switch {
 	case ul == vl && uy == vy && (ux-vx == 1 || vx-ux == 1):
-		x := min32(ux, vx)
+		x := min(ux, vx)
 		return g.SegH(ul, uy, x), false
 	case ul == vl && ux == vx && (uy-vy == 1 || vy-uy == 1):
-		y := min32(uy, vy)
+		y := min(uy, vy)
 		return g.SegV(ul, ux, y), false
 	case ux == vx && uy == vy && (ul-vl == 1 || vl-ul == 1):
-		l := min32(ul, vl)
+		l := min(ul, vl)
 		return g.ViaSeg(l, ux, uy), true
 	}
 	panic("grid: SegBetween on non-adjacent vertices")
-}
-
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Arc is one traversable edge instance from some vertex to To: a single

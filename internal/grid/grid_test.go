@@ -85,8 +85,8 @@ func TestSegmentIDsDisjoint(t *testing.T) {
 		t.Fatalf("NumSegs = %d but enumerated %d", g.NumSegs(), len(seen))
 	}
 	for s, what := range seen {
-		if (what == "via") != g.IsVia(s) {
-			t.Fatalf("IsVia(%d) wrong for %s", s, what)
+		if (what == "via") != (s >= g.NumRouteSegs()) {
+			t.Fatalf("segment %d (%s) on the wrong side of NumRouteSegs %d", s, what, g.NumRouteSegs())
 		}
 	}
 }

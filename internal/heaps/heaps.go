@@ -241,9 +241,6 @@ func (h *Indexed) Grow(k int) {
 // Len returns the number of slots.
 func (h *Indexed) Len() int { return len(h.key) }
 
-// Key returns the current key of slot s.
-func (h *Indexed) Key(s int32) float64 { return h.key[s] }
-
 // Set assigns key k to slot s, restoring heap order.
 func (h *Indexed) Set(s int32, k float64) {
 	old := h.key[s]

@@ -80,8 +80,8 @@ func TestIndexedBasics(t *testing.T) {
 	if s, _ := h.Min(); s != 0 {
 		t.Fatalf("Min after decrease = %d want 0", s)
 	}
-	if h.Key(3) != 9.0 {
-		t.Fatalf("Key(3) = %v", h.Key(3))
+	if h.key[3] != 9.0 {
+		t.Fatalf("key[3] = %v", h.key[3])
 	}
 }
 
@@ -225,8 +225,8 @@ func TestIndexedReset(t *testing.T) {
 		t.Fatalf("Len = %d", h.Len())
 	}
 	for i := int32(0); i < 20; i++ {
-		if h.Key(i) != Inf {
-			t.Fatalf("slot %d kept key %v across Reset", i, h.Key(i))
+		if h.key[i] != Inf {
+			t.Fatalf("slot %d kept key %v across Reset", i, h.key[i])
 		}
 	}
 	h.Set(19, 2)

@@ -30,13 +30,3 @@ func (s PinSig) Equal(o PinSig) bool {
 	}
 	return true
 }
-
-// SigOf extracts the signature of a standalone instance (plane
-// projection of its terminals).
-func SigOf(in *Instance) PinSig {
-	sig := PinSig{Driver: in.G.Pt(in.Root)}
-	for _, sk := range in.Sinks {
-		sig.Sinks = append(sig.Sinks, in.G.Pt(sk.V))
-	}
-	return sig
-}

@@ -35,27 +35,3 @@ func TestPinSigEqual(t *testing.T) {
 		}
 	}
 }
-
-func TestSigOf(t *testing.T) {
-	g := twoLayerGraph(6, 6)
-	in := &Instance{
-		G: g, C: nil,
-		Root: g.At(0, 0, 0),
-		Sinks: []Sink{
-			{V: g.At(4, 2, 1), W: 1},
-			{V: g.At(1, 5, 0), W: 2},
-		},
-	}
-	sig := SigOf(in)
-	if sig.Driver != in.G.Pt(in.Root) {
-		t.Fatalf("driver %v, want %v", sig.Driver, in.G.Pt(in.Root))
-	}
-	if len(sig.Sinks) != len(in.Sinks) {
-		t.Fatalf("%d sinks, want %d", len(sig.Sinks), len(in.Sinks))
-	}
-	for k, s := range in.Sinks {
-		if sig.Sinks[k] != in.G.Pt(s.V) {
-			t.Fatalf("sink %d at %v, want %v", k, sig.Sinks[k], in.G.Pt(s.V))
-		}
-	}
-}

@@ -68,15 +68,6 @@ func (in *Instance) DefaultWindow(margin int32) geom.Rect {
 	return geom.BBox(in.TermPts()).Expand(margin, in.G.NX, in.G.NY)
 }
 
-// TotalSinkWeight returns Σ w(t).
-func (in *Instance) TotalSinkWeight() float64 {
-	total := 0.0
-	for _, s := range in.Sinks {
-		total += s.W
-	}
-	return total
-}
-
 // Beta is the minimum possible weighted delay penalty β(w,w') when
 // merging two subtrees with total delay weights w and w': the branch
 // with larger weight takes the minimum share η of dbif.

@@ -215,9 +215,6 @@ func TestInstanceHelpers(t *testing.T) {
 	if in.T() != 3 {
 		t.Fatalf("T = %d", in.T())
 	}
-	if in.TotalSinkWeight() != 5 {
-		t.Fatalf("weight sum %v", in.TotalSinkWeight())
-	}
 	pts := in.TermPts()
 	if len(pts) != 3 || pts[0] != g.Pt(in.Root) {
 		t.Fatalf("TermPts %v", pts)

@@ -25,8 +25,8 @@
 //     repair window around the cached tree instead of the oracle's
 //     full routing window, confined per topology edge to a corridor, cut
 //     off at the cached tree's cost and at a settle budget, and on a
-//     reusable generation-stamped Scratch (the sparse.FlatI32 idiom
-//     from the solver arenas) instead of per-call allocations.
+//     reusable Scratch stamped by a sparse.Gen, like the solver arenas'
+//     stores, instead of per-call allocations.
 //     Restricted to the window grid of the subtree's terminals, the DP
 //     returns the cost-minimal embedding of the topology.
 //   - Repair evaluates both the repaired and the cached tree under the
@@ -93,10 +93,10 @@ type Outcome struct {
 
 // Scratch is the reusable per-worker workspace of a repair: the
 // embedding DP's state (epoch-stamped spread workspace over the repair
-// window, pooled per-node cost and code tables, per-attempt slices —
-// the sparse.FlatI32 idiom) and topology extraction's, so neither
-// allocates per attempt beyond the PlaneTree handed on. Not safe for
-// concurrent use; give each worker its own.
+// window, pooled per-node cost and code tables, per-attempt slices) and
+// topology extraction's, so neither allocates per attempt beyond the
+// PlaneTree handed on. Not safe for concurrent use; give each worker its
+// own.
 type Scratch struct {
 	// rooted is the cached tree's rooting during topology extraction.
 	rooted nets.Rooted

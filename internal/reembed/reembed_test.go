@@ -270,41 +270,6 @@ func repairCase(tb testing.TB) (*nets.Instance, *nets.RTree) {
 	return in, res.Tree
 }
 
-// TestReembedSurvivesEpochWrap: a long-lived worker's stamp counter is
-// bumped once per spread, once per topology node an attempt, so it must
-// be able to step over its wrap in the middle of one. Parked a few
-// stamps below the wrap, a used scratch must return the same tree and
-// estimate as a fresh one.
-func TestReembedSurvivesEpochWrap(t *testing.T) {
-	in, cached := repairCase(t)
-	win := Window(in, cached)
-	reembed := func(scr *Scratch) (*nets.RTree, float64) {
-		topo, err := ExtractTopology(in, cached, win, scr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, est, err := Reembed(in, topo, win, math.Inf(1), scr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr, est
-	}
-	want, wantEst := reembed(NewScratch())
-	for _, below := range []uint32{0, 1, 3, 7} {
-		scr := NewScratch()
-		reembed(scr) // leave stale stamps behind
-		scr.dp.Epoch = math.MaxUint32 - below
-		got, est := reembed(scr)
-		if scr.dp.Epoch > 100 {
-			t.Fatalf("parked %d below the wrap: epoch %d never wrapped", below, scr.dp.Epoch)
-		}
-		if !treeEqual(got, want) || est != wantEst {
-			t.Fatalf("parked %d below the wrap: estimate %v (%d steps), fresh scratch %v (%d steps)",
-				below, est, len(got.Steps), wantEst, len(want.Steps))
-		}
-	}
-}
-
 // TestRepairAllocationBound pins what one attempt on a warmed scratch
 // allocates. The DP allocates nothing (embed's
 // TestRunAllocatesNothingForTheDP), the rootings of extraction,

@@ -8,23 +8,51 @@
 // touch instead, which keeps memory and reset cost proportional to the
 // labeled region with plain array indexing on the hot path.
 //
-// Both stores mark presence by a generation stamp per slot, so Reset
-// never clears memory and retained capacity makes them suitable as
-// arena members recycled across many solver calls (core.Scratch).
+// Both stores mark presence by a generation stamp per slot, issued by a
+// Gen, so Reset never clears memory and retained capacity makes them
+// suitable as arena members recycled across many solver calls
+// (core.Scratch). The spread workspace of package embed stamps its
+// labels with a Gen too.
 package sparse
 
-// Label is a Dijkstra label: tentative distance, predecessor vertex and
-// the arc code by which the vertex was reached (see grid.ArcCode), plus a
-// permanence flag.
-type Label struct {
-	Dist float64
-	Prev int32
-	Arc  uint8
-	Perm bool
+// Gen issues generation stamps. A store marks a slot live by writing the
+// current stamp into it and empties itself in O(1) by taking the next
+// one. Stamps start at 1, so zeroed memory never reads as live; the zero
+// value has issued none.
+type Gen struct{ cur uint32 }
+
+// Next issues the next stamp. wrapped reports that the 32-bit counter
+// ran out and restarted at 1: slots stamped before may hold the stamps
+// Next issues from now on, so before it stamps anything with the new one
+// the caller must forget them — clear its stamp slices, or drop its
+// pages.
+func (g *Gen) Next() (stamp uint32, wrapped bool) {
+	g.cur++
+	if g.cur == 0 {
+		g.cur = 1
+		return g.cur, true
+	}
+	return g.cur, false
 }
 
-// PageSlots is the number of label slots of one LabelSlab page (24 B
-// each). Measured on the repo's benchmark at 128, 256 and 512: smaller
+// Cur returns the last stamp issued, 0 before the first.
+func (g *Gen) Cur() uint32 { return g.cur }
+
+// Label is a Dijkstra label: tentative distance, the grid predecessor
+// code by which the search reached the vertex (grid.CodeSeed and its
+// siblings, decoded by grid.Graph.Pred) and a permanence flag. The
+// slot's generation stamp rides in the label's padding, so a slot is
+// 16 B. Write a label field by field: assigning a whole Label clears its
+// stamp.
+type Label struct {
+	Dist  float64
+	stamp uint32 // slot is live iff stamp == the holding slab's stamp
+	Code  uint8
+	Perm  bool
+}
+
+// PageSlots is the number of label slots of one LabelSlab page (16 B
+// each, 4 KB a page). Measured on the repo's benchmark at 128, 256 and 512: smaller
 // pages follow a narrow goal-oriented search more closely, larger ones
 // shorten the page tables, and the three read within noise of each
 // other; see ARCHITECTURE.md "Flat per-window stores".
@@ -35,12 +63,7 @@ const (
 	pageMask  = PageSlots - 1
 )
 
-type slabEntry struct {
-	lab Label
-	gen uint32 // slot is live iff gen == the holding slab's stamp
-}
-
-type labelPage [PageSlots]slabEntry
+type labelPage [PageSlots]Label
 
 // PagePool is the page supply shared by the LabelSlabs of one arena. It
 // also issues their generation stamps: every slab Reset draws a stamp no
@@ -51,7 +74,7 @@ type labelPage [PageSlots]slabEntry
 // The zero value is an empty pool. Not safe for concurrent use.
 type PagePool struct {
 	free        []*labelPage
-	gen         uint32 // last stamp issued; restarts at 1 after a wrap
+	gen         Gen
 	inUse, peak int
 }
 
@@ -61,16 +84,14 @@ func (p *PagePool) Peak() int { return p.peak }
 
 // stamp issues the next generation stamp.
 func (p *PagePool) stamp() uint32 {
-	p.gen++
-	if p.gen == 0 {
-		// Wrapped: stamps issued from here on may equal ones left in pages
-		// written before. Drop the pooled pages now; those still held by
-		// slabs are dropped when they come back (see Release).
+	st, wrapped := p.gen.Next()
+	if wrapped {
+		// Drop the pooled pages now; those still held by slabs are
+		// dropped when they come back (see Release).
 		clear(p.free)
 		p.free = p.free[:0]
-		p.gen = 1
 	}
-	return p.gen
+	return st
 }
 
 func (p *PagePool) get() *labelPage {
@@ -96,7 +117,7 @@ func (p *PagePool) get() *labelPage {
 type LabelSlab struct {
 	pool  *PagePool
 	pages []*labelPage
-	gen   uint32
+	stamp uint32
 	n     int
 }
 
@@ -111,7 +132,7 @@ func (s *LabelSlab) Reset(pool *PagePool, n int) {
 		s.pages = s.pages[:np] // Release left every entry nil
 	}
 	s.pool = pool
-	s.gen = pool.stamp()
+	s.stamp = pool.stamp()
 }
 
 // Release empties the slab and hands its pages back to the pool. The
@@ -126,7 +147,7 @@ func (s *LabelSlab) Release() {
 		// Stamps only grow until the counter wraps, so a slab whose stamp
 		// is ahead of the counter drew it before a wrap: its pages may hold
 		// any stamp value and must not be handed out again.
-		if s.gen <= s.pool.gen {
+		if s.stamp <= s.pool.gen.Cur() {
 			s.pool.free = append(s.pool.free, pg)
 		}
 	}
@@ -143,11 +164,11 @@ func (s *LabelSlab) Get(i int32) *Label {
 	if pg == nil {
 		return nil
 	}
-	e := &pg[i&pageMask]
-	if e.gen != s.gen {
+	l := &pg[i&pageMask]
+	if l.stamp != s.stamp {
 		return nil
 	}
-	return &e.lab
+	return l
 }
 
 // Put returns a pointer to the label slot at index i, inserting a zero
@@ -158,14 +179,13 @@ func (s *LabelSlab) Put(i int32) (*Label, bool) {
 		pg = s.pool.get()
 		s.pages[i>>pageShift] = pg
 	}
-	e := &pg[i&pageMask]
-	if e.gen != s.gen {
-		e.gen = s.gen
-		e.lab = Label{}
+	l := &pg[i&pageMask]
+	if l.stamp != s.stamp {
+		*l = Label{stamp: s.stamp}
 		s.n++
-		return &e.lab, false
+		return l, false
 	}
-	return &e.lab, true
+	return l, true
 }
 
 // FlatI32 is a dense int32 store over a bounded index universe with a
@@ -175,27 +195,25 @@ func (s *LabelSlab) Put(i int32) (*Label, bool) {
 //
 // The zero value is empty; call Reset(n) before use.
 type FlatI32 struct {
-	val []int32
-	gen []uint32
-	cur uint32
-	n   int
+	val   []int32
+	stamp []uint32
+	gen   Gen
+	n     int
 }
 
 // Reset clears the store in O(1) and (re)sizes the universe to n slots.
 func (m *FlatI32) Reset(n int) {
 	if cap(m.val) < n {
 		m.val = make([]int32, n)
-		m.gen = make([]uint32, n)
+		m.stamp = make([]uint32, n)
 	} else {
 		m.val = m.val[:n]
-		m.gen = m.gen[:n]
+		m.stamp = m.stamp[:n]
 	}
-	m.cur++
-	if m.cur == 0 {
-		// Stamp wrapped: old stamps would read as live; pay one clear,
-		// over the whole capacity so a later grow finds no stale slot.
-		clear(m.gen[:cap(m.gen)])
-		m.cur = 1
+	if _, wrapped := m.gen.Next(); wrapped {
+		// Pay one clear, over the whole capacity so a later grow finds no
+		// stale slot.
+		clear(m.stamp[:cap(m.stamp)])
 	}
 	m.n = 0
 }
@@ -205,7 +223,7 @@ func (m *FlatI32) Len() int { return m.n }
 
 // Get returns the value stored at index i and whether it is present.
 func (m *FlatI32) Get(i int32) (int32, bool) {
-	if m.gen[i] != m.cur {
+	if m.stamp[i] != m.gen.Cur() {
 		return 0, false
 	}
 	return m.val[i], true
@@ -213,8 +231,8 @@ func (m *FlatI32) Get(i int32) (int32, bool) {
 
 // Put stores val at index i, overwriting any previous value.
 func (m *FlatI32) Put(i, val int32) {
-	if m.gen[i] != m.cur {
-		m.gen[i] = m.cur
+	if m.stamp[i] != m.gen.Cur() {
+		m.stamp[i] = m.gen.Cur()
 		m.n++
 	}
 	m.val[i] = val
@@ -223,10 +241,10 @@ func (m *FlatI32) Put(i, val int32) {
 // PutIfAbsent stores val at index i unless present; it reports whether
 // the value was stored.
 func (m *FlatI32) PutIfAbsent(i, val int32) bool {
-	if m.gen[i] == m.cur {
+	if m.stamp[i] == m.gen.Cur() {
 		return false
 	}
-	m.gen[i] = m.cur
+	m.stamp[i] = m.gen.Cur()
 	m.val[i] = val
 	m.n++
 	return true

@@ -37,11 +37,6 @@ type Config struct {
 	Seed    uint64
 }
 
-// DefaultConfig is sized for minutes-scale runs.
-func DefaultConfig() Config {
-	return Config{Scale: 0.005, Waves: 3, Threads: 0, Seed: 7}
-}
-
 func (c Config) chipIndices() []int {
 	if len(c.Chips) > 0 {
 		return c.Chips

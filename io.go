@@ -257,7 +257,7 @@ func decodeTreeSteps(g *grid.Graph, edges [][2][3]int32, wts []int8) (*Tree, err
 		seg, via := g.SegBetween(u, v)
 		arc := grid.Arc{To: v, Seg: seg, Via: via}
 		if via {
-			arc.L = int8(min32(e[0][2], e[1][2]))
+			arc.L = int8(min(e[0][2], e[1][2]))
 			arc.WT = -1
 			if wts != nil && wts[i] != -1 {
 				return nil, fmt.Errorf("costdist: edge %d is a via but has wire type %d", i, wts[i])
@@ -573,11 +573,4 @@ func absInt32(v int32) int32 {
 		return -v
 	}
 	return v
-}
-
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
 }
