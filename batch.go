@@ -16,10 +16,16 @@ import (
 // dominate repeated solves. Results are bit-identical to the package
 // level SolveCD/Solve functions.
 //
+// A Solver also keeps the grid of the last instance document it built
+// (Build): one graph and one multiplier array, replaced when the shape
+// changes. An Instance returned by Build borrows them and stays valid
+// only until that solver's next Build.
+//
 // A Solver is not safe for concurrent use; create one per goroutine.
 // SolveBatch does this automatically.
 type Solver struct {
-	scr *core.Scratch
+	scr  *core.Scratch
+	grid instanceGrid
 }
 
 // NewSolver returns a solver with an empty arena. The arena warms up
@@ -42,10 +48,28 @@ func (s *Solver) SolveCDTraced(in *Instance, opt CDOptions, trace func(TraceEven
 	return core.SolveTraced(in, opt, trace)
 }
 
-// Solve runs any oracle driver — the fixed four, Auto or Portfolio —
-// through the reusable arena (the arena accelerates the CD oracle,
-// including its solves inside Auto and Portfolio; baselines pass
-// through unchanged).
+// Build is InstanceJSON.Build on the solver's cached grid: the same
+// normalization, validation, error texts and resulting Instance, but a
+// document of the shape (nx, ny, layers) the solver built last reuses
+// its graph and multiplier array — the multipliers the previous build
+// priced are written back to 1 first — instead of allocating both. A
+// document of another shape replaces them, so a solver holds at most
+// one grid.
+//
+// The returned Instance borrows the solver's graph and costs: it is
+// valid until this solver's next Build, which rewrites them. Callers
+// that keep an instance longer use InstanceJSON.Build or ParseInstance.
+func (s *Solver) Build(f *InstanceJSON) (*Instance, error) {
+	if err := f.check(); err != nil {
+		return nil, err
+	}
+	return s.grid.build(f), nil
+}
+
+// Solve runs any oracle driver — the five fixed methods, exact
+// included, Auto or Portfolio — through the reusable arena (the arena
+// accelerates the CD oracle, including its solves inside Auto and
+// Portfolio; baselines pass through unchanged).
 func (s *Solver) Solve(in *Instance, m Method, opt RouterOptions) (*Tree, error) {
 	opt.CoreOpt.Scratch = s.scr
 	return router.SolveNet(in, m, opt)

@@ -10,9 +10,11 @@ package costdist
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -31,14 +33,17 @@ func addInstanceCorpus(f *testing.F) {
 	}
 }
 
-// FuzzParseInstance asserts ParseInstance never panics and that every
-// accepted document yields a structurally sound instance.
+// FuzzParseInstance asserts ParseInstance never panics, that every
+// accepted document yields a structurally sound instance, and that
+// Solver.Build agrees with it on every input (checkSolverBuild).
 func FuzzParseInstance(f *testing.F) {
 	addInstanceCorpus(f)
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"nx":2,"ny":2,"layers":2,"root":[1,1,1]}`))
+	f.Add([]byte(`{"nx":4,"ny":4,"layers":2,"root":[0,0,0],"sinks":[{"x":9,"y":0,"l":0,"w":1}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, err := ParseInstance(data)
+		checkSolverBuild(t, data, in, err)
 		if err != nil {
 			return
 		}
@@ -68,6 +73,49 @@ func FuzzParseInstance(f *testing.F) {
 			t.Fatalf("eta %v outside [0, 1/2]", in.Eta)
 		}
 	})
+}
+
+// checkSolverBuild builds a fuzz input a second time, with Solver.Build
+// on a solver whose cached grid a congested document — every segment of
+// every layer priced — last wrote: of the input's shape when
+// ParseInstance accepted it, of a small fixed shape when it refused it.
+// The result must equal ParseInstance's instance, or its error text.
+func checkSolverBuild(t *testing.T, data []byte, want *Instance, wantErr error) {
+	t.Helper()
+	f, err := decodeInstance(data)
+	if err != nil {
+		return // the one decode both paths share
+	}
+	nx, ny, layers := int32(4), int32(4), 2
+	if wantErr == nil {
+		nx, ny, layers = want.G.NX, want.G.NY, len(want.G.Layers)
+	}
+	rects := make([]string, layers)
+	for l := range rects {
+		rects[l] = fmt.Sprintf(`{"x0":0,"y0":0,"x1":%d,"y1":%d,"l":%d,"mult":7}`, nx, ny, l)
+	}
+	prime, err := decodeInstance([]byte(fmt.Sprintf(`{"nx":%d,"ny":%d,"layers":%d,"root":[0,0,0],"congestion":[%s]}`,
+		nx, ny, layers, strings.Join(rects, ","))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSolver()
+	if _, err := s.Build(&prime); err != nil {
+		t.Fatalf("priming document refused: %v", err)
+	}
+	got, err := s.Build(&f)
+	switch {
+	case (err == nil) != (wantErr == nil):
+		t.Fatalf("Solver.Build error %v, ParseInstance error %v", err, wantErr)
+	case err != nil:
+		if err.Error() != wantErr.Error() {
+			t.Fatalf("Solver.Build error %q, ParseInstance error %q", err, wantErr)
+		}
+	default:
+		if d := instanceDiff(got, want); d != "" {
+			t.Fatalf("Solver.Build on a primed grid differs from ParseInstance: %s", d)
+		}
+	}
 }
 
 // FuzzMarshalTreeRoundTrip parses a fuzzed instance, solves it with the

@@ -84,7 +84,11 @@ type metrics struct {
 	sseDropped     atomic.Int64
 
 	solveLatency *histogram // time-to-response of /v1/solve (hits and misses)
-	jobLatency   *histogram // run time of route jobs
+	// solveQueueWait is the queue part of a miss's solveLatency: submit
+	// to the moment a worker claims the task. Handler-side hits never
+	// queue, so its count is the number of misses submitted.
+	solveQueueWait *histogram
+	jobLatency     *histogram // run time of route jobs
 
 	mu       sync.Mutex
 	byOracle map[string]int64 // oracle/driver solve counts
@@ -97,11 +101,12 @@ type metrics struct {
 
 func newMetrics() *metrics {
 	return &metrics{
-		solveLatency:  newHistogram(),
-		jobLatency:    newHistogram(),
-		byOracle:      map[string]int64{},
-		oracleLatency: map[string]*histogram{},
-		stageLatency:  map[string]*histogram{},
+		solveLatency:   newHistogram(),
+		solveQueueWait: newHistogram(),
+		jobLatency:     newHistogram(),
+		byOracle:       map[string]int64{},
+		oracleLatency:  map[string]*histogram{},
+		stageLatency:   map[string]*histogram{},
 	}
 }
 
@@ -243,6 +248,7 @@ func renderMetrics(m *metrics, cs, cps CacheStats, queueDepth int, jobs map[stri
 	}
 
 	renderHistogram(&b, "routed_solve_latency_seconds", "", m.solveLatency)
+	renderHistogram(&b, "routed_solve_queue_wait_seconds", "", m.solveQueueWait)
 	renderHistogram(&b, "routed_job_latency_seconds", "", m.jobLatency)
 	renderLabeledHistograms(&b, "routed_oracle_solve_latency_seconds", "oracle",
 		m.labeledHistograms(m.oracleLatency))

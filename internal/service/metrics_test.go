@@ -79,6 +79,7 @@ func TestRenderMetricsLints(t *testing.T) {
 	m := newMetrics()
 	m.solveRequests.Add(3)
 	m.solveLatency.Observe(0.002)
+	m.solveQueueWait.Observe(0.0001)
 	m.jobLatency.Observe(1.5)
 	m.chargeOracle("cd", 41)
 	m.chargeOracle("exact", 2)
@@ -97,6 +98,8 @@ func TestRenderMetricsLints(t *testing.T) {
 		t.Fatalf("rendered /metrics fails lint: %v\n%s", err, body)
 	}
 	for _, want := range []string{
+		`routed_solve_queue_wait_seconds_bucket{le="0.0005"} 1`,
+		`routed_solve_queue_wait_seconds_count 1`,
 		`routed_oracle_solve_latency_seconds_bucket{oracle="cd",le="+Inf"} 1`,
 		`routed_oracle_solve_latency_seconds_count{oracle="exact"} 1`,
 		`routed_wave_stage_seconds_count{stage="solve"} 1`,

@@ -11,9 +11,11 @@ import (
 // owns a bounded task queue and a fixed set of workers, and every
 // worker owns one costdist.Solver whose scratch arena is recycled
 // across requests — the same allocation-free hot path SolveBatch uses,
-// kept warm for the lifetime of the server. Requests shard by their
-// cache digest, so repeated submissions of the same instance land on
-// the same arena (already grown to that instance's working set).
+// kept warm for the lifetime of the server — and whose cached grid
+// every solve of the last seen shape is built on (Solver.Build).
+// Requests shard by their cache digest, so repeated submissions of the
+// same instance land on the same arena (already grown to that
+// instance's working set).
 type pool struct {
 	shards []*shard
 	ctx    context.Context

@@ -19,9 +19,9 @@ import (
 // and the fuzz targets drive exactly the code the network drives.
 
 // maxInstanceVertices bounds nx·ny·layers of a solve request. A
-// ~100-byte body can otherwise demand a multi-GB grid allocation on
-// the handler goroutine — before the pool's backpressure applies — so
-// network input gets a hard cap the trusted CLI paths never needed.
+// ~100-byte body can otherwise demand a multi-GB grid allocation on a
+// pool worker, which then keeps it as its cached grid, so network input
+// gets a hard cap the trusted CLI paths never needed.
 const maxInstanceVertices = 1 << 24
 
 // Route request caps, for the same reason: tiny bodies must not be
@@ -48,7 +48,8 @@ func reject(status int, format string, args ...any) *rejection {
 // solveCall is a resolved POST /v1/solve.
 type solveCall struct {
 	// doc is the request's one decode of the instance document,
-	// normalized; Build runs on it only after a cache miss.
+	// normalized; the pool worker's Solver.Build runs on it only after a
+	// cache miss.
 	doc    costdist.InstanceJSON
 	method costdist.Method
 	ropt   costdist.RouterOptions

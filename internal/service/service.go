@@ -10,10 +10,11 @@
 // Both POST handlers are read → resolve → cache → submit → reply. What a
 // request means — defaults, bounds, equivalent spellings, its content
 // address — is decided once, by the pure resolvers of resolve.go; a
-// solve's instance document is decoded once and its grid built only
-// after a cache miss. "A hot instance is solved once" rests on one
-// mechanism: misses shard by content address and the worker re-checks
-// the cache before solving (see solveMiss).
+// solve's instance document is decoded once and built only after a
+// cache miss, by the pool worker on its solver's cached grid. "A hot
+// instance is solved once" rests on one mechanism: misses shard by
+// content address and the worker re-checks the cache before solving
+// (see solveMiss).
 //
 // Endpoints:
 //
@@ -57,7 +58,7 @@ type Config struct {
 	// Default: NumCPU, capped at 16.
 	Shards int
 	// WorkersPerShard is the solver goroutine count per shard, one
-	// scratch arena each. Default: 1.
+	// scratch arena and one cached instance grid each. Default: 1.
 	WorkersPerShard int
 	// QueueDepth bounds each shard's task queue; a full queue answers
 	// 503 instead of buffering unboundedly. Default: 128.
@@ -322,40 +323,48 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.met.solveLatency.Observe(time.Since(start).Seconds())
 }
 
-// solveMiss builds the instance, runs it on the pool shard of its
-// content address and replies with the body; it reports false when it
-// answered with an error instead (or the client left). "Solved once"
-// needs no coordination here: identical requests land on one shard,
-// whose worker re-checks the cache before solving, so with one worker
-// per shard every duplicate queued behind the first is answered from the
-// entry the first one wrote. With WorkersPerShard > 1 two simultaneous
-// duplicates may both solve — bit-identical bodies, cached once.
+// solveMiss runs the request on the pool shard of its content address
+// and replies with the body; it reports false when it answered with an
+// error instead (or the client left). The worker builds the instance on
+// its solver's cached grid (Solver.Build), so a miss allocates no grid
+// of its own; a document Build refuses is answered 422 and never counts
+// as a solve request. "Solved once" needs no coordination here:
+// identical requests land on one shard, whose worker re-checks the
+// cache before building, so with one worker per shard every duplicate
+// queued behind the first is answered from the entry the first one
+// wrote. With WorkersPerShard > 1 two simultaneous duplicates may both
+// solve — bit-identical bodies, cached once.
 func (s *Server) solveMiss(w http.ResponseWriter, r *http.Request, c *solveCall) bool {
-	in, err := c.doc.Build()
-	if err != nil {
-		s.httpError(w, http.StatusUnprocessableEntity, "%v", err)
-		return false
-	}
-	s.met.solveRequests.Add(1)
-
 	type outcome struct {
 		body   []byte
 		xCache string
+		status int // the error reply's status when err is set
 		err    error
 	}
 	done := make(chan outcome, 1)
+	queued := time.Now()
 	submitted := s.pool.submit(c.shard, func(solver *costdist.Solver) {
+		s.met.solveQueueWait.Observe(time.Since(queued).Seconds())
 		if cached, ok := s.cache.Recheck(c.key); ok {
+			s.met.solveRequests.Add(1)
 			done <- outcome{body: cached, xCache: "hit"}
 			return
 		}
+		// The instance borrows the solver's grid: it must not outlive
+		// this task.
+		in, err := solver.Build(&c.doc)
+		if err != nil {
+			done <- outcome{status: http.StatusUnprocessableEntity, err: err}
+			return
+		}
+		s.met.solveRequests.Add(1)
 		tr, err := solver.Solve(in, c.method, c.ropt)
 		var out []byte
 		if err == nil {
 			out, err = costdist.MarshalTree(in, tr)
 		}
 		if err != nil {
-			done <- outcome{err: err}
+			done <- outcome{status: http.StatusInternalServerError, err: fmt.Errorf("solve: %w", err)}
 			return
 		}
 		s.cache.Put(c.key, out)
@@ -370,7 +379,7 @@ func (s *Server) solveMiss(w http.ResponseWriter, r *http.Request, c *solveCall)
 	select {
 	case o := <-done:
 		if o.err != nil {
-			s.httpError(w, http.StatusInternalServerError, "solve: %v", o.err)
+			s.httpError(w, o.status, "%v", o.err)
 			return false
 		}
 		writeBody(w, o.xCache, o.body)

@@ -72,13 +72,24 @@ func decodeInstance(data []byte) (InstanceJSON, error) {
 }
 
 // Build normalizes the document in place and turns it into a solvable
-// Instance backed by the default technology. Dimensions and every pin
-// are validated before the grid is allocated, so a rejected document
-// costs no more than its own decode.
+// Instance backed by the default technology, on a grid of its own.
+// Dimensions and every pin are validated before the grid is allocated,
+// so a rejected document costs no more than its own decode.
 func (f *InstanceJSON) Build() (*Instance, error) {
+	if err := f.check(); err != nil {
+		return nil, err
+	}
+	var ig instanceGrid
+	return ig.build(f), nil
+}
+
+// check normalizes the document and validates its dimensions and every
+// pin: all that Build and Solver.Build refuse, refused before any grid
+// is touched.
+func (f *InstanceJSON) check() error {
 	f.Normalize()
 	if f.NX < 2 || f.NY < 2 || f.Layers < 2 {
-		return nil, fmt.Errorf("costdist: instance needs nx,ny ≥ 2 and layers ≥ 2")
+		return fmt.Errorf("costdist: instance needs nx,ny ≥ 2 and layers ≥ 2")
 	}
 	inBounds := func(x, y, l int32) error {
 		if x < 0 || x >= f.NX || y < 0 || y >= f.NY || l < 0 || l >= int32(f.Layers) {
@@ -87,22 +98,58 @@ func (f *InstanceJSON) Build() (*Instance, error) {
 		return nil
 	}
 	if err := inBounds(f.Root[0], f.Root[1], f.Root[2]); err != nil {
-		return nil, err
+		return err
 	}
 	for i, s := range f.Sinks {
 		if err := inBounds(s.X, s.Y, s.L); err != nil {
-			return nil, fmt.Errorf("sink %d: %w", i, err)
+			return fmt.Errorf("sink %d: %w", i, err)
 		}
 	}
-	tech := DefaultTech(f.Layers)
-	g := NewGrid(f.NX, f.NY, tech.BuildLayers(), tech.GCellUM)
-	c := NewCosts(g)
+	return nil
+}
+
+// instanceGrid is what an InstanceJSON is built on: the default
+// technology's graph for one shape (nx, ny, layers), one multiplier
+// array over it, the technology's bifurcation penalty, and the
+// congestion rectangles the last build priced. The graph is never
+// written after NewGrid — its capacities come from the layer stack — so
+// only the multipliers need resetting between builds of one shape.
+type instanceGrid struct {
+	g      *grid.Graph
+	c      *grid.Costs
+	dbif   float64
+	priced []pricedRect
+}
+
+// pricedRect is one congestion rectangle a build wrote into the
+// multipliers, as the document gave it (applyCongestion clips it again
+// when it is written back).
+type pricedRect struct{ l, x0, y0, x1, y1 int32 }
+
+// build turns a checked document into an Instance on ig's grid. On the
+// shape ig already holds it writes 1 back over the rectangles the
+// previous build priced; on any other shape it replaces the graph and
+// the multipliers, so ig never holds more than one grid.
+func (ig *instanceGrid) build(f *InstanceJSON) *Instance {
+	if ig.g != nil && ig.g.NX == f.NX && ig.g.NY == f.NY && len(ig.g.Layers) == f.Layers {
+		for _, r := range ig.priced {
+			applyCongestion(ig.g, ig.c, r.l, r.x0, r.y0, r.x1, r.y1, 1)
+		}
+		ig.priced = ig.priced[:0]
+	} else {
+		tech := DefaultTech(f.Layers)
+		ig.g = NewGrid(f.NX, f.NY, tech.BuildLayers(), tech.GCellUM)
+		ig.c = NewCosts(ig.g)
+		ig.dbif = tech.Dbif()
+		ig.priced = make([]pricedRect, 0, len(f.Congestion))
+	}
+	g := ig.g
 	dbif := f.DBif
 	if dbif < 0 {
-		dbif = tech.Dbif()
+		dbif = ig.dbif
 	}
 	in := &Instance{
-		G: g, C: c,
+		G: g, C: ig.c,
 		Root: g.At(f.Root[0], f.Root[1], f.Root[2]),
 		DBif: dbif, Eta: f.Eta, Seed: f.Seed,
 	}
@@ -110,10 +157,12 @@ func (f *InstanceJSON) Build() (*Instance, error) {
 		in.Sinks = append(in.Sinks, Sink{V: g.At(s.X, s.Y, s.L), W: s.W})
 	}
 	for _, r := range f.Congestion {
-		applyCongestion(g, c, r.L, r.X0, r.Y0, r.X1, r.Y1, r.Mult)
+		if applyCongestion(g, ig.c, r.L, r.X0, r.Y0, r.X1, r.Y1, r.Mult) {
+			ig.priced = append(ig.priced, pricedRect{r.L, r.X0, r.Y0, r.X1, r.Y1})
+		}
 	}
 	in.Win = in.DefaultWindow(f.Margin)
-	return in, nil
+	return in
 }
 
 // ParseInstance decodes an InstanceJSON document into a solvable
@@ -126,9 +175,12 @@ func ParseInstance(data []byte) (*Instance, error) {
 	return f.Build()
 }
 
-func applyCongestion(g *grid.Graph, c *grid.Costs, l, x0, y0, x1, y1 int32, mult float32) {
+// applyCongestion sets the multiplier of every segment of layer l whose
+// low endpoint lies in [x0,x1]×[y0,y1]. It reports false, writing
+// nothing, for a layer outside the stack or a multiplier below 1.
+func applyCongestion(g *grid.Graph, c *grid.Costs, l, x0, y0, x1, y1 int32, mult float32) bool {
 	if l < 0 || l >= int32(len(g.Layers)) || mult < 1 {
-		return
+		return false
 	}
 	// Clip to the grid before looping: a rectangle reaching to -2³¹ must
 	// not buy 2³¹ iterations of nothing.
@@ -143,6 +195,7 @@ func applyCongestion(g *grid.Graph, c *grid.Costs, l, x0, y0, x1, y1 int32, mult
 			}
 		}
 	}
+	return true
 }
 
 // CanonicalInstanceJSON re-emits an InstanceJSON document in canonical

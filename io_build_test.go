@@ -1,7 +1,13 @@
 package costdist
 
 import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -52,4 +58,173 @@ func TestCongestionRectClippedToGrid(t *testing.T) {
 	if priced == 0 {
 		t.Fatalf("rectangle priced %d segments", priced)
 	}
+}
+
+// solverBuildDoc draws one instance document of the given shape: a root
+// and n sinks anywhere in the grid and, when congested, priced
+// rectangles of every kind a build has to handle — ordinary ones that
+// overlap one another on layers 0 and 1, one clipped at the grid edge,
+// one on each side of the layer stack and one with a multiplier below 1.
+func solverBuildDoc(rng *rand.Rand, nx, ny int32, layers, n int, congested bool) []byte {
+	var b strings.Builder
+	pin := func() (x, y, l int32) { return rng.Int32N(nx), rng.Int32N(ny), rng.Int32N(int32(layers)) }
+	x, y, l := pin()
+	fmt.Fprintf(&b, `{"nx":%d,"ny":%d,"layers":%d,"root":[%d,%d,%d],"sinks":[`, nx, ny, layers, x, y, l)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		x, y, l := pin()
+		fmt.Fprintf(&b, `{"x":%d,"y":%d,"l":%d,"w":%g}`, x, y, l, 0.05*rng.Float64())
+	}
+	fmt.Fprintf(&b, `],"dbif":-1,"seed":%d,"margin":%d`, rng.Uint64(), 2+rng.IntN(6))
+	if congested {
+		mult := func() float32 { return 1 + float32(rng.IntN(56))/8 }
+		var rects []string
+		rect := func(x0, y0, x1, y1, l int32, m float32) {
+			rects = append(rects, fmt.Sprintf(`{"x0":%d,"y0":%d,"x1":%d,"y1":%d,"l":%d,"mult":%g}`, x0, y0, x1, y1, l, m))
+		}
+		for k := 0; k < 4; k++ {
+			x0, y0 := rng.Int32N(nx), rng.Int32N(ny)
+			rect(x0, y0, x0+rng.Int32N(nx/2), y0+rng.Int32N(ny/2), rng.Int32N(2), mult())
+		}
+		rect(-5, ny-4, 6, ny+10, rng.Int32N(int32(layers)), mult())
+		rect(0, 0, nx, ny, int32(layers), mult())
+		rect(0, 0, nx, ny, -1, mult())
+		rect(0, 0, nx, ny, rng.Int32N(int32(layers)), 0.5)
+		b.WriteString(`,"congestion":[` + strings.Join(rects, ",") + `]`)
+	}
+	b.WriteString("}")
+	return []byte(b.String())
+}
+
+// instanceDiff names the first field in which got differs from want, or
+// returns "": the multipliers bit for bit, the capacities, the shape and
+// layer stack, the pins, the window, the penalty, η and the seed.
+func instanceDiff(got, want *Instance) string {
+	switch g, w := got.G, want.G; {
+	case g.NX != w.NX || g.NY != w.NY || g.LenUM != w.LenUM:
+		return fmt.Sprintf("grid %d×%d (%g µm), want %d×%d (%g µm)", g.NX, g.NY, g.LenUM, w.NX, w.NY, w.LenUM)
+	case !reflect.DeepEqual(g.Layers, w.Layers):
+		return fmt.Sprintf("layer stack of %d layers, want %d", len(g.Layers), len(w.Layers))
+	case !reflect.DeepEqual(g.Cap, w.Cap):
+		return "capacities differ"
+	case len(got.C.Mult) != len(want.C.Mult) || got.C.MinMult != want.C.MinMult:
+		return fmt.Sprintf("%d multipliers ≥ %g, want %d ≥ %g", len(got.C.Mult), got.C.MinMult, len(want.C.Mult), want.C.MinMult)
+	}
+	for i, m := range want.C.Mult {
+		if math.Float32bits(got.C.Mult[i]) != math.Float32bits(m) {
+			return fmt.Sprintf("segment %d: multiplier %v, want %v", i, got.C.Mult[i], m)
+		}
+	}
+	switch {
+	case got.Root != want.Root || !reflect.DeepEqual(got.Sinks, want.Sinks):
+		return fmt.Sprintf("pins %v %v, want %v %v", got.Root, got.Sinks, want.Root, want.Sinks)
+	case got.Win != want.Win:
+		return fmt.Sprintf("window %+v, want %+v", got.Win, want.Win)
+	case math.Float64bits(got.DBif) != math.Float64bits(want.DBif) || got.Eta != want.Eta || got.Seed != want.Seed:
+		return fmt.Sprintf("dbif/eta/seed %v/%v/%v, want %v/%v/%v", got.DBif, got.Eta, got.Seed, want.DBif, want.Eta, want.Seed)
+	}
+	return ""
+}
+
+// Solver.Build is InstanceJSON.Build on a cached grid: after every
+// build of a seeded sequence — shapes alternating, one of them sharing
+// nx×ny with another but not its layer count, congested documents
+// followed by clean ones — the instance equals a fresh ParseInstance of
+// the same bytes and solves to the same marshaled tree. The solver
+// reuses its graph exactly when the shape repeats and otherwise
+// replaces it.
+func TestSolverBuildMatchesBuild(t *testing.T) {
+	type shape struct {
+		nx, ny int32
+		layers int
+	}
+	big, small, thin := shape{64, 64, 8}, shape{32, 48, 5}, shape{64, 64, 6}
+	steps := []struct {
+		shape
+		congested bool
+	}{
+		{big, true}, {big, true}, {big, false}, {small, true}, {small, false}, {small, true},
+		{big, true}, {thin, true}, {thin, false}, {big, true}, {big, false}, {big, true},
+	}
+	rng := rand.New(rand.NewPCG(29, 1))
+	s := NewSolver()
+	var prev shape
+	var prevG *Graph
+	for i, st := range steps {
+		doc := solverBuildDoc(rng, st.nx, st.ny, st.layers, 2+rng.IntN(7), st.congested)
+		want, err := ParseInstance(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := decodeInstance(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Build(&f)
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if d := instanceDiff(got, want); d != "" {
+			t.Fatalf("step %d (%v, congested %v): %s", i, st.shape, st.congested, d)
+		}
+		if got.G != s.grid.g || got.C != s.grid.c {
+			t.Fatalf("step %d: instance not built on the solver's grid", i)
+		}
+		if i > 0 && (got.G == prevG) != (st.shape == prev) {
+			t.Fatalf("step %d: %v after %v: graph reused = %v", i, st.shape, prev, got.G == prevG)
+		}
+		prev, prevG = st.shape, got.G
+
+		wt, err := SolveCD(want, DefaultCDOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		gt, err := s.SolveCD(got, DefaultCDOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb, err := MarshalTree(want, wt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gb, err := MarshalTree(got, gt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gb, wb) {
+			t.Fatalf("step %d: tree on the cached grid differs from the library's:\n%s\n%s", i, gb, wb)
+		}
+	}
+}
+
+// On a repeated 64×64×8 shape Solver.Build allocates nothing grid-sized:
+// the instance, its sinks and the window's terminal list — under 8 KB
+// for 40 sinks, against the 476 KB of a fresh graph and multiplier
+// array.
+func TestSolverBuildAllocationBound(t *testing.T) {
+	doc := solverBuildDoc(rand.New(rand.NewPCG(29, 2)), 64, 64, 8, 40, true)
+	f, err := decodeInstance(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSolver()
+	if _, err := s.Build(&f); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := s.Build(&f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	b := (after.TotalAlloc - before.TotalAlloc) / runs
+	if b >= 8<<10 {
+		t.Fatalf("Solver.Build on a repeated shape allocated %d B/op, want under 8 KB", b)
+	}
+	t.Logf("Solver.Build on a repeated 64×64×8 shape, 40 sinks: %d B/op", b)
 }
