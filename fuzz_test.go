@@ -168,6 +168,56 @@ func FuzzMarshalTreeRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzUnmarshalCheckpoint asserts UnmarshalCheckpoint never panics on a
+// document — the checkpoint codec is versioned and reachable over HTTP
+// through a route job's base — and that an accepted one re-encodes to a
+// byte fixed point: marshal → unmarshal → marshal returns the same
+// bytes. The seeds are a checkpoint of a small routed chip and three
+// headers claiming grids far beyond their data.
+//
+//	go test -fuzz FuzzUnmarshalCheckpoint -fuzztime 30s .
+func FuzzUnmarshalCheckpoint(f *testing.F) {
+	chip, err := GenerateChip(ChipSpec{Name: "fuzz", Layers: 3, NNets: 12, Seed: 7, Density: 0.9, Levels: 3, Hotspots: 1, ClkTightness: 1.08})
+	if err != nil {
+		f.Fatal(err)
+	}
+	opt := DefaultRouterOptions()
+	opt.Waves = 1
+	_, st, err := RouteChipCheckpoint(chip, CD, opt)
+	if err != nil {
+		f.Fatal(err)
+	}
+	blob, err := MarshalCheckpoint(st)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	for _, n := range []int32{5000, 20000, 50000} {
+		f.Add(checkpointHeader(n))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := UnmarshalCheckpoint(data)
+		if err != nil {
+			return
+		}
+		first, err := MarshalCheckpoint(st)
+		if err != nil {
+			t.Fatalf("accepted checkpoint does not marshal: %v", err)
+		}
+		back, err := UnmarshalCheckpoint(first)
+		if err != nil {
+			t.Fatalf("own output refused: %v\n%s", err, first)
+		}
+		second, err := MarshalCheckpoint(back)
+		if err != nil {
+			t.Fatalf("re-marshal failed: %v", err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("marshal → unmarshal → marshal not a fixed point:\nfirst  %s\nsecond %s", first, second)
+		}
+	})
+}
+
 // FuzzExactGoalVsDP cross-checks the two exact solvers on fuzzed
 // instances: the goal-oriented label-setting search and the
 // Dreyfus–Wagner DP must certify the same lower bound, and both trees

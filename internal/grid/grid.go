@@ -120,6 +120,22 @@ func New(nx, ny int32, layers []Layer, lenUM float64) *Graph {
 	return g
 }
 
+// Size returns the vertex and segment counts New(nx, ny, layers, …)
+// would build, in int64 where they cannot wrap, so that a caller given
+// an outside shape can refuse one beyond the int32 ids, or one its data
+// does not match, before anything grid-sized is allocated.
+func Size(nx, ny int32, layers []Layer) (verts, segs int64) {
+	x, y, l := int64(nx), int64(ny), int64(len(layers))
+	for i := range layers {
+		if layers[i].Dir == DirH {
+			segs += (x - 1) * y
+		} else {
+			segs += (y - 1) * x
+		}
+	}
+	return x * y * l, segs + (l-1)*x*y
+}
+
 // LayerDirs renders the per-layer preferred directions as one "H"/"V"
 // letter per layer, e.g. "HVHVHVHV" — the layer-stack signature that
 // checkpoints store.

@@ -84,6 +84,9 @@ func TestSegmentIDsDisjoint(t *testing.T) {
 	if int32(len(seen)) != g.NumSegs() {
 		t.Fatalf("NumSegs = %d but enumerated %d", g.NumSegs(), len(seen))
 	}
+	if v, s := Size(g.NX, g.NY, g.Layers); v != int64(g.NumV()) || s != int64(g.NumSegs()) {
+		t.Fatalf("Size = %d vertices, %d segments; the graph has %d, %d", v, s, g.NumV(), g.NumSegs())
+	}
 	for s, what := range seen {
 		if (what == "via") != (s >= g.NumRouteSegs()) {
 			t.Fatalf("segment %d (%s) on the wrong side of NumRouteSegs %d", s, what, g.NumRouteSegs())

@@ -9,13 +9,37 @@
 //     so the globally minimal tentative label can be popped.
 package heaps
 
+import (
+	"math"
+	"math/bits"
+)
+
 // Lazy is a binary min-heap of (key, value) pairs. Duplicate values with
 // stale keys are allowed; callers detect staleness when popping (lazy
 // deletion), which is faster in practice than decrease-key for Dijkstra.
 // The zero value is ready to use.
+//
+// Keys are stored as ord(key), a uint64 that sorts like the float64, so
+// the sifts compare integers; they make exactly the comparisons a float
+// heap would and pop equal keys in the same order. A key must not be NaN,
+// and a pushed −0 comes back as +0.
 type Lazy[T any] struct {
-	keys []float64
+	keys []uint64
 	vals []T
+}
+
+// ord maps a float64 to a uint64 of the same order: a negative key has
+// all its bits flipped, any other key only its sign bit. Adding +0 first
+// folds −0 into +0, so the two zeros tie as they do under float
+// comparison.
+func ord(k float64) uint64 {
+	b := math.Float64bits(k + 0)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// unord inverts ord.
+func unord(u uint64) float64 {
+	return math.Float64frombits(u ^ (uint64(int64(^u)>>63) | 1<<63))
 }
 
 // Len returns the number of stored entries (including stale duplicates).
@@ -27,24 +51,24 @@ func (h *Lazy[T]) Reset() {
 	h.vals = h.vals[:0]
 }
 
-// Push inserts value v with the given key.
+// Push inserts value v with the given key, which must not be NaN.
 func (h *Lazy[T]) Push(key float64, v T) {
-	h.keys = append(h.keys, key)
+	h.keys = append(h.keys, ord(key))
 	h.vals = append(h.vals, v)
 	h.up(len(h.keys) - 1)
 }
 
 // MinKey returns the smallest key. It panics if the heap is empty; guard
 // with Len.
-func (h *Lazy[T]) MinKey() float64 { return h.keys[0] }
+func (h *Lazy[T]) MinKey() float64 { return unord(h.keys[0]) }
 
 // Peek returns the minimum entry without removing it. It panics if the
 // heap is empty; guard with Len.
-func (h *Lazy[T]) Peek() (key float64, v T) { return h.keys[0], h.vals[0] }
+func (h *Lazy[T]) Peek() (key float64, v T) { return unord(h.keys[0]), h.vals[0] }
 
 // Pop removes and returns the entry with the smallest key.
 func (h *Lazy[T]) Pop() (key float64, v T) {
-	key, v = h.keys[0], h.vals[0]
+	key, v = unord(h.keys[0]), h.vals[0]
 	n := len(h.keys) - 1
 	h.keys[0], h.vals[0] = h.keys[n], h.vals[n]
 	h.keys = h.keys[:n]
@@ -68,24 +92,33 @@ func (h *Lazy[T]) up(i int) {
 	h.keys[i], h.vals[i] = k, v
 }
 
+// down sifts entry i toward the leaves. While both children exist, the
+// right one is picked from the borrow of keys[c+1] − keys[c] — 1 exactly
+// when it is strictly smaller — which compiles to a subtract-with-borrow
+// instead of a branch the key order makes unpredictable; the one-child
+// tail is settled once after the loop.
 func (h *Lazy[T]) down(i int) {
-	n := len(h.keys)
-	k, v := h.keys[i], h.vals[i]
+	keys, vals := h.keys, h.vals[:len(h.keys)]
+	n := len(keys)
+	k, v := keys[i], vals[i]
 	for {
 		c := 2*i + 1
-		if c >= n {
+		if c+1 >= n {
 			break
 		}
-		if c+1 < n && h.keys[c+1] < h.keys[c] {
-			c++
-		}
-		if h.keys[c] >= k {
+		_, right := bits.Sub64(keys[c+1], keys[c], 0)
+		c += int(right)
+		if keys[c] >= k {
 			break
 		}
-		h.keys[i], h.vals[i] = h.keys[c], h.vals[c]
+		keys[i], vals[i] = keys[c], vals[c]
 		i = c
 	}
-	h.keys[i], h.vals[i] = k, v
+	if c := 2*i + 1; c == n-1 && keys[c] < k {
+		keys[i], vals[i] = keys[c], vals[c]
+		i = c
+	}
+	keys[i], vals[i] = k, v
 }
 
 // LabelQueue is the priority queue of the goal-oriented exact solver

@@ -61,6 +61,146 @@ func TestLazyReset(t *testing.T) {
 	}
 }
 
+// floatLazy is Lazy as it was before its keys became ord-encoded: the
+// same sifts on float64 keys. It is the reference for Lazy's pop order.
+type floatLazy[T any] struct {
+	keys []float64
+	vals []T
+}
+
+func (h *floatLazy[T]) Len() int { return len(h.keys) }
+
+func (h *floatLazy[T]) Push(key float64, v T) {
+	h.keys = append(h.keys, key)
+	h.vals = append(h.vals, v)
+	h.up(len(h.keys) - 1)
+}
+
+func (h *floatLazy[T]) Peek() (key float64, v T) { return h.keys[0], h.vals[0] }
+
+func (h *floatLazy[T]) Pop() (key float64, v T) {
+	key, v = h.keys[0], h.vals[0]
+	n := len(h.keys) - 1
+	h.keys[0], h.vals[0] = h.keys[n], h.vals[n]
+	h.keys = h.keys[:n]
+	h.vals = h.vals[:n]
+	if n > 0 {
+		h.down(0)
+	}
+	return key, v
+}
+
+func (h *floatLazy[T]) up(i int) {
+	k, v := h.keys[i], h.vals[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if h.keys[p] <= k {
+			break
+		}
+		h.keys[i], h.vals[i] = h.keys[p], h.vals[p]
+		i = p
+	}
+	h.keys[i], h.vals[i] = k, v
+}
+
+func (h *floatLazy[T]) down(i int) {
+	n := len(h.keys)
+	k, v := h.keys[i], h.vals[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h.keys[c+1] < h.keys[c] {
+			c++
+		}
+		if h.keys[c] >= k {
+			break
+		}
+		h.keys[i], h.vals[i] = h.keys[c], h.vals[c]
+		i = c
+	}
+	h.keys[i], h.vals[i] = k, v
+}
+
+// specialKeys are the float64 values an integer encoding of the key can
+// get wrong: both zeros, both infinities, subnormals of both signs, the
+// extremes of the finite range, and ordinary negatives and positives.
+var specialKeys = []float64{
+	math.Inf(-1), -math.MaxFloat64, -1e300, -2.5, -1, -math.SmallestNonzeroFloat64 * 3,
+	-math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64,
+	math.SmallestNonzeroFloat64 * 3, 0x1p-1022, 1, 2.5, 7, 1e300, math.MaxFloat64, math.Inf(1),
+}
+
+// Lazy pops the same (key, value) sequence as the float heap it
+// replaced, ties included, on random interleavings of Push and Pop with
+// keys drawn from a small set — the key a float heap returns, with −0
+// read as +0. Values are push sequence numbers, so a tie popped in
+// another order shows.
+func TestLazyMatchesFloatHeap(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		rng := rand.New(rand.NewPCG(uint64(round), 30))
+		pool := specialKeys
+		if round%2 == 1 {
+			pool = []float64{0, 1, 1, 2, 3, 3, 3}
+		}
+		var h Lazy[int]
+		var ref floatLazy[int]
+		pushes := 0
+		for op := 0; op < 2000; op++ {
+			if ref.Len() == 0 || rng.IntN(5) < 3 {
+				k := pool[rng.IntN(len(pool))]
+				h.Push(k, pushes)
+				ref.Push(k, pushes)
+				pushes++
+			} else {
+				gk, gv := h.Pop()
+				wk, wv := ref.Pop()
+				if math.Float64bits(gk) != math.Float64bits(wk+0) || gv != wv {
+					t.Fatalf("round %d op %d: Pop = (%v, %d), float heap (%v, %d)", round, op, gk, gv, wk, wv)
+				}
+			}
+			if h.Len() != ref.Len() {
+				t.Fatalf("round %d op %d: Len %d, float heap %d", round, op, h.Len(), ref.Len())
+			}
+			if h.Len() > 0 {
+				gk, gv := h.Peek()
+				wk, wv := ref.Peek()
+				if math.Float64bits(gk) != math.Float64bits(wk+0) || gv != wv || h.MinKey() != gk {
+					t.Fatalf("round %d op %d: Peek = (%v, %d), float heap (%v, %d)", round, op, gk, gv, wk, wv)
+				}
+			}
+		}
+	}
+}
+
+// ord is strictly monotone on non-NaN float64s (equal exactly where the
+// floats compare equal, so −0 ties +0), and unord inverts it bit for
+// bit except that −0 comes back as +0.
+func TestOrdPreservesOrder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(30, 1))
+	keys := append([]float64(nil), specialKeys...)
+	for len(keys) < 400 {
+		if k := math.Float64frombits(rng.Uint64()); !math.IsNaN(k) {
+			keys = append(keys, k)
+		}
+	}
+	for _, a := range keys {
+		want := math.Float64bits(a)
+		if a == 0 {
+			want = 0
+		}
+		if got := math.Float64bits(unord(ord(a))); got != want {
+			t.Fatalf("unord(ord(%v)) has bits %#x, want %#x", a, got, want)
+		}
+		for _, b := range keys {
+			if (a < b) != (ord(a) < ord(b)) || (a == b) != (ord(a) == ord(b)) {
+				t.Fatalf("ord(%v) = %#x and ord(%v) = %#x order differently from the floats", a, ord(a), b, ord(b))
+			}
+		}
+	}
+}
+
 func TestIndexedBasics(t *testing.T) {
 	h := NewIndexed(4)
 	if s, k := h.Min(); s < 0 || k != Inf {
@@ -180,6 +320,25 @@ func BenchmarkLazyPushPop(b *testing.B) {
 		if h.Len() > 1024 {
 			h.Pop()
 		}
+	}
+}
+
+// BenchmarkLazyDijkstra drives the heap as a label-setting search does:
+// every pop pushes a label at the popped key plus a small integral arc
+// cost, so keys rise monotonically and tie often, on a heap of a few
+// thousand entries like the embedding DP's spread.
+func BenchmarkLazyDijkstra(b *testing.B) {
+	const size = 4096
+	rng := rand.New(rand.NewPCG(1, 1))
+	var h Lazy[int32]
+	for i := 0; i < size; i++ {
+		h.Push(float64(rng.IntN(64)), int32(i))
+	}
+	steps := [...]float64{1, 1, 1.5, 2, 3, 4}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k, v := h.Pop()
+		h.Push(k+steps[rng.IntN(len(steps))], v)
 	}
 }
 

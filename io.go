@@ -488,7 +488,7 @@ func MarshalCheckpoint(st *RouterState) ([]byte, error) {
 	if st == nil {
 		return nil, fmt.Errorf("costdist: nil checkpoint state")
 	}
-	g, err := checkpointGraph(st.NX, st.NY, st.Layers, st.LayerDirs)
+	g, err := checkpointGraph(st.NX, st.NY, st.Layers, st.LayerDirs, len(st.Cap), len(st.Mult), len(st.Ref))
 	if err != nil {
 		return nil, err
 	}
@@ -542,14 +542,9 @@ func UnmarshalCheckpoint(data []byte) (*RouterState, error) {
 	if f.Version != CheckpointVersion {
 		return nil, fmt.Errorf("costdist: checkpoint version %d unsupported (want %d)", f.Version, CheckpointVersion)
 	}
-	g, err := checkpointGraph(f.NX, f.NY, f.Layers, f.LayerDirs)
+	g, err := checkpointGraph(f.NX, f.NY, f.Layers, f.LayerDirs, len(f.Cap), len(f.Mult), len(f.Ref))
 	if err != nil {
 		return nil, err
-	}
-	nSegs := int(g.NumSegs())
-	if len(f.Cap) != nSegs || len(f.Mult) != nSegs || len(f.Ref) != nSegs {
-		return nil, fmt.Errorf("costdist: checkpoint has %d/%d/%d cap/mult/ref segments, grid has %d",
-			len(f.Cap), len(f.Mult), len(f.Ref), nSegs)
 	}
 	st := &RouterState{
 		Method:    f.Method,
@@ -600,13 +595,25 @@ func UnmarshalCheckpoint(data []byte) (*RouterState, error) {
 // checkpointGraph reconstructs the routing grid a checkpoint is bound
 // to: the default technology at the stored layer count. The stored
 // layer directions must match the reconstruction — checkpoints of
-// custom layer stacks have no wire form.
-func checkpointGraph(nx, ny int32, layers int, dirs string) (*grid.Graph, error) {
+// custom layer stacks have no wire form — and the cap/mult/ref vectors
+// (of lengths nCap, nMult, nRef) must have one entry per segment. The
+// shape and the lengths are checked in int64 before the grid is built,
+// so a header claiming a huge grid costs no more than its own decode.
+func checkpointGraph(nx, ny int32, layers int, dirs string, nCap, nMult, nRef int) (*grid.Graph, error) {
 	if nx < 1 || ny < 1 || layers < 2 || layers > 1024 {
 		return nil, fmt.Errorf("costdist: checkpoint grid %dx%dx%d invalid", nx, ny, layers)
 	}
 	tech := DefaultTech(layers)
-	g := NewGrid(nx, ny, tech.BuildLayers(), tech.GCellUM)
+	stack := tech.BuildLayers()
+	verts, segs := grid.Size(nx, ny, stack)
+	if verts > math.MaxInt32 || segs > math.MaxInt32 {
+		return nil, fmt.Errorf("costdist: checkpoint grid %dx%dx%d too large (%d vertices, %d segments)", nx, ny, layers, verts, segs)
+	}
+	if int64(nCap) != segs || int64(nMult) != segs || int64(nRef) != segs {
+		return nil, fmt.Errorf("costdist: checkpoint has %d/%d/%d cap/mult/ref segments, grid has %d",
+			nCap, nMult, nRef, segs)
+	}
+	g := NewGrid(nx, ny, stack, tech.GCellUM)
 	if got := g.LayerDirs(); got != dirs {
 		return nil, fmt.Errorf("costdist: checkpoint layer directions %q do not match the default %d-layer stack %q",
 			dirs, layers, got)

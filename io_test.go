@@ -3,9 +3,11 @@ package costdist
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -240,6 +242,41 @@ func TestUnmarshalCheckpointRejectsCorruptDocuments(t *testing.T) {
 	})
 	if _, err := UnmarshalCheckpoint([]byte("{")); err == nil {
 		t.Error("truncated document accepted")
+	}
+}
+
+// checkpointHeader is a checkpoint document of an n×n×8 grid with empty
+// price vectors and no nets: a header that claims a grid it carries no
+// data for.
+func checkpointHeader(n int32) []byte {
+	return []byte(fmt.Sprintf(`{"version":1,"method":"cd","nx":%d,"ny":%d,"layers":8,"layer_dirs":"HVHVHVHV",`+
+		`"cap":[],"mult":[],"ref":[],"metrics":{},"nets":[]}`, n, n))
+}
+
+// A checkpoint whose grid its vectors do not cover is refused before the
+// grid is built: the 5000×5000×8 header costs its own decode, not the
+// 1.5 GB of a grid, and the headers whose int32 vertex or segment counts
+// would wrap (20000²) or not fit a slice (50000²) are errors, not panics.
+func TestUnmarshalCheckpointValidatesBeforeAllocating(t *testing.T) {
+	for _, tc := range []struct {
+		n       int32
+		wantErr string
+	}{
+		{5000, "costdist: checkpoint has 0/0/0 cap/mult/ref segments, grid has 374960000"},
+		{20000, "costdist: checkpoint grid 20000x20000x8 too large (3200000000 vertices, 5999840000 segments)"},
+		{50000, "costdist: checkpoint grid 50000x50000x8 too large (20000000000 vertices, 37499600000 segments)"},
+	} {
+		doc := checkpointHeader(tc.n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := UnmarshalCheckpoint(doc)
+		runtime.ReadMemStats(&after)
+		if err == nil || err.Error() != tc.wantErr {
+			t.Fatalf("%d² header: error %v, want %q", tc.n, err, tc.wantErr)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 64<<10 {
+			t.Fatalf("refusing the %d-byte %d² header allocated %d bytes, want under 64 KB", len(doc), tc.n, b)
+		}
 	}
 }
 
