@@ -99,9 +99,11 @@ type (
 	PlaneTree  = nets.PlaneTree
 
 	// CDOptions selects the §III enhancements of the core algorithm;
-	// TraceEvent reports merges to trace callbacks.
+	// TraceEvent reports merges to trace callbacks; SearchWork counts
+	// the searches' deterministic work (RouteMetrics.WorkPerWave).
 	CDOptions  = core.Options
 	TraceEvent = core.TraceEvent
+	SearchWork = core.Work
 
 	// Method selects a Steiner oracle driver — one row of the oracle
 	// table for the fixed methods, plus the Auto and Portfolio drivers.

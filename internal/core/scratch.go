@@ -33,13 +33,27 @@ type Scratch struct {
 	// Solves counts completed calls through this arena (cheap visibility
 	// for tests and metrics).
 	Solves int
-	// Deterministic work done through this arena, cumulative over its
-	// solves (failed ones included): Searches is component searches
-	// started, Pushed queue entries pushed (validate's corrected re-pushes
-	// included), Settled labels made permanent. They repeat exactly for the
-	// same instances and options, so a test can gate on them where a clock
-	// is too noisy.
-	Searches, Pushed, Settled int64
+	// Work is the deterministic work done through this arena, cumulative
+	// over its solves (failed ones included).
+	Work
+}
+
+// Work counts what the searches of a solve did: Searches is component
+// searches started, Pushed queue entries pushed (validate's corrected
+// re-pushes included), Settled labels made permanent and Estimated
+// future-cost scans (future.Targets.Est calls). The counts repeat exactly
+// for the same instances and options, so a test can gate on them where a
+// clock is too noisy, and they add up over nets in any order.
+type Work struct {
+	Searches, Pushed, Settled, Estimated int64
+}
+
+// Add adds o's counts to w.
+func (w *Work) Add(o Work) {
+	w.Searches += o.Searches
+	w.Pushed += o.Pushed
+	w.Settled += o.Settled
+	w.Estimated += o.Estimated
 }
 
 // NewScratch returns an empty arena. The zero value is not usable;

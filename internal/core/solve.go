@@ -232,6 +232,7 @@ func (s *solver) h(c *comp, x, y int32) float64 {
 	if !s.opt.AStar {
 		return 0
 	}
+	s.scr.Estimated++
 	return s.targets.Est(c.id, x, y, c.ux, c.uy)
 }
 

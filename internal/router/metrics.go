@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"costdist/internal/cong"
+	"costdist/internal/core"
 	"costdist/internal/grid"
 	"costdist/internal/nets"
 	"costdist/internal/obs"
@@ -80,6 +81,13 @@ type Metrics struct {
 	ObjectivePerWave  []float64    `json:"objective_per_wave,omitempty"`
 	OverflowPerWave   []float64    `json:"overflow_per_wave,omitempty"`
 	StageNanosPerWave []StageNanos `json:"-"`
+
+	// WorkPerWave sums, per wave, the core search work (core.Work) of
+	// every oracle solve the wave ran, over all workers. A sum over nets
+	// is independent of the worker count, so it is a deterministic count
+	// a test can pin; it stays off the wire like StageNanosPerWave, so it
+	// comes back nil from every Unmarshal.
+	WorkPerWave []core.Work `json:"-"`
 }
 
 // StageNanos is one wave's walltime breakdown in nanoseconds. Dirty,

@@ -12,6 +12,7 @@ import (
 
 	"costdist/internal/chipgen"
 	"costdist/internal/cong"
+	"costdist/internal/core"
 	"costdist/internal/geom"
 	"costdist/internal/grid"
 	"costdist/internal/nets"
@@ -308,10 +309,16 @@ func (r *runState) runWaves() error {
 		r.inc.replayUsage(r.usage, r.trees)
 		rec.Span(obs.StageReplay, int32(wave), -1, "", replayT0)
 		nRepaired, nEscalated := 0, 0
+		var searched core.Work
 		for w := 0; w < threads; w++ {
 			nRepaired += workerRepaired[w]
 			nEscalated += workerEscalated[w]
+			// The arenas count cumulatively; take the wave's share and
+			// start the next wave from zero.
+			searched.Add(r.pool.scr[w].Work)
+			r.pool.scr[w].Work = core.Work{}
 		}
+		r.res.Metrics.WorkPerWave = append(r.res.Metrics.WorkPerWave, searched)
 		r.res.Metrics.NetsSolved += int64(nWork - nRepaired)
 		r.res.Metrics.NetsSkipped += int64(nNets - nWork)
 		r.res.Metrics.NetsRepaired += int64(nRepaired)

@@ -106,7 +106,8 @@ func TestRouteResultRoundTrip(t *testing.T) {
 	}
 
 	wm := res.Metrics
-	wm.Walltime = 0 // deliberately not serialized (nondeterministic)
+	wm.Walltime = 0      // deliberately not serialized (nondeterministic)
+	wm.WorkPerWave = nil // deliberately not serialized (a test-side count)
 	if !reflect.DeepEqual(wm, back.Metrics) {
 		t.Fatalf("metrics did not round-trip:\nwant %+v\ngot  %+v", wm, back.Metrics)
 	}

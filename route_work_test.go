@@ -1,0 +1,82 @@
+package costdist
+
+import (
+	"encoding/json"
+	"os"
+	"reflect"
+	"testing"
+)
+
+// routeWorkFile pins the core search work (RouteMetrics.WorkPerWave) of
+// a cold route and of a warm start with the repair rung, per wave. The
+// counts are sums over nets, so they are the same at every worker count
+// and GOMAXPROCS. A change that only makes the searches faster must
+// leave this file byte-equal; one that changes what the searches do —
+// and with it, usually, the routes — regenerates it beside the goldens
+// and says why:
+//
+//	WORK_UPDATE=1 go test -run TestRouteWorkPinned .
+const routeWorkFile = "testdata/route_work.json"
+
+type workEntry struct {
+	Run   string       `json:"run"`
+	Waves []SearchWork `json:"waves"`
+}
+
+// computeRouteWork routes c1 at scale 0.005 cold for 3 waves, then
+// warm-starts the 5 % ECO of it from the checkpoint with RepairTol 0.25.
+func computeRouteWork(t *testing.T) []workEntry {
+	t.Helper()
+	chip := mkChip(t, 0, 0.005)
+	opt := DefaultRouterOptions()
+	opt.Waves = 3
+	cold, st, err := RouteChipCheckpoint(chip, CD, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pert, _, err := PerturbChip(chip, 0.05, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.RepairTol = 0.25
+	warm, _, err := RouteChipFrom(st, pert, CD, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Metrics.NetsRepaired == 0 {
+		t.Fatal("the ECO repaired no net: the repair rung is not exercised")
+	}
+	return []workEntry{
+		{"cold c1@0.005, 3 waves", cold.Metrics.WorkPerWave},
+		{"warm+repair ECO 5 %, RepairTol 0.25", warm.Metrics.WorkPerWave},
+	}
+}
+
+func TestRouteWorkPinned(t *testing.T) {
+	got := computeRouteWork(t)
+	if cold := got[0].Waves; len(cold) != 3 || cold[0].Searches == 0 {
+		t.Fatalf("%s: work per wave %+v, want 3 waves that search", got[0].Run, cold)
+	}
+	if os.Getenv("WORK_UPDATE") != "" {
+		blob, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(routeWorkFile, append(blob, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("updated %s", routeWorkFile)
+		return
+	}
+	blob, err := os.ReadFile(routeWorkFile)
+	if err != nil {
+		t.Fatalf("reading %s (run with WORK_UPDATE=1 to create): %v", routeWorkFile, err)
+	}
+	var want []workEntry
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("search work changed:\npinned %+v\ngot    %+v", want, got)
+	}
+}
