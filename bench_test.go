@@ -169,9 +169,19 @@ func BenchmarkCDScalingGrid(b *testing.B) {
 func BenchmarkCDScalingSinks(b *testing.B) {
 	for _, t := range []int{4, 8, 16, 32, 64} {
 		b.Run(fmt.Sprintf("t%d", t), func(b *testing.B) {
-			benchSolve(b, benchInstances(40, 5, t, 8, 4), DefaultCDOptions())
+			opt := DefaultCDOptions()
+			opt.Scratch = core.NewScratch()
+			benchSolve(b, benchInstances(40, 5, t, 8, 4), opt)
+			reportWork(b, opt.Scratch)
 		})
 	}
+}
+
+// reportWork reports the deterministic side of the ns/op beside it: the
+// labels settled and the future-cost scans (core.Work) per op.
+func reportWork(b *testing.B, scr *core.Scratch) {
+	b.ReportMetric(float64(scr.Settled)/float64(b.N), "settled/op")
+	b.ReportMetric(float64(scr.Estimated)/float64(b.N), "estimates/op")
 }
 
 // Ablations of the §III enhancements (quality deltas are reported by
@@ -192,12 +202,11 @@ func BenchmarkAblation(b *testing.B) {
 	ins := benchInstances(32, 5, 24, 12, 4)
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
-			// A private arena carries the work counters: settled/op is the
-			// deterministic side of the ns/op beside it.
+			// A private arena carries the work counters.
 			opt := v.opt
 			opt.Scratch = core.NewScratch()
 			benchSolve(b, ins, opt)
-			b.ReportMetric(float64(opt.Scratch.Settled)/float64(b.N), "settled/op")
+			reportWork(b, opt.Scratch)
 		})
 	}
 }

@@ -41,6 +41,11 @@ func FuzzParseInstance(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"nx":2,"ny":2,"layers":2,"root":[1,1,1]}`))
 	f.Add([]byte(`{"nx":4,"ny":4,"layers":2,"root":[0,0,0],"sinks":[{"x":9,"y":0,"l":0,"w":1}]}`))
+	for _, w := range []string{"-1", "-1e308", "1e308", "1e6"} {
+		f.Add([]byte(`{"nx":16,"ny":16,"layers":4,"root":[2,2,0],"sinks":[{"x":12,"y":3,"l":0,"w":0.01},{"x":7,"y":13,"l":0,"w":` + w + `},{"x":14,"y":14,"l":0,"w":0.02}]}`))
+	}
+	f.Add([]byte(`{"nx":4,"ny":4,"layers":2,"root":[0,0,0],"sinks":[{"x":3,"y":3,"l":0,"w":1}],"eta":0.75}`))
+	f.Add([]byte(`{"nx":4,"ny":4,"layers":2,"root":[0,0,0],"sinks":[{"x":3,"y":3,"l":0,"w":1}],"eta":-0.5}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, err := ParseInstance(data)
 		checkSolverBuild(t, data, in, err)
@@ -57,6 +62,9 @@ func FuzzParseInstance(f *testing.F) {
 		for i, s := range in.Sinks {
 			if s.V < 0 || s.V >= Vertex(g.NumV()) {
 				t.Fatalf("sink %d vertex %d outside graph", i, s.V)
+			}
+			if !(s.W >= 0 && s.W <= MaxSinkWeight) {
+				t.Fatalf("sink %d weight %v outside [0, %v]", i, s.W, MaxSinkWeight)
 			}
 		}
 		for _, p := range in.TermPts() {

@@ -8,14 +8,15 @@ import (
 
 // Scratch is a reusable solver arena. A single Solve call on a t-sink
 // instance allocates O(t) component records with their queue storage and
-// label page tables, the label pages the searches touch, and the
-// window's ownership stamps; routing re-solves every net once per
+// label page tables, the label pages the searches touch, the window's
+// ownership stamps and the future-cost memo over the window's plane (one
+// 16-byte slot per gcell); routing re-solves every net once per
 // rip-up-and-reroute wave, so those allocations dominate the hot path.
 // A Scratch retains all of that state between calls and resets it in
-// O(touched) — label slabs and the ownership stamps clear by taking a
-// fresh generation stamp, label pages go back to one arena-wide pool
-// when their component retires, queues and the union-find reset in O(t),
-// and component records are recycled through a free list.
+// O(touched) — label slabs, the ownership stamps and the memo clear by
+// taking a fresh generation stamp, label pages go back to one arena-wide
+// pool when their component retires, queues and the union-find reset in
+// O(t), and component records are recycled through a free list.
 //
 // Pass a Scratch via Options.Scratch. Results are bit-identical to
 // scratch-free solves: no container exposes iteration order to the

@@ -76,6 +76,12 @@ func (scr *Scratch) solve(in *nets.Instance, opt Options, trace func(TraceEvent)
 	s.winSize = int(idxRect.W()) * int(idxRect.H()) * len(in.G.Layers)
 	s.owner.Reset(s.winSize)
 	s.flat.Reset()
+	if n := s.winWH; cap(s.hMemo) < int(n) {
+		s.hMemo = make([]hSlot, n)
+	} else {
+		s.hMemo = s.hMemo[:n]
+	}
+	s.nextTargets()
 
 	// Root component (id 0).
 	root := scr.newComp()
@@ -184,9 +190,28 @@ type solver struct {
 	// root's included: the §III-C future cost of a label is the bound to
 	// the nearest of them other than its own component's.
 	targets future.Targets
+	// hMemo memoizes that bound per plane position of the index window
+	// (winW × H slots, row-major): h reads a slot as current while its
+	// gen is targetsGen's current stamp and its comp the searching
+	// component. targetsGen advances whenever the live-target table
+	// changes — at solve start and after each merge's Add.
+	hMemo      []hSlot
+	targetsGen sparse.Gen
+	// auditH, when set, sees every future cost the memo answers (tests
+	// hold it against a fresh Targets.Est).
+	auditH func(c *comp, x, y int32, h float64)
 
 	rng   *rand.Rand
 	trace func(TraceEvent)
+}
+
+// hSlot is one plane position's memoized future cost: h is
+// Targets.Est for component comp under live-target generation gen. It is
+// 16 B, and a 128×128 window's memo 256 KB.
+type hSlot struct {
+	h    float64
+	gen  uint32
+	comp int32
 }
 
 type flatEntry struct {
@@ -228,12 +253,35 @@ func (s *solver) bRoot(c *comp) float64 {
 
 // h is the admissible §III-C future cost of a label of component c at
 // plane position (x, y); 0 when goal-oriented search is switched off.
+// Est is a pure function of the live boxes, c's id and (x, y, c.ux,
+// c.uy); a component's units are fixed in its startSearch and ids are
+// never reused within a solve, so a slot tagged (generation, c.id)
+// holds exactly what Est would return: the 8 layers of a gcell, and
+// every search step back onto it, pay for one scan between merges.
 func (s *solver) h(c *comp, x, y int32) float64 {
 	if !s.opt.AStar {
 		return 0
 	}
+	m := &s.hMemo[(y-s.win.R.Y0)*s.winW+x-s.win.R.X0]
+	if m.gen == s.targetsGen.Cur() && m.comp == c.id {
+		if s.auditH != nil {
+			s.auditH(c, x, y, m.h)
+		}
+		return m.h
+	}
 	s.scr.Estimated++
-	return s.targets.Est(c.id, x, y, c.ux, c.uy)
+	m.h = s.targets.Est(c.id, x, y, c.ux, c.uy)
+	m.gen, m.comp = s.targetsGen.Cur(), c.id
+	return m.h
+}
+
+// nextTargets opens a new live-target generation, retiring every memoized
+// future cost. On the 32-bit wrap it clears the memo's whole capacity, so
+// no slot of an earlier generation can read as current.
+func (s *solver) nextTargets() {
+	if _, wrapped := s.targetsGen.Next(); wrapped {
+		clear(s.hMemo[:cap(s.hMemo)])
+	}
 }
 
 // startSearch initializes component c's Dijkstra from its representative.
@@ -687,6 +735,7 @@ func (s *solver) merge(c *comp, jid int32, pIdx int32, toRoot bool) error {
 		s.owner.PutIfAbsent(pathIdx[i], nid)
 	}
 	s.targets.Add(nid, box)
+	s.nextTargets()
 	if toRoot {
 		k.isRoot = true
 		k.rep = j.rep

@@ -74,6 +74,9 @@ func FuzzResolveSolve(f *testing.F) {
 		`{"nx":40000,"ny":40000,"layers":8,"root":[0,0,0],"sinks":[{"x":1,"y":1,"l":0,"w":1}]}`,
 		`{"nx":2000000000,"ny":2000000000,"layers":2,"root":[0,0,0],"sinks":[]}`,
 		`{"nx":4,"ny":4,"layers":9000000000000000000,"root":[0,0,0],"sinks":[]}`,
+		`{"nx":16,"ny":16,"layers":4,"root":[2,2,0],"sinks":[{"x":12,"y":3,"l":0,"w":0.01},{"x":7,"y":13,"l":0,"w":-1e308},{"x":14,"y":14,"l":0,"w":0.02}]}`,
+		`{"nx":16,"ny":16,"layers":4,"root":[2,2,0],"sinks":[{"x":12,"y":3,"l":0,"w":0.01},{"x":7,"y":13,"l":0,"w":1e308},{"x":14,"y":14,"l":0,"w":0.02}]}`,
+		`{"method":"cd","instance":{"nx":8,"ny":8,"layers":2,"root":[0,0,0],"sinks":[{"x":7,"y":7,"l":1,"w":-1}],"eta":0.9}}`,
 		`{"method":"pd","options":{"pd_alpha":0.7},"instance":{"nx":8,"ny":8,"layers":2,"root":[0,0,0],"sinks":[{"x":7,"y":7,"l":1,"w":0.02}],"dbif":-3,"margin":-1,"congestion":[{"x0":-2147483648,"y0":-2147483648,"x1":2147483647,"y1":2147483647,"l":0,"mult":3}]}}`,
 	} {
 		f.Add([]byte(body))

@@ -101,20 +101,43 @@ func TestSolveUnknownMethodIs422(t *testing.T) {
 
 func TestSolveSemanticErrorIs422(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
-	for _, body := range []string{
-		`{"nx":4,"ny":4,"layers":2,"root":[99,0,0],"sinks":[{"x":1,"y":1,"l":0,"w":1}]}`,
-		`{"nx":-5,"ny":-5,"layers":2,"root":[0,0,0],"sinks":[{"x":1,"y":1,"l":0,"w":1}]}`,
-	} {
-		resp := post(t, ts.URL+"/v1/solve", []byte(body))
-		readBody(t, resp)
+	// threeSinks is a 16×16×4 document whose sink 1 carries weight w;
+	// eta is spliced in verbatim.
+	threeSinks := func(w, eta string) string {
+		return `{"nx":16,"ny":16,"layers":4,"root":[2,2,0],"sinks":[{"x":12,"y":3,"l":0,"w":0.01},` +
+			`{"x":7,"y":13,"l":0,"w":` + w + `},{"x":14,"y":14,"l":0,"w":0.02}]` + eta + `}`
+	}
+	rows := []struct{ body, want string }{
+		{`{"nx":4,"ny":4,"layers":2,"root":[99,0,0],"sinks":[{"x":1,"y":1,"l":0,"w":1}]}`, "pin (99,0,0) outside grid"},
+		{`{"nx":-5,"ny":-5,"layers":2,"root":[0,0,0],"sinks":[{"x":1,"y":1,"l":0,"w":1}]}`, ""},
+		// Each of these three used to be accepted: the first solved to
+		// objective −31 737, the second to −Inf, the third failed in
+		// core with "no events left".
+		{threeSinks("-1", ""), "sink 1: costdist: weight -1 outside [0, 1e+06]"},
+		{threeSinks("-1e308", ""), "sink 1: costdist: weight -1e+308 outside"},
+		{threeSinks("1e308", ""), "sink 1: costdist: weight 1e+308 outside"},
+		{threeSinks("1000001", ""), "sink 1: costdist: weight 1.000001e+06 outside"},
+		{threeSinks("0.01", `,"eta":-0.25`), "costdist: eta -0.25 outside [0, 0.5]"},
+		{threeSinks("0.01", `,"eta":0.75`), "costdist: eta 0.75 outside [0, 0.5]"},
+	}
+	for _, r := range rows {
+		resp := post(t, ts.URL+"/v1/solve", []byte(r.body))
+		body := readBody(t, resp)
 		if resp.StatusCode != http.StatusUnprocessableEntity {
-			t.Fatalf("body %s: status %d, want 422", body, resp.StatusCode)
+			t.Fatalf("body %s: status %d, want 422", r.body, resp.StatusCode)
+		}
+		if !strings.Contains(string(body), r.want) {
+			t.Fatalf("body %s: reply %s does not say %q", r.body, body, r.want)
 		}
 	}
-	// Pins are checked after the cache lookup (one miss for the first
-	// body); impossible dimensions never reach it.
-	if cs := srv.CacheStats(); cs.Misses != 1 {
-		t.Fatalf("invalid requests counted %d cache misses, want 1", cs.Misses)
+	// Pins, weights and eta are checked after the cache lookup (one miss
+	// for every body but the second); impossible dimensions never reach
+	// it. No refused document counts as a solve.
+	if cs := srv.CacheStats(); cs.Misses != int64(len(rows)-1) {
+		t.Fatalf("invalid requests counted %d cache misses, want %d", cs.Misses, len(rows)-1)
+	}
+	if n := srv.met.solveRequests.Load(); n != 0 {
+		t.Fatalf("invalid requests counted %d solve requests, want 0", n)
 	}
 }
 

@@ -38,6 +38,10 @@ func (g *Gen) Next() (stamp uint32, wrapped bool) {
 // Cur returns the last stamp issued, 0 before the first.
 func (g *Gen) Cur() uint32 { return g.cur }
 
+// Park sets the counter as if last were the latest stamp issued, so a
+// test can step a store over the wrap of the 32-bit counter.
+func (g *Gen) Park(last uint32) { g.cur = last }
+
 // Label is a Dijkstra label: tentative distance, the grid predecessor
 // code by which the search reached the vertex (grid.CodeSeed and its
 // siblings, decoded by grid.Graph.Pred) and a permanence flag. The

@@ -17,7 +17,9 @@ type InstanceJSON struct {
 	NY     int32 `json:"ny"`
 	Layers int   `json:"layers"`
 
-	Root  [3]int32 `json:"root"` // x, y, layer
+	Root [3]int32 `json:"root"` // x, y, layer
+	// Sinks are the terminals with their delay weights; a weight lies in
+	// [0, MaxSinkWeight].
 	Sinks []struct {
 		X int32   `json:"x"`
 		Y int32   `json:"y"`
@@ -25,7 +27,8 @@ type InstanceJSON struct {
 		W float64 `json:"w"`
 	} `json:"sinks"`
 
-	// DBif < 0 derives the penalty from the technology; Eta defaults to
+	// DBif < 0 derives the penalty from the technology; Eta, the minimum
+	// share of it either branch absorbs, lies in [0, 1/2] and defaults to
 	// 0.25 when omitted.
 	DBif float64 `json:"dbif"`
 	Eta  float64 `json:"eta,omitempty"`
@@ -44,6 +47,12 @@ type InstanceJSON struct {
 		Mult float32 `json:"mult"`
 	} `json:"congestion,omitempty"`
 }
+
+// MaxSinkWeight caps a document's sink delay weight. The router clamps
+// its Lagrangean weights to 0.05; the cap sits 2·10⁷ times above that and
+// keeps every label of a solve finite, where a weight near the float64
+// limit prices a gcell step at +Inf and leaves the search no event.
+const MaxSinkWeight = 1e6
 
 // Normalize applies the documented defaults in place: omitted eta means
 // 0.25, an omitted or non-positive margin means 8, and every negative
@@ -83,13 +92,16 @@ func (f *InstanceJSON) Build() (*Instance, error) {
 	return ig.build(f), nil
 }
 
-// check normalizes the document and validates its dimensions and every
-// pin: all that Build and Solver.Build refuse, refused before any grid
-// is touched.
+// check normalizes the document and validates its dimensions, eta and
+// every sink's pin and weight: all that Build and Solver.Build refuse,
+// refused before any grid is touched.
 func (f *InstanceJSON) check() error {
 	f.Normalize()
 	if f.NX < 2 || f.NY < 2 || f.Layers < 2 {
 		return fmt.Errorf("costdist: instance needs nx,ny ≥ 2 and layers ≥ 2")
+	}
+	if !(f.Eta >= 0 && f.Eta <= 0.5) {
+		return fmt.Errorf("costdist: eta %g outside [0, 0.5]", f.Eta)
 	}
 	inBounds := func(x, y, l int32) error {
 		if x < 0 || x >= f.NX || y < 0 || y >= f.NY || l < 0 || l >= int32(f.Layers) {
@@ -103,6 +115,9 @@ func (f *InstanceJSON) check() error {
 	for i, s := range f.Sinks {
 		if err := inBounds(s.X, s.Y, s.L); err != nil {
 			return fmt.Errorf("sink %d: %w", i, err)
+		}
+		if !(s.W >= 0 && s.W <= MaxSinkWeight) {
+			return fmt.Errorf("sink %d: costdist: weight %g outside [0, %g]", i, s.W, MaxSinkWeight)
 		}
 	}
 	return nil

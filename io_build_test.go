@@ -34,6 +34,44 @@ func TestBuildValidatesBeforeAllocating(t *testing.T) {
 	}
 }
 
+// A sink weight outside [0, MaxSinkWeight] and an eta outside [0, 1/2]
+// are refused, the weight with the sink named: on a 16×16×4 three-sink
+// document, weight −1 used to solve to objective −31 737, −1e308 to
+// −Inf, and 1e308 failed inside core.Solve. At the cap and at eta 1/2
+// the document solves to a finite objective.
+func TestBuildRefusesWeightAndEtaOutOfRange(t *testing.T) {
+	doc := func(w, eta string) string {
+		return `{"nx":16,"ny":16,"layers":4,"root":[2,2,0],"sinks":[{"x":12,"y":3,"l":0,"w":0.01},` +
+			`{"x":7,"y":13,"l":0,"w":` + w + `},{"x":14,"y":14,"l":0,"w":0.02}],"eta":` + eta + `}`
+	}
+	for _, tc := range []struct{ w, eta, wantErr string }{
+		{"-1", "0.25", "sink 1: costdist: weight -1 outside [0, 1e+06]"},
+		{"-1e308", "0.25", "sink 1: costdist: weight -1e+308 outside [0, 1e+06]"},
+		{"1e308", "0.25", "sink 1: costdist: weight 1e+308 outside [0, 1e+06]"},
+		{"0.01", "-0.01", "costdist: eta -0.01 outside [0, 0.5]"},
+		{"0.01", "0.51", "costdist: eta 0.51 outside [0, 0.5]"},
+	} {
+		if _, err := ParseInstance([]byte(doc(tc.w, tc.eta))); err == nil || err.Error() != tc.wantErr {
+			t.Fatalf("w %s, eta %s: error %v, want %q", tc.w, tc.eta, err, tc.wantErr)
+		}
+	}
+	in, err := ParseInstance([]byte(doc(fmt.Sprint(MaxSinkWeight), "0.5")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := SolveCD(in, DefaultCDOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := Evaluate(in, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsInf(ev.Total, 0) || math.IsNaN(ev.Total) || ev.Total <= 0 {
+		t.Fatalf("weight at the cap: objective %v, want finite and positive", ev.Total)
+	}
+}
+
 // A congestion rectangle is clipped to the grid, not walked: one that
 // spans all of int32 prices exactly the segments of the full-grid one.
 func TestCongestionRectClippedToGrid(t *testing.T) {
