@@ -16,6 +16,7 @@ package costdist
 //	BenchmarkAblation*         — §III enhancement on/off (the core.Options toggles)
 //	BenchmarkECO               — cold re-route vs warm start vs warm start + repair
 //	BenchmarkExactGoalVsDP     — goal-oriented exact solver vs the Dreyfus–Wagner DP
+//	BenchmarkCheckpointCodec   — MarshalCheckpoint / UnmarshalCheckpoint on c1@0.01
 //
 // The end-to-end workloads the paper's claims are measured on live in
 // bench/ (see bench/README.md); these are the component measurements.
@@ -462,4 +463,36 @@ func BenchmarkExactGoalVsDP(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCheckpointCodec measures the checkpoint codec on the c1@0.01
+// cold checkpoint of BenchmarkECO's design (4 waves, 0.63 MB), the
+// document the eco-warm workload decodes and re-encodes every op. MB/s
+// is over the document's bytes.
+//
+//	go test -run '^$' -bench CheckpointCodec -benchmem .
+func BenchmarkCheckpointCodec(b *testing.B) {
+	st := coldCheckpoint(b)
+	blob, err := MarshalCheckpoint(st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("marshal", func(b *testing.B) {
+		b.SetBytes(int64(len(blob)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := MarshalCheckpoint(st); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("unmarshal", func(b *testing.B) {
+		b.SetBytes(int64(len(blob)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := UnmarshalCheckpoint(blob); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

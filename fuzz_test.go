@@ -14,6 +14,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -46,6 +47,9 @@ func FuzzParseInstance(f *testing.F) {
 	}
 	f.Add([]byte(`{"nx":4,"ny":4,"layers":2,"root":[0,0,0],"sinks":[{"x":3,"y":3,"l":0,"w":1}],"eta":0.75}`))
 	f.Add([]byte(`{"nx":4,"ny":4,"layers":2,"root":[0,0,0],"sinks":[{"x":3,"y":3,"l":0,"w":1}],"eta":-0.5}`))
+	for _, layers := range []int{MaxLayers, MaxLayers + 1} {
+		f.Add([]byte(fmt.Sprintf(`{"nx":4,"ny":4,"layers":%d,"root":[0,0,0],"sinks":[{"x":3,"y":3,"l":%d,"w":0.01}]}`, layers, layers-1)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, err := ParseInstance(data)
 		checkSolverBuild(t, data, in, err)
@@ -176,19 +180,29 @@ func FuzzMarshalTreeRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshalCheckpoint asserts UnmarshalCheckpoint never panics on a
-// document — the checkpoint codec is versioned and reachable over HTTP
-// through a route job's base — and that an accepted one re-encodes to a
-// byte fixed point: marshal → unmarshal → marshal returns the same
-// bytes. The seeds are a checkpoint of a small routed chip and three
-// headers claiming grids far beyond their data.
-//
-//	go test -fuzz FuzzUnmarshalCheckpoint -fuzztime 30s .
-func FuzzUnmarshalCheckpoint(f *testing.F) {
+// fuzzChip is the small routed chip the codec fuzz targets seed from.
+func fuzzChip(f *testing.F) *Chip {
 	chip, err := GenerateChip(ChipSpec{Name: "fuzz", Layers: 3, NNets: 12, Seed: 7, Density: 0.9, Levels: 3, Hotspots: 1, ClkTightness: 1.08})
 	if err != nil {
 		f.Fatal(err)
 	}
+	return chip
+}
+
+// FuzzUnmarshalCheckpoint asserts UnmarshalCheckpoint never panics on a
+// document — the checkpoint codec is versioned and reachable over HTTP
+// through a route job's base — and is never wider than the reference
+// decode through encoding/json (io_test.go): it accepts nothing the
+// reference refuses, and where both accept, the states are deeply
+// equal. An accepted document re-encodes to the reference's bytes and to
+// a byte fixed point: marshal → unmarshal → marshal returns the same
+// bytes. The seeds are a checkpoint of a small routed chip, three
+// headers claiming grids far beyond their data and one claiming 129
+// layers.
+//
+//	go test -fuzz FuzzUnmarshalCheckpoint -fuzztime 30s .
+func FuzzUnmarshalCheckpoint(f *testing.F) {
+	chip := fuzzChip(f)
 	opt := DefaultRouterOptions()
 	opt.Waves = 1
 	_, st, err := RouteChipCheckpoint(chip, CD, opt)
@@ -203,20 +217,81 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 	for _, n := range []int32{5000, 20000, 50000} {
 		f.Add(checkpointHeader(n))
 	}
+	f.Add(bytes.Replace(checkpointHeader(4), []byte(`"layers":8,"layer_dirs":"HVHVHVHV"`),
+		[]byte(`"layers":129,"layer_dirs":"`+strings.Repeat("HV", 64)+`H"`), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := UnmarshalCheckpoint(data)
+		ref, refErr := refUnmarshalCheckpoint(data)
 		if err != nil {
 			return
+		}
+		if refErr != nil {
+			t.Fatalf("accepted a document the reference refuses (%v)", refErr)
+		}
+		if !reflect.DeepEqual(st, ref) {
+			t.Fatal("decoded state differs from the reference decode")
 		}
 		first, err := MarshalCheckpoint(st)
 		if err != nil {
 			t.Fatalf("accepted checkpoint does not marshal: %v", err)
+		}
+		if want, err := refMarshalCheckpoint(st); err != nil || !bytes.Equal(first, want) {
+			t.Fatalf("marshal differs from the reference (error %v)", err)
 		}
 		back, err := UnmarshalCheckpoint(first)
 		if err != nil {
 			t.Fatalf("own output refused: %v\n%s", err, first)
 		}
 		second, err := MarshalCheckpoint(back)
+		if err != nil {
+			t.Fatalf("re-marshal failed: %v", err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("marshal → unmarshal → marshal not a fixed point:\nfirst  %s\nsecond %s", first, second)
+		}
+	})
+}
+
+// FuzzUnmarshalRouteResult asserts UnmarshalRouteResult never panics on
+// a document and that an accepted one re-encodes to the reference's
+// bytes and to a byte fixed point: marshal → unmarshal → marshal returns
+// the same bytes. The seeds are a routed 8×8×3 chip's result and the
+// same result with one net's tree nil.
+//
+//	go test -fuzz FuzzUnmarshalRouteResult -fuzztime 30s .
+func FuzzUnmarshalRouteResult(f *testing.F) {
+	chip := fuzzChip(f)
+	opt := DefaultRouterOptions()
+	opt.Waves = 1
+	res, err := RouteChip(chip, CD, opt)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		blob, err := MarshalRouteResult(chip, res)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+		res.Trees[0] = nil
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := UnmarshalRouteResult(chip, data)
+		if err != nil {
+			return
+		}
+		first, err := MarshalRouteResult(chip, res)
+		if err != nil {
+			t.Fatalf("accepted result does not marshal: %v", err)
+		}
+		if want, err := refMarshalRouteResult(chip, res); err != nil || !bytes.Equal(first, want) {
+			t.Fatalf("marshal differs from the reference (error %v)", err)
+		}
+		back, err := UnmarshalRouteResult(chip, first)
+		if err != nil {
+			t.Fatalf("own output refused: %v\n%s", err, first)
+		}
+		second, err := MarshalRouteResult(chip, back)
 		if err != nil {
 			t.Fatalf("re-marshal failed: %v", err)
 		}

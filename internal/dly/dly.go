@@ -124,6 +124,7 @@ func (t Tech) BuildLayers() []grid.Layer {
 			ViaCost:   lay.ViaCost,
 			ViaDelay:  lay.ViaDelay,
 			ViaCapUse: 1,
+			Wires:     make([]grid.WireType, 0, len(lay.Wires)),
 		}
 		for _, w := range lay.Wires {
 			gl.Wires = append(gl.Wires, grid.WireType{
@@ -151,6 +152,7 @@ func DefaultTech(nLayers int) Tech {
 		Name:    fmt.Sprintf("synth5nm-%dL", nLayers),
 		Buf:     Buffer{ROut: 200, CIn: 1.2, Intrinsic: 8},
 		GCellUM: 50,
+		Layers:  make([]LayerRC, 0, nLayers),
 	}
 	for i := 0; i < nLayers; i++ {
 		frac := float64(i) / float64(nLayers-1) // 0 = bottom, 1 = top
@@ -169,6 +171,7 @@ func DefaultTech(nLayers int) Tech {
 			ViaR:     30,
 			ViaDelay: 1.0 + 0.5*(1-frac), // lower vias slightly slower
 			ViaCost:  1.5,
+			Wires:    make([]WireRC, 0, 2),
 		}
 		lay.Wires = append(lay.Wires, WireRC{Name: "w1", RPerUM: r, CPerUM: c, CapUse: 1})
 		if i >= nLayers/3 {

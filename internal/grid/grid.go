@@ -11,7 +11,11 @@
 // share their segment's capacity but consume different amounts of it.
 package grid
 
-import "costdist/internal/geom"
+import (
+	"math"
+
+	"costdist/internal/geom"
+)
 
 // V is a vertex id in the routing graph: v = (l*NY + y)*NX + x.
 type V int32
@@ -81,11 +85,18 @@ type Graph struct {
 	Cap []float32
 }
 
+// MaxLayers is the deepest layer stack a Graph holds: an Arc names its
+// layer in an int8 (Arc.L), whose indices end at 127.
+const MaxLayers = math.MaxInt8 + 1
+
 // New builds a graph of nx×ny gcells with the given layer stack. Segment
 // capacities are initialized from the layer definitions.
 func New(nx, ny int32, layers []Layer, lenUM float64) *Graph {
 	if nx < 1 || ny < 1 || len(layers) == 0 {
 		panic("grid: invalid dimensions")
+	}
+	if len(layers) > MaxLayers {
+		panic("grid: more than MaxLayers layers; Arc.L would wrap")
 	}
 	g := &Graph{NX: nx, NY: ny, Layers: layers, LenUM: lenUM}
 	l := int32(len(layers))

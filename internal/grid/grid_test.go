@@ -322,3 +322,23 @@ func TestSegRect(t *testing.T) {
 		}
 	}
 }
+
+// Arc.L is an int8: New builds MaxLayers layers and panics beyond them
+// rather than hand out arcs whose layer wraps negative.
+func TestNewCapsLayers(t *testing.T) {
+	g := testGraph(2, 2, MaxLayers)
+	var top Arc
+	g.Arcs(g.At(0, 0, MaxLayers-1), g.FullWindow(), func(a Arc) bool {
+		top = a
+		return true
+	})
+	if top.L != MaxLayers-2 || !top.Via {
+		t.Fatalf("the top layer's via arc %+v, want layer %d", top, MaxLayers-2)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("New built %d layers", MaxLayers+1)
+		}
+	}()
+	testGraph(2, 2, MaxLayers+1)
+}

@@ -114,6 +114,15 @@ type Scratch struct {
 // repair window it ever serves and is reused across nets and waves.
 func NewScratch() *Scratch { return &Scratch{} }
 
+// TakeSettles returns the labels the spreads of this workspace's repairs
+// settled since the last call, and starts the count again from zero: the
+// repair rung's deterministic work count.
+func (s *Scratch) TakeSettles() int {
+	n := s.dp.Settles
+	s.dp.Settles = 0
+	return n
+}
+
 // Window returns the repair window of a cached tree: the bounding box
 // of the tree and the instance terminals, expanded by Halo and clamped
 // to the grid.

@@ -88,6 +88,11 @@ type Metrics struct {
 	// a test can pin; it stays off the wire like StageNanosPerWave, so it
 	// comes back nil from every Unmarshal.
 	WorkPerWave []core.Work `json:"-"`
+	// RepairSettlesPerWave sums, per wave, the labels the repair rung's
+	// re-embedding spreads settled (embed.Workspace.Settles) over all
+	// workers: the rung's search work beside WorkPerWave, as deterministic
+	// and as far off the wire.
+	RepairSettlesPerWave []int64 `json:"-"`
 }
 
 // StageNanos is one wave's walltime breakdown in nanoseconds. Dirty,

@@ -310,6 +310,7 @@ func (r *runState) runWaves() error {
 		rec.Span(obs.StageReplay, int32(wave), -1, "", replayT0)
 		nRepaired, nEscalated := 0, 0
 		var searched core.Work
+		var repairSettles int64
 		for w := 0; w < threads; w++ {
 			nRepaired += workerRepaired[w]
 			nEscalated += workerEscalated[w]
@@ -317,8 +318,10 @@ func (r *runState) runWaves() error {
 			// start the next wave from zero.
 			searched.Add(r.pool.scr[w].Work)
 			r.pool.scr[w].Work = core.Work{}
+			repairSettles += int64(r.pool.re[w].TakeSettles())
 		}
 		r.res.Metrics.WorkPerWave = append(r.res.Metrics.WorkPerWave, searched)
+		r.res.Metrics.RepairSettlesPerWave = append(r.res.Metrics.RepairSettlesPerWave, repairSettles)
 		r.res.Metrics.NetsSolved += int64(nWork - nRepaired)
 		r.res.Metrics.NetsSkipped += int64(nNets - nWork)
 		r.res.Metrics.NetsRepaired += int64(nRepaired)

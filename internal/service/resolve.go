@@ -82,9 +82,15 @@ func resolveSolve(cfg Config, body []byte) (*solveCall, *rejection) {
 		return nil, reject(http.StatusBadRequest, "costdist: parsing instance: %v", err)
 	}
 	c.doc.Normalize()
+	// A deeper stack would wrap the int8 layer of a routing arc; refuse
+	// it here, in Build's words, before the lookup counts a cache miss.
+	if c.doc.Layers > costdist.MaxLayers {
+		return nil, reject(http.StatusUnprocessableEntity,
+			"costdist: instance has %d layers, at most %d", c.doc.Layers, costdist.MaxLayers)
+	}
 	// Stepwise so the product cannot overflow int64 before the check.
 	plane := int64(c.doc.NX) * int64(c.doc.NY)
-	if c.doc.Layers < 2 || c.doc.Layers > 1024 || plane < 0 ||
+	if c.doc.Layers < 2 || plane < 0 ||
 		plane > maxInstanceVertices || plane*int64(c.doc.Layers) > maxInstanceVertices {
 		return nil, reject(http.StatusUnprocessableEntity,
 			"instance grid %d×%d×%d exceeds the service limit of %d vertices",

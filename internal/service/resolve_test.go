@@ -74,6 +74,8 @@ func FuzzResolveSolve(f *testing.F) {
 		`{"nx":40000,"ny":40000,"layers":8,"root":[0,0,0],"sinks":[{"x":1,"y":1,"l":0,"w":1}]}`,
 		`{"nx":2000000000,"ny":2000000000,"layers":2,"root":[0,0,0],"sinks":[]}`,
 		`{"nx":4,"ny":4,"layers":9000000000000000000,"root":[0,0,0],"sinks":[]}`,
+		`{"nx":4,"ny":4,"layers":129,"root":[0,0,0],"sinks":[{"x":3,"y":3,"l":128,"w":0.01}]}`,
+		`{"nx":4,"ny":4,"layers":128,"root":[0,0,0],"sinks":[{"x":3,"y":3,"l":127,"w":0.01}]}`,
 		`{"nx":16,"ny":16,"layers":4,"root":[2,2,0],"sinks":[{"x":12,"y":3,"l":0,"w":0.01},{"x":7,"y":13,"l":0,"w":-1e308},{"x":14,"y":14,"l":0,"w":0.02}]}`,
 		`{"nx":16,"ny":16,"layers":4,"root":[2,2,0],"sinks":[{"x":12,"y":3,"l":0,"w":0.01},{"x":7,"y":13,"l":0,"w":1e308},{"x":14,"y":14,"l":0,"w":0.02}]}`,
 		`{"method":"cd","instance":{"nx":8,"ny":8,"layers":2,"root":[0,0,0],"sinks":[{"x":7,"y":7,"l":1,"w":-1}],"eta":0.9}}`,
@@ -90,7 +92,7 @@ func FuzzResolveSolve(f *testing.F) {
 			}
 			d := &c.doc
 			verts := int64(d.NX) * int64(d.NY) * int64(d.Layers)
-			if d.NX < 2 || d.NY < 2 || d.Layers < 2 || verts > maxInstanceVertices {
+			if d.NX < 2 || d.NY < 2 || d.Layers < 2 || d.Layers > costdist.MaxLayers || verts > maxInstanceVertices {
 				t.Fatalf("accepted a %d×%d×%d grid", d.NX, d.NY, d.Layers)
 			}
 			again, rej := resolveSolve(cfg, canonicalSolveBody(t, c))

@@ -130,9 +130,19 @@ func TestSolveSemanticErrorIs422(t *testing.T) {
 			t.Fatalf("body %s: reply %s does not say %q", r.body, body, r.want)
 		}
 	}
+	// A stack beyond the int8 layer of a routing arc is refused before
+	// the lookup; 128 layers used to be the last stack that did not panic.
+	for _, layers := range []string{"129", "1024"} {
+		body := `{"nx":4,"ny":4,"layers":` + layers + `,"root":[0,0,0],"sinks":[{"x":3,"y":3,"l":1,"w":0.01}]}`
+		resp := post(t, ts.URL+"/v1/solve", []byte(body))
+		reply := readBody(t, resp)
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(reply), "layers, at most 128") {
+			t.Fatalf("body %s: status %d, reply %s; want 422 naming the 128-layer cap", body, resp.StatusCode, reply)
+		}
+	}
 	// Pins, weights and eta are checked after the cache lookup (one miss
-	// for every body but the second); impossible dimensions never reach
-	// it. No refused document counts as a solve.
+	// for every row but the second); impossible dimensions and layer
+	// stacks never reach it. No refused document counts as a solve.
 	if cs := srv.CacheStats(); cs.Misses != int64(len(rows)-1) {
 		t.Fatalf("invalid requests counted %d cache misses, want %d", cs.Misses, len(rows)-1)
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"strconv"
 
 	"costdist/internal/grid"
 )
@@ -54,6 +53,10 @@ type InstanceJSON struct {
 // limit prices a gcell step at +Inf and leaves the search no event.
 const MaxSinkWeight = 1e6
 
+// MaxLayers is the deepest layer stack an instance or a checkpoint may
+// claim: a routing arc names its layer in an int8.
+const MaxLayers = grid.MaxLayers
+
 // Normalize applies the documented defaults in place: omitted eta means
 // 0.25, an omitted or non-positive margin means 8, and every negative
 // dbif spells "derive from the technology". It is idempotent. Build and
@@ -99,6 +102,9 @@ func (f *InstanceJSON) check() error {
 	f.Normalize()
 	if f.NX < 2 || f.NY < 2 || f.Layers < 2 {
 		return fmt.Errorf("costdist: instance needs nx,ny ≥ 2 and layers ≥ 2")
+	}
+	if f.Layers > MaxLayers {
+		return fmt.Errorf("costdist: instance has %d layers, at most %d", f.Layers, MaxLayers)
 	}
 	if !(f.Eta >= 0 && f.Eta <= 0.5) {
 		return fmt.Errorf("costdist: eta %g outside [0, 0.5]", f.Eta)
@@ -251,18 +257,24 @@ type TreeJSON struct {
 	WireTypes []int8 `json:"wire_types,omitempty"`
 }
 
-// MarshalTree serializes a tree with its evaluation.
+// MarshalTree serializes a tree with its evaluation: TreeJSON in the
+// layout json.MarshalIndent gives it, written without reflection.
 func MarshalTree(in *Instance, tr *Tree) ([]byte, error) {
 	ev, err := Evaluate(in, tr)
 	if err != nil {
 		return nil, err
 	}
-	out := TreeJSON{
-		Total: ev.Total, CongCost: ev.CongCost, DelayCost: ev.DelayCost,
-		SinkDelay: ev.SinkDelay, WireSteps: ev.WireSteps, Vias: ev.Vias,
-	}
-	out.Edges, out.WireTypes = encodeTreeSteps(in.G, tr)
-	return json.MarshalIndent(out, "", "  ")
+	w := wireWriter{indent: true, b: make([]byte, 0, 256+32*len(ev.SinkDelay)+128*len(tr.Steps))}
+	w.open('{')
+	w.key("total").float(ev.Total, 64)
+	w.key("congestion_cost").float(ev.CongCost, 64)
+	w.key("delay_cost").float(ev.DelayCost, 64)
+	writeFloats(w.key("sink_delay_ps"), ev.SinkDelay, 64)
+	w.key("wire_steps").integer(int64(ev.WireSteps))
+	w.key("vias").integer(int64(ev.Vias))
+	w.steps(in.G, tr.Steps)
+	w.close('}')
+	return w.result()
 }
 
 // UnmarshalTree decodes a TreeJSON document back into an embedded tree
@@ -277,19 +289,6 @@ func UnmarshalTree(in *Instance, data []byte) (*Tree, error) {
 	return decodeTreeSteps(in.G, f.Edges, f.WireTypes)
 }
 
-// encodeTreeSteps flattens a tree into the wire format shared by
-// TreeJSON and RouteResultJSON: endpoint coordinates plus the wire type
-// of each edge (-1 for vias).
-func encodeTreeSteps(g *grid.Graph, tr *Tree) (edges [][2][3]int32, wts []int8) {
-	for _, st := range tr.Steps {
-		fx, fy, fl := g.XYL(st.From)
-		tx, ty, tl := g.XYL(st.Arc.To)
-		edges = append(edges, [2][3]int32{{fx, fy, fl}, {tx, ty, tl}})
-		wts = append(wts, st.Arc.WT)
-	}
-	return edges, wts
-}
-
 // decodeTreeSteps rebuilds embedded tree steps from the wire format,
 // validating adjacency, direction legality and wire-type ranges against
 // the graph. wts == nil assumes type 0 everywhere (pre-wire-type
@@ -299,6 +298,9 @@ func decodeTreeSteps(g *grid.Graph, edges [][2][3]int32, wts []int8) (*Tree, err
 		return nil, fmt.Errorf("costdist: %d wire types for %d edges", len(wts), len(edges))
 	}
 	tr := &Tree{}
+	if len(edges) > 0 {
+		tr.Steps = make([]Step, 0, len(edges))
+	}
 	for i, e := range edges {
 		u, err := vertexAt(g, e[0])
 		if err != nil {
@@ -366,26 +368,38 @@ type RouteResultJSON struct {
 }
 
 // MarshalRouteResult serializes a routing result against the chip it
-// was produced on. The output is deterministic for a deterministic run
-// (map keys sort, Walltime is excluded), so identical route requests
-// marshal to identical bytes.
+// was produced on: RouteResultJSON in the layout json.MarshalIndent gives
+// it, written without reflection. The output is deterministic for a
+// deterministic run (map keys sort, Walltime is excluded), so identical
+// route requests marshal to identical bytes.
 func MarshalRouteResult(chip *Chip, res *RouteResult) ([]byte, error) {
 	if res == nil {
 		return nil, fmt.Errorf("costdist: nil route result")
 	}
-	out := RouteResultJSON{
-		Metrics: res.Metrics,
-		Trees:   make([]*RouteTreeJSON, len(res.Trees)),
+	// About 176 bytes a step at the trees' indent depth.
+	size := 4096
+	for _, tr := range res.Trees {
+		if tr != nil {
+			size += 32 + 176*len(tr.Steps)
+		}
 	}
-	for i, tr := range res.Trees {
+	w := wireWriter{indent: true, b: make([]byte, 0, size)}
+	w.open('{')
+	w.key("metrics").metrics(&res.Metrics)
+	w.key("trees").open('[')
+	for _, tr := range res.Trees {
+		w.elem()
 		if tr == nil {
+			w.null()
 			continue
 		}
-		tj := &RouteTreeJSON{}
-		tj.Edges, tj.WireTypes = encodeTreeSteps(chip.G, tr)
-		out.Trees[i] = tj
+		w.open('{')
+		w.steps(chip.G, tr.Steps)
+		w.close('}')
 	}
-	return json.MarshalIndent(out, "", "  ")
+	w.close(']')
+	w.close('}')
+	return w.result()
 }
 
 // UnmarshalRouteResult decodes a RouteResultJSON document back into a
@@ -419,86 +433,17 @@ func UnmarshalRouteResult(chip *Chip, data []byte) (*RouteResult, error) {
 // version instead of guessing at their layout.
 const CheckpointVersion = 1
 
-// budgetsJSON carries a per-sink delay budget vector on the wire. A
-// sink with no timing endpoint downstream has budget +Inf
-// ("unconstrained"), which JSON numbers cannot express — it is encoded
-// as null. Both directions are implemented here, so the encoding is
-// lossless and byte-stable.
-type budgetsJSON []float64
-
-func (b budgetsJSON) MarshalJSON() ([]byte, error) {
-	out := make([]byte, 0, 16*len(b)+2)
-	out = append(out, '[')
-	for i, v := range b {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		if math.IsInf(v, 1) {
-			out = append(out, "null"...)
-			continue
-		}
-		if math.IsInf(v, -1) || math.IsNaN(v) {
-			return nil, fmt.Errorf("costdist: budget %d is %v, not serializable", i, v)
-		}
-		out = strconv.AppendFloat(out, v, 'g', -1, 64)
-	}
-	return append(out, ']'), nil
-}
-
-func (b *budgetsJSON) UnmarshalJSON(data []byte) error {
-	var raw []*float64
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	*b = make([]float64, len(raw))
-	for i, p := range raw {
-		if p == nil {
-			(*b)[i] = math.Inf(1)
-		} else {
-			(*b)[i] = *p
-		}
-	}
-	return nil
-}
-
-// CheckpointNetJSON is one net's externalized state inside a
-// CheckpointJSON document: the terminal signature the warm-start diff
-// keys on, the Lagrangean timing state, the cached tree (absent if the
-// net was never routed) with its rebaselined solve snapshot.
-type CheckpointNetJSON struct {
-	Driver   [2]int32       `json:"driver"`
-	Sinks    [][2]int32     `json:"sinks"`
-	Weights  []float64      `json:"weights"`
-	Budgets  budgetsJSON    `json:"budgets"`
-	Delays   []float64      `json:"delays"`
-	LastCost float64        `json:"last_cost"`
-	Oracle   string         `json:"oracle,omitempty"`
-	Tree     *RouteTreeJSON `json:"tree,omitempty"`
-}
-
-// CheckpointJSON is the versioned wire form of a RouterState: the grid
-// signature, the chip-wide price vectors, the producing run's metric
-// row (the same tagged RouteMetrics as MarshalRouteResult, Walltime
-// excluded) and every net's state. Marshaling is compact and
-// byte-stable: marshal → unmarshal → marshal reproduces the input
-// bytes exactly, which is what lets the service layer content-address
-// retained checkpoints.
-type CheckpointJSON struct {
-	Version   int                 `json:"version"`
-	Method    string              `json:"method"`
-	NX        int32               `json:"nx"`
-	NY        int32               `json:"ny"`
-	Layers    int                 `json:"layers"`
-	LayerDirs string              `json:"layer_dirs"`
-	Cap       []float32           `json:"cap"`
-	Mult      []float32           `json:"mult"`
-	Ref       []float32           `json:"ref"`
-	Metrics   RouteMetricsJSON    `json:"metrics"`
-	Nets      []CheckpointNetJSON `json:"nets"`
-}
-
 // MarshalCheckpoint serializes a router checkpoint into its versioned,
-// byte-stable wire form. Identical states marshal to identical bytes.
+// byte-stable wire form: one compact JSON object with the members
+// version, method, nx, ny, layers, layer_dirs, cap, mult and ref (float32
+// vectors, one entry per segment), metrics (the tagged RouteMetrics row)
+// and nets. Each net is an object with driver, sinks, weights, budgets
+// (+Inf, a sink with no timing endpoint downstream, as null), delays,
+// last_cost, oracle (omitted when empty) and tree (a RouteTreeJSON,
+// omitted for a net never routed). The document is written without
+// reflection. Identical states marshal to identical bytes, and marshal →
+// unmarshal → marshal reproduces them, which is what lets the service
+// layer content-address retained checkpoints.
 func MarshalCheckpoint(st *RouterState) ([]byte, error) {
 	if st == nil {
 		return nil, fmt.Errorf("costdist: nil checkpoint state")
@@ -507,102 +452,79 @@ func MarshalCheckpoint(st *RouterState) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := CheckpointJSON{
-		Version:   CheckpointVersion,
-		Method:    st.Method,
-		NX:        st.NX,
-		NY:        st.NY,
-		Layers:    st.Layers,
-		LayerDirs: st.LayerDirs,
-		Cap:       st.Cap,
-		Mult:      st.Mult,
-		Ref:       st.Ref,
-		Metrics:   st.Metrics,
-		Nets:      make([]CheckpointNetJSON, len(st.Nets)),
-	}
+	w := wireWriter{b: make([]byte, 0, checkpointSize(st))}
+	w.open('{')
+	w.key("version").integer(CheckpointVersion)
+	w.key("method").str(st.Method)
+	w.key("nx").integer(int64(st.NX))
+	w.key("ny").integer(int64(st.NY))
+	w.key("layers").integer(int64(st.Layers))
+	w.key("layer_dirs").str(st.LayerDirs)
+	writeFloats(w.key("cap"), st.Cap, 32)
+	writeFloats(w.key("mult"), st.Mult, 32)
+	writeFloats(w.key("ref"), st.Ref, 32)
+	w.key("metrics").metrics(&st.Metrics)
+	w.key("nets").open('[')
 	for ni := range st.Nets {
 		ns := &st.Nets[ni]
-		nj := CheckpointNetJSON{
-			Driver:   [2]int32{ns.Sig.Driver.X, ns.Sig.Driver.Y},
-			Sinks:    make([][2]int32, len(ns.Sig.Sinks)),
-			Weights:  ns.Weights,
-			Budgets:  budgetsJSON(ns.Budgets),
-			Delays:   ns.Delays,
-			LastCost: ns.LastCost,
-			Oracle:   ns.Oracle,
+		w.elem()
+		w.open('{')
+		w.key("driver").ints(ns.Sig.Driver.X, ns.Sig.Driver.Y)
+		w.key("sinks").open('[')
+		for _, p := range ns.Sig.Sinks {
+			w.elem()
+			w.ints(p.X, p.Y)
 		}
-		for k, p := range ns.Sig.Sinks {
-			nj.Sinks[k] = [2]int32{p.X, p.Y}
+		w.close(']')
+		writeFloats(w.key("weights"), ns.Weights, 64)
+		w.key("budgets").budgets(ns.Budgets)
+		writeFloats(w.key("delays"), ns.Delays, 64)
+		w.key("last_cost").float(ns.LastCost, 64)
+		if ns.Oracle != "" {
+			w.key("oracle").str(ns.Oracle)
 		}
 		if ns.Tree != nil {
-			tj := &RouteTreeJSON{}
-			tj.Edges, tj.WireTypes = encodeTreeSteps(g, ns.Tree)
-			nj.Tree = tj
+			w.key("tree").open('{')
+			w.steps(g, ns.Tree.Steps)
+			w.close('}')
 		}
-		out.Nets[ni] = nj
+		w.close('}')
 	}
-	return json.Marshal(&out)
+	w.close(']')
+	w.close('}')
+	return w.result()
+}
+
+// checkpointSize estimates st's document length from above, so that its
+// buffer is allocated once: on the c1@0.01 checkpoint a price takes 2.4
+// bytes, a sink with its three float64s about 70 and a tree step 24.
+func checkpointSize(st *RouterState) int {
+	n := 1024 + 3*4*len(st.Cap)
+	for i := range st.Nets {
+		ns := &st.Nets[i]
+		n += 112 + 72*len(ns.Sig.Sinks)
+		if ns.Tree != nil {
+			n += 26 * len(ns.Tree.Steps)
+		}
+	}
+	return n
 }
 
 // UnmarshalCheckpoint decodes a checkpoint document back into a
-// RouterState — the inverse of MarshalCheckpoint. Trees are validated
+// RouterState — the inverse of MarshalCheckpoint. It reads the compact
+// layout MarshalCheckpoint writes in one pass and refuses anything else,
+// naming the byte offset (see checkpointReader). Trees are validated
 // against a reconstruction of the checkpointed grid (the default
 // technology at the stored layer count), exactly like UnmarshalTree
 // validates standalone trees.
 func UnmarshalCheckpoint(data []byte) (*RouterState, error) {
-	var f CheckpointJSON
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("costdist: parsing checkpoint: %w", err)
-	}
-	if f.Version != CheckpointVersion {
-		return nil, fmt.Errorf("costdist: checkpoint version %d unsupported (want %d)", f.Version, CheckpointVersion)
-	}
-	g, err := checkpointGraph(f.NX, f.NY, f.Layers, f.LayerDirs, len(f.Cap), len(f.Mult), len(f.Ref))
+	r := newCheckpointReader(data)
+	st, err := r.checkpoint()
 	if err != nil {
 		return nil, err
 	}
-	st := &RouterState{
-		Method:    f.Method,
-		NX:        f.NX,
-		NY:        f.NY,
-		Layers:    f.Layers,
-		LayerDirs: f.LayerDirs,
-		Cap:       f.Cap,
-		Mult:      f.Mult,
-		Ref:       f.Ref,
-		Metrics:   f.Metrics,
-		Nets:      make([]RouterNetState, len(f.Nets)),
-	}
-	for ni := range f.Nets {
-		nj := &f.Nets[ni]
-		// Per-sink vectors must match the sink count — the restored
-		// scheduler indexes them by pin position, so a truncated vector
-		// that slipped through here would panic deep inside a wave.
-		if k := len(nj.Sinks); len(nj.Weights) != k || len(nj.Budgets) != k || len(nj.Delays) != k {
-			return nil, fmt.Errorf("costdist: checkpoint net %d has %d sinks but %d/%d/%d weights/budgets/delays",
-				ni, k, len(nj.Weights), len(nj.Budgets), len(nj.Delays))
-		}
-		sig := PinSig{Driver: Pt{X: nj.Driver[0], Y: nj.Driver[1]}}
-		sig.Sinks = make([]Pt, len(nj.Sinks))
-		for k, s := range nj.Sinks {
-			sig.Sinks[k] = Pt{X: s[0], Y: s[1]}
-		}
-		ns := RouterNetState{
-			Sig:      sig,
-			Weights:  nj.Weights,
-			Budgets:  []float64(nj.Budgets),
-			Delays:   nj.Delays,
-			LastCost: nj.LastCost,
-			Oracle:   nj.Oracle,
-		}
-		if nj.Tree != nil {
-			tr, err := decodeTreeSteps(g, nj.Tree.Edges, nj.Tree.WireTypes)
-			if err != nil {
-				return nil, fmt.Errorf("checkpoint net %d: %w", ni, err)
-			}
-			ns.Tree = tr
-		}
-		st.Nets[ni] = ns
+	if r.pos != len(data) {
+		return nil, r.errorf(r.pos, "data after the checkpoint")
 	}
 	return st, nil
 }
@@ -615,7 +537,7 @@ func UnmarshalCheckpoint(data []byte) (*RouterState, error) {
 // shape and the lengths are checked in int64 before the grid is built,
 // so a header claiming a huge grid costs no more than its own decode.
 func checkpointGraph(nx, ny int32, layers int, dirs string, nCap, nMult, nRef int) (*grid.Graph, error) {
-	if nx < 1 || ny < 1 || layers < 2 || layers > 1024 {
+	if nx < 1 || ny < 1 || layers < 2 || layers > grid.MaxLayers {
 		return nil, fmt.Errorf("costdist: checkpoint grid %dx%dx%d invalid", nx, ny, layers)
 	}
 	tech := DefaultTech(layers)

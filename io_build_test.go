@@ -266,3 +266,46 @@ func TestSolverBuildAllocationBound(t *testing.T) {
 	}
 	t.Logf("Solver.Build on a repeated 64×64×8 shape, 40 sinks: %d B/op", b)
 }
+
+// A routing arc names its layer in an int8, so MaxLayers = 128 layers
+// solve and evaluate, and 129 are refused before any grid is built: a
+// 4×4×129 document with a sink on layer 128 used to solve and then panic
+// in Evaluate with "index out of range [-128]". Checkpoints claiming 129
+// layers are refused too, and grid.New panics on such a stack.
+func TestLayerCap(t *testing.T) {
+	doc := func(layers int) []byte {
+		return []byte(fmt.Sprintf(`{"nx":4,"ny":4,"layers":%d,"root":[0,0,0],"sinks":[{"x":3,"y":3,"l":%d,"w":0.01}]}`, layers, layers-1))
+	}
+	in, err := ParseInstance(doc(MaxLayers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := SolveCD(in, DefaultCDOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MarshalTree(in, tr); err != nil {
+		t.Fatalf("%d layers: %v", MaxLayers, err)
+	}
+	want := fmt.Sprintf("costdist: instance has %d layers, at most %d", MaxLayers+1, MaxLayers)
+	if _, err := ParseInstance(doc(MaxLayers + 1)); err == nil || err.Error() != want {
+		t.Fatalf("%d layers: error %v, want %q", MaxLayers+1, err, want)
+	}
+	f, err := decodeInstance(doc(MaxLayers + 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSolver().Build(&f); err == nil || err.Error() != want {
+		t.Fatalf("Solver.Build of %d layers: error %v, want %q", MaxLayers+1, err, want)
+	}
+	if _, err := checkpointGraph(4, 4, MaxLayers+1, "", 0, 0, 0); err == nil {
+		t.Fatalf("a %d-layer checkpoint grid was accepted", MaxLayers+1)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("NewGrid built %d layers", MaxLayers+1)
+		}
+	}()
+	tech := DefaultTech(MaxLayers + 1)
+	NewGrid(4, 4, BuildLayers(tech), tech.GCellUM)
+}

@@ -8,7 +8,10 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strconv"
 	"testing"
+
+	"costdist/internal/grid"
 )
 
 // CanonicalInstanceJSON must map every spelling of the same instance —
@@ -107,7 +110,8 @@ func TestRouteResultRoundTrip(t *testing.T) {
 
 	wm := res.Metrics
 	wm.Walltime = 0      // deliberately not serialized (nondeterministic)
-	wm.WorkPerWave = nil // deliberately not serialized (a test-side count)
+	wm.WorkPerWave = nil // deliberately not serialized (test-side counts)
+	wm.RepairSettlesPerWave = nil
 	if !reflect.DeepEqual(wm, back.Metrics) {
 		t.Fatalf("metrics did not round-trip:\nwant %+v\ngot  %+v", wm, back.Metrics)
 	}
@@ -313,4 +317,219 @@ func TestCheckpointBudgetInfRoundTrip(t *testing.T) {
 	if !bytes.Equal(blob, blob2) {
 		t.Fatal("Inf budgets break byte stability")
 	}
+}
+
+// The reference wire form: the structs encoding/json wrote and read the
+// checkpoint through before wire.go. MarshalCheckpoint, MarshalTree and
+// MarshalRouteResult must write the bytes encoding/json makes of them,
+// and UnmarshalCheckpoint must read a document into the state the
+// reference decode gives, refusing whatever it refuses (wire_test.go,
+// FuzzUnmarshalCheckpoint, FuzzUnmarshalRouteResult).
+
+// budgetsJSON carries a per-sink delay budget vector on the wire: a sink
+// with no timing endpoint downstream has budget +Inf, encoded as null.
+type budgetsJSON []float64
+
+func (b budgetsJSON) MarshalJSON() ([]byte, error) {
+	out := make([]byte, 0, 16*len(b)+2)
+	out = append(out, '[')
+	for i, v := range b {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		if math.IsInf(v, 1) {
+			out = append(out, "null"...)
+			continue
+		}
+		if math.IsInf(v, -1) || math.IsNaN(v) {
+			return nil, fmt.Errorf("costdist: budget %d is %v, not serializable", i, v)
+		}
+		out = strconv.AppendFloat(out, v, 'g', -1, 64)
+	}
+	return append(out, ']'), nil
+}
+
+func (b *budgetsJSON) UnmarshalJSON(data []byte) error {
+	var raw []*float64
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	*b = make([]float64, len(raw))
+	for i, p := range raw {
+		if p == nil {
+			(*b)[i] = math.Inf(1)
+		} else {
+			(*b)[i] = *p
+		}
+	}
+	return nil
+}
+
+// CheckpointNetJSON is one net's state inside a CheckpointJSON document.
+type CheckpointNetJSON struct {
+	Driver   [2]int32       `json:"driver"`
+	Sinks    [][2]int32     `json:"sinks"`
+	Weights  []float64      `json:"weights"`
+	Budgets  budgetsJSON    `json:"budgets"`
+	Delays   []float64      `json:"delays"`
+	LastCost float64        `json:"last_cost"`
+	Oracle   string         `json:"oracle,omitempty"`
+	Tree     *RouteTreeJSON `json:"tree,omitempty"`
+}
+
+// CheckpointJSON is the checkpoint document.
+type CheckpointJSON struct {
+	Version   int                 `json:"version"`
+	Method    string              `json:"method"`
+	NX        int32               `json:"nx"`
+	NY        int32               `json:"ny"`
+	Layers    int                 `json:"layers"`
+	LayerDirs string              `json:"layer_dirs"`
+	Cap       []float32           `json:"cap"`
+	Mult      []float32           `json:"mult"`
+	Ref       []float32           `json:"ref"`
+	Metrics   RouteMetricsJSON    `json:"metrics"`
+	Nets      []CheckpointNetJSON `json:"nets"`
+}
+
+// encodeTreeSteps flattens a tree into RouteTreeJSON's edges and wire
+// types.
+func encodeTreeSteps(g *grid.Graph, tr *Tree) (edges [][2][3]int32, wts []int8) {
+	for _, st := range tr.Steps {
+		fx, fy, fl := g.XYL(st.From)
+		tx, ty, tl := g.XYL(st.Arc.To)
+		edges = append(edges, [2][3]int32{{fx, fy, fl}, {tx, ty, tl}})
+		wts = append(wts, st.Arc.WT)
+	}
+	return edges, wts
+}
+
+// refMarshalCheckpoint is MarshalCheckpoint through encoding/json.
+func refMarshalCheckpoint(st *RouterState) ([]byte, error) {
+	g, err := checkpointGraph(st.NX, st.NY, st.Layers, st.LayerDirs, len(st.Cap), len(st.Mult), len(st.Ref))
+	if err != nil {
+		return nil, err
+	}
+	out := CheckpointJSON{
+		Version:   CheckpointVersion,
+		Method:    st.Method,
+		NX:        st.NX,
+		NY:        st.NY,
+		Layers:    st.Layers,
+		LayerDirs: st.LayerDirs,
+		Cap:       st.Cap,
+		Mult:      st.Mult,
+		Ref:       st.Ref,
+		Metrics:   st.Metrics,
+		Nets:      make([]CheckpointNetJSON, len(st.Nets)),
+	}
+	for ni := range st.Nets {
+		ns := &st.Nets[ni]
+		nj := CheckpointNetJSON{
+			Driver:   [2]int32{ns.Sig.Driver.X, ns.Sig.Driver.Y},
+			Sinks:    make([][2]int32, len(ns.Sig.Sinks)),
+			Weights:  ns.Weights,
+			Budgets:  budgetsJSON(ns.Budgets),
+			Delays:   ns.Delays,
+			LastCost: ns.LastCost,
+			Oracle:   ns.Oracle,
+		}
+		for k, p := range ns.Sig.Sinks {
+			nj.Sinks[k] = [2]int32{p.X, p.Y}
+		}
+		if ns.Tree != nil {
+			tj := &RouteTreeJSON{}
+			tj.Edges, tj.WireTypes = encodeTreeSteps(g, ns.Tree)
+			nj.Tree = tj
+		}
+		out.Nets[ni] = nj
+	}
+	return json.Marshal(&out)
+}
+
+// refUnmarshalCheckpoint is UnmarshalCheckpoint through encoding/json.
+func refUnmarshalCheckpoint(data []byte) (*RouterState, error) {
+	var f CheckpointJSON
+	if err := json.Unmarshal(data, &f); err != nil {
+		return nil, fmt.Errorf("costdist: parsing checkpoint: %w", err)
+	}
+	if f.Version != CheckpointVersion {
+		return nil, fmt.Errorf("costdist: checkpoint version %d unsupported (want %d)", f.Version, CheckpointVersion)
+	}
+	g, err := checkpointGraph(f.NX, f.NY, f.Layers, f.LayerDirs, len(f.Cap), len(f.Mult), len(f.Ref))
+	if err != nil {
+		return nil, err
+	}
+	st := &RouterState{
+		Method:    f.Method,
+		NX:        f.NX,
+		NY:        f.NY,
+		Layers:    f.Layers,
+		LayerDirs: f.LayerDirs,
+		Cap:       f.Cap,
+		Mult:      f.Mult,
+		Ref:       f.Ref,
+		Metrics:   f.Metrics,
+		Nets:      make([]RouterNetState, len(f.Nets)),
+	}
+	for ni := range f.Nets {
+		nj := &f.Nets[ni]
+		if k := len(nj.Sinks); len(nj.Weights) != k || len(nj.Budgets) != k || len(nj.Delays) != k {
+			return nil, fmt.Errorf("costdist: checkpoint net %d has %d sinks but %d/%d/%d weights/budgets/delays",
+				ni, k, len(nj.Weights), len(nj.Budgets), len(nj.Delays))
+		}
+		sig := PinSig{Driver: Pt{X: nj.Driver[0], Y: nj.Driver[1]}}
+		sig.Sinks = make([]Pt, len(nj.Sinks))
+		for k, s := range nj.Sinks {
+			sig.Sinks[k] = Pt{X: s[0], Y: s[1]}
+		}
+		ns := RouterNetState{
+			Sig:      sig,
+			Weights:  nj.Weights,
+			Budgets:  []float64(nj.Budgets),
+			Delays:   nj.Delays,
+			LastCost: nj.LastCost,
+			Oracle:   nj.Oracle,
+		}
+		if nj.Tree != nil {
+			tr, err := decodeTreeSteps(g, nj.Tree.Edges, nj.Tree.WireTypes)
+			if err != nil {
+				return nil, fmt.Errorf("checkpoint net %d: %w", ni, err)
+			}
+			ns.Tree = tr
+		}
+		st.Nets[ni] = ns
+	}
+	return st, nil
+}
+
+// refMarshalTree is MarshalTree through encoding/json.
+func refMarshalTree(in *Instance, tr *Tree) ([]byte, error) {
+	ev, err := Evaluate(in, tr)
+	if err != nil {
+		return nil, err
+	}
+	out := TreeJSON{
+		Total: ev.Total, CongCost: ev.CongCost, DelayCost: ev.DelayCost,
+		SinkDelay: ev.SinkDelay, WireSteps: ev.WireSteps, Vias: ev.Vias,
+	}
+	out.Edges, out.WireTypes = encodeTreeSteps(in.G, tr)
+	return json.MarshalIndent(out, "", "  ")
+}
+
+// refMarshalRouteResult is MarshalRouteResult through encoding/json.
+func refMarshalRouteResult(chip *Chip, res *RouteResult) ([]byte, error) {
+	out := RouteResultJSON{
+		Metrics: res.Metrics,
+		Trees:   make([]*RouteTreeJSON, len(res.Trees)),
+	}
+	for i, tr := range res.Trees {
+		if tr == nil {
+			continue
+		}
+		tj := &RouteTreeJSON{}
+		tj.Edges, tj.WireTypes = encodeTreeSteps(chip.G, tr)
+		out.Trees[i] = tj
+	}
+	return json.MarshalIndent(out, "", "  ")
 }

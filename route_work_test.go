@@ -7,8 +7,9 @@ import (
 	"testing"
 )
 
-// routeWorkFile pins the core search work (RouteMetrics.WorkPerWave) of
-// a cold route and of a warm start with the repair rung, per wave. The
+// routeWorkFile pins the core search work (RouteMetrics.WorkPerWave) and
+// the repair rung's settled labels (RouteMetrics.RepairSettlesPerWave)
+// of a cold route and of a warm start with the repair rung, per wave. The
 // counts are sums over nets, so they are the same at every worker count
 // and GOMAXPROCS. A change that only makes the searches faster must
 // leave this file byte-equal; one that changes what the searches do —
@@ -19,8 +20,9 @@ import (
 const routeWorkFile = "testdata/route_work.json"
 
 type workEntry struct {
-	Run   string       `json:"run"`
-	Waves []SearchWork `json:"waves"`
+	Run           string       `json:"run"`
+	Waves         []SearchWork `json:"waves"`
+	RepairSettles []int64      `json:"repair_settles"`
 }
 
 // computeRouteWork routes c1 at scale 0.005 cold for 3 waves, then
@@ -47,8 +49,8 @@ func computeRouteWork(t *testing.T) []workEntry {
 		t.Fatal("the ECO repaired no net: the repair rung is not exercised")
 	}
 	return []workEntry{
-		{"cold c1@0.005, 3 waves", cold.Metrics.WorkPerWave},
-		{"warm+repair ECO 5 %, RepairTol 0.25", warm.Metrics.WorkPerWave},
+		{"cold c1@0.005, 3 waves", cold.Metrics.WorkPerWave, cold.Metrics.RepairSettlesPerWave},
+		{"warm+repair ECO 5 %, RepairTol 0.25", warm.Metrics.WorkPerWave, warm.Metrics.RepairSettlesPerWave},
 	}
 }
 
@@ -56,6 +58,18 @@ func TestRouteWorkPinned(t *testing.T) {
 	got := computeRouteWork(t)
 	if cold := got[0].Waves; len(cold) != 3 || cold[0].Searches == 0 {
 		t.Fatalf("%s: work per wave %+v, want 3 waves that search", got[0].Run, cold)
+	}
+	var repaired int64
+	for i, e := range got {
+		for _, s := range e.RepairSettles {
+			if i == 0 && s != 0 {
+				t.Fatalf("%s: repair settles per wave %v, want zeros", e.Run, e.RepairSettles)
+			}
+			repaired += s
+		}
+	}
+	if repaired == 0 {
+		t.Fatalf("%s: the repair rung settled no label", got[1].Run)
 	}
 	if os.Getenv("WORK_UPDATE") != "" {
 		blob, err := json.MarshalIndent(got, "", "  ")

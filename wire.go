@@ -1,0 +1,842 @@
+package costdist
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
+	"unicode/utf8"
+
+	"costdist/internal/grid"
+)
+
+// The tree-carrying wire forms — checkpoints, trees and route results —
+// are written by a wireWriter, and checkpoints are read back by a
+// checkpointReader, neither through reflection. Their bytes are the
+// bytes encoding/json gives the reference structs kept in io_test.go,
+// which the differential tests and the fuzz targets hold both to.
+// encoding/json still writes and reads the metric row, and any string
+// that needs escaping.
+
+// wireWriter appends a document compact, or in json.MarshalIndent's
+// layout with no prefix and a two-space indent. The first value
+// encoding/json would refuse (a NaN or an infinite float) is kept in err,
+// and the document is then never returned.
+type wireWriter struct {
+	b      []byte
+	indent bool
+	depth  int
+	// empty reports that the innermost open container has no element yet.
+	empty bool
+	err   error
+}
+
+// open starts an object ('{') or an array ('[').
+func (w *wireWriter) open(c byte) {
+	w.b = append(w.b, c)
+	w.depth++
+	w.empty = true
+}
+
+// close ends the innermost container with c; an empty one reads {} or []
+// in either layout.
+func (w *wireWriter) close(c byte) {
+	w.depth--
+	if !w.empty {
+		w.newline()
+	}
+	w.b = append(w.b, c)
+	w.empty = false
+}
+
+// elem starts the next element of the innermost container.
+func (w *wireWriter) elem() {
+	if !w.empty {
+		w.b = append(w.b, ',')
+	}
+	w.empty = false
+	w.newline()
+}
+
+func (w *wireWriter) newline() {
+	if !w.indent {
+		return
+	}
+	w.b = append(w.b, '\n')
+	for i := 0; i < w.depth; i++ {
+		w.b = append(w.b, "  "...)
+	}
+}
+
+// key starts the object member name, which needs no escaping.
+func (w *wireWriter) key(name string) *wireWriter {
+	w.elem()
+	w.b = append(w.b, '"')
+	w.b = append(w.b, name...)
+	w.b = append(w.b, '"', ':')
+	if w.indent {
+		w.b = append(w.b, ' ')
+	}
+	return w
+}
+
+func (w *wireWriter) fail(err error) {
+	if w.err == nil {
+		w.err = err
+	}
+}
+
+func (w *wireWriter) null() { w.b = append(w.b, "null"...) }
+
+func (w *wireWriter) integer(v int64) {
+	if 0 <= v && v < 10 {
+		w.b = append(w.b, byte('0'+v))
+		return
+	}
+	w.b = strconv.AppendInt(w.b, v, 10)
+}
+
+// ints appends a short array of integers — a point or a vertex, the
+// bulk of a checkpoint, so the compact layout appends it directly.
+func (w *wireWriter) ints(v ...int32) {
+	if w.indent {
+		w.open('[')
+		for _, x := range v {
+			w.elem()
+			w.integer(int64(x))
+		}
+		w.close(']')
+		return
+	}
+	w.b = append(w.b, '[')
+	for i, x := range v {
+		if i > 0 {
+			w.b = append(w.b, ',')
+		}
+		w.integer(int64(x))
+	}
+	w.b = append(w.b, ']')
+	w.empty = false
+}
+
+// float appends v as encoding/json writes a float of the given bit size:
+// the shortest 'f' form, unless the magnitude is below 1e-6 or at least
+// 1e21, where it is the 'e' form with e-09 written e-9.
+func (w *wireWriter) float(v float64, bits int) {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		w.fail(fmt.Errorf("costdist: unsupported value %v", v))
+		return
+	}
+	// Most prices are whole numbers (capacities, multipliers at 1). Below
+	// 2^24 (float32) or 2^53 (float64) every integer is representable, so
+	// an integral value's shortest decimal is the integer itself.
+	lim := int64(1) << 53
+	if bits == 32 {
+		lim = 1 << 24
+	}
+	if i := int64(v); float64(i) == v && -lim < i && i < lim && (i != 0 || !math.Signbit(v)) {
+		w.integer(i)
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 {
+		if bits == 64 && (abs < 1e-6 || abs >= 1e21) ||
+			bits == 32 && (float32(abs) < 1e-6 || float32(abs) >= 1e21) {
+			format = 'e'
+		}
+	}
+	w.b = strconv.AppendFloat(w.b, v, format, -1, bits)
+	if format == 'e' {
+		if n := len(w.b); n >= 4 && w.b[n-4] == 'e' && w.b[n-3] == '-' && w.b[n-2] == '0' {
+			w.b[n-2] = w.b[n-1]
+			w.b = w.b[:n-1]
+		}
+	}
+}
+
+// str appends s quoted. Printable ASCII without a quote, a backslash or
+// one of the characters encoding/json escapes for HTML is copied; any
+// other string is quoted by encoding/json.
+func (w *wireWriter) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			w.b = append(w.b, q...)
+			return
+		}
+	}
+	w.b = append(w.b, '"')
+	w.b = append(w.b, s...)
+	w.b = append(w.b, '"')
+}
+
+// writeFloats appends v as an array of floats of the given bit size,
+// nil as null.
+func writeFloats[F float32 | float64](w *wireWriter, v []F, bits int) {
+	if v == nil {
+		w.null()
+		return
+	}
+	w.open('[')
+	for _, x := range v {
+		w.elem()
+		w.float(float64(x), bits)
+	}
+	w.close(']')
+}
+
+// budgets appends a delay budget vector: the shortest 'g' form, +Inf (a
+// sink with no timing endpoint downstream) as null, nil as []. NaN and
+// −Inf have no wire form.
+func (w *wireWriter) budgets(b []float64) {
+	w.open('[')
+	for i, v := range b {
+		w.elem()
+		switch {
+		case math.IsInf(v, 1):
+			w.null()
+		case math.IsInf(v, -1) || math.IsNaN(v):
+			w.fail(fmt.Errorf("costdist: budget %d is %v, not serializable", i, v))
+		default:
+			w.b = strconv.AppendFloat(w.b, v, 'g', -1, 64)
+		}
+	}
+	w.close(']')
+}
+
+// metrics appends the metric row through encoding/json, indented to the
+// writer's depth in the indented layout.
+func (w *wireWriter) metrics(m *RouteMetrics) {
+	raw, err := json.Marshal(m)
+	if err != nil {
+		w.fail(err)
+		return
+	}
+	if !w.indent {
+		w.b = append(w.b, raw...)
+		return
+	}
+	buf := bytes.NewBuffer(w.b)
+	if err := json.Indent(buf, raw, strings.Repeat("  ", w.depth), "  "); err != nil {
+		w.fail(err)
+	}
+	w.b = buf.Bytes()
+}
+
+// steps appends the members of RouteTreeJSON for a tree's steps: each
+// step's endpoints as (x, y, l), then the wire types (-1 for vias). A
+// tree without steps has null edges and, omitted, no wire types.
+func (w *wireWriter) steps(g *grid.Graph, steps []Step) {
+	w.key("edges")
+	if len(steps) == 0 {
+		w.null()
+		return
+	}
+	w.open('[')
+	for _, st := range steps {
+		w.elem()
+		w.open('[')
+		w.elem()
+		w.ints(g.XYL(st.From))
+		w.elem()
+		w.ints(g.XYL(st.Arc.To))
+		w.close(']')
+	}
+	w.close(']')
+	w.key("wire_types").open('[')
+	for _, st := range steps {
+		w.elem()
+		w.integer(int64(st.Arc.WT))
+	}
+	w.close(']')
+}
+
+func (w *wireWriter) result() ([]byte, error) {
+	if w.err != nil {
+		return nil, w.err
+	}
+	return w.b, nil
+}
+
+// checkpointReader reads the compact layout MarshalCheckpoint writes in
+// one pass. Each object's members come in the reference struct's order,
+// any of them absent; any JSON number stands where a number goes; null
+// stands wherever encoding/json takes one and reads as the zero value,
+// except that a null budget reads as +Inf and a null budget vector as an
+// empty one. Anything else, white space included, is refused with its
+// byte offset. The per-net vectors are read into scratch and copied out
+// at their final length.
+type checkpointReader struct {
+	data []byte
+	pos  int
+
+	// Scratch; floats and wts start non-nil, so that an empty array does
+	// not read as null.
+	floats []float64
+	pts    [][2]int32
+	edges  [][2][3]int32
+	wts    []int8
+	// strs interns the plain strings read, so every net's oracle name
+	// shares one string.
+	strs []string
+}
+
+func newCheckpointReader(data []byte) *checkpointReader {
+	return &checkpointReader{data: data, floats: make([]float64, 0, 64), wts: make([]int8, 0, 64)}
+}
+
+func (r *checkpointReader) errorf(at int, format string, args ...any) error {
+	return fmt.Errorf("costdist: parsing checkpoint: byte %d: %s", at, fmt.Sprintf(format, args...))
+}
+
+// next consumes c if the input continues with it.
+func (r *checkpointReader) next(c byte) bool {
+	if r.pos < len(r.data) && r.data[r.pos] == c {
+		r.pos++
+		return true
+	}
+	return false
+}
+
+// lit consumes s if the input continues with it.
+func (r *checkpointReader) lit(s string) bool {
+	if d := r.data[r.pos:]; len(d) >= len(s) && string(d[:len(s)]) == s {
+		r.pos += len(s)
+		return true
+	}
+	return false
+}
+
+func (r *checkpointReader) expect(c byte) error {
+	if r.next(c) {
+		return nil
+	}
+	return r.errorf(r.pos, "want %q", c)
+}
+
+// member consumes the key of the object's next member, after its comma
+// unless *seen says it is the first, if that key is name.
+func (r *checkpointReader) member(seen *bool, name string) bool {
+	d, i, n := r.data[r.pos:], 0, len(name)
+	if *seen {
+		if len(d) == 0 || d[0] != ',' {
+			return false
+		}
+		i = 1
+	}
+	if len(d) < i+n+3 || d[i] != '"' || string(d[i+1:i+1+n]) != name || d[i+1+n] != '"' || d[i+2+n] != ':' {
+		return false
+	}
+	r.pos += i + n + 3
+	*seen = true
+	return true
+}
+
+// array reads an array, calling elem for each element, and reports
+// whether it was null instead.
+func (r *checkpointReader) array(elem func() error) (null bool, err error) {
+	if r.lit("null") {
+		return true, nil
+	}
+	if err := r.expect('['); err != nil {
+		return false, err
+	}
+	if r.next(']') {
+		return false, nil
+	}
+	for {
+		if err := elem(); err != nil {
+			return false, err
+		}
+		if r.next(']') {
+			return false, nil
+		}
+		if err := r.expect(','); err != nil {
+			return false, err
+		}
+	}
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// number consumes a JSON number and returns its text.
+func (r *checkpointReader) number() ([]byte, error) {
+	d, i := r.data, r.pos
+	if i < len(d) && d[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(d) && d[i] == '0':
+		i++
+	case i < len(d) && '1' <= d[i] && d[i] <= '9':
+		for i < len(d) && isDigit(d[i]) {
+			i++
+		}
+	default:
+		return nil, r.errorf(r.pos, "want a number")
+	}
+	if i < len(d) && d[i] == '.' {
+		i++
+		if i >= len(d) || !isDigit(d[i]) {
+			return nil, r.errorf(i, "want a digit")
+		}
+		for i < len(d) && isDigit(d[i]) {
+			i++
+		}
+	}
+	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
+		i++
+		if i < len(d) && (d[i] == '+' || d[i] == '-') {
+			i++
+		}
+		if i >= len(d) || !isDigit(d[i]) {
+			return nil, r.errorf(i, "want a digit")
+		}
+		for i < len(d) && isDigit(d[i]) {
+			i++
+		}
+	}
+	tok := d[r.pos:i]
+	r.pos = i
+	return tok, nil
+}
+
+// plainInt reads an integer literal of at most 18 digits, the most
+// common number of a checkpoint, and reports false, reading nothing, for
+// anything else.
+func (r *checkpointReader) plainInt() (int64, bool) {
+	d, i := r.data, r.pos
+	neg := i < len(d) && d[i] == '-'
+	if neg {
+		i++
+	}
+	j, v := i, int64(0)
+	for j < len(d) && j-i < 18 && isDigit(d[j]) {
+		v = v*10 + int64(d[j]-'0')
+		j++
+	}
+	if j == i || d[i] == '0' && j > i+1 || j < len(d) && (isDigit(d[j]) || d[j] == '.' || d[j] == 'e' || d[j] == 'E') {
+		return 0, false
+	}
+	r.pos = j
+	if neg {
+		v = -v
+	}
+	return v, true
+}
+
+// integer reads a number into an integer of the given bit size as
+// encoding/json does — an integer literal in range — and null as 0.
+func (r *checkpointReader) integer(bits int) (int64, error) {
+	start := r.pos
+	if v, ok := r.plainInt(); ok {
+		if bits == 64 || -1<<(bits-1) <= v && v < 1<<(bits-1) {
+			return v, nil
+		}
+		r.pos = start
+	}
+	if r.lit("null") {
+		return 0, nil
+	}
+	tok, err := r.number()
+	if err != nil {
+		return 0, err
+	}
+	n, err := strconv.ParseInt(string(tok), 10, bits)
+	if err != nil {
+		return 0, r.errorf(start, "%s is not an int%d", tok, bits)
+	}
+	return n, nil
+}
+
+// float reads a number as encoding/json reads a float of the given bit
+// size, and null as ifNull.
+func (r *checkpointReader) float(bits int, ifNull float64) (float64, error) {
+	start := r.pos
+	// An integer literal up to 2^24 (float32) or 2^53 (float64) is its
+	// own float, which ParseFloat would return too.
+	if v, ok := r.plainInt(); ok {
+		lim := int64(1) << 53
+		if bits == 32 {
+			lim = 1 << 24
+		}
+		switch {
+		case v == 0 && r.data[start] == '-':
+			return math.Copysign(0, -1), nil
+		case -lim <= v && v <= lim:
+			return float64(v), nil
+		}
+		r.pos = start
+	}
+	if r.lit("null") {
+		return ifNull, nil
+	}
+	tok, err := r.number()
+	if err != nil {
+		return 0, err
+	}
+	v, err := strconv.ParseFloat(string(tok), bits)
+	if err != nil {
+		return 0, r.errorf(start, "%s is not a float%d", tok, bits)
+	}
+	return v, nil
+}
+
+// floatArray reads an array of floats into scratch, nil for null, a null
+// element as ifNull.
+func (r *checkpointReader) floatArray(bits int, ifNull float64) ([]float64, error) {
+	r.floats = r.floats[:0]
+	null, err := r.array(func() error {
+		v, err := r.float(bits, ifNull)
+		r.floats = append(r.floats, v)
+		return err
+	})
+	if err != nil || null {
+		return nil, err
+	}
+	return r.floats, nil
+}
+
+// cloneFloats copies a vector read into scratch out at its length, nil
+// as nil.
+func cloneFloats[F float32 | float64](v []float64) []F {
+	if v == nil {
+		return nil
+	}
+	out := make([]F, len(v))
+	for i, x := range v {
+		out[i] = F(x)
+	}
+	return out
+}
+
+// int32s reads an array of exactly len(dst) integers into dst; null
+// leaves dst as it is.
+func (r *checkpointReader) int32s(dst []int32) error {
+	if r.lit("null") {
+		return nil
+	}
+	if err := r.expect('['); err != nil {
+		return err
+	}
+	for i := range dst {
+		if i > 0 {
+			if err := r.expect(','); err != nil {
+				return err
+			}
+		}
+		v, err := r.integer(32)
+		if err != nil {
+			return err
+		}
+		dst[i] = int32(v)
+	}
+	return r.expect(']')
+}
+
+// str reads a string, null as "". One without escapes and non-ASCII
+// bytes is taken as it stands, interned; encoding/json decodes any other.
+func (r *checkpointReader) str() (string, error) {
+	if r.lit("null") {
+		return "", nil
+	}
+	start := r.pos
+	if err := r.expect('"'); err != nil {
+		return "", err
+	}
+	plain := true
+	for r.pos < len(r.data) && r.data[r.pos] != '"' {
+		switch c := r.data[r.pos]; {
+		case c == '\\' && r.pos+1 < len(r.data):
+			plain = false
+			r.pos++ // the escaped byte; encoding/json checks the escape
+		case c < 0x20:
+			return "", r.errorf(r.pos, "control character in a string")
+		case c >= utf8.RuneSelf:
+			plain = false
+		}
+		r.pos++
+	}
+	if r.expect('"') != nil {
+		return "", r.errorf(start, "unterminated string")
+	}
+	if !plain {
+		var s string
+		if err := json.Unmarshal(r.data[start:r.pos], &s); err != nil {
+			return "", r.errorf(start, "%v", err)
+		}
+		return s, nil
+	}
+	body := r.data[start+1 : r.pos-1]
+	for _, s := range r.strs {
+		if string(body) == s {
+			return s, nil
+		}
+	}
+	s := string(body)
+	if len(r.strs) < 8 {
+		r.strs = append(r.strs, s)
+	}
+	return s, nil
+}
+
+// skip moves past one value, following only strings and bracket depth:
+// its caller hands the span to encoding/json, which validates it.
+func (r *checkpointReader) skip() {
+	depth := 0
+	for ; r.pos < len(r.data); r.pos++ {
+		switch r.data[r.pos] {
+		case '"':
+			for r.pos++; r.pos < len(r.data) && r.data[r.pos] != '"'; r.pos++ {
+				if r.data[r.pos] == '\\' {
+					r.pos++
+				}
+			}
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth == 0 {
+				return
+			}
+			if depth--; depth == 0 {
+				r.pos++
+				return
+			}
+		case ',':
+			if depth == 0 {
+				return
+			}
+		}
+	}
+	r.pos = min(r.pos, len(r.data))
+}
+
+// checkpoint reads a whole document. It makes the decoder's checks in
+// their order: the version, then checkpointGraph before any grid is
+// built, then per net the vector lengths before the tree.
+func (r *checkpointReader) checkpoint() (*RouterState, error) {
+	if err := r.expect('{'); err != nil {
+		return nil, err
+	}
+	st := &RouterState{}
+	seen := false
+	var version, nx, ny, layers int64
+	var err error
+	if r.member(&seen, "version") {
+		if version, err = r.integer(64); err != nil {
+			return nil, err
+		}
+	}
+	if version != CheckpointVersion {
+		return nil, fmt.Errorf("costdist: checkpoint version %d unsupported (want %d)", version, CheckpointVersion)
+	}
+	if r.member(&seen, "method") {
+		if st.Method, err = r.str(); err != nil {
+			return nil, err
+		}
+	}
+	for _, f := range []struct {
+		name string
+		bits int
+		dst  *int64
+	}{{"nx", 32, &nx}, {"ny", 32, &ny}, {"layers", 64, &layers}} {
+		if r.member(&seen, f.name) {
+			if *f.dst, err = r.integer(f.bits); err != nil {
+				return nil, err
+			}
+		}
+	}
+	st.NX, st.NY, st.Layers = int32(nx), int32(ny), int(layers)
+	if r.member(&seen, "layer_dirs") {
+		if st.LayerDirs, err = r.str(); err != nil {
+			return nil, err
+		}
+	}
+	for _, f := range []struct {
+		name string
+		dst  *[]float32
+	}{{"cap", &st.Cap}, {"mult", &st.Mult}, {"ref", &st.Ref}} {
+		if r.member(&seen, f.name) {
+			v, err := r.floatArray(32, 0)
+			if err != nil {
+				return nil, err
+			}
+			*f.dst = cloneFloats[float32](v)
+		}
+	}
+	g, err := checkpointGraph(st.NX, st.NY, st.Layers, st.LayerDirs, len(st.Cap), len(st.Mult), len(st.Ref))
+	if err != nil {
+		return nil, err
+	}
+	if r.member(&seen, "metrics") {
+		start := r.pos
+		r.skip()
+		if err := json.Unmarshal(r.data[start:r.pos], &st.Metrics); err != nil {
+			return nil, r.errorf(start, "metrics: %v", err)
+		}
+	}
+	st.Nets = []RouterNetState{}
+	if r.member(&seen, "nets") {
+		if _, err := r.array(func() error {
+			ns, err := r.net(len(st.Nets), g)
+			st.Nets = append(st.Nets, ns)
+			return err
+		}); err != nil {
+			return nil, err
+		}
+	}
+	if err := r.expect('}'); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// net reads net ni's state, then checks its per-sink vector lengths and
+// decodes its tree against g.
+func (r *checkpointReader) net(ni int, g *grid.Graph) (RouterNetState, error) {
+	ns := RouterNetState{Sig: PinSig{Sinks: []Pt{}}}
+	if r.lit("null") {
+		return ns, nil
+	}
+	if err := r.expect('{'); err != nil {
+		return ns, err
+	}
+	seen := false
+	var driver [2]int32
+	if r.member(&seen, "driver") {
+		if err := r.int32s(driver[:]); err != nil {
+			return ns, err
+		}
+	}
+	ns.Sig.Driver = Pt{X: driver[0], Y: driver[1]}
+	if r.member(&seen, "sinks") {
+		r.pts = r.pts[:0]
+		if _, err := r.array(func() error {
+			var p [2]int32
+			err := r.int32s(p[:])
+			r.pts = append(r.pts, p)
+			return err
+		}); err != nil {
+			return ns, err
+		}
+		ns.Sig.Sinks = make([]Pt, len(r.pts))
+		for k, p := range r.pts {
+			ns.Sig.Sinks[k] = Pt{X: p[0], Y: p[1]}
+		}
+	}
+	for _, f := range []struct {
+		name   string
+		ifNull float64
+		dst    *[]float64
+	}{{"weights", 0, &ns.Weights}, {"budgets", math.Inf(1), &ns.Budgets}, {"delays", 0, &ns.Delays}} {
+		if r.member(&seen, f.name) {
+			v, err := r.floatArray(64, f.ifNull)
+			if err != nil {
+				return ns, err
+			}
+			*f.dst = cloneFloats[float64](v)
+			if v == nil && f.dst == &ns.Budgets {
+				ns.Budgets = []float64{}
+			}
+		}
+	}
+	var err error
+	if r.member(&seen, "last_cost") {
+		if ns.LastCost, err = r.float(64, 0); err != nil {
+			return ns, err
+		}
+	}
+	if r.member(&seen, "oracle") {
+		if ns.Oracle, err = r.str(); err != nil {
+			return ns, err
+		}
+	}
+	tree := r.member(&seen, "tree") && !r.lit("null")
+	var edges [][2][3]int32
+	var wts []int8
+	if tree {
+		if edges, wts, err = r.tree(); err != nil {
+			return ns, err
+		}
+	}
+	if err := r.expect('}'); err != nil {
+		return ns, err
+	}
+	// Per-sink vectors must match the sink count — the restored
+	// scheduler indexes them by pin position, so a truncated vector that
+	// slipped through here would panic deep inside a wave.
+	if k := len(ns.Sig.Sinks); len(ns.Weights) != k || len(ns.Budgets) != k || len(ns.Delays) != k {
+		return ns, fmt.Errorf("costdist: checkpoint net %d has %d sinks but %d/%d/%d weights/budgets/delays",
+			ni, k, len(ns.Weights), len(ns.Budgets), len(ns.Delays))
+	}
+	if tree {
+		tr, err := decodeTreeSteps(g, edges, wts)
+		if err != nil {
+			return ns, fmt.Errorf("checkpoint net %d: %w", ni, err)
+		}
+		ns.Tree = tr
+	}
+	return ns, nil
+}
+
+// tree reads a RouteTreeJSON object into scratch: its edges, and its
+// wire types — nil when absent or null, which decodeTreeSteps reads as
+// type 0 everywhere, so an empty array must come back non-nil.
+func (r *checkpointReader) tree() (edges [][2][3]int32, wts []int8, err error) {
+	if err := r.expect('{'); err != nil {
+		return nil, nil, err
+	}
+	seen := false
+	if r.member(&seen, "edges") {
+		r.edges = r.edges[:0]
+		null, err := r.array(func() error {
+			var e [2][3]int32
+			err := r.edge(&e)
+			r.edges = append(r.edges, e)
+			return err
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		if !null {
+			edges = r.edges
+		}
+	}
+	if r.member(&seen, "wire_types") {
+		r.wts = r.wts[:0]
+		null, err := r.array(func() error {
+			v, err := r.integer(8)
+			r.wts = append(r.wts, int8(v))
+			return err
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		if !null {
+			wts = r.wts
+		}
+	}
+	return edges, wts, r.expect('}')
+}
+
+// edge reads one [[x,y,l],[x,y,l]] pair into e; null leaves e as it is.
+func (r *checkpointReader) edge(e *[2][3]int32) error {
+	if r.lit("null") {
+		return nil
+	}
+	if err := r.expect('['); err != nil {
+		return err
+	}
+	if err := r.int32s(e[0][:]); err != nil {
+		return err
+	}
+	if err := r.expect(','); err != nil {
+		return err
+	}
+	if err := r.int32s(e[1][:]); err != nil {
+		return err
+	}
+	return r.expect(']')
+}
