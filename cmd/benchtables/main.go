@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 
@@ -42,44 +43,7 @@ func main() {
 		}
 	}
 
-	want := func(t string) bool { return *table == "all" || *table == t }
-
-	if want("3") {
-		fmt.Println(tables.FormatTableIII(tables.TableIII(cfg), cfg.Scale))
-	}
-	if want("1") {
-		rows, err := tables.InstanceComparison(cfg, false)
-		if err != nil {
-			cliutil.Fatal("benchtables", err)
-		}
-		fmt.Println(tables.FormatInstanceTable("TABLE I — AVERAGE COST INCREASE COMPARED TO MINIMUM, dbif = 0", rows))
-	}
-	if want("2") {
-		rows, err := tables.InstanceComparison(cfg, true)
-		if err != nil {
-			cliutil.Fatal("benchtables", err)
-		}
-		fmt.Println(tables.FormatInstanceTable("TABLE II — AVERAGE COST INCREASE COMPARED TO MINIMUM, dbif > 0", rows))
-	}
-	if want("4") {
-		rows, err := tables.GlobalRouting(cfg, false)
-		if err != nil {
-			cliutil.Fatal("benchtables", err)
-		}
-		fmt.Println(tables.FormatGRTable("TABLE IV — TIMING-CONSTRAINED GLOBAL ROUTING RESULTS, dbif = 0 (* = best)", rows))
-	}
-	if want("5") {
-		rows, err := tables.GlobalRouting(cfg, true)
-		if err != nil {
-			cliutil.Fatal("benchtables", err)
-		}
-		fmt.Println(tables.FormatGRTable("TABLE V — TIMING-CONSTRAINED GLOBAL ROUTING RESULTS, dbif > 0 (* = best)", rows))
-	}
-	if want("ablation") {
-		rows, err := tables.Ablation(cfg, true)
-		if err != nil {
-			cliutil.Fatal("benchtables", err)
-		}
-		fmt.Println(tables.FormatAblation(rows))
+	if err := tables.Print(os.Stdout, cfg, *table); err != nil {
+		cliutil.Fatal("benchtables", err)
 	}
 }

@@ -100,9 +100,9 @@ func NewDeltaTracker(g *grid.Graph, tol float64) *DeltaTracker {
 	return t
 }
 
-// Ref returns a copy of the reference snapshot — the piece of tracker
-// state a router checkpoint serializes so a warm-started run resumes
-// drift accounting where the producing run left off.
+// Ref returns a copy of the reference snapshot. Checkpoints do not
+// carry it: a warm-started run rebaselines it to the restored
+// multipliers (SetRef).
 func (t *DeltaTracker) Ref() []float32 {
 	return append([]float32(nil), t.ref...)
 }

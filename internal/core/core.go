@@ -59,7 +59,10 @@ type Options struct {
 	// the guaranteed future penalty saving η·dbif·w(u).
 	RootBonus bool
 	// FlatHeap replaces the two-level heap with a single global heap
-	// (ablation of §III-B; results are identical, speed differs).
+	// (ablation of §III-B). Results are identical only with AStar off.
+	// With AStar on, the two arrangements re-key stale future costs at
+	// different moments and can return different trees (2 of 400 seeded
+	// random 20×20×4 instances), so the ablation row is not speed alone.
 	FlatHeap bool
 	// Scratch, when non-nil, supplies a reusable arena for the solver's
 	// per-call state (components, heaps, label pages, ownership stamps).

@@ -44,9 +44,10 @@ import (
 // the goal state (full mask, root) settles, its value is D[full][root].
 //
 // The solver is deterministic: states improve through strict
-// comparisons only and the label queue breaks key ties by label
-// creation order, so identical instances produce bit-identical trees
-// on every run and thread count.
+// comparisons only, and the label queue (a heaps.Lazy) pops equal keys
+// in an order fixed by its sequence of pushes and pops, which is itself
+// a function of the instance — so identical instances produce
+// bit-identical trees on every run and thread count.
 
 // GoalLimits bounds the goal-oriented solver's state space and work.
 // The limits are deterministic — they count sinks, window vertices and
@@ -131,7 +132,7 @@ type goalSearch struct {
 	est    *future.MaskEstimator
 	labels []glabel
 	state  map[uint64]int32 // (mask, vert) -> current best label index
-	queue  heaps.LabelQueue
+	queue  heaps.Lazy[int32]
 	// settledMasks[vert] lists masks settled at that vertex at least
 	// once — the merge partner sets.
 	settledMasks [][]uint32

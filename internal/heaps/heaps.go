@@ -121,89 +121,6 @@ func (h *Lazy[T]) down(i int) {
 	keys[i], vals[i] = k, v
 }
 
-// LabelQueue is the priority queue of the goal-oriented exact solver
-// (internal/exact): a binary min-heap of (key, label-id) pairs with a
-// deterministic tie-break on the label id. Lazy[T] pops equal keys in
-// an order that depends on the interleaving of pushes and pops; the
-// exact tier promises bit-identical trees across runs, so ties must
-// resolve by something stable — the label id, which is a creation
-// sequence number. Lower ids (earlier labels) win ties.
-// The zero value is ready to use.
-type LabelQueue struct {
-	keys []float64
-	ids  []int32
-}
-
-// Len returns the number of stored entries.
-func (h *LabelQueue) Len() int { return len(h.keys) }
-
-// Reset empties the queue, retaining capacity.
-func (h *LabelQueue) Reset() {
-	h.keys = h.keys[:0]
-	h.ids = h.ids[:0]
-}
-
-// Push inserts label id with the given key.
-func (h *LabelQueue) Push(key float64, id int32) {
-	h.keys = append(h.keys, key)
-	h.ids = append(h.ids, id)
-	h.lqUp(len(h.keys) - 1)
-}
-
-// Pop removes and returns the entry with the smallest (key, id) pair.
-func (h *LabelQueue) Pop() (key float64, id int32) {
-	key, id = h.keys[0], h.ids[0]
-	n := len(h.keys) - 1
-	h.keys[0], h.ids[0] = h.keys[n], h.ids[n]
-	h.keys = h.keys[:n]
-	h.ids = h.ids[:n]
-	if n > 0 {
-		h.lqDown(0)
-	}
-	return key, id
-}
-
-// lqLess orders entries by key, then by id (deterministic ties).
-func (h *LabelQueue) lqLess(ka float64, ia int32, kb float64, ib int32) bool {
-	if ka != kb {
-		return ka < kb
-	}
-	return ia < ib
-}
-
-func (h *LabelQueue) lqUp(i int) {
-	k, id := h.keys[i], h.ids[i]
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.lqLess(k, id, h.keys[p], h.ids[p]) {
-			break
-		}
-		h.keys[i], h.ids[i] = h.keys[p], h.ids[p]
-		i = p
-	}
-	h.keys[i], h.ids[i] = k, id
-}
-
-func (h *LabelQueue) lqDown(i int) {
-	n := len(h.keys)
-	k, id := h.keys[i], h.ids[i]
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && h.lqLess(h.keys[c+1], h.ids[c+1], h.keys[c], h.ids[c]) {
-			c++
-		}
-		if !h.lqLess(h.keys[c], h.ids[c], k, id) {
-			break
-		}
-		h.keys[i], h.ids[i] = h.keys[c], h.ids[c]
-		i = c
-	}
-	h.keys[i], h.ids[i] = k, id
-}
-
 // Inf is the key used by Indexed for inactive slots.
 const Inf = 1e300
 

@@ -14,23 +14,23 @@ import (
 	"costdist/internal/sta"
 )
 
-// State is the externalized router state: everything the wave loop
-// accumulates that outlives a call — per-net cached trees with their
-// solve snapshots, the congestion multipliers with the delta tracker's
-// reference, and the STA-derived timing state. A State is produced by
-// Checkpoint() at the end of a run and consumed by RouteFrom, which
-// diffs a (possibly edited) chip against it and re-solves only the
-// nets the edit invalidated. io.go gives it a versioned, byte-stable
-// wire form (MarshalCheckpoint/UnmarshalCheckpoint).
+// State is the externalized router state: the warm-start state the
+// wave loop carries from wave to wave — per-net cached trees with their
+// timing prices, the congestion multipliers, and the STA-derived sink
+// delays. A State is produced by Checkpoint() at the end of a run and
+// consumed by RouteFrom, which diffs a (possibly edited) chip against it
+// and re-solves only the nets the edit invalidated. io.go gives it a
+// versioned, byte-stable wire form (MarshalCheckpoint/UnmarshalCheckpoint).
 //
 // Checkpoints are rebaselined: the per-net weight/budget baselines are
-// the run's final weights and budgets, and LastCost is each tree's
-// congestion cost repriced under the final multipliers. The checkpoint
-// therefore asserts "this solution is converged and clean at these
-// prices" — a warm start re-solves nothing until either the instance
-// diff or post-resume price drift invalidates a net. That is what
-// makes a zero-perturbation warm start a no-op that reproduces the
-// cold result exactly.
+// the run's final weights and budgets, and RouteFrom derives the rest of
+// the scheduler's baselines from the restored prices — the delta
+// tracker's reference is Mult, and each tree's snapshot cost is its
+// congestion cost repriced under Mult. The checkpoint therefore asserts
+// "this solution is converged and clean at these prices" — a warm start
+// re-solves nothing until either the instance diff or post-resume price
+// drift invalidates a net. That is what makes a zero-perturbation warm
+// start a no-op that reproduces the cold result exactly.
 type State struct {
 	// Method is the canonical driver name of the producing run. A warm
 	// start under a different method distrusts every cached tree (the
@@ -49,20 +49,9 @@ type State struct {
 	// Cap is the capacity vector of the routed chip's grid; RouteFrom
 	// diffs it against the new chip's capacities and dirties nets whose
 	// region overlaps an edit. Mult is the congestion multiplier vector
-	// after the run; Ref the delta tracker's reference snapshot the
-	// resumed run judges multiplier drift against. Checkpoint()
-	// rebaselines Ref to Mult — like LastCost, the reference is reset
-	// to the restored equilibrium so pre-checkpoint sub-tolerance
-	// residue cannot re-dirty nets the checkpoint declares clean — but
-	// the wire form keeps the field separate so future versions can
-	// carry a true mid-run reference.
+	// after the run; it also becomes the restored run's drift reference.
 	Cap  []float32
 	Mult []float32
-	Ref  []float32
-
-	// Metrics is the metric row of the producing run (Walltime is
-	// dropped on the wire — the one nondeterministic field).
-	Metrics Metrics
 
 	// Nets holds one entry per net of the routed chip, in netlist
 	// order.
@@ -82,8 +71,6 @@ type NetState struct {
 	Budgets []float64
 	// Delays are the routed sink delays of the cached tree in ps.
 	Delays []float64
-	// LastCost is Tree's congestion cost under Mult.
-	LastCost float64
 	// Oracle is the canonical name of the oracle that produced Tree.
 	// Every routed net records it, under both reuse policies and every
 	// driver; "" only appears in hand-built or pre-provenance states
@@ -106,9 +93,9 @@ func (st *State) CompatibleWith(g *grid.Graph) error {
 	if d := g.LayerDirs(); d != st.LayerDirs {
 		return fmt.Errorf("router: checkpoint layer directions %s incompatible with chip %s", st.LayerDirs, d)
 	}
-	if int(g.NumSegs()) != len(st.Cap) || len(st.Cap) != len(st.Mult) || len(st.Cap) != len(st.Ref) {
-		return fmt.Errorf("router: checkpoint has %d/%d/%d cap/mult/ref segments, chip has %d",
-			len(st.Cap), len(st.Mult), len(st.Ref), g.NumSegs())
+	if int(g.NumSegs()) != len(st.Cap) || len(st.Cap) != len(st.Mult) {
+		return fmt.Errorf("router: checkpoint has %d/%d cap/mult segments, chip has %d",
+			len(st.Cap), len(st.Mult), g.NumSegs())
 	}
 	return nil
 }
@@ -129,13 +116,7 @@ func (r *runState) Checkpoint() *State {
 		LayerDirs: g.LayerDirs(),
 		Cap:       append([]float32(nil), g.Cap...),
 		Mult:      append([]float32(nil), r.pricer.Mult...),
-		Metrics:   r.res.Metrics,
 	}
-	// Rebaseline the drift reference to the final multipliers (see the
-	// State.Ref doc); cong.DeltaTracker.Ref stays available for callers
-	// that want the raw mid-run reference.
-	st.Ref = append([]float32(nil), st.Mult...)
-	finalCosts := r.pricer.Costs()
 	st.Nets = make([]NetState, len(nl.Nets))
 	for ni, n := range nl.Nets {
 		ns := NetState{
@@ -146,12 +127,6 @@ func (r *runState) Checkpoint() *State {
 		}
 		if tr := r.trees[ni]; tr != nil {
 			ns.Tree = &nets.RTree{Steps: append([]nets.Step(nil), tr.Steps...)}
-			// Rebaseline: the snapshot cost is the tree's price under the
-			// final multipliers, so a resumed run starts drift accounting
-			// from the restored equilibrium, not from mid-run residue.
-			for _, step := range tr.Steps {
-				ns.LastCost += finalCosts.ArcCost(step.Arc)
-			}
 			ns.Oracle = r.producingOracle(ni)
 		}
 		st.Nets[ni] = ns
@@ -257,9 +232,12 @@ func newRunFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, op
 	r.warm = true
 
 	// Restore chip-wide price state: the multipliers drive wave 0's
-	// costs, the tracker reference resumes drift accounting.
+	// costs and rebaseline drift accounting — the tracker reference and
+	// every restored tree's snapshot cost start from the restored
+	// equilibrium, not from the producing run's mid-run residue.
 	copy(r.pricer.Mult, st.Mult)
-	r.inc.tracker.SetRef(st.Ref)
+	r.inc.tracker.SetRef(st.Mult)
+	costs := r.pricer.Costs()
 
 	// A method change invalidates every cached tree: the trees were
 	// produced by the wrong oracle, and per-net provenance under a
@@ -288,7 +266,11 @@ func newRunFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, op
 		copy(r.budgets[ni], ns.Budgets)
 		copy(r.delays[ni], ns.Delays)
 		r.trees[ni] = ns.Tree
-		r.inc.noteFullSolve(ni, ns.Weights, ns.Budgets, ns.Tree, ns.LastCost, oi)
+		cost := 0.0
+		for _, step := range ns.Tree.Steps {
+			cost += costs.ArcCost(step.Arc)
+		}
+		r.inc.noteFullSolve(ni, ns.Weights, ns.Budgets, ns.Tree, cost, oi)
 	}
 
 	// Capacity edits: translate changed segments into plane regions and

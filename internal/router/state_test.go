@@ -18,10 +18,11 @@ func chipCosts(chip *chipgen.Chip, mult []float32) *grid.Costs {
 	return c
 }
 
-// Checkpoint() must rebaseline: the drift reference equals the final
-// multipliers, and every cached tree's LastCost is its congestion cost
-// repriced under them — not the (possibly stale) cost recorded when the
-// net was last solved mid-run.
+// Restoring a checkpoint rebaselines drift accounting: the tracker
+// reference is the restored multipliers, and every restored tree's
+// snapshot cost is its congestion cost repriced under them, bit for bit
+// — not the (possibly stale) cost recorded when the net was last solved
+// mid-run.
 func TestCheckpointRebaselines(t *testing.T) {
 	chip := tinyChip(t, 0, 0.002)
 	opt := DefaultOptions()
@@ -31,9 +32,17 @@ func TestCheckpointRebaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s := range st.Ref {
-		if st.Ref[s] != st.Mult[s] {
-			t.Fatalf("seg %d: ref %v != mult %v", s, st.Ref[s], st.Mult[s])
+	if st.Method != "cd" || st.NX != chip.G.NX || st.Layers != len(chip.G.Layers) {
+		t.Fatalf("grid signature wrong: %+v", st)
+	}
+	r, err := newRunFrom(context.Background(), st, chip, CD, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := r.inc.tracker.Ref()
+	for s := range st.Mult {
+		if math.Float32bits(ref[s]) != math.Float32bits(st.Mult[s]) {
+			t.Fatalf("seg %d: tracker ref %v != mult %v", s, ref[s], st.Mult[s])
 		}
 	}
 	// Reprice independently under the stored multipliers.
@@ -43,19 +52,16 @@ func TestCheckpointRebaselines(t *testing.T) {
 		if ns.Tree == nil {
 			t.Fatalf("net %d has no cached tree after a full run", ni)
 		}
+		if ns.Oracle != "cd" {
+			t.Fatalf("net %d: oracle %q, want cd", ni, ns.Oracle)
+		}
 		cur := 0.0
 		for _, step := range ns.Tree.Steps {
 			cur += pricer.ArcCost(step.Arc)
 		}
-		if math.Abs(cur-ns.LastCost) > 1e-9*math.Abs(cur) {
-			t.Fatalf("net %d: LastCost %v, repriced %v", ni, ns.LastCost, cur)
+		if got := r.inc.lastCost[ni]; math.Float64bits(got) != math.Float64bits(cur) {
+			t.Fatalf("net %d: restored snapshot cost %v, repriced %v", ni, got, cur)
 		}
-		if ns.Oracle != "cd" {
-			t.Fatalf("net %d: oracle %q, want cd", ni, ns.Oracle)
-		}
-	}
-	if st.Method != "cd" || st.NX != chip.G.NX || st.Layers != len(chip.G.Layers) {
-		t.Fatalf("grid signature wrong: %+v", st)
 	}
 }
 

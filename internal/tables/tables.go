@@ -17,6 +17,7 @@ package tables
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
@@ -53,6 +54,53 @@ func (c Config) routerOptions(withBif bool) router.Options {
 		opt.DBif = 0
 	}
 	return opt
+}
+
+// Print writes a table — "1" to "5", "ablation", or "all" for every one
+// — to w, each followed by a blank line: the output of cmd/benchtables.
+func Print(w io.Writer, cfg Config, table string) error {
+	want := func(t string) bool { return table == "all" || table == t }
+	if want("3") {
+		fmt.Fprintln(w, FormatTableIII(TableIII(cfg), cfg.Scale))
+	}
+	for _, t := range []struct {
+		name, title string
+		withBif     bool
+	}{
+		{"1", "TABLE I — AVERAGE COST INCREASE COMPARED TO MINIMUM, dbif = 0", false},
+		{"2", "TABLE II — AVERAGE COST INCREASE COMPARED TO MINIMUM, dbif > 0", true},
+	} {
+		if want(t.name) {
+			rows, err := InstanceComparison(cfg, t.withBif)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(w, FormatInstanceTable(t.title, rows))
+		}
+	}
+	for _, t := range []struct {
+		name, title string
+		withBif     bool
+	}{
+		{"4", "TABLE IV — TIMING-CONSTRAINED GLOBAL ROUTING RESULTS, dbif = 0 (* = best)", false},
+		{"5", "TABLE V — TIMING-CONSTRAINED GLOBAL ROUTING RESULTS, dbif > 0 (* = best)", true},
+	} {
+		if want(t.name) {
+			rows, err := GlobalRouting(cfg, t.withBif)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(w, FormatGRTable(t.title, rows))
+		}
+	}
+	if want("ablation") {
+		rows, err := Ablation(cfg, true)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, FormatAblation(rows))
+	}
+	return nil
 }
 
 // Methods in the paper's column order.

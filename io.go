@@ -431,16 +431,17 @@ func UnmarshalRouteResult(chip *Chip, data []byte) (*RouteResult, error) {
 // CheckpointVersion is the wire-format version MarshalCheckpoint
 // writes; UnmarshalCheckpoint rejects documents from a different
 // version instead of guessing at their layout.
-const CheckpointVersion = 1
+const CheckpointVersion = 2
 
 // MarshalCheckpoint serializes a router checkpoint into its versioned,
 // byte-stable wire form: one compact JSON object with the members
-// version, method, nx, ny, layers, layer_dirs, cap, mult and ref (float32
-// vectors, one entry per segment), metrics (the tagged RouteMetrics row)
-// and nets. Each net is an object with driver, sinks, weights, budgets
-// (+Inf, a sink with no timing endpoint downstream, as null), delays,
-// last_cost, oracle (omitted when empty) and tree (a RouteTreeJSON,
-// omitted for a net never routed). The document is written without
+// version, method, nx, ny, layers, layer_dirs, cap and mult (float32
+// vectors, one entry per segment) and nets. Each net is an object with
+// driver, sinks, weights, budgets (+Inf, a sink with no timing endpoint
+// downstream, as null), delays, oracle (omitted when empty) and tree (a
+// RouteTreeJSON, omitted for a net never routed). Only warm-start state
+// is written: the drift reference and each tree's snapshot cost are
+// derived from mult on restore. The document is written without
 // reflection. Identical states marshal to identical bytes, and marshal →
 // unmarshal → marshal reproduces them, which is what lets the service
 // layer content-address retained checkpoints.
@@ -448,7 +449,7 @@ func MarshalCheckpoint(st *RouterState) ([]byte, error) {
 	if st == nil {
 		return nil, fmt.Errorf("costdist: nil checkpoint state")
 	}
-	g, err := checkpointGraph(st.NX, st.NY, st.Layers, st.LayerDirs, len(st.Cap), len(st.Mult), len(st.Ref))
+	g, err := checkpointGraph(st.NX, st.NY, st.Layers, st.LayerDirs, len(st.Cap), len(st.Mult))
 	if err != nil {
 		return nil, err
 	}
@@ -462,8 +463,6 @@ func MarshalCheckpoint(st *RouterState) ([]byte, error) {
 	w.key("layer_dirs").str(st.LayerDirs)
 	writeFloats(w.key("cap"), st.Cap, 32)
 	writeFloats(w.key("mult"), st.Mult, 32)
-	writeFloats(w.key("ref"), st.Ref, 32)
-	w.key("metrics").metrics(&st.Metrics)
 	w.key("nets").open('[')
 	for ni := range st.Nets {
 		ns := &st.Nets[ni]
@@ -479,7 +478,6 @@ func MarshalCheckpoint(st *RouterState) ([]byte, error) {
 		writeFloats(w.key("weights"), ns.Weights, 64)
 		w.key("budgets").budgets(ns.Budgets)
 		writeFloats(w.key("delays"), ns.Delays, 64)
-		w.key("last_cost").float(ns.LastCost, 64)
 		if ns.Oracle != "" {
 			w.key("oracle").str(ns.Oracle)
 		}
@@ -499,7 +497,7 @@ func MarshalCheckpoint(st *RouterState) ([]byte, error) {
 // buffer is allocated once: on the c1@0.01 checkpoint a price takes 2.4
 // bytes, a sink with its three float64s about 70 and a tree step 24.
 func checkpointSize(st *RouterState) int {
-	n := 1024 + 3*4*len(st.Cap)
+	n := 1024 + 2*4*len(st.Cap)
 	for i := range st.Nets {
 		ns := &st.Nets[i]
 		n += 112 + 72*len(ns.Sig.Sinks)
@@ -532,11 +530,11 @@ func UnmarshalCheckpoint(data []byte) (*RouterState, error) {
 // checkpointGraph reconstructs the routing grid a checkpoint is bound
 // to: the default technology at the stored layer count. The stored
 // layer directions must match the reconstruction — checkpoints of
-// custom layer stacks have no wire form — and the cap/mult/ref vectors
-// (of lengths nCap, nMult, nRef) must have one entry per segment. The
+// custom layer stacks have no wire form — and the cap and mult vectors
+// (of lengths nCap and nMult) must have one entry per segment. The
 // shape and the lengths are checked in int64 before the grid is built,
 // so a header claiming a huge grid costs no more than its own decode.
-func checkpointGraph(nx, ny int32, layers int, dirs string, nCap, nMult, nRef int) (*grid.Graph, error) {
+func checkpointGraph(nx, ny int32, layers int, dirs string, nCap, nMult int) (*grid.Graph, error) {
 	if nx < 1 || ny < 1 || layers < 2 || layers > grid.MaxLayers {
 		return nil, fmt.Errorf("costdist: checkpoint grid %dx%dx%d invalid", nx, ny, layers)
 	}
@@ -546,9 +544,9 @@ func checkpointGraph(nx, ny int32, layers int, dirs string, nCap, nMult, nRef in
 	if verts > math.MaxInt32 || segs > math.MaxInt32 {
 		return nil, fmt.Errorf("costdist: checkpoint grid %dx%dx%d too large (%d vertices, %d segments)", nx, ny, layers, verts, segs)
 	}
-	if int64(nCap) != segs || int64(nMult) != segs || int64(nRef) != segs {
-		return nil, fmt.Errorf("costdist: checkpoint has %d/%d/%d cap/mult/ref segments, grid has %d",
-			nCap, nMult, nRef, segs)
+	if int64(nCap) != segs || int64(nMult) != segs {
+		return nil, fmt.Errorf("costdist: checkpoint has %d/%d cap/mult segments, grid has %d",
+			nCap, nMult, segs)
 	}
 	g := NewGrid(nx, ny, stack, tech.GCellUM)
 	if got := g.LayerDirs(); got != dirs {

@@ -298,7 +298,7 @@ func TestLayerCap(t *testing.T) {
 	if _, err := NewSolver().Build(&f); err == nil || err.Error() != want {
 		t.Fatalf("Solver.Build of %d layers: error %v, want %q", MaxLayers+1, err, want)
 	}
-	if _, err := checkpointGraph(4, 4, MaxLayers+1, "", 0, 0, 0); err == nil {
+	if _, err := checkpointGraph(4, 4, MaxLayers+1, "", 0, 0); err == nil {
 		t.Fatalf("a %d-layer checkpoint grid was accepted", MaxLayers+1)
 	}
 	defer func() {

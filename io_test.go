@@ -250,12 +250,25 @@ func TestUnmarshalCheckpointRejectsCorruptDocuments(t *testing.T) {
 	}
 }
 
+// A version-1 document — the layout that also carried the producing
+// run's metric row, the drift reference and per-net snapshot costs — is
+// refused with the version error. (Its members under version 2 are
+// refused as unknown: TestUnmarshalCheckpointMatchesReferenceOnEdgeLayouts.)
+func TestUnmarshalCheckpointRefusesV1(t *testing.T) {
+	v1 := `{"version":1,"method":"cd","nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],"ref":[1],` +
+		`"metrics":{},"nets":[{"driver":[0,0],"sinks":[],"weights":[],"budgets":[],"delays":[],"last_cost":0}]}`
+	want := "costdist: checkpoint version 1 unsupported (want 2)"
+	if _, err := UnmarshalCheckpoint([]byte(v1)); err == nil || err.Error() != want {
+		t.Fatalf("v1 document: error %v, want %q", err, want)
+	}
+}
+
 // checkpointHeader is a checkpoint document of an n×n×8 grid with empty
 // price vectors and no nets: a header that claims a grid it carries no
 // data for.
 func checkpointHeader(n int32) []byte {
-	return []byte(fmt.Sprintf(`{"version":1,"method":"cd","nx":%d,"ny":%d,"layers":8,"layer_dirs":"HVHVHVHV",`+
-		`"cap":[],"mult":[],"ref":[],"metrics":{},"nets":[]}`, n, n))
+	return []byte(fmt.Sprintf(`{"version":2,"method":"cd","nx":%d,"ny":%d,"layers":8,"layer_dirs":"HVHVHVHV",`+
+		`"cap":[],"mult":[],"nets":[]}`, n, n))
 }
 
 // A checkpoint whose grid its vectors do not cover is refused before the
@@ -267,7 +280,7 @@ func TestUnmarshalCheckpointValidatesBeforeAllocating(t *testing.T) {
 		n       int32
 		wantErr string
 	}{
-		{5000, "costdist: checkpoint has 0/0/0 cap/mult/ref segments, grid has 374960000"},
+		{5000, "costdist: checkpoint has 0/0 cap/mult segments, grid has 374960000"},
 		{20000, "costdist: checkpoint grid 20000x20000x8 too large (3200000000 vertices, 5999840000 segments)"},
 		{50000, "costdist: checkpoint grid 50000x50000x8 too large (20000000000 vertices, 37499600000 segments)"},
 	} {
@@ -367,14 +380,13 @@ func (b *budgetsJSON) UnmarshalJSON(data []byte) error {
 
 // CheckpointNetJSON is one net's state inside a CheckpointJSON document.
 type CheckpointNetJSON struct {
-	Driver   [2]int32       `json:"driver"`
-	Sinks    [][2]int32     `json:"sinks"`
-	Weights  []float64      `json:"weights"`
-	Budgets  budgetsJSON    `json:"budgets"`
-	Delays   []float64      `json:"delays"`
-	LastCost float64        `json:"last_cost"`
-	Oracle   string         `json:"oracle,omitempty"`
-	Tree     *RouteTreeJSON `json:"tree,omitempty"`
+	Driver  [2]int32       `json:"driver"`
+	Sinks   [][2]int32     `json:"sinks"`
+	Weights []float64      `json:"weights"`
+	Budgets budgetsJSON    `json:"budgets"`
+	Delays  []float64      `json:"delays"`
+	Oracle  string         `json:"oracle,omitempty"`
+	Tree    *RouteTreeJSON `json:"tree,omitempty"`
 }
 
 // CheckpointJSON is the checkpoint document.
@@ -387,8 +399,6 @@ type CheckpointJSON struct {
 	LayerDirs string              `json:"layer_dirs"`
 	Cap       []float32           `json:"cap"`
 	Mult      []float32           `json:"mult"`
-	Ref       []float32           `json:"ref"`
-	Metrics   RouteMetricsJSON    `json:"metrics"`
 	Nets      []CheckpointNetJSON `json:"nets"`
 }
 
@@ -406,7 +416,7 @@ func encodeTreeSteps(g *grid.Graph, tr *Tree) (edges [][2][3]int32, wts []int8) 
 
 // refMarshalCheckpoint is MarshalCheckpoint through encoding/json.
 func refMarshalCheckpoint(st *RouterState) ([]byte, error) {
-	g, err := checkpointGraph(st.NX, st.NY, st.Layers, st.LayerDirs, len(st.Cap), len(st.Mult), len(st.Ref))
+	g, err := checkpointGraph(st.NX, st.NY, st.Layers, st.LayerDirs, len(st.Cap), len(st.Mult))
 	if err != nil {
 		return nil, err
 	}
@@ -419,20 +429,17 @@ func refMarshalCheckpoint(st *RouterState) ([]byte, error) {
 		LayerDirs: st.LayerDirs,
 		Cap:       st.Cap,
 		Mult:      st.Mult,
-		Ref:       st.Ref,
-		Metrics:   st.Metrics,
 		Nets:      make([]CheckpointNetJSON, len(st.Nets)),
 	}
 	for ni := range st.Nets {
 		ns := &st.Nets[ni]
 		nj := CheckpointNetJSON{
-			Driver:   [2]int32{ns.Sig.Driver.X, ns.Sig.Driver.Y},
-			Sinks:    make([][2]int32, len(ns.Sig.Sinks)),
-			Weights:  ns.Weights,
-			Budgets:  budgetsJSON(ns.Budgets),
-			Delays:   ns.Delays,
-			LastCost: ns.LastCost,
-			Oracle:   ns.Oracle,
+			Driver:  [2]int32{ns.Sig.Driver.X, ns.Sig.Driver.Y},
+			Sinks:   make([][2]int32, len(ns.Sig.Sinks)),
+			Weights: ns.Weights,
+			Budgets: budgetsJSON(ns.Budgets),
+			Delays:  ns.Delays,
+			Oracle:  ns.Oracle,
 		}
 		for k, p := range ns.Sig.Sinks {
 			nj.Sinks[k] = [2]int32{p.X, p.Y}
@@ -456,7 +463,7 @@ func refUnmarshalCheckpoint(data []byte) (*RouterState, error) {
 	if f.Version != CheckpointVersion {
 		return nil, fmt.Errorf("costdist: checkpoint version %d unsupported (want %d)", f.Version, CheckpointVersion)
 	}
-	g, err := checkpointGraph(f.NX, f.NY, f.Layers, f.LayerDirs, len(f.Cap), len(f.Mult), len(f.Ref))
+	g, err := checkpointGraph(f.NX, f.NY, f.Layers, f.LayerDirs, len(f.Cap), len(f.Mult))
 	if err != nil {
 		return nil, err
 	}
@@ -468,8 +475,6 @@ func refUnmarshalCheckpoint(data []byte) (*RouterState, error) {
 		LayerDirs: f.LayerDirs,
 		Cap:       f.Cap,
 		Mult:      f.Mult,
-		Ref:       f.Ref,
-		Metrics:   f.Metrics,
 		Nets:      make([]RouterNetState, len(f.Nets)),
 	}
 	for ni := range f.Nets {
@@ -484,12 +489,11 @@ func refUnmarshalCheckpoint(data []byte) (*RouterState, error) {
 			sig.Sinks[k] = Pt{X: s[0], Y: s[1]}
 		}
 		ns := RouterNetState{
-			Sig:      sig,
-			Weights:  nj.Weights,
-			Budgets:  []float64(nj.Budgets),
-			Delays:   nj.Delays,
-			LastCost: nj.LastCost,
-			Oracle:   nj.Oracle,
+			Sig:     sig,
+			Weights: nj.Weights,
+			Budgets: []float64(nj.Budgets),
+			Delays:  nj.Delays,
+			Oracle:  nj.Oracle,
 		}
 		if nj.Tree != nil {
 			tr, err := decodeTreeSteps(g, nj.Tree.Edges, nj.Tree.WireTypes)

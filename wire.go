@@ -17,8 +17,8 @@ import (
 // checkpointReader, neither through reflection. Their bytes are the
 // bytes encoding/json gives the reference structs kept in io_test.go,
 // which the differential tests and the fuzz targets hold both to.
-// encoding/json still writes and reads the metric row, and any string
-// that needs escaping.
+// encoding/json still writes the route result's metric row, and reads
+// any string that needs escaping.
 
 // wireWriter appends a document compact, or in json.MarshalIndent's
 // layout with no prefix and a two-space indent. The first value
@@ -582,37 +582,6 @@ func (r *checkpointReader) str() (string, error) {
 	return s, nil
 }
 
-// skip moves past one value, following only strings and bracket depth:
-// its caller hands the span to encoding/json, which validates it.
-func (r *checkpointReader) skip() {
-	depth := 0
-	for ; r.pos < len(r.data); r.pos++ {
-		switch r.data[r.pos] {
-		case '"':
-			for r.pos++; r.pos < len(r.data) && r.data[r.pos] != '"'; r.pos++ {
-				if r.data[r.pos] == '\\' {
-					r.pos++
-				}
-			}
-		case '{', '[':
-			depth++
-		case '}', ']':
-			if depth == 0 {
-				return
-			}
-			if depth--; depth == 0 {
-				r.pos++
-				return
-			}
-		case ',':
-			if depth == 0 {
-				return
-			}
-		}
-	}
-	r.pos = min(r.pos, len(r.data))
-}
-
 // checkpoint reads a whole document. It makes the decoder's checks in
 // their order: the version, then checkpointGraph before any grid is
 // built, then per net the vector lengths before the tree.
@@ -657,7 +626,7 @@ func (r *checkpointReader) checkpoint() (*RouterState, error) {
 	for _, f := range []struct {
 		name string
 		dst  *[]float32
-	}{{"cap", &st.Cap}, {"mult", &st.Mult}, {"ref", &st.Ref}} {
+	}{{"cap", &st.Cap}, {"mult", &st.Mult}} {
 		if r.member(&seen, f.name) {
 			v, err := r.floatArray(32, 0)
 			if err != nil {
@@ -666,16 +635,9 @@ func (r *checkpointReader) checkpoint() (*RouterState, error) {
 			*f.dst = cloneFloats[float32](v)
 		}
 	}
-	g, err := checkpointGraph(st.NX, st.NY, st.Layers, st.LayerDirs, len(st.Cap), len(st.Mult), len(st.Ref))
+	g, err := checkpointGraph(st.NX, st.NY, st.Layers, st.LayerDirs, len(st.Cap), len(st.Mult))
 	if err != nil {
 		return nil, err
-	}
-	if r.member(&seen, "metrics") {
-		start := r.pos
-		r.skip()
-		if err := json.Unmarshal(r.data[start:r.pos], &st.Metrics); err != nil {
-			return nil, r.errorf(start, "metrics: %v", err)
-		}
 	}
 	st.Nets = []RouterNetState{}
 	if r.member(&seen, "nets") {
@@ -743,11 +705,6 @@ func (r *checkpointReader) net(ni int, g *grid.Graph) (RouterNetState, error) {
 		}
 	}
 	var err error
-	if r.member(&seen, "last_cost") {
-		if ns.LastCost, err = r.float(64, 0); err != nil {
-			return ns, err
-		}
-	}
 	if r.member(&seen, "oracle") {
 		if ns.Oracle, err = r.str(); err != nil {
 			return ns, err

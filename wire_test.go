@@ -178,11 +178,7 @@ func randomState(rng *rand.Rand) (*RouterState, *Graph) {
 	name := func() string { return wireNames[rng.IntN(len(wireNames))] }
 	st := &RouterState{
 		Method: name(), NX: nx, NY: ny, Layers: layers, LayerDirs: g.LayerDirs(),
-		Cap: vec32(), Mult: vec32(), Ref: vec32(),
-		Metrics: RouteMetrics{
-			WS: wireValue(rng), Objective: wireValue(rng), NetsSolved: rng.Int64N(100),
-			SolvedPerWave: []int{rng.IntN(9), rng.IntN(9)}, SolvesByOracle: map[string]int64{name(): 1},
-		},
+		Cap: vec32(), Mult: vec32(),
 	}
 	if n := rng.IntN(4); n > 0 || rng.IntN(2) == 0 {
 		st.Nets = make([]RouterNetState, n)
@@ -211,7 +207,6 @@ func randomState(rng *rand.Rand) (*RouterState, *Graph) {
 			return v
 		}
 		ns.Weights, ns.Budgets, ns.Delays = vec(false), vec(true), vec(false)
-		ns.LastCost = wireValue(rng)
 		ns.Oracle = name()
 		switch rng.IntN(4) {
 		case 0:
@@ -223,16 +218,14 @@ func randomState(rng *rand.Rand) (*RouterState, *Graph) {
 	}
 	if rng.IntN(10) == 0 {
 		bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.IntN(3)]
-		switch rng.IntN(4) {
+		switch rng.IntN(3) {
 		case 0:
 			st.Mult[rng.IntN(len(st.Mult))] = float32(bad)
 		case 1:
-			st.Metrics.Objective = bad
-		case 2:
-			if len(st.Nets) > 0 {
-				st.Nets[0].LastCost = bad
+			if len(st.Nets) > 0 && len(st.Nets[0].Delays) > 0 {
+				st.Nets[0].Delays[0] = bad
 			}
-		case 3:
+		case 2:
 			if len(st.Nets) > 0 && len(st.Nets[0].Budgets) > 0 && !math.IsInf(bad, 1) {
 				st.Nets[0].Budgets[0] = bad
 			}
@@ -241,8 +234,22 @@ func randomState(rng *rand.Rand) (*RouterState, *Graph) {
 	return st, g
 }
 
+// randomMetrics is a metric row of wireValues and wireNames; one in ten
+// carries a value encoding/json refuses.
+func randomMetrics(rng *rand.Rand) RouteMetrics {
+	m := RouteMetrics{
+		WS: wireValue(rng), Objective: wireValue(rng), NetsSolved: rng.Int64N(100),
+		SolvedPerWave:  []int{rng.IntN(9), rng.IntN(9)},
+		SolvesByOracle: map[string]int64{wireNames[rng.IntN(len(wireNames))]: 1},
+	}
+	if rng.IntN(10) == 0 {
+		m.Objective = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.IntN(3)]
+	}
+	return m
+}
+
 // The same bytes, and the same decoded state, on seeded random states
-// and route results; NaN or ±Inf prices, costs and metrics and NaN or
+// and route results; NaN or ±Inf prices, delays and metrics and NaN or
 // −Inf budgets are errors on both sides.
 func TestWireMatchesReferenceOnRandomStates(t *testing.T) {
 	rng := rand.New(rand.NewPCG(32, 1))
@@ -254,7 +261,7 @@ func TestWireMatchesReferenceOnRandomStates(t *testing.T) {
 		if _, err := MarshalCheckpoint(st); err != nil {
 			failed++
 		}
-		res := &RouteResult{Metrics: st.Metrics, Trees: []*Tree{nil, {}, randomWalk(rng, g)}}
+		res := &RouteResult{Metrics: randomMetrics(rng), Trees: []*Tree{nil, {}, randomWalk(rng, g)}}
 		got, err := MarshalRouteResult(&Chip{G: g}, res)
 		want, wantErr := refMarshalRouteResult(&Chip{G: g}, res)
 		checkWireBytes(t, name+" result", got, err, want, wantErr)
@@ -291,7 +298,7 @@ func coldCheckpoint(tb testing.TB) *RouterState {
 // The codec's allocations are counts. UnmarshalCheckpoint of the
 // c1@0.01 checkpoint allocates its per-net vectors and trees and little
 // else (19 588 allocations through encoding/json); MarshalCheckpoint its
-// buffer, the metric row and the checked grid (7 160).
+// buffer and the checked grid (7 160 through encoding/json).
 func TestCheckpointCodecAllocationBound(t *testing.T) {
 	st := coldCheckpoint(t)
 	blob, err := MarshalCheckpoint(st)
@@ -360,11 +367,16 @@ func TestMarshalTreeAllocationBound(t *testing.T) {
 // decode accepts — null vectors, elements and nets, absent members, any
 // number spelling — reads the reference's state; on those the reference
 // accepts but the reader does not promise to (white space, unknown or
-// reordered members) it may only refuse.
+// reordered members, version 1's ref, metrics and last_cost) it may only
+// refuse.
 func TestUnmarshalCheckpointMatchesReferenceOnEdgeLayouts(t *testing.T) {
 	// A 1×1×2 grid has one segment, a via.
 	doc := func(nets string) []byte {
-		return []byte(`{"version":1,"method":"cd","nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],"ref":[1],"metrics":{},"nets":[` + nets + `]}`)
+		return []byte(`{"version":2,"method":"cd","nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],"nets":[` + nets + `]}`)
+	}
+	// sink is a one-sink net whose weight is spelled w.
+	sink := func(w string) []byte {
+		return doc(`{"driver":[0,0],"sinks":[[0,0]],"weights":[` + w + `],"budgets":[1],"delays":[1]}`)
 	}
 	const via = `"edges":[[[0,0,0],[0,0,1]]]`
 	accepted := [][]byte{
@@ -373,13 +385,13 @@ func TestUnmarshalCheckpointMatchesReferenceOnEdgeLayouts(t *testing.T) {
 		doc(`{"driver":[0,0],"sinks":[],"weights":[],"budgets":null,"delays":[]}`),
 		doc(`{"sinks":null,"weights":null,"budgets":null,"delays":null}`),
 		doc(`{"driver":[null,0],"sinks":[null],"weights":[null],"budgets":[-0],"delays":[1E2]}`),
-		doc(`{"last_cost":-0}`), doc(`{"last_cost":1.5e-9}`), doc(`{"last_cost":-12.5E+3}`), doc(`{"last_cost":null}`),
+		sink(`-0`), sink(`1.5e-9`), sink(`-12.5E+3`), sink(`null`),
 		doc(`{"oracle":"cd","tree":null}`), doc(`{"oracle":null}`), doc(`{"oracle":"cd"}`),
 		doc(`{"tree":{}}`), doc(`{"tree":{"edges":null}}`), doc(`{"tree":{"edges":[],"wire_types":[]}}`),
 		doc(`{"tree":{` + via + `,"wire_types":[-1]}}`), doc(`{"tree":{` + via + `,"wire_types":null}}`),
 		doc(`{"tree":{` + via + `}}`),
-		[]byte(`{"version":1,"nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[2.4e1],"mult":[1.0],"ref":[10E-1],"metrics":null,"nets":null}`),
-		[]byte(`{"version":1,"method":null,"nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[null],"mult":[1],"ref":[1]}`),
+		[]byte(`{"version":2,"nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[2.4e1],"mult":[10E-1],"nets":null}`),
+		[]byte(`{"version":2,"method":null,"nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[null],"mult":[1]}`),
 	}
 	for _, data := range accepted {
 		st, err := UnmarshalCheckpoint(data)
@@ -398,8 +410,10 @@ func TestUnmarshalCheckpointMatchesReferenceOnEdgeLayouts(t *testing.T) {
 		doc(`{"tree":{` + via + `,"wire_types":[]}}`), doc(`{"budgets":[1e400]}`),
 		doc(`{"driver":[0,1.5]}`), doc(`{"tree":{` + via + `,"wire_types":[128]}}`),
 		doc(`{} `), doc(`{"sinks":[[0,0]]}`), doc(`{"oracle":"cd","driver":[0,0]}`), doc(`{"extra":1}`),
-		doc(`{},`), doc(`01`), doc(`{"last_cost":01}`), doc(`{"last_cost":1.}`), doc(`{"last_cost":+1}`),
-		[]byte(`{"version":1}x`), []byte(` {"version":1}`),
+		doc(`{},`), doc(`01`), sink(`01`), sink(`1.`), sink(`+1`), doc(`{"last_cost":1}`),
+		[]byte(`{"version":2,"method":"cd","nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],"ref":[1],"nets":[]}`),
+		[]byte(`{"version":2,"method":"cd","nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],"metrics":{},"nets":[]}`),
+		[]byte(`{"version":2}x`), []byte(` {"version":2}`),
 	} {
 		if _, err := UnmarshalCheckpoint(data); err == nil {
 			t.Fatalf("%s: accepted", data)
