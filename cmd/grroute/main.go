@@ -25,7 +25,7 @@ func main() {
 	scale := flag.Float64("scale", 0.01, "net count scale vs the paper (1.0 = full)")
 	waves := flag.Int("waves", 4, "rip-up-and-reroute waves")
 	workers := flag.Int("workers", 0, "parallel routing workers, one solver arena each (0 = all cores)")
-	dbif := flag.Float64("dbif", -1, "bifurcation penalty ps (-1: derive from technology, 0: off)")
+	dbif := flag.Float64("dbif", 0, "bifurcation penalty in ps, ≥ 0 (0: off; unset: the technology's)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	incremental := flag.Bool("incremental", false, "dirty-net scheduling: re-solve only nets invalidated by price changes after wave 0")
 	incTol := flag.Float64("inctol", 0, "incremental invalidation tolerance (relative, ≥ 0; 0 invalidates on any change; unset: router default)")
@@ -34,18 +34,17 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the routing run to this file")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON timeline of the routing run to this file (open in chrome://tracing or Perfetto)")
 	flag.Parse()
-	incTolSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "inctol" {
-			incTolSet = true
-		}
-	})
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	spec, ok := costdist.ChipSpecByName(*chipName, *scale)
 	if !ok {
 		cliutil.FatalUsage("grroute", fmt.Errorf("unknown chip %q (want c1..c8)", *chipName))
 	}
 	m := cliutil.MustMethod("grroute", *oracleName)
+	if set["dbif"] && !(*dbif >= 0) {
+		cliutil.FatalUsage("grroute", fmt.Errorf("-dbif %g is negative; leave it unset for the technology's penalty", *dbif))
+	}
 	if *repairTol >= 0 && !*incremental {
 		cliutil.FatalUsage("grroute", fmt.Errorf("-repairtol %g needs -incremental: the repair rung only runs inside the dirty-net scheduler", *repairTol))
 	}
@@ -54,13 +53,15 @@ func main() {
 	if err != nil {
 		cliutil.Fatal("grroute", err)
 	}
+	if set["dbif"] {
+		chip.DBif = *dbif
+	}
 	opt := costdist.DefaultRouterOptions()
 	opt.Waves = *waves
 	opt.Threads = *workers
-	opt.DBif = *dbif
 	opt.Seed = *seed
 	opt.Incremental = *incremental
-	if incTolSet {
+	if set["inctol"] {
 		opt.IncrementalTol = *incTol
 	}
 	// The flag default (-1) equals the router default, so unconditional

@@ -367,4 +367,9 @@ func TestUnmarshalTreeRejectsWrongDirection(t *testing.T) {
 	if _, err := UnmarshalTree(in, []byte(`{"edges": [[[0,0,0],[0,0,1]]], "wire_types": [-1]}`)); err != nil {
 		t.Fatalf("legal via edge rejected: %v", err)
 	}
+	// A legal wire edge without its wire type is refused, not priced on
+	// type 0.
+	if _, err := UnmarshalTree(in, []byte(`{"edges": [[[0,0,0],[1,0,0]]]}`)); err == nil || !strings.Contains(err.Error(), "0 wire types for 1 edges") {
+		t.Fatalf("edge without a wire type: error %v, want the wire-type count", err)
+	}
 }

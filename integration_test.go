@@ -110,17 +110,17 @@ func TestDbifShiftsAllMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noBif := *chip
+	noBif.DBif = 0
 	opt := DefaultRouterOptions()
 	opt.Waves = 3
 	opt.Threads = 2
 	for _, m := range []Method{L1, CD} {
-		opt.DBif = 0
-		off, err := RouteChip(chip, m, opt)
+		off, err := RouteChip(&noBif, m, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt.DBif = -1 // technology value
-		on, err := RouteChip(chip, m, opt)
+		on, err := RouteChip(chip, m, opt) // the technology's penalty
 		if err != nil {
 			t.Fatal(err)
 		}

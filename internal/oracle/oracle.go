@@ -25,10 +25,9 @@ import (
 
 // Env carries the per-run oracle configuration that is not part of the
 // instance itself: the CD solver options (including the per-worker
-// scratch arena), the baselines' shape parameters, and the bifurcation
-// penalty converted to length units for the plane-topology oracles.
-// Workers build one Env each; an Env whose Core.Scratch is shared
-// between concurrent solves races.
+// scratch arena) and the baselines' shape parameters. Workers build
+// one Env each; an Env whose Core.Scratch is shared between concurrent
+// solves races.
 type Env struct {
 	// Core configures the cost-distance oracle (§III enhancements,
 	// scratch arena).
@@ -37,10 +36,6 @@ type Env struct {
 	// shallow-light stretch bound.
 	PDAlpha float64
 	SLEps   float64
-	// LBif is the bifurcation penalty dbif expressed in gcell-length
-	// units (dbif divided by the fastest delay per gcell), consumed by
-	// the plane-topology oracles' merge penalties.
-	LBif float64
 	// Ctx, when non-nil, is checked by long-running oracles (the exact
 	// tier) for prompt mid-solve cancellation. Nil means "no deadline".
 	Ctx context.Context
@@ -168,14 +163,24 @@ func solveSL(in *nets.Instance, env *Env) (*nets.RTree, error) {
 		}
 	}
 	topo := sl.Build(in.TermPts(), planeWeights(in),
-		sl.Params{Eps: env.SLEps, Bound: bounds, LBif: env.LBif, Eta: in.Eta})
+		sl.Params{Eps: env.SLEps, Bound: bounds, LBif: lengthBif(in), Eta: in.Eta})
 	return embedTopo(in, topo)
+}
+
+// lengthBif is the instance's bifurcation penalty in gcell-length units
+// — dbif over the fastest delay per gcell, 0 without one — for the
+// plane-topology oracles' merge penalties.
+func lengthBif(in *nets.Instance) float64 {
+	if d := in.C.MinDelayPerGCell(); d > 0 {
+		return in.DBif / d
+	}
+	return 0
 }
 
 // solvePD is the Prim-Dijkstra topology baseline, embedded optimally.
 func solvePD(in *nets.Instance, env *Env) (*nets.RTree, error) {
 	topo := pd.Build(in.TermPts(), planeWeights(in),
-		pd.Params{Alpha: env.PDAlpha, LBif: env.LBif, Eta: in.Eta})
+		pd.Params{Alpha: env.PDAlpha, LBif: lengthBif(in), Eta: in.Eta})
 	return embedTopo(in, topo)
 }
 

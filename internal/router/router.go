@@ -116,10 +116,6 @@ type Options struct {
 	// Seed drives all randomized choices.
 	Seed uint64
 
-	// DBif is the bifurcation penalty; < 0 means "use the
-	// technology-derived value" (chip.DBif), 0 disables it.
-	DBif float64
-
 	// PriceAlpha and PriceTarget parameterize congestion pricing.
 	PriceAlpha  float64
 	PriceTarget float64
@@ -182,7 +178,6 @@ func DefaultOptions() Options {
 	return Options{
 		Waves:       4,
 		Seed:        1,
-		DBif:        -1,
 		PriceAlpha:  1.2,
 		PriceTarget: 0.85,
 		WeightBase:  5e-4,
@@ -356,11 +351,7 @@ func SolveNet(in *nets.Instance, m Method, opt Options) (*nets.RTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	lbif := 0.0
-	if d := in.C.MinDelayPerGCell(); d > 0 {
-		lbif = in.DBif / d
-	}
-	env := oracle.Env{Core: opt.CoreOpt, PDAlpha: opt.PDAlpha, SLEps: opt.SLEps, LBif: lbif}
+	env := oracle.Env{Core: opt.CoreOpt, PDAlpha: opt.PDAlpha, SLEps: opt.SLEps}
 	tr, _, _, err := drv.solve(in, &env, nil)
 	return tr, err
 }

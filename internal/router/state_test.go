@@ -87,10 +87,10 @@ func TestComputeDirtySeedMode(t *testing.T) {
 	// Pretend nets 0 and 1 were solved (restored); 2 is seeded dirty;
 	// the rest stay never-solved.
 	costs := r.pricer.Costs()
-	env := oracle.Env{Core: opt.CoreOpt, PDAlpha: opt.PDAlpha, SLEps: opt.SLEps, LBif: r.lbif}
+	env := oracle.Env{Core: opt.CoreOpt, PDAlpha: opt.PDAlpha, SLEps: opt.SLEps}
 	fake := make(map[int]bool)
 	for _, ni := range []int{0, 1} {
-		in := buildInstance(chip, ni, r.weights[ni], costs, r.dbif, opt.Seed)
+		in := buildInstance(chip, ni, r.weights[ni], costs, opt.Seed)
 		tr, err := oracle.Solve(drv.fixed, in, &env)
 		if err != nil {
 			t.Fatal(err)

@@ -34,9 +34,7 @@ type runState struct {
 	drv  driver
 	pool *scratchPool
 
-	dbif    float64
 	threads int
-	lbif    float64
 
 	pricer *cong.Pricer
 	// weights, delays and budgets are the per-net, per-sink Lagrangean
@@ -90,10 +88,6 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*ru
 	}
 	g := chip.G
 	nl := chip.NL
-	r.dbif = opt.DBif
-	if r.dbif < 0 {
-		r.dbif = chip.DBif
-	}
 	r.threads = opt.Threads
 	if r.threads <= 0 {
 		r.threads = runtime.GOMAXPROCS(0)
@@ -119,13 +113,6 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*ru
 	}
 	r.trees = make([]*nets.RTree, nNets)
 	r.res = &Result{}
-
-	// lbif converts the delay penalty to length units for the plane
-	// topology baselines (fastest delay per gcell).
-	costs0 := grid.NewCosts(g)
-	if d := costs0.MinDelayPerGCell(); d > 0 {
-		r.lbif = r.dbif / d
-	}
 
 	// Pre-wave timing: estimate net delays from L1 distances on a
 	// mid-stack layer and derive initial delay weights and budgets, so
@@ -227,7 +214,7 @@ func (r *runState) runWaves() error {
 				// Ctx lets the exact tier abandon a label search mid-solve
 				// on cancellation, tightening the kill latency below one
 				// full exact solve.
-				env := oracle.Env{Core: wopt.CoreOpt, PDAlpha: opt.PDAlpha, SLEps: opt.SLEps, LBif: r.lbif, Ctx: ctx, Rec: wk}
+				env := oracle.Env{Core: wopt.CoreOpt, PDAlpha: opt.PDAlpha, SLEps: opt.SLEps, Ctx: ctx, Rec: wk}
 				for {
 					// The cancellation point of the hot loop: one check per
 					// net claim, so a kill takes effect within one solve.
@@ -239,7 +226,7 @@ func (r *runState) runWaves() error {
 						return
 					}
 					ni := int(work[idx])
-					in := buildInstance(chip, ni, r.weights[ni], costs, r.dbif, opt.Seed)
+					in := buildInstance(chip, ni, r.weights[ni], costs, opt.Seed)
 					in.Budgets = r.budgets[ni]
 					if r.inc.repair[ni] {
 						// The middle rung: re-embed the cached topology
@@ -457,10 +444,10 @@ func (r *runState) tryRepair(ni, worker int, in *nets.Instance) bool {
 }
 
 // buildInstance assembles the cost-distance subproblem for one net under
-// the current prices and weights. Every net takes the paper's penalty
-// share η = 0.25 (§IV-A) and a routing window 6 gcells beyond its
-// terminals' bounding box.
-func buildInstance(chip *chipgen.Chip, ni int, w []float64, costs *grid.Costs, dbif float64, seed uint64) *nets.Instance {
+// the current prices and weights. Every net takes the chip's
+// bifurcation penalty, the paper's penalty share η = 0.25 (§IV-A) and a
+// routing window 6 gcells beyond its terminals' bounding box.
+func buildInstance(chip *chipgen.Chip, ni int, w []float64, costs *grid.Costs, seed uint64) *nets.Instance {
 	const (
 		eta    = 0.25
 		margin = 6
@@ -469,7 +456,7 @@ func buildInstance(chip *chipgen.Chip, ni int, w []float64, costs *grid.Costs, d
 	in := &nets.Instance{
 		G: chip.G, C: costs,
 		Root: chip.PinVertex(n.Driver),
-		DBif: dbif, Eta: eta,
+		DBif: chip.DBif, Eta: eta,
 		Seed: seed*0x9E3779B9 + uint64(ni),
 	}
 	for k, s := range n.Sinks {

@@ -181,8 +181,9 @@ func resolveRoute(cfg Config, body []byte) (*routeCall, *rejection) {
 	c.ropt.Incremental = req.Incremental
 	// Repair tolerance: every negative spelling means "off", the library
 	// default, and canonicalizes to absent before the content address is
-	// taken.
-	if req.RepairTol != nil && *req.RepairTol < 0 {
+	// taken. So does any tolerance on a cold route without the skip
+	// policy, where the repair rung never runs.
+	if req.RepairTol != nil && (*req.RepairTol < 0 || !req.Incremental && req.BaseJob == "") {
 		req.RepairTol = nil
 	}
 	if req.RepairTol != nil {

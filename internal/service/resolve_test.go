@@ -193,7 +193,9 @@ func TestResolveEquivalentSpellingsShareKeys(t *testing.T) {
 		{"threads never split the cache", `{"chip":"c1","threads":1}`, `{"chip":"c1","threads":8}`, true},
 		{"scale, seed and waves defaults", `{"chip":"c1"}`, fmt.Sprintf(`{"chip":"c1","scale":0.01,"seed":1,"waves":%d}`, waves), true},
 		{"negative repair_tol is absent", `{"chip":"c1"}`, `{"chip":"c1","repair_tol":-3}`, true},
-		{"request-level repair_tol", `{"chip":"c1"}`, `{"chip":"c1","repair_tol":0.25}`, false},
+		{"repair_tol is absent on a cold route without incremental", `{"chip":"c1"}`, `{"chip":"c1","repair_tol":0.25}`, true},
+		{"repair_tol matters with incremental", `{"chip":"c1","incremental":true}`, `{"chip":"c1","incremental":true,"repair_tol":0.25}`, false},
+		{"repair_tol matters with a base_job", `{"chip":"c1","base_job":"job-000001"}`, `{"chip":"c1","base_job":"job-000001","repair_tol":0.25}`, false},
 		{"base_job is part of the key", `{"chip":"c1"}`, `{"chip":"c1","base_job":"job-000001"}`, false},
 	} {
 		if ka, kb := routeKey(tc.a), routeKey(tc.b); (ka == kb) != tc.same {

@@ -250,10 +250,12 @@ type RouteRequest struct {
 	PerturbFrac float64 `json:"perturb_frac,omitempty"`
 	PerturbSeed uint64  `json:"perturb_seed,omitempty"`
 	// RepairTol sets RouterOptions.RepairTol — the escalation tolerance
-	// of the incremental engine's topology-repair rung. Absent means
-	// the library default (off), keeping legacy request bodies on their
-	// legacy content addresses; negative values normalize to absent
-	// (every "disabled" spelling shares one cache key).
+	// of the incremental engine's topology-repair rung, which runs only
+	// with Incremental or a BaseJob. Absent means the library default
+	// (off), keeping legacy request bodies on their legacy content
+	// addresses; negative values, and any value on a cold route without
+	// Incremental, normalize to absent (every spelling that routes the
+	// same shares one cache key).
 	RepairTol *float64 `json:"repair_tol,omitempty"`
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"costdist/internal/chipgen"
 	"costdist/internal/core"
 	"costdist/internal/nets"
 	"costdist/internal/router"
@@ -54,12 +53,11 @@ func ablationVariants() []struct {
 // Ablation captures instances from a CD routing run and scores every
 // §III variant against the default configuration on the same instances.
 func Ablation(cfg Config, withBif bool) ([]AblationRow, error) {
-	opt := cfg.routerOptions(withBif)
+	opt := cfg.routerOptions()
 	opt.CaptureWave = opt.Waves - 1
 	var captured []*nets.Instance
 	for _, ci := range cfg.chipIndices() {
-		spec := chipgen.Suite(cfg.Scale)[ci]
-		chip, err := chipgen.Generate(spec)
+		chip, err := cfg.generate(ci, withBif)
 		if err != nil {
 			return nil, err
 		}

@@ -45,15 +45,22 @@ func (c Config) chipIndices() []int {
 	return []int{0, 1, 2, 3, 4, 5, 6, 7}
 }
 
-func (c Config) routerOptions(withBif bool) router.Options {
+func (c Config) routerOptions() router.Options {
 	opt := router.DefaultOptions()
 	opt.Waves = c.Waves
 	opt.Threads = c.Threads
 	opt.Seed = c.Seed
-	if !withBif {
-		opt.DBif = 0
-	}
 	return opt
+}
+
+// generate builds suite chip ci at the configured scale; without
+// withBif its bifurcation penalty is 0.
+func (c Config) generate(ci int, withBif bool) (*chipgen.Chip, error) {
+	chip, err := chipgen.Generate(chipgen.Suite(c.Scale)[ci])
+	if err == nil && !withBif {
+		chip.DBif = 0
+	}
+	return chip, err
 }
 
 // Print writes a table — "1" to "5", "ablation", or "all" for every one
@@ -130,12 +137,11 @@ var buckets = []struct {
 // during timing-constrained global routing"), then every instance is
 // solved by all four algorithms and scored with the shared evaluator.
 func InstanceComparison(cfg Config, withBif bool) ([]InstRow, error) {
-	opt := cfg.routerOptions(withBif)
+	opt := cfg.routerOptions()
 	opt.CaptureWave = opt.Waves - 1
 	var captured []*nets.Instance
 	for _, ci := range cfg.chipIndices() {
-		spec := chipgen.Suite(cfg.Scale)[ci]
-		chip, err := chipgen.Generate(spec)
+		chip, err := cfg.generate(ci, withBif)
 		if err != nil {
 			return nil, err
 		}
@@ -261,20 +267,19 @@ type GRRow struct {
 // GlobalRouting reproduces Tables IV/V: the full flow per chip per
 // method.
 func GlobalRouting(cfg Config, withBif bool) ([]GRRow, error) {
-	opt := cfg.routerOptions(withBif)
+	opt := cfg.routerOptions()
 	var rows []GRRow
 	for _, ci := range cfg.chipIndices() {
-		spec := chipgen.Suite(cfg.Scale)[ci]
-		chip, err := chipgen.Generate(spec)
+		chip, err := cfg.generate(ci, withBif)
 		if err != nil {
 			return nil, err
 		}
 		for _, m := range Methods {
 			res, err := router.Route(chip, m, opt)
 			if err != nil {
-				return nil, fmt.Errorf("%s/%v: %w", spec.Name, m, err)
+				return nil, fmt.Errorf("%s/%v: %w", chip.Spec.Name, m, err)
 			}
-			rows = append(rows, GRRow{Chip: spec.Name, Method: m, Metrics: res.Metrics})
+			rows = append(rows, GRRow{Chip: chip.Spec.Name, Method: m, Metrics: res.Metrics})
 		}
 	}
 	return rows, nil

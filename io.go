@@ -252,8 +252,7 @@ type TreeJSON struct {
 	// Without it layers with multiple wire types would not round-trip:
 	// an edge's endpoints do not determine which parallel edge was used,
 	// and re-evaluating a reloaded tree on the default (widest-counted)
-	// type skews its cost. Absent in documents written before this field
-	// existed, in which case type 0 is assumed.
+	// type skews its cost. A document with edges must carry it.
 	WireTypes []int8 `json:"wire_types,omitempty"`
 }
 
@@ -291,10 +290,9 @@ func UnmarshalTree(in *Instance, data []byte) (*Tree, error) {
 
 // decodeTreeSteps rebuilds embedded tree steps from the wire format,
 // validating adjacency, direction legality and wire-type ranges against
-// the graph. wts == nil assumes type 0 everywhere (pre-wire-type
-// documents).
+// the graph. Every edge carries its wire type.
 func decodeTreeSteps(g *grid.Graph, edges [][2][3]int32, wts []int8) (*Tree, error) {
-	if wts != nil && len(wts) != len(edges) {
+	if len(wts) != len(edges) {
 		return nil, fmt.Errorf("costdist: %d wire types for %d edges", len(wts), len(edges))
 	}
 	tr := &Tree{}
@@ -329,14 +327,11 @@ func decodeTreeSteps(g *grid.Graph, edges [][2][3]int32, wts []int8) (*Tree, err
 		if via {
 			arc.L = int8(min(e[0][2], e[1][2]))
 			arc.WT = -1
-			if wts != nil && wts[i] != -1 {
+			if wts[i] != -1 {
 				return nil, fmt.Errorf("costdist: edge %d is a via but has wire type %d", i, wts[i])
 			}
 		} else {
-			arc.L = int8(e[0][2])
-			if wts != nil {
-				arc.WT = wts[i]
-			}
+			arc.L, arc.WT = int8(e[0][2]), wts[i]
 			if arc.WT < 0 || int(arc.WT) >= len(g.Layers[arc.L].Wires) {
 				return nil, fmt.Errorf("costdist: edge %d wire type %d out of range on layer %d", i, arc.WT, arc.L)
 			}
@@ -439,10 +434,11 @@ const CheckpointVersion = 2
 // vectors, one entry per segment) and nets. Each net is an object with
 // driver, sinks, weights, budgets (+Inf, a sink with no timing endpoint
 // downstream, as null), delays, oracle (omitted when empty) and tree (a
-// RouteTreeJSON, omitted for a net never routed). Only warm-start state
-// is written: the drift reference and each tree's snapshot cost are
-// derived from mult on restore. The document is written without
-// reflection. Identical states marshal to identical bytes, and marshal →
+// RouteTreeJSON, omitted for a net never routed). Method, layer_dirs and
+// oracle must be plain names: printable ASCII that encoding/json would
+// not escape. Only warm-start state is written: the drift reference and
+// each tree's snapshot cost are derived from mult on restore. The
+// document is written without reflection. Identical states marshal to identical bytes, and marshal →
 // unmarshal → marshal reproduces them, which is what lets the service
 // layer content-address retained checkpoints.
 func MarshalCheckpoint(st *RouterState) ([]byte, error) {

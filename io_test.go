@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"costdist/internal/grid"
@@ -186,6 +187,13 @@ func TestUnmarshalRouteResultRejectsCorruptTrees(t *testing.T) {
 	if _, err := UnmarshalRouteResult(chip, bad); err == nil {
 		t.Fatal("accepted a non-adjacent edge")
 	}
+	// Edges without their wire types are refused, not priced on type 0.
+	for _, wts := range []string{``, `,"wire_types":null`} {
+		bare := []byte(`{"metrics":{},"trees":[{"edges":[[[0,0,0],[0,0,1]]]` + wts + `}]}`)
+		if _, err := UnmarshalRouteResult(chip, bare); err == nil || !strings.Contains(err.Error(), "0 wire types for 1 edges") {
+			t.Fatalf("%s: error %v, want the wire-type count", bare, err)
+		}
+	}
 	if _, err := UnmarshalRouteResult(chip, []byte("{")); err == nil {
 		t.Fatal("accepted malformed JSON")
 	}
@@ -253,7 +261,7 @@ func TestUnmarshalCheckpointRejectsCorruptDocuments(t *testing.T) {
 // A version-1 document — the layout that also carried the producing
 // run's metric row, the drift reference and per-net snapshot costs — is
 // refused with the version error. (Its members under version 2 are
-// refused as unknown: TestUnmarshalCheckpointMatchesReferenceOnEdgeLayouts.)
+// refused as unknown: TestUnmarshalCheckpointReadsOneLayout.)
 func TestUnmarshalCheckpointRefusesV1(t *testing.T) {
 	v1 := `{"version":1,"method":"cd","nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],"ref":[1],` +
 		`"metrics":{},"nets":[{"driver":[0,0],"sinks":[],"weights":[],"budgets":[],"delays":[],"last_cost":0}]}`

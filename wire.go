@@ -16,9 +16,9 @@ import (
 // are written by a wireWriter, and checkpoints are read back by a
 // checkpointReader, neither through reflection. Their bytes are the
 // bytes encoding/json gives the reference structs kept in io_test.go,
-// which the differential tests and the fuzz targets hold both to.
-// encoding/json still writes the route result's metric row, and reads
-// any string that needs escaping.
+// which the differential tests and the fuzz targets hold both to, and
+// the reader reads no layout but the writer's. encoding/json still
+// writes the route result's metric row.
 
 // wireWriter appends a document compact, or in json.MarshalIndent's
 // layout with no prefix and a two-space indent. The first value
@@ -156,20 +156,25 @@ func (w *wireWriter) float(v float64, bits int) {
 	}
 }
 
-// str appends s quoted. Printable ASCII without a quote, a backslash or
-// one of the characters encoding/json escapes for HTML is copied; any
-// other string is quoted by encoding/json.
+// str appends s quoted if it is a plain name; any other string is
+// refused.
 func (w *wireWriter) str(s string) {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			w.b = append(w.b, q...)
+		if !plainByte(s[i]) {
+			w.fail(fmt.Errorf("costdist: %q is not a plain name", s))
 			return
 		}
 	}
 	w.b = append(w.b, '"')
 	w.b = append(w.b, s...)
 	w.b = append(w.b, '"')
+}
+
+// plainByte reports whether c may stand in a plain name: ASCII that
+// encoding/json copies into a string unescaped — printable, and neither
+// a quote, a backslash nor one of the characters it escapes for HTML.
+func plainByte(c byte) bool {
+	return 0x20 <= c && c < utf8.RuneSelf && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 }
 
 // writeFloats appends v as an array of floats of the given bit size,
@@ -260,26 +265,25 @@ func (w *wireWriter) result() ([]byte, error) {
 	return w.b, nil
 }
 
-// checkpointReader reads the compact layout MarshalCheckpoint writes in
-// one pass. Each object's members come in the reference struct's order,
-// any of them absent; any JSON number stands where a number goes; null
-// stands wherever encoding/json takes one and reads as the zero value,
-// except that a null budget reads as +Inf and a null budget vector as an
-// empty one. Anything else, white space included, is refused with its
-// byte offset. The per-net vectors are read into scratch and copied out
-// at their final length.
+// checkpointReader reads what MarshalCheckpoint writes, in one pass, and
+// nothing else: every member the writer always writes, in its order;
+// oracle and tree only where the writer may leave them out; null only
+// for a nil float vector, a +Inf budget and the edges of a tree without
+// steps; strings only as plain names. Where a number goes any JSON
+// number stands. Anything else, white space included, is refused with
+// its byte offset. The per-net vectors are read into scratch and copied
+// out at their final length.
 type checkpointReader struct {
 	data []byte
 	pos  int
 
-	// Scratch; floats and wts start non-nil, so that an empty array does
-	// not read as null.
+	// Scratch; floats and wts start with room for short vectors.
 	floats []float64
 	pts    [][2]int32
 	edges  [][2][3]int32
 	wts    []int8
-	// strs interns the plain strings read, so every net's oracle name
-	// shares one string.
+	// strs interns the names read, so every net's oracle name shares one
+	// string.
 	strs []string
 }
 
@@ -316,45 +320,32 @@ func (r *checkpointReader) expect(c byte) error {
 	return r.errorf(r.pos, "want %q", c)
 }
 
-// member consumes the key of the object's next member, after its comma
-// unless *seen says it is the first, if that key is name.
-func (r *checkpointReader) member(seen *bool, name string) bool {
-	d, i, n := r.data[r.pos:], 0, len(name)
-	if *seen {
-		if len(d) == 0 || d[0] != ',' {
-			return false
-		}
-		i = 1
+// key consumes the opening of a member, from its comma or brace to its
+// colon, or refuses the input.
+func (r *checkpointReader) key(s string) error {
+	if r.lit(s) {
+		return nil
 	}
-	if len(d) < i+n+3 || d[i] != '"' || string(d[i+1:i+1+n]) != name || d[i+1+n] != '"' || d[i+2+n] != ':' {
-		return false
-	}
-	r.pos += i + n + 3
-	*seen = true
-	return true
+	return r.errorf(r.pos, "want %s", s)
 }
 
-// array reads an array, calling elem for each element, and reports
-// whether it was null instead.
-func (r *checkpointReader) array(elem func() error) (null bool, err error) {
-	if r.lit("null") {
-		return true, nil
-	}
+// array reads an array, calling elem for each element.
+func (r *checkpointReader) array(elem func() error) error {
 	if err := r.expect('['); err != nil {
-		return false, err
+		return err
 	}
 	if r.next(']') {
-		return false, nil
+		return nil
 	}
 	for {
 		if err := elem(); err != nil {
-			return false, err
+			return err
 		}
 		if r.next(']') {
-			return false, nil
+			return nil
 		}
 		if err := r.expect(','); err != nil {
-			return false, err
+			return err
 		}
 	}
 }
@@ -428,7 +419,7 @@ func (r *checkpointReader) plainInt() (int64, bool) {
 }
 
 // integer reads a number into an integer of the given bit size as
-// encoding/json does — an integer literal in range — and null as 0.
+// encoding/json does: an integer literal in range.
 func (r *checkpointReader) integer(bits int) (int64, error) {
 	start := r.pos
 	if v, ok := r.plainInt(); ok {
@@ -436,9 +427,6 @@ func (r *checkpointReader) integer(bits int) (int64, error) {
 			return v, nil
 		}
 		r.pos = start
-	}
-	if r.lit("null") {
-		return 0, nil
 	}
 	tok, err := r.number()
 	if err != nil {
@@ -452,8 +440,8 @@ func (r *checkpointReader) integer(bits int) (int64, error) {
 }
 
 // float reads a number as encoding/json reads a float of the given bit
-// size, and null as ifNull.
-func (r *checkpointReader) float(bits int, ifNull float64) (float64, error) {
+// size.
+func (r *checkpointReader) float(bits int) (float64, error) {
 	start := r.pos
 	// An integer literal up to 2^24 (float32) or 2^53 (float64) is its
 	// own float, which ParseFloat would return too.
@@ -470,9 +458,6 @@ func (r *checkpointReader) float(bits int, ifNull float64) (float64, error) {
 		}
 		r.pos = start
 	}
-	if r.lit("null") {
-		return ifNull, nil
-	}
 	tok, err := r.number()
 	if err != nil {
 		return 0, err
@@ -484,40 +469,45 @@ func (r *checkpointReader) float(bits int, ifNull float64) (float64, error) {
 	return v, nil
 }
 
-// floatArray reads an array of floats into scratch, nil for null, a null
-// element as ifNull.
-func (r *checkpointReader) floatArray(bits int, ifNull float64) ([]float64, error) {
-	r.floats = r.floats[:0]
-	null, err := r.array(func() error {
-		v, err := r.float(bits, ifNull)
-		r.floats = append(r.floats, v)
-		return err
-	})
-	if err != nil || null {
+// floatsMember reads the float vector member key, of floats of the
+// given bit size, into scratch — null as nil, or, for a budget vector,
+// which is never null, a null element as +Inf — and copies it out at
+// its length.
+func floatsMember[F float32 | float64](r *checkpointReader, key string, bits int, budgets bool) ([]F, error) {
+	if err := r.key(key); err != nil {
 		return nil, err
 	}
-	return r.floats, nil
-}
-
-// cloneFloats copies a vector read into scratch out at its length, nil
-// as nil.
-func cloneFloats[F float32 | float64](v []float64) []F {
-	if v == nil {
-		return nil
+	if !budgets && r.lit("null") {
+		return nil, nil
 	}
-	out := make([]F, len(v))
-	for i, x := range v {
+	r.floats = r.floats[:0]
+	if err := r.array(func() error {
+		v, err := math.Inf(1), error(nil)
+		if !budgets || !r.lit("null") {
+			v, err = r.float(bits)
+		}
+		r.floats = append(r.floats, v)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	out := make([]F, len(r.floats))
+	for i, x := range r.floats {
 		out[i] = F(x)
 	}
-	return out
+	return out, nil
 }
 
-// int32s reads an array of exactly len(dst) integers into dst; null
-// leaves dst as it is.
-func (r *checkpointReader) int32s(dst []int32) error {
-	if r.lit("null") {
-		return nil
+// intMember reads the integer member key of the given bit size.
+func (r *checkpointReader) intMember(key string, bits int) (int64, error) {
+	if err := r.key(key); err != nil {
+		return 0, err
 	}
+	return r.integer(bits)
+}
+
+// int32s reads an array of exactly len(dst) integers into dst.
+func (r *checkpointReader) int32s(dst []int32) error {
 	if err := r.expect('['); err != nil {
 		return err
 	}
@@ -536,40 +526,19 @@ func (r *checkpointReader) int32s(dst []int32) error {
 	return r.expect(']')
 }
 
-// str reads a string, null as "". One without escapes and non-ASCII
-// bytes is taken as it stands, interned; encoding/json decodes any other.
+// str reads a plain name, interned.
 func (r *checkpointReader) str() (string, error) {
-	if r.lit("null") {
-		return "", nil
-	}
-	start := r.pos
 	if err := r.expect('"'); err != nil {
 		return "", err
 	}
-	plain := true
-	for r.pos < len(r.data) && r.data[r.pos] != '"' {
-		switch c := r.data[r.pos]; {
-		case c == '\\' && r.pos+1 < len(r.data):
-			plain = false
-			r.pos++ // the escaped byte; encoding/json checks the escape
-		case c < 0x20:
-			return "", r.errorf(r.pos, "control character in a string")
-		case c >= utf8.RuneSelf:
-			plain = false
-		}
+	start := r.pos
+	for r.pos < len(r.data) && plainByte(r.data[r.pos]) {
 		r.pos++
 	}
-	if r.expect('"') != nil {
-		return "", r.errorf(start, "unterminated string")
+	body := r.data[start:r.pos]
+	if !r.next('"') {
+		return "", r.errorf(r.pos, "want a plain name")
 	}
-	if !plain {
-		var s string
-		if err := json.Unmarshal(r.data[start:r.pos], &s); err != nil {
-			return "", r.errorf(start, "%v", err)
-		}
-		return s, nil
-	}
-	body := r.data[start+1 : r.pos-1]
 	for _, s := range r.strs {
 		if string(body) == s {
 			return s, nil
@@ -586,131 +555,107 @@ func (r *checkpointReader) str() (string, error) {
 // their order: the version, then checkpointGraph before any grid is
 // built, then per net the vector lengths before the tree.
 func (r *checkpointReader) checkpoint() (*RouterState, error) {
-	if err := r.expect('{'); err != nil {
-		return nil, err
-	}
 	st := &RouterState{}
-	seen := false
-	var version, nx, ny, layers int64
-	var err error
-	if r.member(&seen, "version") {
-		if version, err = r.integer(64); err != nil {
-			return nil, err
-		}
+	version, err := r.intMember(`{"version":`, 64)
+	if err != nil {
+		return nil, err
 	}
 	if version != CheckpointVersion {
 		return nil, fmt.Errorf("costdist: checkpoint version %d unsupported (want %d)", version, CheckpointVersion)
 	}
-	if r.member(&seen, "method") {
-		if st.Method, err = r.str(); err != nil {
-			return nil, err
-		}
+	if err := r.key(`,"method":`); err != nil {
+		return nil, err
 	}
-	for _, f := range []struct {
-		name string
-		bits int
-		dst  *int64
-	}{{"nx", 32, &nx}, {"ny", 32, &ny}, {"layers", 64, &layers}} {
-		if r.member(&seen, f.name) {
-			if *f.dst, err = r.integer(f.bits); err != nil {
-				return nil, err
-			}
-		}
+	if st.Method, err = r.str(); err != nil {
+		return nil, err
+	}
+	nx, err := r.intMember(`,"nx":`, 32)
+	if err != nil {
+		return nil, err
+	}
+	ny, err := r.intMember(`,"ny":`, 32)
+	if err != nil {
+		return nil, err
+	}
+	layers, err := r.intMember(`,"layers":`, 64)
+	if err != nil {
+		return nil, err
 	}
 	st.NX, st.NY, st.Layers = int32(nx), int32(ny), int(layers)
-	if r.member(&seen, "layer_dirs") {
-		if st.LayerDirs, err = r.str(); err != nil {
-			return nil, err
-		}
+	if err := r.key(`,"layer_dirs":`); err != nil {
+		return nil, err
 	}
-	for _, f := range []struct {
-		name string
-		dst  *[]float32
-	}{{"cap", &st.Cap}, {"mult", &st.Mult}} {
-		if r.member(&seen, f.name) {
-			v, err := r.floatArray(32, 0)
-			if err != nil {
-				return nil, err
-			}
-			*f.dst = cloneFloats[float32](v)
-		}
+	if st.LayerDirs, err = r.str(); err != nil {
+		return nil, err
+	}
+	if st.Cap, err = floatsMember[float32](r, `,"cap":`, 32, false); err != nil {
+		return nil, err
+	}
+	if st.Mult, err = floatsMember[float32](r, `,"mult":`, 32, false); err != nil {
+		return nil, err
 	}
 	g, err := checkpointGraph(st.NX, st.NY, st.Layers, st.LayerDirs, len(st.Cap), len(st.Mult))
 	if err != nil {
 		return nil, err
 	}
 	st.Nets = []RouterNetState{}
-	if r.member(&seen, "nets") {
-		if _, err := r.array(func() error {
-			ns, err := r.net(len(st.Nets), g)
-			st.Nets = append(st.Nets, ns)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if err := r.expect('}'); err != nil {
+	if err := r.key(`,"nets":`); err != nil {
 		return nil, err
 	}
-	return st, nil
+	if err := r.array(func() error {
+		ns, err := r.net(len(st.Nets), g)
+		st.Nets = append(st.Nets, ns)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return st, r.expect('}')
 }
 
 // net reads net ni's state, then checks its per-sink vector lengths and
 // decodes its tree against g.
 func (r *checkpointReader) net(ni int, g *grid.Graph) (RouterNetState, error) {
-	ns := RouterNetState{Sig: PinSig{Sinks: []Pt{}}}
-	if r.lit("null") {
-		return ns, nil
-	}
-	if err := r.expect('{'); err != nil {
+	var ns RouterNetState
+	if err := r.key(`{"driver":`); err != nil {
 		return ns, err
 	}
-	seen := false
 	var driver [2]int32
-	if r.member(&seen, "driver") {
-		if err := r.int32s(driver[:]); err != nil {
-			return ns, err
-		}
+	if err := r.int32s(driver[:]); err != nil {
+		return ns, err
 	}
 	ns.Sig.Driver = Pt{X: driver[0], Y: driver[1]}
-	if r.member(&seen, "sinks") {
-		r.pts = r.pts[:0]
-		if _, err := r.array(func() error {
-			var p [2]int32
-			err := r.int32s(p[:])
-			r.pts = append(r.pts, p)
-			return err
-		}); err != nil {
-			return ns, err
-		}
-		ns.Sig.Sinks = make([]Pt, len(r.pts))
-		for k, p := range r.pts {
-			ns.Sig.Sinks[k] = Pt{X: p[0], Y: p[1]}
-		}
+	if err := r.key(`,"sinks":`); err != nil {
+		return ns, err
 	}
-	for _, f := range []struct {
-		name   string
-		ifNull float64
-		dst    *[]float64
-	}{{"weights", 0, &ns.Weights}, {"budgets", math.Inf(1), &ns.Budgets}, {"delays", 0, &ns.Delays}} {
-		if r.member(&seen, f.name) {
-			v, err := r.floatArray(64, f.ifNull)
-			if err != nil {
-				return ns, err
-			}
-			*f.dst = cloneFloats[float64](v)
-			if v == nil && f.dst == &ns.Budgets {
-				ns.Budgets = []float64{}
-			}
-		}
+	r.pts = r.pts[:0]
+	if err := r.array(func() error {
+		var p [2]int32
+		err := r.int32s(p[:])
+		r.pts = append(r.pts, p)
+		return err
+	}); err != nil {
+		return ns, err
+	}
+	ns.Sig.Sinks = make([]Pt, len(r.pts))
+	for k, p := range r.pts {
+		ns.Sig.Sinks[k] = Pt{X: p[0], Y: p[1]}
 	}
 	var err error
-	if r.member(&seen, "oracle") {
+	if ns.Weights, err = floatsMember[float64](r, `,"weights":`, 64, false); err != nil {
+		return ns, err
+	}
+	if ns.Budgets, err = floatsMember[float64](r, `,"budgets":`, 64, true); err != nil {
+		return ns, err
+	}
+	if ns.Delays, err = floatsMember[float64](r, `,"delays":`, 64, false); err != nil {
+		return ns, err
+	}
+	if r.lit(`,"oracle":`) {
 		if ns.Oracle, err = r.str(); err != nil {
 			return ns, err
 		}
 	}
-	tree := r.member(&seen, "tree") && !r.lit("null")
+	tree := r.lit(`,"tree":`)
 	var edges [][2][3]int32
 	var wts []int8
 	if tree {
@@ -738,51 +683,40 @@ func (r *checkpointReader) net(ni int, g *grid.Graph) (RouterNetState, error) {
 	return ns, nil
 }
 
-// tree reads a RouteTreeJSON object into scratch: its edges, and its
-// wire types — nil when absent or null, which decodeTreeSteps reads as
-// type 0 everywhere, so an empty array must come back non-nil.
+// tree reads a RouteTreeJSON object into scratch: null edges, or edges
+// followed by their wire types.
 func (r *checkpointReader) tree() (edges [][2][3]int32, wts []int8, err error) {
-	if err := r.expect('{'); err != nil {
+	if err := r.key(`{"edges":`); err != nil {
 		return nil, nil, err
 	}
-	seen := false
-	if r.member(&seen, "edges") {
-		r.edges = r.edges[:0]
-		null, err := r.array(func() error {
-			var e [2][3]int32
-			err := r.edge(&e)
-			r.edges = append(r.edges, e)
-			return err
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		if !null {
-			edges = r.edges
-		}
+	if r.lit("null") {
+		return nil, nil, r.expect('}')
 	}
-	if r.member(&seen, "wire_types") {
-		r.wts = r.wts[:0]
-		null, err := r.array(func() error {
-			v, err := r.integer(8)
-			r.wts = append(r.wts, int8(v))
-			return err
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		if !null {
-			wts = r.wts
-		}
+	r.edges = r.edges[:0]
+	if err := r.array(func() error {
+		var e [2][3]int32
+		err := r.edge(&e)
+		r.edges = append(r.edges, e)
+		return err
+	}); err != nil {
+		return nil, nil, err
 	}
-	return edges, wts, r.expect('}')
+	if err := r.key(`,"wire_types":`); err != nil {
+		return nil, nil, err
+	}
+	r.wts = r.wts[:0]
+	if err := r.array(func() error {
+		v, err := r.integer(8)
+		r.wts = append(r.wts, int8(v))
+		return err
+	}); err != nil {
+		return nil, nil, err
+	}
+	return r.edges, r.wts, r.expect('}')
 }
 
-// edge reads one [[x,y,l],[x,y,l]] pair into e; null leaves e as it is.
+// edge reads one [[x,y,l],[x,y,l]] pair into e.
 func (r *checkpointReader) edge(e *[2][3]int32) error {
-	if r.lit("null") {
-		return nil
-	}
 	if err := r.expect('['); err != nil {
 		return err
 	}

@@ -2,12 +2,15 @@ package costdist
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // checkWireBytes requires a writer's output to equal the reference's, or
@@ -121,8 +124,9 @@ var wireValues = []float64{
 	float64(float32(9.99999e-7)), float64(float32(1e-7)),
 }
 
-// wireNames are strings the writers must quote as encoding/json does:
-// plain, HTML-escaped, non-ASCII, escaped, invalid UTF-8.
+// wireNames are plain names and strings the checkpoint writer refuses:
+// HTML-escaped, non-ASCII, escaped, invalid UTF-8. As metric-row keys
+// encoding/json quotes them all.
 var wireNames = []string{"", "cd", "pd", "a<b>&c", "ünïcödé", "tab\tquote\"back\\", "line\u2028sep", "\xff"}
 
 func wireValue(rng *rand.Rand) float64 {
@@ -248,15 +252,65 @@ func randomMetrics(rng *rand.Rand) RouteMetrics {
 	return m
 }
 
+// plainName reports whether the checkpoint writer takes s as a name:
+// ASCII that encoding/json writes unescaped.
+func plainName(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	q, _ := json.Marshal(s)
+	return string(q) == `"`+s+`"`
+}
+
+// refuseNames requires MarshalCheckpoint to refuse a state whose method
+// or an oracle is not a plain name — naming the first in the order they
+// are written, unless a value encoding/json refuses comes first — and
+// then makes every such name "cd". It reports whether there was one.
+func refuseNames(t *testing.T, name string, st *RouterState) bool {
+	t.Helper()
+	names := []*string{&st.Method}
+	for i := range st.Nets {
+		names = append(names, &st.Nets[i].Oracle)
+	}
+	first := -1
+	for i, s := range names {
+		if !plainName(*s) {
+			first = i
+			break
+		}
+	}
+	if first < 0 {
+		return false
+	}
+	_, err := MarshalCheckpoint(st)
+	_, refErr := refMarshalCheckpoint(st)
+	if want := fmt.Sprintf("%q", *names[first]); err == nil || refErr == nil && !strings.Contains(err.Error(), want) {
+		t.Fatalf("%s: error %v, want one naming %s", name, err, want)
+	}
+	for _, s := range names {
+		if !plainName(*s) {
+			*s = "cd"
+		}
+	}
+	return true
+}
+
 // The same bytes, and the same decoded state, on seeded random states
 // and route results; NaN or ±Inf prices, delays and metrics and NaN or
-// −Inf budgets are errors on both sides.
+// −Inf budgets are errors on both sides. A state naming its method or
+// an oracle with a string that is not a plain name is refused, and is
+// then compared with plain names in their place.
 func TestWireMatchesReferenceOnRandomStates(t *testing.T) {
 	rng := rand.New(rand.NewPCG(32, 1))
-	failed := 0
+	failed, renamed := 0, 0
 	for i := 0; i < 400; i++ {
 		st, g := randomState(rng)
 		name := fmt.Sprintf("state %d", i)
+		if refuseNames(t, name, st) {
+			renamed++
+		}
 		checkCheckpointWire(t, name, st)
 		if _, err := MarshalCheckpoint(st); err != nil {
 			failed++
@@ -269,8 +323,12 @@ func TestWireMatchesReferenceOnRandomStates(t *testing.T) {
 	if failed == 0 || failed > 80 {
 		t.Fatalf("%d of 400 states refused, want some and at most 80", failed)
 	}
+	if renamed == 0 {
+		t.Fatal("no state named its method or an oracle with a refused string")
+	}
 	for _, bad := range []float64{math.NaN(), math.Inf(-1)} {
 		st, _ := randomState(rand.New(rand.NewPCG(1, 1)))
+		st.Method = "cd"
 		st.Nets = []RouterNetState{{Sig: PinSig{Sinks: []Pt{{}}}, Weights: []float64{1}, Budgets: []float64{bad}, Delays: []float64{1}}}
 		if _, err := MarshalCheckpoint(st); err == nil {
 			t.Fatalf("budget %v marshaled", bad)
@@ -363,37 +421,41 @@ func TestMarshalTreeAllocationBound(t *testing.T) {
 	}
 }
 
-// The reader on layouts MarshalCheckpoint never writes but the reference
-// decode accepts — null vectors, elements and nets, absent members, any
-// number spelling — reads the reference's state; on those the reference
-// accepts but the reader does not promise to (white space, unknown or
-// reordered members, version 1's ref, metrics and last_cost) it may only
-// refuse.
-func TestUnmarshalCheckpointMatchesReferenceOnEdgeLayouts(t *testing.T) {
+// The reader reads what MarshalCheckpoint can write — null weights and
+// delays, [] everywhere, null budgets, a tree without steps, absent
+// oracle and tree, any number spelling — into the state the reference
+// decode gives. Every other layout is refused with its byte offset:
+// null, {} or an absent or reordered member where the writer always
+// writes one, null anywhere else, a tree's edges without their wire
+// types, a string that is not a plain name, white space, unknown members
+// (version 1's ref, metrics and last_cost among them). Documents in the
+// layout that are wrong for their grid are refused too.
+func TestUnmarshalCheckpointReadsOneLayout(t *testing.T) {
 	// A 1×1×2 grid has one segment, a via.
+	const head = `{"version":2,"method":"cd","nx":1,"ny":1,"layers":2,"layer_dirs":"HV"`
 	doc := func(nets string) []byte {
-		return []byte(`{"version":2,"method":"cd","nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],"nets":[` + nets + `]}`)
+		return []byte(head + `,"cap":[24],"mult":[1],"nets":[` + nets + `]}`)
+	}
+	// net is a net without sinks, followed by rest.
+	net := func(rest string) string {
+		return `{"driver":[0,0],"sinks":[],"weights":[],"budgets":[],"delays":[]` + rest + `}`
 	}
 	// sink is a one-sink net whose weight is spelled w.
 	sink := func(w string) []byte {
 		return doc(`{"driver":[0,0],"sinks":[[0,0]],"weights":[` + w + `],"budgets":[1],"delays":[1]}`)
 	}
 	const via = `"edges":[[[0,0,0],[0,0,1]]]`
-	accepted := [][]byte{
-		doc(``), doc(`null`), doc(`{}`), doc(`{},null,{}`),
+	for _, data := range [][]byte{
+		doc(``), doc(net(``)), doc(net(``) + `,` + net(`,"oracle":"cd"`)),
+		doc(`{"driver":[0,0],"sinks":[],"weights":null,"budgets":[],"delays":null}`),
 		doc(`{"driver":[0,0],"sinks":[[0,0]],"weights":[0.5],"budgets":[null],"delays":[1]}`),
-		doc(`{"driver":[0,0],"sinks":[],"weights":[],"budgets":null,"delays":[]}`),
-		doc(`{"sinks":null,"weights":null,"budgets":null,"delays":null}`),
-		doc(`{"driver":[null,0],"sinks":[null],"weights":[null],"budgets":[-0],"delays":[1E2]}`),
-		sink(`-0`), sink(`1.5e-9`), sink(`-12.5E+3`), sink(`null`),
-		doc(`{"oracle":"cd","tree":null}`), doc(`{"oracle":null}`), doc(`{"oracle":"cd"}`),
-		doc(`{"tree":{}}`), doc(`{"tree":{"edges":null}}`), doc(`{"tree":{"edges":[],"wire_types":[]}}`),
-		doc(`{"tree":{` + via + `,"wire_types":[-1]}}`), doc(`{"tree":{` + via + `,"wire_types":null}}`),
-		doc(`{"tree":{` + via + `}}`),
-		[]byte(`{"version":2,"nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[2.4e1],"mult":[10E-1],"nets":null}`),
-		[]byte(`{"version":2,"method":null,"nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[null],"mult":[1]}`),
-	}
-	for _, data := range accepted {
+		doc(`{"driver":[0,0],"sinks":[[0,0],[0,0]],"weights":[1,2],"budgets":[-0,null],"delays":[1E2,0]}`),
+		sink(`-0`), sink(`1.5e-9`), sink(`-12.5E+3`), sink(`0.25`),
+		doc(net(`,"tree":{"edges":null}`)), doc(net(`,"oracle":"cd","tree":{"edges":null}`)),
+		doc(net(`,"tree":{"edges":[],"wire_types":[]}`)),
+		doc(net(`,"oracle":"pd","tree":{` + via + `,"wire_types":[-1]}`)),
+		[]byte(head + `,"cap":[2.4e1],"mult":[10E-1],"nets":[]}`),
+	} {
 		st, err := UnmarshalCheckpoint(data)
 		if err != nil {
 			t.Fatalf("%s: %v", data, err)
@@ -407,13 +469,50 @@ func TestUnmarshalCheckpointMatchesReferenceOnEdgeLayouts(t *testing.T) {
 		}
 	}
 	for _, data := range [][]byte{
-		doc(`{"tree":{` + via + `,"wire_types":[]}}`), doc(`{"budgets":[1e400]}`),
-		doc(`{"driver":[0,1.5]}`), doc(`{"tree":{` + via + `,"wire_types":[128]}}`),
-		doc(`{} `), doc(`{"sinks":[[0,0]]}`), doc(`{"oracle":"cd","driver":[0,0]}`), doc(`{"extra":1}`),
-		doc(`{},`), doc(`01`), sink(`01`), sink(`1.`), sink(`+1`), doc(`{"last_cost":1}`),
-		[]byte(`{"version":2,"method":"cd","nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],"ref":[1],"nets":[]}`),
-		[]byte(`{"version":2,"method":"cd","nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],"metrics":{},"nets":[]}`),
-		[]byte(`{"version":2}x`), []byte(` {"version":2}`),
+		// Nets and members the writer always writes.
+		doc(`null`), doc(`{}`), doc(net(``) + `,null`), []byte(head + `,"cap":[24],"mult":[1],"nets":null}`),
+		doc(`{"driver":[0,0],"sinks":[],"budgets":[],"delays":[]}`),
+		doc(`{"sinks":[],"driver":[0,0],"weights":[],"budgets":[],"delays":[]}`),
+		doc(`{"driver":[0,0],"sinks":[],"weights":[],"budgets":[],"delays":[],"tree":{"edges":null},"oracle":"cd"}`),
+		[]byte(`{"version":2,"nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],"nets":[]}`),
+		[]byte(`{"version":2,"method":"cd","ny":1,"nx":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],"nets":[]}`),
+		[]byte(head + `,"cap":[24],"mult":[1]}`), []byte(`{"method":"cd","version":2}`),
+		// null where the writer writes none.
+		doc(`{"driver":[null,0],"sinks":[],"weights":[],"budgets":[],"delays":[]}`),
+		doc(`{"driver":[0,0],"sinks":[null],"weights":[1],"budgets":[1],"delays":[1]}`),
+		doc(`{"driver":[0,0],"sinks":[[0,null]],"weights":[1],"budgets":[1],"delays":[1]}`),
+		sink(`null`), doc(`{"driver":[0,0],"sinks":[[0,0]],"weights":[1],"budgets":[1],"delays":[null]}`),
+		doc(`{"driver":[0,0],"sinks":[],"weights":[],"budgets":null,"delays":[]}`),
+		[]byte(head + `,"cap":[null],"mult":[1],"nets":[]}`), []byte(head + `,"cap":[24],"mult":[null],"nets":[]}`),
+		[]byte(`{"version":2,"method":null,"nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],"nets":[]}`),
+		doc(net(`,"oracle":null`)), doc(net(`,"tree":null`)), doc(net(`,"tree":{}`)),
+		doc(net(`,"tree":{` + via + `,"wire_types":null}`)), doc(net(`,"tree":{"edges":null,"wire_types":[]}`)),
+		// A tree's edges without their wire types.
+		doc(net(`,"tree":{` + via + `}`)),
+		// Strings that are not plain names.
+		doc(net(`,"oracle":"c\u0064"`)), doc(net(`,"oracle":"ünï"`)), doc(net(`,"oracle":"a\"b"`)),
+		doc(net(`,"oracle":"\u003c"`)), doc(net(`,"oracle":"cd`)),
+		[]byte(`{"version":2,"method":"c\/d","nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],"nets":[]}`),
+		[]byte(`{"version":2,"method":"cd","nx":1,"ny":1,"layers":2,"layer_dirs":"H\u0056","cap":[24],"mult":[1],"nets":[]}`),
+		// Numbers outside JSON's grammar or their type.
+		doc(`{"driver":[0,1.5],"sinks":[],"weights":[],"budgets":[],"delays":[]}`),
+		doc(`{"driver":[0,0],"sinks":[[0,0]],"weights":[1],"budgets":[1e400],"delays":[1]}`),
+		doc(net(`,"tree":{` + via + `,"wire_types":[128]}`)), doc(`01`), sink(`01`), sink(`1.`), sink(`+1`),
+		// White space, trailing data and unknown members.
+		doc(net(``) + ` `), doc(net(``) + `,`), doc(net(`,"extra":1`)), doc(net(`,"last_cost":1`)),
+		[]byte(head + `,"cap":[24],"mult":[1],"ref":[1],"nets":[]}`),
+		[]byte(head + `,"cap":[24],"mult":[1],"metrics":{},"nets":[]}`),
+		[]byte(head + `,"cap":[24],"mult":[1],"nets":[]}x`), []byte(` ` + head + `,"cap":[24],"mult":[1],"nets":[]}`),
+	} {
+		if _, err := UnmarshalCheckpoint(data); err == nil || !strings.Contains(err.Error(), "parsing checkpoint: byte ") {
+			t.Fatalf("%s: error %v, want one naming a byte offset", data, err)
+		}
+	}
+	for _, data := range [][]byte{
+		doc(net(`,"tree":{` + via + `,"wire_types":[]}`)),
+		doc(`{"driver":[0,0],"sinks":[[0,0]],"weights":[],"budgets":[],"delays":[]}`),
+		doc(net(`,"tree":{"edges":[[[0,0,0],[0,0,1]]],"wire_types":[0]}`)),
+		[]byte(head + `,"cap":[24,1],"mult":[1],"nets":[]}`),
 	} {
 		if _, err := UnmarshalCheckpoint(data); err == nil {
 			t.Fatalf("%s: accepted", data)
