@@ -117,7 +117,9 @@ func (t *DeltaTracker) SetRef(ref []float32) {
 // tolerance advance the reference and mark their gcells (all layers
 // collapse onto one plane bitmap). It returns the changed plane regions
 // as row-merged rectangles plus the number of changed segments — the
-// wave's delta volume.
+// wave's delta volume. The router advances the tracker only through
+// Pricer.UpdateTracked, which fuses this sweep into the price update;
+// Update is the sequential form it is held to.
 func (t *DeltaTracker) Update(mult []float32) (rects []geom.Rect, changedSegs int) {
 	g := t.G
 	for s := range t.ref {

@@ -198,8 +198,8 @@ func (r *Recorder) addLocked(s Span) {
 
 // OnWave registers a callback fired from EndWave with each wave's
 // snapshot. The callback runs on the wave loop's goroutine and must not
-// block (the service layer publishes to a non-blocking broadcast
-// buffer). Safe on nil (no-op).
+// block (the service layer only wakes the job's stream subscribers,
+// which read the snapshots back through Waves). Safe on nil (no-op).
 func (r *Recorder) OnWave(fn func(WaveSnapshot)) {
 	if r == nil {
 		return

@@ -23,7 +23,8 @@ const incHalo = 1
 // either policy lands here (noteFullSolve): the producing oracle feeds
 // checkpoint provenance and the flat step caches feed the net-order
 // usage replay. The scheduling half — computeDirty and the delta
-// tracker — only runs under the skip policy.
+// tracker, advanced only by the fused end-of-wave price update — only
+// runs under the skip policy.
 // Across waves it keeps, per net, the inputs its cached tree was solved
 // under — delay weights, budgets and the tree's priced congestion cost —
 // plus the plane region the tree occupies, and chip-wide a reference
@@ -105,12 +106,12 @@ type incState struct {
 	// so pre-checkpoint residue must not re-dirty restored nets.
 	seed []bool
 
-	// pending holds the delta-tracker result of the fused end-of-wave
-	// price update (Pricer.UpdateTracked): the next computeDirty consumes
-	// it instead of sweeping every segment again. Nil when no update ran
-	// since the last pass (wave 0, or after a quiesced warm wave), in
-	// which case computeDirty falls back to the tracker sweep.
-	pending   bool
+	// pendRects/pendSegs hold the delta-tracker result of the fused
+	// end-of-wave price update (Pricer.UpdateTracked), the only change
+	// source the next computeDirty reads. Empty when no update ran since
+	// the last pass: at cold wave 0 the multipliers still equal the
+	// tracker's reference, and after a quiesced warm wave they have not
+	// moved since the last fused update advanced it, so no change exists.
 	pendRects []geom.Rect
 	pendSegs  int
 	// ix is the region R-tree of the last computeDirty pass, reused
@@ -193,12 +194,12 @@ func (s *incState) drifted(cur, snap float64) bool {
 
 // computeDirty returns the ordered work list of dirty nets for the next
 // wave and the number of congestion segments that changed beyond
-// tolerance (the wave's delta volume). The delta normally arrives
-// pre-computed from the previous wave's fused price update (stashDelta);
-// the tracker sweep here is the fallback for wave 0 and for waves after
-// a quiesce. The region index is rebuilt only when some net's candidate
-// region actually moved since the last build — re-solves that keep
-// their bounding box, and waves that skip everything, reuse it.
+// tolerance (the wave's delta volume). The delta arrives pre-computed
+// from the previous wave's fused price update (stashDelta); a wave with
+// none stashed has no congestion candidates. The region index is
+// rebuilt only when some net's candidate region actually moved since the
+// last build — re-solves that keep their bounding box, and waves that
+// skip everything, reuse it.
 func (s *incState) computeDirty(costs *grid.Costs, trees []*nets.RTree, weights, budgets [][]float64) (work []int32, deltaSegs int) {
 	for i := range s.dirty {
 		s.cand[i] = false
@@ -221,14 +222,8 @@ func (s *incState) computeDirty(costs *grid.Costs, trees []*nets.RTree, weights,
 		s.seed = nil
 		return work, 0
 	}
-	var rects []geom.Rect
-	if s.pending {
-		rects, deltaSegs = s.pendRects, s.pendSegs
-		s.pending = false
-		s.pendRects = nil
-	} else {
-		rects, deltaSegs = s.tracker.Update(costs.Mult)
-	}
+	rects, deltaSegs := s.pendRects, s.pendSegs
+	s.pendRects, s.pendSegs = nil, 0
 	if len(rects) > 0 {
 		if s.ixDirty.Swap(false) || s.ix == nil {
 			s.ix = nets.BuildWindowIndex(s.regions)
@@ -407,12 +402,10 @@ func (s *incState) replayUsage(u *cong.Usage, trees []*nets.RTree) {
 	}
 }
 
-// stashDelta hands computeDirty the changed-region result of the fused
-// end-of-wave price update, so the next wave skips its tracker sweep.
+// stashDelta hands the next computeDirty the changed-region result of
+// the fused end-of-wave price update.
 func (s *incState) stashDelta(rects []geom.Rect, segs int) {
-	s.pending = true
-	s.pendRects = rects
-	s.pendSegs = segs
+	s.pendRects, s.pendSegs = rects, segs
 }
 
 // seedDirty arms the seeded-wave mode: the next computeDirty call

@@ -9,40 +9,33 @@ import (
 	"costdist/internal/obs"
 )
 
-// maxEventHistory bounds a job's retained event history. Route jobs emit
-// one wave event per wave (≤ maxRouteWaves) plus one terminal event, so
-// the bound is never hit in practice; it exists so a misbehaving
-// publisher cannot grow a job's history without limit. Overflow drops
-// the oldest events (counted, and reported to late subscribers).
-const maxEventHistory = 256
-
-// sseEvent is one server-sent event: a name ("wave" or "done") and a
-// JSON data payload.
-type sseEvent struct {
-	name string
-	data []byte
-}
-
-// jobEvents is a job's broadcast buffer for server-sent events. The
-// publisher (the route worker's OnWave callback) appends under a short
-// critical section and never blocks: subscribers are notified through
-// non-blocking sends on buffered channels and read the history at their
-// own pace through a cursor. A slow or disconnected subscriber therefore
-// stalls only its own handler goroutine, never the wave loop — the
-// property the SSE tests enforce.
+// jobEvents is what a job's event stream reads besides the job itself.
+// The route's recorder is the stream's only history: its per-wave
+// snapshots are kept there anyway, and frames are built from them in
+// the SSE handler, for the subscriber that reads them. The publisher
+// (the recorder's OnWave callback, on the wave barrier) only closes and
+// replaces the wake-up channel under a short critical section, so it
+// never blocks: a slow or disconnected subscriber stalls only its own
+// handler goroutine, never the wave loop — the property the SSE tests
+// enforce.
 //
-// jobEvents has its own mutex and never touches job.mu, so job.terminate
-// may publish the terminal event without lock-order concerns.
+// jobEvents has its own mutex and never touches job.mu, so
+// job.terminate may end the stream without lock-order concerns. It
+// takes the recorder's lock only under its own; the recorder fires
+// OnWave after releasing its lock.
 type jobEvents struct {
-	mu     sync.Mutex
-	base   int // sequence number of hist[0]
-	hist   []sseEvent
-	closed bool
-	subs   map[chan struct{}]struct{}
+	mu   sync.Mutex
+	rec  *obs.Recorder // set before the job routes; nil for jobs that never route
+	wake chan struct{} // closed and replaced on every wave, closed for good at the end
+	// final holds the recorder's waves at the terminal transition: a
+	// wave that a cancelled route still finishes after its job ended is
+	// not streamed.
+	final []obs.WaveSnapshot
+	ended bool
 }
 
 func newJobEvents() *jobEvents {
-	return &jobEvents{subs: make(map[chan struct{}]struct{})}
+	return &jobEvents{wake: make(chan struct{})}
 }
 
 // waveEvent is the JSON payload of one "wave" SSE frame: the per-wave
@@ -68,31 +61,68 @@ type doneEvent struct {
 	Metrics json.RawMessage `json:"metrics,omitempty"`
 }
 
-// publishWave appends a wave snapshot to the history and wakes
-// subscribers. Called from the router's OnWave callback on the wave
-// barrier, so it must stay cheap and must never block.
-func (e *jobEvents) publishWave(ws obs.WaveSnapshot) {
+// record attaches the recorder whose waves the stream reads.
+func (e *jobEvents) record(rec *obs.Recorder) {
+	e.mu.Lock()
+	e.rec = rec
+	e.mu.Unlock()
+}
+
+// onWave wakes every waiting subscriber. Called from the recorder's
+// OnWave callback on the wave barrier, so it must never block.
+func (e *jobEvents) onWave() {
+	e.mu.Lock()
+	if !e.ended {
+		close(e.wake)
+		e.wake = make(chan struct{})
+	}
+	e.mu.Unlock()
+}
+
+// end freezes the stream at the job's terminal transition and wakes
+// every subscriber for the last time.
+func (e *jobEvents) end() {
+	e.mu.Lock()
+	if !e.ended {
+		e.final, e.ended = e.rec.Waves(), true
+		close(e.wake)
+	}
+	e.mu.Unlock()
+}
+
+// waves returns the wave snapshots streamed so far, a channel closed
+// when there is more to read, and whether the stream has ended (no
+// wave follows the returned ones).
+func (e *jobEvents) waves() ([]obs.WaveSnapshot, <-chan struct{}, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.ended {
+		return e.final, e.wake, true
+	}
+	return e.rec.Waves(), e.wake, false
+}
+
+// waveFrame is the data of one "wave" frame.
+func waveFrame(ws obs.WaveSnapshot) ([]byte, error) {
 	stage := make(map[string]int64, obs.NumStages)
 	for st := obs.Stage(0); int(st) < obs.NumStages; st++ {
 		if ns := ws.StageNanos[st]; ns > 0 {
 			stage[st.String()] = ns
 		}
 	}
-	data, err := json.Marshal(waveEvent{
+	return json.Marshal(waveEvent{
 		Wave: ws.Wave, Objective: ws.Objective, Overflow: ws.Overflow,
 		Solved: ws.Solved, Skipped: ws.Skipped,
 		Repaired: ws.Repaired, Escalated: ws.Escalated, StageNs: stage,
 	})
-	if err != nil {
-		return
-	}
-	e.publish(sseEvent{name: "wave", data: data})
 }
 
-// finish appends the terminal event and closes the stream. For done
-// jobs the metrics section is lifted verbatim from the stored result so
-// the final event agrees byte-for-byte with the result endpoint.
-func (e *jobEvents) finish(st JobStatus, result []byte, errMsg string) {
+// doneFrame is the data of the terminal "done" frame of a job in the
+// given state. For a done job the metrics section is lifted verbatim
+// from the stored result, so the frame agrees byte for byte with the
+// result endpoint. It parses the (possibly large) result, which is why
+// only a handler streaming the frame builds it.
+func doneFrame(st JobStatus, result []byte, errMsg string) []byte {
 	ev := doneEvent{Status: st, Error: errMsg}
 	if st == JobDone && len(result) > 0 {
 		var res struct {
@@ -106,75 +136,7 @@ func (e *jobEvents) finish(st JobStatus, result []byte, errMsg string) {
 	if err != nil {
 		data = []byte(`{"status":"` + string(st) + `"}`)
 	}
-	e.mu.Lock()
-	if !e.closed {
-		e.appendLocked(sseEvent{name: "done", data: data})
-		e.closed = true
-		e.notifyLocked()
-	}
-	e.mu.Unlock()
-}
-
-func (e *jobEvents) publish(ev sseEvent) {
-	e.mu.Lock()
-	if !e.closed {
-		e.appendLocked(ev)
-		e.notifyLocked()
-	}
-	e.mu.Unlock()
-}
-
-func (e *jobEvents) appendLocked(ev sseEvent) {
-	e.hist = append(e.hist, ev)
-	if len(e.hist) > maxEventHistory {
-		drop := len(e.hist) - maxEventHistory
-		e.base += drop
-		e.hist = append(e.hist[:0:0], e.hist[drop:]...)
-	}
-}
-
-// notifyLocked wakes every subscriber with a non-blocking send; a
-// subscriber that already has a pending wake-up needs no second one (it
-// reads the whole history tail when it drains).
-func (e *jobEvents) notifyLocked() {
-	for ch := range e.subs {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// subscribe registers a wake-up channel; the caller reads events with
-// since and must unsubscribe when done.
-func (e *jobEvents) subscribe() chan struct{} {
-	ch := make(chan struct{}, 1)
-	e.mu.Lock()
-	e.subs[ch] = struct{}{}
-	e.mu.Unlock()
-	return ch
-}
-
-func (e *jobEvents) unsubscribe(ch chan struct{}) {
-	e.mu.Lock()
-	delete(e.subs, ch)
-	e.mu.Unlock()
-}
-
-// since returns the events at sequence ≥ cursor, the cursor to resume
-// from, how many events the subscriber missed to history overflow, and
-// whether the stream is closed (no further events will be published).
-func (e *jobEvents) since(cursor int) (evs []sseEvent, next int, missed int, closed bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if cursor < e.base {
-		missed = e.base - cursor
-		cursor = e.base
-	}
-	if off := cursor - e.base; off < len(e.hist) {
-		evs = append(evs, e.hist[off:]...)
-	}
-	return evs, e.base + len(e.hist), missed, e.closed
+	return data
 }
 
 // handleJobEvents streams a job's per-wave telemetry as server-sent
@@ -200,29 +162,29 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 	s.met.sseSubscribers.Add(1)
 	defer s.met.sseSubscribers.Add(-1)
-	sub := job.events.subscribe()
-	defer job.events.unsubscribe(sub)
-
-	cursor := 0
-	for {
-		evs, next, missed, closed := job.events.since(cursor)
-		cursor = next
-		if missed > 0 {
-			s.met.sseDropped.Add(int64(missed))
-			fmt.Fprintf(w, ": %d events dropped (history overflow)\n\n", missed)
+	send := func(name string, data []byte) {
+		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, data)
+		s.met.sseEvents.Add(1)
+	}
+	for sent := 0; ; {
+		waves, wake, ended := job.events.waves()
+		for _, ws := range waves[sent:] {
+			if data, err := waveFrame(ws); err == nil {
+				send("wave", data)
+			}
 		}
-		for _, ev := range evs {
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, ev.data)
-			s.met.sseEvents.Add(1)
+		sent = len(waves)
+		if ended {
+			// end runs after the terminal transition, so view reads the
+			// terminal state.
+			send("done", doneFrame(job.view()))
 		}
-		if len(evs) > 0 || missed > 0 {
-			fl.Flush()
-		}
-		if closed {
+		fl.Flush()
+		if ended {
 			return
 		}
 		select {
-		case <-sub:
+		case <-wake:
 		case <-r.Context().Done():
 			return
 		case <-s.ctx.Done():

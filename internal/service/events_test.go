@@ -8,7 +8,16 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"costdist/internal/obs"
 )
+
+// sseEvent is one server-sent event as a client reads it: a name
+// ("wave" or "done") and a JSON data payload.
+type sseEvent struct {
+	name string
+	data []byte
+}
 
 // readSSE consumes a text/event-stream body until EOF, returning the
 // (event-name, data) frames in arrival order.
@@ -128,6 +137,72 @@ func TestRouteJobEventStream(t *testing.T) {
 		if evs[i].name != evs2[i].name || !bytes.Equal(evs[i].data, evs2[i].data) {
 			t.Fatalf("replay event %d differs from live event", i)
 		}
+	}
+
+	// A cache-hit resubmission never routes: its stream is exactly one
+	// done frame, byte-equal to the first job's.
+	hit := submitRoute(t, ts.URL, `{"chip":"c1","scale":0.002,"waves":3,"oracle":"cd"}`)
+	if hit.Status != JobDone {
+		t.Fatalf("resubmission status %q, want a cache hit (done)", hit.Status)
+	}
+	resp3, err := http.Get(ts.URL + "/v1/jobs/" + hit.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs3 := readSSE(t, resp3)
+	if len(evs3) != 1 || evs3[0].name != "done" || !bytes.Equal(evs3[0].data, last.data) {
+		t.Fatalf("cache-hit stream of %d frames, want exactly the first job's done frame %s", len(evs3), last.data)
+	}
+}
+
+// A job's stream reads its recorder's waves up to the terminal
+// transition: a subscriber attached while the job runs receives every
+// wave recorded before it, a wave recorded after the job ended is not
+// streamed, and a later subscriber replays the same frames. A job with
+// no recorder streams only its done frame.
+func TestJobEventsStreamRecorderUntilEnd(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	stream := func(id string) *http.Response {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	jb := s.jobs.create(s.ctx, "recorded")
+	rec := obs.New()
+	jb.events.record(rec)
+	rec.OnWave(func(obs.WaveSnapshot) { jb.events.onWave() })
+	live := stream(jb.id)
+	rec.EndWave(obs.WaveSnapshot{Wave: 0, Objective: 10, Solved: 4})
+	rec.EndWave(obs.WaveSnapshot{Wave: 1, Objective: 9, Solved: 1})
+	jb.finish(JobCancelled, nil, "cancelled by test")
+	rec.EndWave(obs.WaveSnapshot{Wave: 2, Objective: 8})
+
+	evs := readSSE(t, live)
+	want := []string{
+		`wave {"wave":0,"objective":10,"overflow":0,"solved":4,"skipped":0,"repaired":0,"escalated":0}`,
+		`wave {"wave":1,"objective":9,"overflow":0,"solved":1,"skipped":0,"repaired":0,"escalated":0}`,
+		`done {"status":"cancelled","error":"cancelled by test"}`,
+	}
+	replay := readSSE(t, stream(jb.id))
+	for _, got := range [][]sseEvent{evs, replay} {
+		lines := make([]string, len(got))
+		for i, ev := range got {
+			lines[i] = ev.name + " " + string(ev.data)
+		}
+		if strings.Join(lines, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("frames:\n%s\nwant:\n%s", strings.Join(lines, "\n"), strings.Join(want, "\n"))
+		}
+	}
+
+	plain := s.jobs.create(s.ctx, "never-routed")
+	plain.finishShared(JobDone, []byte("{\n  \"metrics\": {\"objective\": 1.5}\n}"), "")
+	evs = readSSE(t, stream(plain.id))
+	if len(evs) != 1 || evs[0].name != "done" || string(evs[0].data) != `{"status":"done","metrics":{"objective":1.5}}` {
+		t.Fatalf("stream of a job without a recorder: %d frames, want one done frame with the result's metrics", len(evs))
 	}
 }
 

@@ -43,8 +43,8 @@ type job struct {
 	// taking the registry lock here would invert the registry→job lock
 	// order used by eviction).
 	retained *atomic.Int64
-	// events is the job's SSE broadcast buffer (per-wave snapshots plus
-	// the terminal event). It has its own mutex and never takes j.mu.
+	// events is what the job's SSE stream reads: the route's recorder
+	// and a wake-up channel. It has its own mutex and never takes j.mu.
 	events *jobEvents
 
 	mu       sync.Mutex
@@ -96,10 +96,9 @@ func (j *job) terminate(s JobStatus, result []byte, errMsg string, charge int64)
 	close(j.done)
 	j.cancel()
 	j.mu.Unlock()
-	// Publish the terminal SSE event outside j.mu: extracting the
-	// metrics section parses the (possibly large) result body, and the
-	// events buffer has its own lock.
-	j.events.finish(s, result, errMsg)
+	// End the event stream after the transition, so a subscriber it
+	// wakes reads the terminal state.
+	j.events.end()
 }
 
 // view snapshots the job for handlers.

@@ -77,11 +77,9 @@ type metrics struct {
 	checkpointGzBytes  atomic.Int64
 
 	// sseSubscribers gauges the currently connected event-stream
-	// consumers; sseEvents/sseDropped count frames delivered and events
-	// a subscriber missed to history overflow.
+	// consumers; sseEvents counts frames delivered.
 	sseSubscribers atomic.Int64
 	sseEvents      atomic.Int64
-	sseDropped     atomic.Int64
 
 	solveLatency *histogram // time-to-response of /v1/solve (hits and misses)
 	// solveQueueWait is the queue part of a miss's solveLatency: submit
@@ -238,12 +236,10 @@ func renderMetrics(m *metrics, cs, cps CacheStats, queueDepth int, jobs map[stri
 	add("routed_sse_subscribers %d\n", m.sseSubscribers.Load())
 	add("# TYPE routed_sse_events_total counter\n")
 	add("routed_sse_events_total %d\n", m.sseEvents.Load())
-	add("# TYPE routed_sse_dropped_events_total counter\n")
-	add("routed_sse_dropped_events_total %d\n", m.sseDropped.Load())
 
 	add("# TYPE routed_solves_total counter\n")
 	counts := m.oracleCounts()
-	for _, name := range sortedKeysI64(counts) {
+	for _, name := range sortedKeys(counts) {
 		add("routed_solves_total{oracle=%q} %d\n", name, counts[name])
 	}
 
@@ -288,26 +284,14 @@ func renderHistogram(b *[]byte, name, labels string, h *histogram) {
 // An empty map still declares the family so dashboards can discover it.
 func renderLabeledHistograms(b *[]byte, name, labelKey string, hs map[string]*histogram) {
 	*b = append(*b, fmt.Sprintf("# TYPE %s histogram\n", name)...)
-	keys := make([]string, 0, len(hs))
-	for k := range hs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(hs) {
 		renderHistogram(b, name, fmt.Sprintf("%s=%q", labelKey, k), hs[k])
 	}
 }
 
-func sortedKeys(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeysI64(m map[string]int64) []string {
+// sortedKeys returns m's keys in ascending order, so every exposition
+// is deterministic.
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

@@ -490,12 +490,13 @@ func (s *Server) runRouteJob(job *job, call *routeCall) {
 	if st, _, _ := job.view(); st.terminal() {
 		return // cancelled while queued
 	}
-	// Every route job records structured telemetry: the recorder feeds
-	// the SSE stream and the per-stage histograms live (via OnWave), and
-	// the flight ring plus per-oracle solve-latency histograms at the
-	// end. Recording never changes results — the recorded wire form is
-	// bit-identical to a recorder-less run except for the deterministic
-	// per-wave series (locked by TestRecorderDoesNotPerturbRoute).
+	// Every route job records structured telemetry: the recorder is the
+	// SSE stream's history, feeds the per-stage histograms live (via
+	// OnWave), and the flight ring plus per-oracle solve-latency
+	// histograms at the end. Recording never changes results — the
+	// recorded wire form is bit-identical to a recorder-less run except
+	// for the deterministic per-wave series (locked by
+	// TestRecorderDoesNotPerturbRoute).
 	rec := costdist.NewRecorder()
 	cacheT0 := rec.Now()
 	cached, ok := s.cache.Recheck(key)
@@ -508,9 +509,10 @@ func (s *Server) runRouteJob(job *job, call *routeCall) {
 	job.setStatus(JobRunning)
 	start := time.Now()
 	ropt.Recorder = rec
+	job.events.record(rec)
 	rec.OnWave(func(ws obs.WaveSnapshot) {
 		s.met.observeWaveStages(ws)
-		job.events.publishWave(ws)
+		job.events.onWave()
 	})
 	defer func() {
 		// Flight-record the job's spans and charge the per-oracle

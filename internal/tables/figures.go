@@ -2,7 +2,6 @@ package tables
 
 import (
 	"fmt"
-	"math/rand/v2"
 
 	"costdist/internal/core"
 	"costdist/internal/dly"
@@ -111,8 +110,6 @@ func Figure2(eta float64) string {
 // trace events (tests inspect the events).
 func Figure3() ([]string, []core.TraceEvent, error) {
 	g, c := figGraph(24, 24, 4)
-	rng := rand.New(rand.NewPCG(3, 14))
-	_ = rng
 	in := &nets.Instance{
 		G: g, C: c,
 		Root: g.At(3, 20, 0),
