@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -25,7 +26,7 @@ import (
 // OnWave after releasing its lock.
 type jobEvents struct {
 	mu   sync.Mutex
-	rec  *obs.Recorder // set before the job routes; nil for jobs that never route
+	rec  *obs.Recorder // set before the job routes; nil for jobs that never route and after the end
 	wake chan struct{} // closed and replaced on every wave, closed for good at the end
 	// final holds the recorder's waves at the terminal transition: a
 	// wave that a cancelled route still finishes after its job ended is
@@ -61,10 +62,14 @@ type doneEvent struct {
 	Metrics json.RawMessage `json:"metrics,omitempty"`
 }
 
-// record attaches the recorder whose waves the stream reads.
+// record attaches the recorder whose waves the stream reads. It does
+// nothing once the stream has ended (a job cancelled before it routes),
+// so a terminal job never pins a recorder.
 func (e *jobEvents) record(rec *obs.Recorder) {
 	e.mu.Lock()
-	e.rec = rec
+	if !e.ended {
+		e.rec = rec
+	}
 	e.mu.Unlock()
 }
 
@@ -80,11 +85,13 @@ func (e *jobEvents) onWave() {
 }
 
 // end freezes the stream at the job's terminal transition and wakes
-// every subscriber for the last time.
+// every subscriber for the last time. It drops the recorder: a retained
+// terminal job keeps only its wave snapshots, never the route's spans.
 func (e *jobEvents) end() {
 	e.mu.Lock()
 	if !e.ended {
 		e.final, e.ended = e.rec.Waves(), true
+		e.rec = nil
 		close(e.wake)
 	}
 	e.mu.Unlock()
@@ -120,23 +127,38 @@ func waveFrame(ws obs.WaveSnapshot) ([]byte, error) {
 // doneFrame is the data of the terminal "done" frame of a job in the
 // given state. For a done job the metrics section is lifted verbatim
 // from the stored result, so the frame agrees byte for byte with the
-// result endpoint. It parses the (possibly large) result, which is why
-// only a handler streaming the frame builds it.
+// result endpoint. Every subscriber builds its own done frame.
 func doneFrame(st JobStatus, result []byte, errMsg string) []byte {
 	ev := doneEvent{Status: st, Error: errMsg}
 	if st == JobDone && len(result) > 0 {
-		var res struct {
-			Metrics json.RawMessage `json:"metrics"`
-		}
-		if json.Unmarshal(result, &res) == nil {
-			ev.Metrics = res.Metrics
-		}
+		ev.Metrics = metricsSection(result)
 	}
 	data, err := json.Marshal(ev)
 	if err != nil {
 		data = []byte(`{"status":"` + string(st) + `"}`)
 	}
 	return data
+}
+
+// metricsSection returns the raw metrics section of a stored result, or
+// nil. The result writer puts the section first, so the decoder stops
+// before the trees: a done frame costs the same at any result size.
+func metricsSection(result []byte) json.RawMessage {
+	dec := json.NewDecoder(bytes.NewReader(result))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return nil
+	}
+	for dec.More() {
+		key, err := dec.Token()
+		var val json.RawMessage
+		if err != nil || dec.Decode(&val) != nil {
+			return nil
+		}
+		if key == "metrics" {
+			return val
+		}
+	}
+	return nil
 }
 
 // handleJobEvents streams a job's per-wave telemetry as server-sent

@@ -180,6 +180,20 @@ func TestJobEventsStreamRecorderUntilEnd(t *testing.T) {
 	rec.EndWave(obs.WaveSnapshot{Wave: 1, Objective: 9, Solved: 1})
 	jb.finish(JobCancelled, nil, "cancelled by test")
 	rec.EndWave(obs.WaveSnapshot{Wave: 2, Objective: 8})
+	// A terminal job keeps no recorder, even one attached after the end
+	// (a job cancelled between its terminal check and record).
+	holdsRecorder := func() bool {
+		jb.events.mu.Lock()
+		defer jb.events.mu.Unlock()
+		return jb.events.rec != nil
+	}
+	if holdsRecorder() {
+		t.Fatal("a terminal job holds its recorder")
+	}
+	jb.events.record(obs.New())
+	if holdsRecorder() {
+		t.Fatal("a terminal job kept a recorder attached after the end")
+	}
 
 	evs := readSSE(t, live)
 	want := []string{
