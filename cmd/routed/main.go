@@ -1,11 +1,12 @@
 // Command routed serves the costdist solver as a long-running routing
-// service: an HTTP JSON API over a sharded worker pool with per-worker
-// scratch arenas and a content-addressed result cache. See
+// service: an HTTP JSON API over a pool of solve workers that pull from
+// one bounded queue, each with its own scratch arena, and a
+// content-addressed result cache. See
 // internal/service for the endpoint semantics.
 //
 // Usage:
 //
-//	routed [-addr :8423] [-oracle cd] [-shards 0] [-workers 1] [-queue 128] [-cache-mb 64]
+//	routed [-addr :8423] [-oracle cd] [-shards 0] [-queue 128] [-cache-mb 64]
 //
 // SIGINT/SIGTERM shut the server down gracefully: in-flight jobs are
 // cancelled between per-net solves and the listener drains.
@@ -36,9 +37,8 @@ import (
 func main() {
 	addr := flag.String("addr", ":8423", "listen address")
 	oracleName := flag.String("oracle", "cd", "default oracle or driver for requests that omit one: "+strings.Join(costdist.MethodNames(), ", ")+" (l1 is an alias of rsmt)")
-	shards := flag.Int("shards", 0, "worker pool shards (0 = one per CPU, capped at 16)")
-	workers := flag.Int("workers", 1, "solver workers per shard, one scratch arena each")
-	queue := flag.Int("queue", 128, "bounded task queue depth per shard (full queues answer 503)")
+	shards := flag.Int("shards", 0, "solve workers, one scratch arena and cached grid each (0 = one per CPU, capped at 16)")
+	queue := flag.Int("queue", 128, "bound of the one solve queue all workers pull from (a full queue answers 503)")
 	cacheMB := flag.Int("cache-mb", 64, "result cache byte budget in MiB (0 disables caching)")
 	checkpointMB := flag.Int("checkpoint-mb", 128, "warm-start checkpoint store byte budget in MiB (0 disables base_job warm starts)")
 	flightSpans := flag.Int("flight-spans", 0, "flight-recorder ring capacity in telemetry spans, dumped at /debug/obs (0 = default)")
@@ -58,7 +58,6 @@ func main() {
 	}
 	srv, err := service.New(service.Config{
 		Shards:          *shards,
-		WorkersPerShard: *workers,
 		QueueDepth:      *queue,
 		CacheBytes:      cacheBytes,
 		CheckpointBytes: checkpointBytes,

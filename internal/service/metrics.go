@@ -55,10 +55,10 @@ func (h *histogram) Observe(seconds float64) {
 
 // metrics aggregates the server-wide counters exposed on /metrics.
 type metrics struct {
-	solveRequests atomic.Int64 // POST /v1/solve accepted for processing
+	solveRequests atomic.Int64 // POST /v1/solve answered 200
 	routeRequests atomic.Int64 // POST /v1/route accepted for processing
 	badRequests   atomic.Int64 // 4xx responses
-	queueRejects  atomic.Int64 // 503 queue-full responses
+	queueRejects  atomic.Int64 // submits a full queue refused
 
 	// warmStartHits/Misses count route jobs that named a base_job and
 	// found / did not find its retained checkpoint; netsReused sums the

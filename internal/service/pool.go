@@ -2,80 +2,90 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"costdist"
 )
 
-// pool is the sharded worker pool behind every endpoint. Each shard
-// owns a bounded task queue and a fixed set of workers, and every
-// worker owns one costdist.Solver whose scratch arena is recycled
-// across requests — the same allocation-free hot path SolveBatch uses,
-// kept warm for the lifetime of the server — and whose cached grid
-// every solve of the last seen shape is built on (Solver.Build).
-// Requests shard by their cache digest, so repeated submissions of the
-// same instance land on the same arena (already grown to that
-// instance's working set).
+// pool is a fixed set of workers pulling from one bounded task queue,
+// so a task waits only while every worker is busy. Every worker owns
+// one costdist.Solver whose scratch arena is recycled across requests —
+// the same allocation-free hot path SolveBatch uses, kept warm for the
+// lifetime of the server — and whose cached grid every solve of the
+// last seen shape is built on (Solver.Build).
+//
+// A task that panics costs only itself: the worker recovers, hands the
+// panic to the task's fail callback, and carries on with a fresh
+// solver, retiring the arena and cached grid the panic may have left
+// half written.
 type pool struct {
-	shards []*shard
-	ctx    context.Context
-	wg     sync.WaitGroup
+	tasks chan task
+	ctx   context.Context
+	wg    sync.WaitGroup
 }
 
-type shard struct {
-	tasks chan func(*costdist.Solver)
+// task is one unit of pool work: run gets the worker's solver, and fail
+// gets the error a panicking run became ("panicked: <value>").
+type task struct {
+	run  func(*costdist.Solver)
+	fail func(error)
 }
 
-// newPool starts shards×workersPerShard workers under ctx; cancelling
-// ctx stops every worker after its current task.
-func newPool(ctx context.Context, shards, workersPerShard, queueDepth int) *pool {
-	p := &pool{ctx: ctx}
-	for i := 0; i < shards; i++ {
-		sh := &shard{tasks: make(chan func(*costdist.Solver), queueDepth)}
-		p.shards = append(p.shards, sh)
-		for w := 0; w < workersPerShard; w++ {
-			p.wg.Add(1)
-			go func() {
-				defer p.wg.Done()
-				solver := costdist.NewSolver()
-				for {
-					select {
-					case <-ctx.Done():
-						return
-					case task := <-sh.tasks:
-						task(solver)
-					}
-				}
-			}()
-		}
+// newPool starts workers workers on a queue of queueDepth tasks under
+// ctx; cancelling ctx stops every worker after its current task.
+func newPool(ctx context.Context, workers, queueDepth int) *pool {
+	p := &pool{tasks: make(chan task, queueDepth), ctx: ctx}
+	p.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go p.work()
 	}
 	return p
 }
 
-// submit enqueues a task on the shard selected by key. It never blocks:
-// a full shard queue returns false (the caller answers 503), and a
-// stopped pool returns false as well.
-func (p *pool) submit(key uint64, task func(*costdist.Solver)) bool {
+func (p *pool) work() {
+	defer p.wg.Done()
+	solver := costdist.NewSolver()
+	for {
+		select {
+		case <-p.ctx.Done():
+			return
+		case t := <-p.tasks:
+			if !t.runOn(solver) {
+				solver = costdist.NewSolver()
+			}
+		}
+	}
+}
+
+// runOn runs the task on solver and reports whether it returned
+// normally; a panic is recovered and passed to fail.
+func (t task) runOn(solver *costdist.Solver) (ok bool) {
+	defer func() {
+		if v := recover(); v != nil {
+			t.fail(fmt.Errorf("panicked: %v", v))
+		}
+	}()
+	t.run(solver)
+	return true
+}
+
+// submit enqueues a task. It never blocks: a full queue returns false
+// (the caller answers 503), and a stopped pool returns false as well.
+func (p *pool) submit(t task) bool {
 	if p.ctx.Err() != nil {
 		return false
 	}
-	sh := p.shards[key%uint64(len(p.shards))]
 	select {
-	case sh.tasks <- task:
+	case p.tasks <- t:
 		return true
 	default:
 		return false
 	}
 }
 
-// depth is the number of queued-but-unclaimed tasks across all shards.
-func (p *pool) depth() int {
-	n := 0
-	for _, sh := range p.shards {
-		n += len(sh.tasks)
-	}
-	return n
-}
+// depth is the number of queued-but-unclaimed tasks.
+func (p *pool) depth() int { return len(p.tasks) }
 
 // wait blocks until every worker has exited (call after cancelling the
 // pool context).

@@ -2,7 +2,6 @@ package service
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -54,10 +53,8 @@ type solveCall struct {
 	method costdist.Method
 	ropt   costdist.RouterOptions
 	// key is the content address: canonical instance bytes, the resolved
-	// method, and every option that can change the answer. shard is its
-	// leading 64 bits, so repeats of an instance land on one worker.
-	key   string
-	shard uint64
+	// method, and every option that can change the answer.
+	key string
 }
 
 func resolveSolve(cfg Config, body []byte) (*solveCall, *rejection) {
@@ -115,8 +112,7 @@ func resolveSolve(cfg Config, body []byte) (*solveCall, *rejection) {
 	h := sha256.New()
 	h.Write(canonical)
 	fmt.Fprintf(h, "\x00%s\x00pd=%g;sl=%g", c.method.Name(), c.ropt.PDAlpha, c.ropt.SLEps)
-	sum := h.Sum(nil)
-	c.key, c.shard = hex.EncodeToString(sum), binary.BigEndian.Uint64(sum)
+	c.key = hex.EncodeToString(h.Sum(nil))
 	return c, nil
 }
 

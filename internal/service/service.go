@@ -1,19 +1,20 @@
 // Package service turns the costdist solver library into a long-running
-// routing service: an HTTP JSON API backed by a bounded job queue and a
-// sharded worker pool that reuses the library's scratch-arena machinery
-// per worker, with a content-addressed LRU result cache in front. All
-// solving goes through the same public costdist entry points as library
-// callers, so service responses are bit-identical to library results —
-// the approximation guarantees certified by the differential harness
-// carry over to every response.
+// routing service: an HTTP JSON API backed by a worker pool that pulls
+// from one bounded queue and reuses the library's scratch-arena
+// machinery per worker, with a content-addressed LRU result cache in
+// front. All solving goes through the same public costdist entry points
+// as library callers, so service responses are bit-identical to library
+// results — the approximation guarantees certified by the differential
+// harness carry over to every response.
 //
 // Both POST handlers are read → resolve → cache → submit → reply. What a
 // request means — defaults, bounds, equivalent spellings, its content
 // address — is decided once, by the pure resolvers of resolve.go; a
 // solve's instance document is decoded once and built only after a
 // cache miss, by the pool worker on its solver's cached grid. "A hot
-// instance is solved once" rests on one mechanism: misses shard by
-// content address and the worker re-checks the cache before solving
+// instance is solved once" rests on one mechanism, a handler-side claim:
+// the first miss of a content address registers it and submits, and
+// simultaneous duplicates wait for its outcome instead of queueing
 // (see solveMiss).
 //
 // Endpoints:
@@ -53,15 +54,13 @@ const routeWorkers = 2
 
 // Config sizes the server. Zero values select the documented defaults.
 type Config struct {
-	// Shards is the number of worker-pool shards; requests land on the
-	// shard of their cache digest, so hot instances hit a warm arena.
-	// Default: NumCPU, capped at 16.
+	// Shards is the number of solve workers, each with one scratch
+	// arena and one cached instance grid; all of them pull from one
+	// queue. Default: NumCPU, capped at 16.
 	Shards int
-	// WorkersPerShard is the solver goroutine count per shard, one
-	// scratch arena and one cached instance grid each. Default: 1.
-	WorkersPerShard int
-	// QueueDepth bounds each shard's task queue; a full queue answers
-	// 503 instead of buffering unboundedly. Default: 128.
+	// QueueDepth bounds the solve queue, and separately the route-job
+	// queue; a full queue answers 503 instead of buffering unboundedly.
+	// Default: 128.
 	QueueDepth int
 	// CacheBytes is the result cache's byte budget (≤ 0 disables it
 	// after defaulting; the zero value still means the default).
@@ -88,9 +87,6 @@ func (c Config) withDefaults() Config {
 		if c.Shards > 16 {
 			c.Shards = 16
 		}
-	}
-	if c.WorkersPerShard <= 0 {
-		c.WorkersPerShard = 1
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 128
@@ -121,11 +117,10 @@ type Server struct {
 	// evicted LRU.
 	checkpoints *resultCache
 	jobs        *jobRegistry
-	// pool serves synchronous solves (sharded by cache digest);
-	// routePool runs asynchronous route jobs on routeWorkers workers of
-	// its own, so long-running routes never share a queue or worker with
-	// bounded-latency solves and one big job cannot starve a slice of
-	// the solve keyspace.
+	// pool serves synchronous solves on Shards workers; routePool runs
+	// asynchronous route jobs on routeWorkers workers of its own, so
+	// long-running routes never share a queue or worker with
+	// bounded-latency solves.
 	pool      *pool
 	routePool *pool
 	met       *metrics
@@ -140,6 +135,13 @@ type Server struct {
 	// become followers that mirror the leader's outcome instead of
 	// re-running the whole route.
 	routeInflight sync.Map
+	// solveInflight maps solve cache keys to the *solveFlight of the
+	// miss computing them; see solveMiss.
+	solveInflight sync.Map
+	// fault, when a test sets it before serving, runs on the worker at
+	// the start of every solve miss and route job with the request's
+	// content address; it is how tests inject a panicking task.
+	fault func(key string)
 }
 
 // New validates the configuration and starts the worker pool.
@@ -160,8 +162,8 @@ func New(cfg Config) (*Server, error) {
 		ctx:         ctx,
 		cancel:      cancel,
 	}
-	s.pool = newPool(ctx, cfg.Shards, cfg.WorkersPerShard, cfg.QueueDepth)
-	s.routePool = newPool(ctx, 1, routeWorkers, cfg.QueueDepth)
+	s.pool = newPool(ctx, cfg.Shards, cfg.QueueDepth)
+	s.routePool = newPool(ctx, routeWorkers, cfg.QueueDepth)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
 	s.mux.HandleFunc("POST /v1/route", s.handleRoute)
@@ -317,81 +319,127 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if cached, hit := s.cache.Get(call.key); hit {
-		s.met.solveRequests.Add(1)
 		writeBody(w, "hit", cached)
 	} else if !s.solveMiss(w, r, call) {
 		return
 	}
+	s.met.solveRequests.Add(1)
 	s.met.solveLatency.Observe(time.Since(start).Seconds())
 }
 
-// solveMiss runs the request on the pool shard of its content address
-// and replies with the body; it reports false when it answered with an
-// error instead (or the client left). The worker builds the instance on
-// its solver's cached grid (Solver.Build), so a miss allocates no grid
-// of its own; a document Build refuses is answered 422 and never counts
-// as a solve request. "Solved once" needs no coordination here:
-// identical requests land on one shard, whose worker re-checks the
-// cache before building, so with one worker per shard every duplicate
-// queued behind the first is answered from the entry the first one
-// wrote. With WorkersPerShard > 1 two simultaneous duplicates may both
-// solve — bit-identical bodies, cached once.
+// solveFlight is one solve miss in flight; out is written once, before
+// done closes.
+type solveFlight struct {
+	done chan struct{}
+	out  solveOutcome
+}
+
+// solveOutcome is how a miss ends: a body to reply with, or an error
+// reply's status and text.
+type solveOutcome struct {
+	body   []byte
+	xCache string
+	status int
+	err    error
+}
+
+// solveMiss answers a request the handler's cache lookup missed; it
+// reports false when it answered with an error instead (or the client
+// left).
+//
+// "Solved once" is one handler-side claim, following routeInflight: the
+// first miss of a content address registers a solveFlight, re-checks
+// the cache (a flight may have landed between the lookup and the
+// claim) and submits. Simultaneous duplicates find the claim, wait for
+// its outcome and reply as hits from the entry it wrote, so they never
+// take a queue slot or a worker. Every path lands the flight — a reply,
+// a document Build refuses (422), a full queue (503), a panicking solve
+// (500) — so a follower gets the leader's reply and never hangs; only
+// shutdown strands a flight, and every waiter also watches the server
+// context.
 func (s *Server) solveMiss(w http.ResponseWriter, r *http.Request, c *solveCall) bool {
-	type outcome struct {
-		body   []byte
-		xCache string
-		status int // the error reply's status when err is set
-		err    error
-	}
-	done := make(chan outcome, 1)
-	queued := time.Now()
-	submitted := s.pool.submit(c.shard, func(solver *costdist.Solver) {
-		s.met.solveQueueWait.Observe(time.Since(queued).Seconds())
-		if cached, ok := s.cache.Recheck(c.key); ok {
-			s.met.solveRequests.Add(1)
-			done <- outcome{body: cached, xCache: "hit"}
-			return
-		}
-		// The instance borrows the solver's grid: it must not outlive
-		// this task.
-		in, err := solver.Build(&c.doc)
-		if err != nil {
-			done <- outcome{status: http.StatusUnprocessableEntity, err: err}
-			return
-		}
-		s.met.solveRequests.Add(1)
-		tr, err := solver.Solve(in, c.method, c.ropt)
-		var out []byte
-		if err == nil {
-			out, err = costdist.MarshalTree(in, tr)
-		}
-		if err != nil {
-			done <- outcome{status: http.StatusInternalServerError, err: fmt.Errorf("solve: %w", err)}
-			return
-		}
-		s.cache.Put(c.key, out)
-		s.met.chargeOracle(c.method.Name(), 1)
-		done <- outcome{body: out, xCache: "miss"}
-	})
-	if !submitted {
+	f := &solveFlight{done: make(chan struct{})}
+	lf, follower := s.solveInflight.LoadOrStore(c.key, f)
+	if follower {
+		f = lf.(*solveFlight)
+	} else if cached, ok := s.cache.Recheck(c.key); ok {
+		s.land(c.key, f, solveOutcome{body: cached, xCache: "hit"})
+	} else if !s.pool.submit(s.solveTask(c, f)) {
 		s.met.queueRejects.Add(1)
-		s.httpError(w, http.StatusServiceUnavailable, "solve queue full")
-		return false
+		s.land(c.key, f, solveOutcome{status: http.StatusServiceUnavailable, err: errors.New("solve queue full")})
 	}
 	select {
-	case o := <-done:
-		if o.err != nil {
-			s.httpError(w, o.status, "%v", o.err)
-			return false
-		}
-		writeBody(w, o.xCache, o.body)
-		return true
+	case <-f.done:
 	case <-r.Context().Done():
-		// Client gone; the worker still completes and fills the cache.
+		return false // client gone; the worker still completes and fills the cache
 	case <-s.ctx.Done():
 		s.httpError(w, http.StatusServiceUnavailable, "server shutting down")
+		return false
 	}
-	return false
+	o := f.out
+	if o.err != nil {
+		s.httpError(w, o.status, "%v", o.err)
+		return false
+	}
+	if follower {
+		// The leader's body is the entry it wrote; the lookup counts
+		// this reply as the cache hit it is.
+		s.cache.Recheck(c.key)
+		o.xCache = "hit"
+	}
+	writeBody(w, o.xCache, o.body)
+	return true
+}
+
+// solveTask is the worker half of a miss. It lands the flight with the
+// solve's outcome, or with a 500 when the solve panics.
+func (s *Server) solveTask(c *solveCall, f *solveFlight) task {
+	queued := time.Now()
+	return task{
+		run: func(solver *costdist.Solver) {
+			s.met.solveQueueWait.Observe(time.Since(queued).Seconds())
+			s.land(c.key, f, s.solveOn(solver, c))
+		},
+		fail: func(err error) {
+			s.land(c.key, f, solveOutcome{status: http.StatusInternalServerError, err: fmt.Errorf("solve %w", err)})
+		},
+	}
+}
+
+// solveOn builds the request on the solver's cached grid
+// (Solver.Build), so a miss allocates no grid of its own, then solves,
+// marshals and caches the reply. A document Build refuses is a 422 and
+// charges no solve.
+func (s *Server) solveOn(solver *costdist.Solver, c *solveCall) solveOutcome {
+	if s.fault != nil {
+		s.fault(c.key)
+	}
+	// The instance borrows the solver's grid: it must not outlive this
+	// task.
+	in, err := solver.Build(&c.doc)
+	if err != nil {
+		return solveOutcome{status: http.StatusUnprocessableEntity, err: err}
+	}
+	tr, err := solver.Solve(in, c.method, c.ropt)
+	var out []byte
+	if err == nil {
+		out, err = costdist.MarshalTree(in, tr)
+	}
+	if err != nil {
+		return solveOutcome{status: http.StatusInternalServerError, err: fmt.Errorf("solve: %w", err)}
+	}
+	s.cache.Put(c.key, out)
+	s.met.chargeOracle(c.method.Name(), 1)
+	return solveOutcome{body: out, xCache: "miss"}
+}
+
+// land ends a flight: its claim is dropped after the cache write and
+// before done closes, so a later request either finds the entry or
+// claims afresh and re-checks it.
+func (s *Server) land(key string, f *solveFlight, o solveOutcome) {
+	s.solveInflight.CompareAndDelete(key, f)
+	f.out = o
+	close(f.done)
 }
 
 // --- /v1/route and jobs ---
@@ -453,12 +501,14 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The route pool is one shard, so the shard key is immaterial.
-	submitted := s.routePool.submit(0, func(*costdist.Solver) {
-		// Delete only our own entry — a dead-leader takeover may have
-		// already replaced it with a newer job.
-		defer s.routeInflight.CompareAndDelete(key, jb)
-		s.runRouteJob(jb, call)
+	submitted := s.routePool.submit(task{
+		run: func(*costdist.Solver) {
+			// Delete only our own entry — a dead-leader takeover may have
+			// already replaced it with a newer job.
+			defer s.routeInflight.CompareAndDelete(key, jb)
+			s.runRouteJob(jb, call)
+		},
+		fail: func(err error) { jb.finish(JobFailed, nil, "route "+err.Error()) },
 	})
 	if !submitted {
 		// The client never learns this job id; drop the entry rather
@@ -489,6 +539,9 @@ func (s *Server) runRouteJob(job *job, call *routeCall) {
 	req, m, ropt, key := &call.req, call.method, call.ropt, call.key
 	if st, _, _ := job.view(); st.terminal() {
 		return // cancelled while queued
+	}
+	if s.fault != nil {
+		s.fault(key)
 	}
 	// Every route job records structured telemetry: the recorder is the
 	// SSE stream's history, feeds the per-stage histograms live (via

@@ -211,22 +211,27 @@ func TestSolveByteIdenticalToLibraryAndCached(t *testing.T) {
 	}
 }
 
-// Simultaneous identical misses are solved once: they shard by content
-// address onto one single-worker queue, and the worker re-checks the
-// cache before solving, so every request behind the first is answered
-// from the cache entry the first one wrote. Run under -race in CI.
+// Simultaneous identical misses are solved once: the first registers a
+// claim on its content address and submits, and every duplicate waits
+// for that claim's outcome and replies as a hit from the entry it
+// wrote. A document Build refuses gives every copy the same 422 and
+// charges no solve. Run under -race in CI.
 func TestSolveConcurrentIdenticalSolvedOnce(t *testing.T) {
-	docs := [][]byte{corpusFile(t, "small.json"), corpusFile(t, "twopin.json"), corpusFile(t, "congested.json")}
+	refused := []byte(fmt.Sprintf(`{"nx":8,"ny":8,"layers":2,"root":[0,0,0],"sinks":[{"x":5,"y":5,"l":0,"w":%g}]}`,
+		2*costdist.MaxSinkWeight))
+	docs := [][]byte{corpusFile(t, "small.json"), corpusFile(t, "twopin.json"), corpusFile(t, "congested.json"), refused}
 	for round := 0; round < 21; round++ {
-		concurrentIdenticalRound(t, round, docs[round%len(docs)])
+		doc := docs[round%len(docs)]
+		concurrentIdenticalRound(t, round, doc, bytes.Equal(doc, refused))
 	}
 }
 
 // concurrentIdenticalRound fires 32 simultaneous copies of doc at a
-// fresh server and shuts it down before returning.
-func concurrentIdenticalRound(t *testing.T, round int, doc []byte) {
+// fresh server and shuts it down before returning; refused says Build
+// refuses doc.
+func concurrentIdenticalRound(t *testing.T, round int, doc []byte, refused bool) {
 	t.Helper()
-	_, ts, stop := startTestServer(t, Config{Shards: 4, WorkersPerShard: 1})
+	_, ts, stop := startTestServer(t, Config{Shards: 4})
 	defer stop()
 
 	type reply struct {
@@ -256,6 +261,23 @@ func concurrentIdenticalRound(t *testing.T, round int, doc []byte) {
 	close(start)
 	wg.Wait()
 
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mbody := string(readBody(t, mresp))
+	if refused {
+		for i, r := range replies {
+			if r.err != nil || r.status != http.StatusUnprocessableEntity || !bytes.Equal(r.body, replies[0].body) {
+				t.Fatalf("round %d client %d: status %d err %v: %s; want client 0's 422 %s",
+					round, i, r.status, r.err, r.body, replies[0].body)
+			}
+		}
+		if strings.Contains(mbody, "routed_solves_total{") {
+			t.Fatalf("round %d: a refused document charged a solve:\n%s", round, mbody)
+		}
+		return
+	}
 	misses, hits := 0, 0
 	for i, r := range replies {
 		if r.err != nil || r.status != http.StatusOK {
@@ -276,11 +298,6 @@ func concurrentIdenticalRound(t *testing.T, round int, doc []byte) {
 	if misses != 1 {
 		t.Fatalf("round %d: %d replies with X-Cache: miss, want exactly 1", round, misses)
 	}
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbody := string(readBody(t, mresp))
 	for _, want := range []string{
 		"routed_solves_total{oracle=\"cd\"} 1\n",
 		fmt.Sprintf("routed_cache_hits_total %d\n", hits),
@@ -552,7 +569,7 @@ func TestJobCancelReturnsPromptly(t *testing.T) {
 // deadlock; every response is a success, a 503, or a transport error
 // from the dying test server. Run under -race in CI.
 func TestConcurrentSubmitsVsShutdown(t *testing.T) {
-	s, err := New(Config{Shards: 2, WorkersPerShard: 2, QueueDepth: 4})
+	s, err := New(Config{Shards: 4, QueueDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

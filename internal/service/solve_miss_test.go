@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -154,12 +155,12 @@ func TestSolveRejectedOnWorker(t *testing.T) {
 	}
 }
 
-// Two workers on one shard, fed interleaved shapes — two of them
+// Two workers on one queue, fed interleaved shapes — two of them
 // sharing nx×ny but not the layer count — rebuild and reuse their
 // cached grids in every order; each reply still equals the library
 // path byte for byte. Run under -race in CI.
 func TestSolveInterleavedShapesMatchLibrary(t *testing.T) {
-	_, ts := newTestServer(t, Config{Shards: 1, WorkersPerShard: 2})
+	_, ts := newTestServer(t, Config{Shards: 2})
 	shapes := []struct {
 		nx, ny int32
 		layers int
@@ -197,5 +198,88 @@ func TestSolveInterleavedShapesMatchLibrary(t *testing.T) {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Fatalf("document %d: reply differs from the library path:\nservice %s\nlibrary %s", i, got[i], want[i])
 		}
+	}
+}
+
+// panicOn makes every solve miss or route job whose content address is
+// key panic on its worker; call it before the server serves that
+// request.
+func panicOn(t *testing.T, s *Server, key string) {
+	t.Helper()
+	s.fault = func(k string) {
+		if k == key {
+			panic("injected fault")
+		}
+	}
+}
+
+// A solve that panics costs its own request and the duplicates
+// coalesced onto it, never the server: all 32 simultaneous copies get
+// the same 500 and none hangs, and the workers, each on a fresh solver
+// after its panic, still answer with the library's bytes.
+func TestSolvePanicIsContained(t *testing.T) {
+	s, _ := newTestServer(t, Config{Shards: 2})
+	bad := corpusFile(t, "congested.json")
+	call, rej := resolveSolve(s.cfg, bad)
+	if rej != nil {
+		t.Fatal(rej.msg)
+	}
+	panicOn(t, s, call.key)
+	h := s.Handler()
+	recs := make([]*httptest.ResponseRecorder, 32)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range recs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			recs[i] = serveDirect(h, http.MethodPost, "/v1/solve", bad)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	want := `{"error":"solve panicked: injected fault"}` + "\n"
+	for i, rec := range recs {
+		if rec.Code != http.StatusInternalServerError || rec.Body.String() != want {
+			t.Fatalf("client %d: status %d body %q, want 500 %q", i, rec.Code, rec.Body, want)
+		}
+	}
+	for _, doc := range [][]byte{corpusFile(t, "small.json"), corpusFile(t, "twopin.json"),
+		shapeDoc(1, 24, 24, 4, 3), shapeDoc(2, 24, 24, 4, 5)} {
+		rec := serveDirect(h, http.MethodPost, "/v1/solve", doc)
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), libraryReply(t, doc)) {
+			t.Fatalf("after the panics: status %d, reply differs from the library path: %s", rec.Code, rec.Body)
+		}
+	}
+}
+
+// A route job that panics ends failed with the panic text, and the
+// server goes on answering solves with the library's bytes.
+func TestRoutePanicFailsJob(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	body := []byte(`{"chip":"c1","scale":0.002,"waves":1}`)
+	call, rej := resolveRoute(s.cfg, body)
+	if rej != nil {
+		t.Fatal(rej.msg)
+	}
+	panicOn(t, s, call.key)
+	h := s.Handler()
+	rec := serveDirect(h, http.MethodPost, "/v1/route", body)
+	var v JobView
+	if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil || rec.Code != http.StatusAccepted {
+		t.Fatalf("route submit: status %d body %s (%v)", rec.Code, rec.Body, err)
+	}
+	jb, ok := s.jobs.get(v.ID)
+	if !ok {
+		t.Fatalf("job %s not registered", v.ID)
+	}
+	<-jb.done
+	if st, _, errMsg := jb.view(); st != JobFailed || errMsg != "route panicked: injected fault" {
+		t.Fatalf("job ended %s %q, want failed %q", st, errMsg, "route panicked: injected fault")
+	}
+	doc := corpusFile(t, "small.json")
+	if rec := serveDirect(h, http.MethodPost, "/v1/solve", doc); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), libraryReply(t, doc)) {
+		t.Fatalf("after the panic: status %d, reply differs from the library path: %s", rec.Code, rec.Body)
 	}
 }
