@@ -2,6 +2,7 @@ package costdist
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -67,9 +68,9 @@ func (s *Solver) Build(f *InstanceJSON) (*Instance, error) {
 }
 
 // Solve runs any oracle driver — the five fixed methods, exact
-// included, Auto or Portfolio — through the reusable arena (the arena
-// accelerates the CD oracle, including its solves inside Auto and
-// Portfolio; baselines pass through unchanged).
+// included, or Portfolio — through the reusable arena (the arena
+// accelerates the CD oracle, including its solves inside Portfolio;
+// baselines pass through unchanged).
 func (s *Solver) Solve(in *Instance, m Method, opt RouterOptions) (*Tree, error) {
 	opt.CoreOpt.Scratch = s.scr
 	return router.SolveNet(in, m, opt)
@@ -116,7 +117,8 @@ type BatchResult struct {
 //
 // Instances may share their Graph and Costs (both are read-only during
 // solves). A per-instance error does not abort the batch; check each
-// BatchResult.Err.
+// BatchResult.Err. A panicking solve becomes its instance's error
+// ("panicked: <value>"), and its worker continues on a fresh Solver.
 func SolveBatch(ins []*Instance, m Method, opt BatchOptions) []BatchResult {
 	out, _ := SolveBatchCtx(context.Background(), ins, m, opt)
 	return out
@@ -155,7 +157,10 @@ func SolveBatchCtx(ctx context.Context, ins []*Instance, m Method, opt BatchOpti
 				if i >= len(ins) {
 					return
 				}
-				out[i] = solveOne(s, ins[i], m, opt.Router)
+				var intact bool
+				if out[i], intact = solveOne(s, ins[i], m, opt.Router); !intact {
+					s = NewSolver()
+				}
 			}
 		}()
 	}
@@ -163,14 +168,21 @@ func SolveBatchCtx(ctx context.Context, ins []*Instance, m Method, opt BatchOpti
 	return out, ctx.Err()
 }
 
-func solveOne(s *Solver, in *Instance, m Method, ropt RouterOptions) BatchResult {
+// solveOne solves one batch instance; intact is false when the solve
+// panicked, which may leave s's arena mid-solve.
+func solveOne(s *Solver, in *Instance, m Method, ropt RouterOptions) (res BatchResult, intact bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, intact = BatchResult{Err: fmt.Errorf("panicked: %v", p)}, false
+		}
+	}()
 	tr, err := s.Solve(in, m, ropt)
 	if err != nil {
-		return BatchResult{Err: err}
+		return BatchResult{Err: err}, true
 	}
 	ev, err := Evaluate(in, tr)
 	if err != nil {
-		return BatchResult{Err: err}
+		return BatchResult{Err: err}, true
 	}
-	return BatchResult{Tree: tr, Eval: ev}
+	return BatchResult{Tree: tr, Eval: ev}, true
 }

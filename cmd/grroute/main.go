@@ -84,7 +84,7 @@ func main() {
 	mt := res.Metrics
 	fmt.Printf("%-5s %-9s WS %8.0f ps  TNS %11.0f ps  ACE4 %6.2f%%  WL %9.4f m  Vias %9d  obj %.0f  %s\n",
 		spec.Name, m, mt.WS, mt.TNS, mt.ACE4, mt.WLm, mt.Vias, mt.Objective, mt.Walltime.Round(1e6))
-	if m == costdist.Auto || m == costdist.Portfolio {
+	if m == costdist.Portfolio {
 		fmt.Printf("oracle solves: %v\n", mt.SolvesByOracle)
 	}
 	if *incremental {

@@ -35,12 +35,10 @@
 //     oracle only when the repair degrades past tolerance
 //     (RouteMetrics.NetsRepaired / RepairEscalated);
 //   - one fixed oracle table (internal/oracle) behind the Method type:
-//     every fixed method names one table row, the Auto driver picks an
-//     oracle per net from fixed bands of its timing criticality (exact
-//     for critical nets, sl for budget-tight ones, rsmt otherwise and
-//     for single-sink nets), and the Portfolio driver races every oracle
-//     but exact on each net and keeps the best-priced tree. Per-oracle
-//     solve counts are reported in RouteMetrics.SolvesByOracle;
+//     every fixed method names one table row, and the Portfolio driver
+//     races every oracle but exact on each net and keeps the
+//     best-priced tree. Per-oracle solve counts are reported in
+//     RouteMetrics.SolvesByOracle;
 //   - externalized router state and warm-started rerouting:
 //     RouteChipCheckpoint returns the run's RouterState (cached trees
 //     with solve snapshots, congestion multipliers, timing state),
@@ -106,7 +104,7 @@ type (
 	SearchWork = core.Work
 
 	// Method selects a Steiner oracle driver — one row of the oracle
-	// table for the fixed methods, plus the Auto and Portfolio drivers.
+	// table for the fixed methods, plus the Portfolio driver.
 	// RouterOptions and RouteMetrics configure and report full routing
 	// runs.
 	Method        = router.Method
@@ -152,9 +150,8 @@ type (
 )
 
 // The four Steiner tree algorithms of the paper's comparison (§IV-A),
-// plus the two drivers layered over the oracle table: Auto picks an
-// oracle per net from its timing criticality, Portfolio races several
-// oracles on every net and keeps the best-priced tree. Exact routes
+// plus the Portfolio driver layered over the oracle table, which races
+// several oracles on every net and keeps the best-priced tree. Exact routes
 // every net with the goal-oriented exact tier (CD-seeded, deterministic
 // budget, heuristic fallback beyond it).
 const (
@@ -162,18 +159,17 @@ const (
 	SL        = router.SL
 	PD        = router.PD
 	CD        = router.CD
-	Auto      = router.Auto
 	Portfolio = router.Portfolio
 	Exact     = router.Exact
 )
 
 // MethodByName resolves an oracle or driver name — an oracle name
-// ("cd", "rsmt", "sl", "pd", "exact"), an alias ("l1"), or a driver
-// mode ("auto", "portfolio"), case-insensitive — to its Method.
+// ("cd", "rsmt", "sl", "pd", "exact"), an alias ("l1"), or the driver
+// mode "portfolio", case-insensitive — to its Method.
 func MethodByName(name string) (Method, bool) { return router.MethodByName(name) }
 
 // MethodNames returns every name MethodByName accepts in canonical
-// form: the oracle names followed by the driver modes.
+// form: the oracle names followed by the driver mode.
 func MethodNames() []string { return router.MethodNames() }
 
 // OracleNames returns the oracle table's canonical names, sorted — the
@@ -216,8 +212,8 @@ func SolveCDTraced(in *Instance, opt CDOptions, trace func(TraceEvent)) (*Tree, 
 }
 
 // Solve runs any oracle driver standalone on an instance: one of the
-// fixed algorithms, Auto (per-net adaptive selection) or Portfolio
-// (race the pool, keep the best-priced tree).
+// fixed algorithms or Portfolio (race the pool, keep the best-priced
+// tree).
 func Solve(in *Instance, m Method, opt RouterOptions) (*Tree, error) {
 	return router.SolveNet(in, m, opt)
 }

@@ -204,43 +204,6 @@ func ExampleRouteChip_incremental() {
 	// counters add up: true
 }
 
-// ExampleRouteChip_autoSelection routes a chip with the Auto oracle
-// driver: each net is classified by its timing criticality and routed
-// with the matching band oracle — the expensive exact tier only where
-// the timing price demands it (the same flow as
-// `grroute -oracle auto`).
-func ExampleRouteChip_autoSelection() {
-	spec := costdist.ChipSuite(0.002)[0] // c1, scaled down for the example
-	chip, err := costdist.GenerateChip(spec)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	opt := costdist.DefaultRouterOptions()
-	opt.Threads = 2
-	// The bands are fixed: critical nets go to "exact" (the certified
-	// tier, CD fallback beyond its budget), budget-tight nets to "sl",
-	// and single-sink and relaxed nets to "rsmt".
-
-	res, err := costdist.RouteChip(chip, costdist.Auto, opt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	m := res.Metrics
-	var total int64
-	for _, c := range m.SolvesByOracle {
-		total += c
-	}
-	fmt.Printf("every net solved by exactly one oracle: %t\n", total == m.NetsSolved)
-	fmt.Printf("several oracles in play: %t\n", len(m.SolvesByOracle) >= 2)
-	fmt.Printf("exact tier reserved for a critical minority: %t\n",
-		m.SolvesByOracle["exact"] > 0 && m.SolvesByOracle["exact"] < total/2)
-	// Output:
-	// every net solved by exactly one oracle: true
-	// several oracles in play: true
-	// exact tier reserved for a critical minority: true
-}
-
 // ExampleRouteChipFrom shows ECO-style warm-started rerouting: route a
 // chip and checkpoint the run, perturb a few nets, then reroute from
 // the checkpoint — only the nets the perturbation invalidated are

@@ -38,7 +38,6 @@ func goldenConfigs() []struct {
 	}{
 		{CD, false},
 		{CD, true},
-		{Auto, false},
 		{Portfolio, true},
 	}
 }

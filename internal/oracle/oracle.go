@@ -3,9 +3,9 @@
 // compare four oracles — the cost-distance algorithm against RSMT-,
 // shallow-light- and Prim-Dijkstra-topology baselines — and this repo
 // adds one exact tier. Each is one row of a fixed table sorted by name,
-// and drivers address rows by index, so they can pick an oracle per net
-// (adaptive selection) or race several on the same net (portfolio mode)
-// without the router knowing any concrete algorithm.
+// and drivers address rows by index, so they can use one oracle for
+// every net or race several on the same net (portfolio mode) without
+// the router knowing any concrete algorithm.
 package oracle
 
 import (

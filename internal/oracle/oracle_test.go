@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"costdist"
 	"costdist/internal/chipgen"
 	"costdist/internal/core"
 	"costdist/internal/embed"
@@ -44,34 +45,6 @@ func TestHints(t *testing.T) {
 	for _, name := range []string{"cd", "rsmt", "pd", "exact"} {
 		if oracle.UsesBudgets(oracle.Index(name)) {
 			t.Fatalf("%s must not be budget-sensitive", name)
-		}
-	}
-}
-
-// The fixed bands: trivial (≤ 1 sink) → rsmt, critical (a weight at
-// the threshold) → exact, tight (a budget under 1.25 × the fastest
-// delay) → sl, anything else → rsmt.
-func TestSelectionBands(t *testing.T) {
-	const critical = 0.01
-	for _, tc := range []struct {
-		name                 string
-		ws, budgets, fastest []float64
-		want                 string
-	}{
-		{"critical", []float64{0.001, 0.02}, nil, nil, "exact"},
-		{"critical at the threshold", []float64{0.001, critical}, nil, nil, "exact"},
-		{"budget-tight", []float64{0.001, 0.001}, []float64{1000, 112}, []float64{1, 90}, "sl"},
-		{"budget at 1.25 × fastest is not tight", []float64{0.001, 0.001}, []float64{1000, 112.5}, []float64{1, 90}, "rsmt"},
-		{"critical outranks tight", []float64{0.001, 0.02}, []float64{0, 0}, []float64{1, 1}, "exact"},
-		{"relaxed", []float64{0.001, 0.001}, []float64{1000, 1000}, []float64{90, 90}, "rsmt"},
-		{"no budgets", []float64{0.001, 0.001}, nil, nil, "rsmt"},
-		// The trivial band outranks criticality and tightness: a
-		// single-sink net has a unique topology, so the cheap oracle is
-		// kept however hot the timing price is.
-		{"trivial single-sink", []float64{5.0}, []float64{0}, []float64{1}, "rsmt"},
-	} {
-		if got := oracle.Names()[oracle.Band(critical, tc.ws, tc.budgets, tc.fastest)]; got != tc.want {
-			t.Errorf("%s: picked %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }
@@ -202,31 +175,6 @@ func TestPortfolioKeepsBestPriced(t *testing.T) {
 	}
 }
 
-// Auto selection must route every instance through the oracle its band
-// dictates.
-func TestAutoMatchesExplicitBandOracle(t *testing.T) {
-	ins := captureInstances(t)
-	opt := router.DefaultOptions()
-	for i, in := range ins {
-		name := oracle.Names()[oracle.InstanceBand(2*opt.WeightBase, in)]
-		m, ok := router.MethodByName(name)
-		if !ok {
-			t.Fatalf("selected unknown oracle %q", name)
-		}
-		want, err := router.SolveNet(in, m, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := router.SolveNet(in, router.Auto, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want.Steps, got.Steps) {
-			t.Fatalf("auto/%d: tree differs from band oracle %q", i, name)
-		}
-	}
-}
-
 // The exact tier must never return a worse-priced tree than the CD
 // heuristic it is seeded with: within budget it certifies or improves
 // the CD tree, beyond budget it falls back to it verbatim.
@@ -285,7 +233,9 @@ func TestExactOracleFallsBackToCD(t *testing.T) {
 
 // An oracle error must fail the run, never be swallowed: a fixed-method
 // route reports the net and returns no result, and a portfolio race
-// names the failing pool member.
+// names the failing pool member. A panicking oracle is contained the
+// same way: a route on wave goroutines fails with the net that
+// panicked, and a batch reports it per instance and carries on.
 func TestFaultyOracleSurfacesError(t *testing.T) {
 	ins := captureInstances(t)
 	fault := errors.New("injected fault")
@@ -308,5 +258,18 @@ func TestFaultyOracleSurfacesError(t *testing.T) {
 	res, err := router.Route(chip, router.CD, opt)
 	if res != nil || !errors.Is(err, fault) || !regexp.MustCompile(`^net \d+: injected fault$`).MatchString(err.Error()) {
 		t.Fatalf("route with a faulty cd: result %v, err %v; want nil and \"net N: injected fault\"", res != nil, err)
+	}
+
+	oracle.SwapSolve(t, "cd", func(*nets.Instance, *oracle.Env) (*nets.RTree, error) { panic("injected panic") })
+	res, err = router.Route(chip, router.CD, opt)
+	if res != nil || err == nil || !regexp.MustCompile(`^net \d+: panicked: injected panic$`).MatchString(err.Error()) {
+		t.Fatalf("route with a panicking cd: result %v, err %v; want nil and \"net N: panicked: injected panic\"", res != nil, err)
+	}
+	bopt := costdist.DefaultBatchOptions()
+	bopt.Workers = 2
+	for i, r := range costdist.SolveBatch(ins, costdist.CD, bopt) {
+		if r.Tree != nil || r.Err == nil || r.Err.Error() != "panicked: injected panic" {
+			t.Fatalf("batch instance %d with a panicking cd: tree %v, err %v", i, r.Tree != nil, r.Err)
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"costdist/internal/geom"
 	"costdist/internal/grid"
 	"costdist/internal/nets"
-	"costdist/internal/oracle"
 )
 
 // incHalo is the halo, in gcells, added around a cached tree's bounding
@@ -46,9 +45,7 @@ const incHalo = 1
 // beyond tolerance since its last solve, or when it has never been
 // solved. The cache remembers which oracle produced each tree: budget
 // drift only rips nets whose cached tree came from (or could be
-// replaced through) a budget-sensitive oracle, and under the Auto
-// driver a net whose criticality band — hence selected oracle — changed
-// is dirty even when no individual input drifted beyond tolerance.
+// replaced through) a budget-sensitive oracle.
 // Clean nets keep their cached tree and cached sink delays; only their
 // usage is replayed into the wave's congestion accounting.
 //
@@ -72,15 +69,14 @@ type incState struct {
 	lastW, lastB [][]float64
 	lastCost     []float64
 	// lastOracle[ni] is the table index of the oracle that produced
-	// the cached tree (-1 before the first solve). Under Auto a band
-	// change re-dirties the net; budget drift only matters when the
-	// cached (or candidate) oracle consumes budgets.
+	// the cached tree (-1 before the first solve). Budget drift only
+	// matters when the cached (or candidate) oracle consumes budgets.
 	lastOracle  []int16
 	cand, dirty []bool
 	// repair marks the middle disposition of the three-rung scheduler
 	// (clean → replay, repairable → re-embed, degraded → full solve):
 	// dirty nets whose only invalidation is congestion-price drift — pins,
-	// weights, budgets and oracle band unchanged — first attempt a
+	// weights and budgets unchanged — first attempt a
 	// fixed-topology re-embedding (internal/reembed) before escalating to
 	// the oracle. Populated only when repairOn (skip policy with
 	// RepairTol ≥ 0).
@@ -93,11 +89,6 @@ type incState struct {
 	// (1+RepairTol)·fullCost) eventually fires instead of a congested net
 	// dodging the oracle forever through small repair steps.
 	fullCost []float64
-	// fastest[ni][k] is the admissible fastest root→sink delay used by
-	// the Auto band check — identical, by construction, to the value
-	// oracle.InstanceBand derives on the solve path (same pin
-	// positions, same static MinDelayPerGCell).
-	fastest [][]float64
 	// seed, when non-nil, replaces the next computeDirty pass entirely:
 	// the wave's dirty set is seed ∪ {never solved}, no drift checks
 	// run and the delta tracker is left untouched. Warm starts use it
@@ -170,18 +161,6 @@ func newIncState(chip *chipgen.Chip, drv *driver, opt Options) *incState {
 	}
 	for i := range s.lastOracle {
 		s.lastOracle[i] = -1
-	}
-	if drv.mode == Auto {
-		minD := grid.NewCosts(chip.G).MinDelayPerGCell()
-		s.fastest = make([][]float64, len(nl.Nets))
-		for ni, n := range nl.Nets {
-			root := nl.Cells[n.Driver].Pos
-			fs := make([]float64, len(n.Sinks))
-			for k, sk := range n.Sinks {
-				fs[k] = float64(geom.L1(root, nl.Cells[sk].Pos)) * minD
-			}
-			s.fastest[ni] = fs
-		}
 	}
 	return s
 }
@@ -259,11 +238,6 @@ func (s *incState) computeDirty(costs *grid.Costs, trees []*nets.RTree, weights,
 				}
 			}
 		}
-		if !s.dirty[ni] && s.bandFlipped(ni, weights, budgets) {
-			// A criticality band flip re-selects the oracle; the cached
-			// tree, however close in price, came from the wrong one.
-			s.dirty[ni] = true
-		}
 		if !s.dirty[ni] && s.drv.usesBudgets(int(s.lastOracle[ni])) {
 			// Budgets only steer budget-consuming oracles (shallow-light);
 			// others ignore them, so budget drift alone must not rip
@@ -281,7 +255,7 @@ func (s *incState) computeDirty(costs *grid.Costs, trees []*nets.RTree, weights,
 			}
 		}
 		if s.dirty[ni] {
-			s.repair[ni] = s.repairOn && s.repairEligible(ni, weights, budgets)
+			s.repair[ni] = s.repairOn && s.repairEligible(ni, budgets)
 		}
 	}
 	for ni, d := range s.dirty {
@@ -298,33 +272,14 @@ func (s *incState) computeDirty(costs *grid.Costs, trees []*nets.RTree, weights,
 // weights and budgets, and the escalation rule (cost vs the last full
 // solve, plus the post-repair budget check) catches the cases where
 // the drift really demands a new topology. The rung is refused only
-// when the topology choice itself is suspect: an Auto criticality-band
-// flip re-selects the oracle class, and a budget-consuming oracle
-// whose budget vector changed shape no longer matches its snapshot.
-func (s *incState) repairEligible(ni int, weights, budgets [][]float64) bool {
-	if s.bandFlipped(ni, weights, budgets) {
-		return false
-	}
+// for a budget-consuming oracle whose budget vector changed shape: its
+// topology no longer matches its snapshot.
+func (s *incState) repairEligible(ni int, budgets [][]float64) bool {
 	if !s.drv.usesBudgets(int(s.lastOracle[ni])) {
 		return true
 	}
 	lb := s.lastB[ni]
 	return lb != nil && len(lb) == len(budgets[ni])
-}
-
-// bandFlipped reports whether, under the Auto driver, net ni's
-// criticality band — hence its oracle — differs from the one that
-// produced its cached tree. The band check runs on the same inputs the
-// solve path derives (oracle.InstanceBand), so both agree.
-func (s *incState) bandFlipped(ni int, weights, budgets [][]float64) bool {
-	if s.drv.mode != Auto {
-		return false
-	}
-	var fs []float64
-	if budgets[ni] != nil {
-		fs = s.fastest[ni]
-	}
-	return oracle.Band(s.drv.critical, weights[ni], budgets[ni], fs) != int(s.lastOracle[ni])
 }
 
 // noteSolved snapshots the inputs net ni was just solved under — timing

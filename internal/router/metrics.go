@@ -52,8 +52,8 @@ type Metrics struct {
 	DeltaSegsPerWave []int `json:"delta_segs_per_wave,omitempty"`
 
 	// SolvesByOracle counts oracle invocations by oracle name. A
-	// fixed method charges every solve to its one oracle; Auto charges
-	// the selected oracle per net; Portfolio charges every pool member
+	// fixed method charges every solve to its one oracle; Portfolio
+	// charges every pool member
 	// it races (so the total exceeds NetsSolved by the pool factor).
 	// Only oracles with at least one solve appear.
 	SolvesByOracle map[string]int64 `json:"solves_by_oracle,omitempty"`

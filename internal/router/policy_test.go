@@ -70,12 +70,12 @@ func TestNegativeIncrementalTolRejected(t *testing.T) {
 
 // Every solve records its producing oracle, whatever the driver and the
 // reuse policy, so a checkpoint never carries a routed net of unknown
-// provenance (which would make the warm start's band and budget checks
+// provenance (which would make the warm start's budget checks
 // conservative and re-solve nets an identical skip-policy checkpoint
 // keeps).
 func TestCheckpointRecordsOracleUnderBothPolicies(t *testing.T) {
 	chip := tinyChip(t, 0, 0.002)
-	for _, m := range []Method{CD, Auto, Portfolio, Exact} {
+	for _, m := range []Method{CD, Portfolio, Exact} {
 		for _, incremental := range []bool{false, true} {
 			opt := DefaultOptions()
 			opt.Waves = 2

@@ -32,8 +32,8 @@ import (
 )
 
 // Method selects the oracle driver of a routing run. The fixed methods
-// name one row of the oracle table (paper §IV-A); Auto and Portfolio
-// are drivers layered over the whole table.
+// name one row of the oracle table (paper §IV-A); Portfolio is a
+// driver layered over the whole table.
 type Method int
 
 const (
@@ -41,9 +41,6 @@ const (
 	SL               // shallow-light topology, embedded optimally
 	PD               // Prim-Dijkstra topology, embedded optimally
 	CD               // the paper's cost-distance algorithm
-	// Auto picks an oracle per net from its timing criticality (the
-	// fixed bands of oracle.Band).
-	Auto
 	// Portfolio races every oracle but the exact tier on every net and
 	// keeps the best-priced tree (name-ordered tie-break).
 	Portfolio
@@ -60,7 +57,6 @@ var methodInfo = []struct{ name, display string }{
 	SL:        {"sl", "SL"},
 	PD:        {"pd", "PD"},
 	CD:        {"cd", "CD"},
-	Auto:      {"auto", "auto"},
 	Portfolio: {"portfolio", "portfolio"},
 	Exact:     {"exact", "exact"},
 }
@@ -102,9 +98,9 @@ var oracleNames = oracle.Names()
 func OracleNames() []string { return oracle.Names() }
 
 // MethodNames returns every accepted method name: the canonical oracle
-// names followed by the driver modes.
+// names followed by the driver mode.
 func MethodNames() []string {
-	return append(OracleNames(), "auto", "portfolio")
+	return append(OracleNames(), "portfolio")
 }
 
 // Options configures a routing run.
@@ -231,28 +227,24 @@ var (
 )
 
 // driver is a Method resolved against the oracle table once per run;
-// every net solve dispatches through it: a fixed single oracle, the
-// adaptive per-net selector, or the portfolio racer. All selection
-// logic is a pure function of the instance, so results never depend on
-// worker count or scheduling. Oracles are table indices throughout —
-// the index space of every per-oracle counter.
+// every net solve dispatches through it: a fixed single oracle or the
+// portfolio racer. The portfolio's choice is a pure function of the
+// instance, so results never depend on worker count or scheduling.
+// Oracles are table indices throughout — the index space of every
+// per-oracle counter.
 type driver struct {
 	mode Method
 	// fixed is the oracle of a fixed single-oracle run (-1 for
-	// Auto/Portfolio).
+	// Portfolio).
 	fixed int
-	// critical is Auto's critical delay-weight threshold: a net is
-	// critical once pricing has at least doubled one of its sink weights
-	// above the uncritical floor.
-	critical float64
 }
 
 // newDriver resolves the dispatch for one run; it fails only for an
 // unknown Method. It does not allocate, keeping SolveNet on the batch
 // hot path allocation-free at the dispatch layer.
-func newDriver(m Method, opt Options) (driver, error) {
-	d := driver{mode: m, fixed: -1, critical: 2 * opt.WeightBase}
-	if m != Auto && m != Portfolio {
+func newDriver(m Method) (driver, error) {
+	d := driver{mode: m, fixed: -1}
+	if m != Portfolio {
 		if d.fixed = oracle.Index(m.Name()); d.fixed < 0 {
 			return driver{}, fmt.Errorf("router: unknown method %v (available: %v)", m, MethodNames())
 		}
@@ -283,11 +275,6 @@ func (d *driver) solve(in *nets.Instance, env *oracle.Env, counts []int64) (*net
 		}
 	}
 	switch d.mode {
-	case Auto:
-		oi := oracle.InstanceBand(d.critical, in)
-		charge(oi)
-		tr, err := oracle.Solve(oi, in, env)
-		return tr, oi, nil, err
 	case Portfolio:
 		var best *nets.RTree
 		var bestEv *nets.Eval
@@ -347,7 +334,7 @@ func RouteCtx(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*
 // code lives in the internal/oracle table; this only resolves the
 // driver and derives the environment from the instance.
 func SolveNet(in *nets.Instance, m Method, opt Options) (*nets.RTree, error) {
-	drv, err := newDriver(m, opt)
+	drv, err := newDriver(m)
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,7 @@ func TestRouteAllMethodsSmoke(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Waves = 2
 	opt.Threads = 2
-	for _, m := range []Method{L1, SL, PD, CD, Auto, Portfolio} {
+	for _, m := range []Method{L1, SL, PD, CD, Portfolio} {
 		res, err := Route(chip, m, opt)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
@@ -36,10 +36,6 @@ func TestRouteAllMethodsSmoke(t *testing.T) {
 			oracleSolves += c
 		}
 		switch m {
-		case Auto:
-			if oracleSolves != mt.NetsSolved {
-				t.Fatalf("auto: %d oracle solves for %d nets", oracleSolves, mt.NetsSolved)
-			}
 		case Portfolio:
 			if oracleSolves != 4*mt.NetsSolved {
 				t.Fatalf("portfolio: %d oracle solves for %d nets", oracleSolves, mt.NetsSolved)
@@ -171,7 +167,7 @@ func TestMethodString(t *testing.T) {
 	if L1.String() != "L1" || SL.String() != "SL" || PD.String() != "PD" || CD.String() != "CD" {
 		t.Fatal("method names wrong")
 	}
-	if Auto.String() != "auto" || Portfolio.String() != "portfolio" {
+	if Portfolio.String() != "portfolio" {
 		t.Fatal("driver mode names wrong")
 	}
 	if Method(9).String() == "" {
@@ -182,7 +178,7 @@ func TestMethodString(t *testing.T) {
 func TestMethodByName(t *testing.T) {
 	for name, want := range map[string]Method{
 		"cd": CD, "CD": CD, "rsmt": L1, "l1": L1, "L1": L1,
-		"sl": SL, "pd": PD, "auto": Auto, "Portfolio": Portfolio,
+		"sl": SL, "pd": PD, "Portfolio": Portfolio,
 		"exact": Exact, "Exact": Exact,
 	} {
 		got, ok := MethodByName(name)
@@ -190,11 +186,13 @@ func TestMethodByName(t *testing.T) {
 			t.Fatalf("MethodByName(%q) = %v, %v; want %v", name, got, ok, want)
 		}
 	}
-	if _, ok := MethodByName("dijkstra"); ok {
-		t.Fatal("unknown name resolved")
+	for _, name := range []string{"dijkstra", "auto"} {
+		if _, ok := MethodByName(name); ok {
+			t.Fatalf("unknown name %q resolved", name)
+		}
 	}
 	names := MethodNames()
-	if len(names) != 7 {
+	if len(names) != 6 {
 		t.Fatalf("MethodNames() = %v", names)
 	}
 	for _, n := range names {

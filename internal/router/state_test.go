@@ -71,7 +71,7 @@ func TestComputeDirtySeedMode(t *testing.T) {
 	chip := tinyChip(t, 0, 0.002)
 	opt := DefaultOptions()
 	opt.Incremental = true
-	drv, err := newDriver(CD, opt)
+	drv, err := newDriver(CD)
 	if err != nil {
 		t.Fatal(err)
 	}

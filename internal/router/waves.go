@@ -92,7 +92,7 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*ru
 	if r.threads <= 0 {
 		r.threads = runtime.GOMAXPROCS(0)
 	}
-	drv, err := newDriver(m, opt)
+	drv, err := newDriver(m)
 	if err != nil {
 		return nil, err
 	}
@@ -195,6 +195,15 @@ func (r *runState) runWaves() error {
 			wg.Add(1)
 			go func(worker int) {
 				defer wg.Done()
+				// A panicking oracle fails the run instead of the
+				// process; the worker's arenas are discarded with the
+				// run's scratch pool.
+				ni := -1
+				defer func() {
+					if p := recover(); p != nil {
+						workerErr[worker] = fmt.Errorf("net %d: panicked: %v", ni, p)
+					}
+				}()
 				// The telemetry sink: nil unless a recorder is attached,
 				// and a nil Worker records nothing. The reembed scratch's
 				// sink is re-pointed every wave.
@@ -225,7 +234,7 @@ func (r *runState) runWaves() error {
 					if idx >= nWork {
 						return
 					}
-					ni := int(work[idx])
+					ni = int(work[idx])
 					in := buildInstance(chip, ni, r.weights[ni], costs, opt.Seed)
 					in.Budgets = r.budgets[ni]
 					if r.inc.repair[ni] {

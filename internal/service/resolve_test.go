@@ -15,7 +15,7 @@ import (
 // under: the defaults, and one with every request-visible default moved.
 var resolverConfigs = []Config{
 	Config{}.withDefaults(),
-	Config{DefaultMethod: "auto"}.withDefaults(),
+	Config{DefaultMethod: "portfolio"}.withDefaults(),
 }
 
 // canonicalSolveBody spells a resolved solve back out as a request: the
@@ -69,6 +69,7 @@ func FuzzResolveSolve(f *testing.F) {
 	for _, body := range []string{
 		"{", "not json", `[1,2,3]`, `{}`, `{"instance":null}`,
 		`{"method":"bogus","instance":{"nx":4,"ny":4,"layers":2}}`,
+		`{"method":"auto","instance":{"nx":4,"ny":4,"layers":2}}`,
 		`{"nx":4,"ny":4,"layers":2,"root":[99,0,0],"sinks":[{"x":1,"y":1,"l":0,"w":1}]}`,
 		`{"nx":-5,"ny":-5,"layers":2,"root":[0,0,0],"sinks":[]}`,
 		`{"nx":40000,"ny":40000,"layers":8,"root":[0,0,0],"sinks":[{"x":1,"y":1,"l":0,"w":1}]}`,
@@ -117,6 +118,7 @@ func FuzzResolveSolve(f *testing.F) {
 func FuzzResolveRoute(f *testing.F) {
 	for _, body := range []string{
 		"{", `[1]`, `{}`, `{"chip":"c99"}`, `{"chip":"c1","oracle":"bogus"}`,
+		`{"chip":"c1","oracle":"auto"}`,
 		`{"chip":"c1","scale":0.002,"waves":2,"oracle":"cd"}`,
 		`{"chip":"c1","scale":0.002,"waves":2,"oracle":"cd","threads":2}`,
 		`{"chip":"c1","scale":0.02,"waves":12,"seed":42}`,

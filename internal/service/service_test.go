@@ -83,18 +83,19 @@ func TestSolveBadJSONIs400(t *testing.T) {
 	}
 }
 
+// "auto" named a per-net selector that no longer exists.
 func TestSolveUnknownMethodIs422(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	req, _ := json.Marshal(SolveRequest{Method: "bogus", Instance: corpusFile(t, "small.json")})
-	resp := post(t, ts.URL+"/v1/solve", req)
-	body := string(readBody(t, resp))
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("status %d, want 422 (body %s)", resp.StatusCode, body)
-	}
-	// The error must advertise the valid oracle set.
-	for _, name := range costdist.MethodNames() {
-		if !strings.Contains(body, name) {
-			t.Fatalf("422 body %q does not list %q", body, name)
+	for _, method := range []string{"bogus", "auto"} {
+		req, _ := json.Marshal(SolveRequest{Method: method, Instance: corpusFile(t, "small.json")})
+		resp := post(t, ts.URL+"/v1/solve", req)
+		body := string(readBody(t, resp))
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d, want 422 (body %s)", method, resp.StatusCode, body)
+		}
+		// The error must advertise the valid oracle set.
+		if want := fmt.Sprint(costdist.MethodNames()); !strings.Contains(body, want) {
+			t.Fatalf("422 body %q does not list %s", body, want)
 		}
 	}
 }
@@ -488,14 +489,18 @@ func TestRouteDuplicateInFlightIsDeduplicated(t *testing.T) {
 
 func TestRouteUnknownChipAndOracleAre422(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, body := range []string{
-		`{"chip":"c99"}`,
-		`{"chip":"c1","oracle":"bogus"}`,
+	for _, tc := range []struct{ body, want string }{
+		{`{"chip":"c99"}`, ""},
+		{`{"chip":"c1","oracle":"bogus"}`, fmt.Sprint(costdist.MethodNames())},
+		{`{"chip":"c1","oracle":"auto"}`, fmt.Sprint(costdist.MethodNames())},
 	} {
-		resp := post(t, ts.URL+"/v1/route", []byte(body))
-		readBody(t, resp)
+		resp := post(t, ts.URL+"/v1/route", []byte(tc.body))
+		msg := string(readBody(t, resp))
 		if resp.StatusCode != http.StatusUnprocessableEntity {
-			t.Fatalf("body %s: status %d, want 422", body, resp.StatusCode)
+			t.Fatalf("body %s: status %d, want 422", tc.body, resp.StatusCode)
+		}
+		if !strings.Contains(msg, tc.want) {
+			t.Fatalf("body %s: reply %q does not list %s", tc.body, msg, tc.want)
 		}
 	}
 }

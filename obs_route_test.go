@@ -18,7 +18,7 @@ func TestRecorderDoesNotPerturbRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []Method{CD, Auto} {
+	for _, m := range []Method{CD, Portfolio} {
 		opt := DefaultRouterOptions()
 		opt.Waves = 3
 		opt.Threads = 2

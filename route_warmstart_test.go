@@ -191,7 +191,9 @@ func TestWarmStartPerturbed(t *testing.T) {
 
 // Changing the oracle driver between the base run and the warm start
 // must distrust every cached tree: the first warm wave re-solves the
-// whole chip (the restored prices are still used).
+// whole chip (the restored prices are still used). A checkpoint naming
+// a driver that no longer exists ("auto") decodes and is treated the
+// same way.
 func TestWarmStartMethodChange(t *testing.T) {
 	chip := mkChip(t, 0, 0.002)
 	opt := DefaultRouterOptions()
@@ -206,6 +208,21 @@ func TestWarmStartMethodChange(t *testing.T) {
 	}
 	if w0 := warm.Metrics.SolvedPerWave[0]; w0 != len(chip.NL.Nets) {
 		t.Fatalf("method change: first wave solved %d of %d nets", w0, len(chip.NL.Nets))
+	}
+
+	st.Method = "auto"
+	blob, err := MarshalCheckpoint(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = UnmarshalCheckpoint(blob); err != nil {
+		t.Fatal(err)
+	}
+	if warm, _, err = RouteChipFrom(st, chip, CD, opt); err != nil {
+		t.Fatal(err)
+	}
+	if w0 := warm.Metrics.SolvedPerWave[0]; w0 != len(chip.NL.Nets) {
+		t.Fatalf("auto checkpoint: first wave solved %d of %d nets", w0, len(chip.NL.Nets))
 	}
 }
 
