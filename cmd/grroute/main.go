@@ -23,7 +23,7 @@ func main() {
 	chipName := flag.String("chip", "c1", "chip name c1..c8")
 	oracleName := flag.String("oracle", "cd", "oracle or driver: "+strings.Join(costdist.MethodNames(), ", "))
 	scale := flag.Float64("scale", 0.01, "net count scale vs the paper (1.0 = full)")
-	waves := flag.Int("waves", 4, "rip-up-and-reroute waves")
+	waves := flag.Int("waves", 4, "rip-up-and-reroute waves (≥ 1)")
 	workers := flag.Int("workers", 0, "parallel routing workers, one solver arena each (0 = all cores)")
 	dbif := flag.Float64("dbif", 0, "bifurcation penalty in ps, ≥ 0 (0: off; unset: the technology's)")
 	seed := flag.Uint64("seed", 1, "random seed")
@@ -44,6 +44,9 @@ func main() {
 	m := cliutil.MustMethod("grroute", *oracleName)
 	if set["dbif"] && !(*dbif >= 0) {
 		cliutil.FatalUsage("grroute", fmt.Errorf("-dbif %g is negative; leave it unset for the technology's penalty", *dbif))
+	}
+	if *waves < 1 {
+		cliutil.FatalUsage("grroute", fmt.Errorf("-waves %d: a run needs at least 1 wave", *waves))
 	}
 	if *repairTol >= 0 && !*incremental {
 		cliutil.FatalUsage("grroute", fmt.Errorf("-repairtol %g needs -incremental: the repair rung only runs inside the dirty-net scheduler", *repairTol))

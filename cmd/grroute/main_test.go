@@ -34,6 +34,35 @@ func TestNegativeIncTolIsAnError(t *testing.T) {
 	}
 }
 
+// A NaN tolerance would compare false against every drift and freeze
+// every cached tree after wave 0: the router refuses it by name.
+func TestNaNIncTolIsAnError(t *testing.T) {
+	bin := buildGrroute(t)
+	out, err := exec.Command(bin, "-chip", "c1", "-scale", "0.002", "-waves", "1", "-incremental", "-inctol", "NaN").CombinedOutput()
+	if err == nil {
+		t.Fatalf("grroute -inctol NaN succeeded:\n%s", out)
+	}
+	if !strings.Contains(string(out), "IncrementalTol is NaN") {
+		t.Fatalf("error does not name the NaN tolerance:\n%s", out)
+	}
+}
+
+// A run needs at least one wave: -waves 0 or -1 is a usage error
+// (exit 2) naming the value, not a crash in the result assembly.
+func TestWavesBelowOneIsAUsageError(t *testing.T) {
+	bin := buildGrroute(t)
+	for _, waves := range []string{"0", "-1"} {
+		out, err := exec.Command(bin, "-chip", "c1", "-scale", "0.002", "-waves", waves).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("grroute -waves %s: %v, want exit 2:\n%s", waves, err, out)
+		}
+		if !strings.Contains(string(out), "-waves "+waves) {
+			t.Fatalf("usage error does not name -waves %s:\n%s", waves, out)
+		}
+	}
+}
+
 // The router runs the repair rung only inside the dirty-net scheduler,
 // so -repairtol ≥ 0 without -incremental would do nothing while the run
 // reported "0 repaired": it is a usage error (exit 2) instead.

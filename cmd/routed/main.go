@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	routed [-addr :8423] [-oracle cd] [-shards 0] [-queue 128] [-cache-mb 64]
+//	routed [-addr :8423] [-oracle cd] [-shards 0] [-queue 128] [-cache-mb 64] [-checkpoint-mb 128] [-flight-spans 0]
 //
 // SIGINT/SIGTERM shut the server down gracefully: in-flight jobs are
 // cancelled between per-net solves and the listener drains.

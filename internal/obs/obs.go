@@ -53,7 +53,9 @@ const (
 	StageReplay
 	// StageCheckpoint covers checkpoint construction and marshaling.
 	StageCheckpoint
-	// StageCache is a service-layer cache lookup.
+	// StageCache is a service-layer cache lookup. No service path
+	// emits it any more (a route re-checks the cache at claim time,
+	// outside any recorder); it stays declared because bench names it.
 	StageCache
 
 	// NumStages sizes per-stage accumulator arrays.

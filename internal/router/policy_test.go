@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -65,6 +66,48 @@ func TestNegativeIncrementalTolRejected(t *testing.T) {
 	}
 	if _, _, err := RouteFrom(context.Background(), st, chip, CD, opt); err == nil || !strings.Contains(err.Error(), "Incremental=false") {
 		t.Fatalf("RouteFrom with negative tolerance: err = %v", err)
+	}
+}
+
+// Every entry point refuses a run with fewer than one wave (no wave
+// builds the usage the result is assembled from) and a NaN tolerance
+// (which compares false against every drift, so after wave 0 no net
+// would ever be re-solved), naming what it refused.
+func TestRunOptionsRejected(t *testing.T) {
+	chip := tinyChip(t, 0, 0.002)
+	opt := DefaultOptions()
+	opt.Waves = 1
+	_, st, err := RouteCheckpoint(context.Background(), chip, CD, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := map[string]func(Options) error{
+		"Route": func(o Options) error { _, err := Route(chip, CD, o); return err },
+		"RouteCheckpoint": func(o Options) error {
+			_, _, err := RouteCheckpoint(context.Background(), chip, CD, o)
+			return err
+		},
+		"RouteFrom": func(o Options) error {
+			_, _, err := RouteFrom(context.Background(), st, chip, CD, o)
+			return err
+		},
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*Options)
+		want string
+	}{
+		{"waves 0", func(o *Options) { o.Waves = 0 }, "Waves 0 "},
+		{"waves -1", func(o *Options) { o.Waves = -1 }, "Waves -1 "},
+		{"inctol NaN", func(o *Options) { o.Incremental, o.IncrementalTol = true, math.NaN() }, "IncrementalTol is NaN"},
+	} {
+		o := DefaultOptions()
+		tc.edit(&o)
+		for name, route := range entries {
+			if err := route(o); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s with %s: err = %v, want one naming %q", name, tc.name, err, tc.want)
+			}
+		}
 	}
 }
 

@@ -105,7 +105,8 @@ func MethodNames() []string {
 
 // Options configures a routing run.
 type Options struct {
-	// Waves is the number of rip-up-and-reroute iterations.
+	// Waves is the number of rip-up-and-reroute iterations, ≥ 1 (every
+	// entry point rejects fewer).
 	Waves int
 	// Threads caps the routing worker count (0 = GOMAXPROCS).
 	Threads int
@@ -146,7 +147,8 @@ type Options struct {
 	// when it moved by more than IncrementalTol relative to the snapshot
 	// the net was last solved under. 0 invalidates on any change; it
 	// must be ≥ 0 (Route and RouteFrom reject a negative value — to
-	// re-solve everything set Incremental to false).
+	// re-solve everything set Incremental to false — and NaN, under
+	// which no net would ever count as changed).
 	IncrementalTol float64
 	// RepairTol enables the topology-repair rung of the dirty-net
 	// scheduler (it has no effect with Incremental off): a net

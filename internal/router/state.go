@@ -188,7 +188,8 @@ func RouteCheckpoint(ctx context.Context, chip *chipgen.Chip, m Method, opt Opti
 // reproducing the checkpointed result exactly.
 //
 // The warm run always uses the skip policy regardless of
-// opt.Incremental; like Route it rejects a negative opt.IncrementalTol.
+// opt.Incremental; like Route it rejects opt.Waves < 1 and a negative
+// or NaN opt.IncrementalTol.
 // With opt.RepairTol ≥ 0, seeded nets whose pin signature matched at
 // restore time — invalidated purely by the capacity/price diff — take
 // the topology-repair rung first and only escalate to a full oracle

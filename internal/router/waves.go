@@ -79,8 +79,14 @@ type runState struct {
 // trees empty, and the pre-wave timing estimate seeding every sink's
 // delay weight and budget.
 func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*runState, error) {
+	if opt.Waves < 1 {
+		return nil, fmt.Errorf("router: Waves %d is not a wave count; a run needs at least 1", opt.Waves)
+	}
 	if opt.IncrementalTol < 0 {
 		return nil, fmt.Errorf("router: IncrementalTol %v is negative; to re-solve every net in every wave set Incremental=false", opt.IncrementalTol)
+	}
+	if math.IsNaN(opt.IncrementalTol) {
+		return nil, fmt.Errorf("router: IncrementalTol is NaN; no drift compares against it, so no net would ever be re-solved")
 	}
 	r := &runState{
 		ctx: ctx, chip: chip, m: m, opt: opt,

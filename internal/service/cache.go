@@ -42,9 +42,11 @@ func (c *resultCache) Get(key string) ([]byte, bool) {
 	return c.get(key, true)
 }
 
-// Recheck is Get for the worker-side duplicate-suppression lookup: a
-// find still counts as a hit, but an absence is not a second miss (the
-// handler's Get already counted this request).
+// Recheck is Get for the claim-time lookup, right after a request
+// claims its content address (an earlier claimant may have cached its
+// result between the handler's Get and the claim): a find still counts
+// as a hit, but an absence is not a second miss (the handler's Get
+// already counted this request).
 func (c *resultCache) Recheck(key string) ([]byte, bool) {
 	return c.get(key, false)
 }

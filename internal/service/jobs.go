@@ -46,6 +46,10 @@ type job struct {
 	// events is what the job's SSE stream reads: the route's recorder
 	// and a wake-up channel. It has its own mutex and never takes j.mu.
 	events *jobEvents
+	// claims points at the registry's map of route claims, content
+	// address → the job computing it. terminate drops this job's own
+	// entry, which is a no-op for a job that never claimed.
+	claims *sync.Map
 
 	mu       sync.Mutex
 	status   JobStatus
@@ -93,12 +97,34 @@ func (j *job) terminate(s JobStatus, result []byte, errMsg string, charge int64)
 	j.err = errMsg
 	j.finished = time.Now()
 	j.retained.Add(charge)
+	// Release the claim before done closes and under j.mu, so anyone
+	// who sees this job terminal — a follower, a status poll — finds
+	// the content address free or cached.
+	j.claims.CompareAndDelete(j.ckey, j)
 	close(j.done)
 	j.cancel()
 	j.mu.Unlock()
 	// End the event stream after the transition, so a subscriber it
 	// wakes reads the terminal state.
 	j.events.end()
+}
+
+// follow makes j mirror leader, the job holding their content
+// address's claim: the leader's shared bytes once it is done, otherwise
+// failed with a pointer to it (clients can resubmit). Cancelling j
+// first ends the wait.
+func (j *job) follow(leader *job) {
+	select {
+	case <-leader.done:
+		st, res, errMsg := leader.view()
+		if st == JobDone {
+			j.finishShared(JobDone, res, "")
+		} else {
+			j.finish(JobFailed, nil,
+				fmt.Sprintf("deduplicated onto %s which ended %s: %s", leader.id, st, errMsg))
+		}
+	case <-j.done:
+	}
 }
 
 // view snapshots the job for handlers.
@@ -137,6 +163,9 @@ type jobRegistry struct {
 	// jobs, maintained at the two transition points (finish adds,
 	// eviction subtracts) so create never needs a full scan.
 	termBytes atomic.Int64
+	// claims maps route content addresses to the job computing them;
+	// see Server.handleRoute.
+	claims sync.Map
 }
 
 func newJobRegistry() *jobRegistry {
@@ -157,6 +186,7 @@ func (r *jobRegistry) create(base context.Context, ckey string) *job {
 		done:     make(chan struct{}),
 		retained: &r.termBytes,
 		events:   newJobEvents(),
+		claims:   &r.claims,
 		status:   JobQueued,
 		created:  time.Now(),
 	}

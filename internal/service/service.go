@@ -12,10 +12,11 @@
 // address — is decided once, by the pure resolvers of resolve.go; a
 // solve's instance document is decoded once and built only after a
 // cache miss, by the pool worker on its solver's cached grid. "A hot
-// instance is solved once" rests on one mechanism, a handler-side claim:
-// the first miss of a content address registers it and submits, and
-// simultaneous duplicates wait for its outcome instead of queueing
-// (see solveMiss).
+// instance is solved once" — and a route computed once — rests on one
+// mechanism, a handler-side claim: the first miss of a content address
+// claims it, re-checks the cache and submits, simultaneous duplicates
+// wait for its outcome instead of queueing, and every terminal path
+// releases the claim (see solveMiss and handleRoute).
 //
 // Endpoints:
 //
@@ -130,11 +131,6 @@ type Server struct {
 	mux    *http.ServeMux
 	ctx    context.Context // root of every job/task context
 	cancel context.CancelFunc
-	// routeInflight maps route cache keys to the *job currently
-	// computing them; identical route requests submitted meanwhile
-	// become followers that mirror the leader's outcome instead of
-	// re-running the whole route.
-	routeInflight sync.Map
 	// solveInflight maps solve cache keys to the *solveFlight of the
 	// miss computing them; see solveMiss.
 	solveInflight sync.Map
@@ -347,7 +343,7 @@ type solveOutcome struct {
 // reports false when it answered with an error instead (or the client
 // left).
 //
-// "Solved once" is one handler-side claim, following routeInflight: the
+// "Solved once" is one handler-side claim, as for route jobs: the
 // first miss of a content address registers a solveFlight, re-checks
 // the cache (a flight may have landed between the lookup and the
 // claim) and submits. Simultaneous duplicates find the claim, wait for
@@ -457,71 +453,38 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	s.met.routeRequests.Add(1)
 	key := call.key
 
+	// Route jobs follow solveMiss's claim discipline: claim, re-check
+	// the cache, submit. A duplicate of a claimed address is its own
+	// job that follows the claimant instead of burning a second worker
+	// on the same route. The claim is released inside the claimant's
+	// terminal transition, whatever ends it — done (after the result is
+	// cached), failed, cancelled, refused or shut down — so a terminal
+	// job never holds one.
 	jb := s.jobs.create(s.ctx, key)
+	xCache, status := "miss", JobQueued
 	if cached, ok := s.cache.Get(key); ok {
 		jb.finishShared(JobDone, cached, "")
-		w.Header().Set("X-Cache", "hit")
-		writeJSON(w, http.StatusAccepted, JobView{ID: jb.id, Status: JobDone})
-		return
-	}
-
-	// Identical route already in flight: follow it instead of burning a
-	// second worker on the same computation. The follower mirrors the
-	// leader's terminal outcome (a cancelled or failed leader fails the
-	// follower with a pointer to it; clients can resubmit). A leader
-	// that already ended without a result — cancelled while queued,
-	// failed — must not poison the key: take its slot over instead.
-	for {
-		lj, loaded := s.routeInflight.LoadOrStore(key, jb)
-		if !loaded {
-			break // we are the leader
-		}
-		leader := lj.(*job)
-		if st, _, _ := leader.view(); st.terminal() && st != JobDone {
-			if s.routeInflight.CompareAndSwap(key, lj, jb) {
-				break // took over from the dead leader
-			}
-			continue // someone else took it; re-examine
-		}
-		go func() {
-			select {
-			case <-leader.done:
-				st, res, errMsg := leader.view()
-				if st == JobDone {
-					jb.finishShared(JobDone, res, "")
-				} else {
-					jb.finish(JobFailed, nil,
-						fmt.Sprintf("deduplicated onto %s which ended %s: %s", leader.id, st, errMsg))
-				}
-			case <-jb.done: // cancelled independently of the leader
-			}
-		}()
-		w.Header().Set("X-Cache", "dedup")
-		writeJSON(w, http.StatusAccepted, JobView{ID: jb.id, Status: JobQueued})
-		return
-	}
-
-	submitted := s.routePool.submit(task{
-		run: func(*costdist.Solver) {
-			// Delete only our own entry — a dead-leader takeover may have
-			// already replaced it with a newer job.
-			defer s.routeInflight.CompareAndDelete(key, jb)
-			s.runRouteJob(jb, call)
-		},
+		xCache, status = "hit", JobDone
+	} else if lj, follower := s.jobs.claims.LoadOrStore(key, jb); follower {
+		go jb.follow(lj.(*job))
+		xCache = "dedup"
+	} else if cached, ok := s.cache.Recheck(key); ok {
+		jb.finishShared(JobDone, cached, "")
+		xCache, status = "hit", JobDone
+	} else if !s.routePool.submit(task{
+		run:  func(*costdist.Solver) { s.runRouteJob(jb, call) },
 		fail: func(err error) { jb.finish(JobFailed, nil, "route "+err.Error()) },
-	})
-	if !submitted {
+	}) {
 		// The client never learns this job id; drop the entry rather
 		// than leaving a phantom failed job in the registry gauges.
-		s.routeInflight.CompareAndDelete(key, jb)
 		jb.finish(JobCancelled, nil, "route queue full")
 		s.jobs.remove(jb.id)
 		s.met.queueRejects.Add(1)
 		s.httpError(w, http.StatusServiceUnavailable, "route queue full")
 		return
 	}
-	w.Header().Set("X-Cache", "miss")
-	writeJSON(w, http.StatusAccepted, JobView{ID: jb.id, Status: JobQueued})
+	w.Header().Set("X-Cache", xCache)
+	writeJSON(w, http.StatusAccepted, JobView{ID: jb.id, Status: status})
 }
 
 // runRouteJob executes one route job on a pool worker. Route jobs route
@@ -551,14 +514,6 @@ func (s *Server) runRouteJob(job *job, call *routeCall) {
 	// for the deterministic per-wave series (locked by
 	// TestRecorderDoesNotPerturbRoute).
 	rec := costdist.NewRecorder()
-	cacheT0 := rec.Now()
-	cached, ok := s.cache.Recheck(key)
-	rec.Span(obs.StageCache, -1, -1, "recheck", cacheT0)
-	if ok {
-		// A prior leader for this key finished while we queued.
-		job.finishShared(JobDone, cached, "")
-		return
-	}
 	job.setStatus(JobRunning)
 	start := time.Now()
 	ropt.Recorder = rec
