@@ -109,3 +109,44 @@ func TestColdPathGolden(t *testing.T) {
 		}
 	}
 }
+
+// goldenWarmRepairFile pins the warm path the cold matrix above does
+// not reach: the sha256 of MarshalRouteResult for warmRepairECO's warm
+// run (cold CD route of c1@0.005, checkpoint, 5 % ECO, RouteChipFrom
+// with RepairTol 0.25), which replays, repairs and re-solves nets.
+// Regenerate it like the cold matrix:
+//
+//	GOLDEN_UPDATE=1 go test -run TestWarmRepairGolden .
+const goldenWarmRepairFile = "testdata/golden_warm_repair.json"
+
+func TestWarmRepairGolden(t *testing.T) {
+	pert, _, warm := warmRepairECO(t)
+	blob, err := MarshalRouteResult(pert, warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	got := goldenEntry{Method: CD.Name(), Incremental: true, SHA256: hex.EncodeToString(sum[:])}
+	if os.Getenv("GOLDEN_UPDATE") != "" {
+		blob, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenWarmRepairFile, append(blob, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("updated %s", goldenWarmRepairFile)
+		return
+	}
+	blob, err = os.ReadFile(goldenWarmRepairFile)
+	if err != nil {
+		t.Fatalf("reading golden file (run with GOLDEN_UPDATE=1 to create): %v", err)
+	}
+	var want goldenEntry
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("warm+repair route changed:\n  golden %s\n  got    %s", want.SHA256, got.SHA256)
+	}
+}

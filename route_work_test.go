@@ -25,9 +25,10 @@ type workEntry struct {
 	RepairSettles []int64      `json:"repair_settles"`
 }
 
-// computeRouteWork routes c1 at scale 0.005 cold for 3 waves, then
+// warmRepairECO routes c1 at scale 0.005 cold for 3 waves, then
 // warm-starts the 5 % ECO of it from the checkpoint with RepairTol 0.25.
-func computeRouteWork(t *testing.T) []workEntry {
+// It returns the perturbed chip and both results.
+func warmRepairECO(t *testing.T) (pert *Chip, cold, warm *RouteResult) {
 	t.Helper()
 	chip := mkChip(t, 0, 0.005)
 	opt := DefaultRouterOptions()
@@ -36,18 +37,25 @@ func computeRouteWork(t *testing.T) []workEntry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pert, _, err := PerturbChip(chip, 0.05, 9)
+	pert, _, err = PerturbChip(chip, 0.05, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.RepairTol = 0.25
-	warm, _, err := RouteChipFrom(st, pert, CD, opt)
+	warm, _, err = RouteChipFrom(st, pert, CD, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.Metrics.NetsRepaired == 0 {
 		t.Fatal("the ECO repaired no net: the repair rung is not exercised")
 	}
+	return pert, cold, warm
+}
+
+// computeRouteWork is the work per wave of warmRepairECO's two runs.
+func computeRouteWork(t *testing.T) []workEntry {
+	t.Helper()
+	_, cold, warm := warmRepairECO(t)
 	return []workEntry{
 		{"cold c1@0.005, 3 waves", cold.Metrics.WorkPerWave, cold.Metrics.RepairSettlesPerWave},
 		{"warm+repair ECO 5 %, RepairTol 0.25", warm.Metrics.WorkPerWave, warm.Metrics.RepairSettlesPerWave},
