@@ -1,6 +1,8 @@
 package router
 
 import (
+	"context"
+	"slices"
 	"testing"
 
 	"costdist/internal/chipgen"
@@ -122,38 +124,68 @@ func TestTimingWeightsImproveTNS(t *testing.T) {
 	t.Logf("TNS with Lagrangean weights %v vs flat %v", full.Metrics.TNS, flat.Metrics.TNS)
 }
 
+// Captured instances are standalone and a function of the instance
+// alone: the same nets in the same (net) order at any worker count, each
+// carrying the budgets its solve consumed — not the ones the wave's
+// closing timing update wrote afterwards. Wave 1 of a 2-wave run solves
+// under the budgets a 1-wave run ends with.
 func TestCaptureInstances(t *testing.T) {
 	chip := tinyChip(t, 0, 0.002)
 	opt := DefaultOptions()
-	opt.Threads = 2
-	opt.Waves = 2
-	opt.CaptureWave = 1
-	res, err := Route(chip, CD, opt)
+	opt.Waves = 1
+	_, st, err := RouteCheckpoint(context.Background(), chip, CD, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Captured) == 0 {
-		t.Fatal("no instances captured")
-	}
-	multi := 0
-	for _, in := range res.Captured {
-		if in.G != chip.G {
-			t.Fatal("captured instance lost graph")
+	opt.Waves = 2
+	opt.CaptureWave = 1
+	var ref []*nets.Instance
+	for _, threads := range []int{1, 4} {
+		opt.Threads = threads
+		res, err := Route(chip, CD, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(in.Sinks) >= 3 {
-			multi++
+		got := res.Captured
+		if len(got) == 0 {
+			t.Fatal("no instances captured")
 		}
-		// Snapshot independence: mutating the live pricer must not be
-		// visible, i.e. the instance carries its own multiplier slice.
-		if &in.C.Mult[0] == &chip.G.Cap[0] {
-			t.Fatal("bogus aliasing check") // never triggers; placate vet
+		multi, prev := 0, -1
+		for i, in := range got {
+			if in.G != chip.G {
+				t.Fatal("captured instance lost graph")
+			}
+			if len(in.Sinks) >= 3 {
+				multi++
+			}
+			// buildInstance's per-net seed names the net.
+			ni := int(in.Seed - opt.Seed*0x9E3779B9)
+			if ni <= prev || ni >= len(chip.NL.Nets) {
+				t.Fatalf("threads=%d: capture %d is net %d after net %d, want net order", threads, i, ni, prev)
+			}
+			prev = ni
+			if !slices.Equal(in.Budgets, st.Nets[ni].Budgets) {
+				t.Fatalf("threads=%d: net %d captured budgets %v, its solve consumed %v", threads, ni, in.Budgets, st.Nets[ni].Budgets)
+			}
 		}
-	}
-	if multi == 0 {
-		t.Fatal("no multi-sink instances captured")
+		if multi == 0 {
+			t.Fatal("no multi-sink instances captured")
+		}
+		if ref == nil {
+			ref = got
+			continue
+		}
+		if len(got) != len(ref) {
+			t.Fatalf("threads=%d captured %d instances, threads=1 %d", threads, len(got), len(ref))
+		}
+		for i := range got {
+			if got[i].Seed != ref[i].Seed || !slices.Equal(got[i].Budgets, ref[i].Budgets) {
+				t.Fatalf("threads=%d: capture %d differs from threads=1", threads, i)
+			}
+		}
 	}
 	// Instances must be independently solvable and evaluable.
-	in := res.Captured[0]
+	in := ref[0]
 	tr, err := SolveNet(in, L1, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -173,7 +173,17 @@ func (r *runState) runWaves() error {
 		}
 		waveT0 := rec.Now()
 		costs := r.pricer.Costs()
-		capture := wave == opt.CaptureWave
+		// The capture wave snapshots every fully solved net, indexed by
+		// net so Result.Captured comes out in net order whatever the
+		// scheduling; all of them share one copy of the wave's prices.
+		var captured []*nets.Instance
+		var capCosts *grid.Costs
+		if wave == opt.CaptureWave {
+			captured = make([]*nets.Instance, nNets)
+			c := *costs
+			c.Mult = append([]float32(nil), costs.Mult...)
+			capCosts = &c
+		}
 
 		work := r.allNets
 		deltaSegs := 0
@@ -189,7 +199,6 @@ func (r *runState) runWaves() error {
 		nWork := len(work)
 
 		workerErr := make([]error, threads)
-		captured := make([][]*nets.Instance, threads)
 		// Per-worker repair tallies: workers write disjoint indices and
 		// integer addition commutes, so the wave totals are independent
 		// of how nets land on workers.
@@ -286,8 +295,8 @@ func (r *runState) runWaves() error {
 					// produced it; workers touch disjoint nets, so this is
 					// race-free.
 					r.inc.noteFullSolve(ni, r.weights[ni], r.budgets[ni], tr, ev.CongCost, oi)
-					if capture && len(in.Sinks) >= 1 {
-						captured[worker] = append(captured[worker], snapshot(in))
+					if captured != nil && len(in.Sinks) >= 1 {
+						captured[ni] = snapshot(in, capCosts)
 					}
 				}
 			}(w)
@@ -335,9 +344,9 @@ func (r *runState) runWaves() error {
 			r.res.Metrics.RepairedPerWave = append(r.res.Metrics.RepairedPerWave, nRepaired)
 			r.res.Metrics.EscalatedPerWave = append(r.res.Metrics.EscalatedPerWave, nEscalated)
 		}
-		if capture {
-			for _, cs := range captured {
-				r.res.Captured = append(r.res.Captured, cs...)
+		for _, in := range captured {
+			if in != nil {
+				r.res.Captured = append(r.res.Captured, in)
 			}
 		}
 
@@ -481,13 +490,14 @@ func buildInstance(chip *chipgen.Chip, ni int, w []float64, costs *grid.Costs, s
 	return in
 }
 
-// snapshot deep-copies an instance so it stays valid after the pricer
-// mutates the shared multipliers (Tables I/II instance capture).
-func snapshot(in *nets.Instance) *nets.Instance {
-	c := *in.C
-	c.Mult = append([]float32{}, in.C.Mult...)
+// snapshot copies an instance for Tables I/II instance capture. costs
+// is the capture wave's copy of the prices and the budgets are copied,
+// so the instance stays valid after the pricer and the timing update
+// rewrite the live multipliers and budgets in place.
+func snapshot(in *nets.Instance, costs *grid.Costs) *nets.Instance {
 	out := *in
-	out.C = &c
+	out.C = costs
 	out.Sinks = append([]nets.Sink{}, in.Sinks...)
+	out.Budgets = append([]float64(nil), in.Budgets...)
 	return &out
 }
