@@ -2,7 +2,6 @@ package router
 
 import (
 	"math"
-	"sync/atomic"
 
 	"costdist/internal/chipgen"
 	"costdist/internal/cong"
@@ -29,25 +28,28 @@ const incHalo = 1
 // plus the plane region the tree occupies, and chip-wide a reference
 // snapshot of the congestion multipliers (cong.DeltaTracker).
 //
-// Invalidation runs in two stages each wave:
+// computeDirty decides every net in one pass. A net goes on the work
+// list when it has no cached solve, when the seed of a warm start's
+// first wave marks it, or — on every other pass — when driftedNet finds
+// one of:
 //
-//  1. Pre-filter: the per-net regions are packed into an R-tree
-//     (nets.WindowIndex) and queried with the changed congestion
-//     rectangles from the delta tracker. Only nets whose region
-//     overlaps a change become candidates.
-//  2. Decision: a candidate is dirty when the priced congestion cost of
-//     its cached tree under the current multipliers drifted beyond
-//     IncrementalTol relative to the cost it was solved at. A price
-//     spike next to — but not on — the tree leaves it clean.
+//   - congestion drift: the net's region overlaps a congestion rectangle
+//     the delta tracker reported changed (a query of an R-tree,
+//     nets.WindowIndex, built over the regions for the pass), and the
+//     priced cost of its cached tree under the current multipliers
+//     drifted beyond IncrementalTol relative to the cost it was solved
+//     at. A price spike next to — but not on — the tree leaves it clean;
+//   - a sink delay weight drifted beyond tolerance since the last solve;
+//   - a delay budget drifted, when the oracle behind the cached tree (or
+//     the Portfolio pool that would replace it) consumes budgets.
 //
-// Independent of congestion, a net is dirty when one of its sink delay
-// weights (or, for budget-consuming oracles, delay budgets) drifted
-// beyond tolerance since its last solve, or when it has never been
-// solved. The cache remembers which oracle produced each tree: budget
-// drift only rips nets whose cached tree came from (or could be
-// replaced through) a budget-sensitive oracle.
 // Clean nets keep their cached tree and cached sink delays; only their
-// usage is replayed into the wave's congestion accounting.
+// usage is replayed into the wave's congestion accounting. With
+// RepairTol ≥ 0 (repairOn) every work-list net with a cached tree takes
+// the repair rung first — the worker re-embeds the cached topology
+// (internal/reembed) under the current prices, weights and budgets and
+// escalates to the oracle only when the result fails tryRepair's rules.
+// Nets without a cached tree always solve in full.
 //
 // The rule is deliberately one-sided: a price drop away from the tree
 // could in principle open a cheaper route that stays undiscovered until
@@ -64,23 +66,19 @@ type incState struct {
 	// (initially the terminal bbox) plus halo.
 	regions []geom.Rect
 	// lastW/lastB are copies of the weights/budgets each net was last
-	// solved under; nil marks "never solved". lastCost is the priced
-	// congestion cost of the cached tree at solve time.
+	// solved under, one entry per sink; nil lastW marks "never solved".
+	// lastCost is the priced congestion cost of the cached tree at solve
+	// time.
 	lastW, lastB [][]float64
 	lastCost     []float64
 	// lastOracle[ni] is the table index of the oracle that produced
 	// the cached tree (-1 before the first solve). Budget drift only
 	// matters when the cached (or candidate) oracle consumes budgets.
-	lastOracle  []int16
-	cand, dirty []bool
-	// repair marks the middle disposition of the three-rung scheduler
-	// (clean → replay, repairable → re-embed, degraded → full solve):
-	// dirty nets whose only invalidation is congestion-price drift — pins,
-	// weights and budgets unchanged — first attempt a
-	// fixed-topology re-embedding (internal/reembed) before escalating to
-	// the oracle. Populated only when repairOn (skip policy with
-	// RepairTol ≥ 0).
-	repair   []bool
+	lastOracle []int16
+	// cand[ni] marks the nets whose region overlaps a changed congestion
+	// rectangle in the current pass; only they are repriced.
+	cand []bool
+	// repairOn enables the repair rung (skip policy with RepairTol ≥ 0).
 	repairOn bool
 	// fullCost[ni] is the priced congestion cost of net ni's last FULL
 	// oracle solve. Unlike lastCost it is not rebaselined by adopted
@@ -89,12 +87,12 @@ type incState struct {
 	// (1+RepairTol)·fullCost) eventually fires instead of a congested net
 	// dodging the oracle forever through small repair steps.
 	fullCost []float64
-	// seed, when non-nil, replaces the next computeDirty pass entirely:
-	// the wave's dirty set is seed ∪ {never solved}, no drift checks
-	// run and the delta tracker is left untouched. Warm starts use it
-	// to make the resumed run's first wave solve exactly the instance
-	// diff (RouteFrom); the checkpoint's prices are the clean baseline,
-	// so pre-checkpoint residue must not re-dirty restored nets.
+	// seed, when non-nil, replaces the next computeDirty pass's drift
+	// checks: the wave's work list is seed ∪ {never solved}. Warm starts
+	// set it to make the resumed run's first wave solve exactly the
+	// instance diff (RouteFrom); the checkpoint's prices are the clean
+	// baseline, so pre-checkpoint residue must not re-dirty restored
+	// nets.
 	seed []bool
 
 	// pendRects/pendSegs hold the delta-tracker result of the fused
@@ -105,13 +103,6 @@ type incState struct {
 	// moved since the last fused update advanced it, so no change exists.
 	pendRects []geom.Rect
 	pendSegs  int
-	// ix is the region R-tree of the last computeDirty pass, reused
-	// across waves until some net's candidate region actually moves
-	// (ixDirty; set by solver workers, hence atomic). Late waves re-solve
-	// few nets and most re-solves keep their bounding box, so the
-	// O(n log n) rebuild disappears from the steady state.
-	ix      *nets.WindowIndex
-	ixDirty atomic.Bool
 
 	// steps[ni] caches net ni's embedded tree decomposed into flat
 	// per-step arrays — segment id, congestion base cost, capacity
@@ -153,8 +144,6 @@ func newIncState(chip *chipgen.Chip, drv *driver, opt Options) *incState {
 		lastCost:   make([]float64, len(nl.Nets)),
 		lastOracle: make([]int16, len(nl.Nets)),
 		cand:       make([]bool, len(nl.Nets)),
-		dirty:      make([]bool, len(nl.Nets)),
-		repair:     make([]bool, len(nl.Nets)),
 		repairOn:   opt.Incremental && opt.RepairTol >= 0,
 		fullCost:   make([]float64, len(nl.Nets)),
 		steps:      make([]netSteps, len(nl.Nets)),
@@ -171,115 +160,70 @@ func (s *incState) drifted(cur, snap float64) bool {
 	return math.Abs(cur-snap) > s.tol*math.Abs(snap)
 }
 
-// computeDirty returns the ordered work list of dirty nets for the next
-// wave and the number of congestion segments that changed beyond
-// tolerance (the wave's delta volume). The delta arrives pre-computed
-// from the previous wave's fused price update (stashDelta); a wave with
-// none stashed has no congestion candidates. The region index is
-// rebuilt only when some net's candidate region actually moved since the
-// last build — re-solves that keep their bounding box, and waves that
-// skip everything, reuse it.
+// computeDirty returns the ordered work list of the next wave and the
+// number of congestion segments that changed beyond tolerance (the
+// wave's delta volume). The delta arrives pre-computed from the previous
+// wave's fused price update (pendRects); a pass with none stashed has no
+// congestion candidates, and the seeded pass of a warm start's first
+// wave runs before any update.
 func (s *incState) computeDirty(costs *grid.Costs, trees []*nets.RTree, weights, budgets [][]float64) (work []int32, deltaSegs int) {
-	for i := range s.dirty {
-		s.cand[i] = false
-		s.dirty[i] = false
-		s.repair[i] = false
-	}
-	if s.seed != nil {
-		// Seeded wave (warm start): the diff decided what is dirty; add
-		// only the nets that have never been solved at all. A seeded net
-		// with a restored tree was invalidated purely by the capacity/
-		// price diff (its pin signature matched at restore time), which is
-		// exactly the repair rung's territory.
-		for ni := range s.dirty {
-			if s.seed[ni] || s.lastW[ni] == nil || trees[ni] == nil {
-				s.dirty[ni] = true
-				s.repair[ni] = s.repairOn && s.seed[ni] && s.lastW[ni] != nil && trees[ni] != nil
-				work = append(work, int32(ni))
-			}
-		}
-		s.seed = nil
-		return work, 0
-	}
-	rects, deltaSegs := s.pendRects, s.pendSegs
-	s.pendRects, s.pendSegs = nil, 0
+	seed, rects, deltaSegs := s.seed, s.pendRects, s.pendSegs
+	s.seed, s.pendRects, s.pendSegs = nil, nil, 0
+	clear(s.cand)
 	if len(rects) > 0 {
-		if s.ixDirty.Swap(false) || s.ix == nil {
-			s.ix = nets.BuildWindowIndex(s.regions)
-		}
+		ix := nets.BuildWindowIndex(s.regions)
 		for _, r := range rects {
-			s.ix.Query(r, func(ni int32) { s.cand[ni] = true })
+			ix.Query(r, func(ni int32) { s.cand[ni] = true })
 		}
 	}
-	for ni := range s.dirty {
-		lw := s.lastW[ni]
-		if lw == nil || trees[ni] == nil {
-			s.dirty[ni] = true
+	for ni := range trees {
+		switch {
+		case s.lastW[ni] == nil || trees[ni] == nil: // never solved
+		case seed != nil:
+			if !seed[ni] {
+				continue
+			}
+		case !s.driftedNet(ni, costs, weights[ni], budgets[ni]):
 			continue
 		}
-		if s.cand[ni] {
-			// Reprice the cached tree under the current multipliers: the
-			// flat step cache yields the same sum, in the same order, as
-			// walking the tree through costs.ArcCost.
-			sc := &s.steps[ni]
-			cur := 0.0
-			for i, seg := range sc.segs {
-				cur += float64(costs.Mult[seg]) * sc.base[i]
-			}
-			if s.drifted(cur, s.lastCost[ni]) {
-				s.dirty[ni] = true
-			}
-		}
-		if !s.dirty[ni] {
-			for k, w := range weights[ni] {
-				if s.drifted(w, lw[k]) {
-					s.dirty[ni] = true
-					break
-				}
-			}
-		}
-		if !s.dirty[ni] && s.drv.usesBudgets(int(s.lastOracle[ni])) {
-			// Budgets only steer budget-consuming oracles (shallow-light);
-			// others ignore them, so budget drift alone must not rip
-			// their nets.
-			lb := s.lastB[ni]
-			if lb == nil || len(lb) != len(budgets[ni]) {
-				s.dirty[ni] = true
-			} else {
-				for k, b := range budgets[ni] {
-					if s.drifted(b, lb[k]) {
-						s.dirty[ni] = true
-						break
-					}
-				}
-			}
-		}
-		if s.dirty[ni] {
-			s.repair[ni] = s.repairOn && s.repairEligible(ni, budgets)
-		}
-	}
-	for ni, d := range s.dirty {
-		if d {
-			work = append(work, int32(ni))
-		}
+		work = append(work, int32(ni))
 	}
 	return work, deltaSegs
 }
 
-// repairEligible reports whether a dirty net may take the repair rung.
-// Price, weight and budget drift are all repairable: the re-embedding
-// DP prices the cached topology under the *current* multipliers,
-// weights and budgets, and the escalation rule (cost vs the last full
-// solve, plus the post-repair budget check) catches the cases where
-// the drift really demands a new topology. The rung is refused only
-// for a budget-consuming oracle whose budget vector changed shape: its
-// topology no longer matches its snapshot.
-func (s *incState) repairEligible(ni int, budgets [][]float64) bool {
-	if !s.drv.usesBudgets(int(s.lastOracle[ni])) {
-		return true
+// driftedNet reports whether net ni, which has a cached solve, drifted
+// from the inputs of that solve: the cached tree's priced cost (for a
+// congestion candidate), a delay weight w, or a delay budget b.
+func (s *incState) driftedNet(ni int, costs *grid.Costs, w, b []float64) bool {
+	if s.cand[ni] {
+		// Reprice the cached tree under the current multipliers: the
+		// flat step cache yields the same sum, in the same order, as
+		// walking the tree through costs.ArcCost.
+		sc := &s.steps[ni]
+		cur := 0.0
+		for i, seg := range sc.segs {
+			cur += float64(costs.Mult[seg]) * sc.base[i]
+		}
+		if s.drifted(cur, s.lastCost[ni]) {
+			return true
+		}
 	}
-	lb := s.lastB[ni]
-	return lb != nil && len(lb) == len(budgets[ni])
+	for k, x := range w {
+		if s.drifted(x, s.lastW[ni][k]) {
+			return true
+		}
+	}
+	// Budgets only steer budget-consuming oracles (shallow-light);
+	// others ignore them, so budget drift alone must not rip their nets.
+	if !s.drv.usesBudgets(int(s.lastOracle[ni])) {
+		return false
+	}
+	for k, x := range b {
+		if s.drifted(x, s.lastB[ni][k]) {
+			return true
+		}
+	}
+	return false
 }
 
 // noteSolved snapshots the inputs net ni was just solved under — timing
@@ -288,12 +232,12 @@ func (s *incState) repairEligible(ni int, budgets [][]float64) bool {
 // nets, so no locking is needed.
 func (s *incState) noteSolved(ni int, w, b []float64, tr *nets.RTree, congCost float64, oracleIdx int) {
 	s.lastW[ni] = append(s.lastW[ni][:0], w...)
-	if b != nil {
-		s.lastB[ni] = append(s.lastB[ni][:0], b...)
-	}
+	s.lastB[ni] = append(s.lastB[ni][:0], b...)
 	s.lastCost[ni] = congCost
 	s.lastOracle[ni] = int16(oracleIdx)
-	s.setRegion(ni, tr)
+	if r := tr.BBox(s.g); !r.Empty() {
+		s.regions[ni] = r.Expand(incHalo, s.g.NX, s.g.NY)
+	}
 	s.buildSteps(ni, tr)
 }
 
@@ -305,21 +249,6 @@ func (s *incState) noteSolved(ni int, w, b []float64, tr *nets.RTree, congCost f
 func (s *incState) noteFullSolve(ni int, w, b []float64, tr *nets.RTree, congCost float64, oracleIdx int) {
 	s.noteSolved(ni, w, b, tr, congCost, oracleIdx)
 	s.fullCost[ni] = congCost
-}
-
-// setRegion updates net ni's candidate region from its new tree and
-// flags the region index stale when the region actually moved. Workers
-// call this for disjoint nets; the shared staleness flag is atomic.
-func (s *incState) setRegion(ni int, tr *nets.RTree) {
-	r := tr.BBox(s.g)
-	if r.Empty() {
-		return
-	}
-	nr := r.Expand(incHalo, s.g.NX, s.g.NY)
-	if nr != s.regions[ni] {
-		s.regions[ni] = nr
-		s.ixDirty.Store(true)
-	}
 }
 
 // buildSteps (re)derives net ni's flat step cache from its tree.
@@ -355,16 +284,4 @@ func (s *incState) replayUsage(u *cong.Usage, trees []*nets.RTree) {
 			u.U[seg] += sc.capUse[i]
 		}
 	}
-}
-
-// stashDelta hands the next computeDirty the changed-region result of
-// the fused end-of-wave price update.
-func (s *incState) stashDelta(rects []geom.Rect, segs int) {
-	s.pendRects, s.pendSegs = rects, segs
-}
-
-// seedDirty arms the seeded-wave mode: the next computeDirty call
-// returns dirty ∪ {never solved} and performs no drift checks.
-func (s *incState) seedDirty(dirty []bool) {
-	s.seed = dirty
 }

@@ -271,7 +271,7 @@ func newRunFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, op
 		for _, step := range ns.Tree.Steps {
 			cost += costs.ArcCost(step.Arc)
 		}
-		r.inc.noteFullSolve(ni, ns.Weights, ns.Budgets, ns.Tree, cost, oi)
+		r.inc.noteFullSolve(ni, r.weights[ni], r.budgets[ni], ns.Tree, cost, oi)
 	}
 
 	// Capacity edits: translate changed segments into plane regions and
@@ -283,6 +283,6 @@ func newRunFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, op
 			ix.Query(rect, func(ni int32) { seed[ni] = true })
 		}
 	}
-	r.inc.seedDirty(seed)
+	r.inc.seed = seed
 	return r, nil
 }

@@ -101,7 +101,7 @@ func TestComputeDirtySeedMode(t *testing.T) {
 	}
 	seed := make([]bool, n)
 	seed[2] = true
-	inc.seedDirty(seed)
+	inc.seed = seed
 	work, deltaSegs := inc.computeDirty(costs, r.trees, r.weights, r.budgets)
 	if deltaSegs != 0 {
 		t.Fatalf("seeded wave reported %d delta segs", deltaSegs)

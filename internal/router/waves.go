@@ -252,9 +252,10 @@ func (r *runState) runWaves() error {
 					ni = int(work[idx])
 					in := buildInstance(chip, ni, r.weights[ni], costs, opt.Seed)
 					in.Budgets = r.budgets[ni]
-					if r.inc.repair[ni] {
-						// The middle rung: re-embed the cached topology
-						// under the current prices. Adopted repairs skip
+					if r.inc.repairOn && r.inc.lastW[ni] != nil && r.trees[ni] != nil {
+						// The middle rung, for a net with a cached tree:
+						// re-embed its topology under the current prices,
+						// weights and budgets. Adopted repairs skip
 						// the oracle (and the capture hook — they are not
 						// fresh solves); failures fall through to one.
 						repT0 := wk.Now()
@@ -366,8 +367,7 @@ func (r *runState) runWaves() error {
 			// prices plainly and leaves the tracker alone.
 			priceT0 := rec.Now()
 			if opt.Incremental && wave+1 < opt.Waves {
-				rects, segs := r.pricer.UpdateTracked(r.inc.tracker, r.usage)
-				r.inc.stashDelta(rects, segs)
+				r.inc.pendRects, r.inc.pendSegs = r.pricer.UpdateTracked(r.inc.tracker, r.usage)
 			} else {
 				r.pricer.Update(r.usage)
 			}
