@@ -29,7 +29,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	incremental := flag.Bool("incremental", false, "dirty-net scheduling: re-solve only nets invalidated by price changes after wave 0")
 	incTol := flag.Float64("inctol", 0, "incremental invalidation tolerance (relative, ≥ 0; 0 invalidates on any change; unset: router default)")
-	repairTol := flag.Float64("repairtol", -1, "topology-repair escalation tolerance (needs -incremental): ≥ 0 re-embeds price-dirtied nets on their cached topology before a full re-solve, < 0 disables the rung (default)")
+	repairTol := flag.Float64("repairtol", -1, "topology-repair escalation tolerance (needs -incremental): ≥ 0 re-embeds every dirty net that has a cached tree on its topology before a full re-solve, < 0 disables the rung (default)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the routing run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the routing run to this file")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON timeline of the routing run to this file (open in chrome://tracing or Perfetto)")

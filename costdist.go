@@ -30,7 +30,7 @@
 //     reported in RouteMetrics; off, every net is re-solved in every
 //     wave. RouterOptions.RepairTol ≥ 0
 //     adds a topology-repair rung between replay and full re-solve: a
-//     net dirtied only by price drift is first re-embedded optimally on
+//     dirty net with a cached tree is first re-embedded optimally on
 //     its cached topology (internal/reembed) and escalates to the
 //     oracle only when the repair degrades past tolerance
 //     (RouteMetrics.NetsRepaired / RepairEscalated);

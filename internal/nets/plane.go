@@ -88,15 +88,6 @@ func (t *PlaneTree) Length() int64 {
 	return total
 }
 
-// PathLen returns the L1 length of the tree path from node i to the root.
-func (t *PlaneTree) PathLen(i int32) int64 {
-	var total int64
-	for j := i; t.Nodes[j].Parent >= 0; j = t.Nodes[j].Parent {
-		total += geom.L1(t.Nodes[j].Pos, t.Nodes[t.Nodes[j].Parent].Pos)
-	}
-	return total
-}
-
 // Canonicalize transforms the topology into a bifurcation-compatible
 // tree (paper §I): the root and all sinks are leaves and internal
 // (Steiner) nodes have exactly two children. Sinks with children are

@@ -43,7 +43,7 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestLengthAndPathLen(t *testing.T) {
+func TestLength(t *testing.T) {
 	tr := &PlaneTree{Nodes: []PlaneNode{
 		{Pos: geom.Pt{X: 0, Y: 0}, Parent: -1, SinkIdx: -1},
 		{Pos: geom.Pt{X: 3, Y: 0}, Parent: 0, SinkIdx: -1},
@@ -52,12 +52,6 @@ func TestLengthAndPathLen(t *testing.T) {
 	}}
 	if got := tr.Length(); got != 3+4+2 {
 		t.Fatalf("Length = %d", got)
-	}
-	if got := tr.PathLen(2); got != 7 {
-		t.Fatalf("PathLen(2) = %d", got)
-	}
-	if got := tr.PathLen(3); got != 5 {
-		t.Fatalf("PathLen(3) = %d", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"costdist/internal/geom"
+	"costdist/internal/nets"
 	"costdist/internal/rsmt"
 )
 
@@ -48,6 +49,15 @@ func TestAlphaZeroApproachesMSTLength(t *testing.T) {
 	}
 }
 
+// pathLen returns the L1 length of the tree path from node i to the root.
+func pathLen(tr *nets.PlaneTree, i int32) int64 {
+	var total int64
+	for j := i; tr.Nodes[j].Parent >= 0; j = tr.Nodes[j].Parent {
+		total += geom.L1(tr.Nodes[j].Pos, tr.Nodes[tr.Nodes[j].Parent].Pos)
+	}
+	return total
+}
+
 func TestAlphaOneGivesShortestPaths(t *testing.T) {
 	// α=1 minimizes path lengths: every sink's path must equal its L1
 	// distance from the root (star topology is always available).
@@ -59,7 +69,7 @@ func TestAlphaOneGivesShortestPaths(t *testing.T) {
 		for i, node := range tr.Nodes {
 			if node.SinkIdx >= 0 {
 				want := geom.L1(pts[0], node.Pos)
-				if got := tr.PathLen(int32(i)); got > want {
+				if got := pathLen(tr, int32(i)); got > want {
 					t.Fatalf("alpha=1 path to sink %d is %d, L1 is %d", node.SinkIdx, got, want)
 				}
 			}

@@ -151,14 +151,15 @@ type Options struct {
 	// which no net would ever count as changed).
 	IncrementalTol float64
 	// RepairTol enables the topology-repair rung of the dirty-net
-	// scheduler (it has no effect with Incremental off): a net
-	// invalidated only by congestion-price drift (pins, weights and
-	// budgets unchanged) is first re-embedded on its cached topology
-	// (internal/reembed) and escalates to a full oracle solve only when
-	// the repaired cost still exceeds (1+RepairTol) times the net's last
-	// full-solve cost, or a delay budget is violated. Negative (the
-	// default) disables the rung entirely: every dirty net escalates,
-	// reproducing the two-rung scheduler bit-for-bit.
+	// scheduler (it has no effect with Incremental off): every dirty net
+	// with a cached tree — dirtied by congestion-price, weight or budget
+	// drift, or by a warm start's capacity diff — is first re-embedded
+	// on its cached topology under the current prices, weights and
+	// budgets (internal/reembed) and escalates to a full oracle solve
+	// only when the repaired cost still exceeds (1+RepairTol) times the
+	// net's last full-solve cost, or a delay budget is violated.
+	// Negative (the default) disables the rung entirely: every dirty net
+	// escalates, reproducing the two-rung scheduler bit-for-bit.
 	RepairTol float64
 
 	// Recorder, when non-nil, captures structured telemetry: per-stage
