@@ -114,7 +114,8 @@ type Result struct {
 	// chip.NL.Nets (nil for nets the run never routed). They are what
 	// Metrics.Objective scores, and what MarshalRouteResult serializes.
 	Trees []*nets.RTree
-	// Captured holds standalone instances snapshot at CaptureWave.
+	// Captured holds standalone instances snapshot at CaptureWave, in
+	// net order, each with the prices and budgets its solve consumed.
 	Captured []*nets.Instance
 }
 
