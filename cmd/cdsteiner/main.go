@@ -1,7 +1,7 @@
 // Command cdsteiner solves a single cost-distance Steiner tree instance
 // read from a JSON file (see costdist.InstanceJSON for the schema) with
 // any oracle or driver, prints the objective decomposition and
-// optionally writes the tree as JSON and/or SVG.
+// optionally writes the tree as compact JSON and/or SVG.
 //
 // Usage (cdsteiner -h lists every -method name):
 //
@@ -21,7 +21,7 @@ import (
 func main() {
 	inPath := flag.String("in", "", "instance JSON file (required)")
 	method := flag.String("method", "CD", "oracle or driver: "+strings.Join(costdist.MethodNames(), ", ")+" (l1 is an alias of rsmt)")
-	outPath := flag.String("out", "", "write solved tree JSON here")
+	outPath := flag.String("out", "", "write the solved tree here as compact JSON (jq . pretty-prints it)")
 	svgPath := flag.String("svg", "", "write tree SVG here")
 	compare := flag.Bool("compare", false, "run all four algorithms and print a comparison")
 	flag.Parse()

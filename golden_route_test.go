@@ -15,7 +15,11 @@ import (
 // the cold path must stay bit-identical to the pre-refactor engine.
 // The incremental=false digests were captured from the former
 // worker-order usage engine, so they also pin that the one wave loop's
-// no-skip policy reproduces it.
+// no-skip policy reproduces it. The digests are over the compact bytes
+// MarshalRouteResult writes; they moved once, when it stopped writing
+// json.MarshalIndent's layout, and each new digest is the sha256 of the
+// old bytes after json.Compact — the same routes, without the white
+// space.
 //
 // Regenerate (only when a deliberate behavior change is shipped) with:
 //
@@ -113,8 +117,9 @@ func TestColdPathGolden(t *testing.T) {
 // goldenWarmRepairFile pins the warm path the cold matrix above does
 // not reach: the sha256 of MarshalRouteResult for warmRepairECO's warm
 // run (cold CD route of c1@0.005, checkpoint, 5 % ECO, RouteChipFrom
-// with RepairTol 0.25), which replays, repairs and re-solves nets.
-// Regenerate it like the cold matrix:
+// with RepairTol 0.25), which replays, repairs and re-solves nets. Like
+// the cold matrix it hashes compact bytes, and it moved with the cold
+// digests when the white space went. Regenerate it like the cold matrix:
 //
 //	GOLDEN_UPDATE=1 go test -run TestWarmRepairGolden .
 const goldenWarmRepairFile = "testdata/golden_warm_repair.json"

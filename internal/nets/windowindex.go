@@ -14,11 +14,12 @@ const windowFanout = 8
 
 // WindowIndex is a static, bulk-loaded R-tree over plane rectangles,
 // packed with Sort-Tile-Recursive (STR). The incremental router packs
-// one over the per-net invalidation regions and queries it with each
-// wave's changed congestion regions to find the rip-up candidates;
-// since Build copies the rectangles, the router reuses the index across
-// waves until some region actually moves. Construction and query order
-// are deterministic.
+// one over the per-net invalidation regions and queries it with changed
+// congestion regions to find the rip-up candidates: its dirty-net scan
+// builds a fresh index on each pass that has a stashed price delta, and
+// a warm start builds one for the capacity diff against its checkpoint.
+// Build copies the rectangles. Construction and query order are
+// deterministic.
 type WindowIndex struct {
 	rects []geom.Rect // entry rects in packed order
 	ids   []int32     // caller ids parallel to rects

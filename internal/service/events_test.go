@@ -113,14 +113,9 @@ func TestRouteJobEventStream(t *testing.T) {
 	if de.Status != JobDone {
 		t.Fatalf("done event status %q", de.Status)
 	}
-	// The stored result is indented; SSE frames are compact. Compare
-	// modulo whitespace.
-	var want bytes.Buffer
-	if err := json.Compact(&want, res.Metrics); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(de.Metrics, want.Bytes()) {
-		t.Fatalf("done event metrics differ from stored result:\n%s\nvs\n%s", de.Metrics, want.Bytes())
+	// The stored result and the SSE frames are both compact.
+	if !bytes.Equal(de.Metrics, res.Metrics) {
+		t.Fatalf("done event metrics differ from stored result:\n%s\nvs\n%s", de.Metrics, res.Metrics)
 	}
 
 	// A subscriber attaching after completion replays the identical

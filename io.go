@@ -239,7 +239,7 @@ func CanonicalInstanceJSON(data []byte) ([]byte, error) {
 }
 
 // TreeJSON is the serialized form of a solved tree, emitted by
-// cmd/cdsteiner.
+// cmd/cdsteiner as one compact JSON object (see MarshalTree).
 type TreeJSON struct {
 	Total     float64       `json:"total"`
 	CongCost  float64       `json:"congestion_cost"`
@@ -256,14 +256,15 @@ type TreeJSON struct {
 	WireTypes []int8 `json:"wire_types,omitempty"`
 }
 
-// MarshalTree serializes a tree with its evaluation: TreeJSON in the
-// layout json.MarshalIndent gives it, written without reflection.
+// MarshalTree serializes a tree with its evaluation: TreeJSON as
+// compact JSON, the bytes json.Marshal gives it, written without
+// reflection.
 func MarshalTree(in *Instance, tr *Tree) ([]byte, error) {
 	ev, err := Evaluate(in, tr)
 	if err != nil {
 		return nil, err
 	}
-	w := wireWriter{indent: true, b: make([]byte, 0, 256+32*len(ev.SinkDelay)+128*len(tr.Steps))}
+	w := wireWriter{b: make([]byte, 0, 256+32*len(ev.SinkDelay)+32*len(tr.Steps))}
 	w.open('{')
 	w.key("total").float(ev.Total, 64)
 	w.key("congestion_cost").float(ev.CongCost, 64)
@@ -356,29 +357,30 @@ type RouteMetricsJSON = RouteMetrics
 
 // RouteResultJSON is the on-wire form of a full routing run: the
 // metric row plus every net's final embedded tree (null for nets the
-// run never routed), indexed like the chip's netlist.
+// run never routed), indexed like the chip's netlist. MarshalRouteResult
+// writes it as one compact JSON object.
 type RouteResultJSON struct {
 	Metrics RouteMetricsJSON `json:"metrics"`
 	Trees   []*RouteTreeJSON `json:"trees"`
 }
 
 // MarshalRouteResult serializes a routing result against the chip it
-// was produced on: RouteResultJSON in the layout json.MarshalIndent gives
-// it, written without reflection. The output is deterministic for a
+// was produced on: RouteResultJSON as compact JSON, the bytes
+// json.Marshal gives it, written without reflection. The output is deterministic for a
 // deterministic run (map keys sort, Walltime is excluded), so identical
 // route requests marshal to identical bytes.
 func MarshalRouteResult(chip *Chip, res *RouteResult) ([]byte, error) {
 	if res == nil {
 		return nil, fmt.Errorf("costdist: nil route result")
 	}
-	// About 176 bytes a step at the trees' indent depth.
+	// About 24 bytes a step while coordinates have three digits.
 	size := 4096
 	for _, tr := range res.Trees {
 		if tr != nil {
-			size += 32 + 176*len(tr.Steps)
+			size += 32 + 32*len(tr.Steps)
 		}
 	}
-	w := wireWriter{indent: true, b: make([]byte, 0, size)}
+	w := wireWriter{b: make([]byte, 0, size)}
 	w.open('{')
 	w.key("metrics").metrics(&res.Metrics)
 	w.key("trees").open('[')
@@ -400,7 +402,8 @@ func MarshalRouteResult(chip *Chip, res *RouteResult) ([]byte, error) {
 // UnmarshalRouteResult decodes a RouteResultJSON document back into a
 // RouteResult on the chip's graph — the inverse of MarshalRouteResult
 // (Walltime, which is not serialized, comes back zero). Every tree is
-// validated against the graph exactly like UnmarshalTree.
+// validated against the graph exactly like UnmarshalTree, and the
+// document must hold one tree (or null) per net of the chip.
 func UnmarshalRouteResult(chip *Chip, data []byte) (*RouteResult, error) {
 	var f RouteResultJSON
 	if err := json.Unmarshal(data, &f); err != nil {
@@ -419,6 +422,9 @@ func UnmarshalRouteResult(chip *Chip, data []byte) (*RouteResult, error) {
 			}
 			res.Trees[i] = tr
 		}
+	}
+	if len(f.Trees) != len(chip.NL.Nets) {
+		return nil, fmt.Errorf("costdist: route result has %d trees for %d nets", len(f.Trees), len(chip.NL.Nets))
 	}
 	return res, nil
 }

@@ -197,6 +197,12 @@ func TestUnmarshalRouteResultRejectsCorruptTrees(t *testing.T) {
 	if _, err := UnmarshalRouteResult(chip, []byte("{")); err == nil {
 		t.Fatal("accepted malformed JSON")
 	}
+	// The trees are indexed like the netlist: one per net, no fewer.
+	short := []byte(`{"metrics":{},"trees":[null]}`)
+	want := fmt.Sprintf("1 trees for %d nets", len(chip.NL.Nets))
+	if _, err := UnmarshalRouteResult(chip, short); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("%s: error %v, want %q", short, err, want)
+	}
 }
 
 // The checkpoint codec must reject documents it cannot faithfully
@@ -526,7 +532,7 @@ func refMarshalTree(in *Instance, tr *Tree) ([]byte, error) {
 		SinkDelay: ev.SinkDelay, WireSteps: ev.WireSteps, Vias: ev.Vias,
 	}
 	out.Edges, out.WireTypes = encodeTreeSteps(in.G, tr)
-	return json.MarshalIndent(out, "", "  ")
+	return json.Marshal(out)
 }
 
 // refMarshalRouteResult is MarshalRouteResult through encoding/json.
@@ -543,5 +549,5 @@ func refMarshalRouteResult(chip *Chip, res *RouteResult) ([]byte, error) {
 		tj.Edges, tj.WireTypes = encodeTreeSteps(chip.G, tr)
 		out.Trees[i] = tj
 	}
-	return json.MarshalIndent(out, "", "  ")
+	return json.Marshal(out)
 }

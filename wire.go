@@ -1,12 +1,10 @@
 package costdist
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 	"unicode/utf8"
 
 	"costdist/internal/grid"
@@ -15,19 +13,18 @@ import (
 // The tree-carrying wire forms — checkpoints, trees and route results —
 // are written by a wireWriter, and checkpoints are read back by a
 // checkpointReader, neither through reflection. Their bytes are the
-// bytes encoding/json gives the reference structs kept in io_test.go,
+// compact bytes json.Marshal gives the reference structs kept in
+// io_test.go,
 // which the differential tests and the fuzz targets hold both to, and
 // the reader reads no layout but the writer's. encoding/json still
 // writes the route result's metric row.
 
-// wireWriter appends a document compact, or in json.MarshalIndent's
-// layout with no prefix and a two-space indent. The first value
-// encoding/json would refuse (a NaN or an infinite float) is kept in err,
-// and the document is then never returned.
+// wireWriter appends a compact document: no white space between
+// tokens, the layout json.Marshal gives. The first value encoding/json
+// would refuse (a NaN or an infinite float) is kept in err, and the
+// document is then never returned.
 type wireWriter struct {
-	b      []byte
-	indent bool
-	depth  int
+	b []byte
 	// empty reports that the innermost open container has no element yet.
 	empty bool
 	err   error
@@ -36,17 +33,11 @@ type wireWriter struct {
 // open starts an object ('{') or an array ('[').
 func (w *wireWriter) open(c byte) {
 	w.b = append(w.b, c)
-	w.depth++
 	w.empty = true
 }
 
-// close ends the innermost container with c; an empty one reads {} or []
-// in either layout.
+// close ends the innermost container with c.
 func (w *wireWriter) close(c byte) {
-	w.depth--
-	if !w.empty {
-		w.newline()
-	}
 	w.b = append(w.b, c)
 	w.empty = false
 }
@@ -57,17 +48,6 @@ func (w *wireWriter) elem() {
 		w.b = append(w.b, ',')
 	}
 	w.empty = false
-	w.newline()
-}
-
-func (w *wireWriter) newline() {
-	if !w.indent {
-		return
-	}
-	w.b = append(w.b, '\n')
-	for i := 0; i < w.depth; i++ {
-		w.b = append(w.b, "  "...)
-	}
 }
 
 // key starts the object member name, which needs no escaping.
@@ -76,9 +56,6 @@ func (w *wireWriter) key(name string) *wireWriter {
 	w.b = append(w.b, '"')
 	w.b = append(w.b, name...)
 	w.b = append(w.b, '"', ':')
-	if w.indent {
-		w.b = append(w.b, ' ')
-	}
 	return w
 }
 
@@ -99,17 +76,8 @@ func (w *wireWriter) integer(v int64) {
 }
 
 // ints appends a short array of integers — a point or a vertex, the
-// bulk of a checkpoint, so the compact layout appends it directly.
+// bulk of every document.
 func (w *wireWriter) ints(v ...int32) {
-	if w.indent {
-		w.open('[')
-		for _, x := range v {
-			w.elem()
-			w.integer(int64(x))
-		}
-		w.close(']')
-		return
-	}
 	w.b = append(w.b, '[')
 	for i, x := range v {
 		if i > 0 {
@@ -211,23 +179,14 @@ func (w *wireWriter) budgets(b []float64) {
 	w.close(']')
 }
 
-// metrics appends the metric row through encoding/json, indented to the
-// writer's depth in the indented layout.
+// metrics appends the metric row through encoding/json.
 func (w *wireWriter) metrics(m *RouteMetrics) {
 	raw, err := json.Marshal(m)
 	if err != nil {
 		w.fail(err)
 		return
 	}
-	if !w.indent {
-		w.b = append(w.b, raw...)
-		return
-	}
-	buf := bytes.NewBuffer(w.b)
-	if err := json.Indent(buf, raw, strings.Repeat("  ", w.depth), "  "); err != nil {
-		w.fail(err)
-	}
-	w.b = buf.Bytes()
+	w.b = append(w.b, raw...)
 }
 
 // steps appends the members of RouteTreeJSON for a tree's steps: each

@@ -114,6 +114,50 @@ func TestWireMatchesReferenceOnRoutes(t *testing.T) {
 	}
 }
 
+// Every document the writers emit is compact: MarshalTree,
+// MarshalRouteResult and MarshalCheckpoint each give the bytes
+// json.Compact gives them back, on a routed c1@0.002.
+func TestWireIsCompact(t *testing.T) {
+	chip := mkChip(t, 0, 0.002)
+	opt := DefaultRouterOptions()
+	opt.Waves = 2
+	opt.CaptureWave = 0
+	res, st, err := RouteChipCheckpoint(chip, CD, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Captured) == 0 {
+		t.Fatal("no net captured")
+	}
+	in := res.Captured[0]
+	tr, err := SolveCD(in, DefaultCDOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := MarshalTree(in, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	result, err := MarshalRouteResult(chip, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpoint, err := MarshalCheckpoint(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []struct {
+		name string
+		b    []byte
+	}{{"MarshalTree", tree}, {"MarshalRouteResult", result}, {"MarshalCheckpoint", checkpoint}} {
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, doc.b); err != nil {
+			t.Fatalf("%s: %v", doc.name, err)
+		}
+		checkWireBytes(t, doc.name+" against its json.Compact", doc.b, nil, compact.Bytes(), nil)
+	}
+}
+
 // wireValues are floats the writers must spell as encoding/json does:
 // both zeros, both sides of the 1e-6 and 1e21 format switches at 32 and
 // 64 bits, one- and two-digit negative exponents, the extremes.
