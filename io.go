@@ -366,9 +366,9 @@ type RouteResultJSON struct {
 
 // MarshalRouteResult serializes a routing result against the chip it
 // was produced on: RouteResultJSON as compact JSON, the bytes
-// json.Marshal gives it, written without reflection. The output is deterministic for a
-// deterministic run (map keys sort, Walltime is excluded), so identical
-// route requests marshal to identical bytes.
+// json.Marshal gives it, written without reflection. The output is
+// deterministic for a deterministic run (map keys sort, Walltime is
+// excluded), so identical route requests marshal to identical bytes.
 func MarshalRouteResult(chip *Chip, res *RouteResult) ([]byte, error) {
 	if res == nil {
 		return nil, fmt.Errorf("costdist: nil route result")

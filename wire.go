@@ -14,10 +14,9 @@ import (
 // are written by a wireWriter, and checkpoints are read back by a
 // checkpointReader, neither through reflection. Their bytes are the
 // compact bytes json.Marshal gives the reference structs kept in
-// io_test.go,
-// which the differential tests and the fuzz targets hold both to, and
-// the reader reads no layout but the writer's. encoding/json still
-// writes the route result's metric row.
+// io_test.go, which the differential tests and the fuzz targets hold
+// both to, and the reader reads no layout but the writer's.
+// encoding/json still writes the route result's metric row.
 
 // wireWriter appends a compact document: no white space between
 // tokens, the layout json.Marshal gives. The first value encoding/json
