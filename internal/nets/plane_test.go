@@ -1,6 +1,10 @@
 package nets
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math/rand"
 	"testing"
 
 	"costdist/internal/geom"
@@ -134,5 +138,89 @@ func TestCanonicalizeSplicesPassThrough(t *testing.T) {
 	checkCanonical(t, c, 1)
 	if len(c.Nodes) != 2 {
 		t.Fatalf("pass-through nodes survived: %d nodes", len(c.Nodes))
+	}
+}
+
+// canonicalizeDigest is the sha256 of canonDigestCorpus's canonical trees.
+// It pins Canonicalize's exact output: node order, Steiner positions and
+// the merge shape bestMergeTree picks, which the shape checks above do not.
+const canonicalizeDigest = "fa73551d17df2888a373926beeb25553c3231b4ead4d9c29ff4fce7813a902dc"
+
+// canonDigestCorpus feeds every tree of a seeded corpus through
+// Canonicalize and hashes (x, y, parent, sink index) of each output node.
+// The corpus is about 5 000 random topologies of 1–30 nodes (sinks with
+// children, childless Steiner nodes, root fan-outs past five, now and then
+// a root carrying a sink index, which Canonicalize ignores) and stars of
+// 6–9 sinks under the root and under a Steiner node, which take
+// bestMergeTree's greedy branch, each under several dbif and eta values.
+func canonDigestCorpus() string {
+	rng := rand.New(rand.NewSource(41))
+	h := sha256.New()
+	var buf [4]byte
+	put := func(v int32) {
+		binary.LittleEndian.PutUint32(buf[:], uint32(v))
+		h.Write(buf[:])
+	}
+	params := [][2]float64{{0, 0.5}, {2, 0.25}, {1.5, 0.2}, {3, 0.8}, {1, 0.5}}
+	emit := func(tr *PlaneTree, sinkW []float64, p [2]float64) {
+		c := tr.Canonicalize(sinkW, p[0], p[1])
+		put(int32(len(c.Nodes)))
+		for _, n := range c.Nodes {
+			put(n.Pos.X)
+			put(n.Pos.Y)
+			put(n.Parent)
+			put(n.SinkIdx)
+		}
+	}
+	pt := func() geom.Pt { return geom.Pt{X: int32(rng.Intn(40)), Y: int32(rng.Intn(40))} }
+	for it := 0; it < 5000; it++ {
+		n := 1 + rng.Intn(30)
+		tr := &PlaneTree{Nodes: []PlaneNode{{Pos: pt(), Parent: -1, SinkIdx: -1}}}
+		var sinkNodes []int
+		for i := 1; i < n; i++ {
+			parent := int32(rng.Intn(i))
+			if rng.Intn(3) == 0 {
+				parent = 0 // widen the root's fan-out
+			}
+			tr.Nodes = append(tr.Nodes, PlaneNode{Pos: pt(), Parent: parent, SinkIdx: -1})
+			if rng.Intn(5) < 3 {
+				sinkNodes = append(sinkNodes, i)
+			}
+		}
+		// Sink indices in shuffled node order; weights from a small set
+		// so bestMergeTree meets ties.
+		rng.Shuffle(len(sinkNodes), func(a, b int) { sinkNodes[a], sinkNodes[b] = sinkNodes[b], sinkNodes[a] })
+		sinkW := make([]float64, len(sinkNodes), len(sinkNodes)+1)
+		for s, i := range sinkNodes {
+			tr.Nodes[i].SinkIdx = int32(s)
+			sinkW[s] = float64(1 + rng.Intn(6))
+		}
+		if rng.Intn(8) == 0 {
+			tr.Nodes[0].SinkIdx = int32(len(sinkW))
+			sinkW = append(sinkW, 7)
+		}
+		emit(tr, sinkW, params[it%len(params)])
+	}
+	for k := 6; k <= 9; k++ {
+		for _, p := range params {
+			tr, ws := star(k)
+			emit(tr, ws, p)
+			// The same fan-out under a Steiner node, with a sink above it.
+			sub := &PlaneTree{Nodes: []PlaneNode{
+				{Pos: geom.Pt{X: 0, Y: 0}, Parent: -1, SinkIdx: -1},
+				{Pos: geom.Pt{X: 3, Y: 3}, Parent: 0, SinkIdx: int32(k)},
+			}}
+			for i := 0; i < k; i++ {
+				sub.Nodes = append(sub.Nodes, PlaneNode{Pos: geom.Pt{X: int32(10 + i), Y: int32(i % 3)}, Parent: 1, SinkIdx: int32(i)})
+			}
+			emit(sub, append(ws[:k:k], 2), p)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func TestCanonicalizeDigest(t *testing.T) {
+	if got := canonDigestCorpus(); got != canonicalizeDigest {
+		t.Fatalf("Canonicalize digest = %s, want %s", got, canonicalizeDigest)
 	}
 }
