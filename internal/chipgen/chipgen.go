@@ -244,11 +244,19 @@ func Generate(spec Spec) (*Chip, error) {
 		return nil, fmt.Errorf("chipgen: generated netlist invalid: %w", err)
 	}
 
-	// Clock: fraction of the estimated unrouted critical path, using an
-	// average per-net delay of ~8 gcells on a mid-stack layer.
+	// Clock: fraction of the estimated unrouted critical path, the
+	// largest PO arrival with an average per-net delay of ~8 gcells on a
+	// mid-stack layer.
 	mid := tech.Layers[len(tech.Layers)/2].Wires[0]
 	perNet := dly.DelayPerUM(mid.RPerUM, mid.CPerUM, tech.Buf) * tech.GCellUM * 8
-	clk := spec.ClkTightness * sta.LongestLevelPath(nl, perNet)
+	est := sta.Analyze(nl, func(int, int) float64 { return perNet }, 0)
+	longest := 0.0
+	for ci, c := range nl.Cells {
+		if c.PO && est.AT[ci] > longest {
+			longest = est.AT[ci]
+		}
+	}
+	clk := spec.ClkTightness * longest
 
 	return &Chip{
 		Spec: spec, G: g, Tech: tech, NL: nl,

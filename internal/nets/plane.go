@@ -118,101 +118,51 @@ func (t *PlaneTree) Canonicalize(sinkW []float64, dbif, eta float64) *PlaneTree 
 	out := &PlaneTree{}
 	out.Nodes = append(out.Nodes, PlaneNode{Pos: t.Nodes[0].Pos, Parent: -1, SinkIdx: -1})
 
-	// build returns the new index of the subtree top for old node i,
-	// attached under newParent.
-	var build func(i, newParent int32) int32
-	build = func(i, newParent int32) int32 {
-		type group struct {
-			topW float64
-			// attach materializes the group under the given parent.
-			attach func(parent int32)
-			// direct is set when the group is a single already-built
-			// subtree top that can be reparented without a new node.
-			pos geom.Pt
-		}
-		var groups []group
+	// build attaches old node i's items under parent: its own sink leaf
+	// (item 0 when it has one; the root's SinkIdx is ignored) and its
+	// children's subtrees. A single item hangs straight under parent, so
+	// pass-through nodes splice out; several are binarized at i's
+	// position, which keeps the root a leaf.
+	var build func(i, parent int32)
+	build = func(i, parent int32) {
 		n := t.Nodes[i]
-		if n.SinkIdx >= 0 {
-			idx := n.SinkIdx
-			groups = append(groups, group{
-				topW: sinkW[idx],
-				pos:  n.Pos,
-				attach: func(parent int32) {
-					out.Nodes = append(out.Nodes, PlaneNode{Pos: n.Pos, Parent: parent, SinkIdx: idx})
-				},
-			})
+		leaf := 0
+		if n.SinkIdx >= 0 && i != 0 {
+			leaf = 1
 		}
-		for _, c := range ch[i] {
-			c := c
-			groups = append(groups, group{
-				topW: subW[c],
-				pos:  t.Nodes[c].Pos,
-				attach: func(parent int32) {
-					build(c, parent)
-				},
-			})
-		}
-		if len(groups) == 0 {
-			// Childless Steiner node: drop (nothing to attach).
-			return -1
-		}
-		if len(groups) == 1 {
-			// Pass-through: splice unless this is a sink/terminal node,
-			// in which case the group already carries it.
-			if n.SinkIdx >= 0 {
-				groups[0].attach(newParent)
-				return int32(len(out.Nodes) - 1)
+		attach := func(k int, parent int32) {
+			if k < leaf {
+				out.Nodes = append(out.Nodes, PlaneNode{Pos: n.Pos, Parent: parent, SinkIdx: n.SinkIdx})
+			} else {
+				build(ch[i][k-leaf], parent)
 			}
-			groups[0].attach(newParent)
-			return -1
 		}
-		// Binarize the groups at this node's position.
-		ws := make([]float64, len(groups))
-		for gi, g := range groups {
-			ws[gi] = g.topW
-		}
-		tree := bestMergeTree(dbif, eta, ws)
-		var place func(m *mergeNode, parent int32)
-		place = func(m *mergeNode, parent int32) {
-			if m.leaf >= 0 {
-				groups[m.leaf].attach(parent)
-				return
+		switch k := leaf + len(ch[i]); k {
+		case 0:
+		case 1:
+			attach(0, parent)
+		default:
+			ws := make([]float64, 0, k)
+			if leaf == 1 {
+				ws = append(ws, sinkW[n.SinkIdx])
 			}
-			out.Nodes = append(out.Nodes, PlaneNode{Pos: n.Pos, Parent: parent, SinkIdx: -1})
-			me := int32(len(out.Nodes) - 1)
-			place(m.left, me)
-			place(m.right, me)
+			for _, c := range ch[i] {
+				ws = append(ws, subW[c])
+			}
+			var place func(m *mergeNode, parent int32)
+			place = func(m *mergeNode, parent int32) {
+				if m.leaf >= 0 {
+					attach(m.leaf, parent)
+					return
+				}
+				out.Nodes = append(out.Nodes, PlaneNode{Pos: n.Pos, Parent: parent, SinkIdx: -1})
+				me := int32(len(out.Nodes) - 1)
+				place(m.left, me)
+				place(m.right, me)
+			}
+			place(bestMergeTree(dbif, eta, ws), parent)
 		}
-		place(tree, newParent)
-		return -1
 	}
-
-	rootCh := ch[0]
-	switch len(rootCh) {
-	case 0:
-		// Root-only tree (no sinks): nothing to do.
-	case 1:
-		build(rootCh[0], 0)
-	default:
-		// Root must be a leaf: hang a Steiner node at the root position
-		// binarizing all root children beneath it.
-		ws := make([]float64, len(rootCh))
-		for i, c := range rootCh {
-			ws[i] = subW[c]
-		}
-		tree := bestMergeTree(dbif, eta, ws)
-		var place func(m *mergeNode, parent int32)
-		place = func(m *mergeNode, parent int32) {
-			if m.leaf >= 0 {
-				build(rootCh[m.leaf], parent)
-				return
-			}
-			out.Nodes = append(out.Nodes, PlaneNode{Pos: t.Nodes[0].Pos, Parent: parent, SinkIdx: -1})
-			me := int32(len(out.Nodes) - 1)
-			place(m.left, me)
-			place(m.right, me)
-		}
-		place(tree, 0)
-	}
+	build(0, 0)
 	return out
 }

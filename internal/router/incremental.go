@@ -17,10 +17,10 @@ import (
 const incHalo = 1
 
 // incState is the wave loop's per-net solve record and, under the skip
-// policy (Options.Incremental), its dirty-net scheduler. Every solve of
-// either policy lands here (noteFullSolve): the producing oracle feeds
-// checkpoint provenance and the flat step caches feed the net-order
-// usage replay. The scheduling half — computeDirty and the delta
+// policy (Options.Incremental), its dirty-net scheduler. Every tree a
+// run adopts under either policy lands here (runState.adopt calls
+// noteSolved): the producing oracle feeds checkpoint provenance and the
+// flat step caches feed the net-order usage replay. The scheduling half — computeDirty and the delta
 // tracker, advanced only by the fused end-of-wave price update — only
 // runs under the skip policy.
 // Across waves it keeps, per net, the inputs its cached tree was solved
@@ -239,16 +239,6 @@ func (s *incState) noteSolved(ni int, w, b []float64, tr *nets.RTree, congCost f
 		s.regions[ni] = r.Expand(incHalo, s.g.NX, s.g.NY)
 	}
 	s.buildSteps(ni, tr)
-}
-
-// noteFullSolve is noteSolved for a full oracle solve: it additionally
-// rebaselines the escalation reference cost. Adopted repairs go through
-// plain noteSolved so fullCost keeps pointing at the last real solve. A
-// warm start restores each checkpointed net through it too: the
-// (rebaselined) checkpoint values become the last-solve snapshots.
-func (s *incState) noteFullSolve(ni int, w, b []float64, tr *nets.RTree, congCost float64, oracleIdx int) {
-	s.noteSolved(ni, w, b, tr, congCost, oracleIdx)
-	s.fullCost[ni] = congCost
 }
 
 // buildSteps (re)derives net ni's flat step cache from its tree.

@@ -140,8 +140,8 @@ func (r *runState) finish() *Result {
 	// common scalar objective both reuse policies are judged on.
 	res.Metrics.Objective = r.objective(r.pricer.Costs())
 	res.Metrics.SolvesByOracle = map[string]int64{}
-	for _, wc := range r.workerCounts {
-		for oi, c := range wc {
+	for _, w := range r.workers {
+		for oi, c := range w.counts {
 			if c > 0 {
 				res.Metrics.SolvesByOracle[oracleNames[oi]] += c
 			}

@@ -28,7 +28,6 @@ import (
 	"costdist/internal/nets"
 	"costdist/internal/obs"
 	"costdist/internal/oracle"
-	"costdist/internal/reembed"
 )
 
 // Method selects the oracle driver of a routing run. The fixed methods
@@ -192,26 +191,6 @@ func DefaultOptions() Options {
 	}
 }
 
-// scratchPool hands each routing worker a private core.Scratch arena so
-// every rip-up-and-reroute wave re-solves its nets without re-allocating
-// solver state. A pool lives for one run and persists across its waves.
-type scratchPool struct {
-	scr []*core.Scratch
-	// re holds the matching per-worker repair workspaces; allocated
-	// alongside scr so a pool serves repair-enabled and plain runs alike.
-	re []*reembed.Scratch
-}
-
-// newScratchPool returns a pool of n arenas.
-func newScratchPool(n int) *scratchPool {
-	p := &scratchPool{}
-	for i := 0; i < n; i++ {
-		p.scr = append(p.scr, core.NewScratch())
-		p.re = append(p.re, reembed.NewScratch())
-	}
-	return p
-}
-
 // portfolioPool is the oracles the Portfolio driver races on every net:
 // every table row except the exact tier, whose search on every net of a
 // netlist would dominate the run's cost. Table order is name order, so
@@ -318,17 +297,35 @@ func Route(chip *chipgen.Chip, m Method, opt Options) (*Result, error) {
 // ctx.Err() within roughly one net-solve latency. On the non-cancelled
 // path results are bit-identical to Route.
 func RouteCtx(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*Result, error) {
+	res, _, err := route(ctx, nil, chip, m, opt, false)
+	return res, err
+}
+
+// route runs one routing run end to end: a cold start, or with st a warm
+// start from that checkpoint, then the waves and the final metric row.
+// With checkpoint set it also externalizes the run's final state.
+func route(ctx context.Context, st *State, chip *chipgen.Chip, m Method, opt Options, checkpoint bool) (*Result, *State, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r, err := newRun(ctx, chip, m, opt)
+	var r *runState
+	var err error
+	if st == nil {
+		r, err = newRun(ctx, chip, m, opt)
+	} else {
+		r, err = newRunFrom(ctx, st, chip, m, opt)
+	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := r.runWaves(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return r.finish(), nil
+	res := r.finish()
+	if !checkpoint {
+		return res, nil, nil
+	}
+	return res, r.Checkpoint(), nil
 }
 
 // SolveNet runs one oracle driver standalone on a self-contained

@@ -161,18 +161,7 @@ func netSig(nl *sta.Netlist, n sta.Net) nets.PinSig {
 // RouteCheckpoint is RouteCtx returning, alongside the result, the
 // run's externalized state for later warm starts.
 func RouteCheckpoint(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*Result, *State, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	r, err := newRun(ctx, chip, m, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := r.runWaves(); err != nil {
-		return nil, nil, err
-	}
-	res := r.finish()
-	return res, r.Checkpoint(), nil
+	return route(ctx, nil, chip, m, opt, true)
 }
 
 // RouteFrom warm-starts routing on chip from a previous run's state:
@@ -198,21 +187,10 @@ func RouteCheckpoint(ctx context.Context, chip *chipgen.Chip, m Method, opt Opti
 // The returned State is the new run's checkpoint, so ECO chains can
 // warm-start from warm starts.
 func RouteFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, opt Options) (*Result, *State, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if st == nil {
 		return nil, nil, fmt.Errorf("router: RouteFrom needs a checkpoint state (use Route for cold starts)")
 	}
-	r, err := newRunFrom(ctx, st, chip, m, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := r.runWaves(); err != nil {
-		return nil, nil, err
-	}
-	res := r.finish()
-	return res, r.Checkpoint(), nil
+	return route(ctx, st, chip, m, opt, true)
 }
 
 // newRunFrom builds a warm-started runState: a cold skeleton (which
@@ -262,16 +240,16 @@ func newRunFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, op
 		if k := len(n.Sinks); len(ns.Weights) != k || len(ns.Budgets) != k || len(ns.Delays) != k {
 			continue
 		}
-		oi := oracle.Index(ns.Oracle) // -1 for "" (no provenance)
+		// The restored tree counts as a full solve under the checkpoint's
+		// (rebaselined) timing prices; an oracle name of "" indexes -1,
+		// no provenance.
 		copy(r.weights[ni], ns.Weights)
 		copy(r.budgets[ni], ns.Budgets)
-		copy(r.delays[ni], ns.Delays)
-		r.trees[ni] = ns.Tree
 		cost := 0.0
 		for _, step := range ns.Tree.Steps {
 			cost += costs.ArcCost(step.Arc)
 		}
-		r.inc.noteFullSolve(ni, r.weights[ni], r.budgets[ni], ns.Tree, cost, oi)
+		r.adopt(ni, ns.Tree, ns.Delays, cost, oracle.Index(ns.Oracle), true)
 	}
 
 	// Capacity edits: translate changed segments into plane regions and

@@ -95,8 +95,7 @@ func TestComputeDirtySeedMode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.trees[ni] = tr
-		inc.noteFullSolve(ni, r.weights[ni], r.budgets[ni], tr, 1, drv.fixed)
+		r.adopt(ni, tr, r.delays[ni], 1, drv.fixed, true)
 		fake[ni] = true
 	}
 	seed := make([]bool, n)

@@ -23,18 +23,18 @@ import (
 )
 
 // runState is the mutable state of one routing run — everything the
-// rip-up-and-reroute wave loop reads and writes. It used to live as
-// interleaved locals inside Route; hoisting it into a struct is what
-// lets Checkpoint() externalize a run and RouteFrom resume one.
+// rip-up-and-reroute wave loop reads and writes: the run's inputs and
+// driver, its routing workers, the congestion pricer, every net's timing
+// prices, delays and current tree, the scheduler's per-net solve record,
+// the last wave's usage and the Result being filled in. Checkpoint()
+// externalizes it; newRunFrom restores one.
 type runState struct {
-	ctx  context.Context
-	chip *chipgen.Chip
-	m    Method
-	opt  Options
-	drv  driver
-	pool *scratchPool
-
-	threads int
+	ctx     context.Context
+	chip    *chipgen.Chip
+	m       Method
+	opt     Options
+	drv     driver
+	workers []*worker
 
 	pricer *cong.Pricer
 	// weights, delays and budgets are the per-net, per-sink Lagrangean
@@ -50,21 +50,13 @@ type runState struct {
 	allNets []int32
 	inc     *incState
 
-	// workerCounts are per-worker oracle invocation counters, indexed
-	// like the oracle table and summed after the waves — addition
-	// commutes, so the totals are independent of how nets land on
-	// workers.
-	workerCounts [][]int64
-
 	usage *cong.Usage
 	res   *Result
 	start time.Time
 
-	// rec is the optional telemetry recorder (nil = zero overhead);
-	// wkObs are its per-worker span buffers, indexed by worker. Both
-	// come from Options.Recorder and never influence routing decisions.
-	rec   *obs.Recorder
-	wkObs []*obs.Worker
+	// rec is the optional telemetry recorder (nil = zero overhead). It
+	// comes from Options.Recorder and never influences routing decisions.
+	rec *obs.Recorder
 
 	// warm marks a warm-started run (RouteFrom): its first wave solves
 	// only the seeded dirty set, and a wave that solved zero nets skips
@@ -73,6 +65,23 @@ type runState struct {
 	// away from the checkpoint it came from. The cold path never
 	// quiesces.
 	warm bool
+}
+
+// worker is one routing worker's private state, kept for the whole run:
+// its solver and repair arenas, its telemetry sink (nil without a
+// recorder) and its oracle invocation counts, indexed like the oracle
+// table. repaired, escalated and err are the current wave's repair
+// tallies and first failure. runWaves sums counts and tallies over
+// workers in worker order; integer addition commutes, so the totals are
+// independent of how nets land on workers.
+type worker struct {
+	scr    *core.Scratch
+	re     *reembed.Scratch
+	obs    *obs.Worker
+	counts []int64
+
+	repaired, escalated int
+	err                 error
 }
 
 // newRun assembles the cold-start state: fresh multipliers, cached
@@ -90,20 +99,30 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*ru
 	}
 	r := &runState{
 		ctx: ctx, chip: chip, m: m, opt: opt,
+		rec:   opt.Recorder,
 		start: time.Now(),
 	}
 	g := chip.G
 	nl := chip.NL
-	r.threads = opt.Threads
-	if r.threads <= 0 {
-		r.threads = runtime.GOMAXPROCS(0)
-	}
 	drv, err := newDriver(m)
 	if err != nil {
 		return nil, err
 	}
 	r.drv = drv
-	r.pool = newScratchPool(r.threads)
+	threads := opt.Threads
+	if threads <= 0 {
+		threads = runtime.GOMAXPROCS(0)
+	}
+	sinks := r.rec.Workers(threads) // nil without a recorder
+	r.workers = make([]*worker, threads)
+	for i := range r.workers {
+		w := &worker{scr: core.NewScratch(), re: reembed.NewScratch(), counts: make([]int64, len(oracleNames))}
+		if sinks != nil {
+			w.obs = sinks[i]
+			w.re.Obs = w.obs
+		}
+		r.workers[i] = w
+	}
 	r.pricer = cong.NewPricer(g, opt.PriceAlpha, opt.PriceTarget)
 
 	nNets := len(nl.Nets)
@@ -141,15 +160,6 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*ru
 		r.allNets[i] = int32(i)
 	}
 	r.inc = newIncState(chip, &r.drv, opt)
-
-	r.workerCounts = make([][]int64, r.threads)
-	for i := range r.workerCounts {
-		r.workerCounts[i] = make([]int64, len(oracleNames))
-	}
-	if opt.Recorder != nil {
-		r.rec = opt.Recorder
-		r.wkObs = r.rec.Workers(r.threads)
-	}
 	return r, nil
 }
 
@@ -164,7 +174,6 @@ func (r *runState) runWaves() error {
 	g := chip.G
 	nl := chip.NL
 	nNets := len(nl.Nets)
-	threads := r.threads
 	rec := r.rec
 
 	for wave := 0; wave < opt.Waves; wave++ {
@@ -198,47 +207,37 @@ func (r *runState) runWaves() error {
 		}
 		nWork := len(work)
 
-		workerErr := make([]error, threads)
-		// Per-worker repair tallies: workers write disjoint indices and
-		// integer addition commutes, so the wave totals are independent
-		// of how nets land on workers.
-		workerRepaired := make([]int, threads)
-		workerEscalated := make([]int, threads)
 		var next atomic.Int64
 		var wg sync.WaitGroup
-		for w := 0; w < threads; w++ {
+		for _, w := range r.workers {
+			w.repaired, w.escalated, w.err = 0, 0, nil
+			// A nil telemetry sink (no recorder) records nothing.
+			if w.obs != nil {
+				w.obs.Wave = int32(wave)
+			}
 			wg.Add(1)
-			go func(worker int) {
+			go func() {
 				defer wg.Done()
 				// A panicking oracle fails the run instead of the
 				// process; the worker's arenas are discarded with the
-				// run's scratch pool.
+				// run.
 				ni := -1
 				defer func() {
 					if p := recover(); p != nil {
-						workerErr[worker] = fmt.Errorf("net %d: panicked: %v", ni, p)
+						w.err = fmt.Errorf("net %d: panicked: %v", ni, p)
 					}
 				}()
-				// The telemetry sink: nil unless a recorder is attached,
-				// and a nil Worker records nothing. The reembed scratch's
-				// sink is re-pointed every wave.
-				var wk *obs.Worker
-				if rec != nil {
-					wk = r.wkObs[worker]
-					wk.Wave = int32(wave)
-				}
-				r.pool.re[worker].Obs = wk
 				// Each worker solves through its own arena; results are
 				// unchanged (solves are per-instance deterministic) while
 				// per-net solver allocations disappear. Any caller-provided
 				// scratch is overridden — sharing one across workers would
 				// race.
 				wopt := opt
-				wopt.CoreOpt.Scratch = r.pool.scr[worker]
+				wopt.CoreOpt.Scratch = w.scr
 				// Ctx lets the exact tier abandon a label search mid-solve
 				// on cancellation, tightening the kill latency below one
 				// full exact solve.
-				env := oracle.Env{Core: wopt.CoreOpt, PDAlpha: opt.PDAlpha, SLEps: opt.SLEps, Ctx: ctx, Rec: wk}
+				env := oracle.Env{Core: wopt.CoreOpt, PDAlpha: opt.PDAlpha, SLEps: opt.SLEps, Ctx: ctx, Rec: w.obs}
 				for {
 					// The cancellation point of the hot loop: one check per
 					// net claim, so a kill takes effect within one solve.
@@ -258,58 +257,62 @@ func (r *runState) runWaves() error {
 						// weights and budgets. Adopted repairs skip
 						// the oracle (and the capture hook — they are not
 						// fresh solves); failures fall through to one.
-						repT0 := wk.Now()
-						if r.tryRepair(ni, worker, in) {
-							wk.Span(obs.StageRepair, int32(ni), "adopted", repT0)
-							workerRepaired[worker]++
+						repT0 := w.obs.Now()
+						if r.tryRepair(ni, w.re, in) {
+							w.obs.Span(obs.StageRepair, int32(ni), "adopted", repT0)
+							w.repaired++
 							continue
 						}
-						wk.Span(obs.StageRepair, int32(ni), "escalated", repT0)
-						workerEscalated[worker]++
+						w.obs.Span(obs.StageRepair, int32(ni), "escalated", repT0)
+						w.escalated++
 					}
-					solveT0 := wk.Now()
-					tr, oi, ev, err := drv.solve(in, &env, r.workerCounts[worker])
+					solveT0 := w.obs.Now()
+					tr, oi, ev, err := drv.solve(in, &env, w.counts)
 					name := ""
 					if oi >= 0 {
 						name = oracleNames[oi]
 					}
-					wk.Span(obs.StageSolve, int32(ni), name, solveT0)
+					w.obs.Span(obs.StageSolve, int32(ni), name, solveT0)
 					if err != nil {
-						if workerErr[worker] == nil {
-							workerErr[worker] = fmt.Errorf("net %d: %w", ni, err)
+						if w.err == nil {
+							w.err = fmt.Errorf("net %d: %w", ni, err)
 						}
 						continue
 					}
 					if ev == nil {
 						ev, err = nets.Evaluate(in, tr)
 						if err != nil {
-							if workerErr[worker] == nil {
-								workerErr[worker] = fmt.Errorf("net %d eval: %w", ni, err)
+							if w.err == nil {
+								w.err = fmt.Errorf("net %d eval: %w", ni, err)
 							}
 							continue
 						}
 					}
-					r.trees[ni] = tr
-					copy(r.delays[ni], ev.SinkDelay)
-					// Snapshot the inputs this solve consumed, the new
-					// tree's cost, region and flat steps, and which oracle
-					// produced it; workers touch disjoint nets, so this is
-					// race-free.
-					r.inc.noteFullSolve(ni, r.weights[ni], r.budgets[ni], tr, ev.CongCost, oi)
+					r.adopt(ni, tr, ev.SinkDelay, ev.CongCost, oi, true)
 					if captured != nil && len(in.Sinks) >= 1 {
 						captured[ni] = snapshot(in, capCosts)
 					}
 				}
-			}(w)
+			}()
 		}
 		wg.Wait()
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for _, err := range workerErr {
-			if err != nil {
-				return err
+		nRepaired, nEscalated := 0, 0
+		var searched core.Work
+		var repairSettles int64
+		for _, w := range r.workers {
+			if w.err != nil {
+				return w.err
 			}
+			nRepaired += w.repaired
+			nEscalated += w.escalated
+			// The arenas count cumulatively; take the wave's share and
+			// start the next wave from zero.
+			searched.Add(w.scr.Work)
+			w.scr.Work = core.Work{}
+			repairSettles += int64(w.re.TakeSettles())
 		}
 		replayT0 := rec.Now()
 		// Rebuild usage from every tree, cached or fresh, in net order:
@@ -320,18 +323,6 @@ func (r *runState) runWaves() error {
 		r.usage = cong.NewUsage(g)
 		r.inc.replayUsage(r.usage, r.trees)
 		rec.Span(obs.StageReplay, int32(wave), -1, "", replayT0)
-		nRepaired, nEscalated := 0, 0
-		var searched core.Work
-		var repairSettles int64
-		for w := 0; w < threads; w++ {
-			nRepaired += workerRepaired[w]
-			nEscalated += workerEscalated[w]
-			// The arenas count cumulatively; take the wave's share and
-			// start the next wave from zero.
-			searched.Add(r.pool.scr[w].Work)
-			r.pool.scr[w].Work = core.Work{}
-			repairSettles += int64(r.pool.re[w].TakeSettles())
-		}
 		r.res.Metrics.WorkPerWave = append(r.res.Metrics.WorkPerWave, searched)
 		r.res.Metrics.RepairSettlesPerWave = append(r.res.Metrics.RepairSettlesPerWave, repairSettles)
 		r.res.Metrics.NetsSolved += int64(nWork - nRepaired)
@@ -435,8 +426,8 @@ func (r *runState) updateTiming(delay func(n, k int) float64) {
 // repair was adopted; false sends the net to a full oracle solve. The
 // decision is a pure function of (instance, cached tree, snapshots), so
 // results stay independent of worker count and scheduling.
-func (r *runState) tryRepair(ni, worker int, in *nets.Instance) bool {
-	out, err := reembed.Repair(in, r.trees[ni], r.pool.re[worker])
+func (r *runState) tryRepair(ni int, re *reembed.Scratch, in *nets.Instance) bool {
+	out, err := reembed.Repair(in, r.trees[ni], re)
 	if err != nil {
 		// Unrepairable (table cap, malformed cache): escalate.
 		return false
@@ -458,13 +449,27 @@ func (r *runState) tryRepair(ni, worker int, in *nets.Instance) bool {
 			}
 		}
 	}
-	r.trees[ni] = out.Tree
-	copy(r.delays[ni], out.Eval.SinkDelay)
-	// Plain noteSolved: lastCost rebaselines (drift churn stops) but
+	// Not a full solve: lastCost rebaselines (drift churn stops) but
 	// fullCost keeps pointing at the last real solve; the cached tree's
 	// oracle provenance is preserved.
-	r.inc.noteSolved(ni, r.weights[ni], r.budgets[ni], out.Tree, out.Eval.CongCost, int(r.inc.lastOracle[ni]))
+	r.adopt(ni, out.Tree, out.Eval.SinkDelay, out.Eval.CongCost, int(r.inc.lastOracle[ni]), false)
 	return true
+}
+
+// adopt makes tr net ni's current tree with the given sink delays and
+// snapshots what it was solved under (incState.noteSolved): the net's
+// weights and budgets, the tree's priced congestion cost congCost and
+// the oracle oi that produced it. full marks a full oracle solve or a
+// restored checkpoint tree, which also rebaselines the repair rung's
+// escalation cost; an adopted repair leaves that at the last full
+// solve. Workers adopt disjoint nets, so no locking is needed.
+func (r *runState) adopt(ni int, tr *nets.RTree, delays []float64, congCost float64, oi int, full bool) {
+	r.trees[ni] = tr
+	copy(r.delays[ni], delays)
+	r.inc.noteSolved(ni, r.weights[ni], r.budgets[ni], tr, congCost, oi)
+	if full {
+		r.inc.fullCost[ni] = congCost
+	}
 }
 
 // buildInstance assembles the cost-distance subproblem for one net under

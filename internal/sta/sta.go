@@ -193,38 +193,3 @@ func Analyze(nl *Netlist, delay NetDelayFn, clkPeriod float64) *Result {
 	}
 	return r
 }
-
-// LongestLevelPath returns an upper-bound estimate of the unrouted
-// critical path delay: the maximum over PO cells of accumulated cell
-// delays along levels, plus perNetDelay per level. Chip generators use
-// it to pick clock periods of controlled tightness.
-func LongestLevelPath(nl *Netlist, perNetDelay float64) float64 {
-	nc := len(nl.Cells)
-	best := make([]float64, nc)
-	order := make([]int32, nc)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return nl.Cells[order[a]].Level < nl.Cells[order[b]].Level
-	})
-	netsByDriver := make([][]int32, nc)
-	for ni, n := range nl.Nets {
-		netsByDriver[n.Driver] = append(netsByDriver[n.Driver], int32(ni))
-	}
-	worst := 0.0
-	for _, ci := range order {
-		at := best[ci] + nl.Cells[ci].Delay
-		if nl.Cells[ci].PO && at > worst {
-			worst = at
-		}
-		for _, ni := range netsByDriver[ci] {
-			for _, s := range nl.Nets[ni].Sinks {
-				if v := at + perNetDelay; v > best[s] {
-					best[s] = v
-				}
-			}
-		}
-	}
-	return worst
-}
