@@ -113,12 +113,12 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*ru
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	sinks := r.rec.Workers(threads) // nil without a recorder
+	bufs := r.rec.Workers(threads) // span buffers; nil without a recorder
 	r.workers = make([]*worker, threads)
 	for i := range r.workers {
 		w := &worker{scr: core.NewScratch(), re: reembed.NewScratch(), counts: make([]int64, len(oracleNames))}
-		if sinks != nil {
-			w.obs = sinks[i]
+		if bufs != nil {
+			w.obs = bufs[i]
 			w.re.Obs = w.obs
 		}
 		r.workers[i] = w

@@ -162,10 +162,15 @@ func Analyze(nl *Netlist, delay NetDelayFn, clkPeriod float64) *Result {
 		}
 	}
 
-	// Pin slacks and endpoint metrics.
+	// Pin slacks, all nets' in one backing array, and endpoint metrics.
+	pins := 0
+	for _, n := range nl.Nets {
+		pins += len(n.Sinks)
+	}
+	flat := make([]float64, pins)
 	r.pinSlack = make([][]float64, len(nl.Nets))
 	for ni, n := range nl.Nets {
-		r.pinSlack[ni] = make([]float64, len(n.Sinks))
+		r.pinSlack[ni], flat = flat[:len(n.Sinks):len(n.Sinks)], flat[len(n.Sinks):]
 		for k, s := range n.Sinks {
 			at := r.AT[n.Driver] + delay(ni, k)
 			req := r.RAT[s] - nl.Cells[s].Delay
