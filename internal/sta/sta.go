@@ -140,7 +140,10 @@ func Analyze(nl *Netlist, delay NetDelayFn, clkPeriod float64) *Result {
 		}
 	}
 
-	// Backward: required times at cell outputs.
+	// Backward: required times at cell outputs, and the slack of every
+	// sink pin, all nets' in one backing array. Sinks sit on strictly
+	// higher levels than their drivers, so a sink's required time is final
+	// before the reverse level order reaches its driver.
 	for i := range r.RAT {
 		r.RAT[i] = math.Inf(1)
 	}
@@ -149,20 +152,6 @@ func Analyze(nl *Netlist, delay NetDelayFn, clkPeriod float64) *Result {
 			r.RAT[ci] = clkPeriod
 		}
 	}
-	for i := nc - 1; i >= 0; i-- {
-		ci := order[i]
-		for _, ni := range netsByDriver[ci] {
-			n := nl.Nets[ni]
-			for k, s := range n.Sinks {
-				req := r.RAT[s] - nl.Cells[s].Delay - delay(int(ni), k)
-				if req < r.RAT[ci] {
-					r.RAT[ci] = req
-				}
-			}
-		}
-	}
-
-	// Pin slacks, all nets' in one backing array, and endpoint metrics.
 	pins := 0
 	for _, n := range nl.Nets {
 		pins += len(n.Sinks)
@@ -171,12 +160,23 @@ func Analyze(nl *Netlist, delay NetDelayFn, clkPeriod float64) *Result {
 	r.pinSlack = make([][]float64, len(nl.Nets))
 	for ni, n := range nl.Nets {
 		r.pinSlack[ni], flat = flat[:len(n.Sinks):len(n.Sinks)], flat[len(n.Sinks):]
-		for k, s := range n.Sinks {
-			at := r.AT[n.Driver] + delay(ni, k)
-			req := r.RAT[s] - nl.Cells[s].Delay
-			r.pinSlack[ni][k] = req - at
+	}
+	for i := nc - 1; i >= 0; i-- {
+		ci := order[i]
+		for _, ni := range netsByDriver[ci] {
+			n := nl.Nets[ni]
+			for k, s := range n.Sinks {
+				d := delay(int(ni), k)
+				req := r.RAT[s] - nl.Cells[s].Delay
+				r.pinSlack[ni][k] = req - (r.AT[ci] + d)
+				if req-d < r.RAT[ci] {
+					r.RAT[ci] = req - d
+				}
+			}
 		}
 	}
+
+	// Endpoint metrics.
 	r.WS = math.Inf(1)
 	r.TNS = 0
 	seen := false
