@@ -34,16 +34,19 @@ func TestNegativeIncTolIsAnError(t *testing.T) {
 	}
 }
 
-// A NaN tolerance would compare false against every drift and freeze
-// every cached tree after wave 0: the router refuses it by name.
+// A NaN tolerance would compare false against every drift, and no drift
+// exceeds a +Inf one: either would freeze every cached tree after wave
+// 0, so the router refuses both by name.
 func TestNaNIncTolIsAnError(t *testing.T) {
 	bin := buildGrroute(t)
-	out, err := exec.Command(bin, "-chip", "c1", "-scale", "0.002", "-waves", "1", "-incremental", "-inctol", "NaN").CombinedOutput()
-	if err == nil {
-		t.Fatalf("grroute -inctol NaN succeeded:\n%s", out)
-	}
-	if !strings.Contains(string(out), "IncrementalTol is NaN") {
-		t.Fatalf("error does not name the NaN tolerance:\n%s", out)
+	for tol, want := range map[string]string{"NaN": "IncrementalTol is NaN", "Inf": "IncrementalTol is +Inf"} {
+		out, err := exec.Command(bin, "-chip", "c1", "-scale", "0.002", "-waves", "1", "-incremental", "-inctol", tol).CombinedOutput()
+		if err == nil {
+			t.Fatalf("grroute -inctol %s succeeded:\n%s", tol, out)
+		}
+		if !strings.Contains(string(out), want) {
+			t.Fatalf("error does not name the %s tolerance:\n%s", tol, out)
+		}
 	}
 }
 

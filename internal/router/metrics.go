@@ -124,9 +124,12 @@ type Result struct {
 func (r *runState) finish() *Result {
 	nl := r.chip.NL
 	res := r.res
-	timing := sta.Analyze(nl, func(n, k int) float64 { return r.delays[n][k] }, r.chip.ClkPeriod)
+	timing := sta.Analyze(nl, func(n, k int) float64 { return r.nets[n].delays[k] }, r.chip.ClkPeriod)
 	var vias int64
-	for _, tr := range r.trees {
+	res.Trees = make([]*nets.RTree, len(r.nets))
+	for ni := range r.nets {
+		tr := r.nets[ni].tree
+		res.Trees[ni] = tr
 		if tr == nil {
 			continue
 		}
@@ -147,7 +150,6 @@ func (r *runState) finish() *Result {
 			}
 		}
 	}
-	res.Trees = r.trees
 	res.Metrics.WS = timing.WS
 	res.Metrics.TNS = timing.TNS
 	res.Metrics.ACE4 = cong.ACE4(r.usage)
@@ -178,15 +180,16 @@ func (r *runState) finish() *Result {
 // equals the final Metrics.Objective bit-for-bit.
 func (r *runState) objective(costs *grid.Costs) float64 {
 	var obj float64
-	for ni, tr := range r.trees {
-		if tr == nil {
+	for ni := range r.nets {
+		n := &r.nets[ni]
+		if n.tree == nil {
 			continue
 		}
-		for _, st := range tr.Steps {
+		for _, st := range n.tree.Steps {
 			obj += costs.ArcCost(st.Arc)
 		}
-		for k := range r.delays[ni] {
-			obj += r.weights[ni][k] * r.delays[ni][k]
+		for k, d := range n.delays {
+			obj += n.weights[k] * d
 		}
 	}
 	return obj

@@ -70,9 +70,9 @@ func TestNegativeIncrementalTolRejected(t *testing.T) {
 }
 
 // Every entry point refuses a run with fewer than one wave (no wave
-// builds the usage the result is assembled from) and a NaN tolerance
-// (which compares false against every drift, so after wave 0 no net
-// would ever be re-solved), naming what it refused.
+// builds the usage the result is assembled from) and a NaN or +Inf
+// tolerance (no drift exceeds either, so after wave 0 no net would ever
+// be re-solved), naming what it refused.
 func TestRunOptionsRejected(t *testing.T) {
 	chip := tinyChip(t, 0, 0.002)
 	opt := DefaultOptions()
@@ -100,6 +100,7 @@ func TestRunOptionsRejected(t *testing.T) {
 		{"waves 0", func(o *Options) { o.Waves = 0 }, "Waves 0 "},
 		{"waves -1", func(o *Options) { o.Waves = -1 }, "Waves -1 "},
 		{"inctol NaN", func(o *Options) { o.Incremental, o.IncrementalTol = true, math.NaN() }, "IncrementalTol is NaN"},
+		{"inctol +Inf", func(o *Options) { o.Incremental, o.IncrementalTol = true, math.Inf(1) }, "IncrementalTol is +Inf"},
 	} {
 		o := DefaultOptions()
 		tc.edit(&o)

@@ -145,9 +145,9 @@ type Options struct {
 	// a congestion multiplier or sink timing value counts as changed
 	// when it moved by more than IncrementalTol relative to the snapshot
 	// the net was last solved under. 0 invalidates on any change; it
-	// must be ≥ 0 (Route and RouteFrom reject a negative value — to
-	// re-solve everything set Incremental to false — and NaN, under
-	// which no net would ever count as changed).
+	// must be finite and ≥ 0 (Route and RouteFrom reject a negative
+	// value — to re-solve everything set Incremental to false — and NaN
+	// or +Inf, under which no net would ever count as changed).
 	IncrementalTol float64
 	// RepairTol enables the topology-repair rung of the dirty-net
 	// scheduler (it has no effect with Incremental off): every dirty net

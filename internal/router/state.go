@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"costdist/internal/chipgen"
 	"costdist/internal/cong"
@@ -83,8 +84,13 @@ type NetState struct {
 
 // CompatibleWith reports whether the state can warm-start routing on
 // the given grid: equal dimensions, layer count and directions (which
-// together fix the vertex and segment numbering), and matching segment
-// counts for the stored vectors.
+// together fix the vertex and segment numbering), matching segment
+// counts for the stored vectors, and numbers inside the ranges a run
+// produces. It refuses, naming the segment or the net and sink, a
+// multiplier that is NaN, infinite or below 1 (the pricer's floor, on
+// which the oracles' A* bound rests), a weight or delay that is NaN,
+// infinite or negative, and a budget that is NaN or negative (+Inf, a
+// sink without a timing endpoint downstream, is legal).
 func (st *State) CompatibleWith(g *grid.Graph) error {
 	if g.NX != st.NX || g.NY != st.NY || len(g.Layers) != st.Layers {
 		return fmt.Errorf("router: checkpoint grid %dx%dx%d incompatible with chip grid %dx%dx%d",
@@ -96,6 +102,25 @@ func (st *State) CompatibleWith(g *grid.Graph) error {
 	if int(g.NumSegs()) != len(st.Cap) || len(st.Cap) != len(st.Mult) {
 		return fmt.Errorf("router: checkpoint has %d/%d cap/mult segments, chip has %d",
 			len(st.Cap), len(st.Mult), g.NumSegs())
+	}
+	for s, m := range st.Mult {
+		if !(m >= 1) || math.IsInf(float64(m), 1) {
+			return fmt.Errorf("router: checkpoint segment %d has multiplier %v; multipliers are finite and ≥ 1", s, m)
+		}
+	}
+	for ni := range st.Nets {
+		ns := &st.Nets[ni]
+		for _, v := range [...]struct {
+			name string
+			xs   []float64
+			inf  bool // +Inf is legal
+		}{{"weight", ns.Weights, false}, {"delay", ns.Delays, false}, {"budget", ns.Budgets, true}} {
+			for k, x := range v.xs {
+				if !(x >= 0) || math.IsInf(x, 1) && !v.inf {
+					return fmt.Errorf("router: checkpoint net %d sink %d has %s %v; weights and delays are finite and ≥ 0, budgets ≥ 0 or +Inf", ni, k, v.name, x)
+				}
+			}
+		}
 	}
 	return nil
 }
@@ -119,33 +144,27 @@ func (r *runState) Checkpoint() *State {
 	}
 	st.Nets = make([]NetState, len(nl.Nets))
 	for ni, n := range nl.Nets {
-		ns := NetState{
-			Sig:     netSig(nl, n),
-			Weights: append([]float64(nil), r.weights[ni]...),
-			Budgets: append([]float64(nil), r.budgets[ni]...),
-			Delays:  append([]float64(nil), r.delays[ni]...),
+		rec := &r.nets[ni]
+		ns := &st.Nets[ni]
+		ns.Sig = netSig(nl, n)
+		ns.Weights = append([]float64(nil), rec.weights...)
+		ns.Budgets = append([]float64(nil), rec.budgets...)
+		ns.Delays = append([]float64(nil), rec.delays...)
+		if rec.tree == nil {
+			continue
 		}
-		if tr := r.trees[ni]; tr != nil {
-			ns.Tree = &nets.RTree{Steps: append([]nets.Step(nil), tr.Steps...)}
-			ns.Oracle = r.producingOracle(ni)
+		ns.Tree = &nets.RTree{Steps: append([]nets.Step(nil), rec.tree.Steps...)}
+		// The producing oracle: the record every solve leaves under either
+		// policy, else the fixed oracle for a tree restored without one
+		// into a single-oracle run, else "".
+		switch {
+		case rec.oracle >= 0:
+			ns.Oracle = oracleNames[rec.oracle]
+		case r.drv.fixed >= 0:
+			ns.Oracle = oracleNames[r.drv.fixed]
 		}
-		st.Nets[ni] = ns
 	}
 	return st
-}
-
-// producingOracle names the oracle behind net ni's cached tree: the
-// per-net record every solve leaves under either policy, the fixed
-// oracle for a tree restored without one into a single-oracle run, ""
-// otherwise.
-func (r *runState) producingOracle(ni int) string {
-	if oi := r.inc.lastOracle[ni]; oi >= 0 {
-		return oracleNames[oi]
-	}
-	if r.drv.fixed >= 0 {
-		return oracleNames[r.drv.fixed]
-	}
-	return ""
 }
 
 // netSig extracts the terminal signature of a netlist net.
@@ -177,8 +196,11 @@ func RouteCheckpoint(ctx context.Context, chip *chipgen.Chip, m Method, opt Opti
 // reproducing the checkpointed result exactly.
 //
 // The warm run always uses the skip policy regardless of
-// opt.Incremental; like Route it rejects opt.Waves < 1 and a negative
-// or NaN opt.IncrementalTol.
+// opt.Incremental; like Route it rejects opt.Waves < 1 and a negative,
+// NaN or +Inf opt.IncrementalTol. It also rejects a state that
+// st.CompatibleWith refuses: another grid, or a number outside the
+// range a run produces (a multiplier below 1, a negative weight, delay
+// or budget, NaN, an infinite weight or delay).
 // With opt.RepairTol ≥ 0, seeded nets whose pin signature matched at
 // restore time — invalidated purely by the capacity/price diff — take
 // the topology-repair rung first and only escalate to a full oracle
@@ -215,7 +237,7 @@ func newRunFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, op
 	// every restored tree's snapshot cost start from the restored
 	// equilibrium, not from the producing run's mid-run residue.
 	copy(r.pricer.Mult, st.Mult)
-	r.inc.tracker.SetRef(st.Mult)
+	r.tracker.SetRef(st.Mult)
 	costs := r.pricer.Costs()
 
 	// A method change invalidates every cached tree: the trees were
@@ -243,8 +265,8 @@ func newRunFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, op
 		// The restored tree counts as a full solve under the checkpoint's
 		// (rebaselined) timing prices; an oracle name of "" indexes -1,
 		// no provenance.
-		copy(r.weights[ni], ns.Weights)
-		copy(r.budgets[ni], ns.Budgets)
+		copy(r.nets[ni].weights, ns.Weights)
+		copy(r.nets[ni].budgets, ns.Budgets)
 		cost := 0.0
 		for _, step := range ns.Tree.Steps {
 			cost += costs.ArcCost(step.Arc)
@@ -256,11 +278,11 @@ func newRunFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, op
 	// dirty every net whose candidate region overlaps one.
 	seed := make([]bool, len(nl.Nets))
 	if rects := cong.DiffRects(chip.G, chip.G.Cap, st.Cap); len(rects) > 0 {
-		ix := nets.BuildWindowIndex(r.inc.regions)
+		ix := nets.BuildWindowIndex(r.regions())
 		for _, rect := range rects {
 			ix.Query(rect, func(ni int32) { seed[ni] = true })
 		}
 	}
-	r.inc.seed = seed
+	r.seed = seed
 	return r, nil
 }

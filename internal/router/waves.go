@@ -24,10 +24,10 @@ import (
 
 // runState is the mutable state of one routing run — everything the
 // rip-up-and-reroute wave loop reads and writes: the run's inputs and
-// driver, its routing workers, the congestion pricer, every net's timing
-// prices, delays and current tree, the scheduler's per-net solve record,
-// the last wave's usage and the Result being filled in. Checkpoint()
-// externalizes it; newRunFrom restores one.
+// driver, its routing workers, the congestion pricer, one record per
+// net, the dirty-net scheduler's chip-wide state, the last wave's usage
+// and the Result being filled in. Checkpoint() externalizes it;
+// newRunFrom restores one.
 type runState struct {
 	ctx     context.Context
 	chip    *chipgen.Chip
@@ -37,18 +37,31 @@ type runState struct {
 	workers []*worker
 
 	pricer *cong.Pricer
-	// weights, delays and budgets are the per-net, per-sink Lagrangean
-	// timing state; trees the current embedded tree of every net.
-	weights [][]float64
-	delays  [][]float64
-	budgets [][]float64
-	trees   []*nets.RTree
-
-	// allNets is the no-skip policy's work list; inc the per-net solve
-	// snapshots and flat step caches every wave maintains, plus the
-	// dirty-net scheduler the skip policy (opt.Incremental) consults.
+	// nets holds every net's record, indexed like chip.NL.Nets;
+	// allNets is the no-skip policy's work list.
+	nets    []netState
 	allNets []int32
-	inc     *incState
+
+	// The dirty-net scheduler's chip-wide state (computeDirty), built
+	// only for a skip-policy run. tracker holds the multiplier reference
+	// congestion drift is judged against (cong.DeltaTracker), advanced
+	// only by the fused end-of-wave price update; pendRects/pendSegs
+	// stash that update's result, the only change source the next pass
+	// reads. They stay empty when no update ran since the last pass: at
+	// cold wave 0 the multipliers still equal the reference, and after
+	// a quiesced warm wave they have not moved since the last fused
+	// update advanced it. cand marks the nets whose region overlaps a
+	// changed rectangle in the current pass; only they are repriced.
+	// seed, when non-nil, replaces the next pass's drift checks: the
+	// wave's work list is seed ∪ {never solved}. Warm starts set it to
+	// make the resumed run's first wave solve exactly the instance diff
+	// (RouteFrom); the checkpoint's prices are the clean baseline, so
+	// pre-checkpoint residue must not re-dirty restored nets.
+	tracker   *cong.DeltaTracker
+	pendRects []geom.Rect
+	pendSegs  int
+	cand      []bool
+	seed      []bool
 
 	usage *cong.Usage
 	res   *Result
@@ -65,6 +78,48 @@ type runState struct {
 	// away from the checkpoint it came from. The cold path never
 	// quiesces.
 	warm bool
+}
+
+// netState is one net's record in a run: its per-sink Lagrangean timing
+// prices (delay weights and budgets), its current tree with the routed
+// sink delays, and the snapshot of the solve that made the tree current
+// — the inputs the dirty-net scheduler judges drift against, the repair
+// rung's escalation baseline, the producing oracle, the plane region and
+// the flat step cache. runState.adopt writes the tree and the snapshot;
+// NetState is the record's externalized form.
+type netState struct {
+	weights, delays, budgets []float64
+	tree                     *nets.RTree
+
+	// snapW/snapB copy the weights/budgets the tree was adopted under,
+	// one entry per sink; nil snapW marks "never solved". snapCost is
+	// the tree's priced congestion cost at adoption; fullCost that of
+	// the last FULL oracle solve. Unlike snapCost, adopted repairs do not
+	// rebaseline fullCost, so successive repairs accumulate drift
+	// against the last real solve and the escalation rule (repaired cost
+	// > (1+RepairTol)·fullCost) eventually fires instead of a congested
+	// net dodging the oracle forever through small repair steps.
+	snapW, snapB       []float64
+	snapCost, fullCost float64
+	// oracle is the table index of the oracle that produced the tree
+	// (-1 before the first solve, or for a restored tree without
+	// provenance). Budget drift only matters when the cached (or
+	// candidate) oracle consumes budgets.
+	oracle int16
+	// region is the net's candidate region: the tree's bounding box
+	// (initially the terminals') plus incHalo.
+	region geom.Rect
+	// segs, base and capUse decompose the tree into flat per-step arrays
+	// in tree step order: segment id, congestion base cost (ArcCost of
+	// step i is Mult[segs[i]]·base[i]) and capacity consumed
+	// (Usage.AddArc adds capUse[i] to segs[i]). Repricing a candidate
+	// tree and replaying a clean net's usage become tight array loops
+	// instead of walks that re-derive both quantities from each
+	// grid.Arc; the accumulation order is the step order either way, so
+	// the floating-point results are bitwise unchanged.
+	segs   []int32
+	base   []float64
+	capUse []float32
 }
 
 // worker is one routing worker's private state, kept for the whole run:
@@ -94,8 +149,8 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*ru
 	if opt.IncrementalTol < 0 {
 		return nil, fmt.Errorf("router: IncrementalTol %v is negative; to re-solve every net in every wave set Incremental=false", opt.IncrementalTol)
 	}
-	if math.IsNaN(opt.IncrementalTol) {
-		return nil, fmt.Errorf("router: IncrementalTol is NaN; no drift compares against it, so no net would ever be re-solved")
+	if math.IsNaN(opt.IncrementalTol) || math.IsInf(opt.IncrementalTol, 1) {
+		return nil, fmt.Errorf("router: IncrementalTol is %v; no drift exceeds it, so after wave 0 no net would ever be re-solved", opt.IncrementalTol)
 	}
 	r := &runState{
 		ctx: ctx, chip: chip, m: m, opt: opt,
@@ -125,18 +180,22 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*ru
 	}
 	r.pricer = cong.NewPricer(g, opt.PriceAlpha, opt.PriceTarget)
 
-	nNets := len(nl.Nets)
-	r.weights = make([][]float64, nNets)
-	r.delays = make([][]float64, nNets)
-	r.budgets = make([][]float64, nNets)
+	r.nets = make([]netState, len(nl.Nets))
 	for ni, n := range nl.Nets {
-		r.weights[ni] = make([]float64, len(n.Sinks))
-		r.delays[ni] = make([]float64, len(n.Sinks))
+		rec := &r.nets[ni]
+		rec.weights = make([]float64, len(n.Sinks))
+		rec.delays = make([]float64, len(n.Sinks))
+		rec.budgets = make([]float64, len(n.Sinks))
 		for k := range n.Sinks {
-			r.weights[ni][k] = opt.WeightBase
+			rec.weights[k] = opt.WeightBase
 		}
+		rec.oracle = -1
+		reg := geom.EmptyRect().Add(nl.Cells[n.Driver].Pos)
+		for _, s := range n.Sinks {
+			reg = reg.Add(nl.Cells[s].Pos)
+		}
+		rec.region = reg.Expand(incHalo, g.NX, g.NY)
 	}
-	r.trees = make([]*nets.RTree, nNets)
 	r.res = &Result{}
 
 	// Pre-wave timing: estimate net delays from L1 distances on a
@@ -154,12 +213,15 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*ru
 	})
 
 	// The full work list; the skip policy replaces it with the dirty
-	// subset.
-	r.allNets = make([]int32, nNets)
+	// subset, and only it needs the scheduler's state.
+	r.allNets = make([]int32, len(nl.Nets))
 	for i := range r.allNets {
 		r.allNets[i] = int32(i)
 	}
-	r.inc = newIncState(chip, &r.drv, opt)
+	if opt.Incremental {
+		r.tracker = cong.NewDeltaTracker(g, opt.IncrementalTol)
+		r.cand = make([]bool, len(nl.Nets))
+	}
 	return r, nil
 }
 
@@ -175,6 +237,7 @@ func (r *runState) runWaves() error {
 	nl := chip.NL
 	nNets := len(nl.Nets)
 	rec := r.rec
+	repairOn := opt.Incremental && opt.RepairTol >= 0
 
 	for wave := 0; wave < opt.Waves; wave++ {
 		if err := ctx.Err(); err != nil {
@@ -202,7 +265,7 @@ func (r *runState) runWaves() error {
 			// net dirty (nothing has been solved yet); a warm-started run
 			// instead seeds wave 0 with the instance diff.
 			dirtyT0 := rec.Now()
-			work, deltaSegs = r.inc.computeDirty(costs, r.trees, r.weights, r.budgets)
+			work, deltaSegs = r.computeDirty(costs)
 			rec.Span(obs.StageDirty, int32(wave), -1, "", dirtyT0)
 		}
 		nWork := len(work)
@@ -249,9 +312,10 @@ func (r *runState) runWaves() error {
 						return
 					}
 					ni = int(work[idx])
-					in := buildInstance(chip, ni, r.weights[ni], costs, opt.Seed)
-					in.Budgets = r.budgets[ni]
-					if r.inc.repairOn && r.inc.lastW[ni] != nil && r.trees[ni] != nil {
+					n := &r.nets[ni]
+					in := buildInstance(chip, ni, n.weights, costs, opt.Seed)
+					in.Budgets = n.budgets
+					if repairOn && n.snapW != nil && n.tree != nil {
 						// The middle rung, for a net with a cached tree:
 						// re-embed its topology under the current prices,
 						// weights and budgets. Adopted repairs skip
@@ -321,7 +385,7 @@ func (r *runState) runWaves() error {
 		// The flat step caches replay each tree without re-deriving
 		// per-arc capacities.
 		r.usage = cong.NewUsage(g)
-		r.inc.replayUsage(r.usage, r.trees)
+		r.replayUsage(r.usage)
 		rec.Span(obs.StageReplay, int32(wave), -1, "", replayT0)
 		r.res.Metrics.WorkPerWave = append(r.res.Metrics.WorkPerWave, searched)
 		r.res.Metrics.RepairSettlesPerWave = append(r.res.Metrics.RepairSettlesPerWave, repairSettles)
@@ -332,7 +396,7 @@ func (r *runState) runWaves() error {
 		r.res.Metrics.SolvedPerWave = append(r.res.Metrics.SolvedPerWave, nWork-nRepaired)
 		r.res.Metrics.SkippedPerWave = append(r.res.Metrics.SkippedPerWave, nNets-nWork)
 		r.res.Metrics.DeltaSegsPerWave = append(r.res.Metrics.DeltaSegsPerWave, deltaSegs)
-		if r.inc.repairOn {
+		if repairOn {
 			r.res.Metrics.RepairedPerWave = append(r.res.Metrics.RepairedPerWave, nRepaired)
 			r.res.Metrics.EscalatedPerWave = append(r.res.Metrics.EscalatedPerWave, nEscalated)
 		}
@@ -358,11 +422,11 @@ func (r *runState) runWaves() error {
 			// prices plainly and leaves the tracker alone.
 			priceT0 := rec.Now()
 			if opt.Incremental && wave+1 < opt.Waves {
-				r.inc.pendRects, r.inc.pendSegs = r.pricer.UpdateTracked(r.inc.tracker, r.usage)
+				r.pendRects, r.pendSegs = r.pricer.UpdateTracked(r.tracker, r.usage)
 			} else {
 				r.pricer.Update(r.usage)
 			}
-			r.updateTiming(func(n, k int) float64 { return r.delays[n][k] })
+			r.updateTiming(func(n, k int) float64 { return r.nets[n].delays[k] })
 			rec.Span(obs.StagePrice, int32(wave), -1, "", priceT0)
 		}
 
@@ -397,25 +461,23 @@ func (r *runState) runWaves() error {
 func (r *runState) updateTiming(delay func(n, k int) float64) {
 	nl, opt := r.chip.NL, r.opt
 	timing := sta.Analyze(nl, delay, r.chip.ClkPeriod)
-	for ni := range nl.Nets {
-		if r.budgets[ni] == nil {
-			r.budgets[ni] = make([]float64, len(nl.Nets[ni].Sinks))
-		}
-		for k := range nl.Nets[ni].Sinks {
+	for ni := range r.nets {
+		n := &r.nets[ni]
+		for k := range n.weights {
 			slack := timing.PinSlack(ni, k)
-			w := r.weights[ni][k] * math.Exp(-slack/opt.WeightTau)
+			w := n.weights[k] * math.Exp(-slack/opt.WeightTau)
 			if w < opt.WeightBase {
 				w = opt.WeightBase
 			}
 			if w > opt.WeightMax {
 				w = opt.WeightMax
 			}
-			r.weights[ni][k] = w
+			n.weights[k] = w
 			b := delay(ni, k) + slack
 			if b < 0 {
 				b = 0
 			}
-			r.budgets[ni][k] = b
+			n.budgets[k] = b
 		}
 	}
 }
@@ -427,7 +489,8 @@ func (r *runState) updateTiming(delay func(n, k int) float64) {
 // decision is a pure function of (instance, cached tree, snapshots), so
 // results stay independent of worker count and scheduling.
 func (r *runState) tryRepair(ni int, re *reembed.Scratch, in *nets.Instance) bool {
-	out, err := reembed.Repair(in, r.trees[ni], re)
+	n := &r.nets[ni]
+	out, err := reembed.Repair(in, n.tree, re)
 	if err != nil {
 		// Unrepairable (table cap, malformed cache): escalate.
 		return false
@@ -436,39 +499,61 @@ func (r *runState) tryRepair(ni int, re *reembed.Scratch, in *nets.Instance) boo
 	// RepairTol relative to the last FULL solve's priced cost. fullCost
 	// is deliberately not rebaselined by adopted repairs, so a net that
 	// keeps degrading in small steps cannot dodge the oracle forever.
-	if out.Eval.CongCost > (1+r.opt.RepairTol)*r.inc.fullCost[ni] {
+	if out.Eval.CongCost > (1+r.opt.RepairTol)*n.fullCost {
 		return false
 	}
 	// Escalation rule 2: a delay budget is violated and the net's oracle
 	// actually consumes budgets — the repair cannot re-plan the topology
 	// the way a budget-aware solve would.
-	if r.drv.usesBudgets(int(r.inc.lastOracle[ni])) {
+	if r.drv.usesBudgets(int(n.oracle)) {
 		for k, d := range out.Eval.SinkDelay {
-			if d > r.budgets[ni][k] {
+			if d > n.budgets[k] {
 				return false
 			}
 		}
 	}
-	// Not a full solve: lastCost rebaselines (drift churn stops) but
+	// Not a full solve: snapCost rebaselines (drift churn stops) but
 	// fullCost keeps pointing at the last real solve; the cached tree's
 	// oracle provenance is preserved.
-	r.adopt(ni, out.Tree, out.Eval.SinkDelay, out.Eval.CongCost, int(r.inc.lastOracle[ni]), false)
+	r.adopt(ni, out.Tree, out.Eval.SinkDelay, out.Eval.CongCost, int(n.oracle), false)
 	return true
 }
 
 // adopt makes tr net ni's current tree with the given sink delays and
-// snapshots what it was solved under (incState.noteSolved): the net's
-// weights and budgets, the tree's priced congestion cost congCost and
-// the oracle oi that produced it. full marks a full oracle solve or a
-// restored checkpoint tree, which also rebaselines the repair rung's
-// escalation cost; an adopted repair leaves that at the last full
-// solve. Workers adopt disjoint nets, so no locking is needed.
+// snapshots, in the net's record, what it was solved under: the net's
+// weights and budgets, the tree's priced congestion cost congCost, the
+// oracle oi that produced it, the tree's region and its flat step
+// cache. Every tree a run makes current goes through here, under either
+// reuse policy: a full solve, an adopted repair, a restored checkpoint
+// tree. full marks a full oracle solve or a restored tree, which also
+// rebaselines the repair rung's escalation cost; an adopted repair
+// leaves that at the last full solve. Workers adopt disjoint nets, so
+// no locking is needed.
 func (r *runState) adopt(ni int, tr *nets.RTree, delays []float64, congCost float64, oi int, full bool) {
-	r.trees[ni] = tr
-	copy(r.delays[ni], delays)
-	r.inc.noteSolved(ni, r.weights[ni], r.budgets[ni], tr, congCost, oi)
+	g := r.chip.G
+	n := &r.nets[ni]
+	n.tree = tr
+	copy(n.delays, delays)
+	n.snapW = append(n.snapW[:0], n.weights...)
+	n.snapB = append(n.snapB[:0], n.budgets...)
+	n.snapCost = congCost
 	if full {
-		r.inc.fullCost[ni] = congCost
+		n.fullCost = congCost
+	}
+	n.oracle = int16(oi)
+	if b := tr.BBox(g); !b.Empty() {
+		n.region = b.Expand(incHalo, g.NX, g.NY)
+	}
+	n.segs, n.base, n.capUse = n.segs[:0], n.base[:0], n.capUse[:0]
+	for _, st := range tr.Steps {
+		a := st.Arc
+		base := g.Layers[a.L].ViaCost
+		if !a.Via {
+			base = g.Layers[a.L].Wires[a.WT].CostPerGCell
+		}
+		n.segs = append(n.segs, a.Seg)
+		n.base = append(n.base, base)
+		n.capUse = append(n.capUse, g.ArcCapUse(a))
 	}
 }
 
