@@ -116,7 +116,7 @@ func (st *State) CompatibleWith(g *grid.Graph) error {
 			inf  bool // +Inf is legal
 		}{{"weight", ns.Weights, false}, {"delay", ns.Delays, false}, {"budget", ns.Budgets, true}} {
 			for k, x := range v.xs {
-				if !(x >= 0) || math.IsInf(x, 1) && !v.inf {
+				if !(x >= 0) || (math.IsInf(x, 1) && !v.inf) {
 					return fmt.Errorf("router: checkpoint net %d sink %d has %s %v; weights and delays are finite and ≥ 0, budgets ≥ 0 or +Inf", ni, k, v.name, x)
 				}
 			}
@@ -143,23 +143,22 @@ func (r *runState) Checkpoint() *State {
 		Mult:      append([]float32(nil), r.pricer.Mult...),
 	}
 	st.Nets = make([]NetState, len(nl.Nets))
-	for ni, n := range nl.Nets {
-		rec := &r.nets[ni]
-		ns := &st.Nets[ni]
-		ns.Sig = netSig(nl, n)
-		ns.Weights = append([]float64(nil), rec.weights...)
-		ns.Budgets = append([]float64(nil), rec.budgets...)
-		ns.Delays = append([]float64(nil), rec.delays...)
-		if rec.tree == nil {
+	for ni := range r.nets {
+		n, ns := &r.nets[ni], &st.Nets[ni]
+		ns.Sig = netSig(nl, nl.Nets[ni])
+		ns.Weights = append([]float64(nil), n.weights...)
+		ns.Budgets = append([]float64(nil), n.budgets...)
+		ns.Delays = append([]float64(nil), n.delays...)
+		if n.tree == nil {
 			continue
 		}
-		ns.Tree = &nets.RTree{Steps: append([]nets.Step(nil), rec.tree.Steps...)}
-		// The producing oracle: the record every solve leaves under either
+		ns.Tree = &nets.RTree{Steps: append([]nets.Step(nil), n.tree.Steps...)}
+		// The producing oracle: the one every solve records under either
 		// policy, else the fixed oracle for a tree restored without one
 		// into a single-oracle run, else "".
 		switch {
-		case rec.oracle >= 0:
-			ns.Oracle = oracleNames[rec.oracle]
+		case n.oracle >= 0:
+			ns.Oracle = oracleNames[n.oracle]
 		case r.drv.fixed >= 0:
 			ns.Oracle = oracleNames[r.drv.fixed]
 		}

@@ -181,20 +181,20 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*ru
 	r.pricer = cong.NewPricer(g, opt.PriceAlpha, opt.PriceTarget)
 
 	r.nets = make([]netState, len(nl.Nets))
-	for ni, n := range nl.Nets {
-		rec := &r.nets[ni]
-		rec.weights = make([]float64, len(n.Sinks))
-		rec.delays = make([]float64, len(n.Sinks))
-		rec.budgets = make([]float64, len(n.Sinks))
-		for k := range n.Sinks {
-			rec.weights[k] = opt.WeightBase
+	for ni := range r.nets {
+		n, net := &r.nets[ni], nl.Nets[ni]
+		n.weights = make([]float64, len(net.Sinks))
+		n.delays = make([]float64, len(net.Sinks))
+		n.budgets = make([]float64, len(net.Sinks))
+		for k := range net.Sinks {
+			n.weights[k] = opt.WeightBase
 		}
-		rec.oracle = -1
-		reg := geom.EmptyRect().Add(nl.Cells[n.Driver].Pos)
-		for _, s := range n.Sinks {
+		n.oracle = -1
+		reg := geom.EmptyRect().Add(nl.Cells[net.Driver].Pos)
+		for _, s := range net.Sinks {
 			reg = reg.Add(nl.Cells[s].Pos)
 		}
-		rec.region = reg.Expand(incHalo, g.NX, g.NY)
+		n.region = reg.Expand(incHalo, g.NX, g.NY)
 	}
 	r.res = &Result{}
 
