@@ -129,6 +129,16 @@ type comp struct {
 	hasRoot bool
 }
 
+// offerRoot offers a root connection of c at window index idx with label
+// g: it becomes c's root candidate when it is c's first or beats the
+// current one. Every root connection a search finds — relaxed onto a root
+// vertex or resolved from a stale queue entry — goes through here.
+func (c *comp) offerRoot(g float64, idx int32) {
+	if !c.hasRoot || g < c.rootG {
+		c.rootG, c.rootIdx, c.hasRoot = g, idx, true
+	}
+}
+
 // entry is a queue element of one component's search: 16 bytes, because
 // every sift level of the component's heap moves one (the graph vertex and
 // its coordinates are decoded from idx when the entry is acted on, the

@@ -355,49 +355,38 @@ func (s *solver) publishRoot(c *comp) {
 // fresh=true when the entry can be acted on with its stored key. A
 // stale entry may come back as a corrected replacement (re-push with
 // newKey); repush=false means drop it.
+//
+// Both kinds of entry resolve to the component j they reach: a
+// connection entry's target as merged since, an expansion entry's
+// vertex owner when another component has claimed the vertex since the
+// label was pushed (the expansion becomes a connection there, at any
+// vertex of j whatever Discount says). From there one rule applies: a
+// root connection becomes c's root candidate, any other is re-keyed
+// when its target id or penalty changed — always for a claimed
+// expansion, whose e.target is -1.
 func (s *solver) validate(c *comp, e entry, key float64) (fresh bool, repush entry, newKey float64, doRepush bool) {
 	lab := c.labels.Get(e.idx)
 	if lab == nil || e.g > lab.Dist+1e-12 {
 		return false, entry{}, 0, false // superseded by a better label
 	}
+	var j int32
 	if e.target < 0 {
 		if lab.Perm {
 			return false, entry{}, 0, false
 		}
-		// The vertex may have been claimed by another component since
-		// this label was pushed; the expansion becomes a connection.
-		own := s.resolveOwner(e.idx)
-		if own >= 0 && own != c.id {
-			jc := s.comps[own]
-			if jc.isRoot {
-				if !c.hasRoot || e.g < c.rootG {
-					c.rootG = e.g
-					c.rootIdx = e.idx
-					c.hasRoot = true
-				}
-				return false, entry{}, 0, false
-			}
-			return false, entry{g: e.g, idx: e.idx, target: own}, e.g + s.bConnect(c, jc), true
+		if j = s.resolveOwner(e.idx); j < 0 || j == c.id {
+			return true, entry{}, 0, false
 		}
-		return true, entry{}, 0, false
-	}
-	j := s.sets.Find(e.target)
-	if j == c.id {
+	} else if j = s.sets.Find(e.target); j == c.id {
 		return false, entry{}, 0, false // target merged into us
 	}
 	jc := s.comps[j]
 	if jc.isRoot {
-		// Root candidates live outside the queue; convert.
-		if !c.hasRoot || e.g < c.rootG {
-			c.rootG = e.g
-			c.rootIdx = e.idx
-			c.hasRoot = true
-		}
+		c.offerRoot(e.g, e.idx)
 		return false, entry{}, 0, false
 	}
 	b := s.bConnect(c, jc)
 	if j != e.target || e.g+b > key+1e-12 {
-		// Target id or penalty changed: re-push with the current key.
 		return false, entry{g: e.g, idx: e.idx, target: j}, e.g + b, true
 	}
 	return true, entry{}, 0, false
@@ -549,10 +538,11 @@ const unset = -1.0
 // (dir 1) coordinate, once per wire type of the layer. The
 // per-wire-type label check and write sequence is exactly the historical
 // per-arc relax; the label lookup, multiplier load and future cost are
-// hoisted.
+// hoisted. The §III-A own-component move is the same loop with the
+// congestion term zeroed, and whether the move connects is target's call.
 func (s *solver) relaxWire(c *comp, e *entry, to grid.V, toIdx, tx, ty int32, dir int, seg int32, lay *grid.Layer, fromOwn bool) {
 	own := s.resolveOwner(toIdx)
-	hv := unset
+	mult := float64(s.costs.Mult[seg])
 	if s.opt.Discount && own == c.id {
 		// Own component: traversable at zero connection cost (§III-A),
 		// but only along the component (no re-entry from outside, which
@@ -560,31 +550,10 @@ func (s *solver) relaxWire(c *comp, e *entry, to grid.V, toIdx, tx, ty int32, di
 		if !fromOwn {
 			return
 		}
-		lab, existed := c.labels.Put(toIdx)
-		for wt := range lay.Wires {
-			ng := e.g + c.weight*lay.Wires[wt].DelayPerGCell
-			if existed && (lab.Perm || ng >= lab.Dist-1e-15) {
-				continue
-			}
-			lab.Dist = ng
-			lab.Perm = false
-			lab.Code = grid.WireCode(wt, dir)
-			existed = true
-			if hv == unset {
-				hv = s.h(c, tx, ty)
-			}
-			s.push(c, ng+hv, entry{g: ng, idx: toIdx, target: -1})
-		}
-		return
+		mult = 0
 	}
-	// With §III-A discounting, any vertex of another component completes
-	// a connection; the base §II algorithm connects only at its
-	// representative terminal.
-	tgt := int32(-1)
-	if own >= 0 && own != c.id && (s.opt.Discount || to == s.comps[own].rep) {
-		tgt = own
-	}
-	mult := float64(s.costs.Mult[seg])
+	tgt := s.target(c, own, to)
+	hv := unset
 	lab, existed := c.labels.Put(toIdx)
 	for wt := range lay.Wires {
 		w := &lay.Wires[wt]
@@ -615,19 +584,15 @@ func (s *solver) relaxWire(c *comp, e *entry, to grid.V, toIdx, tx, ty int32, di
 func (s *solver) relaxVia(c *comp, e *entry, to grid.V, toIdx, x, y int32, hv *float64, seg int32, l int32, code uint8, fromOwn bool) {
 	own := s.resolveOwner(toIdx)
 	lay := &s.g.Layers[l]
-	tgt := int32(-1)
-	var ng float64
+	mult := float64(s.costs.Mult[seg])
 	if s.opt.Discount && own == c.id {
 		if !fromOwn {
-			return
+			return // as in relaxWire
 		}
-		ng = e.g + c.weight*lay.ViaDelay
-	} else {
-		if own >= 0 && own != c.id && (s.opt.Discount || to == s.comps[own].rep) {
-			tgt = own
-		}
-		ng = e.g + float64(s.costs.Mult[seg])*lay.ViaCost + c.weight*lay.ViaDelay
+		mult = 0
 	}
+	tgt := s.target(c, own, to)
+	ng := e.g + mult*lay.ViaCost + c.weight*lay.ViaDelay
 	lab, existed := c.labels.Put(toIdx)
 	if existed && (lab.Perm || ng >= lab.Dist-1e-15) {
 		return
@@ -645,6 +610,18 @@ func (s *solver) relaxVia(c *comp, e *entry, to grid.V, toIdx, x, y int32, hv *f
 	s.push(c, ng+*hv, entry{g: ng, idx: toIdx, target: -1})
 }
 
+// target returns the component that c's move onto the vertex `to`
+// connects to, or -1 for an ordinary expansion; own is the vertex's
+// resolved owner (-1 when unclaimed). With §III-A discounting any vertex
+// of another component completes a connection; the plain §II algorithm
+// connects only at that component's representative terminal.
+func (s *solver) target(c *comp, own int32, to grid.V) int32 {
+	if own >= 0 && own != c.id && (s.opt.Discount || to == s.comps[own].rep) {
+		return own
+	}
+	return -1
+}
+
 // pushConnect records that c reaches component tgt at window index toIdx
 // with label g: a root connection becomes c's root candidate (kept out of
 // the heap), any other a connection entry keyed by g plus the bifurcation
@@ -652,11 +629,7 @@ func (s *solver) relaxVia(c *comp, e *entry, to grid.V, toIdx, x, y int32, hv *f
 func (s *solver) pushConnect(c *comp, g float64, toIdx, tgt int32) {
 	j := s.comps[tgt]
 	if j.isRoot {
-		if !c.hasRoot || g < c.rootG {
-			c.rootG = g
-			c.rootIdx = toIdx
-			c.hasRoot = true
-		}
+		c.offerRoot(g, toIdx)
 		return
 	}
 	s.push(c, g+s.bConnect(c, j), entry{g: g, idx: toIdx, target: tgt})

@@ -17,6 +17,7 @@ package exact
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"costdist/internal/grid"
 	"costdist/internal/heaps"
@@ -79,7 +80,7 @@ func Solve(in *nets.Instance) (*Result, error) {
 	maskW := make([]float64, full+1)
 	for m := uint32(1); m <= full; m++ {
 		lsb := m & (-m)
-		maskW[m] = maskW[m^lsb] + in.Sinks[bitIdx(lsb)].W
+		maskW[m] = maskW[m^lsb] + in.Sinks[bits.TrailingZeros32(lsb)].W
 	}
 
 	D := make([][]float64, full+1)
@@ -167,15 +168,6 @@ func Solve(in *nets.Instance) (*Result, error) {
 		return nil, fmt.Errorf("exact: reconstructed tree invalid: %w", err)
 	}
 	return &Result{LowerBound: total, Total: ev.Total, Tree: rt}, nil
-}
-
-func bitIdx(lsb uint32) int {
-	i := 0
-	for lsb > 1 {
-		lsb >>= 1
-		i++
-	}
-	return i
 }
 
 // dijkstra relaxes dist over the window under metric c + w·d, updating

@@ -2,6 +2,7 @@ package future
 
 import (
 	"fmt"
+	"math/bits"
 
 	"costdist/internal/geom"
 	"costdist/internal/grid"
@@ -80,7 +81,7 @@ func NewMaskEstimator(c *grid.Costs, root geom.Pt, sinks []geom.Pt, weights []fl
 	for m := uint32(0); m <= full; m++ {
 		if m > 0 {
 			lsb := m & (-m)
-			e.maskW[m] = e.maskW[m^lsb] + weights[bitIndex(lsb)]
+			e.maskW[m] = e.maskW[m^lsb] + weights[bits.TrailingZeros32(lsb)]
 		}
 		box := rootBox
 		rem := 0.0
@@ -106,13 +107,4 @@ func (e *MaskEstimator) Est(mask uint32, p geom.Pt) float64 {
 	cong := float64(e.remBox[mask].Add(p).HalfPerimeter()) * e.minCost
 	carried := e.maskW[mask] * float64(geom.L1(p, e.root)) * e.minDelay
 	return cong + carried + e.remWL1[mask]
-}
-
-func bitIndex(lsb uint32) int {
-	i := 0
-	for lsb > 1 {
-		lsb >>= 1
-		i++
-	}
-	return i
 }

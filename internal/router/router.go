@@ -112,12 +112,18 @@ type Options struct {
 	// Seed drives all randomized choices.
 	Seed uint64
 
-	// PriceAlpha and PriceTarget parameterize congestion pricing.
+	// PriceAlpha and PriceTarget parameterize congestion pricing
+	// (cong.Pricer): a segment's multiplier grows by
+	// exp(PriceAlpha·(usage/capacity − PriceTarget)) per wave. Both must
+	// be finite and PriceAlpha ≥ 0; every entry point refuses other
+	// values, naming the field.
 	PriceAlpha  float64
 	PriceTarget float64
 
 	// WeightBase, WeightTau and WeightMax parameterize the slack-driven
-	// delay weight update w ← clamp(w·exp(−slack/τ), base, max).
+	// delay weight update w ← clamp(w·exp(−slack/τ), base, max). All three
+	// must be finite, with 0 ≤ WeightBase ≤ WeightMax and WeightTau > 0;
+	// every entry point refuses other values, naming the field.
 	WeightBase float64
 	WeightTau  float64
 	WeightMax  float64

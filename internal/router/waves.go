@@ -139,18 +139,48 @@ type worker struct {
 	err                 error
 }
 
+// checkOptions refuses the run options no routing run can honour: fewer
+// than one wave, an IncrementalTol that is negative, NaN or +Inf, and
+// timing-price or congestion-price parameters outside the ranges the
+// Options fields state. Every entry point (Route, RouteCheckpoint,
+// RouteFrom) passes through newRun, which calls it first.
+func checkOptions(opt Options) error {
+	if opt.Waves < 1 {
+		return fmt.Errorf("router: Waves %d is not a wave count; a run needs at least 1", opt.Waves)
+	}
+	if opt.IncrementalTol < 0 {
+		return fmt.Errorf("router: IncrementalTol %v is negative; to re-solve every net in every wave set Incremental=false", opt.IncrementalTol)
+	}
+	if math.IsNaN(opt.IncrementalTol) || math.IsInf(opt.IncrementalTol, 1) {
+		return fmt.Errorf("router: IncrementalTol is %v; no drift exceeds it, so after wave 0 no net would ever be re-solved", opt.IncrementalTol)
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"WeightBase", opt.WeightBase}, {"WeightMax", opt.WeightMax}, {"WeightTau", opt.WeightTau}, {"PriceAlpha", opt.PriceAlpha}, {"PriceTarget", opt.PriceTarget}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("router: %s is %v; it must be finite", f.name, f.v)
+		}
+	}
+	switch {
+	case opt.WeightBase < 0:
+		return fmt.Errorf("router: WeightBase %v is negative; a delay weight must be ≥ 0", opt.WeightBase)
+	case opt.WeightMax < opt.WeightBase:
+		return fmt.Errorf("router: WeightMax %v is below WeightBase %v; the weight clamp would be empty", opt.WeightMax, opt.WeightBase)
+	case opt.WeightTau <= 0:
+		return fmt.Errorf("router: WeightTau %v is not positive; the weight update divides slack by it", opt.WeightTau)
+	case opt.PriceAlpha < 0:
+		return fmt.Errorf("router: PriceAlpha %v is negative; congestion prices would fall as usage rises", opt.PriceAlpha)
+	}
+	return nil
+}
+
 // newRun assembles the cold-start state: fresh multipliers, cached
 // trees empty, and the pre-wave timing estimate seeding every sink's
 // delay weight and budget.
 func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*runState, error) {
-	if opt.Waves < 1 {
-		return nil, fmt.Errorf("router: Waves %d is not a wave count; a run needs at least 1", opt.Waves)
-	}
-	if opt.IncrementalTol < 0 {
-		return nil, fmt.Errorf("router: IncrementalTol %v is negative; to re-solve every net in every wave set Incremental=false", opt.IncrementalTol)
-	}
-	if math.IsNaN(opt.IncrementalTol) || math.IsInf(opt.IncrementalTol, 1) {
-		return nil, fmt.Errorf("router: IncrementalTol is %v; no drift exceeds it, so after wave 0 no net would ever be re-solved", opt.IncrementalTol)
+	if err := checkOptions(opt); err != nil {
+		return nil, err
 	}
 	r := &runState{
 		ctx: ctx, chip: chip, m: m, opt: opt,
