@@ -118,7 +118,9 @@ type comp struct {
 	ux, uy float64
 
 	// labels holds the search's Dijkstra labels by window index; it has
-	// pages only between startSearch and the component's merge.
+	// pages only between startSearch and the component's merge. queue
+	// likewise holds storage lent by the arena (Scratch.queues) only
+	// while the component searches.
 	labels sparse.LabelSlab
 	queue  heaps.Lazy[entry]
 
@@ -127,6 +129,9 @@ type comp struct {
 	rootG   float64
 	rootIdx int32 // window index of the vertex where it meets the root
 	hasRoot bool
+	// rootMoved is set when offerRoot takes a candidate the root top heap
+	// has not seen yet (see refreshTop).
+	rootMoved bool
 }
 
 // offerRoot offers a root connection of c at window index idx with label
@@ -135,7 +140,7 @@ type comp struct {
 // vertex or resolved from a stale queue entry — goes through here.
 func (c *comp) offerRoot(g float64, idx int32) {
 	if !c.hasRoot || g < c.rootG {
-		c.rootG, c.rootIdx, c.hasRoot = g, idx, true
+		c.rootG, c.rootIdx, c.hasRoot, c.rootMoved = g, idx, true, true
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand/v2"
 
+	"costdist/internal/heaps"
 	"costdist/internal/sparse"
 )
 
@@ -14,9 +15,10 @@ import (
 // rip-up-and-reroute wave, so those allocations dominate the hot path.
 // A Scratch retains all of that state between calls and resets it in
 // O(touched) — label slabs, the ownership stamps and the memo clear by
-// taking a fresh generation stamp, label pages go back to one arena-wide
-// pool when their component retires, queues and the union-find reset in
-// O(t), and component records are recycled through a free list.
+// taking a fresh generation stamp, label pages and queue storage go back
+// to arena-wide pools when their component retires, the union-find
+// resets in O(t), and component records are recycled through a free
+// list.
 //
 // Pass a Scratch via Options.Scratch. Results are bit-identical to
 // scratch-free solves: no container exposes iteration order to the
@@ -29,7 +31,13 @@ type Scratch struct {
 	sol      solver // reused solver; its containers retain capacity
 	compPool []*comp
 	pages    sparse.PagePool // label pages and stamps of every comp's slab
-	pcg      *rand.PCG
+	// queues is the queue storage of the searches that ended, emptied;
+	// the next search to start borrows the last one. Like the label
+	// pages, the arena so keeps what the most searches one solve ran at
+	// once needed, not every pooled component's largest queue ever, and
+	// a routing worker's heap does not follow which nets it drew.
+	queues []heaps.Lazy[entry]
+	pcg    *rand.PCG
 
 	// Solves counts completed calls through this arena (cheap visibility
 	// for tests and metrics).
@@ -72,17 +80,36 @@ func NewScratch() *Scratch {
 // for the same instances and options.
 func (scr *Scratch) PeakLabelPages() int { return scr.pages.Peak() }
 
-// newComp returns a zeroed component record, recycling the queue storage
-// and label page table of a component of an earlier solve.
+// newComp returns a zeroed component record, recycling the label page
+// table of a component of an earlier solve; release took its queue.
 func (scr *Scratch) newComp() *comp {
 	if n := len(scr.compPool); n > 0 {
 		c := scr.compPool[n-1]
 		scr.compPool = scr.compPool[:n-1]
-		c.queue.Reset()
-		*c = comp{queue: c.queue, labels: c.labels}
+		*c = comp{labels: c.labels}
 		return c
 	}
 	return &comp{}
+}
+
+// lendQueue gives c, a new component starting its search, the queue
+// storage the latest search to end gave back; with none, c's empty queue
+// grows on first push.
+func (scr *Scratch) lendQueue(c *comp) {
+	if n := len(scr.queues); n > 0 {
+		c.queue, scr.queues[n-1] = scr.queues[n-1], heaps.Lazy[entry]{}
+		scr.queues = scr.queues[:n-1]
+	}
+}
+
+// takeQueue takes back, emptied, the queue storage of c, whose search
+// has ended.
+func (scr *Scratch) takeQueue(c *comp) {
+	if c.queue.Cap() > 0 {
+		c.queue.Reset()
+		scr.queues = append(scr.queues, c.queue)
+	}
+	c.queue = heaps.Lazy[entry]{}
 }
 
 // reseed (re)initializes the deterministic RNG for one instance seed.
@@ -100,13 +127,15 @@ func (scr *Scratch) reseed(seed uint64) *rand.Rand {
 	return scr.sol.rng
 }
 
-// release returns the previous solve's component records and label
-// pages to the pools. It runs at the start of the next solve (rather
-// than at the end of the current one) so error paths need no cleanup.
+// release returns the previous solve's component records, label pages
+// and queue storage to the pools. It runs at the start of the next solve
+// (rather than at the end of the current one) so error paths need no
+// cleanup.
 func (scr *Scratch) release() {
 	s := &scr.sol
 	for _, c := range s.comps {
 		c.labels.Release()
+		scr.takeQueue(c)
 		scr.compPool = append(scr.compPool, c)
 	}
 	s.comps = s.comps[:0]

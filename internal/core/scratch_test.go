@@ -183,3 +183,33 @@ func TestSolveAllocationBound(t *testing.T) {
 		t.Fatalf("Solve allocates %.1f times per net on a warmed arena, pinned at %d", n, maxAllocs)
 	}
 }
+
+// TestScratchQueuesFollowSearches holds the arena's queue storage to the
+// searches one solve runs at once: a search starts per sink component
+// and per non-root merge, and each merge ends two, so no solve holds
+// more queues than it has sinks. Component records keep none once
+// retired. Were every record to keep its own queue, a t-sink solve
+// would leave 2t−1 of them behind.
+func TestScratchQueuesFollowSearches(t *testing.T) {
+	g, c := newGraph(24, 24, 5)
+	rng := rand.New(rand.NewPCG(7, 9))
+	scr := NewScratch()
+	opt := DefaultOptions()
+	opt.Scratch = scr
+	most := 0
+	for it := 0; it < 60; it++ {
+		n := 1 + rng.IntN(24)
+		most = max(most, n)
+		if _, err := Solve(randInstance(rng, g, c, n, 4.0), opt); err != nil {
+			t.Fatal(err)
+		}
+		if len(scr.queues) > most {
+			t.Fatalf("solve %d: the arena holds %d queues after solves of at most %d sinks", it, len(scr.queues), most)
+		}
+		for _, cc := range scr.sol.comps {
+			if cc.queue.Cap() > 0 {
+				t.Fatalf("solve %d: retired component %d kept its queue", it, cc.id)
+			}
+		}
+	}
+}

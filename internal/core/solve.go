@@ -287,7 +287,7 @@ func (s *solver) nextTargets() {
 // startSearch initializes component c's Dijkstra from its representative.
 func (s *solver) startSearch(c *comp) {
 	c.labels.Reset(&s.scr.pages, s.winSize)
-	c.queue.Reset()
+	s.scr.lendQueue(c)
 	c.hasRoot = false
 	c.ux, c.uy = s.targets.Units(c.weight)
 	s.scr.Searches++
@@ -313,7 +313,10 @@ func (s *solver) push(c *comp, key float64, e entry) {
 }
 
 // refreshTop purges stale entries from c's queue and publishes its
-// current minimum to the top-level heap, implementing §III-B.
+// current minimum to the top-level heap, implementing §III-B. c's root
+// key is republished only when offerRoot moved it: otherwise it equals
+// the key the root top heap holds (a shrinking active weight republishes
+// every key in merge), and setting an equal key would move nothing.
 func (s *solver) refreshTop(c *comp) {
 	if s.opt.FlatHeap {
 		return
@@ -339,11 +342,14 @@ func (s *solver) refreshTop(c *comp) {
 	} else {
 		s.top.Set(c.id, c.queue.MinKey())
 	}
-	s.publishRoot(c)
+	if c.rootMoved {
+		s.publishRoot(c)
+	}
 }
 
 // publishRoot refreshes c's root-candidate key in the root top heap.
 func (s *solver) publishRoot(c *comp) {
+	c.rootMoved = false
 	if !c.alive || c.isRoot || !c.hasRoot {
 		s.rootTop.Set(c.id, heaps.Inf)
 		return
@@ -538,9 +544,15 @@ const unset = -1.0
 // (dir 1) coordinate, once per wire type of the layer. The
 // per-wire-type label check and write sequence is exactly the historical
 // per-arc relax; the label lookup, multiplier load and future cost are
-// hoisted. The §III-A own-component move is the same loop with the
-// congestion term zeroed, and whether the move connects is target's call.
+// hoisted. A settled neighbour is left first: no label can improve on
+// it, so its owner is never resolved. The §III-A own-component move is
+// the same loop with the congestion term zeroed, and whether the move
+// connects is target's call.
 func (s *solver) relaxWire(c *comp, e *entry, to grid.V, toIdx, tx, ty int32, dir int, seg int32, lay *grid.Layer, fromOwn bool) {
+	lab := c.labels.Get(toIdx)
+	if lab != nil && lab.Perm {
+		return
+	}
 	own := s.resolveOwner(toIdx)
 	mult := float64(s.costs.Mult[seg])
 	if s.opt.Discount && own == c.id {
@@ -554,11 +566,14 @@ func (s *solver) relaxWire(c *comp, e *entry, to grid.V, toIdx, tx, ty int32, di
 	}
 	tgt := s.target(c, own, to)
 	hv := unset
-	lab, existed := c.labels.Put(toIdx)
+	existed := lab != nil
+	if !existed {
+		lab, _ = c.labels.Put(toIdx)
+	}
 	for wt := range lay.Wires {
 		w := &lay.Wires[wt]
 		ng := e.g + mult*w.CostPerGCell + c.weight*w.DelayPerGCell
-		if existed && (lab.Perm || ng >= lab.Dist-1e-15) {
+		if existed && ng >= lab.Dist-1e-15 {
 			continue
 		}
 		lab.Dist = ng
@@ -580,8 +595,12 @@ func (s *solver) relaxWire(c *comp, e *entry, to grid.V, toIdx, tx, ty int32, di
 // code; l names the lower layer, which owns the via's cost and delay.
 // (x, y) is the plane position of both ends and *hv the future cost
 // there, evaluated by whichever of the settled vertex's two vias pushes
-// first.
+// first. A settled neighbour is left first, as in relaxWire.
 func (s *solver) relaxVia(c *comp, e *entry, to grid.V, toIdx, x, y int32, hv *float64, seg int32, l int32, code uint8, fromOwn bool) {
+	lab := c.labels.Get(toIdx)
+	if lab != nil && lab.Perm {
+		return
+	}
 	own := s.resolveOwner(toIdx)
 	lay := &s.g.Layers[l]
 	mult := float64(s.costs.Mult[seg])
@@ -593,8 +612,9 @@ func (s *solver) relaxVia(c *comp, e *entry, to grid.V, toIdx, x, y int32, hv *f
 	}
 	tgt := s.target(c, own, to)
 	ng := e.g + mult*lay.ViaCost + c.weight*lay.ViaDelay
-	lab, existed := c.labels.Put(toIdx)
-	if existed && (lab.Perm || ng >= lab.Dist-1e-15) {
+	if lab == nil {
+		lab, _ = c.labels.Put(toIdx)
+	} else if ng >= lab.Dist-1e-15 {
 		return
 	}
 	lab.Dist = ng
@@ -721,12 +741,12 @@ func (s *solver) merge(c *comp, jid int32, pIdx int32, toRoot bool) error {
 	}
 	ev.NewRep = s.g.Pt(k.rep)
 
-	// Deactivate the merged pair, returning their label pages to the
-	// arena.
+	// Deactivate the merged pair, returning their label pages and queue
+	// storage to the arena.
 	for _, old := range [2]*comp{c, j} {
 		old.alive = false
 		old.labels.Release()
-		old.queue.Reset()
+		s.scr.takeQueue(old)
 		s.refreshTop(old)
 	}
 	s.comps = append(s.comps, k)

@@ -104,9 +104,7 @@ func (ws *Workspace) Spread(seeds []float32, seedRect geom.Rect, w float64, corr
 		if x == target {
 			break
 		}
-		t := x / rowW
-		l := t / rowH
-		gx, gy := x-t*rowW+win.R.X0, t-l*rowH+win.R.Y0
+		gx, gy, l := win.XYL(x)
 		lay := &g.Layers[l]
 
 		// Along the layer: the step toward the lower coordinate, then

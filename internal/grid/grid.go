@@ -13,6 +13,7 @@ package grid
 
 import (
 	"math"
+	"math/bits"
 
 	"costdist/internal/geom"
 )
@@ -411,12 +412,41 @@ type Window struct {
 	nx, ny int32
 	w, h   int32
 	layers int32
+	// perW and perH divide by w and by h, for XYL.
+	perW, perH divisor
 }
 
 // NewWindow returns a window over rectangle r of graph g.
 func (g *Graph) NewWindow(r geom.Rect) Window {
-	return Window{R: r, nx: g.NX, ny: g.NY, w: r.W(), h: r.H(), layers: int32(len(g.Layers))}
+	w, h := r.W(), r.H()
+	return Window{R: r, nx: g.NX, ny: g.NY, w: w, h: h, layers: int32(len(g.Layers)),
+		perW: newDivisor(w), perH: newDivisor(h)}
 }
+
+// divisor divides a non-negative int32 by a fixed d ≥ 1 with one
+// multiply and one shift (Granlund and Montgomery, "Division by
+// invariant integers using multiplication", 1994, Theorem 4.2): for
+// l = ⌈log2 d⌉ and m = ⌈2^(31+l)/d⌉, m·d − 2^(31+l) < d ≤ 2^l, so
+// ⌊n/d⌋ = ⌊n·m/2^(31+l)⌋ for every 0 ≤ n < 2^31; m ≤ 2^32 keeps n·m
+// below 2^63.
+type divisor struct {
+	m  uint64
+	sh uint8
+}
+
+// newDivisor returns the divisor for d; d < 1, the side of a window of
+// no cells, gives one that is never used.
+func newDivisor(d int32) divisor {
+	if d < 1 {
+		return divisor{}
+	}
+	sh := 31 + uint(bits.Len32(uint32(d-1)))
+	return divisor{m: (1<<sh + uint64(d) - 1) / uint64(d), sh: uint8(sh)}
+}
+
+// div returns n/d for 0 ≤ n. The mask only tells the compiler that the
+// shift stays below 64.
+func (q divisor) div(n int32) int32 { return int32(uint64(n) * q.m >> (q.sh & 63)) }
 
 // Size returns the number of vertices in the window.
 func (w Window) Size() int32 { return w.w * w.h * w.layers }
@@ -444,10 +474,14 @@ func (w Window) RectIndex(x, y, l int32) int32 {
 // Layers returns the number of layers the window spans.
 func (w Window) Layers() int32 { return w.layers }
 
-// XYL decodes a dense window index to grid coordinates and layer.
-func (w Window) XYL(idx int32) (x, y, l int32) {
-	t := idx / w.w
-	return idx%w.w + w.R.X0, t%w.h + w.R.Y0, t / w.h
+// XYL decodes a dense window index to grid coordinates and layer. The
+// search kernels decode every label they settle, so it divides by
+// multiplying (see divisor) and takes the window by pointer, which an
+// inlined call reads in place instead of copying.
+func (w *Window) XYL(idx int32) (x, y, l int32) {
+	t := w.perW.div(idx)
+	l = w.perH.div(t)
+	return idx - t*w.w + w.R.X0, t - l*w.h + w.R.Y0, l
 }
 
 // Vertex returns the graph vertex for a dense window index.

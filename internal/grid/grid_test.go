@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -243,6 +244,77 @@ func TestWindowRoundTrip(t *testing.T) {
 	}
 	if w.Index(g.At(1, 3, 0)) != -1 || w.Index(g.At(7, 3, 1)) != -1 {
 		t.Fatal("outside vertices should map to -1")
+	}
+}
+
+// maxInstanceVertices is internal/service's cap on nx·ny·layers of a
+// solve request: the largest window a request can make.
+const maxInstanceVertices = 1 << 24
+
+// decodeRef is Window.XYL as it was, with / and %.
+func decodeRef(w Window, idx int32) (x, y, l int32) {
+	t := idx / w.w
+	return idx%w.w + w.R.X0, t%w.h + w.R.Y0, t / w.h
+}
+
+// windowOf is the window over a w×h rectangle at (x0, y0) of a graph of
+// the given layer count; NewWindow reads no more of the graph than its
+// sizes.
+func windowOf(x0, y0, w, h, layers int32) Window {
+	g := &Graph{NX: x0 + w, NY: y0 + h, Layers: make([]Layer, layers)}
+	return g.NewWindow(geom.Rect{X0: x0, Y0: y0, X1: x0 + w - 1, Y1: y0 + h - 1})
+}
+
+// TestWindowDecodeExact holds XYL's multiply-shift decode to / and %:
+// on every index of every window with W and H in 1..130 and 1 to 9
+// layers, and on the boundary indices of the largest windows a solve
+// request allows (nx·ny·layers = maxInstanceVertices) and of windows
+// whose sides or size reach the int32 vertex ids. XYL reads no layer
+// count, so a window decodes its lower layers as every window of the
+// same rectangle with fewer layers does: each window's top layer is
+// checked in that window, its lower layers in the windows below it.
+func TestWindowDecodeExact(t *testing.T) {
+	check := func(win Window, idx, x, y, l int32) {
+		if gx, gy, gl := win.XYL(idx); gx != x || gy != y || gl != l {
+			t.Fatalf("%d×%d×%d window at (%d,%d): index %d decodes to (%d,%d,%d), want (%d,%d,%d)",
+				win.w, win.h, win.layers, win.R.X0, win.R.Y0, idx, gx, gy, gl, x, y, l)
+		}
+	}
+	for w := int32(1); w <= 130; w++ {
+		for h := int32(1); h <= 130; h++ {
+			x0, y0 := w%7, h%5
+			for layers := int32(1); layers <= 9; layers++ {
+				win, l := windowOf(x0, y0, w, h, layers), layers-1
+				idx := l * w * h
+				for y := y0; y < y0+h; y++ {
+					for x := x0; x < x0+w; x++ {
+						if gx, gy, gl := win.XYL(idx); gx != x || gy != y || gl != l {
+							check(win, idx, x, y, l)
+						}
+						idx++
+					}
+				}
+			}
+		}
+	}
+
+	big := [][3]int32{
+		{maxInstanceVertices, 1, 1}, {1, maxInstanceVertices, 1}, {1, 1, maxInstanceVertices},
+		{4096, 4096, 1}, {2048, 2048, 4}, {1448, 1448, 8}, {512, 256, 128}, {131072, 1, 128}, {1, 131072, 128},
+		{math.MaxInt32, 1, 1}, {1, math.MaxInt32, 1}, {46341, 46340, 1}, {65535, 32767, 1}, {32767, 65535, 1},
+	}
+	for _, b := range big {
+		w, h, layers := b[0], b[1], b[2]
+		win := windowOf(0, 0, w, h, layers)
+		size := int64(w) * int64(h) * int64(layers)
+		for _, at := range []int64{0, int64(w), int64(w) * int64(h), size / 2, size} {
+			for d := int64(-2); d <= 2; d++ {
+				if idx := at + d; idx >= 0 && idx < size {
+					x, y, l := decodeRef(win, int32(idx))
+					check(win, int32(idx), x, y, l)
+				}
+			}
+		}
 	}
 }
 

@@ -45,6 +45,9 @@ func unord(u uint64) float64 {
 // Len returns the number of stored entries (including stale duplicates).
 func (h *Lazy[T]) Len() int { return len(h.keys) }
 
+// Cap returns the number of entries the heap holds without growing.
+func (h *Lazy[T]) Cap() int { return cap(h.keys) }
+
 // Reset empties the heap, retaining capacity.
 func (h *Lazy[T]) Reset() {
 	h.keys = h.keys[:0]

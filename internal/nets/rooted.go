@@ -1,7 +1,7 @@
 package nets
 
 import (
-	"slices"
+	"math/bits"
 
 	"costdist/internal/grid"
 )
@@ -19,9 +19,12 @@ import (
 // earlier, and a node's children are numbered in the order the step
 // list names them. Hosted sinks keep sink order.
 //
-// Vertex ids come from sorting the distinct endpoints, not from a window
-// index, so any step list over the graph can be rooted without knowing
-// a rectangle that holds it. All slices are reused by the next Build.
+// Vertex ids are handed out in order of first appearance — the root,
+// then each step's From and To — through an open-addressing table, so
+// any step list over the graph can be rooted without knowing a
+// rectangle that holds it, and without a sort. No output depends on the
+// ids: the BFS follows step order. All slices are reused by the next
+// Build.
 type Rooted struct {
 	// Parent[i] is node i's parent node and Step[i] the index of the step
 	// the BFS entered it through; both are -1 for the root.
@@ -35,15 +38,33 @@ type Rooted struct {
 	Host, SinkOff, Sinks []int32
 
 	steps int
-	// verts are the sorted distinct vertices — the root and every step
-	// endpoint; a vertex's id is its position. ends holds the two ids of
-	// every step, so half-edge h = 2·step + (0 forward, 1 reverse) leaves
-	// ends[h] for ends[h^1]; half lists the half-edges by the vertex they
-	// leave, delimited by off. node maps an id to its BFS number (-1
-	// unreached), order back.
+	// verts are the distinct vertices — the root and every step endpoint —
+	// in order of first appearance; a vertex's id is its position. table
+	// maps a vertex to its id (see slot); shift and shift2 place a
+	// vertex's hash in it. ends holds the two ids of every step, so
+	// half-edge h = 2·step + (0 forward, 1 reverse) leaves ends[h] for
+	// ends[h^1]; half lists the half-edges by the vertex they leave,
+	// delimited by off. node maps an id to its BFS number (-1 unreached),
+	// order back.
 	verts                        []grid.V
+	table                        []vertexSlot
+	shift, shift2                uint
 	ends, half, off, node, order []int32
+	// probes counts the table slots the last Build visited: its
+	// deterministic work, which tests hold linear in the step count.
+	probes int
 }
+
+// vertexSlot is one entry of Rooted's vertex table: vertex v has id
+// id-1, and id 0 marks an empty slot.
+type vertexSlot struct {
+	v  grid.V
+	id int32
+}
+
+// hashMul is an odd 64-bit multiplier (2^64 over the golden ratio): on
+// 32-bit vertex ids the product is one-to-one, its top bits well mixed.
+const hashMul = 0x9E3779B97F4A7C15
 
 // room returns s emptied, with capacity for n elements; it reallocates
 // only to grow, so a Build on fresh slices allocates each of them once.
@@ -57,34 +78,62 @@ func room[T any](s []T, n int) []T {
 // sized returns s with length n and unspecified contents.
 func sized[T any](s []T, n int) []T { return room(s, n)[:n] }
 
+// slot returns v's entry in the vertex table, or the empty slot where v
+// goes. The table is double hashed: a vertex starts at the top bits of
+// its hash and steps by the odd number the bits below them make, so
+// vertices that share a starting slot leave it on different strides
+// instead of queueing behind each other (TestRootedMatchesSortedIDs
+// holds a list built that way to a linear probe count). At most half
+// the table is ever filled, so the walk ends.
+func (r *Rooted) slot(v grid.V) *vertexSlot {
+	p := uint64(uint32(v)) * hashMul
+	mask := uint64(len(r.table) - 1)
+	i, stride := p>>r.shift, p>>r.shift2|1
+	for n := 1; ; n++ {
+		s := &r.table[i]
+		if s.id == 0 || s.v == v {
+			r.probes += n
+			return s
+		}
+		i = (i + stride) & mask
+	}
+}
+
+// id returns v's vertex id, handing out the next one on v's first
+// appearance.
 func (r *Rooted) id(v grid.V) int32 {
-	i, _ := slices.BinarySearch(r.verts, v)
-	return int32(i)
+	s := r.slot(v)
+	if s.id == 0 {
+		r.verts = append(r.verts, v)
+		s.v, s.id = v, int32(len(r.verts))
+	}
+	return s.id - 1
 }
 
 // Build roots the steps at root and buckets the sinks by hosting node.
 // It accepts any multiset of steps — repeated edges, self-loops, several
 // components; IsTree tells whether they were a tree.
 func (r *Rooted) Build(root grid.V, steps []Step, sinks []Sink) {
-	vs := append(room(r.verts, 2*len(steps)+1), root)
-	for _, st := range steps {
-		vs = append(vs, st.From, st.Arc.To)
-	}
-	slices.Sort(vs)
-	vs = slices.Compact(vs)
-	r.verts, r.steps = vs, len(steps)
-	nv := len(vs)
+	// A table of at least twice the most vertices the steps can name.
+	most := 2*len(steps) + 1
+	k := uint(bits.Len(uint(2*most - 1)))
+	r.table = sized(r.table, 1<<k)
+	clear(r.table)
+	r.shift, r.shift2, r.probes = 64-k, 64-2*k, 0
+	r.verts, r.steps = room(r.verts, most), len(steps)
+	r.id(root) // the first vertex to appear: id 0
 
 	// off[v+2] first counts v's half-edges; off[v+1] then runs as v's
 	// fill cursor and ends on the start of v+1: the offsets, one slot down.
-	off := sized(r.off, nv+2)
-	clear(off)
 	ends := room(r.ends, 2*len(steps))
 	for _, st := range steps {
-		a, b := r.id(st.From), r.id(st.Arc.To)
-		ends = append(ends, a, b)
-		off[a+2]++
-		off[b+2]++
+		ends = append(ends, r.id(st.From), r.id(st.Arc.To))
+	}
+	nv := len(r.verts)
+	off := sized(r.off, nv+2)
+	clear(off)
+	for _, v := range ends {
+		off[v+2]++
 	}
 	for v := 0; v < nv; v++ {
 		off[v+2] += off[v+1]
@@ -100,9 +149,8 @@ func (r *Rooted) Build(root grid.V, steps []Step, sinks []Sink) {
 	for v := range node {
 		node[v] = -1
 	}
-	rootID := r.id(root)
-	node[rootID] = 0
-	order := append(room(r.order, nv), rootID)
+	node[0] = 0
+	order := append(room(r.order, nv), 0)
 	r.Parent, r.Step, r.KidOff = append(room(r.Parent, nv), -1), append(room(r.Step, nv), -1), room(r.KidOff, nv+1)
 	for i := 0; i < len(order); i++ {
 		r.KidOff = append(r.KidOff, int32(len(order)))
@@ -125,8 +173,8 @@ func (r *Rooted) Build(root grid.V, steps []Step, sinks []Sink) {
 	r.Host = room(r.Host, len(sinks))
 	for _, s := range sinks {
 		h := int32(-1)
-		if id, ok := slices.BinarySearch(vs, s.V); ok {
-			h = node[id]
+		if sl := r.slot(s.V); sl.id != 0 {
+			h = node[sl.id-1]
 		}
 		r.Host = append(r.Host, h)
 		if h >= 0 {

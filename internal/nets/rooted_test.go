@@ -682,3 +682,223 @@ func TestRootedDocRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// refRooted is the sort-based Rooted.Build that the open-addressing
+// vertex table replaced, verbatim but for the ref prefix: vertex ids
+// are positions in the sorted distinct vertices, found by binary search.
+// TestRootedMatchesSortedIDs holds the table-based Build to it.
+type refRooted struct {
+	Parent, Step         []int32
+	KidOff               []int32
+	Host, SinkOff, Sinks []int32
+
+	steps                        int
+	verts                        []grid.V
+	ends, half, off, node, order []int32
+}
+
+func (r *refRooted) id(v grid.V) int32 {
+	i, _ := slices.BinarySearch(r.verts, v)
+	return int32(i)
+}
+
+func (r *refRooted) Build(root grid.V, steps []Step, sinks []Sink) {
+	vs := append(room(r.verts, 2*len(steps)+1), root)
+	for _, st := range steps {
+		vs = append(vs, st.From, st.Arc.To)
+	}
+	slices.Sort(vs)
+	vs = slices.Compact(vs)
+	r.verts, r.steps = vs, len(steps)
+	nv := len(vs)
+
+	// off[v+2] first counts v's half-edges; off[v+1] then runs as v's
+	// fill cursor and ends on the start of v+1: the offsets, one slot down.
+	off := sized(r.off, nv+2)
+	clear(off)
+	ends := room(r.ends, 2*len(steps))
+	for _, st := range steps {
+		a, b := r.id(st.From), r.id(st.Arc.To)
+		ends = append(ends, a, b)
+		off[a+2]++
+		off[b+2]++
+	}
+	for v := 0; v < nv; v++ {
+		off[v+2] += off[v+1]
+	}
+	half := sized(r.half, len(ends))
+	for h, v := range ends {
+		half[off[v+1]] = int32(h)
+		off[v+1]++
+	}
+	r.ends, r.half, r.off = ends, half, off
+
+	node := sized(r.node, nv)
+	for v := range node {
+		node[v] = -1
+	}
+	rootID := r.id(root)
+	node[rootID] = 0
+	order := append(room(r.order, nv), rootID)
+	r.Parent, r.Step, r.KidOff = append(room(r.Parent, nv), -1), append(room(r.Step, nv), -1), room(r.KidOff, nv+1)
+	for i := 0; i < len(order); i++ {
+		r.KidOff = append(r.KidOff, int32(len(order)))
+		v := order[i]
+		for _, h := range half[off[v]:off[v+1]] {
+			if c := ends[h^1]; node[c] < 0 {
+				node[c] = int32(len(order))
+				order = append(order, c)
+				r.Parent, r.Step = append(r.Parent, int32(i)), append(r.Step, h>>1)
+			}
+		}
+	}
+	r.KidOff = append(r.KidOff, int32(len(order)))
+	r.node, r.order = node, order
+
+	// The same count-then-cursor layout for the hosted sinks.
+	n := len(order)
+	sinkOff := sized(r.SinkOff, n+2)
+	clear(sinkOff)
+	r.Host = room(r.Host, len(sinks))
+	for _, s := range sinks {
+		h := int32(-1)
+		if id, ok := slices.BinarySearch(vs, s.V); ok {
+			h = node[id]
+		}
+		r.Host = append(r.Host, h)
+		if h >= 0 {
+			sinkOff[h+2]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		sinkOff[i+2] += sinkOff[i+1]
+	}
+	r.Sinks = sized(r.Sinks, int(sinkOff[n+1]))
+	for s, h := range r.Host {
+		if h >= 0 {
+			r.Sinks[sinkOff[h+1]] = int32(s)
+			sinkOff[h+1]++
+		}
+	}
+	r.SinkOff = sinkOff
+}
+
+func (r *refRooted) N() int { return len(r.order) }
+
+func (r *refRooted) IsTree() bool {
+	return len(r.order) == len(r.verts) && r.steps == len(r.verts)-1
+}
+
+func (r *refRooted) Vertex(i int32) grid.V { return r.verts[r.order[i]] }
+
+// checkRooted builds one step multiset with Rooted and the sort-based
+// reference and fails on the first field that differs.
+func checkRooted(t *testing.T, r *Rooted, ref *refRooted, root grid.V, steps []Step, sinks []Sink) {
+	t.Helper()
+	r.Build(root, steps, sinks)
+	ref.Build(root, steps, sinks)
+	for _, f := range []struct {
+		name      string
+		got, want []int32
+	}{
+		{"Parent", r.Parent, ref.Parent}, {"Step", r.Step, ref.Step}, {"KidOff", r.KidOff, ref.KidOff},
+		{"Host", r.Host, ref.Host}, {"SinkOff", r.SinkOff, ref.SinkOff}, {"Sinks", r.Sinks, ref.Sinks},
+	} {
+		if !slices.Equal(f.got, f.want) {
+			t.Fatalf("%s %v, reference %v (%d steps from root %d)", f.name, f.got, f.want, len(steps), root)
+		}
+	}
+	if r.N() != ref.N() || r.IsTree() != ref.IsTree() {
+		t.Fatalf("N %d IsTree %v, reference N %d IsTree %v", r.N(), r.IsTree(), ref.N(), ref.IsTree())
+	}
+	for i := int32(0); i < int32(r.N()); i++ {
+		if r.Vertex(i) != ref.Vertex(i) {
+			t.Fatalf("node %d is vertex %d, reference %d", i, r.Vertex(i), ref.Vertex(i))
+		}
+	}
+}
+
+// collidingSteps returns n disjoint steps whose 2n endpoints, the first
+// of them the root, all hash to one starting slot of the table Build
+// sizes for n steps.
+func collidingSteps(n int) []Step {
+	var sizing Rooted
+	sizing.Build(0, make([]Step, n), nil)
+	home := func(v grid.V) uint64 { return uint64(uint32(v)) * hashMul >> sizing.shift }
+	var verts []grid.V
+	for v := grid.V(0); len(verts) < 2*n; v++ {
+		if home(v) == home(0) {
+			verts = append(verts, v)
+		}
+	}
+	steps := make([]Step, n)
+	for i := range steps {
+		steps[i] = Step{From: verts[2*i], Arc: grid.Arc{To: verts[2*i+1]}}
+	}
+	return steps
+}
+
+// TestRootedMatchesSortedIDs holds Build, whose vertex ids come from an
+// open-addressing table in order of first appearance, to the sort-based
+// reference above: Parent, Step, KidOff, Host, SinkOff, Sinks, every
+// node's vertex, N and IsTree, on the step multisets and fixed cases of
+// TestPruneToTreeMatchesReference and on a list whose every vertex hashes
+// to the same starting slot. On that list Build must stay linear: its
+// table probes are held to a small multiple of its lookups.
+func TestRootedMatchesSortedIDs(t *testing.T) {
+	var r Rooted
+	var ref refRooted
+	g, c := rootedGraph(6, 6)
+	rng := rand.New(rand.NewPCG(24, 2))
+	for it := 0; it < 600; it++ {
+		in, steps := genRootedCase(g, c, rng)
+		checkRooted(t, &r, &ref, in.Root, steps, in.Sinks)
+	}
+	ins, stepLists := fixedRootedCases(g, c)
+	for i, in := range ins {
+		checkRooted(t, &r, &ref, in.Root, stepLists[i], in.Sinks)
+	}
+	g, _ = rootedGraph(52, 40)
+	chain := snake(g, 2100)
+	checkRooted(t, &r, &ref, chain[0].From, chain, []Sink{{V: chain[2099].Arc.To}, {V: chain[1000].From}})
+
+	for _, n := range []int{1, 40, 1024} {
+		steps := collidingSteps(n)
+		sinks := []Sink{{V: steps[0].Arc.To}, {V: steps[n-1].From}, {V: steps[n-1].Arc.To + 1}}
+		checkRooted(t, &r, &ref, steps[0].From, steps, sinks)
+		lookups := 1 + 2*n + len(sinks)
+		if r.probes > 3*lookups {
+			t.Fatalf("%d steps on one starting slot: %d probes for %d lookups, want at most %d", n, r.probes, lookups, 3*lookups)
+		}
+	}
+}
+
+// BenchmarkRootedBuild roots one tree the size of an average cold-route
+// net (c1 at scale 0.01 averages 24 steps a tree) with four sinks, on
+// one reused Rooted: after the first Build it allocates nothing.
+func BenchmarkRootedBuild(b *testing.B) {
+	g, _ := rootedGraph(6, 6)
+	rng := rand.New(rand.NewPCG(24, 6))
+	root := g.At(2, 3, 1)
+	visited := map[grid.V]bool{root: true}
+	verts := []grid.V{root}
+	var steps []Step
+	for len(steps) < 24 {
+		u := verts[rng.IntN(len(verts))]
+		arcs := arcsFrom(g, u)
+		if a := arcs[rng.IntN(len(arcs))]; !visited[a.To] {
+			visited[a.To] = true
+			verts, steps = append(verts, a.To), append(steps, Step{From: u, Arc: a})
+		}
+	}
+	sinks := []Sink{{V: verts[5], W: 1}, {V: verts[11], W: 1}, {V: verts[17], W: 1}, {V: verts[24], W: 1}}
+	var r Rooted
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Build(root, steps, sinks)
+	}
+	if !r.IsTree() || r.N() != 25 {
+		b.Fatalf("fixture roots to %d nodes (tree %v), want a 25-node tree", r.N(), r.IsTree())
+	}
+}

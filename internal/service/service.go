@@ -292,10 +292,15 @@ func writeBody(w http.ResponseWriter, xCache string, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// readBody reads a bounded request body, answering 400 itself on failure.
+// readBody reads a bounded request body, answering itself on failure:
+// 413 naming the limit for a body over maxBodyBytes, 400 otherwise.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		s.httpError(w, http.StatusRequestEntityTooLarge, "request body over the %d-byte limit", tooBig.Limit)
+	case err != nil:
 		s.httpError(w, http.StatusBadRequest, "reading body: %v", err)
 	}
 	return body, err == nil

@@ -434,6 +434,26 @@ func TestSolveOversizedGridIs422(t *testing.T) {
 	}
 }
 
+// A body one byte over maxBodyBytes is 413 on both POST endpoints, and
+// the error names the limit: the request is too large, not malformed.
+func TestOversizedBodyIs413(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	body := bytes.Repeat([]byte(" "), maxBodyBytes+1)
+	for _, path := range []string{"/v1/solve", "/v1/route"} {
+		resp := post(t, ts.URL+path, body)
+		msg := string(readBody(t, resp))
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413 (body %s)", path, resp.StatusCode, msg)
+		}
+		if want := fmt.Sprint(maxBodyBytes); !strings.Contains(msg, want) {
+			t.Fatalf("%s: 413 body %q does not name the %s-byte limit", path, msg, want)
+		}
+	}
+	if n := srv.met.badRequests.Load(); n != 2 {
+		t.Fatalf("routed_bad_requests_total %d after two oversized bodies, want 2", n)
+	}
+}
+
 // An identical route request submitted while the first is still running
 // must follow the in-flight job instead of re-running the route.
 func TestRouteDuplicateInFlightIsDeduplicated(t *testing.T) {
