@@ -2,12 +2,12 @@ package costdist
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"costdist/internal/core"
+	"costdist/internal/panics"
 	"costdist/internal/router"
 )
 
@@ -118,7 +118,8 @@ type BatchResult struct {
 // Instances may share their Graph and Costs (both are read-only during
 // solves). A per-instance error does not abort the batch; check each
 // BatchResult.Err. A panicking solve becomes its instance's error
-// ("panicked: <value>"), and its worker continues on a fresh Solver.
+// ("panicked: <value> at <function> (<file>:<line>)", naming the frame
+// that raised it), and its worker continues on a fresh Solver.
 func SolveBatch(ins []*Instance, m Method, opt BatchOptions) []BatchResult {
 	out, _ := SolveBatchCtx(context.Background(), ins, m, opt)
 	return out
@@ -173,7 +174,7 @@ func SolveBatchCtx(ctx context.Context, ins []*Instance, m Method, opt BatchOpti
 func solveOne(s *Solver, in *Instance, m Method, ropt RouterOptions) (res BatchResult, intact bool) {
 	defer func() {
 		if p := recover(); p != nil {
-			res, intact = BatchResult{Err: fmt.Errorf("panicked: %v", p)}, false
+			res, intact = BatchResult{Err: panics.Error(p)}, false
 		}
 	}()
 	tr, err := s.Solve(in, m, ropt)

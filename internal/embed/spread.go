@@ -1,6 +1,8 @@
 package embed
 
 import (
+	"math"
+
 	"costdist/internal/geom"
 	"costdist/internal/grid"
 	"costdist/internal/heaps"
@@ -25,7 +27,7 @@ type Workspace struct {
 	// deterministic work count.
 	Settles int
 
-	heap heaps.Lazy[int32]
+	heap heaps.ByIndex
 	in   *nets.Instance
 	win  grid.Window
 }
@@ -54,12 +56,18 @@ func (ws *Workspace) Reset(in *nets.Instance, win grid.Window) {
 // of into codes (a table over the window, like seeds); the codes of the
 // settled cells lead back to a seed.
 //
+// Each cell is queued at most once (heaps.ByIndex): a relaxation inserts
+// a cell untouched in this spread and lowers the key of a touched one,
+// and a touched cell that is not settled is in the queue. Cells settle in
+// (label, window index) order, so among equal labels the lower index
+// settles first, and the settle order is a function of the labels alone.
 // Arcs are relaxed in grid.Graph.Arcs' order — along the layer's
 // direction toward the lower then the higher coordinate, wire types in
-// layer order, then the via down and the via up — and a label is
-// k + mult·cost + w·delay in exactly that association, so heap
-// contents, settle order and every label are those of a search driven
-// by Arcs, Costs.ArcCost and Costs.ArcDelay.
+// layer order, then the via down and the via up —, a label is
+// k + mult·cost + w·delay in exactly that association, and a label is
+// replaced only by a strictly smaller one, so the settled set, every
+// label and every code are those of a search driven by Arcs,
+// Costs.ArcCost and Costs.ArcDelay that pops in that order.
 func (ws *Workspace) Spread(seeds []float32, seedRect geom.Rect, w float64, corr geom.Rect, bound float64, budget int, target int32, codes []uint8) bool {
 	ep, wrapped := ws.Epoch.Next()
 	if wrapped {
@@ -72,7 +80,7 @@ func (ws *Workspace) Spread(seeds []float32, seedRect geom.Rect, w float64, corr
 	rowW, rowH := win.R.W(), win.R.H()
 	plane, top := rowW*rowH, win.Layers()-1
 
-	h.Reset()
+	h.Reset(len(dist))
 	seedW := seedRect.W()
 	for l := int32(0); l <= top; l++ {
 		for y := seedRect.Y0; y <= seedRect.Y1; y++ {
@@ -80,21 +88,30 @@ func (ws *Workspace) Spread(seeds []float32, seedRect geom.Rect, w float64, corr
 			for x := x0; x < x0+seedW; x++ {
 				if s := seeds[x]; s < inf32 && float64(s) < bound {
 					dist[x], codes[x], touched[x] = float64(s), grid.CodeSeed, ep
-					h.Push(dist[x], x)
+					h.Insert(dist[x], x)
 				}
 			}
 		}
 	}
 
+	// relax offers cell y, not settled, the label nd with predecessor
+	// code: it queues an untouched cell and lowers a touched one, whose
+	// label is below bound, when nd is strictly smaller.
+	relax := func(y int32, nd float64, code uint8) {
+		if touched[y] != ep {
+			if nd < bound {
+				dist[y], touched[y], codes[y] = nd, ep, code
+				h.Insert(nd, y)
+			}
+		} else if nd < dist[y] {
+			dist[y], codes[y] = nd, code
+			h.Decrease(nd, y)
+		}
+	}
+
 	count, ok := 0, true
 	for h.Len() > 0 {
-		k, x := h.Pop()
-		if k >= bound {
-			break // keys are monotone: everything left prices out
-		}
-		if settled[x] == ep || k > dist[x] {
-			continue
-		}
+		k, x := h.Pop() // below bound: no label at or above it is queued
 		settled[x] = ep
 		count++
 		if count > budget {
@@ -108,7 +125,9 @@ func (ws *Workspace) Spread(seeds []float32, seedRect geom.Rect, w float64, corr
 		lay := &g.Layers[l]
 
 		// Along the layer: the step toward the lower coordinate, then
-		// the step toward the higher one, each once per wire type.
+		// the step toward the higher one, each at the cheapest of the
+		// wire types, the first in layer order among equals — the
+		// label and code that offering them one by one would leave.
 		stepX, seg := rowW, g.SegV(l, gx, gy)
 		lo, hi := gy > corr.Y0, gy < corr.Y1
 		if lay.Dir == grid.DirH {
@@ -123,15 +142,14 @@ func (ws *Workspace) Spread(seeds []float32, seedRect geom.Rect, w float64, corr
 			if !open || settled[y] == ep {
 				continue
 			}
-			m := float64(mult[sg])
+			m, nd, wbest := float64(mult[sg]), math.Inf(1), 0
 			for wt := range lay.Wires {
 				wire := &lay.Wires[wt]
-				nd := k + m*wire.CostPerGCell + w*wire.DelayPerGCell
-				if nd < bound && (touched[y] != ep || nd < dist[y]) {
-					dist[y], touched[y], codes[y] = nd, ep, grid.WireCode(wt, d)
-					h.Push(nd, y)
+				if c := k + m*wire.CostPerGCell + w*wire.DelayPerGCell; c < nd {
+					nd, wbest = c, wt
 				}
 			}
+			relax(y, nd, grid.WireCode(wbest, d))
 		}
 		// The via below (between layers l-1 and l), then the via above.
 		for vl := l - 1; vl <= l; vl++ {
@@ -146,11 +164,7 @@ func (ws *Workspace) Spread(seeds []float32, seedRect geom.Rect, w float64, corr
 				continue
 			}
 			sg, via := g.ViaSeg(vl, gx, gy), &g.Layers[vl]
-			nd := k + float64(mult[sg])*via.ViaCost + w*via.ViaDelay
-			if nd < bound && (touched[y] != ep || nd < dist[y]) {
-				dist[y], touched[y], codes[y] = nd, ep, code
-				h.Push(nd, y)
-			}
+			relax(y, k+float64(mult[sg])*via.ViaCost+w*via.ViaDelay, code)
 		}
 	}
 	ws.Settles += count

@@ -1,21 +1,45 @@
 package embed
 
 import (
+	"container/heap"
 	"math"
 	"math/rand/v2"
 	"testing"
 
 	"costdist/internal/geom"
 	"costdist/internal/grid"
-	"costdist/internal/heaps"
 	"costdist/internal/nets"
 	"costdist/internal/rsmt"
 )
 
+// refEntry is one queued label of the reference spread.
+type refEntry struct {
+	key float64
+	x   int32
+}
+
+// refQueue is a container/heap of labels with lazy deletion, ordered by
+// (label, window index): the spread's settle rule, independent of the
+// kernel's heap.
+type refQueue []refEntry
+
+func (q refQueue) Len() int { return len(q) }
+func (q refQueue) Less(i, j int) bool {
+	return q[i].key < q[j].key || q[i].key == q[j].key && q[i].x < q[j].x
+}
+func (q refQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *refQueue) Push(e any)   { *q = append(*q, e.(refEntry)) }
+func (q *refQueue) Pop() any {
+	e := (*q)[len(*q)-1]
+	*q = (*q)[:len(*q)-1]
+	return e
+}
+
 // refSpread is the callback-based spread the flat kernel replaced, kept
 // as the reference implementation: grid.Graph.Arcs per settle, a closure
-// per arc, Window.Index per target, Costs.ArcCost/ArcDelay per arc, and
-// predecessor index and arc stored whole.
+// per arc, Window.Index per target, Costs.ArcCost/ArcDelay per arc,
+// predecessor index and arc stored whole, and a queue that holds a
+// duplicate per improved label and skips the stale ones when popped.
 type refSpread struct {
 	dist             []float64
 	pred             []int32
@@ -29,7 +53,7 @@ func runRef(in *nets.Instance, win grid.Window, seeds []float32, seedRect geom.R
 	n := win.Size()
 	r := &refSpread{dist: make([]float64, n), pred: make([]int32, n), parc: make([]grid.Arc, n),
 		touched: make([]bool, n), settled: make([]bool, n)}
-	var h heaps.Lazy[int32]
+	var h refQueue
 	g, costs := in.G, in.C
 	for l := int32(0); l < win.Layers(); l++ {
 		for y := seedRect.Y0; y <= seedRect.Y1; y++ {
@@ -37,13 +61,14 @@ func runRef(in *nets.Instance, win grid.Window, seeds []float32, seedRect geom.R
 				i := win.RectIndex(x, y, l)
 				if seeds[i] < inf32 && float64(seeds[i]) < bound {
 					r.dist[i], r.pred[i], r.touched[i] = float64(seeds[i]), -1, true
-					h.Push(r.dist[i], i)
+					heap.Push(&h, refEntry{r.dist[i], i})
 				}
 			}
 		}
 	}
 	for h.Len() > 0 {
-		k, x := h.Pop()
+		e := heap.Pop(&h).(refEntry)
+		k, x := e.key, e.x
 		if k >= bound {
 			return r, true
 		}
@@ -66,7 +91,7 @@ func runRef(in *nets.Instance, win grid.Window, seeds []float32, seedRect geom.R
 			nd := k + costs.ArcCost(a) + w*costs.ArcDelay(a)
 			if nd < bound && (!r.touched[y] || nd < r.dist[y]) {
 				r.dist[y], r.pred[y], r.parc[y], r.touched[y] = nd, x, a, true
-				h.Push(nd, y)
+				heap.Push(&h, refEntry{nd, y})
 			}
 			return true
 		})
@@ -105,7 +130,11 @@ func subRect(rng *rand.Rand, r geom.Rect, shape int) geom.Rect {
 // congested 8-layer grids the flat kernel must settle the same cells in
 // the same number of settles with the same labels as the callback
 // search — every touched label, settled or tentative, with the
-// predecessor and arc its code decodes to, exhaustive or targeted.
+// predecessor and arc its code decodes to, exhaustive or targeted. The
+// tie rule is part of the contract: cells settle in (label, window
+// index) order, so of two equal labels the lower index settles first,
+// and a budget abort or a reached target cuts the search at the same
+// cell whatever order the labels were queued in.
 func TestSpreadMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 4))
 	g := newGraph(19, 15, 8)

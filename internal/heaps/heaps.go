@@ -1,8 +1,13 @@
 // Package heaps provides the priority queues used by the path searches:
 //
 //   - Lazy[T]: a plain binary min-heap with lazy deletion semantics. Each
-//     per-sink Dijkstra search owns one (the paper uses binary heaps because
-//     global routing graphs have m ∈ O(n), §III-B).
+//     per-sink Dijkstra search of the cost-distance core and of the exact
+//     tier owns one (the paper uses binary heaps because global routing
+//     graphs have m ∈ O(n), §III-B).
+//   - ByIndex: a binary min-heap over the indices [0, n) with one entry per
+//     index and decrease-key, ordered by (key, index). The embedding DP's
+//     spread queues window cells in it, so equal labels settle in index
+//     order whatever the order of the pushes.
 //   - Indexed: a binary min-heap over a fixed slot universe with
 //     decrease/increase-key, used as the top level of the two-level heap
 //     structure from §III-B: it stores the minimum key of every sink heap
@@ -122,6 +127,114 @@ func (h *Lazy[T]) down(i int) {
 		i = c
 	}
 	keys[i], vals[i] = k, v
+}
+
+// ByIndex is a binary min-heap over the indices [0, n) that holds each
+// index at most once. Entries are ordered by (key, index), compared
+// lexicographically, so the pop order is a function of the entries alone,
+// not of the order of the calls that put them there. Keys are stored as
+// ord(key), as in Lazy; a key must not be NaN, and −0 comes back as +0.
+// The zero value is ready after Reset.
+type ByIndex struct {
+	keys []uint64 // heap order
+	idx  []int32  // heap order
+	// pos[i] is the heap slot of index i. It is read only for indices in
+	// the heap, so Reset never clears it.
+	pos []int32
+}
+
+// Reset empties the heap and readies it for indices in [0, n), retaining
+// capacity.
+func (h *ByIndex) Reset(n int) {
+	h.keys, h.idx = h.keys[:0], h.idx[:0]
+	if len(h.pos) < n {
+		h.pos = make([]int32, n)
+	}
+}
+
+// Len returns the number of indices in the heap.
+func (h *ByIndex) Len() int { return len(h.keys) }
+
+// Insert adds index i, which must not be in the heap, with the given key.
+func (h *ByIndex) Insert(key float64, i int32) {
+	k := ord(key)
+	h.keys = append(h.keys, k)
+	h.idx = append(h.idx, i)
+	h.up(len(h.keys)-1, k, i)
+}
+
+// Decrease lowers the key of index i, which must be in the heap, to key,
+// which must not be above its current key.
+func (h *ByIndex) Decrease(key float64, i int32) {
+	h.up(int(h.pos[i]), ord(key), i)
+}
+
+// Pop removes and returns the entry with the smallest (key, index).
+func (h *ByIndex) Pop() (key float64, i int32) {
+	key, i = unord(h.keys[0]), h.idx[0]
+	n := len(h.keys) - 1
+	k, v := h.keys[n], h.idx[n]
+	h.keys, h.idx = h.keys[:n], h.idx[:n]
+	if n > 0 {
+		h.down(k, v)
+	}
+	return key, i
+}
+
+// before is 1 when (ka, ia) precedes (kb, ib) and 0 otherwise: the
+// borrow of ia − ib, fed into ka − kb, borrows out exactly when ka < kb,
+// or ka == kb and ia < ib. It compiles to two subtract-with-borrows, no
+// branch. Indices are non-negative, so their uint64 images keep their
+// order.
+func before(ka uint64, ia int32, kb uint64, ib int32) uint64 {
+	_, b := bits.Sub64(uint64(ia), uint64(ib), 0)
+	_, lt := bits.Sub64(ka, kb, b)
+	return lt
+}
+
+// up places entry (k, v) at slot j or above it, moving the parents it
+// precedes one level down.
+func (h *ByIndex) up(j int, k uint64, v int32) {
+	keys, idx, pos := h.keys, h.idx[:len(h.keys)], h.pos
+	for j > 0 {
+		p := (j - 1) / 2
+		if before(k, v, keys[p], idx[p]) == 0 {
+			break
+		}
+		keys[j], idx[j] = keys[p], idx[p]
+		pos[idx[j]] = int32(j)
+		j = p
+	}
+	keys[j], idx[j] = k, v
+	pos[v] = int32(j)
+}
+
+// down places entry (k, v) at the root or below it. The smaller child is
+// picked from before's borrow instead of a branch the key order makes
+// unpredictable; the one-child tail is settled once after the loop.
+func (h *ByIndex) down(k uint64, v int32) {
+	keys, idx, pos := h.keys, h.idx[:len(h.keys)], h.pos
+	n, j := len(keys), 0
+	for {
+		c := 2*j + 1
+		if c+1 >= n {
+			break
+		}
+		c += int(before(keys[c+1], idx[c+1], keys[c], idx[c]))
+		if before(keys[c], idx[c], k, v) == 0 {
+			break
+		}
+		keys[j], idx[j] = keys[c], idx[c]
+		pos[idx[j]] = int32(j)
+		j = c
+	}
+	if c := 2*j + 1; c == n-1 && before(keys[c], idx[c], k, v) != 0 {
+		keys[j], idx[j] = keys[c], idx[c]
+		pos[idx[j]] = int32(j)
+		j = c
+	}
+	keys[j], idx[j] = k, v
+	pos[v] = int32(j)
 }
 
 // Inf is the key used by Indexed for inactive slots.

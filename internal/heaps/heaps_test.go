@@ -1,6 +1,7 @@
 package heaps
 
 import (
+	"container/heap"
 	"math"
 	"math/rand/v2"
 	"sort"
@@ -201,6 +202,88 @@ func TestOrdPreservesOrder(t *testing.T) {
 	}
 }
 
+// byIndexRef is the reference for ByIndex: a container/heap of (key,
+// index) entries ordered lexicographically, with heap.Fix for a
+// decrease.
+type byIndexRef struct {
+	keys []float64
+	idx  []int32
+	pos  map[int32]int
+}
+
+func (r *byIndexRef) Len() int { return len(r.keys) }
+func (r *byIndexRef) Less(a, b int) bool {
+	return r.keys[a] < r.keys[b] || r.keys[a] == r.keys[b] && r.idx[a] < r.idx[b]
+}
+func (r *byIndexRef) Swap(a, b int) {
+	r.keys[a], r.keys[b] = r.keys[b], r.keys[a]
+	r.idx[a], r.idx[b] = r.idx[b], r.idx[a]
+	r.pos[r.idx[a]], r.pos[r.idx[b]] = a, b
+}
+func (r *byIndexRef) Push(e any) {
+	kv := e.([2]float64)
+	r.pos[int32(kv[1])] = len(r.keys)
+	r.keys = append(r.keys, kv[0])
+	r.idx = append(r.idx, int32(kv[1]))
+}
+func (r *byIndexRef) Pop() any {
+	n := len(r.keys) - 1
+	e := [2]float64{r.keys[n], float64(r.idx[n])}
+	delete(r.pos, r.idx[n])
+	r.keys, r.idx = r.keys[:n], r.idx[:n]
+	return e
+}
+
+// byIndexKeys are few and tie often: both zeros, subnormals, a negative,
+// small positives and +Inf.
+var byIndexKeys = []float64{-1, math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64,
+	math.SmallestNonzeroFloat64 * 3, 1, 2.5, 7, math.Inf(1)}
+
+// ByIndex pops what a container/heap ordered by (key, index) pops — key
+// bits, with −0 read as +0, and index — on random streams of Insert,
+// Decrease and Pop over a small universe with tie-heavy keys, one
+// recycled heap across universes of different sizes. Equal keys pop in
+// index order, so a heap that orders by key alone fails, and Decrease
+// finds its entry through the position slice, so a sift that leaves one
+// position stale fails.
+func TestByIndexMatchesReference(t *testing.T) {
+	var h ByIndex
+	for round := 0; round < 300; round++ {
+		rng := rand.New(rand.NewPCG(uint64(round), 45))
+		n := 1 + rng.IntN(64)
+		h.Reset(n)
+		ref := &byIndexRef{pos: map[int32]int{}}
+		for op := 0; op < 3000; op++ {
+			i := int32(rng.IntN(n))
+			_, in := ref.pos[i]
+			switch r := rng.IntN(10); {
+			case r < 4 && !in:
+				k := byIndexKeys[rng.IntN(len(byIndexKeys))]
+				h.Insert(k, i)
+				heap.Push(ref, [2]float64{k, float64(i)})
+			case r < 7 && in:
+				cur := ref.keys[ref.pos[i]]
+				k := byIndexKeys[rng.IntN(len(byIndexKeys))]
+				for k > cur {
+					k = byIndexKeys[rng.IntN(len(byIndexKeys))]
+				}
+				h.Decrease(k, i)
+				ref.keys[ref.pos[i]] = k
+				heap.Fix(ref, ref.pos[i])
+			case ref.Len() > 0:
+				gk, gi := h.Pop()
+				w := heap.Pop(ref).([2]float64)
+				if math.Float64bits(gk) != math.Float64bits(w[0]+0) || gi != int32(w[1]) {
+					t.Fatalf("round %d op %d: Pop = (%v, %d), reference (%v, %d)", round, op, gk, gi, w[0], int32(w[1]))
+				}
+			}
+			if h.Len() != ref.Len() {
+				t.Fatalf("round %d op %d: Len %d, reference %d", round, op, h.Len(), ref.Len())
+			}
+		}
+	}
+}
+
 func TestIndexedBasics(t *testing.T) {
 	h := NewIndexed(4)
 	if s, k := h.Min(); s < 0 || k != Inf {
@@ -339,6 +422,25 @@ func BenchmarkLazyDijkstra(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k, v := h.Pop()
 		h.Push(k+steps[rng.IntN(len(steps))], v)
+	}
+}
+
+// BenchmarkByIndexDijkstra is BenchmarkLazyDijkstra on ByIndex: each pop
+// re-inserts the popped index at its key plus a small integral arc cost,
+// on a heap of 4096 indices, one entry each.
+func BenchmarkByIndexDijkstra(b *testing.B) {
+	const size = 4096
+	rng := rand.New(rand.NewPCG(1, 1))
+	var h ByIndex
+	h.Reset(size)
+	for i := int32(0); i < size; i++ {
+		h.Insert(float64(rng.IntN(64)), i)
+	}
+	steps := [...]float64{1, 1, 1.5, 2, 3, 4}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k, v := h.Pop()
+		h.Insert(k+steps[rng.IntN(len(steps))], v)
 	}
 }
 

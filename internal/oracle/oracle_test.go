@@ -261,14 +261,16 @@ func TestFaultyOracleSurfacesError(t *testing.T) {
 	}
 
 	oracle.SwapSolve(t, "cd", func(*nets.Instance, *oracle.Env) (*nets.RTree, error) { panic("injected panic") })
+	// The error names the closure above as the panicking frame.
+	const site = ` at costdist/internal/oracle_test\.TestFaultyOracleSurfacesError\.func\d+ \(oracle_test\.go:\d+\)$`
 	res, err = router.Route(chip, router.CD, opt)
-	if res != nil || err == nil || !regexp.MustCompile(`^net \d+: panicked: injected panic$`).MatchString(err.Error()) {
-		t.Fatalf("route with a panicking cd: result %v, err %v; want nil and \"net N: panicked: injected panic\"", res != nil, err)
+	if res != nil || err == nil || !regexp.MustCompile(`^net \d+: panicked: injected panic`+site).MatchString(err.Error()) {
+		t.Fatalf("route with a panicking cd: result %v, err %v; want nil and \"net N: panicked: injected panic at <the panicking closure>\"", res != nil, err)
 	}
 	bopt := costdist.DefaultBatchOptions()
 	bopt.Workers = 2
 	for i, r := range costdist.SolveBatch(ins, costdist.CD, bopt) {
-		if r.Tree != nil || r.Err == nil || r.Err.Error() != "panicked: injected panic" {
+		if r.Tree != nil || r.Err == nil || !regexp.MustCompile(`^panicked: injected panic`+site).MatchString(r.Err.Error()) {
 			t.Fatalf("batch instance %d with a panicking cd: tree %v, err %v", i, r.Tree != nil, r.Err)
 		}
 	}

@@ -18,6 +18,7 @@ import (
 	"costdist/internal/nets"
 	"costdist/internal/obs"
 	"costdist/internal/oracle"
+	"costdist/internal/panics"
 	"costdist/internal/reembed"
 	"costdist/internal/sta"
 )
@@ -317,7 +318,7 @@ func (r *runState) runWaves() error {
 				ni := -1
 				defer func() {
 					if p := recover(); p != nil {
-						w.err = fmt.Errorf("net %d: panicked: %v", ni, p)
+						w.err = fmt.Errorf("net %d: %w", ni, panics.Error(p))
 					}
 				}()
 				// Each worker solves through its own arena; results are

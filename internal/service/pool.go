@@ -2,10 +2,10 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"costdist"
+	"costdist/internal/panics"
 )
 
 // pool is a fixed set of workers pulling from one bounded task queue,
@@ -26,7 +26,8 @@ type pool struct {
 }
 
 // task is one unit of pool work: run gets the worker's solver, and fail
-// gets the error a panicking run became ("panicked: <value>").
+// gets the error a panicking run became ("panicked: <value> at
+// <function> (<file>:<line>)", naming the frame that raised it).
 type task struct {
 	run  func(*costdist.Solver)
 	fail func(error)
@@ -63,7 +64,7 @@ func (p *pool) work() {
 func (t task) runOn(solver *costdist.Solver) (ok bool) {
 	defer func() {
 		if v := recover(); v != nil {
-			t.fail(fmt.Errorf("panicked: %v", v))
+			t.fail(panics.Error(v))
 		}
 	}()
 	t.run(solver)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"regexp"
 	"testing"
 
 	"costdist"
@@ -60,8 +61,9 @@ func TestPoolRecoversPanickingTask(t *testing.T) {
 			t.Fatal("submit refused")
 		}
 	}
-	if err := <-failed; err.Error() != "panicked: injected fault" {
-		t.Fatalf("fail got %q, want %q", err, "panicked: injected fault")
+	want := regexp.MustCompile(`^panicked: injected fault at costdist/internal/service\.TestPoolRecoversPanickingTask\.func\d+ \(pool_test\.go:\d+\)$`)
+	if err := <-failed; !want.MatchString(err.Error()) {
+		t.Fatalf("fail got %q, want a match of %s", err, want)
 	}
 	before, panicked, after := <-solvers, <-solvers, <-solvers
 	if before != panicked {

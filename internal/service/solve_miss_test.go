@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -15,6 +16,11 @@ import (
 
 	"costdist"
 )
+
+// panicOnSite matches the frame an error names for a panic of panicOn's
+// fault: its closure, which is named after the test panicOn is inlined
+// into, if it is.
+const panicOnSite = ` at costdist/internal/service\.(?:\w+\.)?panicOn\.func\d+ \(solve_miss_test\.go:\d+\)`
 
 // shapeDoc draws an instance document of the given shape from seed:
 // a root and sinks pins inside one box of at most 16×16 gcells, and six
@@ -239,10 +245,10 @@ func TestSolvePanicIsContained(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	want := `{"error":"solve panicked: injected fault"}` + "\n"
+	want := regexp.MustCompile(`^\{"error":"solve panicked: injected fault` + panicOnSite + `"\}\n$`)
 	for i, rec := range recs {
-		if rec.Code != http.StatusInternalServerError || rec.Body.String() != want {
-			t.Fatalf("client %d: status %d body %q, want 500 %q", i, rec.Code, rec.Body, want)
+		if rec.Code != http.StatusInternalServerError || !want.MatchString(rec.Body.String()) || rec.Body.String() != recs[0].Body.String() {
+			t.Fatalf("client %d: status %d body %q, want 500 matching %s, as client 0", i, rec.Code, rec.Body, want)
 		}
 	}
 	for _, doc := range [][]byte{corpusFile(t, "small.json"), corpusFile(t, "twopin.json"),
@@ -275,8 +281,9 @@ func TestRoutePanicFailsJob(t *testing.T) {
 		t.Fatalf("job %s not registered", v.ID)
 	}
 	<-jb.done
-	if st, _, errMsg := jb.view(); st != JobFailed || errMsg != "route panicked: injected fault" {
-		t.Fatalf("job ended %s %q, want failed %q", st, errMsg, "route panicked: injected fault")
+	want := regexp.MustCompile(`^route panicked: injected fault` + panicOnSite + `$`)
+	if st, _, errMsg := jb.view(); st != JobFailed || !want.MatchString(errMsg) {
+		t.Fatalf("job ended %s %q, want failed matching %s", st, errMsg, want)
 	}
 	doc := corpusFile(t, "small.json")
 	if rec := serveDirect(h, http.MethodPost, "/v1/solve", doc); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), libraryReply(t, doc)) {
