@@ -21,9 +21,6 @@ import (
 // V is a vertex id in the routing graph: v = (l*NY + y)*NX + x.
 type V int32
 
-// NoV marks an absent vertex.
-const NoV V = -1
-
 // Dir is a layer's preferred routing direction.
 type Dir uint8
 

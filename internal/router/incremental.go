@@ -38,8 +38,8 @@ const incHalo = 1
 //     drifted beyond IncrementalTol relative to the cost it was solved
 //     at. A price spike next to — but not on — the tree leaves it clean;
 //   - a sink delay weight drifted beyond tolerance since the last solve;
-//   - a delay budget drifted, when the oracle behind the cached tree (or
-//     the Portfolio pool that would replace it) consumes budgets.
+//   - a delay budget drifted, when the run's driver consumes budgets
+//     (the fixed oracle, or a member of the Portfolio pool).
 //
 // Clean nets keep their cached tree and cached sink delays; only their
 // usage is replayed into the wave's congestion accounting. With
@@ -118,9 +118,9 @@ func (r *runState) driftedNet(ni int, costs *grid.Costs) bool {
 			return true
 		}
 	}
-	// Budgets only steer budget-consuming oracles (shallow-light);
-	// others ignore them, so budget drift alone must not rip their nets.
-	if !r.drv.usesBudgets(int(n.oracle)) {
+	// Budgets only steer budget-consuming oracles (shallow-light); under
+	// a driver that runs none, budget drift alone must not rip a net.
+	if !r.drv.usesBudgets {
 		return false
 	}
 	for k, x := range n.budgets {

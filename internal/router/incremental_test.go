@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"math"
 	"slices"
 	"testing"
@@ -101,5 +102,81 @@ func TestFullModeCounters(t *testing.T) {
 	if !slices.Equal(m.SolvedPerWave, []int{n, n}) || !slices.Equal(m.SkippedPerWave, []int{0, 0}) ||
 		!slices.Equal(m.DeltaSegsPerWave, []int{0, 0}) {
 		t.Fatalf("full-mode per-wave counters: %+v", m)
+	}
+}
+
+// Budget sensitivity is the driver's: under a budget-consuming driver
+// (SL, or Portfolio, whose pool holds SL) a budget change alone dirties
+// a net and a repaired tree over its budget escalates; under CD, which
+// ignores budgets, neither happens.
+func TestBudgetDriftFollowsDriver(t *testing.T) {
+	chip := tinyChip(t, 0, 0.002)
+	for _, tc := range []struct {
+		m    Method
+		uses bool
+	}{{CD, false}, {SL, true}, {Portfolio, true}} {
+		opt := DefaultOptions()
+		opt.Waves = 1
+		opt.Threads = 1
+		opt.Incremental = true
+		// No repaired cost escalates on congestion: only the budget
+		// rule can send a repair to the oracle.
+		opt.RepairTol = 1e9
+		r, err := newRun(context.Background(), chip, tc.m, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.runWaves(); err != nil {
+			t.Fatal(err)
+		}
+		// Undo the end-of-run timing update, so every net's weights and
+		// budgets equal the snapshot its tree was solved under, and pick
+		// a net whose first sink has a finite budget and a positive
+		// delay.
+		pick := -1
+		for ni := range r.nets {
+			n := &r.nets[ni]
+			copy(n.weights, n.snapW)
+			copy(n.budgets, n.snapB)
+			if pick < 0 && len(n.budgets) > 0 && !math.IsInf(n.budgets[0], 1) && n.delays[0] > 0 {
+				pick = ni
+			}
+		}
+		if pick < 0 {
+			t.Fatal("no net with a finite budget and a positive delay")
+		}
+		costs := r.pricer.Costs()
+		if work, _ := r.computeDirty(costs); len(work) != 0 {
+			t.Fatalf("%v: unchanged inputs dirtied %v", tc.m, work)
+		}
+
+		// Drift check: one budget moves by far more than IncrementalTol.
+		n := &r.nets[pick]
+		n.budgets[0] = 2*n.budgets[0] + 1
+		var want []int32
+		if tc.uses {
+			want = []int32{int32(pick)}
+		}
+		if work, _ := r.computeDirty(costs); !slices.Equal(work, want) {
+			t.Fatalf("%v: budget drift on net %d gave work list %v, want %v", tc.m, pick, work, want)
+		}
+
+		// Repair check: without a budget the repair is adopted; with
+		// every budget 0 the repaired delays exceed them.
+		re := r.workers[0].re
+		repair := func(b float64) bool {
+			for k := range n.budgets {
+				n.budgets[k] = b
+			}
+			in := buildInstance(chip, pick, n.weights, costs, opt.Seed)
+			in.Budgets = n.budgets
+			return r.tryRepair(pick, re, in)
+		}
+		if !repair(math.Inf(1)) {
+			t.Fatalf("%v: net %d: repair within budget escalated", tc.m, pick)
+		}
+		if got := repair(0); got == tc.uses {
+			t.Fatalf("%v: net %d: repair over budget adopted = %v", tc.m, pick, got)
+		}
 	}
 }

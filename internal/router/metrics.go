@@ -142,14 +142,7 @@ func (r *runState) finish() *Result {
 	// Score the final trees under the final prices and weights — the
 	// common scalar objective both reuse policies are judged on.
 	res.Metrics.Objective = r.objective(r.pricer.Costs())
-	res.Metrics.SolvesByOracle = map[string]int64{}
-	for _, w := range r.workers {
-		for oi, c := range w.counts {
-			if c > 0 {
-				res.Metrics.SolvesByOracle[oracleNames[oi]] += c
-			}
-		}
-	}
+	res.Metrics.SolvesByOracle = r.drv.solvesByOracle(res.Metrics.NetsSolved)
 	res.Metrics.WS = timing.WS
 	res.Metrics.TNS = timing.TNS
 	res.Metrics.ACE4 = cong.ACE4(r.usage)

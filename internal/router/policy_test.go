@@ -125,33 +125,3 @@ func TestRunOptionsRejected(t *testing.T) {
 		}
 	}
 }
-
-// Every solve records its producing oracle, whatever the driver and the
-// reuse policy, so a checkpoint never carries a routed net of unknown
-// provenance (which would make the warm start's budget checks
-// conservative and re-solve nets an identical skip-policy checkpoint
-// keeps).
-func TestCheckpointRecordsOracleUnderBothPolicies(t *testing.T) {
-	chip := tinyChip(t, 0, 0.002)
-	for _, m := range []Method{CD, Portfolio, Exact} {
-		for _, incremental := range []bool{false, true} {
-			opt := DefaultOptions()
-			opt.Waves = 2
-			opt.Threads = 2
-			opt.Incremental = incremental
-			_, st, err := RouteCheckpoint(context.Background(), chip, m, opt)
-			if err != nil {
-				t.Fatalf("%v incremental=%v: %v", m, incremental, err)
-			}
-			for ni := range st.Nets {
-				ns := &st.Nets[ni]
-				if ns.Tree == nil {
-					t.Fatalf("%v incremental=%v: net %d unrouted", m, incremental, ni)
-				}
-				if ns.Oracle == "" {
-					t.Fatalf("%v incremental=%v: net %d has no recorded oracle", m, incremental, ni)
-				}
-			}
-		}
-	}
-}

@@ -90,7 +90,7 @@ func MethodByName(name string) (Method, bool) {
 }
 
 // oracleNames names the oracle table's rows by index: the keys of
-// SolvesByOracle and of checkpoint provenance.
+// SolvesByOracle and the labels of solve spans.
 var oracleNames = oracle.Names()
 
 // OracleNames returns the oracle table's canonical names, sorted.
@@ -218,50 +218,56 @@ var (
 // every net solve dispatches through it: a fixed single oracle or the
 // portfolio racer. The portfolio's choice is a pure function of the
 // instance, so results never depend on worker count or scheduling.
-// Oracles are table indices throughout — the index space of every
-// per-oracle counter.
+// Oracles are table indices throughout.
 type driver struct {
 	mode Method
 	// fixed is the oracle of a fixed single-oracle run (-1 for
 	// Portfolio).
 	fixed int
+	// usesBudgets says whether the driver's solves consume
+	// Instance.Budgets: the gate of the dirty-net scheduler's
+	// budget-drift check and of the repair rung's budget rule.
+	usesBudgets bool
 }
 
 // newDriver resolves the dispatch for one run; it fails only for an
 // unknown Method. It does not allocate, keeping SolveNet on the batch
 // hot path allocation-free at the dispatch layer.
 func newDriver(m Method) (driver, error) {
-	d := driver{mode: m, fixed: -1}
-	if m != Portfolio {
-		if d.fixed = oracle.Index(m.Name()); d.fixed < 0 {
-			return driver{}, fmt.Errorf("router: unknown method %v (available: %v)", m, MethodNames())
-		}
+	if m == Portfolio {
+		return driver{mode: m, fixed: -1, usesBudgets: poolUsesBudgets}, nil
 	}
-	return d, nil
+	fixed := oracle.Index(m.Name())
+	if fixed < 0 {
+		return driver{}, fmt.Errorf("router: unknown method %v (available: %v)", m, MethodNames())
+	}
+	return driver{mode: m, fixed: fixed, usesBudgets: oracle.UsesBudgets(fixed)}, nil
 }
 
-// usesBudgets reports whether a re-solve of a net whose cached tree
-// came from oracle index last could consume Instance.Budgets — the
-// dirty-net scheduler's budget-drift invalidation gate.
-func (d *driver) usesBudgets(last int) bool {
-	if d.mode == Portfolio {
-		return poolUsesBudgets
+// solvesByOracle is the run's SolvesByOracle after solved full solves:
+// every one of them invokes the fixed oracle, or each Portfolio pool
+// member once. A run that solved nothing gets the empty map.
+func (d *driver) solvesByOracle(solved int64) map[string]int64 {
+	out := map[string]int64{}
+	if solved == 0 {
+		return out
 	}
-	return last >= 0 && oracle.UsesBudgets(last)
+	pool := portfolioPool
+	if d.mode != Portfolio {
+		pool = []int{d.fixed}
+	}
+	for _, oi := range pool {
+		out[oracleNames[oi]] = solved
+	}
+	return out
 }
 
 // solve runs the driver on one instance and returns the tree, the
-// table index of the oracle that produced it, and — in Portfolio mode,
-// which prices every candidate anyway — the winning tree's evaluation
-// (nil otherwise; callers evaluate themselves). counts, indexed like
-// the table, is charged one per oracle invocation; nil skips the
-// accounting.
-func (d *driver) solve(in *nets.Instance, env *oracle.Env, counts []int64) (*nets.RTree, int, *nets.Eval, error) {
-	charge := func(oi int) {
-		if counts != nil {
-			counts[oi]++
-		}
-	}
+// table index of the oracle that produced it (solve spans are labelled
+// with it), and — in Portfolio mode, which prices every candidate
+// anyway — the winning tree's evaluation (nil otherwise; callers
+// evaluate themselves).
+func (d *driver) solve(in *nets.Instance, env *oracle.Env) (*nets.RTree, int, *nets.Eval, error) {
 	switch d.mode {
 	case Portfolio:
 		var best *nets.RTree
@@ -272,7 +278,6 @@ func (d *driver) solve(in *nets.Instance, env *oracle.Env, counts []int64) (*net
 			if err != nil {
 				return nil, oi, nil, fmt.Errorf("portfolio %s: %w", oracleNames[oi], err)
 			}
-			charge(oi)
 			ev, err := nets.Evaluate(in, tr)
 			if err != nil {
 				return nil, oi, nil, fmt.Errorf("portfolio %s eval: %w", oracleNames[oi], err)
@@ -287,7 +292,6 @@ func (d *driver) solve(in *nets.Instance, env *oracle.Env, counts []int64) (*net
 		}
 		return best, bestIdx, bestEv, nil
 	default:
-		charge(d.fixed)
 		tr, err := oracle.Solve(d.fixed, in, env)
 		return tr, d.fixed, nil, err
 	}
@@ -345,6 +349,6 @@ func SolveNet(in *nets.Instance, m Method, opt Options) (*nets.RTree, error) {
 		return nil, err
 	}
 	env := oracle.Env{Core: opt.CoreOpt, PDAlpha: opt.PDAlpha, SLEps: opt.SLEps}
-	tr, _, _, err := drv.solve(in, &env, nil)
+	tr, _, _, err := drv.solve(in, &env)
 	return tr, err
 }

@@ -11,7 +11,6 @@ import (
 	"costdist/internal/grid"
 	"costdist/internal/nets"
 	"costdist/internal/obs"
-	"costdist/internal/oracle"
 	"costdist/internal/sta"
 )
 
@@ -62,7 +61,9 @@ type State struct {
 // NetState is one net's externalized state: its terminal signature
 // (the diff key), the cached tree with the solve snapshot the dirty-net
 // scheduler judges drift against, and the cached sink delays the STA
-// replays for clean nets.
+// replays for clean nets. It names no producing oracle: every tree of a
+// run comes from the run's driver (State.Method), which alone decides
+// whether budget drift re-solves a net.
 type NetState struct {
 	Sig nets.PinSig
 	// Weights and Budgets are the net's Lagrangean timing prices at
@@ -72,11 +73,6 @@ type NetState struct {
 	Budgets []float64
 	// Delays are the routed sink delays of the cached tree in ps.
 	Delays []float64
-	// Oracle is the canonical name of the oracle that produced Tree.
-	// Every routed net records it, under both reuse policies and every
-	// driver; "" only appears in hand-built or pre-provenance states
-	// and makes drift checks conservative.
-	Oracle string
 	// Tree is the cached embedded tree (nil if the net was never
 	// routed).
 	Tree *nets.RTree
@@ -149,18 +145,8 @@ func (r *runState) Checkpoint() *State {
 		ns.Weights = append([]float64(nil), n.weights...)
 		ns.Budgets = append([]float64(nil), n.budgets...)
 		ns.Delays = append([]float64(nil), n.delays...)
-		if n.tree == nil {
-			continue
-		}
-		ns.Tree = &nets.RTree{Steps: append([]nets.Step(nil), n.tree.Steps...)}
-		// The producing oracle: the one every solve records under either
-		// policy, else the fixed oracle for a tree restored without one
-		// into a single-oracle run, else "".
-		switch {
-		case n.oracle >= 0:
-			ns.Oracle = oracleNames[n.oracle]
-		case r.drv.fixed >= 0:
-			ns.Oracle = oracleNames[r.drv.fixed]
+		if n.tree != nil {
+			ns.Tree = &nets.RTree{Steps: append([]nets.Step(nil), n.tree.Steps...)}
 		}
 	}
 	return st
@@ -239,10 +225,11 @@ func newRunFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, op
 	r.tracker.SetRef(st.Mult)
 	costs := r.pricer.Costs()
 
-	// A method change invalidates every cached tree: the trees were
-	// produced by the wrong oracle, and per-net provenance under a
-	// different driver is not comparable. The restored prices are still
-	// reused — they are driver-independent Lagrangean state.
+	// A method change invalidates every cached tree: another driver
+	// produced them, and this run's driver alone decides which inputs
+	// (budgets among them) a cached tree is judged against. The restored
+	// prices are still reused — they are driver-independent Lagrangean
+	// state.
 	methodMatch := st.Method == m.Name()
 
 	nl := chip.NL
@@ -262,15 +249,14 @@ func newRunFrom(ctx context.Context, st *State, chip *chipgen.Chip, m Method, op
 			continue
 		}
 		// The restored tree counts as a full solve under the checkpoint's
-		// (rebaselined) timing prices; an oracle name of "" indexes -1,
-		// no provenance.
+		// (rebaselined) timing prices.
 		copy(r.nets[ni].weights, ns.Weights)
 		copy(r.nets[ni].budgets, ns.Budgets)
 		cost := 0.0
 		for _, step := range ns.Tree.Steps {
 			cost += costs.ArcCost(step.Arc)
 		}
-		r.adopt(ni, ns.Tree, ns.Delays, cost, oracle.Index(ns.Oracle), true)
+		r.adopt(ni, ns.Tree, ns.Delays, cost, true)
 	}
 
 	// Capacity edits: translate changed segments into plane regions and

@@ -54,9 +54,6 @@ func TestCheckpointRebaselines(t *testing.T) {
 		if ns.Tree == nil {
 			t.Fatalf("net %d has no cached tree after a full run", ni)
 		}
-		if ns.Oracle != "cd" {
-			t.Fatalf("net %d: oracle %q, want cd", ni, ns.Oracle)
-		}
 		cur := 0.0
 		for _, step := range ns.Tree.Steps {
 			cur += pricer.ArcCost(step.Arc)
@@ -96,7 +93,7 @@ func TestComputeDirtySeedMode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.adopt(ni, tr, r.nets[ni].delays, 1, drv.fixed, true)
+		r.adopt(ni, tr, r.nets[ni].delays, 1, true)
 		fake[ni] = true
 	}
 	seed := make([]bool, n)

@@ -85,9 +85,9 @@ type runState struct {
 // prices (delay weights and budgets), its current tree with the routed
 // sink delays, and the snapshot of the solve that made the tree current
 // — the inputs the dirty-net scheduler judges drift against, the repair
-// rung's escalation baseline, the producing oracle, the plane region and
-// the flat step cache. runState.adopt writes the tree and the snapshot;
-// NetState is the record's externalized form.
+// rung's escalation baseline, the plane region and the flat step cache.
+// runState.adopt writes the tree and the snapshot; NetState is the
+// record's externalized form.
 type netState struct {
 	weights, delays, budgets []float64
 	tree                     *nets.RTree
@@ -102,11 +102,6 @@ type netState struct {
 	// net dodging the oracle forever through small repair steps.
 	snapW, snapB       []float64
 	snapCost, fullCost float64
-	// oracle is the table index of the oracle that produced the tree
-	// (-1 before the first solve, or for a restored tree without
-	// provenance). Budget drift only matters when the cached (or
-	// candidate) oracle consumes budgets.
-	oracle int16
 	// region is the net's candidate region: the tree's bounding box
 	// (initially the terminals') plus incHalo.
 	region geom.Rect
@@ -124,17 +119,15 @@ type netState struct {
 }
 
 // worker is one routing worker's private state, kept for the whole run:
-// its solver and repair arenas, its telemetry sink (nil without a
-// recorder) and its oracle invocation counts, indexed like the oracle
-// table. repaired, escalated and err are the current wave's repair
-// tallies and first failure. runWaves sums counts and tallies over
-// workers in worker order; integer addition commutes, so the totals are
+// its solver and repair arenas and its telemetry sink (nil without a
+// recorder). repaired, escalated and err are the current wave's repair
+// tallies and first failure. runWaves sums the tallies over workers in
+// worker order; integer addition commutes, so the totals are
 // independent of how nets land on workers.
 type worker struct {
-	scr    *core.Scratch
-	re     *reembed.Scratch
-	obs    *obs.Worker
-	counts []int64
+	scr *core.Scratch
+	re  *reembed.Scratch
+	obs *obs.Worker
 
 	repaired, escalated int
 	err                 error
@@ -202,7 +195,7 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*ru
 	bufs := r.rec.Workers(threads) // span buffers; nil without a recorder
 	r.workers = make([]*worker, threads)
 	for i := range r.workers {
-		w := &worker{scr: core.NewScratch(), re: reembed.NewScratch(), counts: make([]int64, len(oracleNames))}
+		w := &worker{scr: core.NewScratch(), re: reembed.NewScratch()}
 		if bufs != nil {
 			w.obs = bufs[i]
 			w.re.Obs = w.obs
@@ -220,7 +213,6 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*ru
 		for k := range net.Sinks {
 			n.weights[k] = opt.WeightBase
 		}
-		n.oracle = -1
 		reg := geom.EmptyRect().Add(nl.Cells[net.Driver].Pos)
 		for _, s := range net.Sinks {
 			reg = reg.Add(nl.Cells[s].Pos)
@@ -362,7 +354,7 @@ func (r *runState) runWaves() error {
 						w.escalated++
 					}
 					solveT0 := w.obs.Now()
-					tr, oi, ev, err := drv.solve(in, &env, w.counts)
+					tr, oi, ev, err := drv.solve(in, &env)
 					name := ""
 					if oi >= 0 {
 						name = oracleNames[oi]
@@ -383,7 +375,7 @@ func (r *runState) runWaves() error {
 							continue
 						}
 					}
-					r.adopt(ni, tr, ev.SinkDelay, ev.CongCost, oi, true)
+					r.adopt(ni, tr, ev.SinkDelay, ev.CongCost, true)
 					if captured != nil && len(in.Sinks) >= 1 {
 						captured[ni] = snapshot(in, capCosts)
 					}
@@ -533,10 +525,10 @@ func (r *runState) tryRepair(ni int, re *reembed.Scratch, in *nets.Instance) boo
 	if out.Eval.CongCost > (1+r.opt.RepairTol)*n.fullCost {
 		return false
 	}
-	// Escalation rule 2: a delay budget is violated and the net's oracle
+	// Escalation rule 2: a delay budget is violated and the run's driver
 	// actually consumes budgets — the repair cannot re-plan the topology
 	// the way a budget-aware solve would.
-	if r.drv.usesBudgets(int(n.oracle)) {
+	if r.drv.usesBudgets {
 		for k, d := range out.Eval.SinkDelay {
 			if d > n.budgets[k] {
 				return false
@@ -544,23 +536,21 @@ func (r *runState) tryRepair(ni int, re *reembed.Scratch, in *nets.Instance) boo
 		}
 	}
 	// Not a full solve: snapCost rebaselines (drift churn stops) but
-	// fullCost keeps pointing at the last real solve; the cached tree's
-	// oracle provenance is preserved.
-	r.adopt(ni, out.Tree, out.Eval.SinkDelay, out.Eval.CongCost, int(n.oracle), false)
+	// fullCost keeps pointing at the last real solve.
+	r.adopt(ni, out.Tree, out.Eval.SinkDelay, out.Eval.CongCost, false)
 	return true
 }
 
 // adopt makes tr net ni's current tree with the given sink delays and
 // snapshots, in the net's record, what it was solved under: the net's
 // weights and budgets, the tree's priced congestion cost congCost, the
-// oracle oi that produced it, the tree's region and its flat step
-// cache. Every tree a run makes current goes through here, under either
-// reuse policy: a full solve, an adopted repair, a restored checkpoint
-// tree. full marks a full oracle solve or a restored tree, which also
+// tree's region and its flat step cache. Every tree a run makes current
+// goes through here, under either reuse policy: a full solve, an adopted
+// repair, a restored checkpoint tree. full marks a full oracle solve or a restored tree, which also
 // rebaselines the repair rung's escalation cost; an adopted repair
 // leaves that at the last full solve. Workers adopt disjoint nets, so
 // no locking is needed.
-func (r *runState) adopt(ni int, tr *nets.RTree, delays []float64, congCost float64, oi int, full bool) {
+func (r *runState) adopt(ni int, tr *nets.RTree, delays []float64, congCost float64, full bool) {
 	g := r.chip.G
 	n := &r.nets[ni]
 	n.tree = tr
@@ -571,7 +561,6 @@ func (r *runState) adopt(ni int, tr *nets.RTree, delays []float64, congCost floa
 	if full {
 		n.fullCost = congCost
 	}
-	n.oracle = int16(oi)
 	if b := tr.BBox(g); !b.Empty() {
 		n.region = b.Expand(incHalo, g.NX, g.NY)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"costdist/internal/core"
 	"costdist/internal/nets"
-	"costdist/internal/router"
 )
 
 // AblationRow reports one CD variant on the captured instance set.
@@ -53,28 +52,17 @@ func ablationVariants() []struct {
 // Ablation captures instances from a CD routing run and scores every
 // §III variant against the default configuration on the same instances.
 func Ablation(cfg Config, withBif bool) ([]AblationRow, error) {
-	opt := cfg.routerOptions()
-	opt.CaptureWave = opt.Waves - 1
-	var captured []*nets.Instance
-	for _, ci := range cfg.chipIndices() {
-		chip, err := cfg.generate(ci, withBif)
-		if err != nil {
-			return nil, err
-		}
-		res, err := router.Route(chip, router.CD, opt)
-		if err != nil {
-			return nil, err
-		}
-		for _, in := range res.Captured {
-			if len(in.Sinks) >= 3 {
-				captured = append(captured, in)
-			}
-		}
+	captured, err := cfg.captureCD(withBif)
+	if err != nil {
+		return nil, err
 	}
 	variants := ablationVariants()
 	totals := make([]float64, len(variants))
 	count := 0
 	for _, in := range captured {
+		if len(in.Sinks) < 3 {
+			continue
+		}
 		vals := make([]float64, len(variants))
 		ok := true
 		for vi, v := range variants {

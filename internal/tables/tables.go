@@ -63,6 +63,27 @@ func (c Config) generate(ci int, withBif bool) (*chipgen.Chip, error) {
 	return chip, err
 }
 
+// captureCD routes every configured chip with CD and returns the
+// instances its last wave solved, in chip order: the instance set that
+// Tables I/II and the ablation score.
+func (c Config) captureCD(withBif bool) ([]*nets.Instance, error) {
+	opt := c.routerOptions()
+	opt.CaptureWave = opt.Waves - 1
+	var captured []*nets.Instance
+	for _, ci := range c.chipIndices() {
+		chip, err := c.generate(ci, withBif)
+		if err != nil {
+			return nil, err
+		}
+		res, err := router.Route(chip, router.CD, opt)
+		if err != nil {
+			return nil, err
+		}
+		captured = append(captured, res.Captured...)
+	}
+	return captured, nil
+}
+
 // Print writes a table — "1" to "5", "ablation", or "all" for every one
 // — to w, each followed by a blank line: the output of cmd/benchtables.
 func Print(w io.Writer, cfg Config, table string) error {
@@ -137,20 +158,11 @@ var buckets = []struct {
 // during timing-constrained global routing"), then every instance is
 // solved by all four algorithms and scored with the shared evaluator.
 func InstanceComparison(cfg Config, withBif bool) ([]InstRow, error) {
-	opt := cfg.routerOptions()
-	opt.CaptureWave = opt.Waves - 1
-	var captured []*nets.Instance
-	for _, ci := range cfg.chipIndices() {
-		chip, err := cfg.generate(ci, withBif)
-		if err != nil {
-			return nil, err
-		}
-		res, err := router.Route(chip, router.CD, opt)
-		if err != nil {
-			return nil, err
-		}
-		captured = append(captured, res.Captured...)
+	captured, err := cfg.captureCD(withBif)
+	if err != nil {
+		return nil, err
 	}
+	opt := cfg.routerOptions()
 
 	sums := make([][4]float64, len(buckets)+1)
 	counts := make([]int, len(buckets)+1)

@@ -432,19 +432,19 @@ func UnmarshalRouteResult(chip *Chip, data []byte) (*RouteResult, error) {
 // CheckpointVersion is the wire-format version MarshalCheckpoint
 // writes; UnmarshalCheckpoint rejects documents from a different
 // version instead of guessing at their layout.
-const CheckpointVersion = 2
+const CheckpointVersion = 3
 
 // MarshalCheckpoint serializes a router checkpoint into its versioned,
 // byte-stable wire form: one compact JSON object with the members
 // version, method, nx, ny, layers, layer_dirs, cap and mult (float32
 // vectors, one entry per segment) and nets. Each net is an object with
 // driver, sinks, weights, budgets (+Inf, a sink with no timing endpoint
-// downstream, as null), delays, oracle (omitted when empty) and tree (a
-// RouteTreeJSON, omitted for a net never routed). Method, layer_dirs and
-// oracle must be plain names: printable ASCII that encoding/json would
-// not escape. Only warm-start state is written: the drift reference and
-// each tree's snapshot cost are derived from mult on restore. The
-// document is written without reflection. Identical states marshal to identical bytes, and marshal →
+// downstream, as null), delays and tree (a RouteTreeJSON, omitted for a
+// net never routed). Method and layer_dirs must be plain names:
+// printable ASCII that encoding/json would not escape. Only warm-start
+// state is written: the drift reference and each tree's snapshot cost
+// are derived from mult on restore. The document is written without
+// reflection. Identical states marshal to identical bytes, and marshal →
 // unmarshal → marshal reproduces them, which is what lets the service
 // layer content-address retained checkpoints.
 func MarshalCheckpoint(st *RouterState) ([]byte, error) {
@@ -480,9 +480,6 @@ func MarshalCheckpoint(st *RouterState) ([]byte, error) {
 		writeFloats(w.key("weights"), ns.Weights, 64)
 		w.key("budgets").budgets(ns.Budgets)
 		writeFloats(w.key("delays"), ns.Delays, 64)
-		if ns.Oracle != "" {
-			w.key("oracle").str(ns.Oracle)
-		}
 		if ns.Tree != nil {
 			w.key("tree").open('{')
 			w.steps(g, ns.Tree.Steps)

@@ -264,16 +264,22 @@ func TestUnmarshalCheckpointRejectsCorruptDocuments(t *testing.T) {
 	}
 }
 
-// A version-1 document — the layout that also carried the producing
-// run's metric row, the drift reference and per-net snapshot costs — is
-// refused with the version error. (Its members under version 2 are
-// refused as unknown: TestUnmarshalCheckpointReadsOneLayout.)
+// Documents of earlier versions are refused with the version error:
+// version 1, the layout that also carried the producing run's metric
+// row, the drift reference and per-net snapshot costs, and version 2,
+// whose nets named the oracle behind their tree. (Their members under
+// version 3 are refused as unknown: TestUnmarshalCheckpointReadsOneLayout.)
 func TestUnmarshalCheckpointRefusesV1(t *testing.T) {
-	v1 := `{"version":1,"method":"cd","nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],"ref":[1],` +
-		`"metrics":{},"nets":[{"driver":[0,0],"sinks":[],"weights":[],"budgets":[],"delays":[],"last_cost":0}]}`
-	want := "costdist: checkpoint version 1 unsupported (want 2)"
-	if _, err := UnmarshalCheckpoint([]byte(v1)); err == nil || err.Error() != want {
-		t.Fatalf("v1 document: error %v, want %q", err, want)
+	for v, doc := range map[int]string{
+		1: `{"version":1,"method":"cd","nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],"ref":[1],` +
+			`"metrics":{},"nets":[{"driver":[0,0],"sinks":[],"weights":[],"budgets":[],"delays":[],"last_cost":0}]}`,
+		2: `{"version":2,"method":"cd","nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],` +
+			`"nets":[{"driver":[0,0],"sinks":[],"weights":[],"budgets":[],"delays":[],"oracle":"cd"}]}`,
+	} {
+		want := fmt.Sprintf("costdist: checkpoint version %d unsupported (want 3)", v)
+		if _, err := UnmarshalCheckpoint([]byte(doc)); err == nil || err.Error() != want {
+			t.Fatalf("v%d document: error %v, want %q", v, err, want)
+		}
 	}
 }
 
@@ -281,7 +287,7 @@ func TestUnmarshalCheckpointRefusesV1(t *testing.T) {
 // price vectors and no nets: a header that claims a grid it carries no
 // data for.
 func checkpointHeader(n int32) []byte {
-	return []byte(fmt.Sprintf(`{"version":2,"method":"cd","nx":%d,"ny":%d,"layers":8,"layer_dirs":"HVHVHVHV",`+
+	return []byte(fmt.Sprintf(`{"version":3,"method":"cd","nx":%d,"ny":%d,"layers":8,"layer_dirs":"HVHVHVHV",`+
 		`"cap":[],"mult":[],"nets":[]}`, n, n))
 }
 
@@ -399,7 +405,6 @@ type CheckpointNetJSON struct {
 	Weights []float64      `json:"weights"`
 	Budgets budgetsJSON    `json:"budgets"`
 	Delays  []float64      `json:"delays"`
-	Oracle  string         `json:"oracle,omitempty"`
 	Tree    *RouteTreeJSON `json:"tree,omitempty"`
 }
 
@@ -453,7 +458,6 @@ func refMarshalCheckpoint(st *RouterState) ([]byte, error) {
 			Weights: ns.Weights,
 			Budgets: budgetsJSON(ns.Budgets),
 			Delays:  ns.Delays,
-			Oracle:  ns.Oracle,
 		}
 		for k, p := range ns.Sig.Sinks {
 			nj.Sinks[k] = [2]int32{p.X, p.Y}
@@ -507,7 +511,6 @@ func refUnmarshalCheckpoint(data []byte) (*RouterState, error) {
 			Weights: nj.Weights,
 			Budgets: []float64(nj.Budgets),
 			Delays:  nj.Delays,
-			Oracle:  nj.Oracle,
 		}
 		if nj.Tree != nil {
 			tr, err := decodeTreeSteps(g, nj.Tree.Edges, nj.Tree.WireTypes)

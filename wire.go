@@ -225,12 +225,12 @@ func (w *wireWriter) result() ([]byte, error) {
 
 // checkpointReader reads what MarshalCheckpoint writes, in one pass, and
 // nothing else: every member the writer always writes, in its order;
-// oracle and tree only where the writer may leave them out; null only
-// for a nil float vector, a +Inf budget and the edges of a tree without
-// steps; strings only as plain names. Where a number goes any JSON
-// number stands. Anything else, white space included, is refused with
-// its byte offset. The per-net vectors are read into scratch and copied
-// out at their final length.
+// tree only where the writer may leave it out; null only for a nil
+// float vector, a +Inf budget and the edges of a tree without steps;
+// strings (method and layer_dirs) only as plain names. Where a number
+// goes any JSON number stands. Anything else, white space included, is
+// refused with its byte offset. The per-net vectors are read into
+// scratch and copied out at their final length.
 type checkpointReader struct {
 	data []byte
 	pos  int
@@ -240,9 +240,6 @@ type checkpointReader struct {
 	pts    [][2]int32
 	edges  [][2][3]int32
 	wts    []int8
-	// strs interns the names read, so every net's oracle name shares one
-	// string.
-	strs []string
 }
 
 func newCheckpointReader(data []byte) *checkpointReader {
@@ -484,7 +481,7 @@ func (r *checkpointReader) int32s(dst []int32) error {
 	return r.expect(']')
 }
 
-// str reads a plain name, interned.
+// str reads a plain name.
 func (r *checkpointReader) str() (string, error) {
 	if err := r.expect('"'); err != nil {
 		return "", err
@@ -497,16 +494,7 @@ func (r *checkpointReader) str() (string, error) {
 	if !r.next('"') {
 		return "", r.errorf(r.pos, "want a plain name")
 	}
-	for _, s := range r.strs {
-		if string(body) == s {
-			return s, nil
-		}
-	}
-	s := string(body)
-	if len(r.strs) < 8 {
-		r.strs = append(r.strs, s)
-	}
-	return s, nil
+	return string(body), nil
 }
 
 // checkpoint reads a whole document. It makes the decoder's checks in
@@ -607,11 +595,6 @@ func (r *checkpointReader) net(ni int, g *grid.Graph) (RouterNetState, error) {
 	}
 	if ns.Delays, err = floatsMember[float64](r, `,"delays":`, 64, false); err != nil {
 		return ns, err
-	}
-	if r.lit(`,"oracle":`) {
-		if ns.Oracle, err = r.str(); err != nil {
-			return ns, err
-		}
 	}
 	tree := r.lit(`,"tree":`)
 	var edges [][2][3]int32

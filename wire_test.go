@@ -210,8 +210,8 @@ func randomWalk(rng *rand.Rand, g *Graph) *Tree {
 
 // randomState is a checkpointable state of a small grid whose vectors
 // hold wireValues, with nil and empty vectors, nil, empty and walked
-// trees, +Inf budgets and wireNames for method and oracles. One in ten
-// carries a value encoding/json refuses.
+// trees, +Inf budgets and wireNames for the method and, one in eight,
+// for layer_dirs. One in ten carries a value encoding/json refuses.
 func randomState(rng *rand.Rand) (*RouterState, *Graph) {
 	nx, ny, layers := 1+rng.Int32N(5), 1+rng.Int32N(5), 2+rng.IntN(3)
 	tech := DefaultTech(layers)
@@ -227,6 +227,9 @@ func randomState(rng *rand.Rand) (*RouterState, *Graph) {
 	st := &RouterState{
 		Method: name(), NX: nx, NY: ny, Layers: layers, LayerDirs: g.LayerDirs(),
 		Cap: vec32(), Mult: vec32(),
+	}
+	if rng.IntN(8) == 0 {
+		st.LayerDirs = name()
 	}
 	if n := rng.IntN(4); n > 0 || rng.IntN(2) == 0 {
 		st.Nets = make([]RouterNetState, n)
@@ -255,7 +258,6 @@ func randomState(rng *rand.Rand) (*RouterState, *Graph) {
 			return v
 		}
 		ns.Weights, ns.Budgets, ns.Delays = vec(false), vec(true), vec(false)
-		ns.Oracle = name()
 		switch rng.IntN(4) {
 		case 0:
 		case 1:
@@ -308,43 +310,34 @@ func plainName(s string) bool {
 	return string(q) == `"`+s+`"`
 }
 
-// refuseNames requires MarshalCheckpoint to refuse a state whose method
-// or an oracle is not a plain name — naming the first in the order they
-// are written, unless a value encoding/json refuses comes first — and
-// then makes every such name "cd". It reports whether there was one.
-func refuseNames(t *testing.T, name string, st *RouterState) bool {
+// refuseNames requires MarshalCheckpoint to refuse a state whose
+// layer_dirs are not its grid's, dirs, or whose method is not a plain
+// name, naming the string at fault (the grid is checked before the
+// method is written), and then puts dirs and "cd" in their place. It
+// reports whether there was one.
+func refuseNames(t *testing.T, name string, st *RouterState, dirs string) bool {
 	t.Helper()
-	names := []*string{&st.Method}
-	for i := range st.Nets {
-		names = append(names, &st.Nets[i].Oracle)
-	}
-	first := -1
-	for i, s := range names {
-		if !plainName(*s) {
-			first = i
-			break
-		}
-	}
-	if first < 0 {
+	bad := st.Method
+	switch {
+	case st.LayerDirs != dirs:
+		bad = st.LayerDirs
+	case plainName(st.Method):
 		return false
 	}
-	_, err := MarshalCheckpoint(st)
-	_, refErr := refMarshalCheckpoint(st)
-	if want := fmt.Sprintf("%q", *names[first]); err == nil || refErr == nil && !strings.Contains(err.Error(), want) {
-		t.Fatalf("%s: error %v, want one naming %s", name, err, want)
+	if _, err := MarshalCheckpoint(st); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
+		t.Fatalf("%s: error %v, want one naming %q", name, err, bad)
 	}
-	for _, s := range names {
-		if !plainName(*s) {
-			*s = "cd"
-		}
+	if !plainName(st.Method) {
+		st.Method = "cd"
 	}
+	st.LayerDirs = dirs
 	return true
 }
 
 // The same bytes, and the same decoded state, on seeded random states
 // and route results; NaN or ±Inf prices, delays and metrics and NaN or
-// −Inf budgets are errors on both sides. A state naming its method or
-// an oracle with a string that is not a plain name is refused, and is
+// −Inf budgets are errors on both sides. A state whose method is not a
+// plain name, or whose layer_dirs are not its grid's, is refused, and is
 // then compared with plain names in their place.
 func TestWireMatchesReferenceOnRandomStates(t *testing.T) {
 	rng := rand.New(rand.NewPCG(32, 1))
@@ -352,7 +345,7 @@ func TestWireMatchesReferenceOnRandomStates(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		st, g := randomState(rng)
 		name := fmt.Sprintf("state %d", i)
-		if refuseNames(t, name, st) {
+		if refuseNames(t, name, st, g.LayerDirs()) {
 			renamed++
 		}
 		checkCheckpointWire(t, name, st)
@@ -368,7 +361,7 @@ func TestWireMatchesReferenceOnRandomStates(t *testing.T) {
 		t.Fatalf("%d of 400 states refused, want some and at most 80", failed)
 	}
 	if renamed == 0 {
-		t.Fatal("no state named its method or an oracle with a refused string")
+		t.Fatal("no state named its method or layer_dirs with a refused string")
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(-1)} {
 		st, _ := randomState(rand.New(rand.NewPCG(1, 1)))
@@ -466,19 +459,23 @@ func TestMarshalTreeAllocationBound(t *testing.T) {
 }
 
 // The reader reads what MarshalCheckpoint can write — null weights and
-// delays, [] everywhere, null budgets, a tree without steps, absent
-// oracle and tree, any number spelling — into the state the reference
-// decode gives. Every other layout is refused with its byte offset:
-// null, {} or an absent or reordered member where the writer always
-// writes one, null anywhere else, a tree's edges without their wire
-// types, a string that is not a plain name, white space, unknown members
-// (version 1's ref, metrics and last_cost among them). Documents in the
-// layout that are wrong for their grid are refused too.
+// delays, [] everywhere, null budgets, a tree without steps, an absent
+// tree, any number spelling — into the state the reference decode
+// gives. Every other layout is refused with its byte offset: null, {} or
+// an absent or reordered member where the writer always writes one,
+// null anywhere else, a tree's edges without their wire types, a string
+// that is not a plain name, white space, unknown members (version 1's
+// ref, metrics and last_cost and version 2's oracle among them).
+// Documents in the layout that are wrong for their grid are refused too.
 func TestUnmarshalCheckpointReadsOneLayout(t *testing.T) {
 	// A 1×1×2 grid has one segment, a via.
-	const head = `{"version":2,"method":"cd","nx":1,"ny":1,"layers":2,"layer_dirs":"HV"`
+	const head = `{"version":3,"method":"cd","nx":1,"ny":1,"layers":2,"layer_dirs":"HV"`
 	doc := func(nets string) []byte {
 		return []byte(head + `,"cap":[24],"mult":[1],"nets":[` + nets + `]}`)
+	}
+	// method is a document without nets whose method is spelled m.
+	method := func(m string) []byte {
+		return []byte(`{"version":3,"method":` + m + `,"nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],"nets":[]}`)
 	}
 	// net is a net without sinks, followed by rest.
 	net := func(rest string) string {
@@ -490,14 +487,13 @@ func TestUnmarshalCheckpointReadsOneLayout(t *testing.T) {
 	}
 	const via = `"edges":[[[0,0,0],[0,0,1]]]`
 	for _, data := range [][]byte{
-		doc(``), doc(net(``)), doc(net(``) + `,` + net(`,"oracle":"cd"`)),
+		doc(``), doc(net(``)), doc(net(``) + `,` + net(`,"tree":{"edges":null}`)),
 		doc(`{"driver":[0,0],"sinks":[],"weights":null,"budgets":[],"delays":null}`),
 		doc(`{"driver":[0,0],"sinks":[[0,0]],"weights":[0.5],"budgets":[null],"delays":[1]}`),
 		doc(`{"driver":[0,0],"sinks":[[0,0],[0,0]],"weights":[1,2],"budgets":[-0,null],"delays":[1E2,0]}`),
 		sink(`-0`), sink(`1.5e-9`), sink(`-12.5E+3`), sink(`0.25`),
-		doc(net(`,"tree":{"edges":null}`)), doc(net(`,"oracle":"cd","tree":{"edges":null}`)),
-		doc(net(`,"tree":{"edges":[],"wire_types":[]}`)),
-		doc(net(`,"oracle":"pd","tree":{` + via + `,"wire_types":[-1]}`)),
+		doc(net(`,"tree":{"edges":null}`)), doc(net(`,"tree":{"edges":[],"wire_types":[]}`)),
+		doc(net(`,"tree":{` + via + `,"wire_types":[-1]}`)),
 		[]byte(head + `,"cap":[2.4e1],"mult":[10E-1],"nets":[]}`),
 	} {
 		st, err := UnmarshalCheckpoint(data)
@@ -518,8 +514,8 @@ func TestUnmarshalCheckpointReadsOneLayout(t *testing.T) {
 		doc(`{"driver":[0,0],"sinks":[],"budgets":[],"delays":[]}`),
 		doc(`{"sinks":[],"driver":[0,0],"weights":[],"budgets":[],"delays":[]}`),
 		doc(`{"driver":[0,0],"sinks":[],"weights":[],"budgets":[],"delays":[],"tree":{"edges":null},"oracle":"cd"}`),
-		[]byte(`{"version":2,"nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],"nets":[]}`),
-		[]byte(`{"version":2,"method":"cd","ny":1,"nx":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],"nets":[]}`),
+		[]byte(`{"version":3,"nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],"nets":[]}`),
+		[]byte(`{"version":3,"method":"cd","ny":1,"nx":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],"nets":[]}`),
 		[]byte(head + `,"cap":[24],"mult":[1]}`), []byte(`{"method":"cd","version":2}`),
 		// null where the writer writes none.
 		doc(`{"driver":[null,0],"sinks":[],"weights":[],"budgets":[],"delays":[]}`),
@@ -528,22 +524,23 @@ func TestUnmarshalCheckpointReadsOneLayout(t *testing.T) {
 		sink(`null`), doc(`{"driver":[0,0],"sinks":[[0,0]],"weights":[1],"budgets":[1],"delays":[null]}`),
 		doc(`{"driver":[0,0],"sinks":[],"weights":[],"budgets":null,"delays":[]}`),
 		[]byte(head + `,"cap":[null],"mult":[1],"nets":[]}`), []byte(head + `,"cap":[24],"mult":[null],"nets":[]}`),
-		[]byte(`{"version":2,"method":null,"nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],"nets":[]}`),
+		method(`null`),
 		doc(net(`,"oracle":null`)), doc(net(`,"tree":null`)), doc(net(`,"tree":{}`)),
 		doc(net(`,"tree":{` + via + `,"wire_types":null}`)), doc(net(`,"tree":{"edges":null,"wire_types":[]}`)),
 		// A tree's edges without their wire types.
 		doc(net(`,"tree":{` + via + `}`)),
 		// Strings that are not plain names.
-		doc(net(`,"oracle":"c\u0064"`)), doc(net(`,"oracle":"ünï"`)), doc(net(`,"oracle":"a\"b"`)),
-		doc(net(`,"oracle":"\u003c"`)), doc(net(`,"oracle":"cd`)),
-		[]byte(`{"version":2,"method":"c\/d","nx":1,"ny":1,"layers":2,"layer_dirs":"HV","cap":[24],"mult":[1],"nets":[]}`),
-		[]byte(`{"version":2,"method":"cd","nx":1,"ny":1,"layers":2,"layer_dirs":"H\u0056","cap":[24],"mult":[1],"nets":[]}`),
+		method(`"c\u0064"`), method(`"ünï"`), method(`"a\"b"`), method(`"\u003c"`), method(`"cd`),
+		method(`"c\/d"`),
+		[]byte(`{"version":3,"method":"cd","nx":1,"ny":1,"layers":2,"layer_dirs":"H\u0056","cap":[24],"mult":[1],"nets":[]}`),
 		// Numbers outside JSON's grammar or their type.
 		doc(`{"driver":[0,1.5],"sinks":[],"weights":[],"budgets":[],"delays":[]}`),
 		doc(`{"driver":[0,0],"sinks":[[0,0]],"weights":[1],"budgets":[1e400],"delays":[1]}`),
 		doc(net(`,"tree":{` + via + `,"wire_types":[128]}`)), doc(`01`), sink(`01`), sink(`1.`), sink(`+1`),
 		// White space, trailing data and unknown members.
 		doc(net(``) + ` `), doc(net(``) + `,`), doc(net(`,"extra":1`)), doc(net(`,"last_cost":1`)),
+		doc(net(`,"oracle":"cd"`)), doc(net(``) + `,` + net(`,"oracle":"cd"`)),
+		doc(net(`,"oracle":"cd","tree":{"edges":null}`)), doc(net(`,"oracle":"pd","tree":{` + via + `,"wire_types":[-1]}`)),
 		[]byte(head + `,"cap":[24],"mult":[1],"ref":[1],"nets":[]}`),
 		[]byte(head + `,"cap":[24],"mult":[1],"metrics":{},"nets":[]}`),
 		[]byte(head + `,"cap":[24],"mult":[1],"nets":[]}x`), []byte(` ` + head + `,"cap":[24],"mult":[1],"nets":[]}`),
