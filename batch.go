@@ -69,11 +69,11 @@ func (s *Solver) Build(f *InstanceJSON) (*Instance, error) {
 
 // Solve runs any oracle driver — the five fixed methods, exact
 // included, or Portfolio — through the reusable arena (the arena
-// accelerates the CD oracle, including its solves inside Portfolio;
-// baselines pass through unchanged).
+// accelerates the CD oracle, including its solves inside Portfolio and
+// the exact tier's CD seed; baselines pass through unchanged). Of opt
+// it reads only PDAlpha and SLEps, as Solve does.
 func (s *Solver) Solve(in *Instance, m Method, opt RouterOptions) (*Tree, error) {
-	opt.CoreOpt.Scratch = s.scr
-	return router.SolveNet(in, m, opt)
+	return router.SolveNet(in, m, opt, s.scr)
 }
 
 // Solves reports how many solves completed through this solver's arena.
@@ -81,17 +81,18 @@ func (s *Solver) Solves() int { return s.scr.Solves }
 
 // BatchOptions configures SolveBatch.
 type BatchOptions struct {
-	// Workers caps the number of parallel solver goroutines; 0 or
-	// negative means runtime.NumCPU(). The worker count never affects
-	// results, only throughput.
+	// Workers caps the number of parallel solver goroutines, each with
+	// its own scratch arena; 0 or negative means runtime.GOMAXPROCS(0),
+	// as RouterOptions.Threads. The worker count never affects results,
+	// only throughput.
 	Workers int
-	// Router configures the oracle exactly as in Solve; its
-	// CoreOpt.Scratch is ignored (each worker gets a private arena).
+	// Router configures the oracle exactly as in Solve: only its PDAlpha
+	// and SLEps are read.
 	Router RouterOptions
 }
 
 // DefaultBatchOptions pairs the paper's router setup with one worker
-// per CPU.
+// per GOMAXPROCS slot.
 func DefaultBatchOptions() BatchOptions {
 	return BatchOptions{Router: DefaultRouterOptions()}
 }
@@ -138,7 +139,7 @@ func SolveBatchCtx(ctx context.Context, ins []*Instance, m Method, opt BatchOpti
 	out := make([]BatchResult, len(ins))
 	workers := opt.Workers
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(ins) {
 		workers = len(ins)

@@ -37,7 +37,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8423", "listen address")
 	oracleName := flag.String("oracle", "cd", "default oracle or driver for requests that omit one: "+strings.Join(costdist.MethodNames(), ", ")+" (l1 is an alias of rsmt)")
-	shards := flag.Int("shards", 0, "solve workers, one scratch arena and cached grid each (0 = one per CPU, capped at 16)")
+	shards := flag.Int("shards", 0, "solve workers, one scratch arena and cached grid each (0 = GOMAXPROCS, capped at 16)")
 	queue := flag.Int("queue", 128, "bound of the one solve queue all workers pull from (a full queue answers 503)")
 	cacheMB := flag.Int("cache-mb", 64, "result cache byte budget in MiB (0 disables caching)")
 	checkpointMB := flag.Int("checkpoint-mb", 128, "warm-start checkpoint store byte budget in MiB (0 disables base_job warm starts)")

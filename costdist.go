@@ -16,9 +16,11 @@
 //     into the routing graph (Solve with methods L1/SL/PD);
 //   - an exact reference solver for small instances (SolveExact);
 //   - a timing-constrained global router with Lagrangean congestion and
-//     timing pricing (RouteChip), synthetic chip generation matching the
-//     paper's Table III (ChipSuite/GenerateChip), and the shared objective
-//     evaluator (Evaluate) used for all comparisons;
+//     timing pricing (RouteChip; its CD oracle runs DefaultCDOptions and
+//     its delay weights follow one fixed schedule, so RouterOptions
+//     holds only what a caller sets), synthetic chip generation matching
+//     the paper's Table III (ChipSuite/GenerateChip), and the shared
+//     objective evaluator (Evaluate) used for all comparisons;
 //   - a batch-solving subsystem for throughput workloads: Solver reuses
 //     a scratch arena so repeated solves stop allocating, and SolveBatch
 //     fans instances across parallel workers with bit-identical results
@@ -213,9 +215,11 @@ func SolveCDTraced(in *Instance, opt CDOptions, trace func(TraceEvent)) (*Tree, 
 
 // Solve runs any oracle driver standalone on an instance: one of the
 // fixed algorithms or Portfolio (race the pool, keep the best-priced
-// tree).
+// tree). Of opt it reads only PDAlpha and SLEps; the CD oracle runs
+// DefaultCDOptions (every §III enhancement), as it does inside
+// RouteChip. Solver.Solve is the same through a reusable arena.
 func Solve(in *Instance, m Method, opt RouterOptions) (*Tree, error) {
-	return router.SolveNet(in, m, opt)
+	return router.SolveNet(in, m, opt, nil)
 }
 
 // SolveExact solves a small instance optimally (Dreyfus-Wagner-style

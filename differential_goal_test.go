@@ -9,7 +9,10 @@ package costdist
 // testdata/certified_gaps.json: the whole pipeline is deterministic, so
 // any drift — a regression that widens a gap, or an improvement that
 // the corpus does not yet reflect — fails the test until the corpus is
-// regenerated with:
+// regenerated. The same solves pin the goal search's work (settled,
+// generated and pruned labels, window vertices) exactly in
+// testdata/exact_work.json, the deterministic counts the exact tier's
+// budgets are stated in. Both files are regenerated with:
 //
 //	CERTIFIED_UPDATE=1 go test -run TestDifferentialCertifiedGaps .
 
@@ -19,10 +22,14 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"testing"
 )
 
-const certifiedGapsFile = "testdata/certified_gaps.json"
+const (
+	certifiedGapsFile = "testdata/certified_gaps.json"
+	exactWorkFile     = "testdata/exact_work.json"
+)
 
 // gapEntry is one instance's certified record: the exact lower bound
 // and the CD heuristic's evaluated objective and relative gap above it.
@@ -32,6 +39,15 @@ type gapEntry struct {
 	LowerBound float64 `json:"lower_bound"`
 	CDTotal    float64 `json:"cd_total"`
 	Gap        float64 `json:"gap"`
+}
+
+// exactWorkEntry is one instance's goal-search work (exact.GoalStats).
+type exactWorkEntry struct {
+	Name        string `json:"name"`
+	Settled     int64  `json:"settled"`
+	Generated   int64  `json:"generated"`
+	Pruned      int64  `json:"pruned"`
+	WindowVerts int64  `json:"window_verts"`
 }
 
 // band2Case is one band-2 configuration; all fields feed diffInstance.
@@ -62,11 +78,12 @@ func (c band2Case) name() string {
 
 // computeCertifiedGaps runs band 2: certify each instance with the goal
 // solver (incumbent seeded by the CD tree), assert the differential
-// properties for every heuristic, and return the gap records.
-func computeCertifiedGaps(t *testing.T) []gapEntry {
+// properties for every heuristic, and return the gap and work records.
+func computeCertifiedGaps(t *testing.T) ([]gapEntry, []exactWorkEntry) {
 	t.Helper()
 	ropt := DefaultRouterOptions()
 	var out []gapEntry
+	var work []exactWorkEntry
 	for _, c := range band2Cases() {
 		in := diffInstance(c.seed, c.nx, c.sinks, c.dbif)
 
@@ -131,28 +148,50 @@ func computeCertifiedGaps(t *testing.T) []gapEntry {
 			Name: c.name(), Sinks: c.sinks,
 			LowerBound: ex.LowerBound, CDTotal: cdEv.Total, Gap: gap,
 		})
+		g := ex.Goal
+		work = append(work, exactWorkEntry{
+			Name: c.name(), Settled: g.Settled, Generated: g.Generated,
+			Pruned: g.Pruned, WindowVerts: g.WindowVerts,
+		})
 	}
-	return out
+	return out, work
 }
 
 func TestDifferentialCertifiedGaps(t *testing.T) {
-	got := computeCertifiedGaps(t)
+	got, gotWork := computeCertifiedGaps(t)
 	if os.Getenv("CERTIFIED_UPDATE") != "" {
-		blob, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob = append(blob, '\n')
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(certifiedGapsFile, blob, 0o644); err != nil {
-			t.Fatal(err)
+		for _, f := range []struct {
+			path string
+			v    any
+		}{{certifiedGapsFile, got}, {exactWorkFile, gotWork}} {
+			blob, err := json.MarshalIndent(f.v, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob = append(blob, '\n')
+			if err := os.WriteFile(f.path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("updated %s", f.path)
 		}
-		t.Logf("updated %s", certifiedGapsFile)
 		return
 	}
-	blob, err := os.ReadFile(certifiedGapsFile)
+	blob, err := os.ReadFile(exactWorkFile)
+	if err != nil {
+		t.Fatalf("reading exact work pins (run with CERTIFIED_UPDATE=1 to create): %v", err)
+	}
+	var wantWork []exactWorkEntry
+	if err := json.Unmarshal(blob, &wantWork); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(gotWork, wantWork) {
+		t.Errorf("goal search work moved from %s — a change to the exact tier's search regenerates it with CERTIFIED_UPDATE=1:\n got  %+v\n want %+v",
+			exactWorkFile, gotWork, wantWork)
+	}
+	blob, err = os.ReadFile(certifiedGapsFile)
 	if err != nil {
 		t.Fatalf("reading gap corpus (run with CERTIFIED_UPDATE=1 to create): %v", err)
 	}

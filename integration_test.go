@@ -164,7 +164,7 @@ func TestRouterMatchesStandaloneSolver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr2, err := SolveCD(in, opt.CoreOpt)
+		tr2, err := SolveCD(in, DefaultCDOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

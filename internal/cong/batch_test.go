@@ -24,8 +24,8 @@ func naiveStep(p *Pricer, mult []float32, s int, use float32) {
 	if m < 1 {
 		m = 1
 	}
-	if m > p.MaxMult {
-		m = p.MaxMult
+	if m > maxMult {
+		m = maxMult
 	}
 	mult[s] = float32(m)
 }

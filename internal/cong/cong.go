@@ -59,16 +59,18 @@ func (u *Usage) WirelengthM() float64 {
 // exponentially more expensive, which is the Lagrangean congestion price
 // of the resource sharing formulation.
 type Pricer struct {
-	G       *grid.Graph
-	Alpha   float64
-	Target  float64
-	MaxMult float64
-	Mult    []float32
+	G      *grid.Graph
+	Alpha  float64
+	Target float64
+	Mult   []float32
 }
+
+// maxMult caps every multiplier.
+const maxMult = 64
 
 // NewPricer returns a pricer with all multipliers at 1.
 func NewPricer(g *grid.Graph, alpha, target float64) *Pricer {
-	p := &Pricer{G: g, Alpha: alpha, Target: target, MaxMult: 64, Mult: make([]float32, g.NumSegs())}
+	p := &Pricer{G: g, Alpha: alpha, Target: target, Mult: make([]float32, g.NumSegs())}
 	for i := range p.Mult {
 		p.Mult[i] = 1
 	}
@@ -105,8 +107,8 @@ func (p *Pricer) step(s int, use float32) {
 	if m < 1 {
 		m = 1
 	}
-	if m > p.MaxMult {
-		m = p.MaxMult
+	if m > maxMult {
+		m = maxMult
 	}
 	p.Mult[s] = float32(m)
 }

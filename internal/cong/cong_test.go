@@ -76,12 +76,12 @@ func TestPricerRaisesCongested(t *testing.T) {
 	if p.Mult[cold.Seg] != 1 {
 		t.Fatalf("cold multiplier = %v", p.Mult[cold.Seg])
 	}
-	// Repeated updates saturate at MaxMult.
+	// Repeated updates saturate at maxMult.
 	for i := 0; i < 100; i++ {
 		p.Update(u)
 	}
-	if float64(p.Mult[hot.Seg]) > p.MaxMult+1e-6 {
-		t.Fatalf("multiplier exceeded MaxMult: %v", p.Mult[hot.Seg])
+	if float64(p.Mult[hot.Seg]) > maxMult+1e-6 {
+		t.Fatalf("multiplier exceeded maxMult: %v", p.Mult[hot.Seg])
 	}
 }
 

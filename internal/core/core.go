@@ -67,8 +67,8 @@ type Options struct {
 	// Scratch, when non-nil, supplies a reusable arena for the solver's
 	// per-call state (components, heaps, label pages, ownership stamps).
 	// Results are bit-identical with or without it. A Scratch must not
-	// be shared between concurrent solves; Route/SolveBatch install one
-	// per worker and ignore a caller-provided value.
+	// be shared between concurrent solves; the router and SolveBatch
+	// give each worker its own.
 	Scratch *Scratch
 }
 

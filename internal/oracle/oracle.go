@@ -24,14 +24,14 @@ import (
 )
 
 // Env carries the per-run oracle configuration that is not part of the
-// instance itself: the CD solver options (including the per-worker
-// scratch arena) and the baselines' shape parameters. Workers build
-// one Env each; an Env whose Core.Scratch is shared between concurrent
-// solves races.
+// instance itself: the CD solver's scratch arena and the baselines'
+// shape parameters. The CD solver itself always runs
+// core.DefaultOptions, every §III enhancement on. Workers build one Env
+// each; an Env whose Scratch is shared between concurrent solves races.
 type Env struct {
-	// Core configures the cost-distance oracle (§III enhancements,
-	// scratch arena).
-	Core core.Options
+	// Scratch, when non-nil, is the arena the CD solves (the CD oracle
+	// and the exact tier's seed) run in.
+	Scratch *core.Scratch
 	// PDAlpha is the Prim-Dijkstra trade-off parameter; SLEps the
 	// shallow-light stretch bound.
 	PDAlpha float64
@@ -111,7 +111,9 @@ func UsesBudgets(i int) bool { return table[i].usesBudgets }
 
 // solveCD is the paper's cost-distance algorithm (core + §III).
 func solveCD(in *nets.Instance, env *Env) (*nets.RTree, error) {
-	return core.Solve(in, env.Core)
+	opt := core.DefaultOptions()
+	opt.Scratch = env.Scratch
+	return core.Solve(in, opt)
 }
 
 // planeWeights extracts the per-sink delay weights for the
@@ -195,7 +197,7 @@ func solvePD(in *nets.Instance, env *Env) (*nets.RTree, error) {
 // vertices, settled labels — never wall-clock), keeping routed results
 // independent of machine speed, run count and thread count.
 func solveExact(in *nets.Instance, env *Env) (*nets.RTree, error) {
-	cd, err := core.Solve(in, env.Core)
+	cd, err := solveCD(in, env)
 	if err != nil {
 		return nil, err
 	}

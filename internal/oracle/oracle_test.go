@@ -81,7 +81,7 @@ func legacySolve(in *nets.Instance, m router.Method, opt router.Options) (*nets.
 		lbif = in.DBif / d
 	}
 	if m == router.CD {
-		return core.Solve(in, opt.CoreOpt)
+		return core.Solve(in, core.DefaultOptions())
 	}
 	pts := in.TermPts()
 	ws := make([]float64, len(in.Sinks))
@@ -130,7 +130,7 @@ func TestFixedOracleBitIdenticalToLegacyEnumPath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v/%d legacy: %v", m, i, err)
 			}
-			got, err := router.SolveNet(in, m, opt)
+			got, err := router.SolveNet(in, m, opt, nil)
 			if err != nil {
 				t.Fatalf("%v/%d table: %v", m, i, err)
 			}
@@ -147,7 +147,7 @@ func TestPortfolioKeepsBestPriced(t *testing.T) {
 	ins := captureInstances(t)
 	opt := router.DefaultOptions()
 	for i, in := range ins {
-		got, err := router.SolveNet(in, router.Portfolio, opt)
+		got, err := router.SolveNet(in, router.Portfolio, opt, nil)
 		if err != nil {
 			t.Fatalf("portfolio/%d: %v", i, err)
 		}
@@ -157,7 +157,7 @@ func TestPortfolioKeepsBestPriced(t *testing.T) {
 		}
 		best := -1.0
 		for _, m := range []router.Method{router.L1, router.SL, router.PD, router.CD} {
-			tr, err := router.SolveNet(in, m, opt)
+			tr, err := router.SolveNet(in, m, opt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,11 +182,11 @@ func TestExactOracleNeverWorseThanCD(t *testing.T) {
 	ins := captureInstances(t)
 	opt := router.DefaultOptions()
 	for i, in := range ins {
-		cd, err := router.SolveNet(in, router.CD, opt)
+		cd, err := router.SolveNet(in, router.CD, opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, err := router.SolveNet(in, router.Exact, opt)
+		ex, err := router.SolveNet(in, router.Exact, opt, nil)
 		if err != nil {
 			t.Fatalf("exact/%d: %v", i, err)
 		}
@@ -218,11 +218,11 @@ func TestExactOracleFallsBackToCD(t *testing.T) {
 	}
 	big.Win = big.DefaultWindow(6)
 	opt := router.DefaultOptions()
-	cd, err := router.SolveNet(&big, router.CD, opt)
+	cd, err := router.SolveNet(&big, router.CD, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := router.SolveNet(&big, router.Exact, opt)
+	ex, err := router.SolveNet(&big, router.Exact, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestFaultyOracleSurfacesError(t *testing.T) {
 	faulty := func(*nets.Instance, *oracle.Env) (*nets.RTree, error) { return nil, fault }
 
 	oracle.SwapSolve(t, "pd", faulty)
-	if _, err := router.SolveNet(ins[0], router.Portfolio, router.DefaultOptions()); err == nil ||
+	if _, err := router.SolveNet(ins[0], router.Portfolio, router.DefaultOptions(), nil); err == nil ||
 		!errors.Is(err, fault) || !strings.HasPrefix(err.Error(), "portfolio pd: ") {
 		t.Fatalf("portfolio with a faulty pd: err %v, want \"portfolio pd: injected fault\"", err)
 	}

@@ -72,10 +72,8 @@ func TestNegativeIncrementalTolRejected(t *testing.T) {
 // Every entry point refuses a run with fewer than one wave (no wave
 // builds the usage the result is assembled from), a NaN or +Inf
 // tolerance (no drift exceeds either, so after wave 0 no net would ever
-// be re-solved) and a weight or price parameter outside its stated range
-// (a negative WeightBase routes with negative delay weights and reports
-// a lower objective; a NaN price leaves no finite label to settle),
-// naming what it refused.
+// be re-solved) and a price parameter outside its stated range (a NaN
+// price leaves no finite label to settle), naming what it refused.
 func TestRunOptionsRejected(t *testing.T) {
 	chip := tinyChip(t, 0, 0.002)
 	opt := DefaultOptions()
@@ -104,13 +102,6 @@ func TestRunOptionsRejected(t *testing.T) {
 		{"waves -1", func(o *Options) { o.Waves = -1 }, "Waves -1 "},
 		{"inctol NaN", func(o *Options) { o.Incremental, o.IncrementalTol = true, math.NaN() }, "IncrementalTol is NaN"},
 		{"inctol +Inf", func(o *Options) { o.Incremental, o.IncrementalTol = true, math.Inf(1) }, "IncrementalTol is +Inf"},
-		{"weight base negative", func(o *Options) { o.WeightBase = -1e-3 }, "WeightBase -0.001 "},
-		{"weight base NaN", func(o *Options) { o.WeightBase = math.NaN() }, "WeightBase is NaN"},
-		{"weight max below base", func(o *Options) { o.WeightMax = 1e-4 }, "WeightMax 0.0001 is below WeightBase"},
-		{"weight max +Inf", func(o *Options) { o.WeightMax = math.Inf(1) }, "WeightMax is +Inf"},
-		{"weight tau 0", func(o *Options) { o.WeightTau = 0 }, "WeightTau 0 "},
-		{"weight tau negative", func(o *Options) { o.WeightTau = -800 }, "WeightTau -800 "},
-		{"weight tau +Inf", func(o *Options) { o.WeightTau = math.Inf(1) }, "WeightTau is +Inf"},
 		{"price alpha NaN", func(o *Options) { o.PriceAlpha = math.NaN() }, "PriceAlpha is NaN"},
 		{"price alpha negative", func(o *Options) { o.PriceAlpha = -1 }, "PriceAlpha -1 "},
 		{"price target NaN", func(o *Options) { o.PriceTarget = math.NaN() }, "PriceTarget is NaN"},

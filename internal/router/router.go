@@ -120,16 +120,10 @@ type Options struct {
 	PriceAlpha  float64
 	PriceTarget float64
 
-	// WeightBase, WeightTau and WeightMax parameterize the slack-driven
-	// delay weight update w ← clamp(w·exp(−slack/τ), base, max). All three
-	// must be finite, with 0 ≤ WeightBase ≤ WeightMax and WeightTau > 0;
-	// every entry point refuses other values, naming the field.
-	WeightBase float64
-	WeightTau  float64
-	WeightMax  float64
-
-	// CoreOpt configures the CD oracle; PDAlpha and SLEps the baselines.
-	CoreOpt core.Options
+	// PDAlpha and SLEps shape the Prim-Dijkstra and shallow-light
+	// baselines. The CD oracle always runs core.DefaultOptions (every
+	// §III enhancement), and the delay weights follow the fixed schedule
+	// of updateTiming.
 	PDAlpha float64
 	SLEps   float64
 
@@ -184,10 +178,6 @@ func DefaultOptions() Options {
 		Seed:        1,
 		PriceAlpha:  1.2,
 		PriceTarget: 0.85,
-		WeightBase:  5e-4,
-		WeightTau:   800,
-		WeightMax:   0.05,
-		CoreOpt:     core.DefaultOptions(),
 		PDAlpha:     0.3,
 		SLEps:       0.25,
 		CaptureWave: -1,
@@ -342,13 +332,14 @@ func route(ctx context.Context, st *State, chip *chipgen.Chip, m Method, opt Opt
 // instance (the Tables I/II harness and the CLI use this for
 // apples-to-apples comparisons on captured instances). The oracle-side
 // code lives in the internal/oracle table; this only resolves the
-// driver and derives the environment from the instance.
-func SolveNet(in *nets.Instance, m Method, opt Options) (*nets.RTree, error) {
+// driver. Of opt it reads PDAlpha and SLEps; scr, when non-nil, is the
+// CD solver's arena (a Scratch must not serve two solves at once).
+func SolveNet(in *nets.Instance, m Method, opt Options, scr *core.Scratch) (*nets.RTree, error) {
 	drv, err := newDriver(m)
 	if err != nil {
 		return nil, err
 	}
-	env := oracle.Env{Core: opt.CoreOpt, PDAlpha: opt.PDAlpha, SLEps: opt.SLEps}
+	env := oracle.Env{Scratch: scr, PDAlpha: opt.PDAlpha, SLEps: opt.SLEps}
 	tr, _, _, err := drv.solve(in, &env)
 	return tr, err
 }

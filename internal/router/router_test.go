@@ -101,29 +101,6 @@ func TestPricingReducesOverflow(t *testing.T) {
 	}
 }
 
-func TestTimingWeightsImproveTNS(t *testing.T) {
-	// With weight updates disabled (tau → ∞ keeps weights at base), TNS
-	// should be no better than the full Lagrangean flow.
-	chip := tinyChip(t, 0, 0.002)
-	opt := DefaultOptions()
-	opt.Threads = 2
-	opt.Waves = 4
-	full, err := Route(chip, CD, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.WeightTau = 1e18 // slack/τ ≈ 0: weights stay at base
-	flat, err := Route(chip, CD, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Metrics.TNS < flat.Metrics.TNS-1e-9 {
-		// TNS is negative; "less" means worse.
-		t.Fatalf("timing weights made TNS worse: %v vs %v", full.Metrics.TNS, flat.Metrics.TNS)
-	}
-	t.Logf("TNS with Lagrangean weights %v vs flat %v", full.Metrics.TNS, flat.Metrics.TNS)
-}
-
 // Captured instances are standalone and a function of the instance
 // alone: the same nets in the same (net) order at any worker count, each
 // carrying the budgets its solve consumed — not the ones the wave's
@@ -186,7 +163,7 @@ func TestCaptureInstances(t *testing.T) {
 	}
 	// Instances must be independently solvable and evaluable.
 	in := ref[0]
-	tr, err := SolveNet(in, L1, opt)
+	tr, err := SolveNet(in, L1, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

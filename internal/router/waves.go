@@ -133,11 +133,24 @@ type worker struct {
 	err                 error
 }
 
+// The fixed parameters of every net's subproblem and of its timing
+// prices: the paper's penalty share η (§IV-A), the routing window's
+// margin in gcells beyond the terminals' bounding box, and the
+// slack-driven delay weight schedule w ← clamp(w·exp(−slack/τ), base,
+// max) of ref [13].
+const (
+	eta        = 0.25
+	margin     = 6
+	weightBase = 5e-4
+	weightTau  = 800
+	weightMax  = 0.05
+)
+
 // checkOptions refuses the run options no routing run can honour: fewer
 // than one wave, an IncrementalTol that is negative, NaN or +Inf, and
-// timing-price or congestion-price parameters outside the ranges the
-// Options fields state. Every entry point (Route, RouteCheckpoint,
-// RouteFrom) passes through newRun, which calls it first.
+// congestion-price parameters outside the ranges the Options fields
+// state. Every entry point (Route, RouteCheckpoint, RouteFrom) passes
+// through newRun, which calls it first.
 func checkOptions(opt Options) error {
 	if opt.Waves < 1 {
 		return fmt.Errorf("router: Waves %d is not a wave count; a run needs at least 1", opt.Waves)
@@ -151,19 +164,12 @@ func checkOptions(opt Options) error {
 	for _, f := range [...]struct {
 		name string
 		v    float64
-	}{{"WeightBase", opt.WeightBase}, {"WeightMax", opt.WeightMax}, {"WeightTau", opt.WeightTau}, {"PriceAlpha", opt.PriceAlpha}, {"PriceTarget", opt.PriceTarget}} {
+	}{{"PriceAlpha", opt.PriceAlpha}, {"PriceTarget", opt.PriceTarget}} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("router: %s is %v; it must be finite", f.name, f.v)
 		}
 	}
-	switch {
-	case opt.WeightBase < 0:
-		return fmt.Errorf("router: WeightBase %v is negative; a delay weight must be ≥ 0", opt.WeightBase)
-	case opt.WeightMax < opt.WeightBase:
-		return fmt.Errorf("router: WeightMax %v is below WeightBase %v; the weight clamp would be empty", opt.WeightMax, opt.WeightBase)
-	case opt.WeightTau <= 0:
-		return fmt.Errorf("router: WeightTau %v is not positive; the weight update divides slack by it", opt.WeightTau)
-	case opt.PriceAlpha < 0:
+	if opt.PriceAlpha < 0 {
 		return fmt.Errorf("router: PriceAlpha %v is negative; congestion prices would fall as usage rises", opt.PriceAlpha)
 	}
 	return nil
@@ -211,7 +217,7 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*ru
 		n.delays = make([]float64, len(net.Sinks))
 		n.budgets = make([]float64, len(net.Sinks))
 		for k := range net.Sinks {
-			n.weights[k] = opt.WeightBase
+			n.weights[k] = weightBase
 		}
 		reg := geom.EmptyRect().Add(nl.Cells[net.Driver].Pos)
 		for _, s := range net.Sinks {
@@ -226,7 +232,7 @@ func newRun(ctx context.Context, chip *chipgen.Chip, m Method, opt Options) (*ru
 	// every sink carries its Lagrangean timing price from the first wave
 	// (ref [13] prices all timing constraints from the start; a purely
 	// reactive update would let delay-oblivious trees poison wave 0).
-	// The weights start at WeightBase, so this first update scales the
+	// The weights start at weightBase, so this first update scales the
 	// floor.
 	mid := g.Layers[len(g.Layers)/2]
 	r.updateTiming(func(n, k int) float64 {
@@ -315,15 +321,10 @@ func (r *runState) runWaves() error {
 				}()
 				// Each worker solves through its own arena; results are
 				// unchanged (solves are per-instance deterministic) while
-				// per-net solver allocations disappear. Any caller-provided
-				// scratch is overridden — sharing one across workers would
-				// race.
-				wopt := opt
-				wopt.CoreOpt.Scratch = w.scr
-				// Ctx lets the exact tier abandon a label search mid-solve
-				// on cancellation, tightening the kill latency below one
-				// full exact solve.
-				env := oracle.Env{Core: wopt.CoreOpt, PDAlpha: opt.PDAlpha, SLEps: opt.SLEps, Ctx: ctx, Rec: w.obs}
+				// per-net solver allocations disappear. Ctx lets the exact
+				// tier abandon a label search mid-solve on cancellation,
+				// tightening the kill latency below one full exact solve.
+				env := oracle.Env{Scratch: w.scr, PDAlpha: opt.PDAlpha, SLEps: opt.SLEps, Ctx: ctx, Rec: w.obs}
 				for {
 					// The cancellation point of the hot loop: one check per
 					// net claim, so a kill takes effect within one solve.
@@ -477,23 +478,23 @@ func (r *runState) runWaves() error {
 
 // updateTiming is the Lagrangean timing-price update: STA under the
 // given per-sink delays, then every sink's delay weight is scaled by
-// exp(−slack/τ) and clamped to [WeightBase, WeightMax], and its budget
-// becomes its delay plus the slack the endpoint can still afford
+// exp(−slack/weightTau) and clamped to [weightBase, weightMax], and its
+// budget becomes its delay plus the slack the endpoint can still afford
 // (floored at 0) — the per-sink budgets the shallow-light baseline
 // consumes, per ref [13].
 func (r *runState) updateTiming(delay func(n, k int) float64) {
-	nl, opt := r.chip.NL, r.opt
+	nl := r.chip.NL
 	timing := sta.Analyze(nl, delay, r.chip.ClkPeriod)
 	for ni := range r.nets {
 		n := &r.nets[ni]
 		for k := range n.weights {
 			slack := timing.PinSlack(ni, k)
-			w := n.weights[k] * math.Exp(-slack/opt.WeightTau)
-			if w < opt.WeightBase {
-				w = opt.WeightBase
+			w := n.weights[k] * math.Exp(-slack/weightTau)
+			if w < weightBase {
+				w = weightBase
 			}
-			if w > opt.WeightMax {
-				w = opt.WeightMax
+			if w > weightMax {
+				w = weightMax
 			}
 			n.weights[k] = w
 			b := delay(ni, k) + slack
@@ -579,13 +580,9 @@ func (r *runState) adopt(ni int, tr *nets.RTree, delays []float64, congCost floa
 
 // buildInstance assembles the cost-distance subproblem for one net under
 // the current prices and weights. Every net takes the chip's
-// bifurcation penalty, the paper's penalty share η = 0.25 (§IV-A) and a
-// routing window 6 gcells beyond its terminals' bounding box.
+// bifurcation penalty, the penalty share eta and a routing window margin
+// gcells beyond its terminals' bounding box.
 func buildInstance(chip *chipgen.Chip, ni int, w []float64, costs *grid.Costs, seed uint64) *nets.Instance {
-	const (
-		eta    = 0.25
-		margin = 6
-	)
 	n := chip.NL.Nets[ni]
 	in := &nets.Instance{
 		G: chip.G, C: costs,

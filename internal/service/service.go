@@ -57,7 +57,7 @@ const routeWorkers = 2
 type Config struct {
 	// Shards is the number of solve workers, each with one scratch
 	// arena and one cached instance grid; all of them pull from one
-	// queue. Default: NumCPU, capped at 16.
+	// queue. Default (≤ 0): runtime.GOMAXPROCS(0), capped at 16.
 	Shards int
 	// QueueDepth bounds the solve queue, and separately the route-job
 	// queue; a full queue answers 503 instead of buffering unboundedly.
@@ -84,7 +84,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
-		c.Shards = runtime.NumCPU()
+		c.Shards = runtime.GOMAXPROCS(0)
 		if c.Shards > 16 {
 			c.Shards = 16
 		}

@@ -38,11 +38,11 @@ func Figure1() (pdSVG, cdSVG string, pdBifs, cdBifs int, err error) {
 		in.Sinks = append(in.Sinks, nets.Sink{V: g.At(p[0], p[1], 0), W: 0.01})
 	}
 	opt := router.DefaultOptions()
-	pdTree, err := router.SolveNet(in, router.PD, opt)
+	pdTree, err := router.SolveNet(in, router.PD, opt, nil)
 	if err != nil {
 		return "", "", 0, 0, err
 	}
-	cdTree, err := router.SolveNet(in, router.CD, opt)
+	cdTree, err := router.SolveNet(in, router.CD, opt, nil)
 	if err != nil {
 		return "", "", 0, 0, err
 	}

@@ -182,7 +182,7 @@ func InstanceComparison(cfg Config, withBif bool) ([]InstRow, error) {
 		best := -1.0
 		ok := true
 		for mi, m := range Methods {
-			tr, err := router.SolveNet(in, m, opt)
+			tr, err := router.SolveNet(in, m, opt, nil)
 			if err != nil {
 				ok = false
 				break

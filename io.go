@@ -47,10 +47,11 @@ type InstanceJSON struct {
 	} `json:"congestion,omitempty"`
 }
 
-// MaxSinkWeight caps a document's sink delay weight. The router clamps
-// its Lagrangean weights to 0.05; the cap sits 2·10⁷ times above that and
-// keeps every label of a solve finite, where a weight near the float64
-// limit prices a gcell step at +Inf and leaves the search no event.
+// MaxSinkWeight caps a document's sink delay weight. The router's fixed
+// weight schedule never exceeds 0.05; the cap sits 2·10⁷ times above
+// that and keeps every label of a solve finite, where a weight near the
+// float64 limit prices a gcell step at +Inf and leaves the search no
+// event.
 const MaxSinkWeight = 1e6
 
 // MaxLayers is the deepest layer stack an instance or a checkpoint may
