@@ -70,10 +70,10 @@ func (s *Solver) Build(f *InstanceJSON) (*Instance, error) {
 // Solve runs any oracle driver — the five fixed methods, exact
 // included, or Portfolio — through the reusable arena (the arena
 // accelerates the CD oracle, including its solves inside Portfolio and
-// the exact tier's CD seed; baselines pass through unchanged). Of opt
-// it reads only PDAlpha and SLEps, as Solve does.
+// the exact tier's CD seed; baselines pass through unchanged). Nothing
+// in opt is read, as in Solve.
 func (s *Solver) Solve(in *Instance, m Method, opt RouterOptions) (*Tree, error) {
-	return router.SolveNet(in, m, opt, s.scr)
+	return router.SolveNet(in, m, s.scr)
 }
 
 // Solves reports how many solves completed through this solver's arena.
@@ -86,8 +86,8 @@ type BatchOptions struct {
 	// as RouterOptions.Threads. The worker count never affects results,
 	// only throughput.
 	Workers int
-	// Router configures the oracle exactly as in Solve: only its PDAlpha
-	// and SLEps are read.
+	// Router is passed on as Solve's opt, and like it is not read:
+	// every oracle runs at its one fixed parameterization.
 	Router RouterOptions
 }
 
@@ -160,7 +160,7 @@ func SolveBatchCtx(ctx context.Context, ins []*Instance, m Method, opt BatchOpti
 					return
 				}
 				var intact bool
-				if out[i], intact = solveOne(s, ins[i], m, opt.Router); !intact {
+				if out[i], intact = solveOne(s, ins[i], m); !intact {
 					s = NewSolver()
 				}
 			}
@@ -172,13 +172,13 @@ func SolveBatchCtx(ctx context.Context, ins []*Instance, m Method, opt BatchOpti
 
 // solveOne solves one batch instance; intact is false when the solve
 // panicked, which may leave s's arena mid-solve.
-func solveOne(s *Solver, in *Instance, m Method, ropt RouterOptions) (res BatchResult, intact bool) {
+func solveOne(s *Solver, in *Instance, m Method) (res BatchResult, intact bool) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, intact = BatchResult{Err: panics.Error(p)}, false
 		}
 	}()
-	tr, err := s.Solve(in, m, ropt)
+	tr, err := router.SolveNet(in, m, s.scr)
 	if err != nil {
 		return BatchResult{Err: err}, true
 	}

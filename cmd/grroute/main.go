@@ -26,7 +26,6 @@ func main() {
 	waves := flag.Int("waves", 4, "rip-up-and-reroute waves (≥ 1)")
 	workers := flag.Int("workers", 0, "parallel routing workers, one solver arena each (0 = all cores)")
 	dbif := flag.Float64("dbif", 0, "bifurcation penalty in ps, ≥ 0 (0: off; unset: the technology's)")
-	seed := flag.Uint64("seed", 1, "random seed")
 	incremental := flag.Bool("incremental", false, "dirty-net scheduling: re-solve only nets invalidated by price changes after wave 0")
 	incTol := flag.Float64("inctol", 0, "incremental invalidation tolerance (relative, ≥ 0; 0 invalidates on any change; unset: router default)")
 	repairTol := flag.Float64("repairtol", -1, "topology-repair escalation tolerance (needs -incremental): ≥ 0 re-embeds every dirty net that has a cached tree on its topology before a full re-solve, < 0 disables the rung (default)")
@@ -62,7 +61,6 @@ func main() {
 	opt := costdist.DefaultRouterOptions()
 	opt.Waves = *waves
 	opt.Threads = *workers
-	opt.Seed = *seed
 	opt.Incremental = *incremental
 	if set["inctol"] {
 		opt.IncrementalTol = *incTol

@@ -215,11 +215,12 @@ func SolveCDTraced(in *Instance, opt CDOptions, trace func(TraceEvent)) (*Tree, 
 
 // Solve runs any oracle driver standalone on an instance: one of the
 // fixed algorithms or Portfolio (race the pool, keep the best-priced
-// tree). Of opt it reads only PDAlpha and SLEps; the CD oracle runs
-// DefaultCDOptions (every §III enhancement), as it does inside
-// RouteChip. Solver.Solve is the same through a reusable arena.
+// tree). Nothing in opt is read: the CD oracle runs DefaultCDOptions
+// (every §III enhancement), as it does inside RouteChip, and each
+// baseline runs at its one fixed parameterization (PD α = 0.3,
+// SL ε = 0.25). Solver.Solve is the same through a reusable arena.
 func Solve(in *Instance, m Method, opt RouterOptions) (*Tree, error) {
-	return router.SolveNet(in, m, opt, nil)
+	return router.SolveNet(in, m, nil)
 }
 
 // SolveExact solves a small instance optimally (Dreyfus-Wagner-style

@@ -39,7 +39,9 @@ type Instance struct {
 	Eta  float64
 	// Win restricts all path searches to a plane rectangle.
 	Win geom.Rect
-	// Seed drives the randomized merge choices of the CD algorithm.
+	// Seed drives the CD algorithm's random representative draw
+	// (Algorithm 1 line 7), which runs only with ImproveSteiner (§III-D)
+	// off; with it on, the CD algorithm draws no random number.
 	Seed uint64
 	// Budgets optionally carries per-sink delay budgets in ps — the
 	// globally optimized budgets from the resource sharing algorithm

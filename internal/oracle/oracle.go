@@ -23,19 +23,16 @@ import (
 	"costdist/internal/sl"
 )
 
-// Env carries the per-run oracle configuration that is not part of the
-// instance itself: the CD solver's scratch arena and the baselines'
-// shape parameters. The CD solver itself always runs
-// core.DefaultOptions, every §III enhancement on. Workers build one Env
-// each; an Env whose Scratch is shared between concurrent solves races.
+// Env carries what a solve needs beyond the instance itself: the CD
+// solver's scratch arena, cancellation and telemetry. No oracle is
+// configured through it: the CD solver always runs core.DefaultOptions
+// (every §III enhancement on), and the baselines' shape parameters are
+// the constants pdAlpha and slEps. Workers build one Env each; an Env
+// whose Scratch is shared between concurrent solves races.
 type Env struct {
 	// Scratch, when non-nil, is the arena the CD solves (the CD oracle
 	// and the exact tier's seed) run in.
 	Scratch *core.Scratch
-	// PDAlpha is the Prim-Dijkstra trade-off parameter; SLEps the
-	// shallow-light stretch bound.
-	PDAlpha float64
-	SLEps   float64
 	// Ctx, when non-nil, is checked by long-running oracles (the exact
 	// tier) for prompt mid-solve cancellation. Nil means "no deadline".
 	Ctx context.Context
@@ -55,6 +52,14 @@ type row struct {
 	usesBudgets bool
 	solve       func(in *nets.Instance, env *Env) (*nets.RTree, error)
 }
+
+// pdAlpha is the Prim-Dijkstra trade-off parameter and slEps the
+// shallow-light stretch bound: the one parameterization of each
+// baseline the paper compares against (§IV-A).
+const (
+	pdAlpha = 0.3
+	slEps   = 0.25
+)
 
 // table holds every oracle, sorted by name. A row's index is the index
 // space of the router's per-oracle counters and the portfolio's
@@ -165,7 +170,7 @@ func solveSL(in *nets.Instance, env *Env) (*nets.RTree, error) {
 		}
 	}
 	topo := sl.Build(in.TermPts(), planeWeights(in),
-		sl.Params{Eps: env.SLEps, Bound: bounds, LBif: lengthBif(in), Eta: in.Eta})
+		sl.Params{Eps: slEps, Bound: bounds, LBif: lengthBif(in), Eta: in.Eta})
 	return embedTopo(in, topo)
 }
 
@@ -182,7 +187,7 @@ func lengthBif(in *nets.Instance) float64 {
 // solvePD is the Prim-Dijkstra topology baseline, embedded optimally.
 func solvePD(in *nets.Instance, env *Env) (*nets.RTree, error) {
 	topo := pd.Build(in.TermPts(), planeWeights(in),
-		pd.Params{Alpha: env.PDAlpha, LBif: lengthBif(in), Eta: in.Eta})
+		pd.Params{Alpha: pdAlpha, LBif: lengthBif(in), Eta: in.Eta})
 	return embedTopo(in, topo)
 }
 

@@ -74,8 +74,10 @@ func captureInstances(t *testing.T) []*nets.Instance {
 
 // legacySolve replicates, verbatim, the pre-refactor enum-dispatch
 // routeNet/SolveNet path of internal/router, so the oracle table is
-// locked bit-for-bit against it.
-func legacySolve(in *nets.Instance, m router.Method, opt router.Options) (*nets.RTree, error) {
+// locked bit-for-bit against it. It spells the baselines' parameters
+// (PD α = 0.3, SL ε = 0.25) itself, independently of the table's
+// constants.
+func legacySolve(in *nets.Instance, m router.Method) (*nets.RTree, error) {
 	lbif := 0.0
 	if d := in.C.MinDelayPerGCell(); d > 0 {
 		lbif = in.DBif / d
@@ -108,9 +110,9 @@ func legacySolve(in *nets.Instance, m router.Method, opt router.Options) (*nets.
 				}
 			}
 		}
-		topo = sl.Build(pts, ws, sl.Params{Eps: opt.SLEps, Bound: bounds, LBif: lbif, Eta: in.Eta})
+		topo = sl.Build(pts, ws, sl.Params{Eps: 0.25, Bound: bounds, LBif: lbif, Eta: in.Eta})
 	case router.PD:
-		topo = pd.Build(pts, ws, pd.Params{Alpha: opt.PDAlpha, LBif: lbif, Eta: in.Eta})
+		topo = pd.Build(pts, ws, pd.Params{Alpha: 0.3, LBif: lbif, Eta: in.Eta})
 	}
 	r, err := embed.Embed(in, topo)
 	if err != nil {
@@ -123,14 +125,13 @@ func legacySolve(in *nets.Instance, m router.Method, opt router.Options) (*nets.
 // to the pre-refactor enum path on every oracle and instance.
 func TestFixedOracleBitIdenticalToLegacyEnumPath(t *testing.T) {
 	ins := captureInstances(t)
-	opt := router.DefaultOptions()
 	for _, m := range []router.Method{router.L1, router.SL, router.PD, router.CD} {
 		for i, in := range ins {
-			want, err := legacySolve(in, m, opt)
+			want, err := legacySolve(in, m)
 			if err != nil {
 				t.Fatalf("%v/%d legacy: %v", m, i, err)
 			}
-			got, err := router.SolveNet(in, m, opt, nil)
+			got, err := router.SolveNet(in, m, nil)
 			if err != nil {
 				t.Fatalf("%v/%d table: %v", m, i, err)
 			}
@@ -145,9 +146,8 @@ func TestFixedOracleBitIdenticalToLegacyEnumPath(t *testing.T) {
 // every oracle but the exact tier.
 func TestPortfolioKeepsBestPriced(t *testing.T) {
 	ins := captureInstances(t)
-	opt := router.DefaultOptions()
 	for i, in := range ins {
-		got, err := router.SolveNet(in, router.Portfolio, opt, nil)
+		got, err := router.SolveNet(in, router.Portfolio, nil)
 		if err != nil {
 			t.Fatalf("portfolio/%d: %v", i, err)
 		}
@@ -157,7 +157,7 @@ func TestPortfolioKeepsBestPriced(t *testing.T) {
 		}
 		best := -1.0
 		for _, m := range []router.Method{router.L1, router.SL, router.PD, router.CD} {
-			tr, err := router.SolveNet(in, m, opt, nil)
+			tr, err := router.SolveNet(in, m, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,13 +180,12 @@ func TestPortfolioKeepsBestPriced(t *testing.T) {
 // the CD tree, beyond budget it falls back to it verbatim.
 func TestExactOracleNeverWorseThanCD(t *testing.T) {
 	ins := captureInstances(t)
-	opt := router.DefaultOptions()
 	for i, in := range ins {
-		cd, err := router.SolveNet(in, router.CD, opt, nil)
+		cd, err := router.SolveNet(in, router.CD, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, err := router.SolveNet(in, router.Exact, opt, nil)
+		ex, err := router.SolveNet(in, router.Exact, nil)
 		if err != nil {
 			t.Fatalf("exact/%d: %v", i, err)
 		}
@@ -217,12 +216,11 @@ func TestExactOracleFallsBackToCD(t *testing.T) {
 		big.Sinks = append(big.Sinks, nets.Sink{V: g.At(i%g.NX, (i*3)%g.NY, 0), W: 0.001})
 	}
 	big.Win = big.DefaultWindow(6)
-	opt := router.DefaultOptions()
-	cd, err := router.SolveNet(&big, router.CD, opt, nil)
+	cd, err := router.SolveNet(&big, router.CD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := router.SolveNet(&big, router.Exact, opt, nil)
+	ex, err := router.SolveNet(&big, router.Exact, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +240,7 @@ func TestFaultyOracleSurfacesError(t *testing.T) {
 	faulty := func(*nets.Instance, *oracle.Env) (*nets.RTree, error) { return nil, fault }
 
 	oracle.SwapSolve(t, "pd", faulty)
-	if _, err := router.SolveNet(ins[0], router.Portfolio, router.DefaultOptions(), nil); err == nil ||
+	if _, err := router.SolveNet(ins[0], router.Portfolio, nil); err == nil ||
 		!errors.Is(err, fault) || !strings.HasPrefix(err.Error(), "portfolio pd: ") {
 		t.Fatalf("portfolio with a faulty pd: err %v, want \"portfolio pd: injected fault\"", err)
 	}

@@ -102,14 +102,21 @@ func MethodNames() []string {
 	return append(OracleNames(), "portfolio")
 }
 
-// Options configures a routing run.
+// Options configures a routing run. No field configures an oracle: CD
+// runs core.DefaultOptions, the baselines their fixed parameters, and
+// the delay weights follow updateTiming's fixed schedule.
 type Options struct {
 	// Waves is the number of rip-up-and-reroute iterations, ≥ 1 (every
 	// entry point rejects fewer).
 	Waves int
 	// Threads caps the routing worker count (0 = GOMAXPROCS).
 	Threads int
-	// Seed drives all randomized choices.
+	// Seed becomes every routed and captured instance's
+	// nets.Instance.Seed. A route draws no random number from it: the
+	// only reader is Algorithm 1's random representative draw, which
+	// runs only with §III-D off, and the CD oracle always runs
+	// core.DefaultOptions (TestRouteIgnoresSeed pins this). Solving a
+	// captured instance with §III-D off, as the ablation does, reads it.
 	Seed uint64
 
 	// PriceAlpha and PriceTarget parameterize congestion pricing
@@ -119,13 +126,6 @@ type Options struct {
 	// values, naming the field.
 	PriceAlpha  float64
 	PriceTarget float64
-
-	// PDAlpha and SLEps shape the Prim-Dijkstra and shallow-light
-	// baselines. The CD oracle always runs core.DefaultOptions (every
-	// §III enhancement), and the delay weights follow the fixed schedule
-	// of updateTiming.
-	PDAlpha float64
-	SLEps   float64
 
 	// CaptureWave, when ≥ 0, snapshots every routed net of that wave as
 	// a standalone cost-distance instance (for Tables I and II). With
@@ -178,8 +178,6 @@ func DefaultOptions() Options {
 		Seed:        1,
 		PriceAlpha:  1.2,
 		PriceTarget: 0.85,
-		PDAlpha:     0.3,
-		SLEps:       0.25,
 		CaptureWave: -1,
 
 		IncrementalTol: 0.05,
@@ -332,14 +330,14 @@ func route(ctx context.Context, st *State, chip *chipgen.Chip, m Method, opt Opt
 // instance (the Tables I/II harness and the CLI use this for
 // apples-to-apples comparisons on captured instances). The oracle-side
 // code lives in the internal/oracle table; this only resolves the
-// driver. Of opt it reads PDAlpha and SLEps; scr, when non-nil, is the
-// CD solver's arena (a Scratch must not serve two solves at once).
-func SolveNet(in *nets.Instance, m Method, opt Options, scr *core.Scratch) (*nets.RTree, error) {
+// driver. scr, when non-nil, is the CD solver's arena (a Scratch must
+// not serve two solves at once).
+func SolveNet(in *nets.Instance, m Method, scr *core.Scratch) (*nets.RTree, error) {
 	drv, err := newDriver(m)
 	if err != nil {
 		return nil, err
 	}
-	env := oracle.Env{Scratch: scr, PDAlpha: opt.PDAlpha, SLEps: opt.SLEps}
+	env := oracle.Env{Scratch: scr}
 	tr, _, _, err := drv.solve(in, &env)
 	return tr, err
 }

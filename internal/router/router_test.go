@@ -163,7 +163,7 @@ func TestCaptureInstances(t *testing.T) {
 	}
 	// Instances must be independently solvable and evaluable.
 	in := ref[0]
-	tr, err := SolveNet(in, L1, opt, nil)
+	tr, err := SolveNet(in, L1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

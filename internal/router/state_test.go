@@ -85,7 +85,7 @@ func TestComputeDirtySeedMode(t *testing.T) {
 	// Pretend nets 0 and 1 were solved (restored); 2 is seeded dirty;
 	// the rest stay never-solved.
 	costs := r.pricer.Costs()
-	env := oracle.Env{PDAlpha: opt.PDAlpha, SLEps: opt.SLEps}
+	env := oracle.Env{}
 	fake := make(map[int]bool)
 	for _, ni := range []int{0, 1} {
 		in := buildInstance(chip, ni, r.nets[ni].weights, costs, opt.Seed)

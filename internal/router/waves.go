@@ -324,7 +324,7 @@ func (r *runState) runWaves() error {
 				// per-net solver allocations disappear. Ctx lets the exact
 				// tier abandon a label search mid-solve on cancellation,
 				// tightening the kill latency below one full exact solve.
-				env := oracle.Env{Scratch: w.scr, PDAlpha: opt.PDAlpha, SLEps: opt.SLEps, Ctx: ctx, Rec: w.obs}
+				env := oracle.Env{Scratch: w.scr, Ctx: ctx, Rec: w.obs}
 				for {
 					// The cancellation point of the hot loop: one check per
 					// net claim, so a kill takes effect within one solve.

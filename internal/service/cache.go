@@ -6,7 +6,8 @@ import (
 )
 
 // resultCache is the content-addressed result cache: marshaled response
-// bodies keyed by the digest of (canonical request, method, options),
+// bodies keyed by a resolved request's content address (a solve's
+// canonical instance and method, a route's normalized request),
 // evicted least-recently-used under a total byte budget. Because every
 // solve is deterministic, a cached body is bit-identical to what a
 // fresh solve would produce, so serving from cache never changes

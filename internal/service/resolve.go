@@ -51,9 +51,8 @@ type solveCall struct {
 	// cache miss.
 	doc    costdist.InstanceJSON
 	method costdist.Method
-	ropt   costdist.RouterOptions
-	// key is the content address: canonical instance bytes, the resolved
-	// method, and every option that can change the answer.
+	// key is the content address: canonical instance bytes and the
+	// resolved method, all that can change the answer.
 	key string
 }
 
@@ -69,7 +68,7 @@ func resolveSolve(cfg Config, body []byte) (*solveCall, *rejection) {
 	if req.Method == "" {
 		req.Method = cfg.DefaultMethod
 	}
-	c := &solveCall{ropt: costdist.DefaultRouterOptions()}
+	c := &solveCall{}
 	var ok bool
 	if c.method, ok = costdist.MethodByName(req.Method); !ok {
 		return nil, reject(http.StatusUnprocessableEntity,
@@ -99,19 +98,13 @@ func resolveSolve(cfg Config, body []byte) (*solveCall, *rejection) {
 		return nil, reject(http.StatusUnprocessableEntity,
 			"costdist: instance needs nx,ny ≥ 2 and layers ≥ 2")
 	}
-	if req.Options.PDAlpha != nil {
-		c.ropt.PDAlpha = *req.Options.PDAlpha
-	}
-	if req.Options.SLEps != nil {
-		c.ropt.SLEps = *req.Options.SLEps
-	}
 	canonical, err := json.Marshal(&c.doc)
 	if err != nil { // non-finite floats cannot come out of a JSON decode
 		return nil, reject(http.StatusBadRequest, "%v", err)
 	}
 	h := sha256.New()
 	h.Write(canonical)
-	fmt.Fprintf(h, "\x00%s\x00pd=%g;sl=%g", c.method.Name(), c.ropt.PDAlpha, c.ropt.SLEps)
+	fmt.Fprintf(h, "\x00%s", c.method.Name())
 	c.key = hex.EncodeToString(h.Sum(nil))
 	return c, nil
 }

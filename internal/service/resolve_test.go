@@ -28,7 +28,6 @@ func canonicalSolveBody(t *testing.T, c *solveCall) []byte {
 	}
 	body, err := json.Marshal(SolveRequest{
 		Method:   c.method.Name(),
-		Options:  SolveOptions{PDAlpha: &c.ropt.PDAlpha, SLEps: &c.ropt.SLEps},
 		Instance: doc,
 	})
 	if err != nil {
@@ -218,11 +217,14 @@ func TestResolveEquivalentSpellingsShareKeys(t *testing.T) {
 		{"another eta", inst + `,"eta":0.3}`, false},
 		{"another method", `{"method":"sl","instance":` + inst + `}}`, false},
 		{"method alias", `{"method":"l1","instance":` + inst + `}}`, false},
-		{"an option of the method", `{"method":"cd","options":{"pd_alpha":0.9},"instance":` + inst + `}}`, false},
+		{"an options member is ignored", `{"method":"cd","options":{"pd_alpha":0.9},"instance":` + inst + `}}`, true},
 	} {
 		if k := solveKey(tc.body); (k == bare) != tc.same {
 			t.Errorf("%s: same key as the bare document = %v, want %v", tc.name, k == bare, tc.same)
 		}
+	}
+	if solveKey(`{"method":"pd","options":{"pd_alpha":0.7},"instance":`+inst+`}}`) != solveKey(`{"method":"pd","instance":`+inst+`}}`) {
+		t.Error("method pd with options pd_alpha 0.7 resolves to another key than method pd without it")
 	}
 	if solveKey(`{"method":"l1","instance":`+inst+`}}`) != solveKey(`{"method":"rsmt","instance":`+inst+`}}`) {
 		t.Error("method aliases l1 and rsmt resolve to different keys")

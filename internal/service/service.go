@@ -201,28 +201,24 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // --- request/response schemas ---
 
-// SolveOptions are the per-request solver knobs that participate in the
-// cache key. Unset fields take the library defaults.
-type SolveOptions struct {
-	// PDAlpha and SLEps parameterize the PD and SL baselines.
-	PDAlpha *float64 `json:"pd_alpha,omitempty"`
-	SLEps   *float64 `json:"sl_eps,omitempty"`
-}
-
 // SolveRequest is the POST /v1/solve body. A bare InstanceJSON document
 // (no "instance" key) is also accepted — the whole body is then the
 // instance and the method defaults to the server's DefaultMethod, so
-// the files under examples/instances can be POSTed as-is.
+// the files under examples/instances can be POSTed as-is. Other members
+// are ignored: every oracle runs at its one fixed parameterization, so
+// a solve takes no options.
 type SolveRequest struct {
 	Method   string          `json:"method,omitempty"`
-	Options  SolveOptions    `json:"options,omitempty"`
 	Instance json.RawMessage `json:"instance,omitempty"`
 }
 
 // RouteRequest is the POST /v1/route body: a chip of the synthetic
 // suite plus routing options. Defaults: scale 0.01, the server's
-// default oracle, the library's default wave count, seed 1, one routing
-// thread per job (the pool provides the parallelism across jobs).
+// default oracle, the library's default wave count, one routing thread
+// per job (the pool provides the parallelism across jobs). Seed is
+// passed on as RouterOptions.Seed, which changes no routed byte (a
+// route draws no random number); 0 means 1, and the seed is still part
+// of the content address.
 //
 // BaseJob names an earlier route job to warm-start from: the server
 // restores that job's retained checkpoint, diffs the (possibly
@@ -421,7 +417,7 @@ func (s *Server) solveOn(solver *costdist.Solver, c *solveCall) solveOutcome {
 	if err != nil {
 		return solveOutcome{status: http.StatusUnprocessableEntity, err: err}
 	}
-	tr, err := solver.Solve(in, c.method, c.ropt)
+	tr, err := solver.Solve(in, c.method, costdist.RouterOptions{})
 	var out []byte
 	if err == nil {
 		out, err = costdist.MarshalTree(in, tr)

@@ -37,12 +37,11 @@ func Figure1() (pdSVG, cdSVG string, pdBifs, cdBifs int, err error) {
 	for _, p := range noise {
 		in.Sinks = append(in.Sinks, nets.Sink{V: g.At(p[0], p[1], 0), W: 0.01})
 	}
-	opt := router.DefaultOptions()
-	pdTree, err := router.SolveNet(in, router.PD, opt, nil)
+	pdTree, err := router.SolveNet(in, router.PD, nil)
 	if err != nil {
 		return "", "", 0, 0, err
 	}
-	cdTree, err := router.SolveNet(in, router.CD, opt, nil)
+	cdTree, err := router.SolveNet(in, router.CD, nil)
 	if err != nil {
 		return "", "", 0, 0, err
 	}

@@ -162,8 +162,6 @@ func InstanceComparison(cfg Config, withBif bool) ([]InstRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt := cfg.routerOptions()
-
 	sums := make([][4]float64, len(buckets)+1)
 	counts := make([]int, len(buckets)+1)
 	for _, in := range captured {
@@ -182,7 +180,7 @@ func InstanceComparison(cfg Config, withBif bool) ([]InstRow, error) {
 		best := -1.0
 		ok := true
 		for mi, m := range Methods {
-			tr, err := router.SolveNet(in, m, opt, nil)
+			tr, err := router.SolveNet(in, m, nil)
 			if err != nil {
 				ok = false
 				break

@@ -1,6 +1,7 @@
 package costdist
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
@@ -61,6 +62,51 @@ func TestRouteChipDeterministicAcrossThreads(t *testing.T) {
 				}
 				if got != want {
 					t.Fatalf("portfolio solve counts inconsistent: %v vs %d nets", ref.SolvesByOracle, ref.NetsSolved)
+				}
+			}
+		}
+	}
+}
+
+// Routing draws no random number: the one random choice in the solvers,
+// Algorithm 1's representative draw, runs only with §III-D off, and a
+// route's CD solves run every §III enhancement. So RouterOptions.Seed
+// must change no routed byte under any method, cold with the no-skip
+// policy or incremental with the repair rung. grroute has no -seed flag
+// because of this; an oracle that draws from Instance.Seed fails here
+// and makes the seed a routing input again.
+func TestRouteIgnoresSeed(t *testing.T) {
+	chip, err := GenerateChip(ChipSuite(0.002)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range MethodNames() {
+		m, ok := MethodByName(name)
+		if !ok {
+			t.Fatalf("MethodNames lists %q, MethodByName refuses it", name)
+		}
+		for _, incremental := range []bool{false, true} {
+			var ref []byte
+			for _, seed := range []uint64{1, 2} {
+				opt := DefaultRouterOptions()
+				opt.Waves = 2
+				opt.Seed = seed
+				if incremental {
+					opt.Incremental = true
+					opt.RepairTol = 0.25
+				}
+				res, err := RouteChip(chip, m, opt)
+				if err != nil {
+					t.Fatalf("%s incremental=%v seed %d: %v", name, incremental, seed, err)
+				}
+				blob, err := MarshalRouteResult(chip, res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					ref = blob
+				} else if !bytes.Equal(ref, blob) {
+					t.Fatalf("%s incremental=%v: seed %d routes differently from seed 1", name, incremental, seed)
 				}
 			}
 		}
