@@ -14,16 +14,16 @@ package costdist
 // testdata/exact_work.json, the deterministic counts the exact tier's
 // budgets are stated in. Both files are regenerated with:
 //
-//	CERTIFIED_UPDATE=1 go test -run TestDifferentialCertifiedGaps .
+//	PINS_UPDATE=1 go test ./...
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"slices"
 	"testing"
+
+	"costdist/internal/pins"
 )
 
 const (
@@ -159,57 +159,25 @@ func computeCertifiedGaps(t *testing.T) ([]gapEntry, []exactWorkEntry) {
 
 func TestDifferentialCertifiedGaps(t *testing.T) {
 	got, gotWork := computeCertifiedGaps(t)
-	if os.Getenv("CERTIFIED_UPDATE") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range []struct {
-			path string
-			v    any
-		}{{certifiedGapsFile, got}, {exactWorkFile, gotWork}} {
-			blob, err := json.MarshalIndent(f.v, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			blob = append(blob, '\n')
-			if err := os.WriteFile(f.path, blob, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("updated %s", f.path)
-		}
-		return
-	}
-	blob, err := os.ReadFile(exactWorkFile)
-	if err != nil {
-		t.Fatalf("reading exact work pins (run with CERTIFIED_UPDATE=1 to create): %v", err)
-	}
 	var wantWork []exactWorkEntry
-	if err := json.Unmarshal(blob, &wantWork); err != nil {
-		t.Fatal(err)
-	}
+	pins.JSON(t, exactWorkFile, gotWork, &wantWork)
 	if !slices.Equal(gotWork, wantWork) {
-		t.Errorf("goal search work moved from %s — a change to the exact tier's search regenerates it with CERTIFIED_UPDATE=1:\n got  %+v\n want %+v",
+		t.Errorf("goal search work moved from %s — a change to the exact tier's search regenerates it with PINS_UPDATE=1:\n got  %+v\n want %+v",
 			exactWorkFile, gotWork, wantWork)
 	}
-	blob, err = os.ReadFile(certifiedGapsFile)
-	if err != nil {
-		t.Fatalf("reading gap corpus (run with CERTIFIED_UPDATE=1 to create): %v", err)
-	}
 	var want []gapEntry
-	if err := json.Unmarshal(blob, &want); err != nil {
-		t.Fatal(err)
-	}
+	pins.JSON(t, certifiedGapsFile, got, &want)
 	if len(want) != len(got) {
-		t.Fatalf("gap corpus has %d entries, band 2 produced %d — corpus stale, regen with CERTIFIED_UPDATE=1", len(want), len(got))
+		t.Fatalf("gap corpus has %d entries, band 2 produced %d — corpus stale, regen with PINS_UPDATE=1", len(want), len(got))
 	}
 	for i, w := range want {
 		g := got[i]
 		if g.Name != w.Name || g.Sinks != w.Sinks {
-			t.Fatalf("entry %d is %s/%d sinks, corpus has %s/%d — corpus stale, regen with CERTIFIED_UPDATE=1",
+			t.Fatalf("entry %d is %s/%d sinks, corpus has %s/%d — corpus stale, regen with PINS_UPDATE=1",
 				i, g.Name, g.Sinks, w.Name, w.Sinks)
 		}
 		if math.Abs(g.LowerBound-w.LowerBound) > 1e-9*(1+w.LowerBound) {
-			t.Errorf("%s: certified lower bound moved from %v to %v — corpus stale, regen with CERTIFIED_UPDATE=1",
+			t.Errorf("%s: certified lower bound moved from %v to %v — corpus stale, regen with PINS_UPDATE=1",
 				w.Name, w.LowerBound, g.LowerBound)
 			continue
 		}
@@ -218,7 +186,7 @@ func TestDifferentialCertifiedGaps(t *testing.T) {
 			t.Errorf("%s: certified gap regressed from %.6f%% to %.6f%% (CD total %v → %v)",
 				w.Name, 100*w.Gap, 100*g.Gap, w.CDTotal, g.CDTotal)
 		case g.Gap < w.Gap-1e-9:
-			t.Errorf("%s: certified gap improved from %.6f%% to %.6f%% — lock it in with CERTIFIED_UPDATE=1",
+			t.Errorf("%s: certified gap improved from %.6f%% to %.6f%% — lock it in with PINS_UPDATE=1",
 				w.Name, 100*w.Gap, 100*g.Gap)
 		}
 	}

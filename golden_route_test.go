@@ -3,9 +3,10 @@ package costdist
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"os"
+	"fmt"
 	"testing"
+
+	"costdist/internal/pins"
 )
 
 // goldenRoutes locks the cold routing path bit-for-bit: the sha256 of
@@ -19,17 +20,40 @@ import (
 // MarshalRouteResult writes; they moved once, when it stopped writing
 // json.MarshalIndent's layout, and each new digest is the sha256 of the
 // old bytes after json.Compact — the same routes, without the white
-// space.
+// space. Each entry also records the route's objective, overflow and TNS,
+// which a mismatch prints before the digests.
 //
 // Regenerate (only when a deliberate behavior change is shipped) with:
 //
-//	GOLDEN_UPDATE=1 go test -run TestColdPathGolden .
+//	PINS_UPDATE=1 go test ./...
 const goldenRoutesFile = "testdata/golden_routes.json"
 
 type goldenEntry struct {
-	Method      string `json:"method"`
-	Incremental bool   `json:"incremental"`
-	SHA256      string `json:"sha256"`
+	Method      string  `json:"method"`
+	Incremental bool    `json:"incremental"`
+	Objective   float64 `json:"objective"`
+	Overflow    float64 `json:"overflow"`
+	TNS         float64 `json:"tns"`
+	SHA256      string  `json:"sha256"`
+}
+
+// newGoldenEntry is the golden record of res, routed on chip.
+func newGoldenEntry(t *testing.T, m Method, inc bool, chip *Chip, res *RouteResult) goldenEntry {
+	t.Helper()
+	blob, err := MarshalRouteResult(chip, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	return goldenEntry{
+		Method: m.Name(), Incremental: inc,
+		Objective: res.Metrics.Objective, Overflow: res.Metrics.Overflow, TNS: res.Metrics.TNS,
+		SHA256: hex.EncodeToString(sum[:]),
+	}
+}
+
+func (e goldenEntry) String() string {
+	return fmt.Sprintf("objective %v, overflow %v, TNS %v, sha256 %s", e.Objective, e.Overflow, e.TNS, e.SHA256)
 }
 
 func goldenConfigs() []struct {
@@ -63,53 +87,23 @@ func computeGolden(t *testing.T) []goldenEntry {
 		if err != nil {
 			t.Fatalf("%v incremental=%v: %v", cfg.m, cfg.inc, err)
 		}
-		blob, err := MarshalRouteResult(chip, res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(blob)
-		out = append(out, goldenEntry{
-			Method:      cfg.m.Name(),
-			Incremental: cfg.inc,
-			SHA256:      hex.EncodeToString(sum[:]),
-		})
+		out = append(out, newGoldenEntry(t, cfg.m, cfg.inc, chip, res))
 	}
 	return out
 }
 
 func TestColdPathGolden(t *testing.T) {
 	got := computeGolden(t)
-	if os.Getenv("GOLDEN_UPDATE") != "" {
-		blob, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob = append(blob, '\n')
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenRoutesFile, blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("updated %s", goldenRoutesFile)
-		return
-	}
-	blob, err := os.ReadFile(goldenRoutesFile)
-	if err != nil {
-		t.Fatalf("reading golden file (run with GOLDEN_UPDATE=1 to create): %v", err)
-	}
 	var want []goldenEntry
-	if err := json.Unmarshal(blob, &want); err != nil {
-		t.Fatal(err)
-	}
+	pins.JSON(t, goldenRoutesFile, got, &want)
 	if len(want) != len(got) {
 		t.Fatalf("golden file has %d entries, want %d", len(want), len(got))
 	}
 	for i, w := range want {
 		g := got[i]
 		if g != w {
-			t.Errorf("cold path changed for method=%s incremental=%v:\n  golden %s\n  got    %s",
-				w.Method, w.Incremental, w.SHA256, g.SHA256)
+			t.Errorf("cold path changed for method=%s incremental=%v:\n  golden %v\n  got    %v",
+				w.Method, w.Incremental, w, g)
 		}
 	}
 }
@@ -121,37 +115,15 @@ func TestColdPathGolden(t *testing.T) {
 // the cold matrix it hashes compact bytes, and it moved with the cold
 // digests when the white space went. Regenerate it like the cold matrix:
 //
-//	GOLDEN_UPDATE=1 go test -run TestWarmRepairGolden .
+//	PINS_UPDATE=1 go test ./...
 const goldenWarmRepairFile = "testdata/golden_warm_repair.json"
 
 func TestWarmRepairGolden(t *testing.T) {
 	pert, _, warm := warmRepairECO(t)
-	blob, err := MarshalRouteResult(pert, warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(blob)
-	got := goldenEntry{Method: CD.Name(), Incremental: true, SHA256: hex.EncodeToString(sum[:])}
-	if os.Getenv("GOLDEN_UPDATE") != "" {
-		blob, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenWarmRepairFile, append(blob, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("updated %s", goldenWarmRepairFile)
-		return
-	}
-	blob, err = os.ReadFile(goldenWarmRepairFile)
-	if err != nil {
-		t.Fatalf("reading golden file (run with GOLDEN_UPDATE=1 to create): %v", err)
-	}
+	got := newGoldenEntry(t, CD, true, pert, warm)
 	var want goldenEntry
-	if err := json.Unmarshal(blob, &want); err != nil {
-		t.Fatal(err)
-	}
+	pins.JSON(t, goldenWarmRepairFile, got, &want)
 	if got != want {
-		t.Errorf("warm+repair route changed:\n  golden %s\n  got    %s", want.SHA256, got.SHA256)
+		t.Errorf("warm+repair route changed:\n  golden %v\n  got    %v", want, got)
 	}
 }

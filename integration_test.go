@@ -1,8 +1,8 @@
 package costdist
 
 // Integration tests pinning the paper's headline qualitative claims on
-// deterministic synthetic runs (the quantitative tables live in
-// cmd/benchtables and EXPERIMENTS.md).
+// deterministic synthetic runs (the quantitative tables are committed in
+// testdata/paper_tables.txt, which cmd/benchtables prints).
 
 import (
 	"testing"
@@ -48,9 +48,10 @@ func TestPaperShapeViasAndWirelength(t *testing.T) {
 		results[CD].Vias, results[CD].WLm, results[CD].ACE4)
 }
 
-// TestPaperShapeLargeInstancesFavorCD checks Tables I/II's trend: CD's
-// relative disadvantage shrinks (or flips to an advantage) as |S| grows,
-// and bifurcation penalties help CD.
+// TestPaperShapeLargeInstancesFavorCD watches Tables I/II's trend, CD's
+// relative position as |S| grows. It asserts only that CD's gap to the
+// best baseline in the largest populated bucket is at most 10 points worse
+// than in the 3–5 bucket, not that CD leads there.
 func TestPaperShapeLargeInstancesFavorCD(t *testing.T) {
 	if testing.Short() {
 		t.Skip("instance comparison harness")
@@ -87,12 +88,10 @@ func TestPaperShapeLargeInstancesFavorCD(t *testing.T) {
 	}
 	t.Logf("CD gap to best baseline: |S|=3-5 %+.2f%%, |S|=%s %+.2f%%",
 		gap(small), large.Label, gap(*large))
-	// The paper's large-instance dominance (Table I: CD 1.73%% vs L1
-	// 7.09%% on |S|≥30) reproduces at low timing pressure; at the
-	// operating point that also reproduces Table IV's WS/TNS/ACE4
-	// ordering, captured instances carry heavier weights and CD's gap on
-	// large buckets stays within ~10%% of the best baseline (see
-	// EXPERIMENTS.md for the full trade-off discussion).
+	// The paper's large-instance dominance (Table I: CD 1.73% vs L1
+	// 7.09% on |S|≥30) is not asserted: CD trails every baseline in every
+	// bucket of testdata/paper_tables.txt. The shape gates of ROADMAP item
+	// 5(b) are this test's tightening.
 	if gap(*large) > gap(small)+10 {
 		t.Errorf("CD's relative position collapses on large instances: %+.2f%% vs %+.2f%%",
 			gap(*large), gap(small))

@@ -10,12 +10,13 @@ import (
 	"costdist/internal/geom"
 	"costdist/internal/grid"
 	"costdist/internal/nets"
+	"costdist/internal/pins"
 )
 
-// solveDigest is the sha256 of solveDigestCorpus. It pins Solve's exact
-// trees and search work under every combination of the five §III option
-// flags, which the route goldens (default options only) do not.
-const solveDigest = "fd27ae957c03407f97c1c52c9c215b38db5b8cf0cfa5c4c11819adb769850d5d"
+// solveDigestFile holds the sha256 of solveDigestCorpus. It pins Solve's
+// exact trees and search work under every combination of the five §III
+// option flags, which the route goldens (default options only) do not.
+const solveDigestFile = "../../testdata/solve_digest.txt"
 
 // digestOptionSets returns all 32 combinations of Discount, AStar,
 // ImproveSteiner, RootBonus and FlatHeap, bit i of the index switching
@@ -128,10 +129,14 @@ func boolByte(b bool) byte {
 }
 
 // TestSolveDigestAcrossOptions holds Solve's trees and work counts on a
-// seeded corpus under all 32 option sets to solveDigest. A change meant to
-// leave the search's behaviour alone must pass it unedited.
+// seeded corpus under all 32 option sets to solveDigestFile. A change meant
+// to leave the search's behaviour alone must pass it unedited; one that
+// changes what Solve returns regenerates it with
+//
+//	PINS_UPDATE=1 go test ./...
 func TestSolveDigestAcrossOptions(t *testing.T) {
-	if got := solveDigestCorpus(t); got != solveDigest {
-		t.Fatalf("Solve digest = %s, want %s", got, solveDigest)
+	got := solveDigestCorpus(t)
+	if want := pins.File(t, solveDigestFile, []byte(got+"\n")); string(want) != got+"\n" {
+		t.Fatalf("Solve digest = %s, want %s", got, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"costdist/internal/geom"
+	"costdist/internal/pins"
 )
 
 // star builds a root with k sink children directly attached.
@@ -141,10 +142,14 @@ func TestCanonicalizeSplicesPassThrough(t *testing.T) {
 	}
 }
 
-// canonicalizeDigest is the sha256 of canonDigestCorpus's canonical trees.
-// It pins Canonicalize's exact output: node order, Steiner positions and
-// the merge shape bestMergeTree picks, which the shape checks above do not.
-const canonicalizeDigest = "fa73551d17df2888a373926beeb25553c3231b4ead4d9c29ff4fce7813a902dc"
+// canonicalizeDigestFile holds the sha256 of canonDigestCorpus's canonical
+// trees. It pins Canonicalize's exact output: node order, Steiner positions
+// and the merge shape bestMergeTree picks, which the shape checks above do
+// not. A rewrite must pass it unedited; a change of output regenerates it
+// with
+//
+//	PINS_UPDATE=1 go test ./...
+const canonicalizeDigestFile = "../../testdata/canonicalize_digest.txt"
 
 // canonDigestCorpus feeds every tree of a seeded corpus through
 // Canonicalize and hashes (x, y, parent, sink index) of each output node.
@@ -220,7 +225,8 @@ func canonDigestCorpus() string {
 }
 
 func TestCanonicalizeDigest(t *testing.T) {
-	if got := canonDigestCorpus(); got != canonicalizeDigest {
-		t.Fatalf("Canonicalize digest = %s, want %s", got, canonicalizeDigest)
+	got := canonDigestCorpus()
+	if want := pins.File(t, canonicalizeDigestFile, []byte(got+"\n")); string(want) != got+"\n" {
+		t.Fatalf("Canonicalize digest = %s, want %s", got, want)
 	}
 }

@@ -160,13 +160,10 @@ func resolveRoute(cfg Config, body []byte) (*routeCall, *rejection) {
 	if req.Waves == 0 {
 		req.Waves = c.ropt.Waves
 	}
-	if req.Seed == 0 {
-		req.Seed = 1
-	}
 	if req.Threads == 0 {
 		req.Threads = 1
 	}
-	c.ropt.Waves, c.ropt.Seed, c.ropt.Threads = req.Waves, req.Seed, req.Threads
+	c.ropt.Waves, c.ropt.Threads = req.Waves, req.Threads
 	c.ropt.Incremental = req.Incremental
 	// Repair tolerance: every negative spelling means "off", the library
 	// default, and canonicalizes to absent before the content address is

@@ -142,7 +142,7 @@ func FuzzResolveRoute(f *testing.F) {
 				r.Threads < 1 || r.Threads > maxRouteThreads || !(r.PerturbFrac >= 0 && r.PerturbFrac <= 1) {
 				t.Fatalf("accepted an out-of-bounds request: %+v", r)
 			}
-			if c.ropt.Waves != r.Waves || c.ropt.Threads != r.Threads || c.ropt.Seed != r.Seed || c.spec.Name != r.Chip {
+			if c.ropt.Waves != r.Waves || c.ropt.Threads != r.Threads || c.spec.Name != r.Chip {
 				t.Fatalf("options %+v disagree with the resolved request %+v", c.ropt, r)
 			}
 			resolved, err := json.Marshal(r)
@@ -192,7 +192,8 @@ func TestResolveEquivalentSpellingsShareKeys(t *testing.T) {
 		{"oracle alias", `{"chip":"c1","oracle":"l1"}`, `{"chip":"c1","oracle":"rsmt"}`, true},
 		{"oracle default", `{"chip":"c1"}`, `{"chip":"c1","oracle":"cd"}`, true},
 		{"threads never split the cache", `{"chip":"c1","threads":1}`, `{"chip":"c1","threads":8}`, true},
-		{"scale, seed and waves defaults", `{"chip":"c1"}`, fmt.Sprintf(`{"chip":"c1","scale":0.01,"seed":1,"waves":%d}`, waves), true},
+		{"scale and waves defaults", `{"chip":"c1"}`, fmt.Sprintf(`{"chip":"c1","scale":0.01,"waves":%d}`, waves), true},
+		{"a route takes no seed", `{"chip":"c1"}`, `{"chip":"c1","seed":42}`, true},
 		{"negative repair_tol is absent", `{"chip":"c1"}`, `{"chip":"c1","repair_tol":-3}`, true},
 		{"repair_tol is absent on a cold route without incremental", `{"chip":"c1"}`, `{"chip":"c1","repair_tol":0.25}`, true},
 		{"repair_tol matters with incremental", `{"chip":"c1","incremental":true}`, `{"chip":"c1","incremental":true,"repair_tol":0.25}`, false},

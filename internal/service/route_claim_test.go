@@ -56,10 +56,11 @@ func (f *holdFault) await(t *testing.T, key string) {
 	}
 }
 
-// routeBody is a small route request and its content address.
+// routeBody is a small route request, its chip perturbed by seed so that
+// each seed has its own content address, and that address.
 func routeBody(t *testing.T, s *Server, seed int) ([]byte, string) {
 	t.Helper()
-	body := []byte(fmt.Sprintf(`{"chip":"c1","scale":0.002,"waves":1,"seed":%d}`, seed))
+	body := []byte(fmt.Sprintf(`{"chip":"c1","scale":0.002,"waves":1,"perturb_frac":0.01,"perturb_seed":%d}`, seed))
 	call, rej := resolveRoute(s.cfg, body)
 	if rej != nil {
 		t.Fatal(rej.msg)

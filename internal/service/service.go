@@ -215,10 +215,9 @@ type SolveRequest struct {
 // RouteRequest is the POST /v1/route body: a chip of the synthetic
 // suite plus routing options. Defaults: scale 0.01, the server's
 // default oracle, the library's default wave count, one routing thread
-// per job (the pool provides the parallelism across jobs). Seed is
-// passed on as RouterOptions.Seed, which changes no routed byte (a
-// route draws no random number); 0 means 1, and the seed is still part
-// of the content address.
+// per job (the pool provides the parallelism across jobs). A route
+// draws no random number, so a request takes no seed: a "seed" member
+// is ignored like any unknown one and does not split the cache.
 //
 // BaseJob names an earlier route job to warm-start from: the server
 // restores that job's retained checkpoint, diffs the (possibly
@@ -237,7 +236,6 @@ type RouteRequest struct {
 	Scale       float64 `json:"scale,omitempty"`
 	Oracle      string  `json:"oracle,omitempty"`
 	Waves       int     `json:"waves,omitempty"`
-	Seed        uint64  `json:"seed,omitempty"`
 	Threads     int     `json:"threads,omitempty"`
 	Incremental bool    `json:"incremental,omitempty"`
 	BaseJob     string  `json:"base_job,omitempty"`

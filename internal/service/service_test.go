@@ -614,10 +614,11 @@ func TestConcurrentSubmitsVsShutdown(t *testing.T) {
 				default:
 				}
 				// Unique seeds defeat the cache so submits keep hitting
-				// the pool; route jobs mix in queue churn.
+				// the pool; route jobs, each on its own perturbation of
+				// the chip, mix in queue churn.
 				if i%4 == 0 {
 					resp, err := http.Post(ts.URL+"/v1/route", "application/json",
-						strings.NewReader(`{"chip":"c1","scale":0.002,"waves":1,"seed":`+fmt.Sprint(1000*i+n)+`}`))
+						strings.NewReader(`{"chip":"c1","scale":0.002,"waves":1,"perturb_frac":0.01,"perturb_seed":`+fmt.Sprint(1000*i+n+1)+`}`))
 					if err == nil {
 						io.Copy(io.Discard, resp.Body)
 						resp.Body.Close()

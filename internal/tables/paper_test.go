@@ -2,8 +2,9 @@ package tables
 
 import (
 	"bytes"
-	"os"
 	"testing"
+
+	"costdist/internal/pins"
 )
 
 // paperTablesFile holds, byte for byte, what
@@ -19,7 +20,7 @@ const paperTablesFile = "../../testdata/paper_tables.txt"
 // shows up here, and in review as a diff of the committed file.
 // Regenerate with
 //
-//	RESULTS_UPDATE=1 go test -run TestPaperTables ./internal/tables
+//	PINS_UPDATE=1 go test ./...
 func TestPaperTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("routes two chips")
@@ -31,18 +32,8 @@ func TestPaperTables(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if os.Getenv("RESULTS_UPDATE") != "" {
-		if err := os.WriteFile(paperTablesFile, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", paperTablesFile)
-		return
-	}
-	want, err := os.ReadFile(paperTablesFile)
-	if err != nil {
-		t.Fatalf("reading the committed tables (run with RESULTS_UPDATE=1 to create): %v", err)
-	}
+	want := pins.File(t, paperTablesFile, got.Bytes())
 	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("the paper tables moved; if intended, regenerate with RESULTS_UPDATE=1 and review the diff\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
+		t.Fatalf("the paper tables moved; if intended, regenerate with PINS_UPDATE=1 and review the diff\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
 	}
 }

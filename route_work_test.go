@@ -1,10 +1,10 @@
 package costdist
 
 import (
-	"encoding/json"
-	"os"
 	"reflect"
 	"testing"
+
+	"costdist/internal/pins"
 )
 
 // routeWorkFile pins the core search work (RouteMetrics.WorkPerWave) and
@@ -16,7 +16,7 @@ import (
 // and with it, usually, the routes — regenerates it beside the goldens
 // and says why:
 //
-//	WORK_UPDATE=1 go test -run TestRouteWorkPinned .
+//	PINS_UPDATE=1 go test ./...
 const routeWorkFile = "testdata/route_work.json"
 
 type workEntry struct {
@@ -79,25 +79,8 @@ func TestRouteWorkPinned(t *testing.T) {
 	if repaired == 0 {
 		t.Fatalf("%s: the repair rung settled no label", got[1].Run)
 	}
-	if os.Getenv("WORK_UPDATE") != "" {
-		blob, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(routeWorkFile, append(blob, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("updated %s", routeWorkFile)
-		return
-	}
-	blob, err := os.ReadFile(routeWorkFile)
-	if err != nil {
-		t.Fatalf("reading %s (run with WORK_UPDATE=1 to create): %v", routeWorkFile, err)
-	}
 	var want []workEntry
-	if err := json.Unmarshal(blob, &want); err != nil {
-		t.Fatal(err)
-	}
+	pins.JSON(t, routeWorkFile, got, &want)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("search work changed:\npinned %+v\ngot    %+v", want, got)
 	}
